@@ -20,6 +20,19 @@ cargo fmt --all --check
 echo '== clippy =='
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo '== results =='
+# Every file in crates/bench/src/bin/ except the bench_check gate is a
+# result generator: its stdout must reproduce results/<bin>.txt byte for
+# byte (all campaigns run on fixed seeds and simulated time).
+for f in crates/bench/src/bin/*.rs; do
+    b="$(basename "$f" .rs)"
+    [ "$b" = bench_check ] && continue
+    if ! cargo run -q --release --offline -p iron-bench --bin "$b" | diff "results/$b.txt" -; then
+        echo "ERROR: results/$b.txt differs from what --bin $b generates" >&2
+        exit 1
+    fi
+done
+
 echo '== bench smoke =='
 # Absolute path: cargo runs bench binaries with the package dir as cwd.
 BENCH_DIR="${IRON_BENCH_DIR:-$(pwd)/target/bench-smoke}"

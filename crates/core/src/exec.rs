@@ -57,6 +57,16 @@ impl WorkerPool {
         WorkerPool::new(thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
+    /// The pool for a `threads` option where `0` means "one worker per
+    /// hardware thread" (campaigns, serving): `threads` workers otherwise.
+    pub fn sized(threads: usize) -> Self {
+        if threads == 0 {
+            WorkerPool::auto()
+        } else {
+            WorkerPool::new(threads)
+        }
+    }
+
     /// The configured width.
     pub fn threads(&self) -> usize {
         self.threads
@@ -238,5 +248,7 @@ mod tests {
         assert_eq!(WorkerPool::new(0).threads(), 1);
         assert_eq!(WorkerPool::new(8).threads(), 8);
         assert!(WorkerPool::auto().threads() >= 1);
+        assert_eq!(WorkerPool::sized(3).threads(), 3);
+        assert_eq!(WorkerPool::sized(0).threads(), WorkerPool::auto().threads());
     }
 }

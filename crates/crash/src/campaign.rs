@@ -57,14 +57,15 @@ fn golden_tree_of(fs: &dyn FsUnderTest, base: &MemDisk) -> FsTree {
     walk_tree(&mut v).expect("golden image walks")
 }
 
-/// Record `workload`'s write stream over a snapshot of `base` and check
-/// every enumerated crash image sequentially, returning the report.
+/// Record `workload`'s write stream over a snapshot of `base`, enumerate
+/// the bounded crash-image set, and check every image over `pool`.
 fn campaign_on_base(
     fs: &dyn FsUnderTest,
     workload: &CrashWorkload,
     base: &MemDisk,
     golden_tree: &FsTree,
     enumeration: &EnumOptions,
+    pool: WorkerPool,
 ) -> CrashReport {
     // Record the workload's write stream. Dropping the mount without
     // unmounting is the crash.
@@ -83,75 +84,10 @@ fn campaign_on_base(
     let snap = log.snapshot();
 
     let images = enumerate_images(&snap, enumeration);
-    let mut violations = Vec::new();
-    for spec in &images {
-        violations.extend(check_image(
-            fs,
-            &workload.name,
-            base,
-            &snap,
-            &shadow,
-            golden_tree,
-            spec,
-        ));
-    }
-
-    CrashReport {
-        fs: fs.name().to_string(),
-        workload: workload.name.to_string(),
-        epochs: snap.epoch_count(),
-        writes_recorded: snap.records.len(),
-        flushes: snap.flush_marks.len(),
-        images_checked: images.len(),
-        violations,
-    }
-}
-
-/// Record `workload` on a fresh golden image of `fs`, enumerate the
-/// bounded crash-image set, and run recovery plus all four oracles
-/// against every image.
-///
-/// Deterministic for a fixed `(fs, workload, seed)`: the image set, the
-/// checks, and the report are identical at any thread count.
-pub fn run_crash_campaign(
-    fs: &dyn FsUnderTest,
-    workload: &CrashWorkload,
-    opts: &CrashCampaignOptions,
-) -> CrashReport {
-    let base = fs.golden(false);
-    let golden_tree = golden_tree_of(fs, &base);
-
-    let log = WriteLog::new();
-    let shadow = {
-        let mounted = fs
-            .mount_crash(
-                CrashRecorder::with_log(base.snapshot(), log.clone()),
-                FsEnv::new(),
-            )
-            .expect("workload mount on healthy disk");
-        let mut v = Vfs::new(mounted);
-        run_workload(&mut v, workload, &log).expect("workload runs on healthy disk")
-    };
-    let snap = log.snapshot();
-
-    let images = enumerate_images(&snap, &opts.enumeration);
-    let pool = if opts.threads == 0 {
-        WorkerPool::auto()
-    } else {
-        WorkerPool::new(opts.threads)
-    };
     let mut found: Vec<(usize, Vec<Violation>)> = pool.shard(
         &images,
         |acc: &mut Vec<(usize, Vec<Violation>)>, spec| {
-            let vs = check_image(
-                fs,
-                &workload.name,
-                &base,
-                &snap,
-                &shadow,
-                &golden_tree,
-                spec,
-            );
+            let vs = check_image(fs, &workload.name, base, &snap, &shadow, golden_tree, spec);
             if !vs.is_empty() {
                 acc.push((spec.index, vs));
             }
@@ -171,6 +107,23 @@ pub fn run_crash_campaign(
         images_checked: images.len(),
         violations: found.into_iter().flat_map(|(_, vs)| vs).collect(),
     }
+}
+
+/// Record `workload` on a fresh golden image of `fs`, enumerate the
+/// bounded crash-image set, and run recovery plus all four oracles
+/// against every image.
+///
+/// Deterministic for a fixed `(fs, workload, seed)`: the image set, the
+/// checks, and the report are identical at any thread count.
+pub fn run_crash_campaign(
+    fs: &dyn FsUnderTest,
+    workload: &CrashWorkload,
+    opts: &CrashCampaignOptions,
+) -> CrashReport {
+    let base = fs.golden(false);
+    let golden_tree = golden_tree_of(fs, &base);
+    let pool = WorkerPool::sized(opts.threads);
+    campaign_on_base(fs, workload, &base, &golden_tree, &opts.enumeration, pool)
 }
 
 /// The outcome of a whole generated-family campaign on one file system.
@@ -222,16 +175,15 @@ pub fn run_generated_campaign(
     let golden_tree = golden_tree_of(fs, &base);
 
     let indexed: Vec<(usize, &CrashWorkload)> = workloads.iter().enumerate().collect();
-    let pool = if opts.threads == 0 {
-        WorkerPool::auto()
-    } else {
-        WorkerPool::new(opts.threads)
-    };
+    let pool = WorkerPool::sized(opts.threads);
+    // Workloads are the sharded unit here, so each checks its own images
+    // inline.
+    let inline = WorkerPool::new(1);
     type Cell = (usize, usize, Vec<Violation>);
     let mut cells: Vec<Cell> = pool.shard_fine(
         &indexed,
         |acc: &mut Vec<Cell>, (idx, w)| {
-            let r = campaign_on_base(fs, w, &base, &golden_tree, &opts.enumeration);
+            let r = campaign_on_base(fs, w, &base, &golden_tree, &opts.enumeration, inline);
             acc.push((*idx, r.images_checked, r.violations));
         },
         |a, b| a.extend(b),

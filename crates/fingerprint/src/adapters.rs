@@ -7,7 +7,7 @@
 //! image, which block-type rows the file system has, and how to mount it
 //! over a fault-armed device.
 
-use iron_blockdev::{BufferCache, CrashRecorder, MemDisk, RawAccess, RetryLayer};
+use iron_blockdev::{BlockDevice, BufferCache, CrashRecorder, MemDisk, RawAccess, RetryLayer};
 use iron_core::BlockTag;
 use iron_faultinject::FaultyDisk;
 use iron_vfs::{FsEnv, SpecificFs, Vfs, VfsError, VfsResult};
@@ -75,16 +75,6 @@ pub trait FsUnderTest: Sync {
         let _ = dev;
         None
     }
-}
-
-/// One mounted-or-failed campaign instance.
-pub struct Instance {
-    /// The mounted file system (absent if mount failed).
-    pub vfs: Option<Vfs<Box<dyn SpecificFs>>>,
-    /// The mount error, if mounting failed.
-    pub mount_error: Option<VfsError>,
-    /// The shared environment (kernel log + mount state).
-    pub env: FsEnv,
 }
 
 // ======================================================================
@@ -173,6 +163,16 @@ impl Ext3Adapter {
         opts.legacy_group_commit_bug = self.legacy_group_commit_bug;
         opts
     }
+
+    /// Mount over any device stack, keeping the concrete type (the cluster
+    /// axis takes the device back after the run).
+    pub(crate) fn mount_on<D: BlockDevice + RawAccess>(
+        &self,
+        dev: D,
+        env: FsEnv,
+    ) -> VfsResult<Ext3Fs<D>> {
+        Ext3Fs::mount(dev, env, self.options())
+    }
 }
 
 impl FsUnderTest for Ext3Adapter {
@@ -213,36 +213,34 @@ impl FsUnderTest for Ext3Adapter {
         let fs = Ext3Fs::mount(dev, FsEnv::new(), self.options()).expect("mount healthy");
         let mut v = Vfs::new(fs);
         build_fixture(&mut v).expect("fixture on healthy disk");
-        if dirty_journal {
-            // Remount in crash mode and leave committed-but-unflushed work.
-            v.umount().expect("umount");
-            let dev = v.into_fs().into_device();
-            let opts = Ext3Options {
-                crash_mode: true,
-                ..self.options()
-            };
-            let fs = Ext3Fs::mount(dev, FsEnv::new(), opts).expect("crash-mode mount");
-            let mut v = Vfs::new(fs);
-            v.mkdir("/recovered_dir", 0o755).expect("op");
-            v.write_file("/recovered_file", b"via journal").expect("op");
-            v.sync().expect("commit to journal");
-            v.into_fs().into_device() // simulated crash: no unmount
-        } else {
-            v.umount().expect("umount");
-            v.into_fs().into_device()
+        v.umount().expect("umount");
+        let dev = v.into_fs().into_device();
+        if !dirty_journal {
+            return dev;
         }
+        // Remount in crash mode and leave committed-but-unflushed work.
+        let opts = Ext3Options {
+            crash_mode: true,
+            ..self.options()
+        };
+        let fs = Ext3Fs::mount(dev, FsEnv::new(), opts).expect("crash-mode mount");
+        let mut v = Vfs::new(fs);
+        v.mkdir("/recovered_dir", 0o755).expect("op");
+        v.write_file("/recovered_file", b"via journal").expect("op");
+        v.sync().expect("commit to journal");
+        v.into_fs().into_device() // simulated crash: no unmount
     }
 
     fn mount(&self, dev: CampaignDevice, env: FsEnv) -> VfsResult<Box<dyn SpecificFs>> {
-        Ok(Box::new(Ext3Fs::mount(dev, env, self.options())?))
+        Ok(Box::new(self.mount_on(dev, env)?))
     }
 
     fn mount_crash(&self, dev: CrashDevice, env: FsEnv) -> VfsResult<Box<dyn SpecificFs>> {
-        Ok(Box::new(Ext3Fs::mount(dev, env, self.options())?))
+        Ok(Box::new(self.mount_on(dev, env)?))
     }
 
     fn mount_retry(&self, dev: RetryDevice, env: FsEnv) -> VfsResult<Box<dyn SpecificFs>> {
-        Ok(Box::new(Ext3Fs::mount(dev, env, self.options())?))
+        Ok(Box::new(self.mount_on(dev, env)?))
     }
 
     fn fsck_issues(&self, dev: &MemDisk) -> Option<Vec<String>> {
@@ -259,6 +257,14 @@ impl FsUnderTest for Ext3Adapter {
 
 /// Adapter for ReiserFS.
 pub struct ReiserAdapter;
+
+fn mount_reiser<D: BlockDevice + RawAccess + 'static>(
+    dev: D,
+    env: FsEnv,
+) -> VfsResult<Box<dyn SpecificFs>> {
+    let fs = ReiserFs::mount(dev, env, ReiserOptions::default())?;
+    Ok(Box::new(fs))
+}
 
 impl FsUnderTest for ReiserAdapter {
     fn name(&self) -> &'static str {
@@ -295,46 +301,32 @@ impl FsUnderTest for ReiserAdapter {
             })
             .expect("pad files");
         }
-        if dirty_journal {
-            v.umount().expect("umount");
-            let dev = v.into_fs().into_device();
-            let opts = ReiserOptions {
-                crash_mode: true,
-                ..Default::default()
-            };
-            let fs = ReiserFs::mount(dev, FsEnv::new(), opts).expect("crash-mode mount");
-            let mut v = Vfs::new(fs);
-            v.mkdir("/recovered_dir", 0o755).expect("op");
-            v.sync().expect("commit");
-            v.into_fs().into_device()
-        } else {
-            v.umount().expect("umount");
-            v.into_fs().into_device()
+        v.umount().expect("umount");
+        let dev = v.into_fs().into_device();
+        if !dirty_journal {
+            return dev;
         }
+        let opts = ReiserOptions {
+            crash_mode: true,
+            ..Default::default()
+        };
+        let fs = ReiserFs::mount(dev, FsEnv::new(), opts).expect("crash-mode mount");
+        let mut v = Vfs::new(fs);
+        v.mkdir("/recovered_dir", 0o755).expect("op");
+        v.sync().expect("commit");
+        v.into_fs().into_device() // simulated crash: no unmount
     }
 
     fn mount(&self, dev: CampaignDevice, env: FsEnv) -> VfsResult<Box<dyn SpecificFs>> {
-        Ok(Box::new(ReiserFs::mount(
-            dev,
-            env,
-            ReiserOptions::default(),
-        )?))
+        mount_reiser(dev, env)
     }
 
     fn mount_crash(&self, dev: CrashDevice, env: FsEnv) -> VfsResult<Box<dyn SpecificFs>> {
-        Ok(Box::new(ReiserFs::mount(
-            dev,
-            env,
-            ReiserOptions::default(),
-        )?))
+        mount_reiser(dev, env)
     }
 
     fn mount_retry(&self, dev: RetryDevice, env: FsEnv) -> VfsResult<Box<dyn SpecificFs>> {
-        Ok(Box::new(ReiserFs::mount(
-            dev,
-            env,
-            ReiserOptions::default(),
-        )?))
+        mount_reiser(dev, env)
     }
 }
 
@@ -344,6 +336,13 @@ impl FsUnderTest for ReiserAdapter {
 
 /// Adapter for JFS.
 pub struct JfsAdapter;
+
+fn mount_jfs<D: BlockDevice + RawAccess + 'static>(
+    dev: D,
+    env: FsEnv,
+) -> VfsResult<Box<dyn SpecificFs>> {
+    Ok(Box::new(JfsFs::mount(dev, env, JfsOptions::default())?))
+}
 
 impl FsUnderTest for JfsAdapter {
     fn name(&self) -> &'static str {
@@ -360,34 +359,32 @@ impl FsUnderTest for JfsAdapter {
         let fs = JfsFs::mount(dev, FsEnv::new(), JfsOptions::default()).expect("mount healthy");
         let mut v = Vfs::new(fs);
         build_fixture(&mut v).expect("fixture");
-        if dirty_journal {
-            v.umount().expect("umount");
-            let dev = v.into_fs().into_device();
-            let opts = JfsOptions {
-                crash_mode: true,
-                ..Default::default()
-            };
-            let fs = JfsFs::mount(dev, FsEnv::new(), opts).expect("crash-mode mount");
-            let mut v = Vfs::new(fs);
-            v.mkdir("/recovered_dir", 0o755).expect("op");
-            v.sync().expect("commit");
-            v.into_fs().into_device()
-        } else {
-            v.umount().expect("umount");
-            v.into_fs().into_device()
+        v.umount().expect("umount");
+        let dev = v.into_fs().into_device();
+        if !dirty_journal {
+            return dev;
         }
+        let opts = JfsOptions {
+            crash_mode: true,
+            ..Default::default()
+        };
+        let fs = JfsFs::mount(dev, FsEnv::new(), opts).expect("crash-mode mount");
+        let mut v = Vfs::new(fs);
+        v.mkdir("/recovered_dir", 0o755).expect("op");
+        v.sync().expect("commit");
+        v.into_fs().into_device() // simulated crash: no unmount
     }
 
     fn mount(&self, dev: CampaignDevice, env: FsEnv) -> VfsResult<Box<dyn SpecificFs>> {
-        Ok(Box::new(JfsFs::mount(dev, env, JfsOptions::default())?))
+        mount_jfs(dev, env)
     }
 
     fn mount_crash(&self, dev: CrashDevice, env: FsEnv) -> VfsResult<Box<dyn SpecificFs>> {
-        Ok(Box::new(JfsFs::mount(dev, env, JfsOptions::default())?))
+        mount_jfs(dev, env)
     }
 
     fn mount_retry(&self, dev: RetryDevice, env: FsEnv) -> VfsResult<Box<dyn SpecificFs>> {
-        Ok(Box::new(JfsFs::mount(dev, env, JfsOptions::default())?))
+        mount_jfs(dev, env)
     }
 }
 
@@ -400,6 +397,13 @@ impl FsUnderTest for JfsAdapter {
 /// the NTFS model has no journal recovery, so the *FS recovery* column is
 /// inapplicable and renders gray.
 pub struct NtfsAdapter;
+
+fn mount_ntfs<D: BlockDevice + RawAccess + 'static>(
+    dev: D,
+    env: FsEnv,
+) -> VfsResult<Box<dyn SpecificFs>> {
+    Ok(Box::new(NtfsFs::mount(dev, env, NtfsOptions::default())?))
+}
 
 impl FsUnderTest for NtfsAdapter {
     fn name(&self) -> &'static str {
@@ -421,15 +425,15 @@ impl FsUnderTest for NtfsAdapter {
     }
 
     fn mount(&self, dev: CampaignDevice, env: FsEnv) -> VfsResult<Box<dyn SpecificFs>> {
-        Ok(Box::new(NtfsFs::mount(dev, env, NtfsOptions::default())?))
+        mount_ntfs(dev, env)
     }
 
     fn mount_crash(&self, dev: CrashDevice, env: FsEnv) -> VfsResult<Box<dyn SpecificFs>> {
-        Ok(Box::new(NtfsFs::mount(dev, env, NtfsOptions::default())?))
+        mount_ntfs(dev, env)
     }
 
     fn mount_retry(&self, dev: RetryDevice, env: FsEnv) -> VfsResult<Box<dyn SpecificFs>> {
-        Ok(Box::new(NtfsFs::mount(dev, env, NtfsOptions::default())?))
+        mount_ntfs(dev, env)
     }
 }
 

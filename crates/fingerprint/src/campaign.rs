@@ -1,5 +1,4 @@
-//! The fault-injection campaign: drive every (workload × block type ×
-//! fault mode) cell and build the policy matrix.
+//! The campaign driver, and the fault-mode axis it was written for.
 //!
 //! §4.4: "Our workload suite contains roughly 30 programs, each file
 //! system has on the order of 10 to 20 different block types, and each
@@ -8,25 +7,33 @@
 //! The campaign runs the full cross product; cells whose fault never
 //! fires are the gray "not applicable" cells of Figure 2.
 //!
-//! Every cell is an independent snapshot–mount–run: each gets its own
-//! golden-image snapshot, fault plan, and [`FsEnv`]. That makes the cross
-//! product embarrassingly parallel, so the campaign shards its cell list
-//! over the workspace's shared executor ([`iron_core::exec::WorkerPool`]
-//! — the same scoped-`std::thread` scheduler behind `iron-fsck`). Workers
-//! fold finished cells into per-shard vectors keyed by `(mode, row, col)`;
-//! the merge inserts them into the matrix by key, so the result is
-//! *bit-identical* to the sequential run at any thread count (the
-//! `campaign_scaling` bench and the property suite assert this).
+//! The paper's method is one loop, and so is this module: [`run_cell`]
+//! does *inject → build stack over a golden snapshot → mount → arm → run →
+//! observe* for a single cell, and [`drive`] does *filter rows → goldens →
+//! fault-free references → (panel × row × workload) cross product → shard
+//! → merge by key* for a whole matrix. An axis — [`FaultMode`] here,
+//! [`crate::transience`] and [`crate::cluster`] next door — supplies only
+//! its panel values and fault specs, the closure that builds its device
+//! stack, and the closure that turns a finished run into its cell type.
+//!
+//! Every cell is an independent snapshot–mount–run with its own fault
+//! plans and [`FsEnv`], so the cross product is embarrassingly parallel:
+//! [`drive`] shards it over [`iron_core::exec::WorkerPool`], workers fold
+//! finished cells into per-shard vectors keyed by `(panel, row, col)`, and
+//! the merge inserts them by key — the result is *bit-identical* to the
+//! sequential run at any thread count (the `campaign_scaling` bench and
+//! the property suite assert this).
 
 use std::collections::HashMap;
 
-use iron_blockdev::{MemDisk, StackBuilder};
+use iron_blockdev::{IoEvent, IoTrace, MemDisk, StackBuilder};
 use iron_core::exec::{Job, WorkerPool};
+use iron_core::klog::LogEntry;
 use iron_core::model::CorruptionStyle;
 use iron_core::policy::PolicyCell;
-use iron_core::{BlockTag, FaultKind};
+use iron_core::{BlockAddr, BlockTag, FaultKind};
 use iron_faultinject::{FaultPlan, FaultSpec, FaultStackExt, FaultTarget};
-use iron_vfs::{FsEnv, Vfs, VfsError};
+use iron_vfs::{FsEnv, MountState, SpecificFs, Vfs, VfsError, VfsResult};
 
 use crate::adapters::FsUnderTest;
 use crate::observe::{infer, Observation};
@@ -124,15 +131,6 @@ impl CampaignOptions {
         self.threads = threads;
         self
     }
-
-    /// The executor this campaign will shard cells over.
-    fn pool(&self) -> WorkerPool {
-        if self.threads == 0 {
-            WorkerPool::auto()
-        } else {
-            WorkerPool::new(self.threads)
-        }
-    }
 }
 
 /// A Figure 2/3-style policy matrix for one file system.
@@ -158,26 +156,58 @@ impl PolicyMatrix {
     }
 }
 
-/// One cell's faulty-run artifacts.
-struct CellRun {
-    output: WorkloadOutput,
-    mount_error: Option<VfsError>,
-    env: FsEnv,
-    obs_fired: bool,
-    anchor: Option<iron_core::BlockAddr>,
-    klog: Vec<iron_core::klog::LogEntry>,
-    trace: Vec<iron_blockdev::IoEvent>,
+/// Everything one cell's run left behind. The observation fields are
+/// captured while the file system is still mounted, *before* the axis's
+/// post-run hook touches the stack, so unmount or repair I/O can never
+/// leak into inference.
+pub(crate) struct CellRun<X> {
+    pub fired: bool,
+    /// The address the first fired fault anchored on.
+    pub anchor: Option<BlockAddr>,
+    /// Mount failures appear as a `mount:` step.
+    pub output: WorkloadOutput,
+    pub mount_error: Option<VfsError>,
+    pub final_state: MountState,
+    pub klog: Vec<LogEntry>,
+    pub trace: Vec<IoEvent>,
+    /// Whatever the axis's post-run hook returned.
+    pub extra: X,
 }
 
-fn run_one(
-    adapter: &dyn FsUnderTest,
-    golden: &MemDisk,
+impl<X> CellRun<X> {
+    /// Classify this run against its fault-free `reference` (§4.3).
+    pub fn infer(self, mode: FaultMode, reference: &WorkloadOutput) -> Option<PolicyCell> {
+        infer(&Observation {
+            mode,
+            fired: self.fired,
+            anchor: self.anchor,
+            reference: reference.clone(),
+            faulty: self.output,
+            mount_error: self.mount_error,
+            final_state: self.final_state,
+            klog: self.klog,
+            trace: self.trace,
+        })
+    }
+}
+
+/// Run one cell: the single snapshot → mount → arm → run → observe loop
+/// every axis rides.
+///
+/// `spec` (none for a reference run) is injected into the plans of the
+/// `faulted` replicas, out of `replicas` fresh fault plans — one per
+/// replica on the cluster axis, one otherwise. `build` stamps the golden
+/// snapshot, stacks the axis's device layers over the plans and mounts; it
+/// hands back the trace to observe and the axis's post-run hook, which
+/// receives the still-mounted file system (absent if the mount failed)
+/// once the observation is captured.
+pub(crate) fn run_cell<F: SpecificFs, P: FnOnce(Option<Vfs<F>>) -> X, X>(
     w: Workload,
-    fault: Option<(FaultMode, BlockTag)>,
-) -> CellRun {
-    let plan = FaultPlan::new();
-    let ctl = plan.controller();
-    let fault_id = fault.map(|(mode, tag)| ctl.inject(mode.spec(tag)));
+    spec: Option<FaultSpec>,
+    replicas: usize,
+    faulted: &[usize],
+    build: impl FnOnce(&[FaultPlan], &FsEnv) -> (VfsResult<F>, IoTrace, P),
+) -> CellRun<X> {
     // Special workloads need the fault live during mount; plain workloads
     // arm it afterwards so mount-time accesses (superblock, journal
     // superblock, checksum table) don't eat the fault meant for the
@@ -186,83 +216,79 @@ fn run_one(
     // `TagNth` counting starts at the re-arm, and `fired`/`anchor` are
     // read from the same entry no matter which path the run took.
     let special = w.is_special();
-    if let Some(id) = fault_id {
+    let plans: Vec<FaultPlan> = (0..replicas).map(|_| FaultPlan::new()).collect();
+    let mut ids = Vec::new();
+    // FaultIds are plan-scoped: each faulted replica gets its own injection
+    // of the spec (a reference run has none), with independent TagNth counting.
+    for (&ri, spec) in faulted.iter().zip(spec.iter().cycle()) {
+        let ctl = plans[ri].controller();
+        let id = ctl.inject(*spec);
         if !special {
             ctl.disarm(id);
         }
+        ids.push((ctl, id));
     }
 
-    // The Figure 1 stack: snapshot, fault layer, write-through cache.
-    let dev = StackBuilder::new(golden.snapshot())
-        .with_faults(plan)
-        .write_through()
-        .build();
-    let trace = dev.inner().trace();
     let env = FsEnv::new();
-    let mut cell = CellRun {
-        output: WorkloadOutput::default(),
-        mount_error: None,
-        env: env.clone(),
-        obs_fired: false,
-        anchor: None,
-        klog: Vec::new(),
-        trace: Vec::new(),
-    };
-
-    match adapter.mount(dev, env) {
+    let (mounted, trace, post) = build(&plans, &env);
+    let mut output = WorkloadOutput::default();
+    let (vfs, mount_error) = match mounted {
         Ok(fs) => {
             let mut v = Vfs::new(fs);
-            cell.output.steps.push("mount:ok".into());
-            if let Some(id) = fault_id {
-                if !special {
-                    ctl.arm(id);
-                }
+            output.steps.push("mount:ok".into());
+            if !special {
+                ids.iter().for_each(|(ctl, id)| ctl.arm(*id));
             }
             let out = run(w, &mut v, Some(&trace));
-            cell.output.steps.extend(out.steps);
-            cell.output.step_trace_marks = out.step_trace_marks;
+            output.steps.extend(out.steps);
+            output.step_trace_marks = out.step_trace_marks;
+            (Some(v), None)
         }
         Err(e) => {
-            cell.output.steps.push(match &e {
-                VfsError::Errno(errno) => format!("mount:err:{errno:?}"),
-                VfsError::KernelPanic(_) => "mount:PANIC".into(),
-            });
-            cell.mount_error = Some(e);
+            output.note("mount", Err(e.clone()));
+            (None, Some(e))
         }
-    }
+    };
 
-    if let Some(id) = fault_id {
-        cell.obs_fired = ctl.fired(id);
-        cell.anchor = ctl.anchor(id);
+    // Fields are evaluated in order: `post` runs last, on a captured observation.
+    CellRun {
+        fired: ids.iter().any(|(ctl, id)| ctl.fired(*id)),
+        anchor: ids.iter().find_map(|(ctl, id)| ctl.anchor(*id)),
+        output,
+        mount_error,
+        final_state: env.state(),
+        klog: env.klog.entries(),
+        trace: trace.events(),
+        extra: post(vfs),
     }
-    cell.klog = cell.env.klog.entries();
-    cell.trace = trace.events();
-    cell
 }
 
-/// One entry of the campaign's flattened cell cross product.
-type CellKey = (usize, usize, usize);
+/// One entry of a campaign's flattened cross product: `(panel, row, col)`.
+pub(crate) type CellKey = (usize, usize, usize);
 
-/// Fingerprint one file system: run the campaign and build its matrix.
+/// Drive one campaign: every `(panel × row × workload)` cell of `adapter`,
+/// as the filtered row list plus the cells by key (`None` = gray).
 ///
-/// The (mode × row × workload) cell list is sharded over
-/// [`CampaignOptions::threads`] workers; each cell is a self-contained
-/// snapshot–mount–run, and finished cells merge into the matrix by their
-/// `(mode, row, col)` key, so the result does not depend on scheduling —
-/// any thread count yields the bit-identical [`PolicyMatrix`].
-pub fn fingerprint_fs(adapter: &dyn FsUnderTest, opts: &CampaignOptions) -> PolicyMatrix {
-    let all_rows = adapter.rows();
-    let rows: Vec<BlockTag> = if opts.rows.is_empty() {
-        all_rows
-    } else {
-        all_rows
-            .into_iter()
-            .filter(|t| opts.rows.contains(t))
-            .collect()
-    };
-    let cols = opts.workloads.clone();
-    let modes = opts.modes.clone();
-    let pool = opts.pool();
+/// `run` executes one cell over the golden image it is handed — with a
+/// fault, or with `None` for the fault-free reference of a workload —
+/// and `classify` turns a faulty run plus its workload's reference output
+/// into the axis's cell type. Cells are sharded over `threads` workers
+/// (`0` = one per hardware thread) and merged by their unique key, so the
+/// result does not depend on scheduling.
+pub(crate) fn drive<P: Copy + Sync, X, C: Send>(
+    adapter: &dyn FsUnderTest,
+    row_filter: &[BlockTag],
+    cols: &[Workload],
+    panels: &[P],
+    threads: usize,
+    run: impl Fn(&MemDisk, Workload, Option<(P, BlockTag)>) -> CellRun<X> + Sync,
+    classify: impl Fn(P, CellRun<X>, &WorkloadOutput) -> Option<C> + Sync,
+) -> (Vec<BlockTag>, HashMap<CellKey, Option<C>>) {
+    let mut rows = adapter.rows();
+    if !row_filter.is_empty() {
+        rows.retain(|t| row_filter.contains(t));
+    }
+    let pool = WorkerPool::sized(threads);
 
     // Golden images: one clean, one with a dirty journal. Workers snapshot
     // them read-only, so one pair serves every cell.
@@ -276,32 +302,25 @@ pub fn fingerprint_fs(adapter: &dyn FsUnderTest, opts: &CampaignOptions) -> Poli
         }
     };
 
-    // Reference runs (fault-free), one per workload — independent of each
-    // other, so they run as pipelined jobs on the same pool.
+    // Reference runs (fault-free, through the axis's own stack), one per
+    // workload — independent of each other, so they run as pipelined jobs
+    // on the same pool.
     let ref_jobs: Vec<Job<'_, (Workload, WorkloadOutput)>> = cols
         .iter()
         .map(|&w| {
-            let golden_clean = &golden_clean;
-            let golden_dirty = &golden_dirty;
-            Box::new(move || {
-                let golden = if w == Workload::Recovery {
-                    golden_dirty
-                } else {
-                    golden_clean
-                };
-                (w, run_one(adapter, golden, w, None).output)
-            }) as Job<'_, _>
+            let (run, golden) = (&run, golden_for(w));
+            Box::new(move || (w, run(golden, w, None).output)) as Job<'_, _>
         })
         .collect();
     let references: HashMap<Workload, WorkloadOutput> =
         pool.run_jobs(ref_jobs).into_iter().collect();
 
-    // The flattened cross product, in deterministic (mode, row, col) order.
-    let mut cells_todo: Vec<(CellKey, FaultMode, BlockTag, Workload)> = Vec::new();
-    for (mi, &mode) in modes.iter().enumerate() {
+    // The flattened cross product, in deterministic (panel, row, col) order.
+    let mut todo: Vec<(CellKey, P, BlockTag, Workload)> = Vec::new();
+    for (pi, &panel) in panels.iter().enumerate() {
         for (ri, &tag) in rows.iter().enumerate() {
             for (ci, &w) in cols.iter().enumerate() {
-                cells_todo.push(((mi, ri, ci), mode, tag, w));
+                todo.push(((pi, ri, ci), panel, tag, w));
             }
         }
     }
@@ -309,48 +328,122 @@ pub fn fingerprint_fs(adapter: &dyn FsUnderTest, opts: &CampaignOptions) -> Poli
     // Shard the cells: each worker folds finished cells into a private
     // vector; the barrier merge appends them. Keys are unique, so the
     // final keyed insertion is order-independent.
-    let done: Vec<(CellKey, Option<PolicyCell>)> = pool.shard(
-        &cells_todo,
-        |acc: &mut Vec<(CellKey, Option<PolicyCell>)>, &(key, mode, tag, w)| {
-            let r = run_one(adapter, golden_for(w), w, Some((mode, tag)));
-            let obs = Observation {
-                mode,
-                fired: r.obs_fired,
-                anchor: r.anchor,
-                reference: references[&w].clone(),
-                faulty: r.output,
-                mount_error: r.mount_error,
-                final_state: r.env.state(),
-                klog: r.klog,
-                trace: r.trace,
-            };
-            acc.push((key, infer(&obs)));
+    let done: Vec<(CellKey, Option<C>)> = pool.shard(
+        &todo,
+        |acc: &mut Vec<(CellKey, Option<C>)>, &(key, panel, tag, w)| {
+            let r = run(golden_for(w), w, Some((panel, tag)));
+            acc.push((key, classify(panel, r, &references[&w])));
         },
         |out, shard| out.extend(shard),
     );
+    (rows, done.into_iter().collect())
+}
 
-    let mut matrix = PolicyMatrix {
+/// One Figure 2 cell (or, with no fault, a reference run) over the
+/// Figure 1 stack: snapshot, fault layer, write-through cache.
+fn run_one(
+    adapter: &dyn FsUnderTest,
+    golden: &MemDisk,
+    w: Workload,
+    fault: Option<(FaultMode, BlockTag)>,
+) -> CellRun<()> {
+    let spec = fault.map(|(mode, tag)| mode.spec(tag));
+    run_cell(w, spec, 1, &[0], |plans, env| {
+        let dev = StackBuilder::new(golden.snapshot())
+            .with_faults(plans[0].clone())
+            .write_through()
+            .build();
+        let trace = dev.inner().trace();
+        (adapter.mount(dev, env.clone()), trace, |_| ())
+    })
+}
+
+/// Fingerprint one file system: drive the (mode × row × workload)
+/// campaign and build its matrix — the bit-identical [`PolicyMatrix`] at
+/// any [`CampaignOptions::threads`].
+pub fn fingerprint_fs(adapter: &dyn FsUnderTest, opts: &CampaignOptions) -> PolicyMatrix {
+    let (rows, cells) = drive(
+        adapter,
+        &opts.rows,
+        &opts.workloads,
+        &opts.modes,
+        opts.threads,
+        |golden, w, fault| run_one(adapter, golden, w, fault),
+        |mode, r, reference| r.infer(mode, reference),
+    );
+    PolicyMatrix {
         fs_name: adapter.name(),
         rows,
-        cols,
-        modes,
-        cells: HashMap::new(),
-        relevant: 0,
-    };
-    for (key, cell) in done {
-        if cell.is_some() {
-            matrix.relevant += 1;
-        }
-        matrix.cells.insert(key, cell);
+        cols: opts.workloads.clone(),
+        modes: opts.modes.clone(),
+        relevant: cells.values().flatten().count(),
+        cells,
     }
-    matrix
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adapters::Ext3Adapter;
+    use crate::cluster::{fingerprint_cluster, ClusterCampaignOptions, ReplicaTopology};
+    use crate::transience::{transience_matrix, TransienceOptions};
     use iron_core::{DetectionLevel, RecoveryLevel};
+    use std::fmt::Debug;
+    use std::hash::Hash;
+
+    /// `run(threads)` yields an axis's `(cells, relevant)`; both must not
+    /// depend on the worker count.
+    fn assert_thread_invariant<K: Eq + Hash + Debug, C: PartialEq + Debug>(
+        axis: &str,
+        run: impl Fn(usize) -> (HashMap<K, Option<C>>, usize),
+    ) {
+        let (cells1, relevant1) = run(1);
+        assert!(relevant1 > 0, "{axis}: the mini-campaign must fire");
+        for threads in [2, 4, 8] {
+            let (cells, relevant) = run(threads);
+            assert_eq!(cells1, cells, "{axis}: 1 vs {threads} threads");
+            assert_eq!(relevant1, relevant, "{axis}: 1 vs {threads} threads");
+        }
+    }
+
+    /// All three axes ride the same sharded, keyed-merge driver, so every
+    /// matrix is bit-identical at any thread count.
+    #[test]
+    fn every_axis_is_bit_identical_at_any_thread_count() {
+        let stock = Ext3Adapter::stock();
+        let rows = vec![BlockTag("data"), BlockTag("inode")];
+        let workloads = vec![Workload::Read, Workload::Write];
+        assert_thread_invariant("fault mode", |threads| {
+            let opts = CampaignOptions {
+                workloads: workloads.clone(),
+                rows: rows.clone(),
+                ..CampaignOptions::default()
+            };
+            let m = fingerprint_fs(&stock, &opts.with_threads(threads));
+            (m.cells, m.relevant)
+        });
+        assert_thread_invariant("transience", |threads| {
+            let opts = TransienceOptions {
+                workloads: workloads.clone(),
+                rows: rows.clone(),
+                ..TransienceOptions::default()
+            };
+            let m = transience_matrix(&stock, &opts.with_threads(threads));
+            (m.cells, m.relevant)
+        });
+        assert_thread_invariant("cluster", |threads| {
+            let opts = ClusterCampaignOptions {
+                topologies: vec![ReplicaTopology::ALL[1], ReplicaTopology::ALL[3]],
+                modes: vec![FaultMode::ReadError, FaultMode::Corruption],
+                workloads: vec![Workload::Read],
+                rows: rows.clone(),
+                threads,
+            };
+            let m = fingerprint_cluster(&stock, &opts);
+            assert!(!m.summary().is_empty());
+            (m.cells, m.relevant)
+        });
+    }
 
     /// A focused mini-campaign: ext3, inode+data rows, a few columns.
     #[test]
@@ -443,7 +536,7 @@ mod tests {
             r.mount_error.is_some(),
             "a superblock read error must fail the mount"
         );
-        assert!(r.obs_fired, "the fault fired even though mount failed");
+        assert!(r.fired, "the fault fired even though mount failed");
         assert!(r.anchor.is_some(), "anchor recorded from the stable id");
 
         // And the matrix records the cell as relevant, not gray.

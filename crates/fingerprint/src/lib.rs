@@ -20,16 +20,21 @@
 //!    classified into IRON levels. (The paper calls this "the most
 //!    human-intensive part of the process"; here it is automated.)
 //!
+//! That loop exists once. [`campaign`] holds the driver — one function
+//! that runs a cell (inject → stack over a golden snapshot → mount → arm →
+//! run → observe) and one that drives a matrix (goldens → references →
+//! cross product → shard → keyed merge) — and three **axes** ride it,
+//! each supplying only its panel values, its device stack and its cell
+//! type: fault mode ([`fingerprint_fs`], Figure 2/3), fault transience
+//! ([`transience`]: sticky / transient-*n* / slow beneath the
+//! retry/deadline layer), and replica-fault topology ([`cluster`]: the
+//! same faults under chosen replicas of an `iron-cluster` quorum volume,
+//! with peer repair as the post-run hook).
+//!
 //! [`adapters`] packages each file-system model for the campaign;
 //! [`render`] draws Figure 2/3-style matrices; [`summary`] aggregates
 //! Table 5; [`greybox`] re-derives ext3 block types by walking the image —
 //! independently of the tags — and the test suite asserts the two agree.
-//! [`cluster`] lifts the campaign above a replicated multi-disk volume
-//! (`iron-cluster`), adding a replica-fault topology axis: which
-//! single-disk policy cells vanish under quorum arbitration, and which
-//! fault topologies still defeat the cluster. [`transience`] adds a
-//! fault-transience axis (sticky / transient-*n* / slow) driven through
-//! the policy-equipped retry/deadline device stack.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,13 +50,12 @@ pub mod transience;
 pub mod workloads;
 
 pub use adapters::{
-    CampaignDevice, CrashDevice, Ext3Adapter, FsUnderTest, Instance, JfsAdapter, NtfsAdapter,
-    ReiserAdapter, RetryDevice,
+    CampaignDevice, CrashDevice, Ext3Adapter, FsUnderTest, JfsAdapter, NtfsAdapter, ReiserAdapter,
+    RetryDevice,
 };
 pub use campaign::{fingerprint_fs, CampaignOptions, FaultMode, PolicyMatrix};
 pub use cluster::{
-    fingerprint_cluster, ClusterCampaignDevice, ClusterCampaignOptions, ClusterCell,
-    ClusterFsUnderTest, ClusterMatrix, Ext3ClusterAdapter, ReplicaTopology,
+    fingerprint_cluster, ClusterCampaignOptions, ClusterCell, ClusterMatrix, ReplicaTopology,
 };
 pub use transience::{
     transience_matrix, FaultTransience, TransienceCell, TransienceMatrix, TransienceOptions,

@@ -15,24 +15,25 @@
 //!   surfaces as [`iron_blockdev::DiskError::Timeout`], a distinct error
 //!   class the policy table can route differently.
 //!
-//! Cells are sharded over [`iron_core::exec::WorkerPool`] with a keyed
-//! merge, so — like the main campaign — the matrix is **bit-identical**
-//! at any thread count.
+//! This is an *axis* of the one campaign driver ([`crate::campaign`]): it
+//! contributes its panel values, its device stack and its cell type, and
+//! inherits the arming discipline, the references and the sharded keyed
+//! merge — so the matrix is **bit-identical** at any thread count.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use iron_blockdev::{MemDisk, RetryConfig, RetryStatsSnapshot, StackBuilder};
-use iron_core::exec::{Job, WorkerPool};
 use iron_core::recover::{
     Backoff, FailurePolicyTable, PolicyCounterSnapshot, PolicyHandle, RecoveryAction,
 };
 use iron_core::{BlockTag, FaultKind};
-use iron_faultinject::{FaultPlan, FaultSpec, FaultStackExt, FaultTarget};
-use iron_vfs::{FsEnv, MountState, Vfs, VfsError};
+use iron_faultinject::{FaultSpec, FaultStackExt, FaultTarget};
+use iron_vfs::MountState;
 
 use crate::adapters::FsUnderTest;
-use crate::workloads::{run, Workload, WorkloadOutput};
+use crate::campaign::{drive, run_cell, CellRun};
+use crate::workloads::Workload;
 
 /// Service-time multiplier for the slow axis: with the nominal latency
 /// charge of [`iron_faultinject::SLOW_NOMINAL_NS`] (100 µs), a ×64 fault
@@ -126,14 +127,6 @@ impl TransienceOptions {
         self
     }
 
-    fn pool(&self) -> WorkerPool {
-        if self.threads == 0 {
-            WorkerPool::auto()
-        } else {
-            WorkerPool::new(self.threads)
-        }
-    }
-
     /// The device-level policy every cell's [`iron_blockdev::RetryLayer`]
     /// enacts: bounded retry with deterministic exponential backoff, then
     /// propagation to the file system.
@@ -185,185 +178,67 @@ impl TransienceMatrix {
     }
 }
 
-/// One cell's run artifacts.
-struct CellRun {
-    fired: bool,
-    output: WorkloadOutput,
-    mount_error: Option<VfsError>,
-    retry: RetryStatsSnapshot,
-    policy: PolicyCounterSnapshot,
-    final_state: MountState,
-}
-
+/// One transience cell (or, with no fault, a reference run) over the
+/// policy-equipped Figure 1 stack: snapshot, clock-attached fault layer,
+/// retry/deadline layer, write-through cache. All three share the
+/// snapshot's clock, so latency faults are visible to the deadline check
+/// and backoff charges land on the same timeline.
 fn run_one(
     adapter: &dyn FsUnderTest,
     golden: &MemDisk,
     w: Workload,
     fault: Option<(FaultTransience, BlockTag)>,
     opts: &TransienceOptions,
-) -> CellRun {
-    let plan = FaultPlan::new();
-    let ctl = plan.controller();
-    let fault_id = fault.map(|(tr, tag)| ctl.inject(tr.spec(tag)));
-    // Same arming discipline as the main campaign: plain workloads keep
-    // the fault disarmed across mount (one stable id), special workloads
-    // need it live from the first access.
-    let special = w.is_special();
-    if let Some(id) = fault_id {
-        if !special {
-            ctl.disarm(id);
-        }
-    }
-
-    // The policy-equipped Figure 1 stack: snapshot, clock-attached fault
-    // layer, retry/deadline layer, write-through cache. All three share
-    // the snapshot's clock, so latency faults are visible to the deadline
-    // check and backoff charges land on the same timeline.
-    let snap = golden.snapshot();
-    let clock = snap.clock();
-    let policy = opts.device_policy();
-    let env = FsEnv::new();
-    let dev = StackBuilder::new(snap)
-        .with_timed_faults(plan, clock.clone())
-        .with_retry(
-            RetryConfig::new(policy.clone(), clock)
-                .deadline_ns(opts.deadline_ns)
-                .with_klog(env.klog.clone()),
-        )
-        .write_through()
-        .build();
-    let stats = dev.inner().stats();
-    let trace = dev.inner().inner().trace();
-
-    let mut output = WorkloadOutput::default();
-    let mut mount_error = None;
-    match adapter.mount_retry(dev, env.clone()) {
-        Ok(fs) => {
-            let mut v = Vfs::new(fs);
-            output.steps.push("mount:ok".into());
-            if let Some(id) = fault_id {
-                if !special {
-                    ctl.arm(id);
-                }
-            }
-            let out = run(w, &mut v, Some(&trace));
-            output.steps.extend(out.steps);
-            output.step_trace_marks = out.step_trace_marks;
-        }
-        Err(e) => {
-            output.steps.push(match &e {
-                VfsError::Errno(errno) => format!("mount:err:{errno:?}"),
-                VfsError::KernelPanic(_) => "mount:PANIC".into(),
-            });
-            mount_error = Some(e);
-        }
-    }
-
-    CellRun {
-        fired: fault_id.map(|id| ctl.fired(id)).unwrap_or(false),
-        output,
-        mount_error,
-        retry: stats.snapshot(),
-        policy: policy.counters().snapshot(),
-        final_state: env.state(),
-    }
+) -> CellRun<(RetryStatsSnapshot, PolicyCounterSnapshot)> {
+    let spec = fault.map(|(tr, tag)| tr.spec(tag));
+    run_cell(w, spec, 1, &[0], |plans, env| {
+        let snap = golden.snapshot();
+        let clock = snap.clock();
+        let policy = opts.device_policy();
+        let dev = StackBuilder::new(snap)
+            .with_timed_faults(plans[0].clone(), clock.clone())
+            .with_retry(
+                RetryConfig::new(policy.clone(), clock)
+                    .deadline_ns(opts.deadline_ns)
+                    .with_klog(env.klog.clone()),
+            )
+            .write_through()
+            .build();
+        let stats = dev.inner().stats();
+        let trace = dev.inner().inner().trace();
+        let post = move |_| (stats.snapshot(), policy.counters().snapshot());
+        (adapter.mount_retry(dev, env.clone()), trace, post)
+    })
 }
 
-type CellKey = (usize, usize, usize);
-
-/// Run the transience campaign for one file system.
-///
-/// The (transience × row × workload) cell list is sharded over
-/// [`TransienceOptions::threads`] workers; finished cells merge into the
-/// matrix by key, so any thread count yields the bit-identical
-/// [`TransienceMatrix`].
+/// Run the (transience × row × workload) campaign for one file system —
+/// the bit-identical [`TransienceMatrix`] at any
+/// [`TransienceOptions::threads`].
 pub fn transience_matrix(adapter: &dyn FsUnderTest, opts: &TransienceOptions) -> TransienceMatrix {
-    let all_rows = adapter.rows();
-    let rows: Vec<BlockTag> = if opts.rows.is_empty() {
-        all_rows
-    } else {
-        all_rows
-            .into_iter()
-            .filter(|t| opts.rows.contains(t))
-            .collect()
-    };
-    let cols = opts.workloads.clone();
-    let transiences = opts.transiences.clone();
-    let pool = opts.pool();
-
-    let golden_clean = adapter.golden(false);
-    let golden_dirty = adapter.golden(true);
-    let golden_for = |w: Workload| {
-        if w == Workload::Recovery {
-            &golden_dirty
-        } else {
-            &golden_clean
-        }
-    };
-
-    // Fault-free reference runs through the *same* policy-equipped stack,
-    // one per workload.
-    let ref_jobs: Vec<Job<'_, (Workload, WorkloadOutput)>> = cols
-        .iter()
-        .map(|&w| {
-            let golden_clean = &golden_clean;
-            let golden_dirty = &golden_dirty;
-            Box::new(move || {
-                let golden = if w == Workload::Recovery {
-                    golden_dirty
-                } else {
-                    golden_clean
-                };
-                (w, run_one(adapter, golden, w, None, opts).output)
-            }) as Job<'_, _>
-        })
-        .collect();
-    let references: HashMap<Workload, WorkloadOutput> =
-        pool.run_jobs(ref_jobs).into_iter().collect();
-
-    let mut cells_todo: Vec<(CellKey, FaultTransience, BlockTag, Workload)> = Vec::new();
-    for (ti, &tr) in transiences.iter().enumerate() {
-        for (ri, &tag) in rows.iter().enumerate() {
-            for (ci, &w) in cols.iter().enumerate() {
-                cells_todo.push(((ti, ri, ci), tr, tag, w));
-            }
-        }
-    }
-
-    let done: Vec<(CellKey, Option<TransienceCell>)> = pool.shard(
-        &cells_todo,
-        |acc: &mut Vec<(CellKey, Option<TransienceCell>)>, &(key, tr, tag, w)| {
-            let r = run_one(adapter, golden_for(w), w, Some((tr, tag)), opts);
-            let cell = if r.fired {
-                Some(TransienceCell {
-                    matches_reference: r.mount_error.is_none() && r.output == references[&w],
-                    retry: r.retry,
-                    policy: r.policy,
-                    final_state: r.final_state,
-                })
-            } else {
-                None
-            };
-            acc.push((key, cell));
+    let (rows, cells) = drive(
+        adapter,
+        &opts.rows,
+        &opts.workloads,
+        &opts.transiences,
+        opts.threads,
+        |golden, w, fault| run_one(adapter, golden, w, fault, opts),
+        |_, r, reference| {
+            r.fired.then(|| TransienceCell {
+                matches_reference: r.mount_error.is_none() && r.output == *reference,
+                retry: r.extra.0,
+                policy: r.extra.1,
+                final_state: r.final_state,
+            })
         },
-        |out, shard| out.extend(shard),
     );
-
-    let mut matrix = TransienceMatrix {
+    TransienceMatrix {
         fs_name: adapter.name(),
         rows,
-        cols,
-        transiences,
-        cells: HashMap::new(),
-        relevant: 0,
-    };
-    for (key, cell) in done {
-        if cell.is_some() {
-            matrix.relevant += 1;
-        }
-        matrix.cells.insert(key, cell);
+        cols: opts.workloads.clone(),
+        transiences: opts.transiences.clone(),
+        relevant: cells.values().flatten().count(),
+        cells,
     }
-    matrix
 }
 
 #[cfg(test)]
@@ -417,22 +292,6 @@ mod tests {
             !cell.matches_reference,
             "a persistently slow block is visible through the deadline"
         );
-    }
-
-    #[test]
-    fn matrix_is_bit_identical_at_any_thread_count() {
-        let opts = TransienceOptions {
-            workloads: vec![Workload::Read, Workload::Write],
-            rows: vec![BlockTag("data"), BlockTag("inode")],
-            ..TransienceOptions::default()
-        };
-        let m1 = transience_matrix(&Ext3Adapter::stock(), &opts.clone().with_threads(1));
-        let m2 = transience_matrix(&Ext3Adapter::stock(), &opts.clone().with_threads(2));
-        let m4 = transience_matrix(&Ext3Adapter::stock(), &opts.clone().with_threads(4));
-        assert_eq!(m1.cells, m2.cells, "1 vs 2 threads");
-        assert_eq!(m1.cells, m4.cells, "1 vs 4 threads");
-        assert_eq!(m1.relevant, m2.relevant);
-        assert!(m1.relevant > 0);
     }
 
     /// The full cross product over every row and column, stock and ixt3 —

@@ -150,7 +150,7 @@ impl PartialEq for WorkloadOutput {
 impl Eq for WorkloadOutput {}
 
 impl WorkloadOutput {
-    fn note(&mut self, step: &str, r: Result<String, VfsError>) {
+    pub(crate) fn note(&mut self, step: &str, r: Result<String, VfsError>) {
         match r {
             Ok(s) => self.steps.push(format!("{step}:ok:{s}")),
             Err(VfsError::Errno(e)) => self.steps.push(format!("{step}:err:{e:?}")),

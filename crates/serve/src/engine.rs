@@ -341,11 +341,7 @@ pub fn serve<F: SpecificFs + Send>(
     for (i, s) in sessions.iter().enumerate() {
         assert_eq!(s.id, i, "session ids must equal their slice index");
     }
-    let pool = if opts.threads == 0 {
-        WorkerPool::auto()
-    } else {
-        WorkerPool::new(opts.threads)
-    };
+    let pool = WorkerPool::sized(opts.threads);
     let locks = LockManager::new(opts.lock_shards);
     let core = Mutex::new(Core {
         vfs,
