@@ -14,6 +14,12 @@ cargo build --workspace --release --offline
 echo '== test (offline) =='
 cargo test --workspace -q --offline
 
+echo '== benchmark workspace (offline) =='
+# benchmark/ is a Cargo workspace of its own that path-depends on
+# crates/* and pins their public API (PolicyHandle, RetryConfig,
+# FsUnderTest::mount_retry, …); the root build never sees it.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo '== fmt =='
 cargo fmt --all --check
 

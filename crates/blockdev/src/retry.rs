@@ -4,12 +4,12 @@
 //! re-issues failed commands with its own budget before the FS ever sees
 //! an error (§3 of the paper notes most FS retry behavior actually lives
 //! here). `RetryLayer` is that mid-layer: it wraps any [`BlockDevice`],
-//! consults a shared [`PolicyHandle`], and walks the matched escalation
-//! chain on every failed request — bounded re-issues with deterministic
-//! sim-clock backoff, then propagation. File-system-only rungs
-//! (`Redundancy`, `Remap`, `DegradeReadOnly`) are skipped at this level;
-//! the layer cannot remount anything read-only, it can only hand the
-//! error up to someone who can.
+//! shares a [`PolicyHandle`] with the layers above, and hands every
+//! failed request to the one chain walker ([`PolicyHandle::walk`]) —
+//! bounded re-issues with deterministic sim-clock backoff, then
+//! propagation. File-system-only rungs (`Redundancy`, `DegradeReadOnly`)
+//! are skipped at this level; the layer cannot remount anything
+//! read-only, it can only hand the error up to someone who can.
 //!
 //! The layer also implements **I/O deadlines**: when configured, any
 //! request whose simulated service time exceeds the deadline is failed
@@ -18,14 +18,15 @@
 //! into a detectable error class.
 //!
 //! On the fault-free path the layer reads the clock twice and touches two
-//! atomics — it charges **zero** simulated time, so a policy-equipped
+//! atomics — the first attempt stays outside the walker, allocates
+//! nothing and charges **zero** simulated time, so a policy-equipped
 //! stack is sim-time-identical to a bare one (the `retry_overhead` bench
 //! pins this).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use iron_core::recover::{ErrorClass, PolicyHandle, RecoveryAction};
+use iron_core::recover::{ErrorClass, PolicyHandle, Step, Verdict, Walk};
 use iron_core::{Block, BlockAddr, BlockTag, IoKind, KernelLog, SimClock};
 
 use crate::device::{BlockDevice, DiskError, DiskResult, RawAccess};
@@ -196,7 +197,7 @@ impl<D: BlockDevice> RetryLayer<D> {
         out
     }
 
-    /// The policy walk: first attempt, then the matched escalation chain.
+    /// First attempt, then — only if it failed — the policy walk.
     fn run<T>(
         &mut self,
         addr: BlockAddr,
@@ -211,57 +212,35 @@ impl<D: BlockDevice> RetryLayer<D> {
         };
         self.stats.cells.faulted_ops.fetch_add(1, Ordering::Relaxed);
 
-        let chain = self.policy.chain_for(tag, io, classify(&last_err));
-        for action in chain {
-            match action {
-                RecoveryAction::Retry { budget, backoff } => {
-                    for reissue in 1..=budget {
-                        let delay = backoff.delay_ns(reissue);
-                        self.clock.advance_ns(delay);
-                        self.policy.counters().add_backoff_ns(delay);
-                        self.policy.record(
-                            &self.klog,
-                            "retrylayer",
-                            action,
-                            &format!("{io} {addr} [{tag}] re-issue {reissue}/{budget}"),
-                        );
-                        match self.attempt(addr, io, &mut op) {
-                            Ok(v) => {
-                                self.stats.cells.masked.fetch_add(1, Ordering::Relaxed);
-                                self.policy.counters().count_masked();
-                                self.klog.info(
-                                    "retrylayer",
-                                    format!("{io} {addr} [{tag}] succeeded on re-issue {reissue}"),
-                                );
-                                return Ok(v);
-                            }
-                            Err(e) => last_err = e,
-                        }
-                    }
-                    self.policy.counters().count_exhausted();
-                }
-                // A device layer has no redundancy, no remap table, and no
-                // mount to degrade: these rungs belong to the file system
-                // above. Fall through to the next rung.
-                RecoveryAction::Redundancy
-                | RecoveryAction::Remap
-                | RecoveryAction::DegradeReadOnly => {}
-                RecoveryAction::Propagate | RecoveryAction::Stop => {
-                    self.stats.cells.propagated.fetch_add(1, Ordering::Relaxed);
-                    self.policy.record(
-                        &self.klog,
-                        "retrylayer",
-                        action,
-                        &format!("{io} {addr} [{tag}]"),
-                    );
-                    return Err(last_err);
-                }
+        // Handles are cloned so the re-issue closure can borrow the layer.
+        let (policy, klog, clock) = (self.policy.clone(), self.klog.clone(), self.clock.clone());
+        let site = Walk {
+            klog: &klog,
+            subsystem: "retrylayer",
+            clock: Some(&clock),
+            can_degrade: false,
+            request: &format!("{io} {addr} [{tag}]"),
+        };
+        let class = classify(&last_err);
+        let verdict = policy.walk(&site, tag, io, class, |step| match step {
+            Step::Reissue { .. } => self
+                .attempt(addr, io, &mut op)
+                .map_err(|e| last_err = e)
+                .ok(),
+            // A device layer has no redundant copy of its own.
+            Step::Redundancy => None,
+        });
+        let cells = &self.stats.cells;
+        match verdict {
+            Verdict::Recovered(v) => {
+                cells.masked.fetch_add(1, Ordering::Relaxed);
+                Ok(v)
+            }
+            Verdict::Degrade | Verdict::Propagate | Verdict::Stop => {
+                cells.propagated.fetch_add(1, Ordering::Relaxed);
+                Err(last_err)
             }
         }
-        // Chain exhausted without a terminal rung: propagate.
-        self.stats.cells.propagated.fetch_add(1, Ordering::Relaxed);
-        self.policy.counters().count_propagate();
-        Err(last_err)
     }
 }
 
@@ -307,7 +286,7 @@ impl<D: RawAccess> RawAccess for RetryLayer<D> {
 mod tests {
     use super::*;
     use crate::memdisk::MemDisk;
-    use iron_core::recover::{Backoff, FailurePolicyTable};
+    use iron_core::recover::{Backoff, FailurePolicyTable, RecoveryAction};
 
     /// A flaky test double: fails the first `fail_first` tagged requests
     /// to a chosen address, succeeds afterwards.
@@ -509,7 +488,6 @@ mod tests {
     fn fs_level_rungs_are_skipped_at_device_level() {
         let policy = PolicyHandle::new(FailurePolicyTable::with_default(vec![
             RecoveryAction::Redundancy,
-            RecoveryAction::Remap,
             RecoveryAction::DegradeReadOnly,
             RecoveryAction::Propagate,
         ]));

@@ -24,9 +24,10 @@
 //!   [`recover::FailurePolicyTable`] mapping (block type × I/O direction ×
 //!   error class) to an ordered escalation chain of
 //!   [`recover::RecoveryAction`]s — bounded retry with deterministic
-//!   sim-clock backoff, redundancy, remapping, graceful read-only
-//!   degradation, propagation, or stop — shared across layers through a
-//!   swappable [`recover::PolicyHandle`];
+//!   sim-clock backoff, redundancy, graceful read-only degradation,
+//!   propagation, or stop — shared across layers through a swappable
+//!   [`recover::PolicyHandle`] and enacted at every layer by the one
+//!   chain walker, [`recover::PolicyHandle::walk`];
 //! * the shared parallel executor ([`exec::WorkerPool`]): the scoped
 //!   `std::thread` sharded scheduler behind both the pFSCK-style check
 //!   engine (`iron-fsck`) and the fingerprinting campaign

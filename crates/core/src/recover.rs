@@ -6,11 +6,14 @@
 //! concrete: a [`FailurePolicyTable`] maps `(block type × I/O direction ×
 //! error class)` to an ordered [`RecoveryAction`] *escalation chain* —
 //! bounded retry with deterministic exponential backoff first, then
-//! redundancy or remapping, then graceful read-only degradation, and
-//! finally propagation or a stop. Layers that enact the chain (the
-//! device-level `RetryLayer`, ext3's metadata/data paths) share a
-//! [`PolicyHandle`], so policy can be swapped at runtime and every enacted
-//! action is counted in [`PolicyCounters`] and echoed to the kernel log.
+//! redundancy, then graceful read-only degradation, and finally
+//! propagation or a stop. Every layer that enacts a chain (the
+//! device-level `RetryLayer` and all five file-system models) does so
+//! through the one walker, [`PolicyHandle::walk`]: it alone looks the
+//! chain up, loops a `Retry` rung, charges backoff, orders the rungs and
+//! counts what was enacted in [`PolicyCounters`]. A caller supplies only
+//! what is its own — how to re-issue the request, what redundancy it
+//! has, its log wording, and what each [`Verdict`] means locally.
 //!
 //! All timing is in *simulated* nanoseconds against [`SimClock`], so a
 //! backoff schedule is exactly reproducible: same table, same fault plan,
@@ -21,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::block::BlockTag;
+use crate::clock::SimClock;
 use crate::klog::KernelLog;
 use crate::model::IoKind;
 
@@ -41,24 +45,6 @@ pub enum ErrorClass {
     /// The request completed but its payload failed a block-content
     /// check (checksum/sanity) — silent corruption made visible.
     Corrupt,
-}
-
-impl ErrorClass {
-    /// Stable short label, used in klog lines and rendered tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            ErrorClass::Io => "io",
-            ErrorClass::Timeout => "timeout",
-            ErrorClass::DeviceFailed => "dev-failed",
-            ErrorClass::Corrupt => "bad-content",
-        }
-    }
-}
-
-impl fmt::Display for ErrorClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// A deterministic, capped exponential backoff schedule in simulated
@@ -137,9 +123,6 @@ pub enum RecoveryAction {
     /// alternate superblock). Only meaningful to layers that have
     /// redundancy; others skip this rung.
     Redundancy,
-    /// Write the payload somewhere else and remember the new home.
-    /// Only meaningful to write paths with a remap table.
-    Remap,
     /// Give up on writes but keep serving reads: abort the journal and
     /// remount the file system read-only. Bounds the damage from a
     /// sticky fault instead of propagating garbage.
@@ -156,21 +139,9 @@ impl RecoveryAction {
         match self {
             RecoveryAction::Retry { .. } => "retry",
             RecoveryAction::Redundancy => "redundancy",
-            RecoveryAction::Remap => "remap",
             RecoveryAction::DegradeReadOnly => "degrade-ro",
             RecoveryAction::Propagate => "propagate",
             RecoveryAction::Stop => "stop",
-        }
-    }
-}
-
-impl fmt::Display for RecoveryAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecoveryAction::Retry { budget, backoff } => {
-                write!(f, "retry(budget={budget}, base={}ns)", backoff.base_ns)
-            }
-            other => f.write_str(other.label()),
         }
     }
 }
@@ -247,16 +218,6 @@ impl FailurePolicyTable {
             .map(|r| r.chain.clone())
             .unwrap_or_else(|| self.default_chain.clone())
     }
-
-    /// Number of explicit rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// True when no explicit rule is installed.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
 }
 
 /// Per-action counters, shared by every layer that enacts the same
@@ -267,7 +228,6 @@ struct CounterCells {
     masked: AtomicU64,
     exhausted: AtomicU64,
     redundancy: AtomicU64,
-    remaps: AtomicU64,
     degrades: AtomicU64,
     propagates: AtomicU64,
     stops: AtomicU64,
@@ -286,8 +246,6 @@ pub struct PolicyCounterSnapshot {
     pub exhausted: u64,
     /// Requests satisfied by a `Redundancy` rung.
     pub redundancy: u64,
-    /// Writes redirected by a `Remap` rung.
-    pub remaps: u64,
     /// `DegradeReadOnly` transitions enacted.
     pub degrades: u64,
     /// Errors returned to the caller by a `Propagate` rung.
@@ -309,59 +267,18 @@ pub struct PolicyCounters {
 }
 
 impl PolicyCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Count one re-issue.
-    pub fn count_retry(&self) {
-        self.cells.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a fault fully masked by retries.
-    pub fn count_masked(&self) {
-        self.cells.masked.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a retry budget exhausted.
-    pub fn count_exhausted(&self) {
-        self.cells.exhausted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a request satisfied from redundancy.
-    pub fn count_redundancy(&self) {
-        self.cells.redundancy.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a remapped write.
-    pub fn count_remap(&self) {
-        self.cells.remaps.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a read-only degradation.
+    /// Count a read-only degradation. Public because the degradation is
+    /// counted where it is enacted: ext3 aborts its journal from sites
+    /// that never walk a chain (a failed commit write, say), and every
+    /// one of them is a `DegradeReadOnly`.
     pub fn count_degrade(&self) {
         self.cells.degrades.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count an error propagated to the caller.
-    pub fn count_propagate(&self) {
-        self.cells.propagates.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a stop.
-    pub fn count_stop(&self) {
-        self.cells.stops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a deadline exceeded.
+    /// Count a deadline exceeded (the deadline check lives in the device
+    /// layer, ahead of any chain).
     pub fn count_timeout(&self) {
         self.cells.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Account `ns` of sim time charged as backoff.
-    pub fn add_backoff_ns(&self, ns: u64) {
-        self.cells.backoff_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Copy out all counters.
@@ -372,7 +289,6 @@ impl PolicyCounters {
             masked: c.masked.load(Ordering::Relaxed),
             exhausted: c.exhausted.load(Ordering::Relaxed),
             redundancy: c.redundancy.load(Ordering::Relaxed),
-            remaps: c.remaps.load(Ordering::Relaxed),
             degrades: c.degrades.load(Ordering::Relaxed),
             propagates: c.propagates.load(Ordering::Relaxed),
             stops: c.stops.load(Ordering::Relaxed),
@@ -398,7 +314,7 @@ impl PolicyHandle {
     pub fn new(table: FailurePolicyTable) -> Self {
         PolicyHandle {
             table: Arc::new(Mutex::new(table)),
-            counters: PolicyCounters::new(),
+            counters: PolicyCounters::default(),
         }
     }
 
@@ -417,31 +333,149 @@ impl PolicyHandle {
         &self.counters
     }
 
-    /// Count an enacted action and echo it to `klog` under `subsystem`.
+    /// Count an enacted rung and echo it to the site's kernel log.
     ///
-    /// `detail` names the request (e.g. `"data read #12"`). Wording is
-    /// deliberately neutral: it must not collide with the fingerprint
-    /// framework's detection-marker substrings.
-    pub fn record(
-        &self,
-        klog: &KernelLog,
-        subsystem: &'static str,
-        action: RecoveryAction,
-        detail: &str,
-    ) {
-        match action {
-            RecoveryAction::Retry { .. } => self.counters.count_retry(),
-            RecoveryAction::Redundancy => self.counters.count_redundancy(),
-            RecoveryAction::Remap => self.counters.count_remap(),
-            RecoveryAction::DegradeReadOnly => self.counters.count_degrade(),
-            RecoveryAction::Propagate => self.counters.count_propagate(),
-            RecoveryAction::Stop => self.counters.count_stop(),
-        }
-        klog.info(
-            subsystem,
-            format!("policy action {}: {detail}", action.label()),
+    /// Wording is deliberately neutral and info-level: it must not
+    /// collide with the fingerprint framework's detection-marker
+    /// substrings, nor read as a reaction by itself.
+    fn record(&self, site: &Walk<'_>, action: RecoveryAction, suffix: impl fmt::Display) {
+        let c = &self.counters.cells;
+        let cell = match action {
+            RecoveryAction::Retry { .. } => &c.retries,
+            RecoveryAction::Redundancy => &c.redundancy,
+            // Counted by whoever enacts it, see `count_degrade`.
+            RecoveryAction::DegradeReadOnly => return,
+            RecoveryAction::Propagate => &c.propagates,
+            RecoveryAction::Stop => &c.stops,
+        };
+        cell.fetch_add(1, Ordering::Relaxed);
+        site.klog.info(
+            site.subsystem,
+            format!("policy action {}: {}{suffix}", action.label(), site.request),
         );
     }
+
+    /// Walk the escalation chain for a request that has just failed —
+    /// the one retry engine of the workspace.
+    ///
+    /// The chain for `(tag, io, class)` is enacted rung by rung:
+    ///
+    /// * `Retry { budget, backoff }` asks `step` for
+    ///   [`Step::Reissue`] up to `budget` times, charging
+    ///   `backoff.delay_ns(k)` to the site's clock before re-issue `k`;
+    ///   the first `Some` ends the walk as [`Verdict::Recovered`]. With
+    ///   the failed first attempt the caller made itself, a request sees
+    ///   at most `1 + budget` attempts per `Retry` rung.
+    /// * `Redundancy` asks `step` for [`Step::Redundancy`] once; a caller
+    ///   with no redundant copy answers `None` and the walk moves on.
+    /// * `DegradeReadOnly`, `Propagate` and `Stop` end the walk with the
+    ///   verdict of the same name, which the caller enacts in its own
+    ///   terms. A site that has no mount to degrade (`can_degrade:
+    ///   false`) skips `DegradeReadOnly`.
+    /// * A chain that runs out without a terminal rung propagates.
+    ///
+    /// Every enacted rung is counted once and echoed to the log, the same
+    /// way at every level of the stack.
+    pub fn walk<T>(
+        &self,
+        site: &Walk<'_>,
+        tag: BlockTag,
+        io: IoKind,
+        class: ErrorClass,
+        mut step: impl FnMut(Step) -> Option<T>,
+    ) -> Verdict<T> {
+        let c = &self.counters.cells;
+        for action in self.chain_for(tag, io, class) {
+            match action {
+                RecoveryAction::Retry { budget, backoff } => {
+                    for attempt in 1..=budget {
+                        let delay = backoff.delay_ns(attempt);
+                        if delay > 0 {
+                            if let Some(clock) = site.clock {
+                                clock.advance_ns(delay);
+                            }
+                            c.backoff_ns.fetch_add(delay, Ordering::Relaxed);
+                        }
+                        self.record(site, action, format_args!(" re-issue {attempt}/{budget}"));
+                        if let Some(v) = step(Step::Reissue { attempt, budget }) {
+                            c.masked.fetch_add(1, Ordering::Relaxed);
+                            return Verdict::Recovered(v);
+                        }
+                    }
+                    c.exhausted.fetch_add(1, Ordering::Relaxed);
+                }
+                RecoveryAction::Redundancy => {
+                    if let Some(v) = step(Step::Redundancy) {
+                        self.record(site, action, "");
+                        return Verdict::Recovered(v);
+                    }
+                }
+                RecoveryAction::DegradeReadOnly => {
+                    if site.can_degrade {
+                        return Verdict::Degrade;
+                    }
+                }
+                RecoveryAction::Propagate => {
+                    self.record(site, action, "");
+                    return Verdict::Propagate;
+                }
+                RecoveryAction::Stop => {
+                    self.record(site, action, "");
+                    return Verdict::Stop;
+                }
+            }
+        }
+        self.record(site, RecoveryAction::Propagate, "");
+        Verdict::Propagate
+    }
+}
+
+/// Where a chain walk happens: what [`PolicyHandle::walk`] needs from its
+/// caller besides the re-issue closure.
+#[derive(Clone, Copy, Debug)]
+pub struct Walk<'a> {
+    /// Kernel log the enacted rungs are echoed to.
+    pub klog: &'a KernelLog,
+    /// Log subsystem of the enacting layer.
+    pub subsystem: &'static str,
+    /// Clock that backoff delays are charged to; `None` when the layer
+    /// keeps no clock (the delay is still counted).
+    pub clock: Option<&'a SimClock>,
+    /// Whether the layer can enact `DegradeReadOnly`. A device layer
+    /// cannot — it has no mount — and hands the error to one that can.
+    pub can_degrade: bool,
+    /// Names the failed request in the echo, e.g. `"data read 12"`.
+    pub request: &'a str,
+}
+
+/// What the walker asks of its caller at a rung only the caller can
+/// carry out. Answer `Some(value)` when the request is now satisfied.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Step {
+    /// Re-issue the failed request: re-issue `attempt` of `budget`.
+    Reissue {
+        /// 1-based re-issue number within this `Retry` rung.
+        attempt: u32,
+        /// The rung's budget.
+        budget: u32,
+    },
+    /// Satisfy the request from a redundant copy, if there is one.
+    Redundancy,
+}
+
+/// How a chain walk ended; the caller gives each outcome its local
+/// meaning (`abort_journal`, `env.panic`, `EIO`, a swallowed error…).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[must_use]
+pub enum Verdict<T> {
+    /// A `Retry` or `Redundancy` rung produced the value.
+    Recovered(T),
+    /// A `DegradeReadOnly` rung was reached: stop writing, keep reading.
+    Degrade,
+    /// A `Propagate` rung was reached, or the chain ran out.
+    Propagate,
+    /// A `Stop` rung was reached: halt the file system.
+    Stop,
 }
 
 impl Default for PolicyHandle {
@@ -527,54 +561,137 @@ mod tests {
         );
     }
 
-    #[test]
-    fn counters_count_and_log() {
-        let h = PolicyHandle::default();
+    const RETRY3: RecoveryAction = RecoveryAction::Retry {
+        budget: 3,
+        backoff: Backoff::exponential(1_000, 2, 1_000_000),
+    };
+
+    /// Walk `chain` as the default chain of a fresh handle; `step` sees
+    /// every rung the walker hands out. Returns the verdict, the steps in
+    /// order, the counters, the clock and the log.
+    fn walk_chain(
+        chain: Vec<RecoveryAction>,
+        can_degrade: bool,
+        mut step: impl FnMut(Step) -> Option<u8>,
+    ) -> (
+        Verdict<u8>,
+        Vec<Step>,
+        PolicyCounterSnapshot,
+        SimClock,
+        KernelLog,
+    ) {
+        let h = PolicyHandle::new(FailurePolicyTable::with_default(chain));
         let klog = KernelLog::new();
-        h.record(
-            &klog,
-            "policy",
-            RecoveryAction::Retry {
-                budget: 1,
-                backoff: Backoff::none(),
-            },
-            "data read #4",
-        );
-        h.record(
-            &klog,
-            "policy",
-            RecoveryAction::DegradeReadOnly,
-            "meta write #2",
-        );
-        let snap = h.counters().snapshot();
-        assert_eq!(snap.retries, 1);
-        assert_eq!(snap.degrades, 1);
-        assert!(klog.contains("policy action retry: data read #4"));
-        assert!(klog.contains("policy action degrade-ro: meta write #2"));
+        let clock = SimClock::new();
+        let site = Walk {
+            klog: &klog,
+            subsystem: "policy",
+            clock: Some(&clock),
+            can_degrade,
+            request: "data read 4",
+        };
+        let mut seen = Vec::new();
+        let verdict = h.walk(&site, BlockTag("data"), IoKind::Read, ErrorClass::Io, |s| {
+            seen.push(s);
+            step(s)
+        });
+        (verdict, seen, h.counters().snapshot(), clock, klog)
     }
 
     #[test]
-    fn labels_are_stable() {
-        assert_eq!(ErrorClass::Timeout.label(), "timeout");
-        assert_eq!(ErrorClass::Corrupt.label(), "bad-content");
+    fn rungs_run_in_table_order_and_the_first_terminal_ends_the_walk() {
+        let chain = vec![
+            RecoveryAction::Redundancy,
+            RETRY3,
+            RecoveryAction::Stop,
+            RecoveryAction::Propagate,
+        ];
+        let (verdict, seen, c, _, klog) = walk_chain(chain, true, |_| None);
+        assert_eq!(verdict, Verdict::Stop);
         assert_eq!(
-            RecoveryAction::Retry {
-                budget: 0,
-                backoff: Backoff::none()
-            }
-            .label(),
-            "retry"
+            seen[0],
+            Step::Redundancy,
+            "redundancy listed first runs first"
         );
-        assert_eq!(RecoveryAction::DegradeReadOnly.label(), "degrade-ro");
+        assert_eq!(seen.len(), 4, "then exactly the three re-issues");
         assert_eq!(
-            format!(
-                "{}",
-                RecoveryAction::Retry {
-                    budget: 2,
-                    backoff: Backoff::exponential(5, 2, 100)
-                }
-            ),
-            "retry(budget=2, base=5ns)"
+            (c.stops, c.propagates),
+            (1, 0),
+            "nothing past the first terminal"
         );
+        assert_eq!(
+            c.redundancy, 0,
+            "a rung that did not recover is not counted"
+        );
+        assert!(klog.contains("policy action stop: data read 4"));
+    }
+
+    #[test]
+    fn retry_rung_issues_at_most_its_budget_and_stops_on_success() {
+        let (verdict, seen, c, _, _) =
+            walk_chain(vec![RETRY3, RecoveryAction::Propagate], true, |_| None);
+        assert_eq!(verdict, Verdict::Propagate);
+        let expect: Vec<Step> = (1..=3)
+            .map(|attempt| Step::Reissue { attempt, budget: 3 })
+            .collect();
+        assert_eq!(seen, expect, "1 + budget attempts with the caller's first");
+        assert_eq!(
+            (c.retries, c.exhausted, c.masked, c.propagates),
+            (3, 1, 0, 1)
+        );
+
+        let (verdict, seen, c, _, klog) =
+            walk_chain(vec![RETRY3, RecoveryAction::Propagate], true, |s| {
+                (s == Step::Reissue {
+                    attempt: 2,
+                    budget: 3,
+                })
+                .then_some(7)
+            });
+        assert_eq!(verdict, Verdict::Recovered(7));
+        assert_eq!(seen.len(), 2, "no re-issue after the one that succeeded");
+        assert_eq!(
+            (c.retries, c.exhausted, c.masked, c.propagates),
+            (2, 0, 1, 0)
+        );
+        assert!(klog.contains("policy action retry: data read 4 re-issue 2/3"));
+    }
+
+    #[test]
+    fn backoff_is_charged_once_per_reissue() {
+        let (_, _, c, clock, _) = walk_chain(vec![RETRY3], true, |_| None);
+        assert_eq!(clock.now_ns(), 1_000 + 2_000 + 4_000);
+        assert_eq!(c.backoff_ns, 7_000);
+        // A masked fault pays only for the re-issues it needed.
+        let (_, _, c, clock, _) = walk_chain(vec![RETRY3], true, |_| Some(0));
+        assert_eq!(clock.now_ns(), 1_000);
+        assert_eq!(c.backoff_ns, 1_000);
+    }
+
+    #[test]
+    fn chain_without_a_terminal_rung_propagates_and_says_so() {
+        for chain in [vec![], vec![RETRY3], vec![RecoveryAction::Redundancy]] {
+            let (verdict, _, c, _, klog) = walk_chain(chain, true, |_| None);
+            assert_eq!(verdict, Verdict::Propagate);
+            assert_eq!(c.propagates, 1, "counted like an explicit Propagate rung");
+            assert!(klog.contains("policy action propagate: data read 4"));
+        }
+    }
+
+    #[test]
+    fn redundancy_recovers_and_degrade_needs_a_mount() {
+        let chain = vec![RecoveryAction::Redundancy, RecoveryAction::DegradeReadOnly];
+        let (verdict, _, c, _, _) = walk_chain(chain.clone(), true, |_| Some(9));
+        assert_eq!(verdict, Verdict::Recovered(9));
+        assert_eq!(c.redundancy, 1);
+
+        let (verdict, _, c, _, _) = walk_chain(chain.clone(), true, |_| None);
+        assert_eq!(verdict, Verdict::Degrade);
+        assert_eq!((c.degrades, c.propagates), (0, 0), "the enactor counts it");
+
+        // A device layer skips the rung and hands the error up.
+        let (verdict, _, c, _, _) = walk_chain(chain, false, |_| None);
+        assert_eq!(verdict, Verdict::Propagate);
+        assert_eq!(c.propagates, 1);
     }
 }

@@ -8,9 +8,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use iron_blockdev::{BlockDevice, IoScheduler, RawAccess, ScanReadahead};
+use iron_blockdev::{retry::classify, BlockDevice, IoScheduler, RawAccess, ScanReadahead};
 use iron_core::checksum::sha1;
-use iron_core::recover::{Backoff, ErrorClass, FailurePolicyTable, PolicyHandle, RecoveryAction};
+use iron_core::recover::{
+    Backoff, ErrorClass, FailurePolicyTable, PolicyHandle, RecoveryAction, Step, Verdict, Walk,
+};
 use iron_core::{Block, BlockAddr, Errno, IoKind, SimClock, BLOCK_SIZE};
 use iron_vfs::{FsEnv, VfsError, VfsResult};
 
@@ -1124,47 +1126,37 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         let group = std::mem::take(&mut self.pending);
         let drained = group.len() as u32;
         let fix_bugs = self.opts.iron.fix_bugs;
-        let policy = self.opts.policy.clone();
-        let cpu_clock = self.opts.cpu_clock.clone();
-        let klog = self.env.klog.clone();
+        let (policy, cpu_clock) = (&self.opts.policy, &self.opts.cpu_clock);
+        let klog = &self.env.klog;
         let dev = &mut self.dev;
         let mut failed_addrs: Vec<u64> = Vec::new();
         let sweep = checkpoint_group(group, |addr, b, ty| {
-            let mut ok = dev.write_tagged(BlockAddr(addr), b, ty.tag()).is_ok();
-            if !ok && fix_bugs {
-                // Enact any leading Retry rungs of the metadata-write
-                // chain right here, while the failed image is in hand;
-                // later rungs (DegradeReadOnly) are applied by the
-                // post-sweep abort below. The stock chain has no retry,
-                // so this is dormant until a policy configures one.
-                let chain = policy.chain_for(ty.tag(), IoKind::Write, ErrorClass::Io);
-                'chain: for action in chain {
-                    let RecoveryAction::Retry { budget, backoff } = action else {
-                        break 'chain;
+            let mut write = || dev.write_tagged(BlockAddr(addr), b, ty.tag());
+            let ok = match write() {
+                Ok(()) => true,
+                // Walk the metadata-write chain right here, while the
+                // failed image is in hand. Whatever the verdict, a block
+                // that did not reach home aborts the journal after the
+                // sweep; the stock chain is a bare `DegradeReadOnly`, so
+                // re-issues are dormant until a policy configures them.
+                Err(e) if fix_bugs => {
+                    let site = Walk {
+                        klog,
+                        subsystem: "ext3",
+                        clock: cpu_clock.as_ref(),
+                        can_degrade: true,
+                        request: &format!("checkpoint write {addr}"),
                     };
-                    for reissue in 1..=budget {
-                        let delay = backoff.delay_ns(reissue);
-                        if delay > 0 {
-                            if let Some(c) = &cpu_clock {
-                                c.advance_ns(delay);
-                            }
-                            policy.counters().add_backoff_ns(delay);
-                        }
-                        policy.record(
-                            &klog,
-                            "ext3",
-                            action,
-                            &format!("checkpoint write {addr} re-issue {reissue}/{budget}"),
-                        );
-                        if dev.write_tagged(BlockAddr(addr), b, ty.tag()).is_ok() {
-                            ok = true;
-                            policy.counters().count_masked();
-                            break 'chain;
-                        }
-                    }
-                    policy.counters().count_exhausted();
+                    let reissue = |step| match step {
+                        Step::Reissue { .. } => write().ok(),
+                        Step::Redundancy => None,
+                    };
+                    let class = classify(&e);
+                    let verdict = policy.walk(&site, ty.tag(), IoKind::Write, class, reissue);
+                    matches!(verdict, Verdict::Recovered(()))
                 }
-            }
+                Err(_) => false,
+            };
             if !ok {
                 failed_addrs.push(addr);
                 // PAPER-BUG (stock): checkpoint write errors are ignored

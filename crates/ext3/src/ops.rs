@@ -3,8 +3,8 @@
 //! with ext3's per-operation failure policy — bugs included.
 
 use iron_blockdev::{retry::classify, BlockDevice, RawAccess};
-use iron_core::recover::{ErrorClass, RecoveryAction};
-use iron_core::{Block, BlockAddr, Errno, IoKind, BLOCK_SIZE};
+use iron_core::recover::{ErrorClass, Step, Verdict, Walk};
+use iron_core::{Block, BlockAddr, BlockTag, Errno, IoKind, BLOCK_SIZE};
 use iron_vfs::{DirEntry, FileType, FsEnv, InodeAttr, MountState, SpecificFs, StatFs, VfsResult};
 
 use crate::alloc;
@@ -36,94 +36,99 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         if let Some(b) = self.staged_copy(addr) {
             return Ok(b.clone());
         }
+        let checksummed = self.opts.iron.meta_checksum;
+        self.read_policed("metadata", addr, ty.tag(), checksummed, |fs| {
+            fs.meta_replica(addr)
+        })
+    }
+
+    /// The read path under policy, shared by metadata and data: buffer
+    /// cache, then the device; a device error or (when `checksummed`) a
+    /// content mismatch is logged and handed to the chain walker, whose
+    /// re-issues are held to the same content check and whose
+    /// `Redundancy` rung is `redundancy`.
+    fn read_policed(
+        &mut self,
+        what: &str,
+        addr: u64,
+        tag: BlockTag,
+        checksummed: bool,
+        mut redundancy: impl FnMut(&mut Self) -> Option<Block>,
+    ) -> VfsResult<Block> {
         if let Some(b) = self.cache.get(BlockAddr(addr)) {
             return Ok(b);
         }
-        match self.dev.read_tagged(BlockAddr(addr), ty.tag()) {
-            Ok(b) => {
-                if self.opts.iron.meta_checksum && !self.verify_cksum(addr, &b) {
-                    self.env.klog.error(
-                        "ixt3",
-                        format!("checksum mismatch on metadata block {addr} ({})", ty.tag()),
-                    );
-                    return self.meta_read_chain(addr, ty, ErrorClass::Corrupt);
-                }
-                self.cache.insert(BlockAddr(addr), b.clone());
-                Ok(b)
-            }
-            Err(e) => {
-                self.env.klog.error(
-                    "ext3",
-                    format!("I/O error reading metadata block {addr} ({})", ty.tag()),
-                );
-                self.meta_read_chain(addr, ty, classify(&e))
-            }
+        let class = match self.read_verified(addr, tag, checksummed) {
+            Ok(b) => return Ok(b),
+            Err(class) => class,
+        };
+        if class == ErrorClass::Corrupt {
+            let msg = format!("checksum mismatch on {what} block {addr} ({tag})");
+            self.env.klog.error("ixt3", msg);
+        } else {
+            let msg = format!("I/O error reading {what} block {addr} ({tag})");
+            self.env.klog.error("ext3", msg);
         }
+        let key = (tag, IoKind::Read, class);
+        self.walk_chain(&format!("{what} read"), addr, key, |fs, step| match step {
+            Step::Reissue { .. } => fs.read_verified(addr, tag, checksummed).ok(),
+            Step::Redundancy => redundancy(fs),
+        })
     }
 
-    /// Charge a backoff delay to the CPU clock (if accounting is on) and
-    /// the shared policy counters.
-    fn charge_backoff(&self, ns: u64) {
-        if ns == 0 {
-            return;
+    /// One device read, accepted (and cached) only if what arrives passes
+    /// the block's content check — inline, so attempts stay bounded.
+    fn read_verified(
+        &mut self,
+        addr: u64,
+        tag: BlockTag,
+        checksummed: bool,
+    ) -> Result<Block, ErrorClass> {
+        let b = self
+            .dev
+            .read_tagged(BlockAddr(addr), tag)
+            .map_err(|e| classify(&e))?;
+        if checksummed && !self.verify_cksum(addr, &b) {
+            return Err(ErrorClass::Corrupt);
         }
-        if let Some(c) = &self.opts.cpu_clock {
-            c.advance_ns(ns);
-        }
-        self.opts.policy.counters().add_backoff_ns(ns);
+        self.cache.insert(BlockAddr(addr), b.clone());
+        Ok(b)
     }
 
-    /// Walk the policy chain for a failed metadata read.
-    fn meta_read_chain(&mut self, addr: u64, ty: BlockType, class: ErrorClass) -> VfsResult<Block> {
-        let chain = self.opts.policy.chain_for(ty.tag(), IoKind::Read, class);
-        for action in chain {
-            match action {
-                RecoveryAction::Retry { budget, backoff } => {
-                    // Bytes that arrived but failed their checksum are not
-                    // re-read by default policy; when a chain does retry a
-                    // corrupt read, verify each re-read inline.
-                    for reissue in 1..=budget {
-                        self.charge_backoff(backoff.delay_ns(reissue));
-                        self.opts.policy.record(
-                            &self.env.klog,
-                            "ext3",
-                            action,
-                            &format!("metadata read {addr} re-issue {reissue}/{budget}"),
-                        );
-                        if let Ok(b) = self.dev.read_tagged(BlockAddr(addr), ty.tag()) {
-                            if !self.opts.iron.meta_checksum || self.verify_cksum(addr, &b) {
-                                self.opts.policy.counters().count_masked();
-                                self.cache.insert(BlockAddr(addr), b.clone());
-                                return Ok(b);
-                            }
-                        }
-                    }
-                    self.opts.policy.counters().count_exhausted();
-                }
-                RecoveryAction::Redundancy => {
-                    if let Some(b) = self.meta_replica(addr) {
-                        self.opts.policy.counters().count_redundancy();
-                        return Ok(b);
-                    }
-                }
-                RecoveryAction::Remap => {}
-                RecoveryAction::DegradeReadOnly => {
-                    self.abort_journal("metadata read failure");
-                    return Err(Errno::EIO.into());
-                }
-                RecoveryAction::Propagate => {
-                    self.opts.policy.counters().count_propagate();
-                    return Err(Errno::EIO.into());
-                }
-                RecoveryAction::Stop => {
-                    self.opts.policy.counters().count_stop();
-                    return Err(self
-                        .env
-                        .panic("ext3", format!("unrecoverable metadata read, block {addr}")));
-                }
+    /// Hand a failed request to the chain walker and give its verdict
+    /// ext3's meaning: `DegradeReadOnly` aborts the journal (`EIO`),
+    /// `Propagate` is a plain `EIO`, `Stop` panics. `what` names the
+    /// request in the log (`"data read"`); `step` re-issues it or tries
+    /// its redundant copy. Backoff is charged to the CPU clock when
+    /// accounting is on.
+    fn walk_chain<T>(
+        &mut self,
+        what: &str,
+        addr: u64,
+        (tag, io, class): (BlockTag, IoKind, ErrorClass),
+        mut step: impl FnMut(&mut Self, Step) -> Option<T>,
+    ) -> VfsResult<T> {
+        // Handles are cloned so `step` can borrow the file system.
+        let (policy, klog) = (self.opts.policy.clone(), self.env.klog.clone());
+        let clock = self.opts.cpu_clock.clone();
+        let site = Walk {
+            klog: &klog,
+            subsystem: "ext3",
+            clock: clock.as_ref(),
+            can_degrade: true,
+            request: &format!("{what} {addr}"),
+        };
+        match policy.walk(&site, tag, io, class, |s| step(self, s)) {
+            Verdict::Recovered(v) => Ok(v),
+            Verdict::Degrade => {
+                self.abort_journal(&format!("{what} failure"));
+                Err(Errno::EIO.into())
             }
+            Verdict::Propagate => Err(Errno::EIO.into()),
+            Verdict::Stop => Err(self
+                .env
+                .panic("ext3", format!("unrecoverable {what}, block {addr}"))),
         }
-        Err(Errno::EIO.into())
     }
 
     /// The `Mr` redundancy rung: recover a metadata block from its
@@ -133,39 +138,30 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         if !self.opts.iron.meta_replication {
             return None;
         }
-        // A replica still in the write-back set is the freshest copy.
-        if let Some(b) = self.replica_pending.get(&addr).cloned() {
-            self.env.klog.info(
-                "ixt3",
-                format!("metadata block {addr} recovered from replica"),
-            );
-            self.cache.insert(BlockAddr(addr), b.clone());
-            return Some(b);
-        }
-        let raddr = self.layout().replica_of(addr);
-        match self.dev.read_tagged(raddr, BlockType::Replica.tag()) {
-            Ok(b) => {
-                let ok = !self.opts.iron.meta_checksum || self.verify_cksum(addr, &b);
-                if ok {
-                    self.env.klog.info(
-                        "ixt3",
-                        format!("metadata block {addr} recovered from replica"),
-                    );
-                    self.cache.insert(BlockAddr(addr), b.clone());
-                    return Some(b);
+        let b = match self.replica_pending.get(&addr).cloned() {
+            // A replica still in the write-back set is the freshest copy.
+            Some(b) => b,
+            None => {
+                let raddr = self.layout().replica_of(addr);
+                match self.dev.read_tagged(raddr, BlockType::Replica.tag()) {
+                    Ok(b) if !self.opts.iron.meta_checksum || self.verify_cksum(addr, &b) => b,
+                    Ok(_) => {
+                        let msg = format!("replica of metadata block {addr} also bad");
+                        self.env.klog.error("ixt3", msg);
+                        return None;
+                    }
+                    Err(_) => {
+                        let msg = format!("replica read failed for metadata block {addr}");
+                        self.env.klog.error("ixt3", msg);
+                        return None;
+                    }
                 }
-                self.env
-                    .klog
-                    .error("ixt3", format!("replica of metadata block {addr} also bad"));
             }
-            Err(_) => {
-                self.env.klog.error(
-                    "ixt3",
-                    format!("replica read failed for metadata block {addr}"),
-                );
-            }
-        }
-        None
+        };
+        let msg = format!("metadata block {addr} recovered from replica");
+        self.env.klog.info("ixt3", msg);
+        self.cache.insert(BlockAddr(addr), b.clone());
+        Some(b)
     }
 
     // ==================================================================
@@ -188,86 +184,10 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         file: Option<(Ino, DiskInode)>,
         addr: u64,
     ) -> VfsResult<Block> {
-        if let Some(b) = self.cache.get(BlockAddr(addr)) {
-            return Ok(b);
-        }
-        match self.dev.read_tagged(BlockAddr(addr), BlockType::Data.tag()) {
-            Ok(b) => {
-                if self.opts.iron.data_checksum && !self.verify_cksum(addr, &b) {
-                    self.env
-                        .klog
-                        .error("ixt3", format!("checksum mismatch on data block {addr}"));
-                    return self.data_read_chain(file, addr, ErrorClass::Corrupt);
-                }
-                self.cache.insert(BlockAddr(addr), b.clone());
-                Ok(b)
-            }
-            Err(e) => {
-                self.env
-                    .klog
-                    .error("ext3", format!("I/O error reading data block {addr}"));
-                self.data_read_chain(file, addr, classify(&e))
-            }
-        }
-    }
-
-    /// Walk the policy chain for a failed data read.
-    fn data_read_chain(
-        &mut self,
-        file: Option<(Ino, DiskInode)>,
-        addr: u64,
-        class: ErrorClass,
-    ) -> VfsResult<Block> {
-        let tag = BlockType::Data.tag();
-        let chain = self.opts.policy.chain_for(tag, IoKind::Read, class);
-        for action in chain {
-            match action {
-                RecoveryAction::Retry { budget, backoff } => {
-                    for reissue in 1..=budget {
-                        self.charge_backoff(backoff.delay_ns(reissue));
-                        self.opts.policy.record(
-                            &self.env.klog,
-                            "ext3",
-                            action,
-                            &format!("data read {addr} re-issue {reissue}/{budget}"),
-                        );
-                        if let Ok(b) = self.dev.read_tagged(BlockAddr(addr), tag) {
-                            // A re-read is accepted only if it passes the
-                            // same content check the chain was entered
-                            // under (inline, so attempts stay bounded).
-                            if !self.opts.iron.data_checksum || self.verify_cksum(addr, &b) {
-                                self.opts.policy.counters().count_masked();
-                                self.cache.insert(BlockAddr(addr), b.clone());
-                                return Ok(b);
-                            }
-                        }
-                    }
-                    self.opts.policy.counters().count_exhausted();
-                }
-                RecoveryAction::Redundancy => {
-                    if let Some(b) = self.data_parity_recover(file, addr) {
-                        self.opts.policy.counters().count_redundancy();
-                        return Ok(b);
-                    }
-                }
-                RecoveryAction::Remap => {}
-                RecoveryAction::DegradeReadOnly => {
-                    self.abort_journal("data read failure");
-                    return Err(Errno::EIO.into());
-                }
-                RecoveryAction::Propagate => {
-                    self.opts.policy.counters().count_propagate();
-                    return Err(Errno::EIO.into());
-                }
-                RecoveryAction::Stop => {
-                    self.opts.policy.counters().count_stop();
-                    return Err(self
-                        .env
-                        .panic("ext3", format!("unrecoverable data read, block {addr}")));
-                }
-            }
-        }
-        Err(Errno::EIO.into())
+        let checksummed = self.opts.iron.data_checksum;
+        self.read_policed("data", addr, BlockType::Data.tag(), checksummed, |fs| {
+            fs.data_parity_recover(file, addr)
+        })
     }
 
     /// The `Dp` redundancy rung: rebuild a lost data block from parity.
@@ -362,66 +282,23 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             .write_tagged(BlockAddr(addr), block, BlockType::Data.tag());
         self.cache.insert(BlockAddr(addr), block.clone());
         match r {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                if self.opts.iron.fix_bugs {
-                    self.env
-                        .klog
-                        .error("ext3", format!("I/O error writing data block {addr}"));
-                    self.data_write_chain(addr, block, classify(&e))
-                } else {
-                    // PAPER-BUG: silently ignored — the bug is precisely
-                    // that no policy chain runs at all.
-                    Ok(())
-                }
+            Err(e) if self.opts.iron.fix_bugs => {
+                self.env
+                    .klog
+                    .error("ext3", format!("I/O error writing data block {addr}"));
+                // The stock chain degrades to read-only immediately.
+                let tag = BlockType::Data.tag();
+                let key = (tag, IoKind::Write, classify(&e));
+                self.walk_chain("data write", addr, key, |fs, step| match step {
+                    Step::Reissue { .. } => fs.dev.write_tagged(BlockAddr(addr), block, tag).ok(),
+                    // In-place data writes have no redundant copy.
+                    Step::Redundancy => None,
+                })
             }
+            // PAPER-BUG: a failure is silently ignored — the bug is
+            // precisely that no policy chain runs at all.
+            _ => Ok(()),
         }
-    }
-
-    /// Walk the policy chain for a failed data write (only reached with
-    /// `fix_bugs`; the stock chain degrades to read-only immediately).
-    fn data_write_chain(&mut self, addr: u64, block: &Block, class: ErrorClass) -> VfsResult<()> {
-        let tag = BlockType::Data.tag();
-        let chain = self.opts.policy.chain_for(tag, IoKind::Write, class);
-        for action in chain {
-            match action {
-                RecoveryAction::Retry { budget, backoff } => {
-                    for reissue in 1..=budget {
-                        self.charge_backoff(backoff.delay_ns(reissue));
-                        self.opts.policy.record(
-                            &self.env.klog,
-                            "ext3",
-                            action,
-                            &format!("data write {addr} re-issue {reissue}/{budget}"),
-                        );
-                        if self.dev.write_tagged(BlockAddr(addr), block, tag).is_ok() {
-                            self.opts.policy.counters().count_masked();
-                            return Ok(());
-                        }
-                    }
-                    self.opts.policy.counters().count_exhausted();
-                }
-                // In-place data writes have no redundant copy to fall
-                // back on; remapping is handled earlier in the write path
-                // (the `Rm` probe in `write_file`), not here.
-                RecoveryAction::Redundancy | RecoveryAction::Remap => {}
-                RecoveryAction::DegradeReadOnly => {
-                    self.abort_journal("data write failure");
-                    return Err(Errno::EIO.into());
-                }
-                RecoveryAction::Propagate => {
-                    self.opts.policy.counters().count_propagate();
-                    return Err(Errno::EIO.into());
-                }
-                RecoveryAction::Stop => {
-                    self.opts.policy.counters().count_stop();
-                    return Err(self
-                        .env
-                        .panic("ext3", format!("unrecoverable data write, block {addr}")));
-                }
-            }
-        }
-        Err(Errno::EIO.into())
     }
 
     // ==================================================================

@@ -4,7 +4,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use iron_blockdev::{BlockDevice, RawAccess};
-use iron_core::{Block, BlockAddr, Errno, BLOCK_SIZE};
+use iron_core::recover::{Backoff, FailurePolicyTable, PolicyHandle, RecoveryAction};
+use iron_core::{Block, BlockAddr, Errno, IoKind, BLOCK_SIZE};
 use iron_vfs::{
     DirEntry, FileType, FsEnv, InodeAttr, MountState, SpecificFs, StatFs, VfsError, VfsResult,
 };
@@ -37,6 +38,25 @@ impl Default for JfsOptions {
             crash_mode: false,
         }
     }
+}
+
+/// The failure-policy table reproducing stock JFS's read policy (§5.3):
+/// the *generic* code re-reads any failed block exactly once (`RRetry`)
+/// and then returns `EIO` (`RPropagate`) — except on the block and inode
+/// allocation maps, where an unreadable block crashes the system
+/// (`RStop`). Write errors never reach the table: stock JFS ignores them
+/// (or, for the journal superblock, crashes on the spot).
+pub fn jfs_stock_policy() -> FailurePolicyTable {
+    use RecoveryAction::{Propagate, Retry, Stop};
+    let once = Retry {
+        budget: 1,
+        backoff: Backoff::none(),
+    };
+    let read = Some(IoKind::Read);
+    FailurePolicyTable::with_default(vec![Propagate])
+        .rule(Some(JfsBlockType::Bmap.tag()), read, None, vec![once, Stop])
+        .rule(Some(JfsBlockType::Imap.tag()), read, None, vec![once, Stop])
+        .rule(None, read, None, vec![once, Propagate])
 }
 
 /// A JFS inode (128-byte on-disk record).
@@ -216,6 +236,8 @@ pub struct JfsFs<D: BlockDevice + RawAccess> {
     dev: D,
     env: FsEnv,
     opts: JfsOptions,
+    /// [`jfs_stock_policy`], built once at mount.
+    policy: PolicyHandle,
     layout: JfsLayout,
     sb: JfsSuper,
     /// Dirty metadata blocks (full images, for checkpoint), in dirty order.
@@ -388,6 +410,7 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
             dev,
             env,
             opts,
+            policy: PolicyHandle::new(jfs_stock_policy()),
             layout,
             sb,
             dirty_order: Vec::new(),
@@ -466,8 +489,11 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
     // Generic read helper (the "generic file system code" of §5.3).
     // ==================================================================
 
-    /// Read with the generic-code policy: check the error code, retry once
-    /// on failure, log through the *generic* subsystem.
+    /// Read with the generic-code policy: check the error code, log
+    /// through the *generic* subsystem, then let [`jfs_stock_policy`]
+    /// decide — one re-read, then `EIO`, or for a map block
+    /// (`bmap`/`imap`) a crash (§5.3: "Explicit crashes (RStop) are used
+    /// when a block allocation map or inode allocation map read fails").
     fn generic_read(&mut self, addr: u64, ty: JfsBlockType) -> VfsResult<Block> {
         if let Some((b, _)) = self.dirty.get(&addr) {
             return Ok(b.clone());
@@ -475,38 +501,22 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
         if let Some(b) = self.cache.get(&addr) {
             return Ok(b.clone());
         }
-        match self.dev.read_tagged(BlockAddr(addr), ty.tag()) {
-            Ok(b) => {
-                self.cache.insert(addr, b.clone());
-                Ok(b)
+        let (dev, env, tag) = (&mut self.dev, &self.env, ty.tag());
+        let b = match dev.read_tagged(BlockAddr(addr), tag) {
+            Ok(b) => b,
+            Err(e) => {
+                let req = (IoKind::Read, addr, tag);
+                env.walk_io(&self.policy, "jfs", req, &e, |_, _| {
+                    env.klog.error(
+                        "generic",
+                        format!("I/O error reading block {addr}; retrying once"),
+                    );
+                    dev.read_tagged(BlockAddr(addr), tag)
+                })?
             }
-            Err(_) => {
-                self.env.klog.error(
-                    "generic",
-                    format!("I/O error reading block {addr}; retrying once"),
-                );
-                match self.dev.read_tagged(BlockAddr(addr), ty.tag()) {
-                    Ok(b) => {
-                        self.cache.insert(addr, b.clone());
-                        Ok(b)
-                    }
-                    Err(_) => Err(Errno::EIO.into()),
-                }
-            }
-        }
-    }
-
-    /// Read a map block (`bmap`/`imap`): a failure crashes the system
-    /// (§5.3: "Explicit crashes (RStop) are used when a block allocation
-    /// map or inode allocation map read fails").
-    fn map_read(&mut self, addr: u64, ty: JfsBlockType) -> VfsResult<Block> {
-        match self.generic_read(addr, ty) {
-            Ok(b) => Ok(b),
-            Err(_) => Err(self.env.panic(
-                "jfs",
-                format!("fatal: allocation map block {addr} unreadable"),
-            )),
-        }
+        };
+        self.cache.insert(addr, b.clone());
+        Ok(b)
     }
 
     // ==================================================================
@@ -730,7 +740,7 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
     fn alloc_block(&mut self) -> VfsResult<u64> {
         for i in 0..self.layout.bmap_len {
             let bm_addr = self.layout.bmap_start + i;
-            let mut bm = self.map_read(bm_addr, JfsBlockType::Bmap)?;
+            let mut bm = self.generic_read(bm_addr, JfsBlockType::Bmap)?;
             let bits = BLOCK_SIZE as u64 * 8;
             let limit = bits.min(self.sb.total_blocks - i * bits);
             for bit in 0..limit {
@@ -749,7 +759,7 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
 
     fn free_block(&mut self, addr: u64) -> VfsResult<()> {
         let (bm_addr, bit) = self.layout.bmap_location(addr);
-        let mut bm = self.map_read(bm_addr.0, JfsBlockType::Bmap)?;
+        let mut bm = self.generic_read(bm_addr.0, JfsBlockType::Bmap)?;
         let byte = (bit / 8) as usize;
         bm[byte] &= !(1 << (bit % 8));
         self.stage(bm_addr.0, bm, JfsBlockType::Bmap, &[(byte, 1)]);
@@ -772,7 +782,7 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
     fn alloc_inode(&mut self) -> VfsResult<u64> {
         for i in 0..self.layout.imap_len {
             let im_addr = self.layout.imap_start + i;
-            let mut im = self.map_read(im_addr, JfsBlockType::Imap)?;
+            let mut im = self.generic_read(im_addr, JfsBlockType::Imap)?;
             let bits = BLOCK_SIZE as u64 * 8;
             let limit = bits.min(self.layout.total_inodes() - i * bits);
             for bit in 0..limit {
@@ -791,7 +801,7 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
 
     fn free_inode(&mut self, ino: u64) -> VfsResult<()> {
         let (im_addr, bit) = self.layout.imap_location(ino);
-        let mut im = self.map_read(im_addr.0, JfsBlockType::Imap)?;
+        let mut im = self.generic_read(im_addr.0, JfsBlockType::Imap)?;
         let byte = (bit / 8) as usize;
         im[byte] &= !(1 << (bit % 8));
         self.stage(im_addr.0, im, JfsBlockType::Imap, &[(byte, 1)]);

@@ -14,8 +14,12 @@
 //!
 //! ## The measured failure policy (§5.3) — "The kitchen sink"
 //!
-//! * Metadata read errors are handled by *generic* helper code that
-//!   retries exactly once (`RRetry`), then propagates.
+//! What happens after a failed read is data, not code:
+//! [`jfs_stock_policy`] is the [`iron_core::recover::FailurePolicyTable`]
+//! built at mount, and the one chain walker enacts it.
+//!
+//! * Read errors are handled by *generic* helper code that retries
+//!   exactly once (`RRetry`), then propagates — the table's read row.
 //! * Write errors are ignored (`DZero`) — except a journal-superblock
 //!   write error, which crashes the system (`RStop`).
 //! * A failed read of the **primary superblock** falls back to the
@@ -26,7 +30,8 @@
 //!   secondary copy (`PAPER-BUG`).
 //! * A failed **sanity check on an internal tree block** returns a blank
 //!   page to the user (`RGuess`, `PAPER-BUG`).
-//! * `bmap`/`imap` read failures crash the system (`RStop`).
+//! * `bmap`/`imap` read failures crash the system (`RStop`) — the
+//!   table's two map rows: one retry, then `Stop`.
 //! * Sanity checks: magic + version on the superblocks, entry-count
 //!   bounds on internal/directory/inode blocks, an equality check on a
 //!   bmap-descriptor field.
@@ -41,5 +46,5 @@ pub mod fs;
 pub mod journal;
 pub mod layout;
 
-pub use fs::{JfsFs, JfsOptions};
+pub use fs::{jfs_stock_policy, JfsFs, JfsOptions};
 pub use layout::{JfsBlockType, JfsLayout, JfsParams};

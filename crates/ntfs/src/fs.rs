@@ -3,17 +3,29 @@
 use std::collections::HashMap;
 
 use iron_blockdev::{BlockDevice, DiskResult, RawAccess};
-use iron_core::{Block, BlockAddr, BlockTag, Errno, BLOCK_SIZE};
+use iron_core::recover::{Backoff, FailurePolicyTable, PolicyHandle, RecoveryAction};
+use iron_core::{Block, BlockAddr, BlockTag, Errno, IoKind, BLOCK_SIZE};
 use iron_vfs::{
     DirEntry, FileType, FsEnv, InodeAttr, MountState, SpecificFs, StatFs, VfsError, VfsResult,
 };
 
-/// Read retries (§5.4: "up to seven times under read failures").
-pub const READ_RETRIES: u32 = 7;
-/// Write retries for data blocks.
-pub const DATA_WRITE_RETRIES: u32 = 3;
-/// Write retries for MFT blocks.
-pub const MFT_WRITE_RETRIES: u32 = 2;
+/// The failure-policy table reproducing stock NTFS's persistence (§5.4):
+/// a failed read is retried "up to seven times", a failed data write
+/// three times, a failed MFT (or any other metadata) write twice — each
+/// immediately — and only then does the error propagate (`RPropagate`).
+pub fn ntfs_stock_policy() -> FailurePolicyTable {
+    use RecoveryAction::{Propagate, Retry};
+    let retry = |budget| Retry {
+        budget,
+        backoff: Backoff::none(),
+    };
+    let (read, write) = (Some(IoKind::Read), Some(IoKind::Write));
+    let data = Some(NtfsBlockType::Data.tag());
+    FailurePolicyTable::with_default(vec![Propagate])
+        .rule(None, read, None, vec![retry(7), Propagate])
+        .rule(data, write, None, vec![retry(3), Propagate])
+        .rule(None, write, None, vec![retry(2), Propagate])
+}
 
 /// Boot-file magic ("NTFS    ", as on real volumes).
 pub const BOOT_MAGIC: u64 = u64::from_le_bytes(*b"NTFS    ");
@@ -287,6 +299,8 @@ fn ft_from(c: u8) -> FileType {
 pub struct NtfsFs<D: BlockDevice + RawAccess> {
     dev: D,
     env: FsEnv,
+    /// [`ntfs_stock_policy`], built once at mount.
+    policy: PolicyHandle,
     layout: Layout,
     cache: HashMap<u64, Block>,
     free_blocks: u64,
@@ -378,8 +392,11 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
     /// (except the journal) are corrupted" — every in-use MFT record is
     /// verified.
     pub fn mount(mut dev: D, env: FsEnv, opts: NtfsOptions) -> VfsResult<Self> {
-        let boot =
-            retry_read(&mut dev, 0, NtfsBlockType::BootFile, &env).map_err(VfsError::from)?;
+        let policy = PolicyHandle::new(ntfs_stock_policy());
+        let boot_req = (IoKind::Read, 0, NtfsBlockType::BootFile);
+        let boot = persist(&mut dev, &env, &policy, boot_req, |d| {
+            d.read_tagged(BlockAddr(0), NtfsBlockType::BootFile.tag())
+        })?;
         if boot.get_u64(0) != BOOT_MAGIC {
             env.klog
                 .error("ntfs", "boot file invalid; volume unmountable");
@@ -394,6 +411,7 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
         let mut fs = NtfsFs {
             dev,
             env,
+            policy,
             layout,
             cache: HashMap::new(),
             free_blocks: 0,
@@ -456,53 +474,33 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
         if let Some(b) = self.cache.get(&addr) {
             return Ok(b.clone());
         }
-        match retry_read(&mut self.dev, addr, ty, &self.env) {
-            Ok(b) => {
-                self.cache.insert(addr, b.clone());
-                Ok(b)
-            }
-            Err(_) => Err(Errno::EIO.into()),
-        }
+        let req = (IoKind::Read, addr, ty);
+        let b = persist(&mut self.dev, &self.env, &self.policy, req, |d| {
+            d.read_tagged(BlockAddr(addr), ty.tag())
+        })?;
+        self.cache.insert(addr, b.clone());
+        Ok(b)
     }
 
     /// Write with NTFS's per-type retry counts. Data-write errors are
     /// recorded (logged) but otherwise unused (`PAPER-BUG`); metadata
     /// write errors propagate.
     fn write_block(&mut self, addr: u64, b: &Block, ty: NtfsBlockType) -> VfsResult<()> {
-        let retries = match ty {
-            NtfsBlockType::Data => DATA_WRITE_RETRIES,
-            NtfsBlockType::MftRecord => MFT_WRITE_RETRIES,
-            _ => MFT_WRITE_RETRIES,
-        };
         self.cache.insert(addr, b.clone());
-        let mut attempt = 0;
-        loop {
-            match self.dev.write_tagged(BlockAddr(addr), b, ty.tag()) {
-                Ok(()) => return Ok(()),
-                Err(_) if attempt < retries => {
-                    attempt += 1;
-                    self.env.klog.warn(
-                        "ntfs",
-                        format!("write of block {addr} failed; retry {attempt}/{retries}"),
-                    );
-                }
-                Err(_) => {
-                    if ty == NtfsBlockType::Data {
-                        // PAPER-BUG: the error code is recorded but not
-                        // used — the application never hears about it.
-                        self.env.klog.warn(
-                            "ntfs",
-                            format!("data write to block {addr} failed; error recorded, unused"),
-                        );
-                        return Ok(());
-                    }
-                    self.env
-                        .klog
-                        .error("ntfs", format!("write of block {addr} failed"));
-                    return Err(Errno::EIO.into());
-                }
-            }
+        let req = (IoKind::Write, addr, ty);
+        let written = persist(&mut self.dev, &self.env, &self.policy, req, |d| {
+            d.write_tagged(BlockAddr(addr), b, ty.tag())
+        });
+        if ty == NtfsBlockType::Data && matches!(written, Err(VfsError::Errno(_))) {
+            // PAPER-BUG: the error code is recorded but not used — the
+            // application never hears about it.
+            self.env.klog.warn(
+                "ntfs",
+                format!("data write to block {addr} failed; error recorded, unused"),
+            );
+            return Ok(());
         }
+        written
     }
 
     fn log_op(&mut self, what: &str) -> VfsResult<()> {
@@ -721,32 +719,32 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
     }
 }
 
-/// Read with up to seven retries (§5.4), logging each retry.
-fn retry_read<D: BlockDevice>(
+/// One request the NTFS way (§5.4, "persistence is a virtue"): issue it,
+/// and if it fails let [`ntfs_stock_policy`] say how often to issue it
+/// again, logging every retry and the final failure.
+fn persist<D: BlockDevice, T>(
     dev: &mut D,
-    addr: u64,
-    ty: NtfsBlockType,
     env: &FsEnv,
-) -> DiskResult<Block> {
-    let mut attempt = 0;
-    loop {
-        match dev.read_tagged(BlockAddr(addr), ty.tag()) {
-            Ok(b) => return Ok(b),
-            Err(e) if attempt < READ_RETRIES => {
-                attempt += 1;
-                env.klog.warn(
-                    "ntfs",
-                    format!("read of block {addr} failed; retry {attempt}/{READ_RETRIES}"),
-                );
-                let _ = e;
-            }
-            Err(e) => {
-                env.klog
-                    .error("ntfs", format!("read of block {addr} failed permanently"));
-                return Err(e);
-            }
-        }
-    }
+    policy: &PolicyHandle,
+    (io, addr, ty): (IoKind, u64, NtfsBlockType),
+    mut op: impl FnMut(&mut D) -> DiskResult<T>,
+) -> VfsResult<T> {
+    let e = match op(dev) {
+        Ok(v) => return Ok(v),
+        Err(e) => e,
+    };
+    let req = (io, addr, ty.tag());
+    env.walk_io(policy, "ntfs", req, &e, |attempt, budget| {
+        env.klog.warn(
+            "ntfs",
+            format!("{io} of block {addr} failed; retry {attempt}/{budget}"),
+        );
+        op(dev)
+    })
+    .inspect_err(|_| {
+        env.klog
+            .error("ntfs", format!("{io} of block {addr} failed permanently"));
+    })
 }
 
 impl<D: BlockDevice + RawAccess> SpecificFs for NtfsFs<D> {

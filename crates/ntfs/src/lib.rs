@@ -10,6 +10,9 @@
 //! * **"Persistence is a virtue"**: read failures are retried up to
 //!   **seven** times; write failures are retried too — three times for
 //!   data blocks, two times for MFT blocks (`RRetry`, aggressively).
+//!   The three budgets are rows of [`ntfs_stock_policy`], the
+//!   [`iron_core::recover::FailurePolicyTable`] built at mount and
+//!   enacted by the one chain walker; no loop in this crate counts.
 //! * Error codes are checked on reads and writes (`DErrorCode`), and
 //!   errors propagate to the user quite reliably (`RPropagate`) — but,
 //!   "similar to ext3 and JFS, when a data write fails, NTFS records the
@@ -32,4 +35,4 @@
 
 pub mod fs;
 
-pub use fs::{NtfsBlockType, NtfsFs, NtfsOptions, NtfsParams};
+pub use fs::{ntfs_stock_policy, NtfsBlockType, NtfsFs, NtfsOptions, NtfsParams};

@@ -4,7 +4,8 @@
 use std::collections::HashMap;
 
 use iron_blockdev::{BlockDevice, RawAccess};
-use iron_core::{Block, BlockAddr, Errno, BLOCK_SIZE};
+use iron_core::recover::{Backoff, FailurePolicyTable, PolicyHandle, RecoveryAction};
+use iron_core::{Block, BlockAddr, Errno, IoKind, BLOCK_SIZE};
 use iron_vfs::{
     DirEntry, FileType, FsEnv, InodeAttr, MountState, SpecificFs, StatFs, VfsError, VfsResult,
 };
@@ -35,6 +36,41 @@ impl Default for ReiserOptions {
             crash_mode: false,
         }
     }
+}
+
+/// The failure-policy table reproducing stock ReiserFS's read policy
+/// (§5.2): a failed read of a data block, or of a leaf read for its
+/// indirect or direct item, is retried once (`RRetry`); every other read
+/// failure propagates at once (`RPropagate`). Write failures never reach
+/// the table — they panic on the spot ("first, do no harm"), or, for an
+/// ordered data block, are ignored (`PAPER-BUG`).
+pub fn reiser_stock_policy() -> FailurePolicyTable {
+    use RecoveryAction::{Propagate, Retry};
+    let once = Retry {
+        budget: 1,
+        backoff: Backoff::none(),
+    };
+    let read = Some(IoKind::Read);
+    let tag = |ty: ReiserBlockType| Some(ty.tag());
+    FailurePolicyTable::with_default(vec![Propagate])
+        .rule(
+            tag(ReiserBlockType::Data),
+            read,
+            None,
+            vec![once, Propagate],
+        )
+        .rule(
+            tag(ReiserBlockType::Indirect),
+            read,
+            None,
+            vec![once, Propagate],
+        )
+        .rule(
+            tag(ReiserBlockType::Direct),
+            read,
+            None,
+            vec![once, Propagate],
+        )
 }
 
 /// FNV-1a 64-bit, ReiserFS-style name hashing for directory keys.
@@ -162,6 +198,8 @@ pub struct ReiserFs<D: BlockDevice + RawAccess> {
     dev: D,
     env: FsEnv,
     opts: ReiserOptions,
+    /// [`reiser_stock_policy`], built once at mount.
+    policy: PolicyHandle,
     layout: ReiserLayout,
     sb: ReiserSuper,
     txn: Txn,
@@ -271,6 +309,7 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
             dev,
             env,
             opts,
+            policy: PolicyHandle::new(reiser_stock_policy()),
             layout,
             sb,
             txn: Txn::new(),
@@ -636,48 +675,55 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
     // Block read/write with policy.
     // ==================================================================
 
-    /// Read a tree node with ReiserFS's policy: error codes checked
-    /// (`DErrorCode`), block-header sanity checks on success (`DSanity`).
-    /// A failed sanity check on the root or an internal node panics
-    /// (PAPER-BUG: "ReiserFS sometimes calls panic on failing a sanity
-    /// check, instead of simply returning an error code"); on a leaf it
-    /// propagates `EUCLEAN`.
+    /// Read one block: the running transaction's staged copy, else the
+    /// cache, else the device (cached on success). A device error is
+    /// checked (`DErrorCode`), logged in the words of the block's kind,
+    /// and handed to [`reiser_stock_policy`]: one re-read for data,
+    /// indirect and direct blocks, `EIO` otherwise.
+    fn read_block(&mut self, addr: u64, ty: ReiserBlockType) -> VfsResult<Block> {
+        // Data blocks are written in place and never staged, so only
+        // metadata consults the running transaction.
+        let staged = match ty {
+            ReiserBlockType::Data => None,
+            _ => self.txn.get(addr),
+        };
+        if let Some(b) = staged.or_else(|| self.cache.get(&addr)) {
+            return Ok(b.clone());
+        }
+        let (dev, env, tag) = (&mut self.dev, &self.env, ty.tag());
+        let b = match dev.read_tagged(BlockAddr(addr), tag) {
+            Ok(b) => b,
+            Err(e) => {
+                env.klog.error(
+                    "reiserfs",
+                    match ty {
+                        ReiserBlockType::Data => format!("read of data block {addr} failed"),
+                        ReiserBlockType::DataBitmap => format!("bitmap block {addr} unreadable"),
+                        _ => format!("vs-5150: read of tree block {addr} failed"),
+                    },
+                );
+                let req = (IoKind::Read, addr, tag);
+                env.walk_io(&self.policy, "reiserfs", req, &e, |_, _| {
+                    dev.read_tagged(BlockAddr(addr), tag)
+                })?
+            }
+        };
+        self.cache.insert(addr, b.clone());
+        Ok(b)
+    }
+
+    /// Read a tree node: [`Self::read_block`], then block-header sanity
+    /// checks on what arrived (`DSanity`). A failed sanity check on the
+    /// root or an internal node panics (PAPER-BUG: "ReiserFS sometimes
+    /// calls panic on failing a sanity check, instead of simply returning
+    /// an error code"); on a leaf it propagates `EUCLEAN`.
     fn read_node(
         &mut self,
         addr: u64,
         expected_level: Option<u16>,
         tag: ReiserBlockType,
     ) -> VfsResult<Node> {
-        let block = if let Some(b) = self.txn.get(addr) {
-            b.clone()
-        } else if let Some(b) = self.cache.get(&addr) {
-            b.clone()
-        } else {
-            match self.dev.read_tagged(BlockAddr(addr), tag.tag()) {
-                Ok(b) => {
-                    self.cache.insert(addr, b.clone());
-                    b
-                }
-                Err(_) => {
-                    self.env.klog.error(
-                        "reiserfs",
-                        format!("vs-5150: read of tree block {addr} failed"),
-                    );
-                    // Retry once for indirect/direct/data-path reads.
-                    if matches!(tag, ReiserBlockType::Indirect | ReiserBlockType::Direct) {
-                        match self.dev.read_tagged(BlockAddr(addr), tag.tag()) {
-                            Ok(b) => {
-                                self.cache.insert(addr, b.clone());
-                                b
-                            }
-                            Err(_) => return Err(Errno::EIO.into()),
-                        }
-                    } else {
-                        return Err(Errno::EIO.into());
-                    }
-                }
-            }
-        };
+        let block = self.read_block(addr, tag)?;
         match Node::decode(&block, expected_level) {
             Some(node) => Ok(node),
             None => {
@@ -702,52 +748,17 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
         self.stage(addr, node.encode(), tag);
     }
 
-    /// Read a user data block (tag `data`): error code checked, one retry,
-    /// then propagate. No sanity checking is possible — data blocks carry
-    /// no type information.
-    fn read_data(&mut self, addr: u64) -> VfsResult<Block> {
-        if let Some(b) = self.cache.get(&addr) {
-            return Ok(b.clone());
-        }
-        match self
-            .dev
-            .read_tagged(BlockAddr(addr), ReiserBlockType::Data.tag())
-        {
-            Ok(b) => {
-                self.cache.insert(addr, b.clone());
-                Ok(b)
-            }
-            Err(_) => {
-                self.env
-                    .klog
-                    .error("reiserfs", format!("read of data block {addr} failed"));
-                match self
-                    .dev
-                    .read_tagged(BlockAddr(addr), ReiserBlockType::Data.tag())
-                {
-                    Ok(b) => {
-                        self.cache.insert(addr, b.clone());
-                        Ok(b)
-                    }
-                    Err(_) => Err(Errno::EIO.into()),
-                }
-            }
-        }
-    }
-
     /// Write a user data block in place.
     ///
     /// PAPER-BUG: "when an ordered data block write fails, ReiserFS
     /// journals and commits the transaction without handling the error" —
-    /// the one write failure that does *not* panic.
+    /// the one write failure that does *not* panic. It is silently
+    /// ignored (`RZero`): metadata will point at stale data.
     fn write_data(&mut self, addr: u64, block: &Block) -> VfsResult<()> {
-        let r = self
+        let _ = self
             .dev
             .write_tagged(BlockAddr(addr), block, ReiserBlockType::Data.tag());
         self.cache.insert(addr, block.clone());
-        if r.is_err() {
-            // Silently ignored (RZero): metadata will point at stale data.
-        }
         Ok(())
     }
 
@@ -757,24 +768,7 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
 
     fn bitmap_op(&mut self, addr: u64, set: bool) -> VfsResult<()> {
         let (bm_addr, bit) = self.layout.bitmap_location(addr);
-        let mut bm = if let Some(b) = self.txn.get(bm_addr.0) {
-            b.clone()
-        } else if let Some(b) = self.cache.get(&bm_addr.0) {
-            b.clone()
-        } else {
-            match self
-                .dev
-                .read_tagged(bm_addr, ReiserBlockType::DataBitmap.tag())
-            {
-                Ok(b) => b,
-                Err(_) => {
-                    self.env
-                        .klog
-                        .error("reiserfs", format!("bitmap block {bm_addr} unreadable"));
-                    return Err(Errno::EIO.into());
-                }
-            }
-        };
+        let mut bm = self.read_block(bm_addr.0, ReiserBlockType::DataBitmap)?;
         let byte = (bit / 8) as usize;
         let mask = 1u8 << (bit % 8);
         if set {
@@ -791,22 +785,7 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
         // contents, per the paper).
         for i in 0..self.layout.bitmap_len {
             let bm_addr = self.layout.bitmap_start + i;
-            let bm = if let Some(b) = self.txn.get(bm_addr) {
-                b.clone()
-            } else if let Some(b) = self.cache.get(&bm_addr) {
-                b.clone()
-            } else {
-                match self
-                    .dev
-                    .read_tagged(BlockAddr(bm_addr), ReiserBlockType::DataBitmap.tag())
-                {
-                    Ok(b) => {
-                        self.cache.insert(bm_addr, b.clone());
-                        b
-                    }
-                    Err(_) => return Err(Errno::EIO.into()),
-                }
-            };
+            let bm = self.read_block(bm_addr, ReiserBlockType::DataBitmap)?;
             let bits_per_block = BLOCK_SIZE as u64 * 8;
             let limit = bits_per_block.min(self.sb.total_blocks - i * bits_per_block);
             for bit in 0..limit {
@@ -1461,7 +1440,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for ReiserFs<D> {
             if ptr == 0 {
                 out.extend(std::iter::repeat_n(0u8, take));
             } else {
-                let b = self.read_data(ptr as u64)?;
+                let b = self.read_block(ptr as u64, ReiserBlockType::Data)?;
                 out.extend_from_slice(b.get_bytes(within, take));
             }
             pos += take as u64;
@@ -1523,7 +1502,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for ReiserFs<D> {
             let mut block = if ptrs[slot] == 0 || whole {
                 Block::zeroed()
             } else {
-                self.read_data(ptrs[slot] as u64)?
+                self.read_block(ptrs[slot] as u64, ReiserBlockType::Data)?
             };
             if ptrs[slot] == 0 {
                 ptrs[slot] = self.alloc_block()? as u32;
@@ -1618,7 +1597,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for ReiserFs<D> {
                 let ptrs = self.body_ptrs(oid, idx / PTRS_PER_INDIRECT as u64)?;
                 if let Some(&p) = ptrs.get((idx % PTRS_PER_INDIRECT as u64) as usize) {
                     if p != 0 {
-                        let mut b = self.read_data(p as u64)?;
+                        let mut b = self.read_block(p as u64, ReiserBlockType::Data)?;
                         for byte in &mut b[(size % bs) as usize..] {
                             *byte = 0;
                         }

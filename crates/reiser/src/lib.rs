@@ -19,7 +19,10 @@
 //!   journal blocks carry checked magic numbers. Bitmaps and data blocks
 //!   have no type information and are never checked.
 //! * Read failures propagate (`RPropagate`), with a single retry
-//!   (`RRetry`) for data and indirect reads.
+//!   (`RRetry`) for data, indirect and direct reads — the three rows of
+//!   [`reiser_stock_policy`], the
+//!   [`iron_core::recover::FailurePolicyTable`] built at mount and
+//!   enacted by the one chain walker.
 //!
 //! ## Reproduced `PAPER-BUG`s
 //!
@@ -43,5 +46,5 @@ pub mod journal;
 pub mod layout;
 pub mod tree;
 
-pub use fs::{ReiserFs, ReiserOptions};
+pub use fs::{reiser_stock_policy, ReiserFs, ReiserOptions};
 pub use layout::{ReiserBlockType, ReiserLayout, ReiserParams};

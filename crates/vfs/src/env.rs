@@ -8,7 +8,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use iron_core::{Errno, KernelLog};
+use iron_blockdev::{retry::classify, DiskError, DiskResult};
+use iron_core::recover::{PolicyHandle, Step, Verdict, Walk};
+use iron_core::{BlockTag, Errno, IoKind, KernelLog};
 
 use crate::types::{VfsError, VfsResult};
 
@@ -76,6 +78,47 @@ impl FsEnv {
             self.klog.error(subsystem, msg);
             *st = MountState::ReadOnly;
         }
+    }
+
+    /// The failure path of a file system that keeps no redundant copy:
+    /// a request for block `addr` has just failed with `err`, so walk
+    /// `policy`'s chain for it. `reissue(attempt, budget)` issues the
+    /// request again (and logs the retry in the caller's own words); the
+    /// verdict is enacted generically — `Stop` panics, `DegradeReadOnly`
+    /// remounts read-only, and both it and `Propagate` return `EIO`.
+    pub fn walk_io<T>(
+        &self,
+        policy: &PolicyHandle,
+        subsystem: &'static str,
+        (io, addr, tag): (IoKind, u64, BlockTag),
+        err: &DiskError,
+        mut reissue: impl FnMut(u32, u32) -> DiskResult<T>,
+    ) -> VfsResult<T> {
+        let site = Walk {
+            klog: &self.klog,
+            subsystem,
+            clock: None,
+            can_degrade: true,
+            request: &format!("{io} {addr} [{tag}]"),
+        };
+        let step = |step| match step {
+            Step::Reissue { attempt, budget } => reissue(attempt, budget).ok(),
+            Step::Redundancy => None,
+        };
+        match policy.walk(&site, tag, io, classify(err), step) {
+            Verdict::Recovered(v) => return Ok(v),
+            Verdict::Stop => {
+                let msg = format!("unrecoverable {io} of block {addr} [{tag}]");
+                return Err(self.panic(subsystem, msg));
+            }
+            Verdict::Degrade => {
+                policy.counters().count_degrade();
+                let msg = format!("{io} of block {addr} [{tag}] failed; remounting read-only");
+                self.remount_readonly(subsystem, msg);
+            }
+            Verdict::Propagate => {}
+        }
+        Err(Errno::EIO.into())
     }
 
     /// Fail fast if the machine crashed or the file system is unmounted.
@@ -153,6 +196,45 @@ mod tests {
         let env = FsEnv::new();
         env.set_state(MountState::Unmounted);
         assert_eq!(env.check_alive().unwrap_err().errno(), Some(Errno::ENODEV));
+    }
+
+    #[test]
+    fn walk_io_enacts_each_verdict() {
+        use iron_core::recover::{Backoff, FailurePolicyTable, RecoveryAction};
+        let req = (IoKind::Read, 7, BlockTag("data"));
+        let err = DiskError::DeviceFailed;
+        let run = |chain: Vec<RecoveryAction>, heals_at: u32| {
+            let env = FsEnv::new();
+            let policy = PolicyHandle::new(FailurePolicyTable::with_default(chain));
+            let out = env.walk_io(&policy, "fs", req, &err, |attempt, _| {
+                if attempt == heals_at {
+                    Ok(attempt)
+                } else {
+                    Err(DiskError::DeviceFailed)
+                }
+            });
+            (out, env.state(), policy.counters().snapshot())
+        };
+        let retry = RecoveryAction::Retry {
+            budget: 2,
+            backoff: Backoff::none(),
+        };
+
+        let (out, state, c) = run(vec![retry, RecoveryAction::Stop], 2);
+        assert_eq!((out.unwrap(), state), (2, MountState::ReadWrite));
+        assert_eq!((c.retries, c.masked), (2, 1));
+
+        let (out, state, _) = run(vec![retry, RecoveryAction::Propagate], 0);
+        assert_eq!(out.unwrap_err().errno(), Some(Errno::EIO));
+        assert_eq!(state, MountState::ReadWrite);
+
+        let (out, state, c) = run(vec![RecoveryAction::DegradeReadOnly], 0);
+        assert_eq!(out.unwrap_err().errno(), Some(Errno::EIO));
+        assert_eq!((state, c.degrades), (MountState::ReadOnly, 1));
+
+        let (out, state, c) = run(vec![RecoveryAction::Stop], 0);
+        assert!(out.unwrap_err().is_panic());
+        assert_eq!((state, c.stops), (MountState::Crashed, 1));
     }
 
     #[test]
