@@ -47,6 +47,24 @@ pub enum ErrorClass {
     Corrupt,
 }
 
+impl ErrorClass {
+    /// Stable short label, used in klog lines and rendered tables.
+    pub fn label(self) -> &'static str {
+        match self {
+            ErrorClass::Io => "io",
+            ErrorClass::Timeout => "timeout",
+            ErrorClass::DeviceFailed => "dev-failed",
+            ErrorClass::Corrupt => "bad-content",
+        }
+    }
+}
+
+impl fmt::Display for ErrorClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
 /// A deterministic, capped exponential backoff schedule in simulated
 /// nanoseconds.
 ///
@@ -146,6 +164,17 @@ impl RecoveryAction {
     }
 }
 
+impl fmt::Display for RecoveryAction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecoveryAction::Retry { budget, backoff } => {
+                write!(f, "retry(budget={budget}, base={}ns)", backoff.base_ns)
+            }
+            other => f.write_str(other.label()),
+        }
+    }
+}
+
 /// One policy rule: a (possibly wildcarded) match on block type, I/O
 /// direction, and error class, plus the chain to enact on a hit.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -218,6 +247,16 @@ impl FailurePolicyTable {
             .map(|r| r.chain.clone())
             .unwrap_or_else(|| self.default_chain.clone())
     }
+
+    /// Number of explicit rules.
+    pub fn len(&self) -> usize {
+        self.rules.len()
+    }
+
+    /// True when no explicit rule is installed.
+    pub fn is_empty(&self) -> bool {
+        self.rules.is_empty()
+    }
 }
 
 /// Per-action counters, shared by every layer that enacts the same
@@ -267,6 +306,11 @@ pub struct PolicyCounters {
 }
 
 impl PolicyCounters {
+    /// Fresh zeroed counters.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Count a read-only degradation. Public because the degradation is
     /// counted where it is enacted: ext3 aborts its journal from sites
     /// that never walk a chain (a failed commit write, say), and every
@@ -314,7 +358,7 @@ impl PolicyHandle {
     pub fn new(table: FailurePolicyTable) -> Self {
         PolicyHandle {
             table: Arc::new(Mutex::new(table)),
-            counters: PolicyCounters::default(),
+            counters: PolicyCounters::new(),
         }
     }
 
@@ -337,14 +381,14 @@ impl PolicyHandle {
     ///
     /// Wording is deliberately neutral and info-level: it must not
     /// collide with the fingerprint framework's detection-marker
-    /// substrings, nor read as a reaction by itself.
+    /// substrings, nor read as a reaction by itself. `DegradeReadOnly`
+    /// never comes here: whoever enacts it counts it (`count_degrade`).
     fn record(&self, site: &Walk<'_>, action: RecoveryAction, suffix: impl fmt::Display) {
         let c = &self.counters.cells;
         let cell = match action {
             RecoveryAction::Retry { .. } => &c.retries,
             RecoveryAction::Redundancy => &c.redundancy,
-            // Counted by whoever enacts it, see `count_degrade`.
-            RecoveryAction::DegradeReadOnly => return,
+            RecoveryAction::DegradeReadOnly => unreachable!("counted by its enactor"),
             RecoveryAction::Propagate => &c.propagates,
             RecoveryAction::Stop => &c.stops,
         };
@@ -558,6 +602,55 @@ mod tests {
         assert_eq!(
             clone.chain_for(BlockTag("data"), IoKind::Write, ErrorClass::Io),
             vec![RecoveryAction::DegradeReadOnly]
+        );
+    }
+
+    #[test]
+    fn counters_count_and_log() {
+        let h = PolicyHandle::default();
+        let klog = KernelLog::new();
+        let site = |request| Walk {
+            klog: &klog,
+            subsystem: "policy",
+            clock: None,
+            can_degrade: true,
+            request,
+        };
+        let retry = RecoveryAction::Retry {
+            budget: 1,
+            backoff: Backoff::none(),
+        };
+        h.record(&site("data read #4"), retry, "");
+        h.record(&site("meta write #2"), RecoveryAction::Stop, "");
+        h.counters().count_degrade();
+        let snap = h.counters().snapshot();
+        assert_eq!((snap.retries, snap.stops, snap.degrades), (1, 1, 1));
+        assert!(klog.contains("policy action retry: data read #4"));
+        assert!(klog.contains("policy action stop: meta write #2"));
+    }
+
+    #[test]
+    fn labels_are_stable() {
+        assert_eq!(ErrorClass::Timeout.label(), "timeout");
+        assert_eq!(ErrorClass::Corrupt.label(), "bad-content");
+        assert_eq!(
+            RecoveryAction::Retry {
+                budget: 0,
+                backoff: Backoff::none()
+            }
+            .label(),
+            "retry"
+        );
+        assert_eq!(RecoveryAction::DegradeReadOnly.label(), "degrade-ro");
+        assert_eq!(
+            format!(
+                "{}",
+                RecoveryAction::Retry {
+                    budget: 2,
+                    backoff: Backoff::exponential(5, 2, 100)
+                }
+            ),
+            "retry(budget=2, base=5ns)"
         );
     }
 

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use iron_blockdev::{retry::classify, BlockDevice, IoScheduler, RawAccess, ScanReadahead};
 use iron_core::checksum::sha1;
 use iron_core::recover::{
-    Backoff, ErrorClass, FailurePolicyTable, PolicyHandle, RecoveryAction, Step, Verdict, Walk,
+    Backoff, ErrorClass, FailurePolicyTable, PolicyHandle, RecoveryAction, Step,
 };
 use iron_core::{Block, BlockAddr, Errno, IoKind, SimClock, BLOCK_SIZE};
 use iron_vfs::{FsEnv, VfsError, VfsResult};
@@ -1126,34 +1126,32 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         let group = std::mem::take(&mut self.pending);
         let drained = group.len() as u32;
         let fix_bugs = self.opts.iron.fix_bugs;
-        let (policy, cpu_clock) = (&self.opts.policy, &self.opts.cpu_clock);
-        let klog = &self.env.klog;
-        let dev = &mut self.dev;
         let mut failed_addrs: Vec<u64> = Vec::new();
+        let mut stopped = false;
         let sweep = checkpoint_group(group, |addr, b, ty| {
-            let mut write = || dev.write_tagged(BlockAddr(addr), b, ty.tag());
-            let ok = match write() {
+            if stopped {
+                return false; // a `Stop` rung halted the machine mid-sweep
+            }
+            let tag = ty.tag();
+            let ok = match self.dev.write_tagged(BlockAddr(addr), b, tag) {
                 Ok(()) => true,
                 // Walk the metadata-write chain right here, while the
-                // failed image is in hand. Whatever the verdict, a block
-                // that did not reach home aborts the journal after the
-                // sweep; the stock chain is a bare `DegradeReadOnly`, so
+                // failed image is in hand. `Stop` panics and ends the
+                // sweep; any other verdict lets it finish, and a block
+                // that did not reach home aborts the journal after it.
+                // The stock chain is a bare `DegradeReadOnly`, so
                 // re-issues are dormant until a policy configures them.
                 Err(e) if fix_bugs => {
-                    let site = Walk {
-                        klog,
-                        subsystem: "ext3",
-                        clock: cpu_clock.as_ref(),
-                        can_degrade: true,
-                        request: &format!("checkpoint write {addr}"),
-                    };
-                    let reissue = |step| match step {
-                        Step::Reissue { .. } => write().ok(),
-                        Step::Redundancy => None,
-                    };
-                    let class = classify(&e);
-                    let verdict = policy.walk(&site, ty.tag(), IoKind::Write, class, reissue);
-                    matches!(verdict, Verdict::Recovered(()))
+                    let key = (tag, IoKind::Write, classify(&e));
+                    let reissued =
+                        self.walk_chain("checkpoint write", addr, key, |fs, step| match step {
+                            Step::Reissue { .. } => {
+                                fs.dev.write_tagged(BlockAddr(addr), b, tag).ok()
+                            }
+                            Step::Redundancy => None,
+                        });
+                    stopped = reissued.as_ref().is_err_and(VfsError::is_panic);
+                    reissued.is_ok()
                 }
                 Err(_) => false,
             };
@@ -1165,6 +1163,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             }
             ok
         });
+        self.env.check_alive()?;
         if fix_bugs {
             for addr in &failed_addrs {
                 self.env

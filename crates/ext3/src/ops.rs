@@ -101,7 +101,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// request in the log (`"data read"`); `step` re-issues it or tries
     /// its redundant copy. Backoff is charged to the CPU clock when
     /// accounting is on.
-    fn walk_chain<T>(
+    pub(crate) fn walk_chain<T>(
         &mut self,
         what: &str,
         addr: u64,

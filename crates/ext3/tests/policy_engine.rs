@@ -383,3 +383,53 @@ fn checkpoint_write_retry_masks_a_transient_fault_without_abort() {
     assert_eq!(env.state(), MountState::ReadOnly, "sticky fault degrades");
     assert!(env.klog.contains("ext3_abort"));
 }
+
+#[test]
+fn checkpoint_write_chain_ending_in_stop_halts_the_machine() {
+    // The checkpoint site enacts the whole metadata-write chain, not just
+    // its leading Retry rungs: a sticky fault runs the budget out, and the
+    // terminal Stop panics instead of aborting the journal.
+    let iron = IronConfig {
+        fix_bugs: true,
+        ..IronConfig::off()
+    };
+    let policy = PolicyHandle::new(
+        FailurePolicyTable::with_default(vec![RecoveryAction::Propagate]).rule(
+            Some(BlockTag("inode")),
+            Some(IoKind::Write),
+            None,
+            vec![
+                RecoveryAction::Retry {
+                    budget: 2,
+                    backoff: Backoff::none(),
+                },
+                RecoveryAction::Stop,
+            ],
+        ),
+    );
+    let opts = Ext3Options {
+        iron,
+        policy: policy.clone(),
+        ..Ext3Options::default()
+    };
+    let (mut v, ctl, env) = mount_with(opts);
+    ctl.inject(FaultSpec::sticky(
+        FaultKind::WriteError,
+        FaultTarget::Tag(BlockTag("inode")),
+    ));
+    let trace = v.fs_mut().device().trace();
+    v.write_file("/f", b"never home").unwrap();
+    assert!(v.sync().unwrap_err().is_panic());
+    assert_eq!(env.state(), MountState::Crashed);
+    assert!(env.klog.contains("unrecoverable checkpoint write"));
+    assert!(!env.klog.contains("ext3_abort"), "stopped, not degraded");
+    let c = policy.counters().snapshot();
+    assert_eq!((c.retries, c.exhausted, c.stops, c.degrades), (2, 1, 1, 0));
+    // 1 + budget attempts at the one inode block, and nothing after it.
+    let events = trace.events();
+    let attempts = events
+        .iter()
+        .filter(|e| e.tag == BlockTag("inode") && e.kind == IoKind::Write);
+    assert_eq!(attempts.count(), 3);
+    assert_eq!(events.last().unwrap().tag, BlockTag("inode"));
+}

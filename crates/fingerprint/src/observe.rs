@@ -75,6 +75,30 @@ const REDUNDANCY_LOG_MARKERS: [&str; 5] = [
     "transactional checksum mismatch",
 ];
 
+/// The most attempts (trace events matching `is_attempt`) that any one
+/// operation made.
+///
+/// An FS-level retry re-issues the request *within one operation*; the
+/// workload touching the same block again in a later step is not a retry.
+/// `marks` (trace lengths at step ends) scope the count: each segment
+/// between two marks, and the tail after the last, is one operation.
+/// Without marks the whole trace is one.
+pub fn most_attempts_in_one_step(
+    trace: &[IoEvent],
+    marks: &[usize],
+    is_attempt: impl Fn(&IoEvent) -> bool,
+) -> usize {
+    let mut prev = 0;
+    let ends = marks.iter().copied().chain([trace.len()]);
+    ends.map(|end| {
+        let step = &trace[prev..end];
+        prev = end;
+        step.iter().filter(|e| is_attempt(e)).count()
+    })
+    .max()
+    .unwrap_or(0)
+}
+
 impl Observation {
     fn outputs_deviate(&self) -> bool {
         self.reference != self.faulty
@@ -116,29 +140,9 @@ impl Observation {
             FaultMode::WriteError => IoKind::Write,
             _ => IoKind::Read,
         };
-        // An FS-level retry re-issues the request *within one operation*;
-        // the workload touching the same block again in a later step is
-        // not a retry. Step marks (trace lengths at step ends) scope the
-        // count; without marks, fall back to the whole trace.
-        let matches: Vec<usize> = self
-            .trace
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.addr == anchor && e.kind == kind)
-            .map(|(i, _)| i)
-            .collect();
-        if self.faulty.step_trace_marks.is_empty() {
-            return matches.len() >= 2;
-        }
-        let mut prev = 0usize;
-        for &end in &self.faulty.step_trace_marks {
-            let in_step = matches.iter().filter(|&&i| i >= prev && i < end).count();
-            if in_step >= 2 {
-                return true;
-            }
-            prev = end;
-        }
-        matches.iter().filter(|&&i| i >= prev).count() >= 2
+        let marks = &self.faulty.step_trace_marks;
+        let at_fault = |e: &IoEvent| e.addr == anchor && e.kind == kind;
+        most_attempts_in_one_step(&self.trace, marks, at_fault) >= 2
     }
 
     /// Did the trace show redundancy being consulted after the fault?

@@ -6,16 +6,17 @@
 //!
 //! * the rows encode the retry budgets the paper reports (§5.1–§5.4);
 //! * under a sticky read or write fault on any block type, no operation
-//!   of any Table 3 workload ever issues more back-to-back device
-//!   attempts at the faulted address than `1 +` the `Retry` budgets of
-//!   the stock chain for that `(block type, direction)` — there is no
-//!   loop left that could re-issue a request behind the table's back.
+//!   of any Table 3 workload ever issues more device attempts at the
+//!   faulted block than `1 +` the `Retry` budgets of the stock chain for
+//!   that `(block type, direction)` — there is no loop left that could
+//!   re-issue a request behind the table's back.
 
-use iron_blockdev::{IoEvent, StackBuilder};
+use iron_blockdev::StackBuilder;
 use iron_core::recover::{ErrorClass, FailurePolicyTable, RecoveryAction};
-use iron_core::{BlockAddr, BlockTag, FaultKind, IoKind};
+use iron_core::{BlockTag, FaultKind, IoKind};
 use iron_ext3::fs::ext3_stock_policy;
 use iron_faultinject::{FaultPlan, FaultSpec, FaultStackExt, FaultTarget};
+use iron_fingerprint::observe::most_attempts_in_one_step;
 use iron_fingerprint::workloads::run;
 use iron_fingerprint::{
     Ext3Adapter, FsUnderTest, JfsAdapter, NtfsAdapter, ReiserAdapter, Workload,
@@ -98,36 +99,27 @@ fn stock_tables_carry_the_papers_retry_budgets() {
     assert_eq!(budget(&ext3, BlockTag("data"), Write), 0);
 }
 
-/// The longest burst of back-to-back attempts at `anchor` within one
-/// operation — a re-issue loop shows up as consecutive trace events at
-/// the same address, whereas an operation that merely comes back to the
-/// block later (a second request) has other I/O in between. The mount is
-/// one operation (the trace up to `mounted`), every workload step another.
-fn longest_burst(
-    trace: &[IoEvent],
-    mounted: usize,
-    marks: &[usize],
-    (anchor, io): (BlockAddr, IoKind),
-) -> usize {
-    let mut prev = 0;
-    let mut worst = 0;
-    for &end in [mounted].iter().chain(marks).chain([&trace.len()]) {
-        let mut burst = 0;
-        for e in &trace[prev..end] {
-            burst = if e.addr == anchor && e.kind == io {
-                burst + 1
-            } else {
-                0
-            };
-            worst = worst.max(burst);
-        }
-        prev = end;
+/// How many times one operation of `workload` *requests* the faulted
+/// block when the fault is sticky. Once, but for two ext3 behaviours that
+/// come back to a block whose write just failed, with other I/O between:
+fn requests(fs: &str, tag: BlockTag, io: IoKind, workload: Workload) -> usize {
+    match (fs, tag.0, io, workload) {
+        // a dirty mount writes the superblock while replaying the journal
+        // and again when the mount completes;
+        ("ext3" | "ixt3", "super", IoKind::Write, Workload::Recovery) => 2,
+        // stock ext3 ignores a failed journal-superblock write (PAPER-BUG),
+        // so a commit that could not mark the journal dirty goes on to
+        // mark it clean.
+        ("ext3", "j-super", IoKind::Write, Workload::SyncFamily | Workload::LogWrites) => 2,
+        _ => 1,
     }
-    worst
 }
 
 /// Every `(block type × direction × workload)` cell of `adapter` under a
-/// sticky fault, armed the way the Figure 2 campaign arms it.
+/// sticky fault, armed the way the Figure 2 campaign arms it. Attempts are
+/// counted per operation by the campaign's own step-scoped counter
+/// ([`most_attempts_in_one_step`]); the mount is one operation, every
+/// workload step another.
 fn assert_attempts_bounded(adapter: &dyn FsUnderTest, table: &FailurePolicyTable) {
     let goldens = [adapter.golden(false), adapter.golden(true)];
     let (mut fired, mut exhausted) = (0, 0);
@@ -136,7 +128,7 @@ fn assert_attempts_bounded(adapter: &dyn FsUnderTest, table: &FailurePolicyTable
             (IoKind::Read, FaultKind::ReadError),
             (IoKind::Write, FaultKind::WriteError),
         ] {
-            let allowed = 1 + budget(table, tag, io) as usize;
+            let per_request = 1 + budget(table, tag, io) as usize;
             for workload in Workload::COLUMNS {
                 let golden = &goldens[usize::from(workload == Workload::Recovery)];
                 let plan = FaultPlan::new();
@@ -151,24 +143,24 @@ fn assert_attempts_bounded(adapter: &dyn FsUnderTest, table: &FailurePolicyTable
                     .build();
                 let trace = dev.inner().trace();
                 let mounted = adapter.mount(dev, FsEnv::new());
-                let at_mount = trace.len();
-                let marks = match mounted {
-                    Ok(fs) => {
-                        ctl.arm(id);
-                        run(workload, &mut Vfs::new(fs), Some(&trace)).step_trace_marks
-                    }
-                    Err(_) => Vec::new(),
-                };
+                let mut marks = vec![trace.len()];
+                if let Ok(fs) = mounted {
+                    ctl.arm(id);
+                    marks.extend(run(workload, &mut Vfs::new(fs), Some(&trace)).step_trace_marks);
+                }
                 let Some(anchor) = ctl.anchor(id) else {
                     continue; // gray cell: the workload never touches the type
                 };
                 fired += 1;
-                let worst = longest_burst(&trace.events(), at_mount, &marks, (anchor, io));
-                exhausted += usize::from(allowed > 1 && worst == allowed);
+                let worst = most_attempts_in_one_step(&trace.events(), &marks, |e| {
+                    e.addr == anchor && e.kind == io && e.tag == tag
+                });
+                let allowed = per_request * requests(adapter.name(), tag, io, workload);
+                exhausted += usize::from(per_request > 1 && worst == allowed);
                 assert!(
                     worst <= allowed,
-                    "{}: {worst} back-to-back attempts at the faulted `{tag}` block in one operation \
-                     of {workload:?} under a sticky {io} fault; the stock chain allows {allowed}",
+                    "{}: {worst} attempts at the faulted `{tag}` block in one operation of \
+                     {workload:?} under a sticky {io} fault; the stock chain allows {allowed}",
                     adapter.name(),
                 );
             }

@@ -721,7 +721,7 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
 
 /// One request the NTFS way (§5.4, "persistence is a virtue"): issue it,
 /// and if it fails let [`ntfs_stock_policy`] say how often to issue it
-/// again, logging every retry and the final failure.
+/// again, logging every retry and the final failure in stock NTFS's words.
 fn persist<D: BlockDevice, T>(
     dev: &mut D,
     env: &FsEnv,
@@ -741,9 +741,17 @@ fn persist<D: BlockDevice, T>(
         );
         op(dev)
     })
-    .inspect_err(|_| {
-        env.klog
-            .error("ntfs", format!("{io} of block {addr} failed permanently"));
+    .inspect_err(|_| match (io, ty) {
+        // `write_block` has its own words for a lost data write.
+        (IoKind::Write, NtfsBlockType::Data) => {}
+        (IoKind::Write, _) => {
+            let msg = format!("write of block {addr} failed");
+            env.klog.error("ntfs", msg)
+        }
+        (IoKind::Read, _) => {
+            let msg = format!("read of block {addr} failed permanently");
+            env.klog.error("ntfs", msg)
+        }
     })
 }
 

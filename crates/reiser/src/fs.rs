@@ -46,31 +46,17 @@ impl Default for ReiserOptions {
 /// ordered data block, are ignored (`PAPER-BUG`).
 pub fn reiser_stock_policy() -> FailurePolicyTable {
     use RecoveryAction::{Propagate, Retry};
+    use ReiserBlockType::{Data, Direct, Indirect};
     let once = Retry {
         budget: 1,
         backoff: Backoff::none(),
     };
     let read = Some(IoKind::Read);
-    let tag = |ty: ReiserBlockType| Some(ty.tag());
-    FailurePolicyTable::with_default(vec![Propagate])
-        .rule(
-            tag(ReiserBlockType::Data),
-            read,
-            None,
-            vec![once, Propagate],
-        )
-        .rule(
-            tag(ReiserBlockType::Indirect),
-            read,
-            None,
-            vec![once, Propagate],
-        )
-        .rule(
-            tag(ReiserBlockType::Direct),
-            read,
-            None,
-            vec![once, Propagate],
-        )
+    let mut table = FailurePolicyTable::with_default(vec![Propagate]);
+    for ty in [Data, Indirect, Direct] {
+        table = table.rule(Some(ty.tag()), read, None, vec![once, Propagate]);
+    }
+    table
 }
 
 /// FNV-1a 64-bit, ReiserFS-style name hashing for directory keys.
@@ -677,8 +663,8 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
 
     /// Read one block: the running transaction's staged copy, else the
     /// cache, else the device (cached on success). A device error is
-    /// checked (`DErrorCode`), logged in the words of the block's kind,
-    /// and handed to [`reiser_stock_policy`]: one re-read for data,
+    /// checked (`DErrorCode`), logged in the words of the block's kind
+    /// (a bitmap block's caller speaks for it), and handed to [`reiser_stock_policy`]: one re-read for data,
     /// indirect and direct blocks, `EIO` otherwise.
     fn read_block(&mut self, addr: u64, ty: ReiserBlockType) -> VfsResult<Block> {
         // Data blocks are written in place and never staged, so only
@@ -694,14 +680,15 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
         let b = match dev.read_tagged(BlockAddr(addr), tag) {
             Ok(b) => b,
             Err(e) => {
-                env.klog.error(
-                    "reiserfs",
-                    match ty {
-                        ReiserBlockType::Data => format!("read of data block {addr} failed"),
-                        ReiserBlockType::DataBitmap => format!("bitmap block {addr} unreadable"),
-                        _ => format!("vs-5150: read of tree block {addr} failed"),
-                    },
-                );
+                let words = match ty {
+                    ReiserBlockType::Data => Some(format!("read of data block {addr} failed")),
+                    // `bitmap_op` reports it; the allocator's scan is silent.
+                    ReiserBlockType::DataBitmap => None,
+                    _ => Some(format!("vs-5150: read of tree block {addr} failed")),
+                };
+                if let Some(msg) = words {
+                    env.klog.error("reiserfs", msg);
+                }
                 let req = (IoKind::Read, addr, tag);
                 env.walk_io(&self.policy, "reiserfs", req, &e, |_, _| {
                     dev.read_tagged(BlockAddr(addr), tag)
@@ -768,7 +755,12 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
 
     fn bitmap_op(&mut self, addr: u64, set: bool) -> VfsResult<()> {
         let (bm_addr, bit) = self.layout.bitmap_location(addr);
-        let mut bm = self.read_block(bm_addr.0, ReiserBlockType::DataBitmap)?;
+        let mut bm = self
+            .read_block(bm_addr.0, ReiserBlockType::DataBitmap)
+            .inspect_err(|_| {
+                let msg = format!("bitmap block {bm_addr} unreadable");
+                self.env.klog.error("reiserfs", msg);
+            })?;
         let byte = (bit / 8) as usize;
         let mask = 1u8 << (bit % 8);
         if set {
