@@ -14,6 +14,9 @@
 //!   mount state machine (read-write → read-only → crashed). ReiserFS's
 //!   `panic()` and ext3's journal abort are transitions of this machine,
 //!   observable by the fingerprinting framework.
+//! * [`flat`] is the flat-inode file model the JFS and NTFS models share:
+//!   one implementation of directories, file bodies and every namespace
+//!   operation over the storage primitives of a [`flat::FlatStore`].
 //!
 //! The paper notes that *failure policy diffusion* between generic and
 //! specific code causes illogical inconsistencies (§5.6); keeping the split
@@ -25,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod env;
+pub mod flat;
 pub mod fs;
 pub mod paths;
 pub mod ramfs;
