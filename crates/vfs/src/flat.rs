@@ -606,6 +606,12 @@ impl<S: FlatStore> SpecificFs for S {
         if n.direct[0] == 0 {
             return Ok(String::new());
         }
+        // The size comes straight from disk; the target lives in one block.
+        if n.size > BLOCK_SIZE as u64 {
+            let msg = format!("symlink {ino} has impossible size {}", n.size);
+            self.fs_env().klog.error(S::SUBSYSTEM, msg);
+            return Err(Errno::EUCLEAN.into());
+        }
         let b = self.read_data(n.direct[0] as u64)?;
         Ok(String::from_utf8_lossy(b.get_bytes(0, n.size as usize)).into_owned())
     }

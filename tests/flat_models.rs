@@ -1,14 +1,19 @@
-//! The two flat-inode models (JFS, NTFS) on a healthy disk: one fixed
-//! program, driven straight through `SpecificFs`, must leave a
-//! byte-identical image and issue the same block requests in the same
-//! order. Figure 2 pins only how faults are *classified*; this pins the
-//! fault-free on-disk format and I/O order those classifications rest on.
+//! The two flat-inode models (JFS, NTFS), driven straight through
+//! `SpecificFs`.
+//!
+//! On a healthy disk one fixed program must leave a byte-identical image
+//! and issue the same block requests in the same order: Figure 2 pins
+//! only how faults are *classified*; this pins the fault-free on-disk
+//! format and I/O order those classifications rest on.
+//!
+//! And a symlink whose size field was corrupted past a block must come
+//! back as `EUCLEAN` with a kernel-log line, not as a panic.
 
 use ironfs::blockdev::{BlockDevice, MemDisk, RawAccess, TraceLayer};
 use ironfs::core::checksum::sha1;
-use ironfs::core::BlockAddr;
-use ironfs::jfs::{JfsFs, JfsOptions, JfsParams};
-use ironfs::ntfs::{NtfsFs, NtfsParams};
+use ironfs::core::{BlockAddr, Errno};
+use ironfs::jfs::{JfsFs, JfsLayout, JfsOptions, JfsParams};
+use ironfs::ntfs::{NtfsFs, NtfsOptions, NtfsParams};
 use ironfs::vfs::{FsEnv, SpecificFs};
 
 const BLOCKS: u64 = 4096;
@@ -105,5 +110,75 @@ fn ntfs_image_and_io_order_are_pinned() {
             "0652ace3d22c21aaca3aff34beb5c7566cb913c9".to_string()
         ),
         "NTFS (image, trace)"
+    );
+}
+
+/// Make a symlink, unmount, overwrite the `u64` at `size_at(link)` — the
+/// node's size field — with 5000 (past a block, yet within what JFS's
+/// inode sanity check allows a *file*), remount and read the link.
+fn readlink_with_oversized_link<F: SpecificFs>(
+    mut fs: F,
+    into_device: impl Fn(F) -> MemDisk,
+    size_at: impl Fn(u64) -> (BlockAddr, usize),
+    remount: impl Fn(MemDisk, FsEnv) -> F,
+    subsystem: &str,
+) {
+    let root = fs.root_ino();
+    let link = fs.symlink(root, "ln", "/some/where").unwrap();
+    fs.unmount().unwrap();
+    let mut dev = into_device(fs);
+    let (addr, off) = size_at(link);
+    let mut b = dev.peek(addr);
+    assert_eq!(b.get_u64(off), "/some/where".len() as u64, "size field");
+    b.put_u64(off, 5000);
+    dev.poke(addr, &b);
+
+    let env = FsEnv::new();
+    let mut fs = remount(dev, env.clone());
+    let err = fs.readlink(link).unwrap_err();
+    assert_eq!(err.errno(), Some(Errno::EUCLEAN));
+    let logged = env.klog.entries();
+    assert!(
+        logged
+            .iter()
+            .any(|e| e.subsystem == subsystem && e.message.contains("symlink")),
+        "{logged:?}"
+    );
+}
+
+#[test]
+fn jfs_readlink_survives_a_corrupt_size() {
+    let fs = JfsFs::format_and_mount(
+        MemDisk::for_tests(BLOCKS),
+        FsEnv::new(),
+        JfsParams::small(),
+        JfsOptions::default(),
+    )
+    .unwrap();
+    let layout = JfsLayout::compute(JfsParams::small());
+    readlink_with_oversized_link(
+        fs,
+        JfsFs::into_device,
+        |ino| {
+            let (block, off) = layout.inode_location(ino);
+            (block, off + 16)
+        },
+        |dev, env| JfsFs::mount(dev, env, JfsOptions::default()).unwrap(),
+        "jfs",
+    );
+}
+
+#[test]
+fn ntfs_readlink_survives_a_corrupt_size() {
+    let params = NtfsParams::small();
+    let fs = NtfsFs::format_and_mount(MemDisk::for_tests(BLOCKS), FsEnv::new(), params).unwrap();
+    // Boot file, logfile, the two bitmaps, then one block per MFT record.
+    let mft_start = 1 + params.logfile_blocks + 2;
+    readlink_with_oversized_link(
+        fs,
+        NtfsFs::into_device,
+        |rec| (BlockAddr(mft_start + rec), 32),
+        |dev, env| NtfsFs::mount(dev, env, NtfsOptions::default()).unwrap(),
+        "ntfs",
     );
 }
