@@ -12,6 +12,9 @@
 //! copy), journal superblock, journal data (records), aggregate inode
 //! table (+ a real secondary copy), bmap descriptor, imap control.
 //!
+//! Files and directories are [`iron_vfs::flat`]'s flat-inode model; JFS
+//! is the [`iron_vfs::flat::FlatStore`] beneath it.
+//!
 //! ## The measured failure policy (§5.3) — "The kitchen sink"
 //!
 //! What happens after a failed read is data, not code:

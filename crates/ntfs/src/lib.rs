@@ -25,6 +25,9 @@
 //!   block pointer can point to important system structures and hence
 //!   corrupt them when the block pointed to is updated."
 //!
+//! Files and directories are [`iron_vfs::flat`]'s flat-inode model; NTFS
+//! is the [`iron_vfs::flat::FlatStore`] beneath it.
+//!
 //! The logfile is written (so log-write workloads exercise it) but
 //! redo/undo recovery is not modeled — the paper never fingerprints NTFS
 //! recovery (closed source, incomplete analysis); DESIGN.md records the

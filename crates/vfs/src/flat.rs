@@ -7,8 +7,8 @@
 //! algebra, so the algebra is written once, here, against [`FlatStore`]:
 //! the primitives a model supplies with its own codec, I/O policy,
 //! allocator and journal. Every `FlatStore` is a
-//! [`SpecificFs`](crate::SpecificFs) through the blanket impl at the
-//! bottom, which never asks which model it serves; every difference is a
+//! [`SpecificFs`] through the blanket impl at the bottom of this file,
+//! which never asks which model it serves; every difference is a
 //! `FlatStore` method or constant.
 
 use iron_core::{Block, Errno, BLOCK_SIZE};
@@ -87,7 +87,7 @@ impl Dirent {
 
 /// Most entries a directory block may hold; a larger count on disk fails
 /// the block's sanity check.
-pub const DIR_MAX_ENTRIES: usize = 128;
+const DIR_MAX_ENTRIES: usize = 128;
 /// `{count: u16}` and padding.
 const DIR_HEADER: usize = 4;
 /// `{id: u32, code: u8, name_len: u8}`.
@@ -234,8 +234,7 @@ fn new_node<S: FlatStore>(ftype: FileType, perm: u32) -> Node {
     Node::new(ftype, S::mode_word(ftype, perm), S::NDIRECT)
 }
 
-/// The entry naming node `id`, of type `ftype`, `name`.
-pub fn dirent<S: FlatStore>(id: Ino, ftype: FileType, name: &str) -> Dirent {
+fn dirent<S: FlatStore>(id: Ino, ftype: FileType, name: &str) -> Dirent {
     let code = match ftype {
         FileType::Regular => 1,
         FileType::Directory => 2,
