@@ -35,8 +35,25 @@ fn main() {
     }
 
     {
-        let d = MemDisk::for_tests(4096);
-        g.bench("snapshot_16mb_image", || black_box(d.snapshot().stats()));
+        // One campaign trial's device cost, 1000 times over: snapshot a
+        // 16 MiB golden (a refcount bump per page), write one block of the
+        // snapshot (the copy-on-write fault installs a fresh page), drop it
+        // (a refcount drop per page). A lone snapshot is tens of µs — too
+        // short for a single smoke iteration to gate.
+        let mut golden = MemDisk::for_tests(4096);
+        let block = Block::filled(0x33);
+        for i in 0..4096u64 {
+            golden.write(BlockAddr(i), &block).unwrap();
+        }
+        g.bench("snapshot_write_drop_x1000", || {
+            let mut writes = 0u64;
+            for i in 0..1000u64 {
+                let mut trial = golden.snapshot();
+                trial.write(BlockAddr(i * 4), &block).unwrap();
+                writes += trial.stats().writes;
+            }
+            black_box(writes)
+        });
     }
 
     g.finish();

@@ -1,6 +1,8 @@
 //! [`MemDisk`]: a perfect in-memory disk with a mechanical timing model.
 
-use iron_core::{Block, BlockAddr, BlockTag, IoKind, SimClock};
+use std::sync::Arc;
+
+use iron_core::{Block, BlockAddr, BlockTag, IoKind, SimClock, BLOCK_SIZE};
 
 use crate::device::{BlockDevice, DiskError, DiskResult, RawAccess};
 use crate::geometry::DiskGeometry;
@@ -28,8 +30,13 @@ pub struct DiskStats {
 /// Every request advances the shared [`SimClock`] according to the
 /// [`DiskGeometry`] service-time model and appends to the shared
 /// [`IoTrace`].
+///
+/// The medium is copy-on-write: a flat spine with one shared page per
+/// block. A never-written slot points at the zero page its disk was created
+/// with, and a [`MemDisk::snapshot`] shares every page with its parent
+/// until one of the two writes the block.
 pub struct MemDisk {
-    blocks: Vec<Block>,
+    pages: Vec<Arc<[u8; BLOCK_SIZE]>>,
     geometry: DiskGeometry,
     clock: SimClock,
     trace: IoTrace,
@@ -51,8 +58,9 @@ pub struct MemDisk {
 impl MemDisk {
     /// Create a disk of `num_blocks` zeroed blocks.
     pub fn new(num_blocks: u64, geometry: DiskGeometry, clock: SimClock) -> Self {
+        let zero_page = Arc::new([0u8; BLOCK_SIZE]);
         MemDisk {
-            blocks: (0..num_blocks).map(|_| Block::zeroed()).collect(),
+            pages: vec![zero_page; num_blocks as usize],
             geometry,
             clock,
             trace: IoTrace::new(),
@@ -69,12 +77,15 @@ impl MemDisk {
         MemDisk::new(num_blocks, DiskGeometry::instant(), SimClock::new())
     }
 
-    /// A deep copy of the medium with fresh clock, trace, and statistics —
-    /// the fingerprinting campaign stamps one golden image per file system
-    /// and snapshots it for every (workload × block type × fault) cell.
+    /// An independent disk with the same contents and fresh clock, trace,
+    /// and statistics — the fingerprinting campaign stamps one golden image
+    /// per file system and snapshots it for every (workload × block type ×
+    /// fault) cell. Costs one refcount bump per block and copies no data:
+    /// the pages are shared until either side writes them, and a write to
+    /// one side is never visible on the other.
     pub fn snapshot(&self) -> MemDisk {
         MemDisk {
-            blocks: self.blocks.clone(),
+            pages: self.pages.clone(),
             geometry: self.geometry,
             clock: SimClock::new(),
             trace: IoTrace::new(),
@@ -107,10 +118,33 @@ impl MemDisk {
     }
 
     fn check_range(&self, addr: BlockAddr) -> DiskResult<()> {
-        if addr.0 < self.blocks.len() as u64 {
+        if addr.0 < self.pages.len() as u64 {
             Ok(())
         } else {
             Err(DiskError::OutOfRange { addr })
+        }
+    }
+
+    /// Raw access has no error channel: an out-of-range address is a bug in
+    /// the calling harness, reported with the address and the disk size.
+    fn raw_index(&self, addr: BlockAddr, what: &str) -> usize {
+        assert!(
+            addr.0 < self.pages.len() as u64,
+            "{what} of block {addr} on a disk of {} blocks",
+            self.pages.len()
+        );
+        addr.0 as usize
+    }
+
+    /// Put `block` at the in-range index `idx`. An unshared page is
+    /// overwritten in place; a page a snapshot (or the zero fill) still
+    /// shares is replaced by a fresh one — not `Arc::make_mut`, which would
+    /// copy the old contents only to overwrite them.
+    fn store(&mut self, idx: usize, block: &Block) {
+        let page = &mut self.pages[idx];
+        match Arc::get_mut(page) {
+            Some(bytes) => *bytes = **block,
+            None => *page = Arc::new(**block),
         }
     }
 
@@ -161,7 +195,7 @@ impl MemDisk {
             t += g.overhead_ns;
             let target_track = g.track_of(addr.0);
             if target_track != self.current_track {
-                let total_tracks = (self.blocks.len() as u64).div_ceil(g.blocks_per_track);
+                let total_tracks = (self.pages.len() as u64).div_ceil(g.blocks_per_track);
                 t += g.seek_ns(self.current_track, target_track, total_tracks);
                 self.current_track = target_track;
                 self.stats.seeks += 1;
@@ -187,14 +221,14 @@ impl MemDisk {
 
 impl BlockDevice for MemDisk {
     fn num_blocks(&self) -> u64 {
-        self.blocks.len() as u64
+        self.pages.len() as u64
     }
 
     fn read_tagged(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
         self.check_range(addr)?;
         self.charge(addr, false);
         self.stats.reads += 1;
-        let block = self.blocks[addr.0 as usize].clone();
+        let block = Block::from_array(&self.pages[addr.0 as usize]);
         self.trace
             .record(IoKind::Read, addr, tag, IoOutcome::Ok, self.clock.now_ns());
         Ok(block)
@@ -204,7 +238,7 @@ impl BlockDevice for MemDisk {
         self.check_range(addr)?;
         self.charge(addr, true);
         self.stats.writes += 1;
-        self.blocks[addr.0 as usize] = block.clone();
+        self.store(addr.0 as usize, block);
         self.trace
             .record(IoKind::Write, addr, tag, IoOutcome::Ok, self.clock.now_ns());
         Ok(())
@@ -217,7 +251,7 @@ impl BlockDevice for MemDisk {
         Ok(())
     }
 
-    /// The medium itself is nonvolatile (`blocks` is updated at write
+    /// The medium itself is nonvolatile (`pages` is updated at write
     /// time), so a flush adds no data movement — but it is counted
     /// separately from barriers so layered stacks can assert that a
     /// durability flush issued at the top really arrives at the bottom
@@ -234,7 +268,7 @@ impl BlockDevice for MemDisk {
     /// in the background, overlapped with host-side processing of the
     /// blocks already delivered; only the scan's own reads are billed.
     fn readahead(&mut self, start: BlockAddr, len: u64) {
-        let end = (start.0 + len).min(self.blocks.len() as u64);
+        let end = start.0.saturating_add(len).min(self.pages.len() as u64);
         if start.0 < end {
             self.ra_window = Some((start.0, end));
         }
@@ -243,11 +277,12 @@ impl BlockDevice for MemDisk {
 
 impl RawAccess for MemDisk {
     fn peek(&self, addr: BlockAddr) -> Block {
-        self.blocks[addr.0 as usize].clone()
+        Block::from_array(&self.pages[self.raw_index(addr, "peek")])
     }
 
     fn poke(&mut self, addr: BlockAddr, block: &Block) {
-        self.blocks[addr.0 as usize] = block.clone();
+        let idx = self.raw_index(addr, "poke");
+        self.store(idx, block);
     }
 }
 
@@ -382,6 +417,25 @@ mod tests {
         assert_eq!(d.stats().reads, stats_before.reads, "a hint reads nothing");
         assert_eq!(d.trace().len(), trace_len, "a hint is not a traced event");
         assert_eq!(d.read(BlockAddr(5)).unwrap(), Block::filled(0x5A));
+    }
+
+    #[test]
+    fn readahead_hint_near_u64_max_does_not_overflow() {
+        let mut d = MemDisk::for_tests(8);
+        d.readahead(BlockAddr(2), u64::MAX);
+        assert_eq!(d.ra_window, Some((2, 8)), "clamped to the disk");
+    }
+
+    #[test]
+    #[should_panic(expected = "peek of block #8 on a disk of 8 blocks")]
+    fn peek_out_of_range_names_the_address_and_size() {
+        MemDisk::for_tests(8).peek(BlockAddr(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "poke of block #9 on a disk of 8 blocks")]
+    fn poke_out_of_range_names_the_address_and_size() {
+        MemDisk::for_tests(8).poke(BlockAddr(9), &Block::zeroed());
     }
 
     #[test]

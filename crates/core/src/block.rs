@@ -82,6 +82,12 @@ impl Block {
         b
     }
 
+    /// A block holding a copy of exactly one block's worth of bytes: a
+    /// single 4 KiB copy, where [`Block::from_bytes`] zero-fills first.
+    pub fn from_array(data: &[u8; BLOCK_SIZE]) -> Self {
+        Block(Box::new(*data))
+    }
+
     /// Read a little-endian `u16` at `off`.
     pub fn get_u16(&self, off: usize) -> u16 {
         u16::from_le_bytes(self.0[off..off + 2].try_into().expect("in-bounds"))
@@ -192,6 +198,15 @@ mod tests {
         let b = Block::from_bytes(&[1, 2, 3]);
         assert_eq!(&b[..3], &[1, 2, 3]);
         assert!(b[3..].iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn from_array_copies_every_byte() {
+        let mut page = [0u8; BLOCK_SIZE];
+        page[0] = 9;
+        page[BLOCK_SIZE - 1] = 7;
+        let b = Block::from_array(&page);
+        assert_eq!(*b, page);
     }
 
     #[test]
