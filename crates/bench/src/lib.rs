@@ -1,8 +1,10 @@
 //! # iron-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper (see
-//! DESIGN.md's experiment index) and `iron-testkit` micro-benchmarks for the
-//! performance-sensitive code paths.
+//! One binary per table/figure of the paper (see DESIGN.md's experiment
+//! index), plus [`sim_costs`]: the deterministic cost kernels. Every binary's
+//! stdout is committed as `results/<bin>.txt` and `./ci.sh results` diffs
+//! them byte for byte. Wall clock is not measured here — that is the
+//! whole-stack `benchmark/`.
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -16,11 +18,12 @@
 //! | `table6` | Table 6 (overheads of ixt3 variants; `--quick` for a subset) |
 //! | `space_overhead` | §6.2 space-overhead numbers |
 //! | `scrubbing_ablation` | §3.2 eager-vs-lazy detection trade-off |
+//! | `sim_costs` | simulated time and device work of the cache, replication, retry, journal-commit and Table-6 kernels |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod check;
+pub mod sim_costs;
 
 use iron_fingerprint::{
     fingerprint_fs, CampaignOptions, Ext3Adapter, FsUnderTest, JfsAdapter, NtfsAdapter,

@@ -19,12 +19,9 @@
 //! fault-injection crate ships a `FaultStackExt` extension trait that adds
 //! `.with_faults(plan)` on top of it.
 
-use iron_core::SimClock;
-
 use crate::cache::{BufferCache, CachePolicy};
 use crate::crashrec::{CrashRecorder, WriteLog};
 use crate::device::BlockDevice;
-use crate::geometry::DiskGeometry;
 use crate::memdisk::MemDisk;
 use crate::retry::{RetryConfig, RetryLayer};
 use crate::trace::{IoTrace, TraceLayer};
@@ -41,15 +38,6 @@ impl StackBuilder<MemDisk> {
     pub fn memdisk(num_blocks: u64) -> Self {
         StackBuilder {
             dev: MemDisk::for_tests(num_blocks),
-        }
-    }
-
-    /// Start from a disk with a real mechanical timing model and a fresh
-    /// simulated clock (retrieve it via [`MemDisk::clock`] before
-    /// stacking more layers).
-    pub fn memdisk_timed(num_blocks: u64, geometry: DiskGeometry) -> Self {
-        StackBuilder {
-            dev: MemDisk::new(num_blocks, geometry, SimClock::new()),
         }
     }
 }

@@ -27,8 +27,9 @@
 //! The fingerprint campaign gains a replica-fault topology axis on top of
 //! this device (`iron_fingerprint::cluster`), turning the policy × block
 //! type matrix into a 3D study of policy × block type × replica-fault
-//! topology. The `cluster_smoke` bench reports per-replica-count
-//! throughput and repair rate into `BENCH_cluster.json`.
+//! topology. The `cluster` rows of `results/sim_costs.txt` hold the
+//! simulated cost of fan-out writes per replica count, reads per policy,
+//! and a scrub repair.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

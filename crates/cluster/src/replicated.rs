@@ -177,12 +177,6 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
         self.policy
     }
 
-    /// Switch the read policy (e.g. quorum for a scrub pass, primary for
-    /// a throughput run).
-    pub fn set_policy(&mut self, policy: ReadPolicy) {
-        self.policy = policy;
-    }
-
     /// A shared observability handle (counters + repair queue length).
     pub fn stats(&self) -> ClusterStats {
         self.shared.clone()
@@ -201,11 +195,6 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
     /// All replicas.
     pub fn replicas(&self) -> &[D] {
         &self.replicas
-    }
-
-    /// Dissolve the volume into its replica stacks.
-    pub fn into_replicas(self) -> Vec<D> {
-        self.replicas
     }
 
     /// Record a divergence detection and queue the block for repair.

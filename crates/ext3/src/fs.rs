@@ -590,17 +590,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         self.dev
     }
 
-    /// Size of the running transaction (testing hook).
-    pub fn txn_len(&self) -> usize {
-        self.running.len()
-    }
-
-    /// Closed transactions waiting in the group-commit batch (testing
-    /// hook).
-    pub fn batched_txns(&self) -> usize {
-        self.closed.as_ref().map_or(0, Txn::batched)
-    }
-
     /// Blocks committed to the journal but not yet checkpointed to their
     /// home locations (testing hook; nonzero only with `checkpoint_lag`).
     pub fn pending_checkpoint_blocks(&self) -> usize {

@@ -367,7 +367,6 @@ pub struct Committed {
 #[derive(Debug)]
 pub struct Checkpointed {
     sequence: u64,
-    write_failed: bool,
 }
 
 /// A journal transaction in typestate `S`. See the module docs for the
@@ -717,7 +716,6 @@ where
         .map(|t| Txn {
             st: Checkpointed {
                 sequence: t.st.sequence,
-                write_failed,
             },
         })
         .collect();
@@ -732,12 +730,6 @@ impl Txn<Checkpointed> {
     /// This transaction's sequence number.
     pub fn sequence(&self) -> u64 {
         self.st.sequence
-    }
-
-    /// True if the checkpoint sweep that produced this state had a
-    /// failed home write.
-    pub fn checkpoint_write_failed(&self) -> bool {
-        self.st.write_failed
     }
 
     /// Consume the transaction; the returned sequence is what the clean

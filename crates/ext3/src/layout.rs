@@ -280,11 +280,6 @@ impl DiskLayout {
         }
     }
 
-    /// The superblock address.
-    pub fn super_block(&self) -> BlockAddr {
-        BlockAddr(0)
-    }
-
     /// The group descriptor table address.
     pub fn gdt_block(&self) -> BlockAddr {
         BlockAddr(1)

@@ -656,12 +656,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         Ok(out)
     }
 
-    /// The parity-block address of a file (`Dp`), if any.
-    pub fn parity_block_of(&mut self, ino: Ino) -> VfsResult<Option<u64>> {
-        let di = self.iget(ino)?;
-        Ok((di.parity != 0).then_some(di.parity as u64))
-    }
-
     /// Group hint for allocating near an inode.
     fn group_hint(&self, ino: Ino) -> u64 {
         (ino - 1) / self.layout().params.inodes_per_group

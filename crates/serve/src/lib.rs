@@ -24,8 +24,8 @@
 //!   identical namespace fingerprint, bit-identical disk image), at
 //!   every thread count.
 //!
-//! The `serve_smoke` bench (`crates/bench/benches/serve_smoke.rs`)
-//! reports served ops/sec at 1/2/4/8 threads into `BENCH_serve.json`.
+//! Served ops/sec and thread scaling are measured by the whole-stack
+//! benchmark's `multiclient` workload (`benchmark/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -87,16 +87,6 @@ pub fn u16_any() -> impl Gen<Value = u16> {
     from_fn(|rng| rng.next_u32() as u16)
 }
 
-/// Any `u32`.
-pub fn u32_any() -> impl Gen<Value = u32> {
-    from_fn(|rng| rng.next_u32())
-}
-
-/// Any `u64`.
-pub fn u64_any() -> impl Gen<Value = u64> {
-    from_fn(|rng| rng.next_u64())
-}
-
 /// Any `bool`.
 pub fn bool_any() -> impl Gen<Value = bool> {
     from_fn(|rng| rng.bool())
@@ -105,11 +95,6 @@ pub fn bool_any() -> impl Gen<Value = bool> {
 /// A `u8` in `[range.start, range.end)`.
 pub fn u8_in(range: Range<u8>) -> impl Gen<Value = u8> {
     from_fn(move |rng| rng.range(range.start as usize, range.end as usize) as u8)
-}
-
-/// A `u16` in `[range.start, range.end)`.
-pub fn u16_in(range: Range<u16>) -> impl Gen<Value = u16> {
-    from_fn(move |rng| rng.range(range.start as usize, range.end as usize) as u16)
 }
 
 /// A `u64` in `[range.start, range.end)`.

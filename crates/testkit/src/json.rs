@@ -1,8 +1,7 @@
-//! A minimal JSON reader for the harness's own output formats.
+//! A minimal JSON reader.
 //!
-//! `BENCH_<group>.json` files are written by [`crate::bench`] and read
-//! back by the bench-regression gate (`iron-bench`'s `bench_check`
-//! binary). Parsing them in-tree keeps the workspace hermetic — no
+//! The whole-stack `benchmark/` checks `BENCHMARK.json` against its own
+//! metric tables with it. Parsing in-tree keeps the workspace hermetic — no
 //! `serde`, no `serde_json`. This is a full RFC-8259 recursive-descent
 //! parser (objects, arrays, strings with escapes, numbers, booleans,
 //! null); it is simply not optimized for large documents.
@@ -17,8 +16,7 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (held as `f64`, which covers every value the
-    /// bench harness emits).
+    /// Any JSON number (held as `f64`).
     Num(f64),
     /// A string.
     Str(String),

@@ -7,17 +7,14 @@
 //! choice is replayable from a seed. This crate keeps the whole
 //! workspace hermetic: no `rand`, no `proptest`, no `criterion`.
 //!
-//! Four pieces:
+//! Three pieces:
 //!
 //! * [`rng`] — a seedable SplitMix64/xoshiro256** PRNG ([`Rng`]);
 //! * [`gen`] + [`prop`] — a minimal property-testing harness: value
 //!   generators ([`gen::Gen`]), fixed-iteration runs that print the
 //!   failing case's seed, and a simple halving shrinker ([`Shrink`]);
-//! * [`bench`] — warmup + timed iterations over wall clock (and,
-//!   optionally, the simulated disk clock), emitting machine-readable
-//!   `BENCH_<group>.json`;
-//! * [`json`] — a serde-free JSON reader so the bench-regression gate
-//!   can parse those files back.
+//! * [`json`] — a serde-free JSON reader (the whole-stack `benchmark/`
+//!   checks its manifest with it).
 //!
 //! ## Reproducing a property-test failure
 //!
@@ -35,18 +32,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod gen;
 pub mod json;
 pub mod prop;
 pub mod rng;
 mod shrink;
 
-pub use bench::BenchGroup;
 pub use gen::Gen;
 pub use prop::{check, Config};
 pub use rng::Rng;
 pub use shrink::Shrink;
 
-/// Re-export of [`std::hint::black_box`] so benches need no extra import.
+/// Re-export of [`std::hint::black_box`] so timing loops need no extra import.
 pub use std::hint::black_box;

@@ -262,8 +262,9 @@ fn tpc_b(v: &mut Vfs<Fs>, clock: &SimClock) {
     v.close(hist).unwrap();
 }
 
-/// Like [`run_benchmark`] but also returns the device statistics
-/// (diagnostics and the ablation benches).
+/// Run one benchmark under one IRON configuration; returns simulated
+/// nanoseconds elapsed over the workload (excluding mkfs/mount) and the
+/// disk's statistics over its whole life (mkfs and mount included).
 pub fn run_benchmark_with_stats(
     bench: Benchmark,
     iron: IronConfig,
@@ -282,19 +283,9 @@ pub fn run_benchmark_with_stats(
     (elapsed, stats)
 }
 
-/// Run one benchmark under one IRON configuration; returns simulated
-/// nanoseconds elapsed over the workload (excluding mkfs/mount).
+/// [`run_benchmark_with_stats`] without the statistics.
 pub fn run_benchmark(bench: Benchmark, iron: IronConfig) -> u64 {
-    let (mut v, clock) = setup(iron);
-    let start = clock.now_ns();
-    match bench {
-        Benchmark::SshBuild => ssh_build(&mut v, &clock),
-        Benchmark::WebServer => web_server(&mut v, &clock),
-        Benchmark::PostMark => postmark(&mut v),
-        Benchmark::TpcB => tpc_b(&mut v, &clock),
-    }
-    v.umount().expect("bench unmount");
-    clock.now_ns() - start
+    run_benchmark_with_stats(bench, iron).0
 }
 
 /// One Table 6 row: an IRON variant and its normalized runtimes.
