@@ -9,7 +9,26 @@
 #
 # ./ci.sh results runs that one step alone; the workflow's `results` job
 # is exactly that call, so the loop exists once.
+#
+# ./ci.sh loc prints the non-test line count of every crate's src/ — the
+# number ROADMAP aim 2's line target is counted in. Not a gate.
 set -eu
+
+loc() {
+    # A file's non-test lines are those before its first #[cfg(test)].
+    total=0
+    for d in crates/* .; do
+        n=$(find "$d/src" -name '*.rs' -exec awk '
+            FNR == 1 { test = 0 }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+            !test { n++ }
+            END { print n + 0 }' {} +)
+        [ "$d" = . ] && d=ironfs
+        printf '%-12s %6d\n' "$(basename "$d")" "$n"
+        total=$((total + n))
+    done
+    printf '%-12s %6d\n' total "$total"
+}
 
 results() {
     echo '== results =='
@@ -30,9 +49,13 @@ case "${1:-}" in
         results
         exit 0
         ;;
+    loc)
+        loc
+        exit 0
+        ;;
     '') ;;
     *)
-        echo "usage: $0 [results]" >&2
+        echo "usage: $0 [results|loc]" >&2
         exit 2
         ;;
 esac

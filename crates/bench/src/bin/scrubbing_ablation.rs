@@ -5,7 +5,7 @@
 
 use iron_blockdev::{MemDisk, RawAccess};
 use iron_core::{Block, BlockAddr};
-use iron_ext3::Ext3Params;
+use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, IronConfig};
 use iron_faultinject::reliability::{simulate, ReliabilityParams};
 use iron_ixt3::scrub::scrub;
 use iron_vfs::{FsEnv, SpecificFs, Vfs};
@@ -49,8 +49,9 @@ fn main() {
 
     println!("\n== Live: ixt3 scrubber repairing silent corruption ==\n");
     let dev = MemDisk::for_tests(4096);
+    let opts = Ext3Options::with_iron(IronConfig::full());
     let mut fs =
-        iron_ixt3::format_and_mount_full(dev, FsEnv::new(), Ext3Params::small()).expect("mount");
+        Ext3Fs::format_and_mount(dev, FsEnv::new(), Ext3Params::small(), opts).expect("mount");
     {
         let mut v = Vfs::new(&mut fs as &mut dyn SpecificFs);
         for i in 0..10 {

@@ -314,12 +314,7 @@ fn retry_rows(out: &mut String) {
 /// time is the disk's whole life, format and mount included.
 fn synced_creates(opts: Ext3Options, files_per_sync: usize) -> (u64, DiskStats) {
     let (dev, clock) = timed_disk(4096);
-    // `Mr` writes to the distant mirror, which only mkfs can reserve.
-    let params = Ext3Params {
-        mirror_metadata: opts.iron.meta_replication,
-        ..Ext3Params::small()
-    };
-    let fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), params, opts).unwrap();
+    let fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), Ext3Params::small(), opts).unwrap();
     let mut v = Vfs::new(fs);
     for n in 0..20 {
         v.write_file(&format!("/f{n}"), &vec![n as u8; 8192])

@@ -1,4 +1,4 @@
-//! [`BufferCache`]: a sharded-LRU write-back buffer cache over any
+//! [`BufferCache`]: an LRU write-back buffer cache over any
 //! [`BlockDevice`].
 //!
 //! The paper's Figure 1 stack has a generic buffer/page cache between the
@@ -34,11 +34,12 @@
 //! campaigns run in this mode so their media and traces stay byte-exact
 //! while still exercising the redesigned stack API.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use iron_core::{Block, BlockAddr, BlockTag};
 
 use crate::device::{BlockDevice, DiskError, DiskResult, RawAccess};
+use crate::lru::Lru;
 use crate::sched::IoScheduler;
 
 /// Caching policy for a [`BufferCache`].
@@ -46,10 +47,8 @@ use crate::sched::IoScheduler;
 pub enum CachePolicy {
     /// Write-back caching: reads hit, writes and barriers are absorbed.
     WriteBack {
-        /// Total capacity in blocks (divided evenly across shards).
+        /// Capacity in blocks (at least one is always held).
         capacity: usize,
-        /// Number of LRU shards. Clamped to `capacity`.
-        shards: usize,
     },
     /// Transparent mode: every request passes straight through. The stack
     /// stays byte- and trace-exact with respect to an uncached stack —
@@ -58,22 +57,14 @@ pub enum CachePolicy {
 }
 
 impl CachePolicy {
-    /// Write-back with `capacity` blocks and the default shard count.
+    /// Write-back with `capacity` blocks.
     pub fn write_back(capacity: usize) -> Self {
-        CachePolicy::WriteBack {
-            capacity,
-            shards: 8,
-        }
-    }
-
-    /// Transparent pass-through.
-    pub const fn write_through() -> Self {
-        CachePolicy::WriteThrough
+        CachePolicy::WriteBack { capacity }
     }
 }
 
 impl Default for CachePolicy {
-    /// Write-back, 1024 blocks (4 MiB), 8 shards.
+    /// Write-back, 1024 blocks (4 MiB).
     fn default() -> Self {
         CachePolicy::write_back(1024)
     }
@@ -109,41 +100,21 @@ struct Entry {
     /// Issue number of the dirtying write; pairs with the dirty log to
     /// lazily invalidate superseded log records.
     dirty_seq: u64,
-    /// Barrier epoch the dirtying write belongs to.
-    epoch: u64,
-    /// Recency tick; pairs with the shard's recency queue.
-    tick: u64,
-}
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<u64, Entry>,
-    /// Lazy LRU: (addr, tick) in touch order; stale pairs (tick no longer
-    /// matching the entry) are skipped at eviction time.
-    recency: VecDeque<(u64, u64)>,
 }
 
 /// One record of the dirty log: `(dirty_seq, epoch, addr)`.
 type DirtyRecord = (u64, u64, u64);
 
-/// Shard index for `addr`. The address is bit-mixed (Fibonacci hashing)
-/// before reduction so strided access patterns — which are the common
-/// case for file-system metadata laid out at fixed intervals — spread
-/// across shards instead of collapsing into one and thrashing it.
-fn shard_index(addr: u64, nshards: usize) -> usize {
-    ((addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % nshards as u64) as usize
-}
-
-/// A sharded-LRU write-back buffer cache implementing [`BlockDevice`]
-/// over any inner device. See the module docs for semantics.
+/// An LRU write-back buffer cache implementing [`BlockDevice`] over any
+/// inner device. See the module docs for semantics.
 pub struct BufferCache<D> {
     inner: D,
     policy: CachePolicy,
-    shards: Vec<Shard>,
-    /// Per-shard capacity (policy capacity divided across shards).
-    shard_capacity: usize,
-    resident: usize,
-    tick: u64,
+    /// Resident blocks; the index names the eviction victim.
+    entries: Lru<Entry>,
+    /// Blocks held before a miss evicts (0 in write-through mode, where
+    /// nothing is ever inserted).
+    capacity: usize,
     /// Current barrier epoch; destaging never reorders across epochs.
     epoch: u64,
     /// True once the current epoch holds a dirty block (so an empty epoch
@@ -160,21 +131,15 @@ pub struct BufferCache<D> {
 impl<D: BlockDevice> BufferCache<D> {
     /// Wrap `inner` with the given policy.
     pub fn new(inner: D, policy: CachePolicy) -> Self {
-        let (shard_count, shard_capacity) = match policy {
-            CachePolicy::WriteBack { capacity, shards } => {
-                let capacity = capacity.max(1);
-                let shards = shards.clamp(1, capacity);
-                (shards, capacity.div_ceil(shards))
-            }
-            CachePolicy::WriteThrough => (1, 0),
+        let capacity = match policy {
+            CachePolicy::WriteBack { capacity } => capacity.max(1),
+            CachePolicy::WriteThrough => 0,
         };
         BufferCache {
             inner,
             policy,
-            shards: (0..shard_count).map(|_| Shard::default()).collect(),
-            shard_capacity,
-            resident: 0,
-            tick: 0,
+            entries: Lru::default(),
+            capacity,
             epoch: 0,
             epoch_dirty: false,
             next_dirty_seq: 0,
@@ -189,16 +154,6 @@ impl<D: BlockDevice> BufferCache<D> {
         Self::new(inner, CachePolicy::default())
     }
 
-    /// Wrap `inner` in transparent pass-through mode.
-    pub fn write_through(inner: D) -> Self {
-        Self::new(inner, CachePolicy::WriteThrough)
-    }
-
-    /// The policy this cache was built with.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -206,15 +161,12 @@ impl<D: BlockDevice> BufferCache<D> {
 
     /// Number of blocks currently resident.
     pub fn resident(&self) -> usize {
-        self.resident
+        self.entries.len()
     }
 
     /// Number of resident blocks that are dirty.
     pub fn dirty_blocks(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.map.values().filter(|e| e.dirty).count())
-            .sum()
+        self.entries.values().filter(|e| e.dirty).count()
     }
 
     /// Access the wrapped device.
@@ -235,10 +187,6 @@ impl<D: BlockDevice> BufferCache<D> {
         self.inner
     }
 
-    fn shard_of(&self, addr: BlockAddr) -> usize {
-        shard_index(addr.0, self.shards.len())
-    }
-
     /// Write every dirty block to the inner device: epochs strictly in
     /// issue order with an inner barrier between them, each epoch's blocks
     /// elevator-scheduled into ascending adjacent sweeps. On a failed
@@ -251,12 +199,7 @@ impl<D: BlockDevice> BufferCache<D> {
         let live: Vec<DirtyRecord> = self
             .dirty_log
             .drain(..)
-            .filter(|&(seq, _, addr)| {
-                self.shards[shard_index(addr, self.shards.len())]
-                    .map
-                    .get(&addr)
-                    .is_some_and(|e| e.dirty && e.dirty_seq == seq)
-            })
+            .filter(|r| is_live(&self.entries, r))
             .collect();
         if live.is_empty() {
             return Ok(());
@@ -286,32 +229,21 @@ impl<D: BlockDevice> BufferCache<D> {
             self.stats.sweeps += sweeps.len() as u64;
             for sweep in &sweeps {
                 for &(addr, ()) in &sweep.items {
-                    let shard = self.shard_of(addr);
-                    let entry = self.shards[shard]
-                        .map
-                        .get(&addr.0)
+                    let entry = self
+                        .entries
+                        .peek_mut(addr)
                         .expect("live dirty record has an entry");
-                    let (data, tag) = (entry.data.clone(), entry.tag);
-                    if let Err(e) = self.inner.write_tagged(addr, &data, tag) {
+                    if let Err(e) = self.inner.write_tagged(addr, &entry.data, entry.tag) {
                         // Requeue every record not yet destaged — exactly
                         // the ones whose entries are still dirty (the
                         // failed block included). `live` is in issue
                         // order, so the rebuilt log is too.
-                        let rest = live[idx..].iter().filter(|&&(s, _, a)| {
-                            self.shards[shard_index(a, self.shards.len())]
-                                .map
-                                .get(&a)
-                                .is_some_and(|e| e.dirty && e.dirty_seq == s)
-                        });
+                        let rest = live[idx..].iter().filter(|r| is_live(&self.entries, r));
                         self.dirty_log.extend(rest);
                         return Err(e);
                     }
                     self.stats.writebacks += 1;
-                    self.shards[shard]
-                        .map
-                        .get_mut(&addr.0)
-                        .expect("entry present")
-                        .dirty = false;
+                    entry.dirty = false;
                 }
             }
             first_epoch_written = true;
@@ -320,44 +252,19 @@ impl<D: BlockDevice> BufferCache<D> {
         Ok(())
     }
 
-    /// Record a touch of `addr` in `shard` at a fresh tick.
-    fn touch(&mut self, shard: usize, addr: BlockAddr) -> u64 {
-        self.tick += 1;
-        self.shards[shard].recency.push_back((addr.0, self.tick));
-        self.tick
-    }
-
-    /// Make room in `addr`'s shard for one more entry, destaging first if
-    /// the chosen victim is dirty. `protect` (if set) is never evicted.
-    fn make_room(&mut self, addr: BlockAddr, protect: Option<BlockAddr>) -> DiskResult<()> {
-        let shard = self.shard_of(addr);
-        while self.shards[shard].map.len() >= self.shard_capacity {
-            // Lazy LRU: skip recency records superseded by later touches.
-            let victim = loop {
-                let Some((a, t)) = self.shards[shard].recency.pop_front() else {
-                    // Every resident entry is protected; allow temporary
-                    // overflow rather than evicting the caller's block.
-                    return Ok(());
-                };
-                if protect.map(|p| p.0) == Some(a) {
-                    // Re-queue the protected block at its original tick.
-                    self.shards[shard].recency.push_back((a, t));
-                    continue;
-                }
-                if self.shards[shard].map.get(&a).is_some_and(|e| e.tick == t) {
-                    break a;
-                }
-            };
-            if self.shards[shard].map[&victim].dirty {
+    /// Evict least-recently-used blocks until one more entry fits,
+    /// destaging first if the victim is dirty.
+    fn make_room(&mut self) -> DiskResult<()> {
+        while self.entries.len() >= self.capacity {
+            let (victim, entry) = self.entries.oldest().expect("a full cache has an oldest");
+            if entry.dirty {
                 // Ordered write-back of *everything* keeps the epoch
                 // ordering invariant without tracking partial epochs; the
                 // cost amortizes to one destage per ~capacity writes.
                 self.destage()?;
             }
-            if self.shards[shard].map.remove(&victim).is_some() {
-                self.resident -= 1;
-                self.stats.evictions += 1;
-            }
+            self.entries.remove(victim);
+            self.stats.evictions += 1;
         }
         Ok(())
     }
@@ -371,6 +278,14 @@ impl<D: BlockDevice> BufferCache<D> {
     }
 }
 
+/// True if dirty-log record `r` is still its block's latest dirtying write
+/// (not superseded, destaged or poked clean).
+fn is_live(entries: &Lru<Entry>, &(seq, _, addr): &DirtyRecord) -> bool {
+    entries
+        .peek(BlockAddr(addr))
+        .is_some_and(|e| e.dirty && e.dirty_seq == seq)
+}
+
 impl<D: BlockDevice> BlockDevice for BufferCache<D> {
     fn num_blocks(&self) -> u64 {
         self.inner.num_blocks()
@@ -381,32 +296,24 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
             return self.inner.read_tagged(addr, tag);
         }
         self.check_range(addr)?;
-        let shard = self.shard_of(addr);
-        if self.shards[shard].map.contains_key(&addr.0) {
+        if let Some(e) = self.entries.get(addr) {
             self.stats.hits += 1;
-            let tick = self.touch(shard, addr);
-            let e = self.shards[shard].map.get_mut(&addr.0).expect("hit");
-            e.tick = tick;
             return Ok(e.data.clone());
         }
         self.stats.misses += 1;
         // Make room first so a destage failure surfaces before the medium
         // is touched.
-        self.make_room(addr, None)?;
+        self.make_room()?;
         let data = self.inner.read_tagged(addr, tag)?;
-        let tick = self.touch(shard, addr);
-        self.shards[shard].map.insert(
-            addr.0,
+        self.entries.insert(
+            addr,
             Entry {
                 data: data.clone(),
                 tag,
                 dirty: false,
                 dirty_seq: 0,
-                epoch: 0,
-                tick,
             },
         );
-        self.resident += 1;
         Ok(data)
     }
 
@@ -415,42 +322,25 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
             return self.inner.write_tagged(addr, block, tag);
         }
         self.check_range(addr)?;
-        let shard = self.shard_of(addr);
-        if !self.shards[shard].map.contains_key(&addr.0) {
-            self.make_room(addr, None)?;
+        if self.entries.peek(addr).is_none() {
+            self.make_room()?;
         }
         let seq = self.next_dirty_seq;
         self.next_dirty_seq += 1;
-        let tick = self.touch(shard, addr);
-        let epoch = self.epoch;
-        match self.shards[shard].map.get_mut(&addr.0) {
-            Some(e) => {
-                // Re-dirtying moves the block to the current epoch: the
-                // medium only ever sees the final data, so it must not be
-                // written back at the older epoch's position.
-                e.data = block.clone();
-                e.tag = tag;
-                e.dirty = true;
-                e.dirty_seq = seq;
-                e.epoch = epoch;
-                e.tick = tick;
-            }
-            None => {
-                self.shards[shard].map.insert(
-                    addr.0,
-                    Entry {
-                        data: block.clone(),
-                        tag,
-                        dirty: true,
-                        dirty_seq: seq,
-                        epoch,
-                        tick,
-                    },
-                );
-                self.resident += 1;
-            }
-        }
-        self.dirty_log.push_back((seq, epoch, addr.0));
+        // Re-dirtying supersedes the block's older log record, which moves
+        // it to the current epoch: the medium only ever sees the final
+        // data, so it must not be written back at the older epoch's
+        // position.
+        self.entries.insert(
+            addr,
+            Entry {
+                data: block.clone(),
+                tag,
+                dirty: true,
+                dirty_seq: seq,
+            },
+        );
+        self.dirty_log.push_back((seq, self.epoch, addr.0));
         self.epoch_dirty = true;
         self.stats.writes_absorbed += 1;
         Ok(())
@@ -490,8 +380,7 @@ impl<D: BlockDevice + RawAccess> RawAccess for BufferCache<D> {
     /// The harness view is the *logical* contents: a resident dirty block
     /// shadows the (stale) medium.
     fn peek(&self, addr: BlockAddr) -> Block {
-        let shard = shard_index(addr.0, self.shards.len());
-        match self.shards[shard].map.get(&addr.0) {
+        match self.entries.peek(addr) {
             Some(e) if e.dirty => e.data.clone(),
             _ => self.inner.peek(addr),
         }
@@ -501,8 +390,7 @@ impl<D: BlockDevice + RawAccess> RawAccess for BufferCache<D> {
     /// cache and medium now agree).
     fn poke(&mut self, addr: BlockAddr, block: &Block) {
         self.inner.poke(addr, block);
-        let shard = shard_index(addr.0, self.shards.len());
-        if let Some(e) = self.shards[shard].map.get_mut(&addr.0) {
+        if let Some(e) = self.entries.peek_mut(addr) {
             e.data = block.clone();
             e.dirty = false; // dirty-log records go stale via seq mismatch
         }
@@ -513,16 +401,28 @@ impl<D: BlockDevice + RawAccess> RawAccess for BufferCache<D> {
 mod tests {
     use super::*;
     use crate::memdisk::MemDisk;
+    use crate::trace::{IoTrace, TraceLayer};
     use iron_core::IoKind;
 
     fn cached(capacity: usize) -> BufferCache<MemDisk> {
-        BufferCache::new(
-            MemDisk::for_tests(64),
-            CachePolicy::WriteBack {
-                capacity,
-                shards: 2,
-            },
-        )
+        BufferCache::new(MemDisk::for_tests(64), CachePolicy::write_back(capacity))
+    }
+
+    /// A cache over a traced medium: the trace sees exactly what is destaged.
+    fn traced(capacity: usize) -> (BufferCache<TraceLayer<MemDisk>>, IoTrace) {
+        let medium = TraceLayer::new(MemDisk::for_tests(64));
+        let trace = medium.trace();
+        let cache = BufferCache::new(medium, CachePolicy::write_back(capacity));
+        (cache, trace)
+    }
+
+    fn written(trace: &IoTrace) -> Vec<u64> {
+        trace
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == IoKind::Write)
+            .map(|e| e.addr.0)
+            .collect()
     }
 
     #[test]
@@ -550,54 +450,44 @@ mod tests {
 
     #[test]
     fn destage_preserves_epoch_order_and_sorts_within_epochs() {
-        let mut c = cached(16);
+        let (mut c, trace) = traced(16);
         // Epoch 0: 30, 10 (any order within); barrier; epoch 1: 20.
         c.write(BlockAddr(30), &Block::filled(1)).unwrap();
         c.write(BlockAddr(10), &Block::filled(2)).unwrap();
         c.barrier().unwrap();
         c.write(BlockAddr(20), &Block::filled(3)).unwrap();
-        let trace = c.inner().trace();
-        let mark = trace.len();
+        assert!(trace.is_empty(), "nothing reaches the medium before flush");
         c.flush().unwrap();
-        let writes: Vec<u64> = trace
-            .since(mark)
-            .into_iter()
-            .filter(|e| e.kind == IoKind::Write)
-            .map(|e| e.addr.0)
-            .collect();
-        assert_eq!(writes, vec![10, 30, 20], "epoch order, sorted within");
+        assert_eq!(
+            written(&trace),
+            vec![10, 30, 20],
+            "epoch order, sorted within"
+        );
     }
 
     #[test]
     fn redirtied_block_moves_to_the_later_epoch() {
-        let mut c = cached(16);
+        let (mut c, trace) = traced(16);
         c.write(BlockAddr(10), &Block::filled(1)).unwrap();
         c.barrier().unwrap();
         c.write(BlockAddr(5), &Block::filled(2)).unwrap();
         c.write(BlockAddr(10), &Block::filled(3)).unwrap(); // re-dirty
-        let trace = c.inner().trace();
-        let mark = trace.len();
         c.flush().unwrap();
-        let writes: Vec<u64> = trace
-            .since(mark)
-            .into_iter()
-            .filter(|e| e.kind == IoKind::Write)
-            .map(|e| e.addr.0)
-            .collect();
-        assert_eq!(writes, vec![5, 10], "block 10 destaged once, in epoch 1");
+        assert_eq!(
+            written(&trace),
+            vec![5, 10],
+            "block 10 destaged once, in epoch 1"
+        );
         assert_eq!(c.inner().peek(BlockAddr(10)), Block::filled(3));
     }
 
     #[test]
     fn destage_tags_match_the_dirtying_write() {
-        let mut c = cached(8);
+        let (mut c, trace) = traced(8);
         c.write_tagged(BlockAddr(2), &Block::filled(1), BlockTag("j-data"))
             .unwrap();
-        let trace = c.inner().trace();
-        let mark = trace.len();
         c.flush().unwrap();
-        let events = trace.since(mark);
-        assert_eq!(events[0].tag, BlockTag("j-data"), "tag preserved");
+        assert_eq!(trace.events()[0].tag, BlockTag("j-data"), "tag preserved");
     }
 
     #[test]
@@ -618,13 +508,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_keeps_the_recent_block() {
-        let mut c = BufferCache::new(
-            MemDisk::for_tests(64),
-            CachePolicy::WriteBack {
-                capacity: 2,
-                shards: 1,
-            },
-        );
+        let mut c = cached(2);
         c.read(BlockAddr(1)).unwrap();
         c.read(BlockAddr(2)).unwrap();
         c.read(BlockAddr(1)).unwrap(); // 1 is now more recent than 2
@@ -635,6 +519,31 @@ mod tests {
         let misses = c.stats().misses;
         c.read(BlockAddr(2)).unwrap();
         assert_eq!(c.stats().misses, misses + 1, "block 2 was evicted");
+    }
+
+    #[test]
+    fn hits_move_a_record_and_never_add_one() {
+        let mut c = cached(8);
+        for i in 0..100_000u64 {
+            c.read(BlockAddr(i % 4)).unwrap();
+        }
+        assert_eq!(c.stats().hits, 100_000 - 4);
+        assert_eq!(c.entries.len(), 4, "one record per resident block");
+    }
+
+    #[test]
+    fn eviction_is_global_not_per_partition() {
+        // Eight blocks fit a capacity-8 cache whatever their addresses:
+        // nothing is evicted (and so nothing destaged) before the ninth.
+        let (mut c, trace) = traced(8);
+        for i in 0..8u64 {
+            c.write(BlockAddr(i * 8), &Block::filled(1)).unwrap();
+        }
+        assert_eq!(c.stats().evictions, 0);
+        assert!(trace.is_empty(), "no premature destage");
+        c.write(BlockAddr(1), &Block::filled(1)).unwrap();
+        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.stats().destages, 1, "the dirty victim forced one");
     }
 
     #[test]
@@ -657,7 +566,7 @@ mod tests {
 
     #[test]
     fn write_through_passes_everything_through() {
-        let mut c = BufferCache::write_through(MemDisk::for_tests(16));
+        let mut c = BufferCache::new(MemDisk::for_tests(16), CachePolicy::WriteThrough);
         c.write(BlockAddr(3), &Block::filled(5)).unwrap();
         assert_eq!(
             c.inner().peek(BlockAddr(3)),

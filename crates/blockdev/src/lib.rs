@@ -23,8 +23,10 @@
 //!   — the cost that transactional checksums (§6.1) eliminate.
 //!
 //! Between the file system and the disk sits the generic buffer cache of
-//! Figure 1 ([`cache::BufferCache`]): sharded-LRU, write-back, barrier-
+//! Figure 1 ([`cache::BufferCache`]): LRU, write-back, barrier-
 //! epoch-ordered destaging through an elevator [`sched::IoScheduler`].
+//! Its recency order is [`lru::Lru`], the one LRU index of the workspace
+//! (ext3's private post-verification cache is an `Lru<Block>` too).
 //! Stacks are assembled with the fluent [`stack::StackBuilder`].
 
 #![forbid(unsafe_code)]
@@ -34,6 +36,7 @@ pub mod cache;
 pub mod crashrec;
 pub mod device;
 pub mod geometry;
+pub mod lru;
 pub mod memdisk;
 pub mod retry;
 pub mod sched;
@@ -44,6 +47,7 @@ pub use cache::{BufferCache, CachePolicy, CacheStats};
 pub use crashrec::{CrashRecorder, WriteLog, WriteLogSnapshot, WriteRecord};
 pub use device::{BlockDevice, DiskError, DiskResult, RawAccess};
 pub use geometry::DiskGeometry;
+pub use lru::Lru;
 pub use memdisk::MemDisk;
 pub use retry::{RetryConfig, RetryLayer, RetryStats, RetryStatsSnapshot};
 pub use sched::{IoScheduler, ScanReadahead, Sweep};

@@ -1,12 +1,13 @@
 //! [`MemDisk`]: a perfect in-memory disk with a mechanical timing model.
+//! It stores blocks, charges service time and counts requests; it does not
+//! record them (see [`crate::trace`] for who does).
 
 use std::sync::Arc;
 
-use iron_core::{Block, BlockAddr, BlockTag, IoKind, SimClock, BLOCK_SIZE};
+use iron_core::{Block, BlockAddr, BlockTag, SimClock, BLOCK_SIZE};
 
 use crate::device::{BlockDevice, DiskError, DiskResult, RawAccess};
 use crate::geometry::DiskGeometry;
-use crate::trace::{IoOutcome, IoTrace};
 
 /// Cumulative device statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -28,8 +29,7 @@ pub struct DiskStats {
 /// An in-memory disk that never fails.
 ///
 /// Every request advances the shared [`SimClock`] according to the
-/// [`DiskGeometry`] service-time model and appends to the shared
-/// [`IoTrace`].
+/// [`DiskGeometry`] service-time model.
 ///
 /// The medium is copy-on-write: a flat spine with one shared page per
 /// block. A never-written slot points at the zero page its disk was created
@@ -39,7 +39,6 @@ pub struct MemDisk {
     pages: Vec<Arc<[u8; BLOCK_SIZE]>>,
     geometry: DiskGeometry,
     clock: SimClock,
-    trace: IoTrace,
     stats: DiskStats,
     current_track: u64,
     /// Last block accessed, for sequential-streaming detection.
@@ -63,7 +62,6 @@ impl MemDisk {
             pages: vec![zero_page; num_blocks as usize],
             geometry,
             clock,
-            trace: IoTrace::new(),
             stats: DiskStats::default(),
             current_track: 0,
             last_addr: None,
@@ -77,8 +75,8 @@ impl MemDisk {
         MemDisk::new(num_blocks, DiskGeometry::instant(), SimClock::new())
     }
 
-    /// An independent disk with the same contents and fresh clock, trace,
-    /// and statistics — the fingerprinting campaign stamps one golden image
+    /// An independent disk with the same contents and fresh clock and
+    /// statistics — the fingerprinting campaign stamps one golden image
     /// per file system and snapshots it for every (workload × block type ×
     /// fault) cell. Costs one refcount bump per block and copies no data:
     /// the pages are shared until either side writes them, and a write to
@@ -88,18 +86,12 @@ impl MemDisk {
             pages: self.pages.clone(),
             geometry: self.geometry,
             clock: SimClock::new(),
-            trace: IoTrace::new(),
             stats: DiskStats::default(),
             current_track: 0,
             last_addr: None,
             pending_barrier: false,
             ra_window: None,
         }
-    }
-
-    /// The shared trace handle.
-    pub fn trace(&self) -> IoTrace {
-        self.trace.clone()
     }
 
     /// The shared clock handle.
@@ -224,23 +216,18 @@ impl BlockDevice for MemDisk {
         self.pages.len() as u64
     }
 
-    fn read_tagged(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
+    fn read_tagged(&mut self, addr: BlockAddr, _tag: BlockTag) -> DiskResult<Block> {
         self.check_range(addr)?;
         self.charge(addr, false);
         self.stats.reads += 1;
-        let block = Block::from_array(&self.pages[addr.0 as usize]);
-        self.trace
-            .record(IoKind::Read, addr, tag, IoOutcome::Ok, self.clock.now_ns());
-        Ok(block)
+        Ok(Block::from_array(&self.pages[addr.0 as usize]))
     }
 
-    fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {
+    fn write_tagged(&mut self, addr: BlockAddr, block: &Block, _tag: BlockTag) -> DiskResult<()> {
         self.check_range(addr)?;
         self.charge(addr, true);
         self.stats.writes += 1;
         self.store(addr.0 as usize, block);
-        self.trace
-            .record(IoKind::Write, addr, tag, IoOutcome::Ok, self.clock.now_ns());
         Ok(())
     }
 
@@ -289,6 +276,8 @@ impl RawAccess for MemDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{IoOutcome, TraceLayer};
+    use iron_core::IoKind;
 
     #[test]
     fn read_write_round_trip() {
@@ -409,12 +398,12 @@ mod tests {
 
     #[test]
     fn readahead_changes_no_content_or_counted_io() {
-        let mut d = MemDisk::for_tests(64);
+        let mut d = TraceLayer::new(MemDisk::for_tests(64));
         d.write(BlockAddr(5), &Block::filled(0x5A)).unwrap();
-        let stats_before = d.stats();
+        let stats_before = d.inner().stats();
         let trace_len = d.trace().len();
         d.readahead(BlockAddr(0), 64);
-        assert_eq!(d.stats().reads, stats_before.reads, "a hint reads nothing");
+        assert_eq!(d.inner().stats(), stats_before, "a hint reads nothing");
         assert_eq!(d.trace().len(), trace_len, "a hint is not a traced event");
         assert_eq!(d.read(BlockAddr(5)).unwrap(), Block::filled(0x5A));
     }
@@ -466,7 +455,7 @@ mod tests {
 
     #[test]
     fn trace_records_tags_and_outcomes() {
-        let mut d = MemDisk::for_tests(8);
+        let mut d = TraceLayer::new(MemDisk::for_tests(8));
         let trace = d.trace();
         d.read_tagged(BlockAddr(1), BlockTag("inode")).unwrap();
         d.write_tagged(BlockAddr(2), &Block::zeroed(), BlockTag("j-commit"))
@@ -481,9 +470,9 @@ mod tests {
 
     #[test]
     fn peek_poke_bypass_trace_and_clock() {
-        let mut d = MemDisk::for_tests(8);
+        let mut d = TraceLayer::new(MemDisk::for_tests(8));
         let trace = d.trace();
-        let clock = d.clock();
+        let clock = d.inner().clock();
         let before = clock.now_ns();
         d.poke(BlockAddr(5), &Block::filled(7));
         assert_eq!(d.peek(BlockAddr(5)), Block::filled(7));

@@ -5,6 +5,12 @@
 //! runs. Traces are how the inference engine sees retries (the same address
 //! re-requested), redundancy (a replica address read after a primary
 //! failure), and remapping (a write redirected elsewhere).
+//!
+//! Two recorders write an [`IoTrace`], each where it has a reader: the
+//! fault-injection layer (`iron_faultinject::FaultyDisk`, which alone
+//! knows a request was [`IoOutcome::SilentlyCorrupted`]) and the opt-in
+//! [`TraceLayer`] here. The medium itself ([`crate::MemDisk`]) records
+//! nothing.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -38,21 +44,18 @@ pub struct IoEvent {
     pub tag: BlockTag,
     /// Completion status.
     pub outcome: IoOutcome,
-    /// Simulated time at completion, in nanoseconds.
-    pub at_ns: u64,
 }
 
 impl fmt::Display for IoEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:>6} {:>5} {:<10} {:<12} {:?} @{}ns",
+            "{:>6} {:>5} {:<10} {:<12} {:?}",
             self.seq,
             self.kind,
             self.addr.to_string(),
             self.tag,
-            self.outcome,
-            self.at_ns
+            self.outcome
         )
     }
 }
@@ -70,14 +73,7 @@ impl IoTrace {
     }
 
     /// Record an event, assigning it the next sequence number.
-    pub fn record(
-        &self,
-        kind: IoKind,
-        addr: BlockAddr,
-        tag: BlockTag,
-        outcome: IoOutcome,
-        at_ns: u64,
-    ) {
+    pub fn record(&self, kind: IoKind, addr: BlockAddr, tag: BlockTag, outcome: IoOutcome) {
         let mut events = self.events.lock().unwrap();
         let seq = events.len() as u64;
         events.push(IoEvent {
@@ -86,7 +82,6 @@ impl IoTrace {
             addr,
             tag,
             outcome,
-            at_ns,
         });
     }
 
@@ -147,11 +142,11 @@ impl IoTrace {
 /// A transparent tracing shim: forwards every request to the inner device
 /// and records it (with its outcome) in an [`IoTrace`].
 ///
-/// [`MemDisk`](crate::MemDisk) and the fault-injection layer keep their
-/// own traces; this layer exists so a trace can be taken at *any* point of
-/// a built stack — most usefully **below the buffer cache**, where it
-/// records exactly the destaged traffic the medium observes (the
-/// barrier-ordering differential tests are built on this).
+/// The fault-injection layer keeps its own trace; this layer exists so a
+/// trace can be taken at *any* point of a built stack — most usefully
+/// **below the buffer cache**, where it records exactly the destaged
+/// traffic the medium observes (the barrier-ordering differential tests
+/// are built on this).
 pub struct TraceLayer<D> {
     inner: D,
     trace: IoTrace,
@@ -201,7 +196,7 @@ impl<D: BlockDevice> BlockDevice for TraceLayer<D> {
         } else {
             IoOutcome::Error
         };
-        self.trace.record(IoKind::Read, addr, tag, outcome, 0);
+        self.trace.record(IoKind::Read, addr, tag, outcome);
         r
     }
 
@@ -212,7 +207,7 @@ impl<D: BlockDevice> BlockDevice for TraceLayer<D> {
         } else {
             IoOutcome::Error
         };
-        self.trace.record(IoKind::Write, addr, tag, outcome, 0);
+        self.trace.record(IoKind::Write, addr, tag, outcome);
         r
     }
 
@@ -245,7 +240,7 @@ mod tests {
     use super::*;
 
     fn ev(trace: &IoTrace, kind: IoKind, addr: u64, outcome: IoOutcome) {
-        trace.record(kind, BlockAddr(addr), BlockTag("t"), outcome, 0);
+        trace.record(kind, BlockAddr(addr), BlockTag("t"), outcome);
     }
 
     #[test]

@@ -62,13 +62,7 @@ fn cached_device_is_equivalent_to_bare_disk() {
         Config::cases(150),
         &cases,
         |(ops, cap)| {
-            for policy in [
-                CachePolicy::WriteBack {
-                    capacity: *cap,
-                    shards: 4,
-                },
-                CachePolicy::WriteThrough,
-            ] {
+            for policy in [CachePolicy::write_back(*cap), CachePolicy::WriteThrough] {
                 let mut bare = MemDisk::for_tests(DISK_BLOCKS);
                 let mut cached = BufferCache::new(MemDisk::for_tests(DISK_BLOCKS), policy);
                 for op in ops {
@@ -103,10 +97,7 @@ fn destage_respects_barrier_epochs() {
         |(ops, cap)| {
             let mut cached = StackBuilder::memdisk(DISK_BLOCKS)
                 .layer(TraceLayer::new)
-                .with_cache(CachePolicy::WriteBack {
-                    capacity: *cap,
-                    shards: 4,
-                })
+                .with_cache(CachePolicy::write_back(*cap))
                 .build();
             let trace = cached.inner().trace();
 
@@ -247,4 +238,32 @@ fn failed_writeback_surfaces_on_flush_and_retries() {
     for (a, f) in [(3u64, 3u8), (5, 5), (9, 9)] {
         assert_eq!(medium.inner.peek(BlockAddr(a)), Block::filled(f));
     }
+}
+
+/// A failed write-back at *eviction* time is the error of the access that
+/// needed the room; the victim stays resident and dirty, and is evicted
+/// by the next access once the spot heals.
+#[test]
+fn failed_writeback_at_eviction_keeps_the_victim() {
+    let mut cache = BufferCache::new(
+        BadSpot {
+            inner: MemDisk::for_tests(16),
+            bad: BlockAddr(5),
+            healed: false,
+        },
+        CachePolicy::write_back(2),
+    );
+    cache.write(BlockAddr(5), &Block::filled(5)).unwrap();
+    cache.write(BlockAddr(6), &Block::filled(6)).unwrap();
+    for _ in 0..2 {
+        assert!(
+            cache.read(BlockAddr(7)).is_err(),
+            "no room without a destage"
+        );
+        assert_eq!((cache.resident(), cache.dirty_blocks()), (2, 2));
+    }
+    cache.inner_mut().healed = true;
+    assert!(cache.read(BlockAddr(7)).unwrap().is_zeroed());
+    assert_eq!((cache.stats().evictions, cache.dirty_blocks()), (1, 0));
+    assert_eq!(cache.inner().inner.peek(BlockAddr(5)), Block::filled(5));
 }

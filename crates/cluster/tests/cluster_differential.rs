@@ -135,16 +135,16 @@ impl Model for Ixt3Model {
     }
     fn golden(&self) -> MemDisk {
         let mut md = MemDisk::for_tests(DISK_BLOCKS);
-        iron_ixt3::mkfs(
-            &mut md,
-            iron_ext3::Ext3Params::small(),
-            iron_ext3::IronConfig::full(),
-        )
-        .unwrap();
+        let params = iron_ext3::Ext3Params {
+            mirror_metadata: true,
+            ..iron_ext3::Ext3Params::small()
+        };
+        iron_ext3::Ext3Fs::mkfs(&mut md, params).unwrap();
         md
     }
     fn round_trip<D: BlockDevice + RawAccess>(&self, dev: D) -> D {
-        let fs = iron_ixt3::mount_full(dev, FsEnv::new()).unwrap();
+        let opts = iron_ext3::Ext3Options::with_iron(iron_ext3::IronConfig::full());
+        let fs = iron_ext3::Ext3Fs::mount(dev, FsEnv::new(), opts).unwrap();
         let mut v = Vfs::new(fs);
         workload(&mut v).unwrap();
         v.umount().unwrap();

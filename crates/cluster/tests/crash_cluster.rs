@@ -10,7 +10,7 @@ use iron_blockdev::{BlockDevice, CrashRecorder, MemDisk, RawAccess, WriteLog};
 use iron_cluster::{ReadPolicy, ReplicatedDisk};
 use iron_core::{Block, BlockAddr};
 use iron_crash::{enumerate_images, materialize, EnumOptions};
-use iron_ext3::{DiskLayout, Ext3Params, IronConfig, Superblock};
+use iron_ext3::{DiskLayout, Ext3Fs, Ext3Options, Ext3Params, IronConfig, Superblock};
 use iron_vfs::{FsEnv, Vfs};
 
 #[test]
@@ -56,7 +56,12 @@ fn barriers_and_flushes_reach_every_replica_medium() {
 #[test]
 fn enumerated_crash_images_of_cluster_workload_recover_cleanly() {
     let mut golden = MemDisk::for_tests(4096);
-    iron_ixt3::mkfs(&mut golden, Ext3Params::small(), IronConfig::full()).unwrap();
+    let params = Ext3Params {
+        mirror_metadata: true,
+        ..Ext3Params::small()
+    };
+    Ext3Fs::mkfs(&mut golden, params).unwrap();
+    let full = || Ext3Options::with_iron(IronConfig::full());
     let layout = {
         let sb = Superblock::decode(&golden.peek(BlockAddr(0))).unwrap();
         DiskLayout::compute(sb.params())
@@ -67,7 +72,7 @@ fn enumerated_crash_images_of_cluster_workload_recover_cleanly() {
         ReplicatedDisk::from_golden(&golden, 3, ReadPolicy::Quorum),
         log.clone(),
     );
-    let fs = iron_ixt3::mount_full(recorder, FsEnv::new()).unwrap();
+    let fs = Ext3Fs::mount(recorder, FsEnv::new(), full()).unwrap();
     let mut v = Vfs::new(fs);
     v.mkdir("/a", 0o755).unwrap();
     v.write_file("/a/one", b"first durable file").unwrap();
@@ -91,7 +96,7 @@ fn enumerated_crash_images_of_cluster_workload_recover_cleanly() {
     for spec in &images {
         let img = materialize(&golden, &snap, spec);
         // Recovery: mount (journal replay) + clean unmount.
-        let fs = iron_ixt3::mount_full(img, FsEnv::new())
+        let fs = Ext3Fs::mount(img, FsEnv::new(), full())
             .unwrap_or_else(|e| panic!("{spec:?}: crash image must mount: {e:?}"));
         let mut v = Vfs::new(fs);
         v.umount().unwrap();

@@ -11,17 +11,20 @@ use iron_blockdev::{BlockDevice, MemDisk, RawAccess};
 use iron_cluster::{ReadPolicy, ReplicatedDisk};
 use iron_core::taxonomy::RecoveryLevel;
 use iron_core::{Block, BlockAddr};
-use iron_ext3::{DiskLayout, Ext3Params, IronConfig, Superblock};
+use iron_ext3::{DiskLayout, Ext3Fs, Ext3Options, Ext3Params, IronConfig, Superblock};
 use iron_vfs::{FsEnv, Vfs};
 
 const MARKER: &[u8] = b"quorum arbitration must return exactly these bytes";
 
+fn full() -> Ext3Options {
+    Ext3Options::with_iron(IronConfig::full())
+}
+
 /// Build a clean full-ixt3 golden image with a marker file, returning the
 /// image, the marker's inode number, and the offline layout.
 fn golden_ixt3() -> (MemDisk, u64, DiskLayout) {
-    let mut md = MemDisk::for_tests(4096);
-    iron_ixt3::mkfs(&mut md, Ext3Params::small(), IronConfig::full()).unwrap();
-    let fs = iron_ixt3::mount_full(md, FsEnv::new()).unwrap();
+    let md = MemDisk::for_tests(4096);
+    let fs = Ext3Fs::format_and_mount(md, FsEnv::new(), Ext3Params::small(), full()).unwrap();
     let mut v = Vfs::new(fs);
     v.mkdir("/d", 0o755).unwrap();
     v.write_file("/d/marker", MARKER).unwrap();
@@ -59,7 +62,7 @@ fn single_replica_corruption_is_detected_and_healed_on_three_replica_volume() {
 
     // Mount and read through the damage: quorum arbitration masks the
     // corrupt copy, so ixt3 sees clean metadata and serves the file.
-    let fs = iron_ixt3::mount_full(vol, FsEnv::new()).unwrap();
+    let fs = Ext3Fs::mount(vol, FsEnv::new(), full()).unwrap();
     let mut v = Vfs::new(fs);
     assert_eq!(
         v.read_file("/d/marker").unwrap(),
@@ -131,7 +134,7 @@ fn same_corruption_on_single_replica_volume_is_unrecoverable() {
     // damage unrecoverable (mirror is corrupt too), and the marker file
     // cannot be served correctly.
     // (Mount refusing outright would be an equally valid "unrecoverable".)
-    if let Ok(fs) = iron_ixt3::mount_full(vol, FsEnv::new()) {
+    if let Ok(fs) = Ext3Fs::mount(vol, FsEnv::new(), full()) {
         let mut v = Vfs::new(fs);
         let got = v.read_file("/d/marker");
         assert!(

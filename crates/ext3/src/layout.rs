@@ -346,10 +346,9 @@ impl DiskLayout {
         (BlockAddr(block), offset)
     }
 
-    /// Mirror address of metadata block `b` (only valid when
-    /// `params.mirror_metadata`).
+    /// Mirror address of metadata block `b` (only meaningful when
+    /// `params.mirror_metadata`; `Ext3Fs::mount` refuses `Mr` otherwise).
     pub fn replica_of(&self, b: u64) -> BlockAddr {
-        debug_assert!(self.params.mirror_metadata);
         BlockAddr(b + self.params.total_blocks / 2)
     }
 

@@ -4,8 +4,13 @@
 //! paper's *measured* failure policy — including its bugs — plus the IRON
 //! machinery of §6 (checksumming, metadata replication, data parity,
 //! transactional checksums) behind an [`IronConfig`] switchboard. Stock
-//! ext3 is `IronConfig::off()`; the `iron-ixt3` crate wraps this engine
-//! with the paper's ixt3 presets.
+//! ext3 is `IronConfig::off()`, full ixt3 is `IronConfig::full()`, and both
+//! are mounted the same way ([`Ext3Fs::format_and_mount`]); the `iron-ixt3`
+//! crate adds the `Ixt3Fs` name and the disk scrubber.
+//!
+//! The engine keeps no LRU of its own: its cache of already-verified
+//! blocks ([`Ext3Options::cache_blocks`]) is an `iron_blockdev::Lru<Block>`,
+//! the same index that orders `iron_blockdev::BufferCache`.
 //!
 //! ## On-disk structures (Table 4)
 //!
@@ -45,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod cache;
 pub mod dir;
 pub mod fs;
 pub mod fsck;

@@ -56,7 +56,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         mut redundancy: impl FnMut(&mut Self) -> Option<Block>,
     ) -> VfsResult<Block> {
         if let Some(b) = self.cache.get(BlockAddr(addr)) {
-            return Ok(b);
+            return Ok(b.clone());
         }
         let class = match self.read_verified(addr, tag, checksummed) {
             Ok(b) => return Ok(b),
@@ -91,7 +91,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         if checksummed && !self.verify_cksum(addr, &b) {
             return Err(ErrorClass::Corrupt);
         }
-        self.cache.insert(BlockAddr(addr), b.clone());
+        self.cache_put(addr, b.clone());
         Ok(b)
     }
 
@@ -160,7 +160,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         };
         let msg = format!("metadata block {addr} recovered from replica");
         self.env.klog.info("ixt3", msg);
-        self.cache.insert(BlockAddr(addr), b.clone());
+        self.cache_put(addr, b.clone());
         Some(b)
     }
 
@@ -222,7 +222,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                     "ixt3",
                     format!("data block {addr} reconstructed from parity"),
                 );
-                self.cache.insert(BlockAddr(addr), b.clone());
+                self.cache_put(addr, b.clone());
                 Some(b)
             }
             Err(_) => {
@@ -254,7 +254,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             if baddr == failed {
                 continue;
             }
-            let b = match self.cache.get(BlockAddr(baddr)) {
+            let b = match self.cache.get(BlockAddr(baddr)).cloned() {
                 Some(b) => b,
                 None => self
                     .dev
@@ -280,7 +280,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         let r = self
             .dev
             .write_tagged(BlockAddr(addr), block, BlockType::Data.tag());
-        self.cache.insert(BlockAddr(addr), block.clone());
+        self.cache_put(addr, block.clone());
         match r {
             Err(e) if self.opts.iron.fix_bugs => {
                 self.env
@@ -723,7 +723,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 self.abort_journal("parity write failure");
                 return Err(Errno::EIO.into());
             }
-            self.cache.insert(BlockAddr(p), Block::zeroed());
+            self.cache_put(p, Block::zeroed());
         }
         self.iput(ino, &di)?;
         Ok(ino)
@@ -1110,7 +1110,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
                     self.set_file_block(&mut di, idx, fresh, hint)?;
                 } else {
                     self.note_cksum(addr, &new, false);
-                    self.cache.insert(BlockAddr(addr), new.clone());
+                    self.cache_put(addr, new.clone());
                 }
             } else if self.opts.iron.data_checksum && preexisting {
                 // `Dc` overwrites are copy-on-write: an in-place overwrite

@@ -333,3 +333,33 @@ fn cached_stack_round_trip() {
         assert_eq!(v.read_file(&format!("/f{i}")).unwrap(), vec![i; 5000]);
     }
 }
+
+// ----------------------------------------------------------------------
+// The private cache of verified blocks (`Ext3Options::cache_blocks`).
+// ----------------------------------------------------------------------
+
+#[test]
+fn private_cache_serves_rereads_until_the_scan_outgrows_it() {
+    /// Device reads the second of two scans of an 8-block file costs.
+    fn second_scan_reads(cache_blocks: usize) -> u64 {
+        let mut v = fresh();
+        v.write_file("/f", &vec![7u8; 8 * 4096]).unwrap();
+        v.umount().unwrap();
+        let opts = Ext3Options {
+            cache_blocks,
+            ..Ext3Options::default()
+        };
+        let fs = Ext3Fs::mount(v.into_fs().into_device(), FsEnv::new(), opts).unwrap();
+        let mut v = Vfs::new(fs);
+        assert_eq!(v.read_file("/f").unwrap().len(), 8 * 4096);
+        let before = v.fs().device().stats().reads;
+        assert_eq!(v.read_file("/f").unwrap().len(), 8 * 4096);
+        v.fs().device().stats().reads - before
+    }
+    assert_eq!(second_scan_reads(2048), 0, "everything is still cached");
+    // An LRU of 4 under a cyclic scan of 8 data blocks misses every time.
+    assert!(
+        second_scan_reads(4) >= 8,
+        "capacity is enforced, oldest first"
+    );
+}

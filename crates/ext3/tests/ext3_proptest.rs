@@ -129,13 +129,10 @@ fn apply<F: SpecificFs>(v: &mut Vfs<F>, op: &Op) -> Result<Vec<u8>, VfsError> {
 }
 
 fn run_differential(ops: &[Op], iron: IronConfig, crash_and_recover: bool) {
-    let params = Ext3Params {
-        mirror_metadata: iron.meta_replication,
-        ..Ext3Params::small()
-    };
     let dev = MemDisk::for_tests(4096);
     let opts = Ext3Options::with_iron(iron);
-    let fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), params, opts.clone()).unwrap();
+    let fs =
+        Ext3Fs::format_and_mount(dev, FsEnv::new(), Ext3Params::small(), opts.clone()).unwrap();
     let mut ext3 = Vfs::new(fs);
     let mut ram = Vfs::new(RamFs::new());
 

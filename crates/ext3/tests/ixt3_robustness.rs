@@ -12,16 +12,12 @@ use iron_vfs::{FsEnv, MountState, Vfs};
 type Fs = Ext3Fs<FaultyDisk<MemDisk>>;
 
 fn mount_iron(iron: IronConfig) -> (Vfs<Fs>, FaultController, FsEnv) {
-    let params = Ext3Params {
-        mirror_metadata: iron.meta_replication,
-        ..Ext3Params::small()
-    };
-    let mut md = MemDisk::for_tests(4096);
-    Ext3Fs::<MemDisk>::mkfs(&mut md, params).expect("mkfs");
-    let faulty = FaultyDisk::new(md);
+    let faulty = FaultyDisk::new(MemDisk::for_tests(4096));
     let ctl = faulty.controller();
     let env = FsEnv::new();
-    let fs = Ext3Fs::mount(faulty, env.clone(), Ext3Options::with_iron(iron)).expect("mount");
+    let opts = Ext3Options::with_iron(iron);
+    let fs = Ext3Fs::format_and_mount(faulty, env.clone(), Ext3Params::small(), opts)
+        .expect("format and mount");
     (Vfs::new(fs), ctl, env)
 }
 
@@ -32,6 +28,24 @@ fn remount(v: Vfs<Fs>, iron: IronConfig) -> (Vfs<Fs>, FsEnv) {
     let env = FsEnv::new();
     let fs = Ext3Fs::mount(dev, env.clone(), Ext3Options::with_iron(iron)).expect("remount");
     (Vfs::new(fs), env)
+}
+
+/// Release builds used to accept this and write every replica into the
+/// file system's own upper half (the only guard was a `debug_assert!`).
+#[test]
+fn mr_on_a_volume_formatted_without_the_mirror_is_refused_at_mount() {
+    let mut md = MemDisk::for_tests(4096);
+    Ext3Fs::mkfs(&mut md, Ext3Params::small()).expect("mkfs, no mirror");
+    let env = FsEnv::new();
+    let iron = IronConfig {
+        meta_replication: true,
+        ..IronConfig::off()
+    };
+    let err = Ext3Fs::mount(md, env.clone(), Ext3Options::with_iron(iron))
+        .err()
+        .expect("mount must refuse Mr without the mirror");
+    assert_eq!(err.errno(), Some(Errno::EINVAL));
+    assert!(env.klog.contains("formatted without a metadata mirror"));
 }
 
 #[test]

@@ -115,16 +115,11 @@ fn remap_composes_with_full_ixt3() {
         ..IronConfig::full()
     };
     assert_eq!(iron.label(), "Mc Mr Dc Dp Tc Rm");
-    let params = Ext3Params {
-        mirror_metadata: true,
-        ..Ext3Params::small()
-    };
-    let mut md = MemDisk::for_tests(4096);
-    Ext3Fs::<MemDisk>::mkfs(&mut md, params).unwrap();
-    let faulty = FaultyDisk::new(md);
+    let faulty = FaultyDisk::new(MemDisk::for_tests(4096));
     let ctl = faulty.controller();
     let env = FsEnv::new();
-    let fs = Ext3Fs::mount(faulty, env.clone(), Ext3Options::with_iron(iron)).unwrap();
+    let opts = Ext3Options::with_iron(iron);
+    let fs = Ext3Fs::format_and_mount(faulty, env.clone(), Ext3Params::small(), opts).unwrap();
     let mut v = Vfs::new(fs);
     ctl.inject(FaultSpec::sticky(
         FaultKind::WriteError,

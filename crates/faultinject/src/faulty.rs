@@ -162,13 +162,11 @@ impl<D: BlockDevice + RawAccess> BlockDevice for FaultyDisk<D> {
     fn read_tagged(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
         match self.plan.check(IoKind::Read, addr, tag) {
             Some(FaultKind::WholeDisk) => {
-                self.trace
-                    .record(IoKind::Read, addr, tag, IoOutcome::Error, 0);
+                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Error);
                 Err(DiskError::DeviceFailed)
             }
             Some(FaultKind::ReadError) => {
-                self.trace
-                    .record(IoKind::Read, addr, tag, IoOutcome::Error, 0);
+                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Error);
                 Err(DiskError::Io {
                     addr,
                     kind: IoKind::Read,
@@ -180,19 +178,19 @@ impl<D: BlockDevice + RawAccess> BlockDevice for FaultyDisk<D> {
                 let _ = self.inner.read_tagged(addr, tag)?;
                 let bad = self.corrupt(addr, style);
                 self.trace
-                    .record(IoKind::Read, addr, tag, IoOutcome::SilentlyCorrupted, 0);
+                    .record(IoKind::Read, addr, tag, IoOutcome::SilentlyCorrupted);
                 Ok(bad)
             }
             Some(kind @ (FaultKind::Slow { .. } | FaultKind::Hang)) => {
                 // The data is correct and no error code is produced — the
                 // fault lives purely in the time domain.
                 let block = self.slow_io(kind, |d| d.read_tagged(addr, tag))?;
-                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Ok, 0);
+                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Ok);
                 Ok(block)
             }
             Some(FaultKind::WriteError) | None => {
                 let block = self.inner.read_tagged(addr, tag)?;
-                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Ok, 0);
+                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Ok);
                 Ok(block)
             }
         }
@@ -202,12 +200,12 @@ impl<D: BlockDevice + RawAccess> BlockDevice for FaultyDisk<D> {
         match self.plan.check(IoKind::Write, addr, tag) {
             Some(FaultKind::WholeDisk) => {
                 self.trace
-                    .record(IoKind::Write, addr, tag, IoOutcome::Error, 0);
+                    .record(IoKind::Write, addr, tag, IoOutcome::Error);
                 Err(DiskError::DeviceFailed)
             }
             Some(FaultKind::WriteError) => {
                 self.trace
-                    .record(IoKind::Write, addr, tag, IoOutcome::Error, 0);
+                    .record(IoKind::Write, addr, tag, IoOutcome::Error);
                 Err(DiskError::Io {
                     addr,
                     kind: IoKind::Write,
@@ -215,14 +213,12 @@ impl<D: BlockDevice + RawAccess> BlockDevice for FaultyDisk<D> {
             }
             Some(kind @ (FaultKind::Slow { .. } | FaultKind::Hang)) => {
                 self.slow_io(kind, |d| d.write_tagged(addr, block, tag))?;
-                self.trace
-                    .record(IoKind::Write, addr, tag, IoOutcome::Ok, 0);
+                self.trace.record(IoKind::Write, addr, tag, IoOutcome::Ok);
                 Ok(())
             }
             _ => {
                 self.inner.write_tagged(addr, block, tag)?;
-                self.trace
-                    .record(IoKind::Write, addr, tag, IoOutcome::Ok, 0);
+                self.trace.record(IoKind::Write, addr, tag, IoOutcome::Ok);
                 Ok(())
             }
         }

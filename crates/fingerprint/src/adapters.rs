@@ -143,13 +143,6 @@ impl Ext3Adapter {
         self
     }
 
-    fn params(&self) -> Ext3Params {
-        Ext3Params {
-            mirror_metadata: self.iron.meta_replication,
-            ..Ext3Params::small()
-        }
-    }
-
     fn options(&self) -> Ext3Options {
         let mut opts = Ext3Options {
             legacy_journal_bugs: self.legacy_journal_bugs,
@@ -208,9 +201,9 @@ impl FsUnderTest for Ext3Adapter {
     }
 
     fn golden(&self, dirty_journal: bool) -> MemDisk {
-        let mut dev = MemDisk::for_tests(4096);
-        Ext3Fs::<MemDisk>::mkfs(&mut dev, self.params()).expect("mkfs on healthy disk");
-        let fs = Ext3Fs::mount(dev, FsEnv::new(), self.options()).expect("mount healthy");
+        let dev = MemDisk::for_tests(4096);
+        let fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), Ext3Params::small(), self.options())
+            .expect("mkfs and mount on healthy disk");
         let mut v = Vfs::new(fs);
         build_fixture(&mut v).expect("fixture on healthy disk");
         v.umount().expect("umount");

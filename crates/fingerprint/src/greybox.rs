@@ -108,7 +108,7 @@ pub fn classify_ext3<D: RawAccess>(dev: &D, layout: &DiskLayout) -> HashMap<u64,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iron_blockdev::MemDisk;
+    use iron_blockdev::{MemDisk, TraceLayer};
     use iron_core::BlockTag;
     use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params};
     use iron_vfs::{FsEnv, Vfs};
@@ -117,7 +117,7 @@ mod tests {
     /// I/O tags must match what the gray-box walk derives from raw bytes.
     #[test]
     fn greybox_classification_agrees_with_io_tags() {
-        let dev = MemDisk::for_tests(4096);
+        let dev = TraceLayer::new(MemDisk::for_tests(4096));
         let trace = dev.trace();
         let fs = Ext3Fs::format_and_mount(
             dev,

@@ -284,7 +284,6 @@ mod tests {
             addr: BlockAddr(addr),
             tag: BlockTag(tag),
             outcome,
-            at_ns: 0,
         }
     }
 

@@ -9,9 +9,8 @@
 //! (ixt3 *is* a modified ext3 — the paper built it by embellishing ext3,
 //! and so do we). This crate provides:
 //!
-//! * [`Ixt3Fs`] — the prototype's public face: mount/format helpers with
-//!   the paper's configurations ([`mount_full`] is the
-//!   Figure 3 configuration);
+//! * [`Ixt3Fs`] — the prototype's name: an alias, mounted like any ext3
+//!   (`Ixt3Fs::format_and_mount` with an `IronConfig`);
 //! * [`scrub`] — a disk scrubber implementing *eager* detection (§3.2):
 //!   walk the device, verify checksums, and repair bad blocks from
 //!   replicas/parity before a reader ever trips over them;
@@ -22,79 +21,35 @@
 
 pub mod scrub;
 
-use iron_blockdev::{BlockDevice, RawAccess};
-use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, IronConfig};
-use iron_vfs::{FsEnv, VfsResult};
-
-pub use iron_ext3::{Ext3Options as Ixt3Options, IronConfig as Ixt3Config};
+use iron_ext3::Ext3Fs;
 
 /// The ixt3 file system: an [`Ext3Fs`] with IRON mechanisms enabled.
 ///
 /// ixt3 is not a distinct on-disk format — it is ext3 plus checksum
 /// tables, a metadata mirror, and per-file parity, all laid out by the same
-/// `mkfs`. Any [`IronConfig`] combination can be mounted; the paper's
-/// Table 6 sweeps all 32.
+/// `mkfs`. Any [`iron_ext3::IronConfig`] combination can be mounted (the
+/// paper's Table 6 sweeps all 32) through the one spelling every ext3
+/// mount uses, [`Ext3Fs::format_and_mount`], which reserves the mirror iff
+/// the configuration replicates metadata; `IronConfig::full()` is the
+/// Figure 3 configuration.
 pub type Ixt3Fs<D> = Ext3Fs<D>;
-
-/// Format a device for ixt3. `mirror` must be true if the mount will use
-/// metadata replication (`Mr`) — it reserves the distant mirror region.
-pub fn mkfs<D: BlockDevice + RawAccess>(
-    dev: &mut D,
-    mut params: Ext3Params,
-    iron: IronConfig,
-) -> VfsResult<()> {
-    params.mirror_metadata = iron.meta_replication;
-    Ext3Fs::mkfs(dev, params)
-}
-
-/// Mount ixt3 with an arbitrary IRON configuration.
-pub fn mount<D: BlockDevice + RawAccess>(
-    dev: D,
-    env: FsEnv,
-    iron: IronConfig,
-) -> VfsResult<Ixt3Fs<D>> {
-    Ext3Fs::mount(dev, env, Ext3Options::with_iron(iron))
-}
-
-/// Mount the full ixt3 configuration (`Mc Mr Dc Dp Tc`, bugs fixed) — the
-/// configuration whose failure policy Figure 3 reports.
-pub fn mount_full<D: BlockDevice + RawAccess>(dev: D, env: FsEnv) -> VfsResult<Ixt3Fs<D>> {
-    mount(dev, env, IronConfig::full())
-}
-
-/// Format-and-mount convenience for the full configuration.
-pub fn format_and_mount_full<D: BlockDevice + RawAccess>(
-    mut dev: D,
-    env: FsEnv,
-    params: Ext3Params,
-) -> VfsResult<Ixt3Fs<D>> {
-    mkfs(&mut dev, params, IronConfig::full())?;
-    mount_full(dev, env)
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use iron_blockdev::MemDisk;
-    use iron_vfs::Vfs;
+    use iron_ext3::{Ext3Options, Ext3Params, IronConfig};
+    use iron_vfs::{FsEnv, Vfs};
 
     #[test]
     fn full_mount_round_trip() {
         let dev = MemDisk::for_tests(4096);
-        let fs = format_and_mount_full(dev, FsEnv::new(), Ext3Params::small()).unwrap();
+        let opts = Ext3Options::with_iron(IronConfig::full());
+        let fs = Ixt3Fs::format_and_mount(dev, FsEnv::new(), Ext3Params::small(), opts).unwrap();
         let mut v = Vfs::new(fs);
         v.write_file("/x", b"ixt3").unwrap();
         assert_eq!(v.read_file("/x").unwrap(), b"ixt3");
         assert!(v.fs().options().iron.meta_replication);
         assert!(v.fs().layout().params.mirror_metadata);
-    }
-
-    #[test]
-    fn mkfs_reserves_mirror_only_when_needed() {
-        let mut dev = MemDisk::for_tests(4096);
-        mkfs(&mut dev, Ext3Params::small(), IronConfig::off()).unwrap();
-        let fs = mount(dev, FsEnv::new(), IronConfig::off()).unwrap();
-        assert!(!fs.layout().params.mirror_metadata);
-        assert_eq!(fs.layout().fs_blocks, 4096);
     }
 }

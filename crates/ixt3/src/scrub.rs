@@ -187,16 +187,19 @@ pub fn scrub<D: BlockDevice + RawAccess>(fs: &mut Ext3Fs<D>) -> ScrubReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{format_and_mount_full, mount};
     use iron_blockdev::MemDisk;
     use iron_core::Block;
-    use iron_ext3::{Ext3Params, IronConfig};
+    use iron_ext3::{Ext3Options, Ext3Params, IronConfig};
     use iron_vfs::{FsEnv, Vfs};
+
+    fn format_and_mount<D: BlockDevice + RawAccess>(dev: D, iron: IronConfig) -> Ext3Fs<D> {
+        let opts = Ext3Options::with_iron(iron);
+        Ext3Fs::format_and_mount(dev, FsEnv::new(), Ext3Params::small(), opts).unwrap()
+    }
 
     #[test]
     fn clean_disk_scrubs_clean() {
-        let dev = MemDisk::for_tests(4096);
-        let mut fs = format_and_mount_full(dev, FsEnv::new(), Ext3Params::small()).unwrap();
+        let mut fs = format_and_mount(MemDisk::for_tests(4096), IronConfig::full());
         let mut v = Vfs::new(&mut fs as &mut dyn SpecificFs);
         v.write_file("/f", &vec![7u8; 20_000]).unwrap();
         v.sync().unwrap();
@@ -210,8 +213,7 @@ mod tests {
 
     #[test]
     fn scrub_detects_and_repairs_corrupt_metadata() {
-        let dev = MemDisk::for_tests(4096);
-        let mut fs = format_and_mount_full(dev, FsEnv::new(), Ext3Params::small()).unwrap();
+        let mut fs = format_and_mount(MemDisk::for_tests(4096), IronConfig::full());
         {
             let mut v = Vfs::new(&mut fs as &mut dyn SpecificFs);
             v.write_file("/f", b"protected").unwrap();
@@ -230,8 +232,7 @@ mod tests {
 
     #[test]
     fn scrub_repairs_corrupt_data_from_parity() {
-        let dev = MemDisk::for_tests(4096);
-        let mut fs = format_and_mount_full(dev, FsEnv::new(), Ext3Params::small()).unwrap();
+        let mut fs = format_and_mount(MemDisk::for_tests(4096), IronConfig::full());
         let data: Vec<u8> = (0..16_000u32).map(|i| (i % 199) as u8).collect();
         {
             let mut v = Vfs::new(&mut fs as &mut dyn SpecificFs);
@@ -263,12 +264,10 @@ mod tests {
         use iron_core::FaultKind;
         use iron_faultinject::{FaultPlan, FaultSpec, FaultStackExt, FaultTarget};
 
-        let mut dev = MemDisk::for_tests(4096);
-        crate::mkfs(&mut dev, Ext3Params::small(), IronConfig::full()).unwrap();
         let plan = FaultPlan::new();
         let ctl = plan.controller();
-        let stack = StackBuilder::new(dev).with_faults(plan).build();
-        let mut fs = crate::mount_full(stack, FsEnv::new()).unwrap();
+        let stack = StackBuilder::memdisk(4096).with_faults(plan).build();
+        let mut fs = format_and_mount(stack, IronConfig::full());
         {
             let mut v = Vfs::new(&mut fs as &mut dyn SpecificFs);
             v.write_file("/f", b"protected").unwrap();
@@ -294,8 +293,7 @@ mod tests {
     /// block into a false corruption verdict) and heals from its replica.
     #[test]
     fn scrub_detects_and_repairs_corrupt_cksum_table_block() {
-        let dev = MemDisk::for_tests(4096);
-        let mut fs = format_and_mount_full(dev, FsEnv::new(), Ext3Params::small()).unwrap();
+        let mut fs = format_and_mount(MemDisk::for_tests(4096), IronConfig::full());
         {
             let mut v = Vfs::new(&mut fs as &mut dyn SpecificFs);
             v.write_file("/f", b"protected").unwrap();
@@ -319,9 +317,7 @@ mod tests {
     fn scrub_without_checksums_misses_corruption() {
         // Return-code-only scrubbing (no Mc/Dc) discovers block failure but
         // not corruption — §3.2's point.
-        let mut dev = MemDisk::for_tests(4096);
-        crate::mkfs(&mut dev, Ext3Params::small(), IronConfig::off()).unwrap();
-        let mut fs = mount(dev, FsEnv::new(), IronConfig::off()).unwrap();
+        let mut fs = format_and_mount(MemDisk::for_tests(4096), IronConfig::off());
         {
             let mut v = Vfs::new(&mut fs as &mut dyn SpecificFs);
             v.write_file("/f", b"unprotected").unwrap();

@@ -17,18 +17,13 @@ use iron_vfs::{FsEnv, Vfs};
 type Fs = Ext3Fs<FaultyDisk<MemDisk>>;
 
 fn mount_full() -> (Vfs<Fs>, iron_faultinject::FaultController, FsEnv) {
-    let params = Ext3Params {
-        mirror_metadata: true,
-        ..Ext3Params::small()
-    };
-    let mut md = MemDisk::for_tests(4096);
-    Ext3Fs::<MemDisk>::mkfs(&mut md, params).unwrap();
-    let faulty = FaultyDisk::new(md);
+    let faulty = FaultyDisk::new(MemDisk::for_tests(4096));
     let ctl = faulty.controller();
     let env = FsEnv::new();
-    let fs = Ext3Fs::mount(
+    let fs = Ext3Fs::format_and_mount(
         faulty,
         env.clone(),
+        Ext3Params::small(),
         Ext3Options::with_iron(IronConfig::full()),
     )
     .unwrap();
@@ -150,21 +145,18 @@ fn cached_stack_recovers_from_replica() {
 
     let plan = iron_faultinject::FaultPlan::new();
     let ctl = plan.controller();
-    let mut dev = StackBuilder::memdisk(4096)
+    let dev = StackBuilder::memdisk(4096)
         .with_faults(plan)
         .with_cache(CachePolicy::write_back(32))
         .build();
-    iron_ixt3::mkfs(
-        dev.inner_mut().inner_mut(),
-        Ext3Params {
-            mirror_metadata: true,
-            ..Ext3Params::small()
-        },
-        IronConfig::full(),
+    let env = FsEnv::new();
+    let fs = Ext3Fs::format_and_mount(
+        dev,
+        env.clone(),
+        Ext3Params::small(),
+        Ext3Options::with_iron(IronConfig::full()),
     )
     .unwrap();
-    let env = FsEnv::new();
-    let fs = iron_ixt3::mount_full(dev, env.clone()).unwrap();
     let mut v = Vfs::new(fs);
     v.write_file("/precious", &vec![7u8; 20_000]).unwrap();
     v.sync().unwrap();

@@ -4,14 +4,15 @@
 //! run is bit-identical to its serial replay at every thread count.
 
 use iron_blockdev::MemDisk;
-use iron_ext3::Ext3Params;
-use iron_ixt3::{format_and_mount_full, Ixt3Fs};
+use iron_ext3::{Ext3Options, Ext3Params, IronConfig};
+use iron_ixt3::Ixt3Fs;
 use iron_serve::{assert_serial_equivalence, generate, memdisk_image, prepare, WorkloadSpec};
 use iron_vfs::{FsEnv, Vfs};
 
 fn mount_prepared(spec: &WorkloadSpec) -> Vfs<Ixt3Fs<MemDisk>> {
     let md = MemDisk::for_tests(4096);
-    let fs = format_and_mount_full(md, FsEnv::new(), Ext3Params::small()).unwrap();
+    let opts = Ext3Options::with_iron(IronConfig::full());
+    let fs = Ixt3Fs::format_and_mount(md, FsEnv::new(), Ext3Params::small(), opts).unwrap();
     let mut v = Vfs::new(fs);
     prepare(&mut v, spec);
     v

@@ -66,10 +66,6 @@ type Fs = Ext3Fs<MemDisk>;
 fn setup(iron: IronConfig) -> (Vfs<Fs>, SimClock) {
     let clock = SimClock::new();
     let dev = MemDisk::new(32 * 1024, DiskGeometry::ata_7200rpm(), clock.clone());
-    let params = Ext3Params {
-        mirror_metadata: iron.meta_replication,
-        ..Ext3Params::medium()
-    };
     let opts = Ext3Options {
         iron,
         cpu_clock: Some(clock.clone()),
@@ -78,7 +74,8 @@ fn setup(iron: IronConfig) -> (Vfs<Fs>, SimClock) {
         cache_blocks: 32 * 1024,
         ..Default::default()
     };
-    let fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), params, opts).expect("bench mount");
+    let fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), Ext3Params::medium(), opts)
+        .expect("bench mount");
     (Vfs::new(fs), clock)
 }
 

@@ -22,9 +22,8 @@ fn crashed_image(tc: bool) -> MemDisk {
         crash_mode: true, // commits stop after the commit block
         ..Default::default()
     };
-    let fs = StackBuilder::memdisk(4096)
-        .mount_ext3(FsEnv::new(), params, opts)
-        .unwrap();
+    let dev = StackBuilder::memdisk(4096).build();
+    let fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), params, opts).unwrap();
     let mut v = Vfs::new(fs);
     v.mkdir("/important", 0o755).unwrap();
     v.write_file("/important/ledger", b"the only copy").unwrap();

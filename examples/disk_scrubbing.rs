@@ -10,9 +10,10 @@ use ironfs::prelude::*;
 
 fn main() {
     let env = FsEnv::new();
-    let mut fs = StackBuilder::memdisk(4096)
-        .mount_ixt3_full(env.clone(), Ext3Params::small())
-        .expect("mount");
+    let dev = StackBuilder::memdisk(4096).build();
+    let opts = Ext3Options::with_iron(IronConfig::full());
+    let mut fs =
+        Ext3Fs::format_and_mount(dev, env.clone(), Ext3Params::small(), opts).expect("mount");
 
     // A handful of files the user cares about.
     {

@@ -7,16 +7,15 @@ use ironfs::prelude::*;
 
 fn main() {
     // 1. A 16 MiB simulated disk with the fault-injection layer above
-    //    it, formatted and mounted as the full ixt3 in one chain:
-    //    metadata+data checksums, metadata replication, per-file parity,
-    //    transactional checksums.
+    //    it, formatted and mounted as the full ixt3: metadata+data
+    //    checksums, metadata replication, per-file parity, transactional
+    //    checksums.
     let plan = FaultPlan::new();
     let faults = plan.controller();
     let env = FsEnv::new();
-    let fs = StackBuilder::memdisk(4096)
-        .with_faults(plan)
-        .mount_ixt3_full(env.clone(), Ext3Params::small())
-        .expect("mount");
+    let dev = StackBuilder::memdisk(4096).with_faults(plan).build();
+    let opts = Ext3Options::with_iron(IronConfig::full());
+    let fs = Ext3Fs::format_and_mount(dev, env.clone(), Ext3Params::small(), opts).expect("mount");
     let mut v = Vfs::new(fs);
 
     // 2. Ordinary POSIX-style use.

@@ -34,8 +34,9 @@
 //! use ironfs::prelude::*;
 //!
 //! // Format and mount a full ixt3 (checksums + replication + parity + Tc).
-//! let fs = StackBuilder::memdisk(4096)
-//!     .mount_ixt3_full(FsEnv::new(), Ext3Params::small())
+//! let dev = StackBuilder::memdisk(4096).build();
+//! let opts = Ext3Options::with_iron(IronConfig::full());
+//! let fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), Ext3Params::small(), opts)
 //!     .expect("mount");
 //! let mut v = Vfs::new(fs);
 //! v.write_file("/hello.txt", b"don't trust the disk").unwrap();
@@ -47,8 +48,6 @@
 //! regenerate every table and figure of the paper.
 
 #![forbid(unsafe_code)]
-
-pub mod stack;
 
 pub use iron_blockdev as blockdev;
 pub use iron_cluster as cluster;
@@ -66,57 +65,35 @@ pub use iron_serve as serve;
 pub use iron_vfs as vfs;
 pub use iron_workloads as workloads;
 
-/// The cross-crate surface in one import: everything needed to build a
-/// storage stack, mount a file system over it, and aim faults at it.
+/// The cross-crate surface the examples and integration tests of this
+/// package share, in one import: build a storage stack, format and mount
+/// ext3/ixt3 over it, aim faults at it, fingerprint a file system.
+/// Anything else is one `ironfs::<crate>::` path away.
 ///
 /// ```
 /// use ironfs::prelude::*;
 ///
-/// let fs = StackBuilder::memdisk(4096)
+/// let dev = StackBuilder::memdisk(4096)
 ///     .with_cache(CachePolicy::write_back(256))
-///     .mount_ext3(FsEnv::new(), Ext3Params::small(), Ext3Options::default())
-///     .unwrap();
+///     .build();
+/// let opts = Ext3Options::default();
+/// let fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), Ext3Params::small(), opts).unwrap();
 /// let mut v = Vfs::new(fs);
 /// v.write_file("/hello", b"hi").unwrap();
 /// ```
 pub mod prelude {
-    pub use crate::stack::MountStackExt;
+    pub use iron_core::{Block, BlockAddr, BlockTag, Errno, FaultKind};
 
-    pub use iron_core::{
-        Block, BlockAddr, BlockTag, DetectionLevel, Errno, FaultKind, IoKind, KernelLog,
-        RecoveryLevel, SimClock, Transience, BLOCK_SIZE,
-    };
+    pub use iron_blockdev::{BlockDevice, CachePolicy, MemDisk, RawAccess, StackBuilder};
 
-    pub use iron_blockdev::{
-        BlockDevice, BufferCache, CachePolicy, CacheStats, DiskError, DiskGeometry, DiskResult,
-        IoScheduler, IoTrace, MemDisk, RawAccess, StackBuilder, TraceLayer,
-    };
+    pub use iron_faultinject::{FaultPlan, FaultSpec, FaultStackExt, FaultTarget, FaultyDisk};
 
-    pub use iron_faultinject::{
-        FaultController, FaultId, FaultPlan, FaultSpec, FaultStackExt, FaultTarget, FaultyDisk,
-    };
+    pub use iron_vfs::{FsEnv, SpecificFs, Vfs, VfsError};
 
-    pub use iron_vfs::{
-        DirEntry, Fd, FileType, FsEnv, InodeAttr, MountState, OpenFlags, SpecificFs, StatFs, Vfs,
-        VfsError, VfsResult,
-    };
-
-    pub use iron_ext3::{BlockType as Ext3BlockType, Ext3Fs, Ext3Options, Ext3Params, IronConfig};
-    pub use iron_jfs::{JfsBlockType, JfsFs, JfsOptions, JfsParams};
-    pub use iron_ntfs::{NtfsBlockType, NtfsFs, NtfsOptions, NtfsParams};
-    pub use iron_reiser::{ReiserBlockType, ReiserFs, ReiserOptions, ReiserParams};
-
-    pub use iron_fsck::{FsckEngine, FsckOptions, FsckReport, FsckStats};
-
-    pub use iron_cluster::{ClusterStackExt, ReadPolicy, RepairReport, ReplicatedDisk};
+    pub use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, IronConfig};
 
     pub use iron_fingerprint::{
-        fingerprint_fs, CampaignDevice, CampaignOptions, Ext3Adapter, FaultMode, FsUnderTest,
-        JfsAdapter, NtfsAdapter, PolicyMatrix, ReiserAdapter, Workload,
-    };
-
-    pub use iron_serve::{
-        generate, prepare, replay_serial, serve, LockManager, Reply, Request, ServeOptions,
-        ServeReport, Session, WorkloadSpec,
+        fingerprint_fs, CampaignOptions, Ext3Adapter, FaultMode, FsUnderTest, JfsAdapter,
+        NtfsAdapter, ReiserAdapter, Workload,
     };
 }

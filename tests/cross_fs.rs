@@ -45,17 +45,16 @@ fn mount_all() -> Vec<(&'static str, DynVfs, FaultController, FsEnv)> {
     let fs = ironfs::ntfs::NtfsFs::mount(fd, env.clone(), Default::default()).unwrap();
     out.push(("ntfs", Vfs::new(Box::new(fs)), ctl, env));
 
-    let mut md = MemDisk::for_tests(4096);
-    ironfs::ixt3::mkfs(
-        &mut md,
-        ironfs::ext3::Ext3Params::small(),
-        ironfs::ext3::IronConfig::full(),
-    )
-    .unwrap();
-    let fd = FaultyDisk::new(md);
+    let fd = FaultyDisk::new(MemDisk::for_tests(4096));
     let ctl = fd.controller();
     let env = FsEnv::new();
-    let fs = ironfs::ixt3::mount_full(fd, env.clone()).unwrap();
+    let fs = ironfs::ext3::Ext3Fs::format_and_mount(
+        fd,
+        env.clone(),
+        ironfs::ext3::Ext3Params::small(),
+        ironfs::ext3::Ext3Options::with_iron(ironfs::ext3::IronConfig::full()),
+    )
+    .unwrap();
     out.push(("ixt3", Vfs::new(Box::new(fs)), ctl, env));
 
     out
