@@ -17,9 +17,14 @@
 //!   an inner barrier between them, so the ordering contract — everything
 //!   written before a barrier reaches the medium before anything written
 //!   after it — holds exactly for the traffic the device below observes.
-//!   Within an epoch no order is owed, and the [`crate::IoScheduler`]
-//!   elevator sorts the epoch's blocks into ascending adjacent sweeps that
-//!   the simulated disk services at streaming rate.
+//!   Within an epoch no order is owed, so an epoch's blocks go out in
+//!   ascending address order — the elevator of [`crate::sched`] — and the
+//!   simulated disk services each adjacent run at streaming rate.
+//! * **The dirty set is exact**: one ordered index holds `(epoch, addr)`
+//!   for every dirty resident block and nothing else, so its iteration
+//!   order *is* the destage order, its size is bounded by the resident
+//!   set, and a failed write-back leaves nothing to repair — what was not
+//!   written is still in the index.
 //! * **Typed I/O is preserved**: each dirty block remembers the
 //!   [`BlockTag`] of the write that dirtied it and is destaged under that
 //!   tag, so type-aware fault injection below the cache keeps working.
@@ -34,13 +39,13 @@
 //! campaigns run in this mode so their media and traces stay byte-exact
 //! while still exercising the redesigned stack API.
 
-use std::collections::VecDeque;
+use std::collections::BTreeSet;
 
 use iron_core::{Block, BlockAddr, BlockTag};
 
 use crate::device::{BlockDevice, DiskError, DiskResult, RawAccess};
 use crate::lru::Lru;
-use crate::sched::IoScheduler;
+use crate::sched;
 
 /// Caching policy for a [`BufferCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,14 +101,10 @@ struct Entry {
     /// Tag of the write that dirtied the block (or of the read that
     /// fetched it); dirty blocks are destaged under this tag.
     tag: BlockTag,
-    dirty: bool,
-    /// Issue number of the dirtying write; pairs with the dirty log to
-    /// lazily invalidate superseded log records.
-    dirty_seq: u64,
+    /// The barrier epoch of the write that dirtied the block; `None`
+    /// while the block is clean.
+    dirty: Option<u64>,
 }
-
-/// One record of the dirty log: `(dirty_seq, epoch, addr)`.
-type DirtyRecord = (u64, u64, u64);
 
 /// An LRU write-back buffer cache implementing [`BlockDevice`] over any
 /// inner device. See the module docs for semantics.
@@ -120,11 +121,10 @@ pub struct BufferCache<D> {
     /// True once the current epoch holds a dirty block (so an empty epoch
     /// is never sealed).
     epoch_dirty: bool,
-    next_dirty_seq: u64,
-    /// Dirty blocks in issue order. Superseded records (a block
-    /// re-dirtied later) are skipped via the `dirty_seq` match.
-    dirty_log: VecDeque<DirtyRecord>,
-    sched: IoScheduler,
+    /// The dirty index: exactly `(epoch, addr)` of every entry whose
+    /// `dirty` is `Some(epoch)`. Iterates in destage order — epochs
+    /// ascending, addresses ascending inside an epoch.
+    dirty: BTreeSet<(u64, u64)>,
     stats: CacheStats,
 }
 
@@ -142,9 +142,7 @@ impl<D: BlockDevice> BufferCache<D> {
             capacity,
             epoch: 0,
             epoch_dirty: false,
-            next_dirty_seq: 0,
-            dirty_log: VecDeque::new(),
-            sched: IoScheduler::new(),
+            dirty: BTreeSet::new(),
             stats: CacheStats::default(),
         }
     }
@@ -166,7 +164,7 @@ impl<D: BlockDevice> BufferCache<D> {
 
     /// Number of resident blocks that are dirty.
     pub fn dirty_blocks(&self) -> usize {
-        self.entries.values().filter(|e| e.dirty).count()
+        self.dirty.len()
     }
 
     /// Access the wrapped device.
@@ -189,65 +187,34 @@ impl<D: BlockDevice> BufferCache<D> {
 
     /// Write every dirty block to the inner device: epochs strictly in
     /// issue order with an inner barrier between them, each epoch's blocks
-    /// elevator-scheduled into ascending adjacent sweeps. On a failed
-    /// write-back the error is returned, already-destaged blocks stay
-    /// clean, and the failed block (plus everything after it) stays dirty
-    /// for the next attempt.
+    /// ascending. On a failed write-back (or barrier) the error is
+    /// returned, already-destaged blocks stay clean, and the failed block
+    /// and everything after it stay dirty — still in the index — for the
+    /// next attempt.
     pub fn destage(&mut self) -> DiskResult<()> {
-        // Snapshot the live records (drop superseded ones) and clear the
-        // log; un-destaged records are pushed back on error.
-        let live: Vec<DirtyRecord> = self
-            .dirty_log
-            .drain(..)
-            .filter(|r| is_live(&self.entries, r))
-            .collect();
-        if live.is_empty() {
+        if self.dirty.is_empty() {
             return Ok(());
         }
         self.stats.destages += 1;
-
-        let mut idx = 0;
-        let mut first_epoch_written = false;
-        while idx < live.len() {
-            let epoch = live[idx].1;
-            let mut end = idx;
-            while end < live.len() && live[end].1 == epoch {
-                end += 1;
-            }
-            if first_epoch_written {
-                if let Err(e) = self.inner.barrier() {
-                    self.dirty_log.extend(&live[idx..]);
-                    return Err(e);
+        let mut writing = None;
+        while let Some(&(epoch, addr)) = self.dirty.first() {
+            if writing != Some(epoch) {
+                if writing.is_some() {
+                    self.inner.barrier()?;
                 }
+                writing = Some(epoch);
+                let of_epoch = self.dirty.range((epoch, 0)..=(epoch, u64::MAX));
+                self.stats.sweeps += sched::sweeps(of_epoch.map(|&(_, a)| a));
             }
-            let sweeps = self.sched.plan(
-                live[idx..end]
-                    .iter()
-                    .map(|&(_, _, a)| (BlockAddr(a), ()))
-                    .collect(),
-            );
-            self.stats.sweeps += sweeps.len() as u64;
-            for sweep in &sweeps {
-                for &(addr, ()) in &sweep.items {
-                    let entry = self
-                        .entries
-                        .peek_mut(addr)
-                        .expect("live dirty record has an entry");
-                    if let Err(e) = self.inner.write_tagged(addr, &entry.data, entry.tag) {
-                        // Requeue every record not yet destaged — exactly
-                        // the ones whose entries are still dirty (the
-                        // failed block included). `live` is in issue
-                        // order, so the rebuilt log is too.
-                        let rest = live[idx..].iter().filter(|r| is_live(&self.entries, r));
-                        self.dirty_log.extend(rest);
-                        return Err(e);
-                    }
-                    self.stats.writebacks += 1;
-                    entry.dirty = false;
-                }
-            }
-            first_epoch_written = true;
-            idx = end;
+            let entry = self
+                .entries
+                .peek_mut(BlockAddr(addr))
+                .expect("a dirty key has an entry");
+            self.inner
+                .write_tagged(BlockAddr(addr), &entry.data, entry.tag)?;
+            entry.dirty = None;
+            self.dirty.pop_first();
+            self.stats.writebacks += 1;
         }
         Ok(())
     }
@@ -257,7 +224,7 @@ impl<D: BlockDevice> BufferCache<D> {
     fn make_room(&mut self) -> DiskResult<()> {
         while self.entries.len() >= self.capacity {
             let (victim, entry) = self.entries.oldest().expect("a full cache has an oldest");
-            if entry.dirty {
+            if entry.dirty.is_some() {
                 // Ordered write-back of *everything* keeps the epoch
                 // ordering invariant without tracking partial epochs; the
                 // cost amortizes to one destage per ~capacity writes.
@@ -276,14 +243,6 @@ impl<D: BlockDevice> BufferCache<D> {
             Err(DiskError::OutOfRange { addr })
         }
     }
-}
-
-/// True if dirty-log record `r` is still its block's latest dirtying write
-/// (not superseded, destaged or poked clean).
-fn is_live(entries: &Lru<Entry>, &(seq, _, addr): &DirtyRecord) -> bool {
-    entries
-        .peek(BlockAddr(addr))
-        .is_some_and(|e| e.dirty && e.dirty_seq == seq)
 }
 
 impl<D: BlockDevice> BlockDevice for BufferCache<D> {
@@ -310,8 +269,7 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
             Entry {
                 data: data.clone(),
                 tag,
-                dirty: false,
-                dirty_seq: 0,
+                dirty: None,
             },
         );
         Ok(data)
@@ -322,25 +280,25 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
             return self.inner.write_tagged(addr, block, tag);
         }
         self.check_range(addr)?;
-        if self.entries.peek(addr).is_none() {
-            self.make_room()?;
+        match self.entries.peek(addr).map(|e| e.dirty) {
+            None => self.make_room()?,
+            // Re-dirtying moves the block to the current epoch: the medium
+            // only ever sees the final data, so it must not be written
+            // back at the older epoch's position.
+            Some(Some(older)) if older != self.epoch => {
+                self.dirty.remove(&(older, addr.0));
+            }
+            Some(_) => {}
         }
-        let seq = self.next_dirty_seq;
-        self.next_dirty_seq += 1;
-        // Re-dirtying supersedes the block's older log record, which moves
-        // it to the current epoch: the medium only ever sees the final
-        // data, so it must not be written back at the older epoch's
-        // position.
         self.entries.insert(
             addr,
             Entry {
                 data: block.clone(),
                 tag,
-                dirty: true,
-                dirty_seq: seq,
+                dirty: Some(self.epoch),
             },
         );
-        self.dirty_log.push_back((seq, self.epoch, addr.0));
+        self.dirty.insert((self.epoch, addr.0));
         self.epoch_dirty = true;
         self.stats.writes_absorbed += 1;
         Ok(())
@@ -381,7 +339,7 @@ impl<D: BlockDevice + RawAccess> RawAccess for BufferCache<D> {
     /// shadows the (stale) medium.
     fn peek(&self, addr: BlockAddr) -> Block {
         match self.entries.peek(addr) {
-            Some(e) if e.dirty => e.data.clone(),
+            Some(e) if e.dirty.is_some() => e.data.clone(),
             _ => self.inner.peek(addr),
         }
     }
@@ -392,7 +350,9 @@ impl<D: BlockDevice + RawAccess> RawAccess for BufferCache<D> {
         self.inner.poke(addr, block);
         if let Some(e) = self.entries.peek_mut(addr) {
             e.data = block.clone();
-            e.dirty = false; // dirty-log records go stale via seq mismatch
+            if let Some(epoch) = e.dirty.take() {
+                self.dirty.remove(&(epoch, addr.0));
+            }
         }
     }
 }
@@ -532,6 +492,24 @@ mod tests {
     }
 
     #[test]
+    fn rewrites_move_a_dirty_key_and_never_add_one() {
+        let mut c = cached(8);
+        for i in 0..100_000u64 {
+            c.write(BlockAddr(i % 4), &Block::filled(i as u8)).unwrap();
+            if i % 100 == 99 {
+                c.barrier().unwrap();
+            }
+        }
+        assert_eq!(c.stats().barriers_absorbed, 1_000);
+        assert_eq!(c.dirty.len(), 4, "one key per dirty block");
+        // The index is exact: each key names a block dirtied in that epoch.
+        for &(epoch, addr) in &c.dirty {
+            assert_eq!(c.entries.peek(BlockAddr(addr)).unwrap().dirty, Some(epoch));
+        }
+        assert_eq!(c.inner().stats().writes, 0, "no flush, no destage");
+    }
+
+    #[test]
     fn eviction_is_global_not_per_partition() {
         // Eight blocks fit a capacity-8 cache whatever their addresses:
         // nothing is evicted (and so nothing destaged) before the ninth.
@@ -590,7 +568,7 @@ mod tests {
         assert_eq!(c.read(BlockAddr(4)).unwrap(), Block::filled(2));
         assert_eq!(c.inner().peek(BlockAddr(4)), Block::filled(2));
         assert_eq!(c.dirty_blocks(), 0, "poked block is clean");
-        // A flush now writes nothing (the stale dirty record is skipped).
+        // A flush now writes nothing: the poke took the block's key.
         let writes = c.inner().stats().writes;
         c.flush().unwrap();
         assert_eq!(c.inner().stats().writes, writes);
@@ -616,5 +594,27 @@ mod tests {
         c.write(BlockAddr(40), &Block::filled(9)).unwrap();
         c.flush().unwrap();
         assert_eq!(c.stats().sweeps, 2, "run [10..14] plus singleton [40]");
+    }
+
+    #[test]
+    fn unsorted_writes_destage_sorted_as_one_sweep() {
+        let (mut c, trace) = traced(16);
+        for a in [7, 5, 6] {
+            c.write(BlockAddr(a), &Block::filled(1)).unwrap();
+        }
+        c.flush().unwrap();
+        assert_eq!(written(&trace), vec![5, 6, 7]);
+        assert_eq!(c.stats().sweeps, 1);
+    }
+
+    #[test]
+    fn a_run_longer_than_the_sweep_cap_splits() {
+        let mut c = BufferCache::new(MemDisk::for_tests(256), CachePolicy::write_back(256));
+        for i in 100..230u64 {
+            c.write(BlockAddr(i), &Block::filled(1)).unwrap();
+        }
+        c.flush().unwrap();
+        assert_eq!(c.stats().writebacks, 130);
+        assert_eq!(c.stats().sweeps, 2, "128 blocks, then 2");
     }
 }

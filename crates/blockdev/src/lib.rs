@@ -23,8 +23,10 @@
 //!   — the cost that transactional checksums (§6.1) eliminate.
 //!
 //! Between the file system and the disk sits the generic buffer cache of
-//! Figure 1 ([`cache::BufferCache`]): LRU, write-back, barrier-
-//! epoch-ordered destaging through an elevator [`sched::IoScheduler`].
+//! Figure 1 ([`cache::BufferCache`]): LRU, write-back, with an exact
+//! dirty index whose order — barrier epochs in issue order, addresses
+//! ascending inside each — is the destage order; [`sched`] counts that
+//! order in sweeps and hints sequential scans ([`sched::ScanReadahead`]).
 //! Its recency order is [`lru::Lru`], the one LRU index of the workspace
 //! (ext3's private post-verification cache is an `Lru<Block>` too).
 //! Stacks are assembled with the fluent [`stack::StackBuilder`].
@@ -50,6 +52,6 @@ pub use geometry::DiskGeometry;
 pub use lru::Lru;
 pub use memdisk::MemDisk;
 pub use retry::{RetryConfig, RetryLayer, RetryStats, RetryStatsSnapshot};
-pub use sched::{IoScheduler, ScanReadahead, Sweep};
+pub use sched::ScanReadahead;
 pub use stack::StackBuilder;
 pub use trace::{IoEvent, IoOutcome, IoTrace, TraceLayer};

@@ -114,11 +114,6 @@ impl<V> Lru<V> {
         Some((node.addr, &node.value))
     }
 
-    /// Every resident value, in no particular order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.nodes.iter().map(|n| &n.value)
-    }
-
     /// Make node `i` the newest.
     fn touch(&mut self, i: usize) {
         if self.newest != i {

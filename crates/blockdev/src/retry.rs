@@ -20,8 +20,8 @@
 //! On the fault-free path the layer reads the clock twice and touches two
 //! atomics — the first attempt stays outside the walker, allocates
 //! nothing and charges **zero** simulated time, so a policy-equipped
-//! stack is sim-time-identical to a bare one (the `retry_overhead` bench
-//! pins this).
+//! stack is sim-time-identical to a bare one (the `retry fs_ops_bare` and
+//! `fs_ops_policied` rows of `results/sim_costs.txt` pin this).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -1,233 +1,178 @@
-//! [`IoScheduler`]: a simple elevator-style request scheduler.
+//! The elevator, which is a sort.
 //!
-//! The write-back cache ([`crate::BufferCache`]) destages dirty blocks one
-//! barrier epoch at a time. Within an epoch no ordering is owed to the
-//! layer below (the [`crate::BlockDevice::barrier`] contract only orders
-//! *across* barriers), so the scheduler is free to reorder the epoch's
-//! blocks the way a disk elevator would: sort ascending and batch adjacent
-//! addresses into *sweeps*.
-//!
-//! A sweep is a maximal run of consecutive block addresses issued
-//! back-to-back. On the simulated disk ([`crate::MemDisk`]) consecutive
-//! accesses stream from the track buffer at media rate, so a sweep is
-//! charged the mechanical positioning cost (command overhead, seek,
-//! rotation) **once**, and each block after the first pays only its
-//! transfer time — the scheduler turns `n` scattered writes into
-//! `sweeps ≪ n` positioning charges.
+//! Within a barrier epoch no ordering is owed to the layer below (the
+//! [`crate::BlockDevice::barrier`] contract only orders *across*
+//! barriers), so [`crate::BufferCache`] destages an epoch's blocks
+//! ascending, as a disk elevator would — and that is the iteration order
+//! of its dirty index, so nothing here schedules anything. This module
+//! keeps the unit that order is counted in, the *sweep* (a run of adjacent
+//! addresses issued back to back: [`crate::MemDisk`] charges command
+//! overhead, seek and rotation **once** and streams the rest at media
+//! rate), and the cursor that hints one sweep at a time ahead of a scan.
 
 use iron_core::BlockAddr;
 
-/// One batch of adjacent, ascending block addresses, issued back-to-back.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Sweep<T> {
-    /// The scheduled requests: consecutive addresses, ascending.
-    pub items: Vec<(BlockAddr, T)>,
-}
+/// Cap on blocks per sweep: bounds the time one batch keeps the device
+/// busy, and models the bounded readahead segment a real drive divides
+/// its cache into.
+const MAX_SWEEP: u64 = 128;
 
-impl<T> Sweep<T> {
-    /// First address of the sweep.
-    pub fn start(&self) -> BlockAddr {
-        self.items[0].0
-    }
-
-    /// Number of blocks in the sweep.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True if the sweep holds no requests (never produced by the
-    /// scheduler; present for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
-/// Plans a set of same-epoch requests into ascending adjacent sweeps.
-#[derive(Clone, Copy, Debug)]
-pub struct IoScheduler {
-    /// Cap on blocks per sweep; longer runs are split. Bounds the time any
-    /// single batch keeps the device busy (a real scheduler's fairness
-    /// knob).
-    pub max_sweep: usize,
-}
-
-impl IoScheduler {
-    /// A scheduler with the default sweep cap.
-    pub fn new() -> Self {
-        IoScheduler { max_sweep: 128 }
-    }
-
-    /// Plan a sequential scan of `[start, start + len)` into readahead
-    /// sweeps: contiguous ascending runs capped at `max_sweep` blocks.
-    /// Sequential log scans (journal replay, fsck region passes, scrub)
-    /// issue one [`crate::BlockDevice::readahead`] hint per sweep as the
-    /// scan enters it — the cap models the bounded readahead buffer a
-    /// real drive segments its cache into.
-    pub fn plan_scan(&self, start: BlockAddr, len: u64) -> Vec<Sweep<()>> {
-        let max = self.max_sweep.max(1) as u64;
-        let mut sweeps = Vec::new();
-        let mut pos = start.0;
-        let end = start.0 + len;
-        while pos < end {
-            let n = max.min(end - pos);
-            sweeps.push(Sweep {
-                items: (pos..pos + n).map(|a| (BlockAddr(a), ())).collect(),
-            });
-            pos += n;
+/// Number of sweeps an ascending write stream makes: maximal runs of
+/// adjacent addresses, split every `MAX_SWEEP` blocks.
+pub(crate) fn sweeps(addrs: impl IntoIterator<Item = u64>) -> u64 {
+    let (mut count, mut len, mut next) = (0, 0, None);
+    for addr in addrs {
+        if next != Some(addr) || len == MAX_SWEEP {
+            count += 1;
+            len = 0;
         }
-        sweeps
+        len += 1;
+        next = addr.checked_add(1);
     }
-
-    /// Order `requests` (addresses unique within a call) into sweeps:
-    /// sorted ascending, split wherever addresses are non-adjacent or the
-    /// sweep cap is reached.
-    pub fn plan<T>(&self, mut requests: Vec<(BlockAddr, T)>) -> Vec<Sweep<T>> {
-        requests.sort_by_key(|(addr, _)| addr.0);
-        let max = self.max_sweep.max(1);
-        let mut sweeps: Vec<Sweep<T>> = Vec::new();
-        for (addr, item) in requests {
-            match sweeps.last_mut() {
-                Some(s)
-                    if s.len() < max && s.items.last().map(|(a, _)| a.0 + 1) == Some(addr.0) =>
-                {
-                    s.items.push((addr, item));
-                }
-                _ => sweeps.push(Sweep {
-                    items: vec![(addr, item)],
-                }),
-            }
-        }
-        sweeps
-    }
-}
-
-impl Default for IoScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
+    count
 }
 
 /// Cursor that feeds [`crate::BlockDevice::readahead`] hints to a device
-/// ahead of a sequential scan.
+/// ahead of an ascending scan of a region, one 128-block chunk (the sweep
+/// cap) at a time.
 ///
-/// Built from [`IoScheduler::plan_scan`] over the region about to be read,
-/// it is advanced with [`ScanReadahead::hint`] just before each read: the
-/// first read landing in a sweep hints that whole sweep, so the device's
-/// track buffer can stream the rest of it without re-positioning. Reads
-/// outside the planned region (replica fallbacks, home-location writes)
-/// simply don't advance the cursor — the next in-region read re-hints.
+/// Call [`ScanReadahead::hint`] just before each read: the first read
+/// landing in a chunk hints that whole chunk, so the device's track buffer
+/// can stream the rest of it without re-positioning. Sequential log scans
+/// (journal replay, the checksum-table load, scrub) are its callers.
 pub struct ScanReadahead {
-    sweeps: Vec<Sweep<()>>,
-    next: usize,
+    start: u64,
+    end: u64,
+    /// First block of the first chunk neither hinted nor skipped.
+    next: u64,
 }
 
 impl ScanReadahead {
-    /// Plan a hint schedule for an ascending scan of `len` blocks at
-    /// `start`, using `sched`'s sweep cap.
-    pub fn new(sched: &IoScheduler, start: BlockAddr, len: u64) -> Self {
+    /// A hint schedule for an ascending scan of `len` blocks at `start`.
+    pub fn new(start: BlockAddr, len: u64) -> Self {
         ScanReadahead {
-            sweeps: sched.plan_scan(start, len),
-            next: 0,
+            start: start.0,
+            end: start.0.saturating_add(len),
+            next: start.0,
         }
     }
 
-    /// Note that the scan is about to read `addr`; if that enters a sweep
-    /// not yet hinted, hint it (and any fully-skipped earlier sweeps are
-    /// abandoned — the scan jumped past them).
+    /// Note that the scan is about to read `addr`; if that enters a chunk
+    /// not yet hinted, hint it. Chunks the scan jumped past are abandoned;
+    /// a read outside the region, or in a chunk already hinted, does
+    /// nothing.
     pub fn hint<D: crate::BlockDevice + ?Sized>(&mut self, dev: &mut D, addr: BlockAddr) {
-        while let Some(s) = self.sweeps.get(self.next) {
-            let end = s.start().0 + s.len() as u64;
-            if addr.0 >= end {
-                self.next += 1;
-                continue;
-            }
-            if addr.0 >= s.start().0 {
-                dev.readahead(s.start(), s.len() as u64);
-                self.next += 1;
-            }
-            break;
+        if addr.0 < self.next || addr.0 >= self.end {
+            return;
         }
+        let chunk = addr.0 - (addr.0 - self.start) % MAX_SWEEP;
+        let len = MAX_SWEEP.min(self.end - chunk);
+        dev.readahead(BlockAddr(chunk), len);
+        self.next = chunk + len;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn addrs(reqs: Vec<u64>) -> Vec<(BlockAddr, ())> {
-        reqs.into_iter().map(|a| (BlockAddr(a), ())).collect()
-    }
-
-    fn plan(reqs: Vec<u64>) -> Vec<Vec<u64>> {
-        IoScheduler::new()
-            .plan(addrs(reqs))
-            .into_iter()
-            .map(|s| s.items.into_iter().map(|(a, ())| a.0).collect())
-            .collect()
-    }
+    use crate::{BlockDevice, DiskResult};
+    use iron_core::{Block, BlockTag};
 
     #[test]
-    fn empty_input_plans_nothing() {
-        assert!(plan(vec![]).is_empty());
+    fn empty_input_makes_no_sweep() {
+        assert_eq!(sweeps([]), 0);
     }
 
     #[test]
     fn adjacent_addresses_form_one_sweep() {
-        assert_eq!(plan(vec![5, 6, 7]), vec![vec![5, 6, 7]]);
-    }
-
-    #[test]
-    fn unsorted_input_is_sorted_into_sweeps() {
-        assert_eq!(plan(vec![7, 5, 6]), vec![vec![5, 6, 7]]);
+        assert_eq!(sweeps([5, 6, 7]), 1);
     }
 
     #[test]
     fn gaps_split_sweeps() {
+        assert_eq!(sweeps([10, 11, 20, 21, 22, 40]), 3);
+    }
+
+    #[test]
+    fn long_runs_split_at_the_cap() {
+        assert_eq!(sweeps(0..MAX_SWEEP), 1);
+        assert_eq!(sweeps(0..MAX_SWEEP + 1), 2);
+        assert_eq!(sweeps(7..7 + 3 * MAX_SWEEP), 3);
+    }
+
+    /// Records the hints it is given; reads succeed and return zeroes.
+    struct Hints(Vec<(u64, u64)>);
+
+    impl BlockDevice for Hints {
+        fn num_blocks(&self) -> u64 {
+            u64::MAX
+        }
+        fn read_tagged(&mut self, _: BlockAddr, _: BlockTag) -> DiskResult<Block> {
+            Ok(Block::zeroed())
+        }
+        fn write_tagged(&mut self, _: BlockAddr, _: &Block, _: BlockTag) -> DiskResult<()> {
+            Ok(())
+        }
+        fn barrier(&mut self) -> DiskResult<()> {
+            Ok(())
+        }
+        fn flush(&mut self) -> DiskResult<()> {
+            Ok(())
+        }
+        fn readahead(&mut self, start: BlockAddr, len: u64) {
+            self.0.push((start.0, len));
+        }
+    }
+
+    fn hints_of(start: u64, len: u64, reads: impl IntoIterator<Item = u64>) -> Vec<(u64, u64)> {
+        let mut dev = Hints(Vec::new());
+        let mut ra = ScanReadahead::new(BlockAddr(start), len);
+        for addr in reads {
+            ra.hint(&mut dev, BlockAddr(addr));
+        }
+        dev.0
+    }
+
+    #[test]
+    fn a_full_scan_hints_each_chunk_once_as_it_enters_it() {
         assert_eq!(
-            plan(vec![10, 11, 20, 21, 22, 40]),
-            vec![vec![10, 11], vec![20, 21, 22], vec![40]]
+            hints_of(10, 300, 10..310),
+            vec![(10, 128), (138, 128), (266, 44)]
+        );
+        assert!(hints_of(0, 0, 0..10).is_empty());
+    }
+
+    #[test]
+    fn a_scan_that_jumps_abandons_the_chunks_it_skipped() {
+        // [100, 400) is skipped: chunk [0, 128) was hinted on entry,
+        // [128, 256) and [256, 384) are never entered, and 400 lands in
+        // the middle of [384, 512), which is hinted whole.
+        let reads = (0..100).chain(400..1000);
+        assert_eq!(
+            hints_of(0, 1000, reads),
+            vec![
+                (0, 128),
+                (384, 128),
+                (512, 128),
+                (640, 128),
+                (768, 128),
+                (896, 104)
+            ]
         );
     }
 
     #[test]
-    fn sweep_cap_splits_long_runs() {
-        let sched = IoScheduler { max_sweep: 2 };
-        let out = sched.plan(addrs(vec![1, 2, 3, 4, 5]));
-        let lens: Vec<usize> = out.iter().map(Sweep::len).collect();
-        assert_eq!(lens, vec![2, 2, 1]);
-        assert_eq!(out[0].start(), BlockAddr(1));
-        assert_eq!(out[1].start(), BlockAddr(3));
+    fn reads_outside_the_region_hint_nothing() {
+        assert!(hints_of(100, 50, (0..100).chain(150..400)).is_empty());
+        // …and leave the cursor alone, below the region or past its end.
+        assert_eq!(hints_of(100, 50, [5, 150, 100, 101]), vec![(100, 50)]);
     }
 
     #[test]
-    fn plan_scan_covers_the_range_in_capped_sweeps() {
-        let sched = IoScheduler { max_sweep: 4 };
-        let out = sched.plan_scan(BlockAddr(10), 10);
-        let lens: Vec<usize> = out.iter().map(Sweep::len).collect();
-        assert_eq!(lens, vec![4, 4, 2]);
-        assert_eq!(out[0].start(), BlockAddr(10));
-        assert_eq!(out[1].start(), BlockAddr(14));
-        assert_eq!(out[2].start(), BlockAddr(18));
-        let all: Vec<u64> = out
-            .iter()
-            .flat_map(|s| s.items.iter().map(|(a, ())| a.0))
-            .collect();
-        assert_eq!(all, (10..20).collect::<Vec<u64>>());
-        assert!(sched.plan_scan(BlockAddr(0), 0).is_empty());
-    }
-
-    #[test]
-    fn payloads_travel_with_their_address() {
-        let out = IoScheduler::new().plan(vec![
-            (BlockAddr(9), "nine"),
-            (BlockAddr(3), "three"),
-            (BlockAddr(4), "four"),
-        ]);
-        assert_eq!(out.len(), 2);
+    fn a_region_ending_at_u64_max_does_not_overflow() {
         assert_eq!(
-            out[0].items,
-            vec![(BlockAddr(3), "three"), (BlockAddr(4), "four")]
+            hints_of(u64::MAX - 10, 100, [u64::MAX - 10, u64::MAX - 1]),
+            vec![(u64::MAX - 10, 10)]
         );
-        assert_eq!(out[1].items, vec![(BlockAddr(9), "nine")]);
     }
 }

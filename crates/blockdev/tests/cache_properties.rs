@@ -14,6 +14,7 @@ use iron_blockdev::{
 use iron_core::{Block, BlockAddr, BlockTag, IoKind};
 use iron_testkit::gen::{self, Gen};
 use iron_testkit::prop::{check, Config};
+use std::collections::BTreeMap;
 
 const DISK_BLOCKS: u64 = 64;
 
@@ -174,14 +175,35 @@ fn destage_respects_barrier_epochs() {
 // Failed write-back: the lost-write window.
 // ----------------------------------------------------------------------
 
-/// A disk whose writes to one address fail until `heal` is poked.
-struct BadSpot {
-    inner: MemDisk,
-    bad: BlockAddr,
-    healed: bool,
+/// What [`BadSpots`] saw below the cache: a write (and whether it was let
+/// through) or a barrier.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Seen {
+    Write { addr: u64, ok: bool },
+    Barrier,
 }
 
-impl BlockDevice for BadSpot {
+/// A disk whose writes to the `bad` addresses fail until `healed` is set,
+/// and which lists every write and barrier that reaches it.
+struct BadSpots {
+    inner: MemDisk,
+    bad: Vec<u64>,
+    healed: bool,
+    seen: Vec<Seen>,
+}
+
+impl BadSpots {
+    fn new(blocks: u64, bad: &[u64]) -> Self {
+        BadSpots {
+            inner: MemDisk::for_tests(blocks),
+            bad: bad.to_vec(),
+            healed: false,
+            seen: Vec::new(),
+        }
+    }
+}
+
+impl BlockDevice for BadSpots {
     fn num_blocks(&self) -> u64 {
         self.inner.num_blocks()
     }
@@ -189,7 +211,9 @@ impl BlockDevice for BadSpot {
         self.inner.read_tagged(addr, tag)
     }
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {
-        if addr == self.bad && !self.healed {
+        let ok = self.healed || !self.bad.contains(&addr.0);
+        self.seen.push(Seen::Write { addr: addr.0, ok });
+        if !ok {
             return Err(DiskError::Io {
                 addr,
                 kind: IoKind::Write,
@@ -198,6 +222,7 @@ impl BlockDevice for BadSpot {
         self.inner.write_tagged(addr, block, tag)
     }
     fn barrier(&mut self) -> DiskResult<()> {
+        self.seen.push(Seen::Barrier);
         self.inner.barrier()
     }
     fn flush(&mut self) -> DiskResult<()> {
@@ -205,13 +230,18 @@ impl BlockDevice for BadSpot {
     }
 }
 
+impl RawAccess for BadSpots {
+    fn peek(&self, addr: BlockAddr) -> Block {
+        self.inner.peek(addr)
+    }
+    fn poke(&mut self, addr: BlockAddr, block: &Block) {
+        self.inner.poke(addr, block)
+    }
+}
+
 #[test]
 fn failed_writeback_surfaces_on_flush_and_retries() {
-    let mut cache = BufferCache::write_back(BadSpot {
-        inner: MemDisk::for_tests(16),
-        bad: BlockAddr(5),
-        healed: false,
-    });
+    let mut cache = BufferCache::write_back(BadSpots::new(16, &[5]));
     cache.write(BlockAddr(3), &Block::filled(3)).unwrap();
     cache.write(BlockAddr(5), &Block::filled(5)).unwrap();
     cache.write(BlockAddr(9), &Block::filled(9)).unwrap();
@@ -245,14 +275,7 @@ fn failed_writeback_surfaces_on_flush_and_retries() {
 /// by the next access once the spot heals.
 #[test]
 fn failed_writeback_at_eviction_keeps_the_victim() {
-    let mut cache = BufferCache::new(
-        BadSpot {
-            inner: MemDisk::for_tests(16),
-            bad: BlockAddr(5),
-            healed: false,
-        },
-        CachePolicy::write_back(2),
-    );
+    let mut cache = BufferCache::new(BadSpots::new(16, &[5]), CachePolicy::write_back(2));
     cache.write(BlockAddr(5), &Block::filled(5)).unwrap();
     cache.write(BlockAddr(6), &Block::filled(6)).unwrap();
     for _ in 0..2 {
@@ -266,4 +289,157 @@ fn failed_writeback_at_eviction_keeps_the_victim() {
     assert!(cache.read(BlockAddr(7)).unwrap().is_zeroed());
     assert_eq!((cache.stats().evictions, cache.dirty_blocks()), (1, 0));
     assert_eq!(cache.inner().inner.peek(BlockAddr(5)), Block::filled(5));
+}
+
+// ----------------------------------------------------------------------
+// The dirty index is exact.
+// ----------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+enum IndexOp {
+    Write(u64, u8),
+    Read(u64),
+    Barrier,
+    Flush,
+    /// Harness store: medium and resident copy agree afterwards.
+    Poke(u64, u8),
+}
+
+fn index_op_gen() -> impl Gen<Value = IndexOp> {
+    let addr = || gen::u64_in(0..DISK_BLOCKS);
+    gen::weighted(vec![
+        (
+            6,
+            (addr(), gen::u8_any())
+                .map(|(a, f)| IndexOp::Write(a, f))
+                .boxed(),
+        ),
+        (2, addr().map(IndexOp::Read).boxed()),
+        (2, gen::just(IndexOp::Barrier).boxed()),
+        (1, gen::just(IndexOp::Flush).boxed()),
+        (
+            1,
+            (addr(), gen::u8_any())
+                .map(|(a, f)| IndexOp::Poke(a, f))
+                .boxed(),
+        ),
+    ])
+}
+
+/// The model of the cache's dirty state: `addr → epoch` of every dirty
+/// block, plus the epoch counter (which advances on a barrier iff
+/// something was written since it last advanced).
+#[derive(Default)]
+struct DirtyModel {
+    dirty: BTreeMap<u64, u64>,
+    epoch: u64,
+    epoch_dirty: bool,
+}
+
+impl DirtyModel {
+    /// What one destage attempt must show below the cache — epochs in
+    /// order, one barrier between them, addresses ascending inside each,
+    /// stopping at the first write that fails — and whether it fails.
+    /// Blocks written are dropped from the model.
+    fn destage(&mut self, failing: &[u64]) -> (Vec<Seen>, bool) {
+        let mut keys: Vec<(u64, u64)> = self.dirty.iter().map(|(&a, &e)| (e, a)).collect();
+        keys.sort_unstable();
+        let mut seen = Vec::new();
+        for (i, &(epoch, addr)) in keys.iter().enumerate() {
+            if i > 0 && keys[i - 1].0 != epoch {
+                seen.push(Seen::Barrier);
+            }
+            let ok = !failing.contains(&addr);
+            seen.push(Seen::Write { addr, ok });
+            if !ok {
+                return (seen, true);
+            }
+            self.dirty.remove(&addr);
+        }
+        (seen, false)
+    }
+}
+
+/// Random traffic over a device that fails chosen write-backs, against
+/// [`DirtyModel`]: the dirty count matches after every operation, every
+/// destage (flush or eviction) shows exactly the model's order below the
+/// cache, and after a failed flush a healed retry writes exactly what the
+/// model still holds dirty.
+fn dirty_index_matches_the_model(name: &str, cases: u32) {
+    let input = (
+        gen::vec_of(index_op_gen(), 1..120),
+        gen::usize_in(1..80),
+        gen::vec_of(gen::u64_in(0..DISK_BLOCKS), 0..4),
+    );
+    check(name, Config::cases(cases), &input, |(ops, cap, bad)| {
+        let mut cache = BufferCache::new(
+            BadSpots::new(DISK_BLOCKS, bad),
+            CachePolicy::write_back(*cap),
+        );
+        let mut model = DirtyModel::default();
+        let mut logical = [0u8; DISK_BLOCKS as usize];
+        for op in ops {
+            // A destage, if this operation runs one, runs before the
+            // operation's own effect: predict it from the model as it is.
+            let before = model.dirty.clone();
+            let (predicted, fails) = model.destage(bad);
+            let result = match *op {
+                IndexOp::Write(a, f) => cache.write(BlockAddr(a), &Block::filled(f)),
+                IndexOp::Read(a) => cache.read(BlockAddr(a)).map(|b| {
+                    assert_eq!(b, Block::filled(logical[a as usize]), "read of {a}");
+                }),
+                IndexOp::Barrier => cache.barrier(),
+                IndexOp::Flush => cache.flush(),
+                IndexOp::Poke(a, f) => {
+                    cache.poke(BlockAddr(a), &Block::filled(f));
+                    Ok(())
+                }
+            };
+            let seen = std::mem::take(&mut cache.inner_mut().seen);
+            if seen.is_empty() && !matches!(op, IndexOp::Flush) {
+                model.dirty = before; // no eviction, so no destage
+                assert!(result.is_ok(), "{op:?} failed without I/O");
+            } else {
+                assert_eq!(seen, predicted, "destage order at {op:?}");
+                assert_eq!(result.is_err(), fails, "{op:?}");
+            }
+            match *op {
+                IndexOp::Write(a, f) if result.is_ok() => {
+                    model.dirty.insert(a, model.epoch);
+                    model.epoch_dirty = true;
+                    logical[a as usize] = f;
+                }
+                IndexOp::Barrier if model.epoch_dirty => {
+                    model.epoch += 1;
+                    model.epoch_dirty = false;
+                }
+                IndexOp::Poke(a, f) => {
+                    model.dirty.remove(&a);
+                    logical[a as usize] = f;
+                }
+                IndexOp::Flush if fails => {
+                    assert_eq!(cache.dirty_blocks(), model.dirty.len());
+                    cache.inner_mut().healed = true;
+                    let (remaining, _) = model.destage(&[]);
+                    cache.flush().expect("healed flush");
+                    let seen = std::mem::take(&mut cache.inner_mut().seen);
+                    assert_eq!(seen, remaining, "healed retry");
+                    cache.inner_mut().healed = false;
+                }
+                _ => {}
+            }
+            assert_eq!(cache.dirty_blocks(), model.dirty.len(), "after {op:?}");
+        }
+    });
+}
+
+#[test]
+fn dirty_index_is_exact() {
+    dirty_index_matches_the_model("dirty_index_is_exact", 150);
+}
+
+#[test]
+#[ignore = "stress lane; run with --ignored"]
+fn dirty_index_is_exact_stress() {
+    dirty_index_matches_the_model("dirty_index_is_exact_stress", 2000);
 }

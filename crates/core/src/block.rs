@@ -135,6 +135,35 @@ impl Block {
     pub fn is_zeroed(&self) -> bool {
         self.0.iter().all(|&b| b == 0)
     }
+
+    // The block as an allocation bitmap: bit `i` is bit `i % 8` of byte
+    // `i / 8`, set meaning allocated. Nothing here judges the contents (the
+    // commodity file systems trust their bitmaps completely, §5.1), and an
+    // index past the block panics: a caller holding one read from disk
+    // checks it against its geometry first.
+
+    /// Test bit `i`.
+    pub fn bit(&self, i: u64) -> bool {
+        self.0[(i / 8) as usize] & (1 << (i % 8)) != 0
+    }
+
+    /// Set bit `i` (mark allocated).
+    pub fn set_bit(&mut self, i: u64) {
+        self.0[(i / 8) as usize] |= 1 << (i % 8);
+    }
+
+    /// Clear bit `i` (mark free).
+    pub fn clear_bit(&mut self, i: u64) {
+        self.0[(i / 8) as usize] &= !(1 << (i % 8));
+    }
+
+    /// The first zero bit below `limit`, searching from `hint` and wrapping
+    /// around to the bits before it (first fit with a locality goal, like
+    /// ext3's goal blocks; a `hint` of 0 is plain first fit).
+    pub fn first_zero_bit(&self, limit: u64, hint: u64) -> Option<u64> {
+        let start = hint.min(limit);
+        (start..limit).chain(0..start).find(|&i| !self.bit(i))
+    }
 }
 
 impl Default for Block {
@@ -183,6 +212,49 @@ mod tests {
         assert_eq!(b.get_u16(0), 0xBEEF);
         assert_eq!(b.get_u32(2), 0xDEADBEEF);
         assert_eq!(b.get_u64(6), 0x0123_4567_89AB_CDEF);
+    }
+
+    #[test]
+    fn bits_set_test_clear() {
+        let mut b = Block::zeroed();
+        assert!(!b.bit(0));
+        for i in [0, 7, 8, 1023] {
+            b.set_bit(i);
+            assert!(b.bit(i));
+        }
+        assert_eq!(
+            (b[0], b[1], b[127]),
+            (0x81, 0x01, 0x80),
+            "bit i % 8 of byte i / 8"
+        );
+        assert!(!b.bit(9));
+        b.clear_bit(7);
+        assert!(!b.bit(7));
+        assert!(b.bit(8), "neighbors untouched");
+    }
+
+    #[test]
+    fn first_zero_bit_respects_limit_and_hint() {
+        let mut b = Block::zeroed();
+        for i in 0..10 {
+            b.set_bit(i);
+        }
+        assert_eq!(b.first_zero_bit(1024, 0), Some(10));
+        // Hint skips ahead…
+        assert_eq!(b.first_zero_bit(1024, 100), Some(100));
+        // …but wraps around when the tail is full.
+        let mut c = Block::zeroed();
+        for i in 5..1024 {
+            c.set_bit(i);
+        }
+        assert_eq!(c.first_zero_bit(1024, 500), Some(0));
+        // A full bitmap yields None, whatever lies past the limit.
+        let mut full = Block::zeroed();
+        for i in 0..64 {
+            full.set_bit(i);
+        }
+        assert_eq!(full.first_zero_bit(64, 0), None);
+        assert_eq!(full.first_zero_bit(64, 9999), None);
     }
 
     #[test]

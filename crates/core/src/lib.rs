@@ -28,6 +28,8 @@
 //!   propagation, or stop — shared across layers through a swappable
 //!   [`recover::PolicyHandle`] and enacted at every layer by the one
 //!   chain walker, [`recover::PolicyHandle::walk`];
+//! * one copy of each small PRNG step and hash the workspace draws
+//!   deterministic streams from ([`hash`]);
 //! * the shared parallel executor ([`exec::WorkerPool`]): the scoped
 //!   `std::thread` sharded scheduler behind both the pFSCK-style check
 //!   engine (`iron-fsck`) and the fingerprinting campaign
@@ -41,6 +43,7 @@ pub mod checksum;
 pub mod clock;
 pub mod errno;
 pub mod exec;
+pub mod hash;
 pub mod klog;
 pub mod model;
 pub mod policy;

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use iron_blockdev::{retry::classify, BlockDevice, IoScheduler, Lru, RawAccess, ScanReadahead};
+use iron_blockdev::{retry::classify, BlockDevice, Lru, RawAccess, ScanReadahead};
 use iron_core::checksum::sha1;
 use iron_core::recover::{
     Backoff, ErrorClass, FailurePolicyTable, PolicyHandle, RecoveryAction, Step,
@@ -16,7 +16,6 @@ use iron_core::recover::{
 use iron_core::{Block, BlockAddr, Errno, IoKind, SimClock, BLOCK_SIZE};
 use iron_vfs::{FsEnv, VfsError, VfsResult};
 
-use crate::alloc;
 use crate::dir::{self, RawDirEntry};
 use crate::inode::DiskInode;
 use crate::iron::{IronConfig, SHA1_BLOCK_COST_NS, XOR_BLOCK_COST_NS};
@@ -310,13 +309,13 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             // Reserve bitmap blocks, inode table, and the super replica.
             let reserved_head = 2 + layout.itable_blocks;
             for i in 0..reserved_head {
-                alloc::bit_set(&mut dbm, i);
+                dbm.set_bit(i);
             }
-            alloc::bit_set(&mut dbm, params.blocks_per_group - 1); // super replica
+            dbm.set_bit(params.blocks_per_group - 1); // super replica
             let mut group_free = layout.data_blocks_per_group();
             if g == 0 {
                 // Root directory block.
-                alloc::bit_set(&mut dbm, root_dir_block - base);
+                dbm.set_bit(root_dir_block - base);
                 group_free -= 1;
             }
             push(base, dbm);
@@ -325,8 +324,8 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             let mut group_free_inodes = params.inodes_per_group;
             if g == 0 {
                 // Inodes 1 (reserved) and 2 (root).
-                alloc::bit_set(&mut ibm, 0);
-                alloc::bit_set(&mut ibm, 1);
+                ibm.set_bit(0);
+                ibm.set_bit(1);
                 group_free_inodes -= 2;
             }
             push(base + 1, ibm);
@@ -647,12 +646,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         let entries_per_block = BLOCK_SIZE as u64 / 8;
         // Sequential sweep over the on-disk table; hint it like the replay
         // scan so mount-time loading streams at media rate.
-        let sched = IoScheduler::new();
-        let mut ra = ScanReadahead::new(
-            &sched,
-            BlockAddr(self.layout.cksum_start),
-            self.layout.cksum_len,
-        );
+        let mut ra = ScanReadahead::new(BlockAddr(self.layout.cksum_start), self.layout.cksum_len);
         for i in 0..self.layout.cksum_len {
             let addr = BlockAddr(self.layout.cksum_start + i);
             ra.hint(&mut self.dev, addr);
@@ -1354,12 +1348,11 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         // from the replay-side hash.
         let mut pending_revoke_images: Vec<Block> = Vec::new();
         // The scan is strictly ascending over the whole journal region, so
-        // plan it into elevator sweeps and hint each one ahead of the reads:
-        // the disk streams the swept blocks from its track buffer instead of
-        // re-positioning per block. Purely a timing hint — the tagged read
-        // stream (what fault injection and traces see) is unchanged.
-        let sched = IoScheduler::new();
-        let mut ra = ScanReadahead::new(&sched, BlockAddr(start), self.layout.journal_len);
+        // hint each elevator sweep ahead of its reads: the disk streams the
+        // swept blocks from its track buffer instead of re-positioning per
+        // block. Purely a timing hint — the tagged read stream (what fault
+        // injection and traces see) is unchanged.
+        let mut ra = ScanReadahead::new(BlockAddr(start), self.layout.journal_len);
         let mut pos = start;
         'scan: while pos < end {
             ra.hint(&mut self.dev, BlockAddr(pos));

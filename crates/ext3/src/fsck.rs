@@ -4,14 +4,15 @@
 //! that even journaling file systems benefit from periodic full-scan
 //! integrity checks (§3.1). This module has two faces:
 //!
-//! * [`check`]/[`repair`] — the original *sequential* checker. It walks the
-//!   on-disk image through [`RawAccess`] (no faults, no timing) and reports
+//! * [`check`] — the original *sequential* checker. It walks the on-disk
+//!   image through [`RawAccess`] (no faults, no timing) and reports
 //!   structural inconsistencies. It is the **differential oracle** for
 //!   `iron-fsck`: the parallel engine must report the identical issue
 //!   multiset on every image, at every thread count.
 //! * [`Ext3Image`] — the adapter that implements `iron_fsck::Checkable`
 //!   and `iron_fsck::Repairable`, letting the generic parallel engine
-//!   check and transactionally repair ext3 images.
+//!   check and transactionally repair ext3 images. It is the one ext3
+//!   repairer.
 //!
 //! Both faces share the issue vocabulary ([`iron_fsck::FsckIssue`]), the
 //! superblock geometry sanity checks ([`superblock_sanity`], `DSanity`),
@@ -25,7 +26,6 @@ use iron_core::{Block, BlockAddr, BLOCK_SIZE};
 use iron_fsck::{ChildEntry, FileKind, InodeSummary, RepairFix, SuperblockReport};
 use iron_vfs::FileType;
 
-use crate::alloc;
 use crate::dir;
 use crate::inode::{DiskInode, NDIRECT, PTRS_PER_BLOCK};
 use crate::layout::{DiskLayout, ROOT_INO};
@@ -258,7 +258,7 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
         let data_hi = layout.params.blocks_per_group - 1; // super replica excluded
         for bit in data_lo..data_hi {
             let addr = base + bit;
-            let marked = alloc::bit_test(&dbm, bit);
+            let marked = dbm.bit(bit);
             let used = used_blocks.contains_key(&addr);
             if used && !marked {
                 report.issues.push(FsckIssue::BlockNotMarked { addr });
@@ -274,7 +274,7 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
             if ino == 1 {
                 continue; // reserved
             }
-            let marked = alloc::bit_test(&ibm, bit);
+            let marked = ibm.bit(bit);
             let di = inode_at(dev, layout, ino);
             if marked == di.is_free() {
                 report.issues.push(FsckIssue::InodeBitmapMismatch { ino });
@@ -286,59 +286,6 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
     }
 
     report
-}
-
-/// Repair the subset of issues that can be fixed mechanically (`RRepair`):
-/// leaked blocks are freed, wrong link counts corrected, inode-bitmap
-/// mismatches resolved in favor of the inode table. Returns the number of
-/// fixes applied. Dangling entries and double-used blocks are *reported*
-/// but left alone (fixing them is data-loss territory — "Could lose data",
-/// Table 2).
-///
-/// This is the legacy sequential arm; the planner in `iron-fsck` covers
-/// more classes (geometry fields, unmarked blocks) and applies fixes
-/// transactionally — see [`Ext3Image`].
-pub fn repair<D: RawAccess>(dev: &mut D, layout: &DiskLayout) -> usize {
-    let report = check(dev, layout);
-    let mut fixes = 0;
-    for issue in &report.issues {
-        match issue {
-            FsckIssue::BlockLeaked { addr } => {
-                if let Some(g) = layout.group_of_block(*addr) {
-                    let bm_addr = layout.data_bitmap(g);
-                    let mut bm = dev.peek(bm_addr);
-                    alloc::bit_clear(&mut bm, addr - layout.group_base(g));
-                    dev.poke(bm_addr, &bm);
-                    fixes += 1;
-                }
-            }
-            FsckIssue::WrongLinkCount { ino, actual, .. } => {
-                let (blk, off) = layout.inode_location(*ino);
-                let mut b = dev.peek(blk);
-                let mut di = DiskInode::decode_from(&b, off);
-                di.links_count = *actual;
-                di.encode_into(&mut b, off);
-                dev.poke(blk, &b);
-                fixes += 1;
-            }
-            FsckIssue::InodeBitmapMismatch { ino } => {
-                let g = (ino - 1) / layout.params.inodes_per_group;
-                let bit = (ino - 1) % layout.params.inodes_per_group;
-                let bm_addr = layout.inode_bitmap(g);
-                let mut bm = dev.peek(bm_addr);
-                let di = inode_at(dev, layout, *ino);
-                if di.is_free() {
-                    alloc::bit_clear(&mut bm, bit);
-                } else {
-                    alloc::bit_set(&mut bm, bit);
-                }
-                dev.poke(bm_addr, &bm);
-                fixes += 1;
-            }
-            _ => {}
-        }
-    }
-    fixes
 }
 
 /// An ext3 image viewed through the generic `iron-fsck` traits: the
@@ -485,7 +432,7 @@ impl<D: RawAccess + Sync> iron_fsck::Checkable for Ext3Image<D> {
         match self.layout.group_of_block(addr) {
             Some(g) => {
                 let bm = self.dev.peek(self.layout.data_bitmap(g));
-                alloc::bit_test(&bm, addr - self.layout.group_base(g))
+                bm.bit(addr - self.layout.group_base(g))
             }
             None => false,
         }
@@ -495,7 +442,7 @@ impl<D: RawAccess + Sync> iron_fsck::Checkable for Ext3Image<D> {
         let g = (ino - 1) / self.layout.params.inodes_per_group;
         let bit = (ino - 1) % self.layout.params.inodes_per_group;
         let bm = self.dev.peek(self.layout.inode_bitmap(g));
-        alloc::bit_test(&bm, bit)
+        bm.bit(bit)
     }
 }
 
@@ -510,10 +457,10 @@ impl<D: RawAccess + Sync> iron_fsck::Repairable for Ext3Image<D> {
                 let bm_addr = self.layout.data_bitmap(g);
                 let mut bm = self.dev.peek(bm_addr);
                 let bit = addr - self.layout.group_base(g);
-                if !alloc::bit_test(&bm, bit) {
+                if !bm.bit(bit) {
                     return Err(format!("block {addr} already free"));
                 }
-                alloc::bit_clear(&mut bm, bit);
+                bm.clear_bit(bit);
                 self.dev.poke(bm_addr, &bm);
                 Ok(RepairFix::MarkBlock { addr })
             }
@@ -525,10 +472,10 @@ impl<D: RawAccess + Sync> iron_fsck::Repairable for Ext3Image<D> {
                 let bm_addr = self.layout.data_bitmap(g);
                 let mut bm = self.dev.peek(bm_addr);
                 let bit = addr - self.layout.group_base(g);
-                if alloc::bit_test(&bm, bit) {
+                if bm.bit(bit) {
                     return Err(format!("block {addr} already marked"));
                 }
-                alloc::bit_set(&mut bm, bit);
+                bm.set_bit(bit);
                 self.dev.poke(bm_addr, &bm);
                 Ok(RepairFix::FreeBlock { addr })
             }
@@ -596,11 +543,11 @@ impl<D: RawAccess> Ext3Image<D> {
         let bit = (ino - 1) % self.layout.params.inodes_per_group;
         let bm_addr = self.layout.inode_bitmap(g);
         let mut bm = self.dev.peek(bm_addr);
-        let old = alloc::bit_test(&bm, bit);
+        let old = bm.bit(bit);
         if used {
-            alloc::bit_set(&mut bm, bit);
+            bm.set_bit(bit);
         } else {
-            alloc::bit_clear(&mut bm, bit);
+            bm.clear_bit(bit);
         }
         self.dev.poke(bm_addr, &bm);
         Ok(RepairFix::SetInodeMark { ino, used: old })

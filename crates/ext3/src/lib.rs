@@ -18,7 +18,7 @@
 //! |---|---|
 //! | inode | [`inode::DiskInode`], 128-byte records in per-group tables |
 //! | directory | [`dir`] — ext2-style variable-length entries |
-//! | data bitmap / inode bitmap | per-group bitmap blocks ([`alloc`]) |
+//! | data bitmap / inode bitmap | per-group bitmap blocks ([`iron_core::Block`]'s bit operations) |
 //! | indirect | single/double indirect pointer blocks |
 //! | data | user data blocks |
 //! | super | [`superblock::Superblock`] at block 0 |
@@ -49,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod dir;
 pub mod fs;
 pub mod fsck;

@@ -7,7 +7,6 @@ use iron_core::recover::{ErrorClass, Step, Verdict, Walk};
 use iron_core::{Block, BlockAddr, BlockTag, Errno, IoKind, BLOCK_SIZE};
 use iron_vfs::{DirEntry, FileType, FsEnv, InodeAttr, MountState, SpecificFs, StatFs, VfsResult};
 
-use crate::alloc;
 use crate::dir::{self, ftype_from_code, RawDirEntry};
 use crate::fs::Ext3Fs;
 use crate::inode::{DiskInode, NDIRECT, PTRS_PER_BLOCK};
@@ -364,11 +363,11 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             let mut view = bm.clone();
             for &a in &self.uncommitted_frees {
                 if self.layout().group_of_block(a) == Some(g) {
-                    alloc::bit_set(&mut view, a - self.layout().group_base(g));
+                    view.set_bit(a - self.layout().group_base(g));
                 }
             }
-            if let Some(bit) = alloc::find_free(&view, bpg, data_lo) {
-                alloc::bit_set(&mut bm, bit);
+            if let Some(bit) = view.first_zero_bit(bpg, data_lo) {
+                bm.set_bit(bit);
                 self.write_meta(bm_addr, bm, BlockType::DataBitmap);
                 self.sb.free_blocks = self.sb.free_blocks.saturating_sub(1);
                 if let Some(gd) = self.gdt.get_mut(g as usize) {
@@ -389,7 +388,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         let bm_addr = self.layout().data_bitmap(g).0;
         let mut bm = self.read_meta(bm_addr, BlockType::DataBitmap)?;
         let bit = addr - self.layout().group_base(g);
-        alloc::bit_clear(&mut bm, bit);
+        bm.clear_bit(bit);
         self.write_meta(bm_addr, bm, BlockType::DataBitmap);
         self.sb.free_blocks += 1;
         if let Some(gd) = self.gdt.get_mut(g as usize) {
@@ -414,8 +413,8 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         for g in 0..self.layout().num_groups {
             let bm_addr = self.layout().inode_bitmap(g).0;
             let mut bm = self.read_meta(bm_addr, BlockType::InodeBitmap)?;
-            if let Some(bit) = alloc::find_free(&bm, ipg, 0) {
-                alloc::bit_set(&mut bm, bit);
+            if let Some(bit) = bm.first_zero_bit(ipg, 0) {
+                bm.set_bit(bit);
                 self.write_meta(bm_addr, bm, BlockType::InodeBitmap);
                 self.sb.free_inodes = self.sb.free_inodes.saturating_sub(1);
                 if let Some(gd) = self.gdt.get_mut(g as usize) {
@@ -437,7 +436,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         let bit = (ino - 1) % ipg;
         let bm_addr = self.layout().inode_bitmap(g).0;
         let mut bm = self.read_meta(bm_addr, BlockType::InodeBitmap)?;
-        alloc::bit_clear(&mut bm, bit);
+        bm.clear_bit(bit);
         self.write_meta(bm_addr, bm, BlockType::InodeBitmap);
         self.sb.free_inodes += 1;
         if let Some(gd) = self.gdt.get_mut(g as usize) {

@@ -1,16 +1,28 @@
-//! Tests of the offline checker's `RRepair` arm (§3.3: "a block that is
-//! not pointed to, but is marked as allocated in a bitmap, could be
-//! freed") — repairable damage is fixed mechanically; data-loss repairs
-//! are reported but refused.
+//! Tests of `RRepair` on ext3 images (§3.3: "a block that is not pointed
+//! to, but is marked as allocated in a bitmap, could be freed") —
+//! repairable damage is fixed mechanically by the `iron-fsck` planner;
+//! data-loss repairs are reported but refused. The sequential
+//! [`check`] is the judge before and after.
 
 use iron_blockdev::{MemDisk, RawAccess};
 use iron_core::BlockAddr;
-use iron_ext3::fsck::{check, repair, FsckIssue};
+use iron_ext3::fsck::{check, Ext3Image, FsckIssue};
 use iron_ext3::inode::DiskInode;
-use iron_ext3::{alloc, Ext3Fs, Ext3Options, Ext3Params};
+use iron_ext3::{DiskLayout, Ext3Fs, Ext3Options, Ext3Params};
+use iron_fsck::FsckEngine;
 use iron_vfs::{FsEnv, Vfs};
 
-fn image() -> (MemDisk, iron_ext3::DiskLayout) {
+/// Check and transactionally repair the image; returns it with the number
+/// of fixes applied.
+fn repair(dev: MemDisk, layout: &DiskLayout) -> (MemDisk, usize) {
+    let mut img = Ext3Image::new(dev, *layout);
+    let (_, summary, _) = FsckEngine::with_threads(1)
+        .check_and_repair(&mut img)
+        .expect("repair applies");
+    (img.into_device(), summary.applied)
+}
+
+fn image() -> (MemDisk, DiskLayout) {
     let dev = MemDisk::for_tests(4096);
     let fs = Ext3Fs::format_and_mount(
         dev,
@@ -41,8 +53,8 @@ fn repair_frees_leaked_blocks() {
     let base = layout.group_base(0);
     let mut leaked = Vec::new();
     for bit in (0..layout.params.blocks_per_group - 1).rev() {
-        if !alloc::bit_test(&bm, bit) {
-            alloc::bit_set(&mut bm, bit);
+        if !bm.bit(bit) {
+            bm.set_bit(bit);
             leaked.push(base + bit);
             if leaked.len() == 3 {
                 break;
@@ -60,7 +72,7 @@ fn repair_frees_leaked_blocks() {
             .count(),
         3
     );
-    let fixes = repair(&mut dev, &layout);
+    let (dev, fixes) = repair(dev, &layout);
     assert_eq!(fixes, 3);
     assert!(check(&dev, &layout).is_clean(), "image clean after repair");
 }
@@ -94,7 +106,7 @@ fn repair_fixes_wrong_link_counts() {
             ..
         }
     )));
-    let fixes = repair(&mut dev, &layout);
+    let (dev, fixes) = repair(dev, &layout);
     assert!(fixes >= 1);
     assert!(check(&dev, &layout).is_clean());
 }
@@ -106,7 +118,7 @@ fn repair_fixes_inode_bitmap_mismatch() {
     let ibm_addr = layout.inode_bitmap(0);
     let mut ibm = dev.peek(ibm_addr);
     let bit = 100; // far past the ~12 used inodes
-    alloc::bit_set(&mut ibm, bit);
+    ibm.set_bit(bit);
     dev.poke(ibm_addr, &ibm);
 
     let before = check(&dev, &layout);
@@ -114,7 +126,8 @@ fn repair_fixes_inode_bitmap_mismatch() {
         .issues
         .iter()
         .any(|i| matches!(i, FsckIssue::InodeBitmapMismatch { ino } if *ino == bit + 1)));
-    assert!(repair(&mut dev, &layout) >= 1);
+    let (dev, fixes) = repair(dev, &layout);
+    assert!(fixes >= 1);
     assert!(check(&dev, &layout).is_clean());
 }
 
@@ -141,7 +154,7 @@ fn repair_refuses_data_loss_cases() {
         .issues
         .iter()
         .any(|i| matches!(i, FsckIssue::DanglingEntry { .. })));
-    let _ = repair(&mut dev, &layout);
+    let (dev, _) = repair(dev, &layout);
     let after = check(&dev, &layout);
     assert!(
         after
@@ -158,9 +171,9 @@ fn repaired_image_remounts_and_serves_files() {
     // Leak a block, repair, remount, verify content.
     let bm_addr = layout.data_bitmap(1);
     let mut bm = dev.peek(bm_addr);
-    alloc::bit_set(&mut bm, layout.params.blocks_per_group - 2);
+    bm.set_bit(layout.params.blocks_per_group - 2);
     dev.poke(bm_addr, &bm);
-    repair(&mut dev, &layout);
+    let (dev, _) = repair(dev, &layout);
     let fs = Ext3Fs::mount(dev, FsEnv::new(), Ext3Options::default()).unwrap();
     let mut v = Vfs::new(fs);
     assert_eq!(v.read_file("/d/f3").unwrap(), vec![3u8; 9_000]);

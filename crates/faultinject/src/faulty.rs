@@ -1,6 +1,7 @@
 //! [`FaultyDisk`]: the pseudo-device driver that enacts a [`FaultPlan`].
 
 use iron_blockdev::{BlockDevice, DiskError, DiskResult, IoOutcome, IoTrace, RawAccess};
+use iron_core::hash::xorshift64;
 use iron_core::model::CorruptionStyle;
 use iron_core::{Block, BlockAddr, BlockTag, FaultKind, IoKind, SimClock, BLOCK_SIZE};
 
@@ -120,14 +121,11 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
         match style {
             CorruptionStyle::RandomNoise => {
                 let mut b = Block::zeroed();
-                // xorshift64* keyed by (seed, addr): deterministic per block,
+                // xorshift64 keyed by (seed, addr): deterministic per block,
                 // different across blocks.
                 let mut x = self.noise_seed ^ (addr.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
                 for chunk in b.chunks_mut(8) {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let bytes = x.to_le_bytes();
+                    let bytes = xorshift64(&mut x).to_le_bytes();
                     let n = chunk.len();
                     chunk.copy_from_slice(&bytes[..n]);
                 }

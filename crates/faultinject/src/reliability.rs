@@ -11,6 +11,8 @@
 //! for scrubbing in RAID systems, and for the placement rules of ixt3's
 //! replicas).
 
+use iron_core::hash::splitmix64;
+
 /// Parameters of a reliability simulation.
 #[derive(Clone, Copy, Debug)]
 pub struct ReliabilityParams {
@@ -64,11 +66,7 @@ struct SplitMix64(u64);
 
 impl SplitMix64 {
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.0)
     }
 
     /// Uniform in [0, 1).

@@ -21,8 +21,9 @@
 //! [`drive`] shards it over [`iron_core::exec::WorkerPool`], workers fold
 //! finished cells into per-shard vectors keyed by `(panel, row, col)`, and
 //! the merge inserts them by key — the result is *bit-identical* to the
-//! sequential run at any thread count (the `campaign_scaling` bench and
-//! the property suite assert this).
+//! sequential run at any thread count (pinned by
+//! `tests::every_axis_is_bit_identical_at_any_thread_count` and the
+//! property suite).
 
 use std::collections::HashMap;
 

@@ -70,7 +70,8 @@ pub struct FsckStats {
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct FsckOptions {
-    /// Worker threads (1 = honest sequential baseline).
+    /// Worker threads: 1 is the honest sequential baseline, 0 is one worker
+    /// per hardware thread (as in the campaign and serve options).
     pub threads: usize,
     /// Kernel log to surface pass counters and summaries through.
     pub klog: Option<KernelLog>,
@@ -226,7 +227,7 @@ impl FsckEngine {
     /// Build an engine from options.
     pub fn new(opts: FsckOptions) -> Self {
         FsckEngine {
-            pool: WorkerPool::new(opts.threads),
+            pool: WorkerPool::sized(opts.threads),
             klog: opts.klog,
         }
     }
@@ -532,6 +533,14 @@ mod tests {
             assert!(report.is_clean(), "threads={threads}: {:?}", report.issues);
             assert_eq!(report.stats.threads, threads);
         }
+    }
+
+    #[test]
+    fn zero_threads_is_one_worker_per_hardware_thread() {
+        assert_eq!(
+            FsckEngine::with_threads(0).threads(),
+            WorkerPool::auto().threads()
+        );
     }
 
     #[test]

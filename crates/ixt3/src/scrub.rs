@@ -13,7 +13,7 @@
 //! quantifies the detection-latency benefit using the Monte-Carlo model in
 //! `iron-faultinject`.
 
-use iron_blockdev::{BlockDevice, IoScheduler, RawAccess, ScanReadahead};
+use iron_blockdev::{BlockDevice, RawAccess, ScanReadahead};
 use iron_core::{BlockAddr, BLOCK_SIZE};
 use iron_ext3::layout::BlockType;
 use iron_ext3::Ext3Fs;
@@ -93,8 +93,7 @@ pub fn scrub<D: BlockDevice + RawAccess>(fs: &mut Ext3Fs<D>) -> ScrubReport {
     // elevator sweep ahead of its reads so the pass streams at media rate.
     // Repair writes invalidate the hint window, which is correct: after a
     // repair the head has moved and the next sweep re-positions anyway.
-    let sched = IoScheduler::new();
-    let mut ra = ScanReadahead::new(&sched, BlockAddr(0), layout.fs_blocks);
+    let mut ra = ScanReadahead::new(BlockAddr(0), layout.fs_blocks);
     for addr in 0..layout.fs_blocks {
         let ty = layout.classify_static(addr);
         // Only the journal log area is skipped: it is transient, and its

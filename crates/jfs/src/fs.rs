@@ -171,7 +171,7 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
         let mut bmaps: Vec<Block> = (0..layout.bmap_len).map(|_| Block::zeroed()).collect();
         for b in 0..=root_dir_block {
             let bits = BLOCK_SIZE as u64 * 8;
-            bmaps[(b / bits) as usize][(b % bits / 8) as usize] |= 1 << (b % 8);
+            bmaps[(b / bits) as usize].set_bit(b % bits);
         }
         let mut imaps: Vec<Block> = (0..layout.imap_len).map(|_| Block::zeroed()).collect();
         imaps[0][0] |= 0b11; // inodes 1 (reserved) and 2 (root)
@@ -443,6 +443,11 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
         }
         self.cache.insert(addr, block.clone());
         self.dirty.insert(addr, (block, ty));
+    }
+
+    /// Stage bitmap block `bm`, journaling only the byte that holds `bit`.
+    fn stage_bit(&mut self, addr: u64, bm: Block, ty: JfsBlockType, bit: u64) {
+        self.stage(addr, bm, ty, &[((bit / 8) as usize, 1)]);
     }
 
     /// Commit: journal-superblock (write error ⇒ crash), record blocks
@@ -739,15 +744,12 @@ impl<D: BlockDevice + RawAccess> FlatStore for JfsFs<D> {
             let mut bm = self.generic_read(bm_addr, JfsBlockType::Bmap)?;
             let bits = BLOCK_SIZE as u64 * 8;
             let limit = bits.min(self.sb.total_blocks - i * bits);
-            for bit in 0..limit {
-                let byte = (bit / 8) as usize;
-                if bm[byte] & (1 << (bit % 8)) == 0 {
-                    bm[byte] |= 1 << (bit % 8);
-                    self.stage(bm_addr, bm, JfsBlockType::Bmap, &[(byte, 1)]);
-                    self.sb.free_blocks -= 1;
-                    self.update_super_and_desc();
-                    return Ok(i * bits + bit);
-                }
+            if let Some(bit) = bm.first_zero_bit(limit, 0) {
+                bm.set_bit(bit);
+                self.stage_bit(bm_addr, bm, JfsBlockType::Bmap, bit);
+                self.sb.free_blocks -= 1;
+                self.update_super_and_desc();
+                return Ok(i * bits + bit);
             }
         }
         Err(Errno::ENOSPC.into())
@@ -756,9 +758,8 @@ impl<D: BlockDevice + RawAccess> FlatStore for JfsFs<D> {
     fn free_block(&mut self, addr: u64) -> VfsResult<()> {
         let (bm_addr, bit) = self.layout.bmap_location(addr);
         let mut bm = self.generic_read(bm_addr.0, JfsBlockType::Bmap)?;
-        let byte = (bit / 8) as usize;
-        bm[byte] &= !(1 << (bit % 8));
-        self.stage(bm_addr.0, bm, JfsBlockType::Bmap, &[(byte, 1)]);
+        bm.clear_bit(bit);
+        self.stage_bit(bm_addr.0, bm, JfsBlockType::Bmap, bit);
         self.sb.free_blocks += 1;
         self.update_super_and_desc();
         self.cache.remove(&addr);
@@ -781,15 +782,12 @@ impl<D: BlockDevice + RawAccess> FlatStore for JfsFs<D> {
             let mut im = self.generic_read(im_addr, JfsBlockType::Imap)?;
             let bits = BLOCK_SIZE as u64 * 8;
             let limit = bits.min(self.layout.total_inodes() - i * bits);
-            for bit in 0..limit {
-                let byte = (bit / 8) as usize;
-                if im[byte] & (1 << (bit % 8)) == 0 {
-                    im[byte] |= 1 << (bit % 8);
-                    self.stage(im_addr, im, JfsBlockType::Imap, &[(byte, 1)]);
-                    self.sb.free_inodes -= 1;
-                    self.update_super_and_desc();
-                    return Ok(i * bits + bit + 1);
-                }
+            if let Some(bit) = im.first_zero_bit(limit, 0) {
+                im.set_bit(bit);
+                self.stage_bit(im_addr, im, JfsBlockType::Imap, bit);
+                self.sb.free_inodes -= 1;
+                self.update_super_and_desc();
+                return Ok(i * bits + bit + 1);
             }
         }
         Err(Errno::ENOSPC.into())
@@ -798,9 +796,8 @@ impl<D: BlockDevice + RawAccess> FlatStore for JfsFs<D> {
     fn free_node(&mut self, ino: u64) -> VfsResult<()> {
         let (im_addr, bit) = self.layout.imap_location(ino);
         let mut im = self.generic_read(im_addr.0, JfsBlockType::Imap)?;
-        let byte = (bit / 8) as usize;
-        im[byte] &= !(1 << (bit % 8));
-        self.stage(im_addr.0, im, JfsBlockType::Imap, &[(byte, 1)]);
+        im.clear_bit(bit);
+        self.stage_bit(im_addr.0, im, JfsBlockType::Imap, bit);
         self.sb.free_inodes += 1;
         self.update_super_and_desc();
         self.store_node(ino, &Node::free(NDIRECT))

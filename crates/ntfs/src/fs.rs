@@ -237,7 +237,7 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
         // Bitmaps.
         let mut vbm = Block::zeroed();
         for b in 0..=root_dir_block {
-            vbm[(b / 8) as usize] |= 1 << (b % 8);
+            vbm.set_bit(b);
         }
         dev.write_tagged(
             BlockAddr(layout.volume_bitmap),
@@ -247,7 +247,7 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
         .map_err(eio)?;
         let mut mbm = Block::zeroed();
         for r in 0..=MFT_RESERVED {
-            mbm[(r / 8) as usize] |= 1 << (r % 8);
+            mbm.set_bit(r);
         }
         dev.write_tagged(
             BlockAddr(layout.mft_bitmap),
@@ -320,19 +320,16 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
         // Count free space from the bitmaps.
         let vbm = fs.read_block(layout.volume_bitmap, NtfsBlockType::VolumeBitmap)?;
         fs.free_blocks = (layout.alloc_start..params.total_blocks)
-            .filter(|b| vbm[(b / 8) as usize] & (1 << (b % 8)) == 0)
+            .filter(|&b| !vbm.bit(b))
             .count() as u64;
         let mbm = fs.read_block(layout.mft_bitmap, NtfsBlockType::MftBitmap)?;
-        fs.free_records = (0..params.mft_records)
-            .filter(|r| mbm[(r / 8) as usize] & (1 << (r % 8)) == 0)
-            .count() as u64;
+        fs.free_records = (0..params.mft_records).filter(|&r| !mbm.bit(r)).count() as u64;
 
         if !opts.skip_verify {
             // Mount-time MFT integrity scan: a corrupt metadata block makes
             // the volume unmountable.
             for r in 0..params.mft_records {
-                let in_use = mbm[(r / 8) as usize] & (1 << (r % 8)) != 0;
-                if !in_use {
+                if !mbm.bit(r) {
                     continue;
                 }
                 let b = fs.read_block(layout.mft_block(r), NtfsBlockType::MftRecord)?;
@@ -399,6 +396,18 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
             return Ok(());
         }
         written
+    }
+
+    /// `Err(EUCLEAN)`, with one klog error, unless `index` is below `limit`:
+    /// a pointer read from disk is checked against the volume geometry
+    /// before it indexes a bitmap.
+    fn check_bitmap_index(&self, what: &str, index: u64, limit: u64) -> VfsResult<()> {
+        if index < limit {
+            return Ok(());
+        }
+        let msg = format!("{what} {index} is outside the volume ({limit}); not freed");
+        self.env.klog.error("ntfs", msg);
+        Err(Errno::EUCLEAN.into())
     }
 }
 
@@ -506,20 +515,21 @@ impl<D: BlockDevice + RawAccess> FlatStore for NtfsFs<D> {
 
     fn alloc_block(&mut self) -> VfsResult<u64> {
         let mut vbm = self.read_block(self.layout.volume_bitmap, NtfsBlockType::VolumeBitmap)?;
-        for b in self.layout.alloc_start..self.layout.params.total_blocks {
-            if vbm[(b / 8) as usize] & (1 << (b % 8)) == 0 {
-                vbm[(b / 8) as usize] |= 1 << (b % 8);
-                self.write_block(self.layout.volume_bitmap, &vbm, NtfsBlockType::VolumeBitmap)?;
-                self.free_blocks -= 1;
-                return Ok(b);
-            }
-        }
-        Err(Errno::ENOSPC.into())
+        let (total, first) = (self.layout.params.total_blocks, self.layout.alloc_start);
+        // First fit over the allocatable area only: the search starts there,
+        // and a bit it finds by wrapping into the reserved area is not free.
+        let b = vbm.first_zero_bit(total, first).filter(|&b| b >= first);
+        let b = b.ok_or(Errno::ENOSPC)?;
+        vbm.set_bit(b);
+        self.write_block(self.layout.volume_bitmap, &vbm, NtfsBlockType::VolumeBitmap)?;
+        self.free_blocks -= 1;
+        Ok(b)
     }
 
     fn free_block(&mut self, addr: u64) -> VfsResult<()> {
+        self.check_bitmap_index("block", addr, self.layout.params.total_blocks)?;
         let mut vbm = self.read_block(self.layout.volume_bitmap, NtfsBlockType::VolumeBitmap)?;
-        vbm[(addr / 8) as usize] &= !(1 << (addr % 8));
+        vbm.clear_bit(addr);
         self.write_block(self.layout.volume_bitmap, &vbm, NtfsBlockType::VolumeBitmap)?;
         self.free_blocks += 1;
         self.cache.remove(&addr);
@@ -528,20 +538,19 @@ impl<D: BlockDevice + RawAccess> FlatStore for NtfsFs<D> {
 
     fn alloc_node(&mut self) -> VfsResult<u64> {
         let mut mbm = self.read_block(self.layout.mft_bitmap, NtfsBlockType::MftBitmap)?;
-        for r in MFT_RESERVED + 1..self.layout.params.mft_records {
-            if mbm[(r / 8) as usize] & (1 << (r % 8)) == 0 {
-                mbm[(r / 8) as usize] |= 1 << (r % 8);
-                self.write_block(self.layout.mft_bitmap, &mbm, NtfsBlockType::MftBitmap)?;
-                self.free_records -= 1;
-                return Ok(r);
-            }
-        }
-        Err(Errno::ENOSPC.into())
+        let (total, first) = (self.layout.params.mft_records, MFT_RESERVED + 1);
+        let r = mbm.first_zero_bit(total, first).filter(|&r| r >= first);
+        let r = r.ok_or(Errno::ENOSPC)?;
+        mbm.set_bit(r);
+        self.write_block(self.layout.mft_bitmap, &mbm, NtfsBlockType::MftBitmap)?;
+        self.free_records -= 1;
+        Ok(r)
     }
 
     fn free_node(&mut self, rec: u64) -> VfsResult<()> {
+        self.check_bitmap_index("MFT record", rec, self.layout.params.mft_records)?;
         let mut mbm = self.read_block(self.layout.mft_bitmap, NtfsBlockType::MftBitmap)?;
-        mbm[(rec / 8) as usize] &= !(1 << (rec % 8));
+        mbm.clear_bit(rec);
         self.write_block(self.layout.mft_bitmap, &mbm, NtfsBlockType::MftBitmap)?;
         self.free_records += 1;
         // Clear the record block but keep a valid FILE magic with

@@ -158,6 +158,51 @@ fn corrupted_block_pointer_clobbers_system_structures_paper_bug() {
     assert_eq!(bitmap_after, Block::filled(0xFF));
 }
 
+/// The run block is not a Table 4 row, so no campaign corrupts it; its
+/// pointers are still read from disk, and `unlink` hands each one to the
+/// volume bitmap. A pointer outside the volume must be an error, not an
+/// index past the bitmap block.
+#[test]
+fn corrupt_run_block_pointer_is_euclean_not_a_panic() {
+    use iron_core::klog::LogLevel;
+    use iron_core::model::CorruptionStyle;
+
+    let (mut v, ctl, _env) = mount();
+    v.write_file("/big", &vec![7u8; 40 * 4096]).unwrap();
+    let (mut v, env) = remount(v);
+    ctl.inject(FaultSpec::sticky(
+        FaultKind::Corruption(CorruptionStyle::RandomNoise),
+        FaultTarget::Tag(BlockTag("run block")),
+    ));
+    let bitmap_addr = BlockAddr(1 + 64); // logfile_start(1) + logfile_blocks(64)
+    let bitmap_before = v.fs().device_ref().peek(bitmap_addr);
+    let trace = v.fs().device_ref().trace();
+    let (mark, trace_mark) = (env.klog.len(), trace.len());
+
+    let err = v.unlink("/big").unwrap_err();
+    assert_eq!(err.errno(), Some(Errno::EUCLEAN));
+    let errors: Vec<_> = env
+        .klog
+        .since(mark)
+        .into_iter()
+        .filter(|e| e.level == LogLevel::Error)
+        .collect();
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert_eq!(errors[0].subsystem, "ntfs");
+    assert!(errors[0].message.contains("outside the volume"));
+    assert_ne!(env.state(), MountState::Crashed);
+    // The direct blocks were freed before the run block was read: each of
+    // those bitmap writes cleared one bit, and the wild pointer wrote none.
+    let bitmap_after = v.fs().device_ref().peek(bitmap_addr);
+    let cleared = (0..4096 * 8).filter(|&i| bitmap_before.bit(i) && !bitmap_after.bit(i));
+    let bitmap_writes = trace
+        .since(trace_mark)
+        .iter()
+        .filter(|e| e.kind == IoKind::Write && e.addr == bitmap_addr)
+        .count();
+    assert_eq!(cleared.count(), bitmap_writes);
+}
+
 #[test]
 fn errors_propagate_reliably() {
     // "It also seems to propagate errors to the user quite reliably."

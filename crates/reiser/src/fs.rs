@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use iron_blockdev::{BlockDevice, RawAccess};
+use iron_core::hash::fnv1a;
 use iron_core::recover::{Backoff, FailurePolicyTable, PolicyHandle, RecoveryAction};
 use iron_core::{Block, BlockAddr, Errno, IoKind, BLOCK_SIZE};
 use iron_vfs::{
@@ -61,13 +62,8 @@ pub fn reiser_stock_policy() -> FailurePolicyTable {
 
 /// FNV-1a 64-bit, ReiserFS-style name hashing for directory keys.
 fn name_hash(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
     // Avoid the reserved offsets 0 and u64::MAX.
-    h.clamp(1, u64::MAX - 1)
+    fnv1a(name.as_bytes()).clamp(1, u64::MAX - 1)
 }
 
 /// Stat-item payload.
@@ -214,14 +210,9 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
 
         // Bitmaps: reserve everything up to and including the root node.
         let mut bitmaps: Vec<Block> = (0..layout.bitmap_len).map(|_| Block::zeroed()).collect();
-        let mut reserve = |b: u64| {
-            let bits = BLOCK_SIZE as u64 * 8;
-            let blk = (b / bits) as usize;
-            let bit = b % bits;
-            bitmaps[blk][(bit / 8) as usize] |= 1 << (bit % 8);
-        };
         for b in 0..=root_block {
-            reserve(b);
+            let bits = BLOCK_SIZE as u64 * 8;
+            bitmaps[(b / bits) as usize].set_bit(b % bits);
         }
 
         let free_blocks = params.total_blocks - root_block - 1;
@@ -761,12 +752,10 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
                 let msg = format!("bitmap block {bm_addr} unreadable");
                 self.env.klog.error("reiserfs", msg);
             })?;
-        let byte = (bit / 8) as usize;
-        let mask = 1u8 << (bit % 8);
         if set {
-            bm[byte] |= mask;
+            bm.set_bit(bit);
         } else {
-            bm[byte] &= !mask;
+            bm.clear_bit(bit);
         }
         self.stage(bm_addr.0, bm, ReiserBlockType::DataBitmap);
         Ok(())
@@ -780,15 +769,12 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
             let bm = self.read_block(bm_addr, ReiserBlockType::DataBitmap)?;
             let bits_per_block = BLOCK_SIZE as u64 * 8;
             let limit = bits_per_block.min(self.sb.total_blocks - i * bits_per_block);
-            for bit in 0..limit {
-                let byte = (bit / 8) as usize;
-                if bm[byte] & (1 << (bit % 8)) == 0 {
-                    let addr = i * bits_per_block + bit;
-                    self.bitmap_op(addr, true)?;
-                    self.sb.free_blocks = self.sb.free_blocks.saturating_sub(1);
-                    self.stage(0, self.sb.encode(), ReiserBlockType::Super);
-                    return Ok(addr);
-                }
+            if let Some(bit) = bm.first_zero_bit(limit, 0) {
+                let addr = i * bits_per_block + bit;
+                self.bitmap_op(addr, true)?;
+                self.sb.free_blocks = self.sb.free_blocks.saturating_sub(1);
+                self.stage(0, self.sb.encode(), ReiserBlockType::Super);
+                return Ok(addr);
             }
         }
         Err(Errno::ENOSPC.into())

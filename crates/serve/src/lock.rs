@@ -38,6 +38,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 
+use iron_core::hash::fnv1a;
 use iron_vfs::paths::{normalize, prefixes};
 
 use crate::proto::Request;
@@ -168,13 +169,7 @@ impl LockManager {
     }
 
     fn shard_of(&self, key: &str) -> &Mutex<HashMap<String, Arc<PathLock>>> {
-        // FNV-1a; Fibonacci-style spread over the shard count.
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in key.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
+        &self.shards[(fnv1a(key.as_bytes()) % self.shards.len() as u64) as usize]
     }
 
     fn entry(&self, key: &str) -> Arc<PathLock> {

@@ -15,6 +15,7 @@
 //! paths ([`iron_vfs::paths`]), and a symlink would let a request touch
 //! paths outside its lexical lock set.
 
+use iron_core::hash::splitmix64;
 use iron_vfs::{InodeAttr, VfsError};
 
 /// One client request. Paths are absolute; see the module docs.
@@ -158,12 +159,7 @@ pub fn payload(seed: u64, len: usize) -> Vec<u8> {
     let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
     let mut out = Vec::with_capacity(len);
     while out.len() < len {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let bytes = z.to_le_bytes();
+        let bytes = splitmix64(&mut state).to_le_bytes();
         let take = bytes.len().min(len - out.len());
         out.extend_from_slice(&bytes[..take]);
     }
@@ -171,14 +167,7 @@ pub fn payload(seed: u64, len: usize) -> Vec<u8> {
 }
 
 /// FNV-1a (64-bit) over a byte slice — the digest read replies carry.
-pub fn digest(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+pub use iron_core::hash::fnv1a as digest;
 
 #[cfg(test)]
 mod tests {

@@ -9,6 +9,7 @@
 
 use crate::engine::{replay_serial, CommitRecord, Session};
 use crate::proto::{Reply, Request};
+use iron_core::hash::splitmix64;
 use iron_vfs::{SpecificFs, Vfs};
 
 /// Shape of a generated workload.
@@ -39,14 +40,6 @@ impl Default for WorkloadSpec {
             max_io: 3000,
         }
     }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl WorkloadSpec {
@@ -129,22 +122,22 @@ pub fn generate(spec: &WorkloadSpec) -> Vec<Session> {
                 spec.seed ^ (sid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x00C1_1E57;
             let requests = (0..spec.requests_per_session)
                 .map(|_| {
-                    let roll = splitmix(&mut rng) % 100;
-                    let r = splitmix(&mut rng);
-                    let io = (splitmix(&mut rng) as usize % spec.max_io.max(1)).max(1);
-                    let off = splitmix(&mut rng) % (2 * spec.max_io as u64 + 1);
+                    let roll = splitmix64(&mut rng) % 100;
+                    let r = splitmix64(&mut rng);
+                    let io = (splitmix64(&mut rng) as usize % spec.max_io.max(1)).max(1);
+                    let off = splitmix64(&mut rng) % (2 * spec.max_io as u64 + 1);
                     match roll {
                         0..=21 => Request::Write {
                             path: spec.shared(r),
                             off: off / 4, // overlap-heavy offsets
                             len: io,
-                            seed: splitmix(&mut rng),
+                            seed: splitmix64(&mut rng),
                         },
                         22..=35 => Request::Write {
                             path: spec.private(sid, r),
                             off,
                             len: io,
-                            seed: splitmix(&mut rng),
+                            seed: splitmix64(&mut rng),
                         },
                         36..=50 => Request::Read {
                             path: spec.shared(r),

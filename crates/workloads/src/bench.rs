@@ -1,6 +1,7 @@
 //! The four Table 6 macro-benchmarks, measured in simulated time.
 
 use iron_blockdev::{DiskGeometry, MemDisk};
+use iron_core::hash::xorshift64;
 use iron_core::{SimClock, BLOCK_SIZE};
 use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, IronConfig};
 use iron_vfs::{FsEnv, OpenFlags, Vfs};
@@ -40,15 +41,12 @@ impl Benchmark {
     }
 }
 
-/// Deterministic xorshift64* RNG for workload generation.
+/// Deterministic xorshift64 RNG for workload generation.
 struct Rng(u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
+        xorshift64(&mut self.0)
     }
 
     fn below(&mut self, n: u64) -> u64 {

@@ -14,6 +14,7 @@
 //! availability), then compute the same three overheads from the ext3
 //! layout's geometry.
 
+use iron_core::hash::xorshift64;
 use iron_core::BLOCK_SIZE;
 use iron_ext3::inode::{NDIRECT, PTRS_PER_BLOCK};
 use iron_ext3::layout::INODE_SIZE;
@@ -27,57 +28,49 @@ pub struct VolumeProfile {
     pub file_sizes: Vec<u64>,
 }
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
+/// Approximate lognormal via the product of uniform draws from the
+/// xorshift64 stream at `rng`.
+fn lognormalish(rng: &mut u64, median: f64, spread: f64) -> u64 {
+    let mut x = median;
+    for _ in 0..4 {
+        let u = (xorshift64(rng) % 10_000) as f64 / 10_000.0; // [0,1)
+        x *= spread.powf(u - 0.5);
     }
-
-    /// Approximate lognormal via the product of uniform draws.
-    fn lognormalish(&mut self, median: f64, spread: f64) -> u64 {
-        let mut x = median;
-        for _ in 0..4 {
-            let u = (self.next() % 10_000) as f64 / 10_000.0; // [0,1)
-            x *= spread.powf(u - 0.5);
-        }
-        x.max(1.0) as u64
-    }
+    x.max(1.0) as u64
 }
 
 impl VolumeProfile {
     /// A desktop-style volume: thousands of small files (median ~4 KiB),
     /// long tail into megabytes. Parity overhead is highest here.
     pub fn desktop() -> Self {
-        let mut rng = Rng(11);
+        let mut rng = 11;
         VolumeProfile {
             name: "desktop",
-            file_sizes: (0..8000).map(|_| rng.lognormalish(4096.0, 64.0)).collect(),
+            file_sizes: (0..8000)
+                .map(|_| lognormalish(&mut rng, 4096.0, 64.0))
+                .collect(),
         }
     }
 
     /// A developer volume: source trees (small-medium files) plus build
     /// artifacts.
     pub fn developer() -> Self {
-        let mut rng = Rng(23);
+        let mut rng = 23;
         VolumeProfile {
             name: "developer",
             file_sizes: (0..6000)
-                .map(|_| rng.lognormalish(16_384.0, 32.0))
+                .map(|_| lognormalish(&mut rng, 16_384.0, 32.0))
                 .collect(),
         }
     }
 
     /// A media volume: few, large files. Parity overhead is lowest here.
     pub fn media() -> Self {
-        let mut rng = Rng(37);
+        let mut rng = 37;
         VolumeProfile {
             name: "media",
             file_sizes: (0..800)
-                .map(|_| rng.lognormalish(400_000.0, 16.0))
+                .map(|_| lognormalish(&mut rng, 400_000.0, 16.0))
                 .collect(),
         }
     }
