@@ -20,10 +20,10 @@ use crate::dir::{self, RawDirEntry};
 use crate::inode::DiskInode;
 use crate::iron::{IronConfig, SHA1_BLOCK_COST_NS, XOR_BLOCK_COST_NS};
 use crate::journal::{
-    checkpoint_group, classify_log_block, txn_checksum, Closed, CommitBlock, Committed,
-    JournalRecord, JournalSuper, LogSink, Txn, DESC_CAPACITY,
+    checkpoint_group, classify_log_block, Closed, CommitBlock, Committed, JournalRecord,
+    JournalSuper, LogSink, TcFold, Txn, DESC_CAPACITY,
 };
-use crate::layout::{BlockType, DiskLayout, Ext3Params, ROOT_INO};
+use crate::layout::{BlockType, DiskLayout, Ext3Params, CKSUMS_PER_BLOCK, CKSUM_ENTRY, ROOT_INO};
 use crate::superblock::{FsState, Superblock};
 
 /// Mount-time options.
@@ -254,6 +254,25 @@ impl<D: BlockDevice> LogSink for JournalLog<'_, D> {
     }
 }
 
+/// The on-disk form of checksum-table block `i` of the table `cksums`
+/// (zero past the table's end).
+fn encode_cksum_block(cksums: &[u64], i: u64) -> Block {
+    let mut cb = Block::zeroed();
+    let entries = cksums.chunks(CKSUMS_PER_BLOCK as usize).nth(i as usize);
+    for (e, cksum) in entries.into_iter().flatten().enumerate() {
+        cb.put_u64(e * CKSUM_ENTRY as usize, *cksum);
+    }
+    cb
+}
+
+/// Load checksum-table block `i`, as read from disk, into `cksums`.
+fn decode_cksum_block(cksums: &mut [u64], i: u64, block: &Block) {
+    let entries = cksums.chunks_mut(CKSUMS_PER_BLOCK as usize).nth(i as usize);
+    for (e, cksum) in entries.into_iter().flatten().enumerate() {
+        *cksum = block.get_u64(e * CKSUM_ENTRY as usize);
+    }
+}
+
 impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     // ==================================================================
     // mkfs
@@ -357,16 +376,8 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         for (addr, b) in &written {
             cksums[*addr as usize] = sha1(&b[..]).truncated64();
         }
-        let entries_per_block = BLOCK_SIZE as u64 / 8;
         for i in 0..layout.cksum_len {
-            let mut cb = Block::zeroed();
-            for e in 0..entries_per_block {
-                let idx = (i * entries_per_block + e) as usize;
-                if idx < cksums.len() {
-                    cb.put_u64((e * 8) as usize, cksums[idx]);
-                }
-            }
-            written.push((layout.cksum_start + i, cb));
+            written.push((layout.cksum_start + i, encode_cksum_block(&cksums, i)));
         }
 
         // Write everything (mkfs is assumed to run on a healthy device; a
@@ -643,7 +654,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     // ==================================================================
 
     fn load_cksum_table(&mut self) -> VfsResult<()> {
-        let entries_per_block = BLOCK_SIZE as u64 / 8;
         // Sequential sweep over the on-disk table; hint it like the replay
         // scan so mount-time loading streams at media rate.
         let mut ra = ScanReadahead::new(BlockAddr(self.layout.cksum_start), self.layout.cksum_len);
@@ -675,12 +685,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                     }
                 }
             };
-            for e in 0..entries_per_block {
-                let idx = (i * entries_per_block + e) as usize;
-                if idx < self.cksums.len() {
-                    self.cksums[idx] = block.get_u64((e * 8) as usize);
-                }
-            }
+            decode_cksum_block(&mut self.cksums, i, &block);
         }
         Ok(())
     }
@@ -698,8 +703,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         }
         self.charge_cpu(SHA1_BLOCK_COST_NS);
         self.cksums[addr as usize] = sha1(&block[..]).truncated64();
-        let entries_per_block = BLOCK_SIZE as u64 / 8;
-        self.dirty_cksum_blocks.insert(addr / entries_per_block);
+        self.dirty_cksum_blocks.insert(addr / CKSUMS_PER_BLOCK);
     }
 
     /// Verify `block` against the checksum table. Returns `true` if OK (or
@@ -718,15 +722,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// self-checksums (entry 0, avoiding recursion), so the scrubber
     /// verifies them by comparing against this instead.
     pub fn cksum_table_block(&self, i: u64) -> Block {
-        let entries_per_block = BLOCK_SIZE as u64 / 8;
-        let mut cb = Block::zeroed();
-        for e in 0..entries_per_block {
-            let idx = (i * entries_per_block + e) as usize;
-            if idx < self.cksums.len() {
-                cb.put_u64((e * 8) as usize, self.cksums[idx]);
-            }
-        }
-        cb
+        encode_cksum_block(&self.cksums, i)
     }
 
     /// Collect the dirty checksum-table blocks as a closed transaction to
@@ -991,7 +987,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         let batch = if self.opts.iron.meta_checksum || self.opts.iron.data_checksum {
             if self.opts.iron.meta_checksum {
                 for (addr, b, _) in batch.blocks() {
-                    self.note_cksum(addr, &b, true);
+                    self.note_cksum(addr, b, true);
                 }
             }
             match self.take_dirty_cksum_txn() {
@@ -1044,14 +1040,25 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
 
         // Log the batch. (`legacy_group_commit_bug` defers the journal
         // data until after the commit block — the deliberately broken
-        // ordering the crash enumerator must catch.)
+        // ordering the crash enumerator must catch.) Under `Tc` the log
+        // transition folds the transactional checksum as it writes; under
+        // `Mc` the loop above has just stored the truncated SHA-1 of every
+        // batch image in the table, so `Tc` takes it from there instead of
+        // hashing the image again. The table's own blocks joined the batch
+        // after that loop and carry no self-checksum.
         let defer_data = self.opts.legacy_group_commit_bug;
+        let with_tc = self.opts.iron.txn_checksum;
+        let meta_checksum = self.opts.iron.meta_checksum;
+        let cksums = &self.cksums;
+        let noted = |addr: u64, ty: BlockType| {
+            (meta_checksum && ty != BlockType::CksumTable).then(|| cksums[addr as usize])
+        };
         let logged = {
             let mut sink = JournalLog {
                 dev: &mut self.dev,
                 head: &mut self.log_head,
             };
-            batch.log(seq, &mut sink, defer_data)
+            batch.log(seq, &mut sink, defer_data, with_tc.then_some(&noted))
         };
         if logged.log_write_failed() {
             if self.opts.iron.fix_bugs {
@@ -1075,7 +1082,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
 
         // Transactional checksum (Tc) removes the pre-commit barrier; the
         // commit transition issues the barriers and the commit block.
-        let with_tc = self.opts.iron.txn_checksum;
         if with_tc {
             self.charge_cpu(SHA1_BLOCK_COST_NS * logged.log_block_count() as u64 / 4);
         }
@@ -1084,7 +1090,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 dev: &mut self.dev,
                 head: &mut self.log_head,
             };
-            logged.commit(with_tc, &mut sink)
+            logged.commit(&mut sink)
         };
         if committed.commit_write_failed() {
             if self.opts.iron.fix_bugs {
@@ -1324,8 +1330,11 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             sequence: u64,
             entries: Vec<(u64, BlockType)>,
             data: Vec<Block>,
-            images: Vec<Block>,
+            /// The commit block's `Tc`, if it carries one.
             checksum: Option<u64>,
+            /// `Tc` recomputed from the bytes just read (mounts checking
+            /// `Tc` only).
+            computed: Option<u64>,
         }
         let mut committed: Vec<PendingTxn> = Vec::new();
         // Revokes are sequence-scoped, as in JBD: a revoke recorded at
@@ -1340,13 +1349,15 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         // torn successor's revoke silently discarded the only good copy of
         // a freed-then-staged directory block.
         let mut scanned_revokes: Vec<(u64, Vec<u64>)> = Vec::new();
-        // Revoke blocks logged since the last commit. commit() includes
-        // them in the transactional checksum (they are written first, before
-        // the descriptor), so replay must hash the same block set — found by
-        // the iron-crash enumerator: a fully-durable transaction carrying a
-        // revoke failed Tc on replay because the revoke image was missing
-        // from the replay-side hash.
-        let mut pending_revoke_images: Vec<Block> = Vec::new();
+        // `Tc` folded over every image read since the last commit block,
+        // in log order — always from the bytes that came off the disk,
+        // never from the checksum table, which is what a torn or corrupted
+        // log would disagree with. commit() folds the revoke blocks too
+        // (they are written first, before the descriptor), so replay must
+        // fold the same block set — found by the iron-crash enumerator: a
+        // fully-durable transaction carrying a revoke failed Tc on replay
+        // because the revoke image was missing from the replay-side hash.
+        let mut tc = self.opts.iron.txn_checksum.then(TcFold::default);
         // The scan is strictly ascending over the whole journal region, so
         // hint each elevator sweep ahead of its reads: the disk streams the
         // swept blocks from its track buffer instead of re-positioning per
@@ -1378,7 +1389,9 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                         break 'scan;
                     }
                     scanned_revokes.push((r.sequence, r.addrs));
-                    pending_revoke_images.push(block.clone());
+                    if let Some(f) = &mut tc {
+                        f.fold(&block, None);
+                    }
                     pos += 1;
                 }
                 Some(JournalRecord::Descriptor(desc)) => {
@@ -1387,8 +1400,9 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                         // transaction: recovery ends here.
                         break 'scan;
                     }
-                    let mut images = std::mem::take(&mut pending_revoke_images);
-                    images.push(block.clone());
+                    if let Some(f) = &mut tc {
+                        f.fold(&block, None);
+                    }
                     let mut data = Vec::new();
                     let n = desc.entries.len() as u64;
                     for i in 0..n {
@@ -1402,7 +1416,9 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                             .read_tagged(BlockAddr(daddr), BlockType::JournalData.tag())
                         {
                             Ok(b) => {
-                                images.push(b.clone());
+                                if let Some(f) = &mut tc {
+                                    f.fold(&b, None);
+                                }
                                 data.push(b);
                             }
                             Err(_) => {
@@ -1450,8 +1466,8 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                                 sequence: desc.sequence,
                                 entries: desc.entries,
                                 data,
-                                images,
                                 checksum: c.txn_checksum,
+                                computed: tc.as_mut().map(|f| std::mem::take(f).finish()),
                             });
                             pos = cpos + 1;
                         }
@@ -1495,25 +1511,21 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         // with its commit block but missing journal data fails Tc, yet its
         // revoke records would otherwise silence the predecessor's
         // directory blocks).
-        if self.opts.iron.txn_checksum {
-            let mut valid = committed.len();
-            for (i, txn) in committed.iter().enumerate() {
-                if let Some(expected) = txn.checksum {
-                    let refs: Vec<&Block> = txn.images.iter().collect();
-                    if txn_checksum(&refs) != expected {
-                        // Tc detects the damaged transaction; it and
-                        // everything after it are not replayed
-                        // (DRedundancy + RStop at transaction granularity).
-                        self.env.klog.error(
-                            "ixt3",
-                            "transactional checksum mismatch; recovery stops here",
-                        );
-                        valid = i;
-                        break;
-                    }
-                }
-            }
-            committed.truncate(valid);
+        let damaged = committed
+            .iter()
+            .position(|txn| match (txn.checksum, txn.computed) {
+                (Some(expected), Some(computed)) => computed != expected,
+                _ => false,
+            });
+        if let Some(first) = damaged {
+            // Tc detects the damaged transaction; it and everything after
+            // it are not replayed (DRedundancy + RStop at transaction
+            // granularity).
+            self.env.klog.error(
+                "ixt3",
+                "transactional checksum mismatch; recovery stops here",
+            );
+            committed.truncate(first);
         }
 
         // Only revokes whose carrying transaction committed take effect

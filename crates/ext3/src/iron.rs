@@ -121,7 +121,9 @@ impl fmt::Display for IronConfig {
 
 /// Simulated CPU cost of computing a SHA-1 over one 4 KiB block, charged to
 /// the simulated clock when checksumming is active (~25 µs, a 2.4 GHz P4 of
-/// the paper's era at roughly 160 MB/s SHA-1 throughput).
+/// the paper's era at roughly 160 MB/s SHA-1 throughput). It models the
+/// paper's CPU and is independent of how fast `iron_core::checksum` runs
+/// on the host.
 pub const SHA1_BLOCK_COST_NS: u64 = 25_000;
 
 /// Simulated CPU cost of XORing one 4 KiB block into a parity accumulator.

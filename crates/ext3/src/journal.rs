@@ -273,25 +273,75 @@ pub fn classify_log_block(b: &Block) -> Option<JournalRecord> {
     }
 }
 
-/// Compute a transactional checksum over the descriptor and journal-data
-/// blocks of a transaction (`Tc`, §6.1). CRC32 folded over every block,
-/// strengthened with a truncated SHA-1 of the running state.
+/// The transactional checksum (`Tc`, §6.1) as a running state, folded one
+/// log image at a time in log order (revokes, descriptors, journal data):
+/// a CRC32 over every image, widened to 64 bits by a SHA-1 over that CRC
+/// and the first 8 digest bytes of each image, so collisions across
+/// reordered blocks are not a concern for recovery decisions.
+///
+/// This is the one definition of `Tc`. Commit folds while it writes the
+/// log ([`Txn<Closed>::log`]), replay folds while it reads it back, and
+/// [`txn_checksum`] folds a slice.
+#[derive(Debug)]
+pub struct TcFold {
+    crc: u32,
+    /// The final SHA-1's input: 8 bytes kept for the finished CRC, then 8
+    /// digest bytes per image folded so far.
+    material: Vec<u8>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// SHA-1 calls [`TcFold::fold`] made on this thread (the hash-once test).
+    static FOLD_SHA1_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Default for TcFold {
+    fn default() -> Self {
+        TcFold {
+            crc: 0xFFFF_FFFF,
+            material: vec![0; 8],
+        }
+    }
+}
+
+impl TcFold {
+    /// Fold in the next log image. `digest` is the image's truncated
+    /// SHA-1 ([`Sha1Digest::truncated64`](iron_core::checksum::Sha1Digest::truncated64))
+    /// when the caller has already computed it — under `Mc` the checksum
+    /// table holds exactly that for every block it covers — and `None`
+    /// when the image has to be hashed here.
+    pub fn fold(&mut self, image: &Block, digest: Option<u64>) {
+        self.crc = crc32_update(self.crc, &image[..]);
+        let digest = digest.unwrap_or_else(|| {
+            #[cfg(test)]
+            FOLD_SHA1_CALLS.with(|c| c.set(c.get() + 1));
+            sha1(&image[..]).truncated64()
+        });
+        self.material.extend_from_slice(&digest.to_be_bytes());
+    }
+
+    /// Number of images folded so far.
+    pub fn images(&self) -> usize {
+        self.material.len() / 8 - 1
+    }
+
+    /// The checksum the commit block carries.
+    pub fn finish(mut self) -> u64 {
+        let crc = self.crc ^ 0xFFFF_FFFF;
+        self.material[..8].copy_from_slice(&u64::from(crc).to_le_bytes());
+        sha1(&self.material).truncated64()
+    }
+}
+
+/// Compute a transactional checksum over the revoke, descriptor and
+/// journal-data blocks of a transaction: [`TcFold`] over a slice.
 pub fn txn_checksum(blocks: &[&Block]) -> u64 {
-    let mut crc = 0xFFFF_FFFFu32;
+    let mut tc = TcFold::default();
     for b in blocks {
-        crc = crc32_update(crc, &b[..]);
+        tc.fold(b, None);
     }
-    let crc = crc ^ 0xFFFF_FFFF;
-    // Widen to 64 bits via SHA-1 so collisions across reordered blocks are
-    // not a concern for recovery decisions.
-    let mut seed = [0u8; 8];
-    seed.copy_from_slice(&(crc as u64).to_le_bytes());
-    let mut material = Vec::with_capacity(8 + blocks.len() * 8);
-    material.extend_from_slice(&seed);
-    for b in blocks {
-        material.extend_from_slice(&sha1(&b[..]).0[..8]);
-    }
-    sha1(&material).truncated64()
+    tc.finish()
 }
 
 // ======================================================================
@@ -342,13 +392,14 @@ pub struct Closed {
 pub struct Logged {
     sequence: u64,
     map: HashMap<u64, (Block, BlockType)>,
-    /// Every log image in log order (revokes, descriptors, data) — the
-    /// `Tc` checksum input.
-    log_images: Vec<Block>,
+    /// `Tc` folded over every log image in log order (revokes,
+    /// descriptors, data); `None` when the transaction was logged without
+    /// a transactional checksum.
+    tc: Option<TcFold>,
     log_write_failed: bool,
     /// Journal-data writes deferred until after the commit block
-    /// (deliberate-bug knob only): (reserved slot, image, type).
-    deferred: Vec<(u64, Block, BlockType)>,
+    /// (deliberate-bug knob only): (reserved slot, home address in `map`).
+    deferred: Vec<(u64, u64)>,
 }
 
 /// State: the commit block is durable (the transition issued the
@@ -442,13 +493,16 @@ impl Txn<Closed> {
     /// disk would reach replaying the two transactions in order, so the
     /// merged batch can be logged under a single sequence number with one
     /// descriptor chain, one commit block, and one barrier.
-    pub fn merge(mut self, later: Txn<Closed>) -> Txn<Closed> {
+    pub fn merge(mut self, mut later: Txn<Closed>) -> Txn<Closed> {
         for addr in later.st.order {
-            let (b, t) = later.st.map[&addr].clone();
-            if !self.st.map.contains_key(&addr) {
+            let staged = later
+                .st
+                .map
+                .remove(&addr)
+                .expect("ordered blocks are staged");
+            if self.st.map.insert(addr, staged).is_none() {
                 self.st.order.push(addr);
             }
-            self.st.map.insert(addr, (b, t));
             self.st.revoked.remove(&addr);
         }
         for addr in later.st.revoked {
@@ -483,15 +537,11 @@ impl Txn<Closed> {
     }
 
     /// Final block images, in first-dirty order (checksum staging).
-    pub fn blocks(&self) -> Vec<(u64, Block, BlockType)> {
-        self.st
-            .order
-            .iter()
-            .map(|a| {
-                let (b, t) = &self.st.map[a];
-                (*a, b.clone(), *t)
-            })
-            .collect()
+    pub fn blocks(&self) -> impl Iterator<Item = (u64, &Block, BlockType)> {
+        self.st.order.iter().map(|a| {
+            let (b, t) = &self.st.map[a];
+            (*a, b, *t)
+        })
     }
 
     /// Log blocks this batch will occupy: revoke chunks + descriptor
@@ -508,10 +558,27 @@ impl Txn<Closed> {
     /// *reserved*; [`Txn<Logged>::commit`] then writes the commit block
     /// before filling them — the broken ordering the crash enumerator
     /// must catch.
-    pub fn log<W: LogSink>(self, sequence: u64, sink: &mut W, defer_data: bool) -> Txn<Logged> {
+    ///
+    /// `tc` is `Some` when the transaction commits with a transactional
+    /// checksum: every image is folded into `Tc` as it is written, and
+    /// the lookup is asked for each journaled block's truncated SHA-1 by
+    /// home address and type (see [`TcFold::fold`]). A lookup that knows
+    /// nothing (`&|_, _| None`) is always correct.
+    pub fn log<W: LogSink>(
+        self,
+        sequence: u64,
+        sink: &mut W,
+        defer_data: bool,
+        tc: Option<&dyn Fn(u64, BlockType) -> Option<u64>>,
+    ) -> Txn<Logged> {
         let mut failed = false;
-        let mut log_images: Vec<Block> = Vec::new();
-        let mut deferred: Vec<(u64, Block, BlockType)> = Vec::new();
+        let mut deferred: Vec<(u64, u64)> = Vec::new();
+        let mut fold = tc.map(|_| TcFold::default());
+        let mut feed = |image: &Block, digest: Option<u64>| {
+            if let Some(f) = &mut fold {
+                f.fold(image, digest);
+            }
+        };
 
         // Ordered-mode barrier: home-location data writes issued while the
         // batch's transactions were building must reach the platter before
@@ -531,26 +598,25 @@ impl Txn<Closed> {
             }
             .encode();
             failed |= !sink.append(&rb, BlockType::JournalRevoke);
-            log_images.push(rb);
+            feed(&rb, None);
         }
 
-        let blocks = self.blocks();
-        for chunk in blocks.chunks(DESC_CAPACITY) {
+        for chunk in self.st.order.chunks(DESC_CAPACITY) {
             let desc = DescriptorBlock {
                 sequence,
-                entries: chunk.iter().map(|(a, _, t)| (*a, *t)).collect(),
+                entries: chunk.iter().map(|a| (*a, self.st.map[a].1)).collect(),
             }
             .encode();
             failed |= !sink.append(&desc, BlockType::JournalDesc);
-            log_images.push(desc);
-            for (_, b, _) in chunk {
+            feed(&desc, None);
+            for addr in chunk {
+                let (b, ty) = &self.st.map[addr];
                 if defer_data {
-                    let slot = sink.reserve();
-                    deferred.push((slot, b.clone(), BlockType::JournalData));
+                    deferred.push((sink.reserve(), *addr));
                 } else {
                     failed |= !sink.append(b, BlockType::JournalData);
                 }
-                log_images.push(b.clone());
+                feed(b, tc.and_then(|known| known(*addr, *ty)));
             }
         }
 
@@ -558,7 +624,7 @@ impl Txn<Closed> {
             st: Logged {
                 sequence,
                 map: self.st.map,
-                log_images,
+                tc: fold,
                 log_write_failed: failed,
                 deferred,
             },
@@ -578,19 +644,20 @@ impl Txn<Logged> {
         self.st.log_write_failed
     }
 
-    /// Number of log images (revokes + descriptors + data) — the `Tc`
-    /// checksum input size, for CPU-cost accounting.
+    /// Number of log images (revokes + descriptors + data) folded into
+    /// `Tc` — the checksum's input size, for CPU-cost accounting. Zero
+    /// for a transaction logged without `Tc`.
     pub fn log_block_count(&self) -> usize {
-        self.st.log_images.len()
+        self.st.tc.as_ref().map_or(0, TcFold::images)
     }
 
     /// Write the commit block and make it durable. This transition owns
     /// the commit-path ordering:
     ///
-    /// * without `Tc` (`with_tc == false`) a barrier is issued *before*
-    ///   the commit block so it cannot pass its own journal data;
-    /// * with `Tc` the pre-barrier is skipped and the commit block
-    ///   carries a checksum over every log image (§6.1);
+    /// * logged without `Tc`, a barrier is issued *before* the commit
+    ///   block so it cannot pass its own journal data;
+    /// * logged with `Tc` the pre-barrier is skipped and the commit block
+    ///   carries the checksum folded over every log image (§6.1);
     /// * a barrier is always issued *after* the commit block — a
     ///   `Txn<Committed>` is durable by construction, and checkpoint
     ///   writes (only reachable from `Committed`) cannot overtake it.
@@ -598,25 +665,21 @@ impl Txn<Logged> {
     /// The deliberate-bug knob's deferred data writes happen *after* the
     /// commit block and *inside* its barrier epoch — precisely the
     /// commit-before-data window the crash enumerator must flag.
-    pub fn commit<W: LogSink>(self, with_tc: bool, sink: &mut W) -> Txn<Committed> {
-        let txn_cksum = if with_tc {
-            let refs: Vec<&Block> = self.st.log_images.iter().collect();
-            Some(txn_checksum(&refs))
-        } else {
-            if self.st.deferred.is_empty() {
-                sink.barrier();
-            }
-            None
-        };
+    pub fn commit<W: LogSink>(self, sink: &mut W) -> Txn<Committed> {
+        let txn_checksum = self.st.tc.map(TcFold::finish);
+        if txn_checksum.is_none() && self.st.deferred.is_empty() {
+            sink.barrier();
+        }
         let commit = CommitBlock {
             sequence: self.st.sequence,
-            txn_checksum: txn_cksum,
+            txn_checksum,
         }
         .encode();
         let commit_write_failed = !sink.append(&commit, BlockType::JournalCommit);
         let mut log_write_failed = self.st.log_write_failed;
-        for (slot, b, ty) in &self.st.deferred {
-            log_write_failed |= !sink.write_at(*slot, b, *ty);
+        for (slot, addr) in &self.st.deferred {
+            let (b, _) = &self.st.map[addr];
+            log_write_failed |= !sink.write_at(*slot, b, BlockType::JournalData);
         }
         sink.barrier();
         Txn {
@@ -700,10 +763,10 @@ where
     F: FnMut(u64, &Block, BlockType) -> bool,
 {
     let mut merged: BTreeMap<u64, (Block, BlockType)> = BTreeMap::new();
-    for txn in &group {
-        for (addr, (b, ty)) in &txn.st.map {
-            merged.insert(*addr, (b.clone(), *ty));
-        }
+    let mut sequences = Vec::with_capacity(group.len());
+    for txn in group {
+        sequences.push(txn.st.sequence);
+        merged.extend(txn.st.map);
     }
     let mut write_failed = false;
     let mut written = Vec::with_capacity(merged.len());
@@ -711,12 +774,10 @@ where
         write_failed |= !write_home(addr, &b, ty);
         written.push((addr, b, ty));
     }
-    let txns = group
+    let txns = sequences
         .into_iter()
-        .map(|t| Txn {
-            st: Checkpointed {
-                sequence: t.st.sequence,
-            },
+        .map(|sequence| Txn {
+            st: Checkpointed { sequence },
         })
         .collect();
     CheckpointSweep {
@@ -835,6 +896,71 @@ mod tests {
         assert_eq!(txn_checksum(&[&a, &b]), base, "deterministic");
     }
 
+    /// Hash-once: under `Mc`+`Tc` the checksum-table pass in `commit()`
+    /// is the only SHA-1 a journaled image gets. What the fold still
+    /// hashes is exactly what no table entry covers — revoke blocks,
+    /// descriptors, and the table's own blocks.
+    #[test]
+    fn commit_under_mc_and_tc_hashes_no_checksummed_image_twice() {
+        use crate::{Ext3Fs, Ext3Options, Ext3Params, IronConfig};
+        use iron_blockdev::{MemDisk, RawAccess};
+        use iron_core::BlockAddr;
+        use iron_vfs::{FsEnv, Vfs};
+
+        let mut dev = MemDisk::for_tests(4096);
+        Ext3Fs::<MemDisk>::mkfs(&mut dev, Ext3Params::small()).unwrap();
+        let opts = Ext3Options {
+            crash_mode: true, // keep both transactions in the log
+            ..Ext3Options::with_iron(IronConfig {
+                meta_checksum: true,
+                txn_checksum: true,
+                ..IronConfig::off()
+            })
+        };
+        let mut v = Vfs::new(Ext3Fs::mount(dev, FsEnv::new(), opts).unwrap());
+        v.mkdir("/a", 0o755).unwrap();
+        v.write_file("/a/f", &[7u8; 9000]).unwrap();
+        v.sync().unwrap();
+        v.unlink("/a/f").unwrap(); // frees blocks: the next commit carries a revoke
+        v.mkdir("/b", 0o755).unwrap();
+        FOLD_SHA1_CALLS.with(|c| c.set(0));
+        v.sync().unwrap();
+        let hashed_in_fold = FOLD_SHA1_CALLS.with(std::cell::Cell::get);
+
+        // Read the second transaction back and count its images by kind.
+        let layout = *v.fs().layout();
+        let dev = v.into_fs().into_device();
+        let (mut control, mut table, mut data, mut commits) = (0, 0, 0, 0);
+        let mut pos = layout.journal_start;
+        while commits < 2 {
+            let record = classify_log_block(&dev.peek(BlockAddr(pos))).expect("a control block");
+            pos += 1;
+            let second = commits == 1;
+            match record {
+                JournalRecord::Commit(_) => commits += 1,
+                JournalRecord::Revoke(_) => control += usize::from(second),
+                JournalRecord::Descriptor(d) => {
+                    pos += d.entries.len() as u64;
+                    if second {
+                        control += 1;
+                        data += d.entries.len();
+                        let is_table = |e: &&(u64, BlockType)| e.1 == BlockType::CksumTable;
+                        table += d.entries.iter().filter(is_table).count();
+                    }
+                }
+            }
+        }
+        assert!(
+            control >= 2 && table >= 1,
+            "a revoke, a descriptor, a table block"
+        );
+        assert!(
+            data > table,
+            "the transaction journals checksummed metadata"
+        );
+        assert_eq!(hashed_in_fold, control + table);
+    }
+
     #[test]
     fn txn_staging_and_revoke() {
         let mut t = Txn::new();
@@ -853,9 +979,8 @@ mod tests {
         assert!(!t.revoked().any(|a| a == 20));
 
         let closed = t.close();
-        let blocks = closed.blocks();
-        assert_eq!(blocks[0].0, 10);
-        assert_eq!(blocks[1].0, 20);
+        let addrs: Vec<u64> = closed.blocks().map(|(a, _, _)| a).collect();
+        assert_eq!(addrs, vec![10, 20]);
     }
 
     /// An in-memory log that records what the typestate transitions wrote
@@ -910,10 +1035,10 @@ mod tests {
         let mut t = Txn::new();
         t.put(10, Block::filled(1), BlockType::Inode);
         let mut log = VecLog::default();
-        let logged = t.close().log(7, &mut log, false);
+        let logged = t.close().log(7, &mut log, false, None);
         assert_eq!(logged.sequence(), 7);
         assert!(!logged.log_write_failed());
-        let committed = logged.commit(false, &mut log);
+        let committed = logged.commit(&mut log);
         assert!(!committed.commit_write_failed());
         assert_eq!(
             log.events,
@@ -934,7 +1059,10 @@ mod tests {
         let mut t = Txn::new();
         t.put(10, Block::filled(1), BlockType::Inode);
         let mut log = VecLog::default();
-        let committed = t.close().log(7, &mut log, false).commit(true, &mut log);
+        let committed = t
+            .close()
+            .log(7, &mut log, false, Some(&|_, _| None))
+            .commit(&mut log);
         assert_eq!(
             log.events,
             vec![
@@ -954,7 +1082,7 @@ mod tests {
         t.put(10, Block::filled(1), BlockType::Inode);
         t.put(20, Block::filled(2), BlockType::Dir);
         let mut log = VecLog::default();
-        let committed = t.close().log(3, &mut log, true).commit(false, &mut log);
+        let committed = t.close().log(3, &mut log, true, None).commit(&mut log);
         // Descriptor at 0, data slots 1-2 reserved but EMPTY, commit at 3,
         // then the data lands after the commit block with no barrier
         // between — the broken group commit the enumerator must catch.
@@ -981,8 +1109,8 @@ mod tests {
         b.put(50, Block::filled(9), BlockType::Inode); // newer copy of 50
         b.put(30, Block::filled(3), BlockType::DataBitmap);
         let mut log = VecLog::default();
-        let ca = a.close().log(1, &mut log, false).commit(false, &mut log);
-        let mut cb = b.close().log(2, &mut log, false).commit(false, &mut log);
+        let ca = a.close().log(1, &mut log, false, None).commit(&mut log);
+        let mut cb = b.close().log(2, &mut log, false, None).commit(&mut log);
 
         // journal_forget on the committed (not yet checkpointed) txn.
         cb.forget(30);

@@ -232,6 +232,8 @@ pub struct DiskLayout {
 
 /// Checksum entry size on disk (8-byte truncated SHA-1).
 pub const CKSUM_ENTRY: u64 = 8;
+/// Checksum entries per checksum-table block.
+pub const CKSUMS_PER_BLOCK: u64 = BLOCK_SIZE as u64 / CKSUM_ENTRY;
 
 impl DiskLayout {
     /// Compute the layout for the given parameters.
@@ -340,9 +342,8 @@ impl DiskLayout {
 
     /// Checksum-table location (block, byte offset) for device block `b`.
     pub fn cksum_location(&self, b: u64) -> (BlockAddr, usize) {
-        let entries_per_block = BLOCK_SIZE as u64 / CKSUM_ENTRY;
-        let block = self.cksum_start + b / entries_per_block;
-        let offset = (b % entries_per_block) as usize * CKSUM_ENTRY as usize;
+        let block = self.cksum_start + b / CKSUMS_PER_BLOCK;
+        let offset = (b % CKSUMS_PER_BLOCK) as usize * CKSUM_ENTRY as usize;
         (BlockAddr(block), offset)
     }
 

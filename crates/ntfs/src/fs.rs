@@ -149,6 +149,23 @@ impl Layout {
         }
     }
 
+    /// The layout of a volume whose geometry was read from its boot file:
+    /// `None` unless a device of `device_blocks` can hold it. Each bitmap
+    /// is one block, so `total_blocks` is bounded by the device and by a
+    /// block's bits; the fixed regions, summed without overflow, must end
+    /// inside `total_blocks` — which bounds `mft_records` and
+    /// `logfile_blocks` in turn.
+    fn checked(params: NtfsParams, device_blocks: u64) -> Option<Layout> {
+        let alloc_start = params
+            .logfile_blocks
+            .checked_add(params.mft_records)?
+            .checked_add(3)?; // boot file + the two bitmaps
+        let bitmap_bits = BLOCK_SIZE as u64 * 8;
+        let fits = params.total_blocks <= device_blocks.min(bitmap_bits)
+            && alloc_start <= params.total_blocks;
+        fits.then(|| Layout::compute(params))
+    }
+
     fn mft_block(&self, rec: u64) -> u64 {
         self.mft_start + rec
     }
@@ -305,7 +322,16 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
             mft_records: boot.get_u64(16),
             logfile_blocks: boot.get_u64(24),
         };
-        let layout = Layout::compute(params);
+        // The magic says this is a boot file, not that its geometry is
+        // sane: the free-space count below indexes one bitmap block with
+        // these numbers.
+        let Some(layout) = Layout::checked(params, dev.num_blocks()) else {
+            let msg = format!(
+                "boot file geometry {params:?} does not fit the device; volume unmountable"
+            );
+            env.klog.error("ntfs", msg);
+            return Err(Errno::EUCLEAN.into());
+        };
         let mut fs = NtfsFs {
             dev,
             env,

@@ -203,6 +203,45 @@ fn corrupt_run_block_pointer_is_euclean_not_a_panic() {
     assert_eq!(cleared.count(), bitmap_writes);
 }
 
+/// The boot file's magic is checked; its geometry indexes one bitmap block
+/// at mount. A boot file that still says `NTFS` but describes a volume the
+/// device cannot hold must fail the mount, not index past the bitmap (the
+/// campaigns' boot-file corruptions already fail the magic, so only a
+/// plausible-but-wrong field reaches this).
+#[test]
+fn corrupt_boot_geometry_is_euclean_not_a_panic() {
+    use iron_core::klog::LogLevel;
+
+    // (field offset in the boot file, garbage value)
+    let garbage = [
+        (8, 40_000),    // total_blocks past the device and the bitmap block
+        (24, u64::MAX), // logfile_blocks that overflows the layout sum
+        (16, 1 << 40),  // mft_records past the bitmap block
+    ];
+    for (offset, value) in garbage {
+        let mut md = MemDisk::for_tests(4096);
+        NtfsFs::<MemDisk>::mkfs(&mut md, NtfsParams::small()).unwrap();
+        let mut boot = md.peek(BlockAddr(0));
+        boot.put_u64(offset, value);
+        md.poke(BlockAddr(0), &boot);
+
+        let env = FsEnv::new();
+        let err = NtfsFs::mount(md, env.clone(), NtfsOptions::default())
+            .err()
+            .unwrap_or_else(|| panic!("field {offset} = {value} must not mount"));
+        assert_eq!(err.errno(), Some(Errno::EUCLEAN), "field {offset}");
+        let errors: Vec<_> = env
+            .klog
+            .entries()
+            .into_iter()
+            .filter(|e| e.level == LogLevel::Error)
+            .collect();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert_eq!(errors[0].subsystem, "ntfs");
+        assert!(errors[0].message.contains("does not fit the device"));
+    }
+}
+
 #[test]
 fn errors_propagate_reliably() {
     // "It also seems to propagate errors to the user quite reliably."
