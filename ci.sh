@@ -13,10 +13,12 @@
 # ./ci.sh loc prints the non-test line count of every crate's src/ — the
 # number ROADMAP aim 2's line target is counted in. Not a gate.
 #
-# ./ci.sh pairs <parent-ref> <workload> [n] is the paired-run procedure a
+# ./ci.sh pairs <parent-ref> <workload>|all [n] is the paired-run procedure a
 # wall-clock claim rests on (choosing-metrics §8): n (default 10) pairs of
 # the whole-stack benchmark, <parent-ref> against this checkout, alternating
-# which side runs first. Not a gate, and not part of the default run.
+# which side runs first. <workload> `all` runs every workload BENCHMARK.json
+# names, one after the other on the one parent build — the whole "must not
+# move" table. Not a gate, and not part of the default run.
 set -eu
 
 loc() {
@@ -53,7 +55,6 @@ results() {
 }
 
 pairs() {
-    [ $# -ge 2 ] || usage
     ref=$1 workload=$2 n=${3:-10}
     # The parent's committed files, under target/ (ignored). `git archive`
     # rather than a worktree: nothing to prune, and .git is not written to.
@@ -127,7 +128,10 @@ pairs() {
                     if (d == 0) ties++
                     else if ((d < 0) == (better[m] == "lower")) won++
                 }
-                printf "%s (%s is better): change won %d of %d pairs, %d ties\n", m, better[m], won, pairs, ties
+                decided = pairs - ties
+                verdict = decided == 0 ? "every pair tied" : \
+                    sprintf("%s 9/10 of the %d decided", won * 10 >= decided * 9 ? "at least" : "fewer than", decided)
+                printf "%s (%s is better): change won %d of %d pairs, %d ties (%s)\n", m, better[m], won, pairs, ties, verdict
                 print row("parent", m)
                 print row("change", m)
             }
@@ -135,7 +139,7 @@ pairs() {
 }
 
 usage() {
-    echo "usage: $0 [results|loc|pairs <parent-ref> <workload> [n]]" >&2
+    echo "usage: $0 [results|loc|pairs <parent-ref> <workload>|all [n]]" >&2
     exit 2
 }
 
@@ -146,7 +150,18 @@ case "${1:-}" in
         ;;
     pairs)
         shift
-        pairs "$@"
+        [ $# -ge 2 ] || usage
+        if [ "$2" = all ]; then
+            # BENCHMARK.json's workload names, in its order.
+            for w in $(awk '
+                /"workloads"/ { on = 1 }
+                on && /^  \]/ { exit }
+                on && /"name":/ { gsub(/[",]/, ""); print $2 }' BENCHMARK.json); do
+                pairs "$1" "$w" ${3:+"$3"}
+            done
+        else
+            pairs "$@"
+        fi
         exit 0
         ;;
     loc)

@@ -64,35 +64,63 @@ pub fn entry_size(n: usize) -> usize {
     (8 + n + 3) & !3
 }
 
-/// Parse a directory block, leniently.
+/// The live records of a directory block in chain order, as `(ino, ftype,
+/// name bytes)` borrowed from the block — the one definition of ext3's
+/// leniency.
 ///
 /// Stops (without error) at the first malformed record: zero/unaligned
 /// `rec_len`, a record running past the block end, or a `name_len` that
 /// does not fit its record.
-pub fn parse_block(b: &Block) -> Vec<RawDirEntry> {
-    let mut out = Vec::new();
+fn records(b: &Block) -> impl Iterator<Item = (u32, u8, &[u8])> {
     let mut off = 0usize;
-    while off + 8 <= BLOCK_SIZE {
-        let ino = b.get_u32(off);
-        let rec_len = b.get_u16(off + 4) as usize;
-        let name_len = b[off + 6] as usize;
-        let ftype = b[off + 7];
-        if rec_len < 8 || !rec_len.is_multiple_of(4) || off + rec_len > BLOCK_SIZE {
-            break; // malformed chain: silently truncate (lenient)
-        }
-        if ino != 0 {
-            if 8 + name_len > rec_len {
+    std::iter::from_fn(move || {
+        while off + 8 <= BLOCK_SIZE {
+            let at = off;
+            let ino = b.get_u32(at);
+            let rec_len = b.get_u16(at + 4) as usize;
+            let name_len = b[at + 6] as usize;
+            let ftype = b[at + 7];
+            if rec_len < 8 || !rec_len.is_multiple_of(4) || at + rec_len > BLOCK_SIZE {
+                break; // malformed chain: silently truncate (lenient)
+            }
+            if ino != 0 && 8 + name_len > rec_len {
                 break; // name overruns record
             }
-            let name_bytes = b.get_bytes(off + 8, name_len);
-            // Lenient decoding: lossy UTF-8 (a corrupted name is still "a
-            // name" to ext3).
-            let name = String::from_utf8_lossy(name_bytes).into_owned();
-            out.push(RawDirEntry { ino, ftype, name });
+            off += rec_len;
+            if ino != 0 {
+                return Some((ino, ftype, b.get_bytes(at + 8, name_len)));
+            }
         }
-        off += rec_len;
-    }
-    out
+        None // `off` rests on the record that ended the chain
+    })
+}
+
+/// Parse a directory block, leniently (see [`find_in_block`] to look for
+/// one name without building the listing).
+///
+/// Names decode as lossy UTF-8: a corrupted name is still "a name" to
+/// ext3.
+pub fn parse_block(b: &Block) -> Vec<RawDirEntry> {
+    records(b)
+        .map(|(ino, ftype, name)| RawDirEntry {
+            ino,
+            ftype,
+            name: String::from_utf8_lossy(name).into_owned(),
+        })
+        .collect()
+}
+
+/// The first entry of a directory block named `name`, with
+/// [`parse_block`]'s leniency and name decoding but nothing allocated
+/// until it is found.
+pub fn find_in_block(b: &Block, name: &str) -> Option<RawDirEntry> {
+    records(b)
+        .find(|(_, _, raw)| String::from_utf8_lossy(raw) == name)
+        .map(|(ino, ftype, _)| RawDirEntry {
+            ino,
+            ftype,
+            name: name.to_string(),
+        })
 }
 
 /// Pack entries into a single block. Returns `None` if they do not fit.
@@ -217,5 +245,105 @@ mod tests {
             assert_eq!(ftype_from_code(ftype_code(t)), t);
         }
         assert_eq!(ftype_from_code(99), FileType::Regular);
+    }
+
+    /// `parse_block` as it was before it and `find_in_block` shared
+    /// `records`: the reference both are held to.
+    fn parse_block_reference(b: &Block) -> Vec<RawDirEntry> {
+        let mut out = Vec::new();
+        let mut off = 0usize;
+        while off + 8 <= BLOCK_SIZE {
+            let ino = b.get_u32(off);
+            let rec_len = b.get_u16(off + 4) as usize;
+            let name_len = b[off + 6] as usize;
+            let ftype = b[off + 7];
+            if rec_len < 8 || !rec_len.is_multiple_of(4) || off + rec_len > BLOCK_SIZE {
+                break;
+            }
+            if ino != 0 {
+                if 8 + name_len > rec_len {
+                    break;
+                }
+                let name = String::from_utf8_lossy(b.get_bytes(off + 8, name_len)).into_owned();
+                out.push(RawDirEntry { ino, ftype, name });
+            }
+            off += rec_len;
+        }
+        out
+    }
+
+    /// `parse_block` against the reference, and `find_in_block` against a
+    /// search of the reference listing, for every name the block holds (as
+    /// parsed, so lossy names too) and some it does not.
+    fn assert_find_agrees(b: &Block, extra: &[String]) {
+        let listing = parse_block_reference(b);
+        assert_eq!(parse_block(b), listing);
+        let present = listing.iter().map(|e| e.name.clone());
+        for name in present.chain(extra.iter().cloned()) {
+            let expected = listing.iter().find(|e| e.name == name).cloned();
+            assert_eq!(find_in_block(b, &name), expected, "name {name:?}");
+        }
+    }
+
+    #[test]
+    fn find_in_block_agrees_with_parse_block_on_packed_and_corrupted_blocks() {
+        use iron_testkit::gen;
+        // A packed block drawn from a seed, then 0–8 bytes of it overwritten:
+        // zero or unaligned `rec_len`, overrunning `name_len`, zeroed `ino`,
+        // invalid UTF-8 in a name — whatever the positions hit.
+        let hits = gen::vec_of((gen::usize_in(0..BLOCK_SIZE), gen::u8_any()), 0..9);
+        let cases = (gen::u64_in(0..u64::MAX), hits);
+        iron_testkit::check(
+            "find_in_block_agrees_with_parse_block_on_packed_and_corrupted_blocks",
+            iron_testkit::Config::cases(256),
+            &cases,
+            |(seed, hits)| {
+                let mut rng = iron_testkit::Rng::from_seed(*seed);
+                let names: Vec<String> = (0..rng.range(0, 120))
+                    .map(|i| format!("{i}-{}", "n".repeat(rng.range(0, 24))))
+                    .collect();
+                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                let mut block = pack_block(&entries(&refs)).expect("120 short names fit");
+                let mut extra = names.clone();
+                extra.extend(["".to_string(), "absent".to_string(), "\u{FFFD}".to_string()]);
+                assert_find_agrees(&block, &extra);
+                // Aim half the hits at record headers, where they do the most.
+                for (i, &(at, byte)) in hits.iter().enumerate() {
+                    let at = if i % 2 == 0 { at % 64 } else { at };
+                    block[at] = byte;
+                }
+                assert_find_agrees(&block, &extra);
+            },
+        );
+    }
+
+    #[test]
+    fn find_in_block_keeps_each_of_parse_blocks_stop_conditions() {
+        let es = entries(&["one", "two", "three"]);
+        let second = entry_size(3);
+        let packed = pack_block(&es).unwrap();
+        assert_eq!(find_in_block(&packed, "three"), Some(es[2].clone()));
+
+        let mut zero_rec_len = packed.clone();
+        zero_rec_len.put_u16(second + 4, 0);
+        let mut name_overrun = packed.clone();
+        name_overrun[second + 6] = 200;
+        for b in [&zero_rec_len, &name_overrun] {
+            assert_eq!(find_in_block(b, "one"), Some(es[0].clone()));
+            assert_eq!(
+                find_in_block(b, "two"),
+                None,
+                "the chain ends at the bad record"
+            );
+            assert_eq!(find_in_block(b, "three"), None);
+        }
+
+        // Lossy names compare as `parse_block` would have decoded them.
+        let mut bad_utf8 = packed.clone();
+        bad_utf8[second + 8] = 0xFF;
+        assert_eq!(find_in_block(&bad_utf8, "two"), None);
+        let lossy = find_in_block(&bad_utf8, "\u{FFFD}wo").expect("found by its lossy name");
+        assert_eq!(lossy, parse_block(&bad_utf8)[1]);
+        assert_eq!(find_in_block(&bad_utf8, "three"), Some(es[2].clone()));
     }
 }

@@ -543,14 +543,17 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         // the block against the checksum table and falls back to the
         // replica — which likewise must wait until replay has restored the
         // committed copies.
-        let gdt_block = fs.read_meta(1, BlockType::GroupDesc).inspect_err(|_e| {
+        let groups = fs.layout.num_groups as usize;
+        let gdt = fs.with_meta(1, BlockType::GroupDesc, |b| {
+            (0..groups)
+                .map(|g| (b.get_u32(g * 8), b.get_u32(g * 8 + 4)))
+                .collect()
+        });
+        fs.gdt = gdt.inspect_err(|_e| {
             fs.env
                 .klog
                 .error("ext3", "unable to read group descriptors; mount failed");
         })?;
-        fs.gdt = (0..fs.layout.num_groups as usize)
-            .map(|g| (gdt_block.get_u32(g * 8), gdt_block.get_u32(g * 8 + 4)))
-            .collect();
 
         // Mark mounted (dirty until clean unmount).
         fs.sb.state = FsState::Dirty;

@@ -15,14 +15,22 @@ use crate::superblock::FsState;
 
 type Ino = u64;
 
+#[cfg(test)]
+thread_local! {
+    /// Owned block reads (`read_meta` + `read_data_block`) on this thread:
+    /// what the tests count to show a warmed read-only operation makes none.
+    static OWNED_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     // ==================================================================
     // Metadata read path — the centerpiece of the failure policy.
     // ==================================================================
 
-    /// Read a metadata block with full policy:
+    /// Inspect a metadata block in place, with full policy:
     ///
-    /// * staged transaction copy and buffer cache are consulted first;
+    /// * staged transaction copy and buffer cache are consulted first, and
+    ///   `f` looks at the block where it lives — a hit copies nothing;
     /// * a device error is detected via the error code (`DErrorCode`),
     ///   logged, and the metadata-read escalation chain from the policy
     ///   table runs — stock ext3's chain is `Redundancy` (skipped without
@@ -31,52 +39,72 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     ///   (`DRedundancy`); a mismatch walks the same chain under the
     ///   `Corrupt` error class, so `Mr` recovers from the distant replica
     ///   (`RRedundancy`).
-    pub(crate) fn read_meta(&mut self, addr: u64, ty: BlockType) -> VfsResult<Block> {
+    pub(crate) fn with_meta<T>(
+        &mut self,
+        addr: u64,
+        ty: BlockType,
+        f: impl FnOnce(&Block) -> T,
+    ) -> VfsResult<T> {
         if let Some(b) = self.staged_copy(addr) {
-            return Ok(b.clone());
+            return Ok(f(b));
         }
         let checksummed = self.opts.iron.meta_checksum;
-        self.read_policed("metadata", addr, ty.tag(), checksummed, |fs| {
-            fs.meta_replica(addr)
-        })
+        let replica = |fs: &mut Self| fs.meta_replica(addr);
+        self.with_policed("metadata", addr, ty.tag(), checksummed, replica, f)
+    }
+
+    /// An owned copy of a metadata block, for the read-modify-write sites
+    /// (`iput`, the bitmaps, `set_file_block`): [`Self::with_meta`] plus
+    /// the clone.
+    pub(crate) fn read_meta(&mut self, addr: u64, ty: BlockType) -> VfsResult<Block> {
+        #[cfg(test)]
+        OWNED_READS.with(|n| n.set(n.get() + 1));
+        self.with_meta(addr, ty, Block::clone)
     }
 
     /// The read path under policy, shared by metadata and data: buffer
-    /// cache, then the device; a device error or (when `checksummed`) a
-    /// content mismatch is logged and handed to the chain walker, whose
-    /// re-issues are held to the same content check and whose
-    /// `Redundancy` rung is `redundancy`.
-    fn read_policed(
+    /// cache (one LRU touch, `f` applied to the resident block), then the
+    /// device; a device error or (when `checksummed`) a content mismatch
+    /// is logged and handed to the chain walker, whose re-issues are held
+    /// to the same content check and whose `Redundancy` rung is
+    /// `redundancy`. Whatever the fetch yields is shown to `f` and then
+    /// moved into the cache.
+    fn with_policed<T>(
         &mut self,
         what: &str,
         addr: u64,
         tag: BlockTag,
         checksummed: bool,
         mut redundancy: impl FnMut(&mut Self) -> Option<Block>,
-    ) -> VfsResult<Block> {
+        f: impl FnOnce(&Block) -> T,
+    ) -> VfsResult<T> {
         if let Some(b) = self.cache.get(BlockAddr(addr)) {
-            return Ok(b.clone());
+            return Ok(f(b));
         }
-        let class = match self.read_verified(addr, tag, checksummed) {
-            Ok(b) => return Ok(b),
-            Err(class) => class,
+        let b = match self.read_verified(addr, tag, checksummed) {
+            Ok(b) => b,
+            Err(class) => {
+                if class == ErrorClass::Corrupt {
+                    let msg = format!("checksum mismatch on {what} block {addr} ({tag})");
+                    self.env.klog.error("ixt3", msg);
+                } else {
+                    let msg = format!("I/O error reading {what} block {addr} ({tag})");
+                    self.env.klog.error("ext3", msg);
+                }
+                let key = (tag, IoKind::Read, class);
+                self.walk_chain(&format!("{what} read"), addr, key, |fs, step| match step {
+                    Step::Reissue { .. } => fs.read_verified(addr, tag, checksummed).ok(),
+                    Step::Redundancy => redundancy(fs),
+                })?
+            }
         };
-        if class == ErrorClass::Corrupt {
-            let msg = format!("checksum mismatch on {what} block {addr} ({tag})");
-            self.env.klog.error("ixt3", msg);
-        } else {
-            let msg = format!("I/O error reading {what} block {addr} ({tag})");
-            self.env.klog.error("ext3", msg);
-        }
-        let key = (tag, IoKind::Read, class);
-        self.walk_chain(&format!("{what} read"), addr, key, |fs, step| match step {
-            Step::Reissue { .. } => fs.read_verified(addr, tag, checksummed).ok(),
-            Step::Redundancy => redundancy(fs),
-        })
+        let out = f(&b);
+        self.cache_put(addr, b);
+        Ok(out)
     }
 
-    /// One device read, accepted (and cached) only if what arrives passes
-    /// the block's content check — inline, so attempts stay bounded.
+    /// One device read, accepted only if what arrives passes the block's
+    /// content check — inline, so attempts stay bounded.
     fn read_verified(
         &mut self,
         addr: u64,
@@ -90,7 +118,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         if checksummed && !self.verify_cksum(addr, &b) {
             return Err(ErrorClass::Corrupt);
         }
-        self.cache_put(addr, b.clone());
         Ok(b)
     }
 
@@ -159,7 +186,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         };
         let msg = format!("metadata block {addr} recovered from replica");
         self.env.klog.info("ixt3", msg);
-        self.cache_put(addr, b.clone());
         Some(b)
     }
 
@@ -167,7 +193,8 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     // Data block paths.
     // ==================================================================
 
-    /// Read a data block. `file` supplies parity context when available.
+    /// Inspect a data block in place. `file` supplies parity context when
+    /// available.
     ///
     /// The data-read escalation chain comes from the policy table; the
     /// stock chain reproduces §5.1 exactly — one immediate re-read of the
@@ -178,15 +205,28 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// under the `Corrupt` class, which stock policy does *not* re-read);
     /// with `Dp`, the `Redundancy` rung reconstructs the block from the
     /// file's other blocks and its parity block.
+    pub(crate) fn with_data<T>(
+        &mut self,
+        file: Option<(Ino, DiskInode)>,
+        addr: u64,
+        f: impl FnOnce(&Block) -> T,
+    ) -> VfsResult<T> {
+        let checksummed = self.opts.iron.data_checksum;
+        let parity = |fs: &mut Self| fs.data_parity_recover(file, addr);
+        self.with_policed("data", addr, BlockType::Data.tag(), checksummed, parity, f)
+    }
+
+    /// An owned copy of a data block, for the sites that go on to modify
+    /// it (`write`'s partial-block base, `truncate`): [`Self::with_data`]
+    /// plus the clone.
     pub(crate) fn read_data_block(
         &mut self,
         file: Option<(Ino, DiskInode)>,
         addr: u64,
     ) -> VfsResult<Block> {
-        let checksummed = self.opts.iron.data_checksum;
-        self.read_policed("data", addr, BlockType::Data.tag(), checksummed, |fs| {
-            fs.data_parity_recover(file, addr)
-        })
+        #[cfg(test)]
+        OWNED_READS.with(|n| n.set(n.get() + 1));
+        self.with_data(file, addr, Block::clone)
     }
 
     /// The `Dp` redundancy rung: rebuild a lost data block from parity.
@@ -221,7 +261,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                     "ixt3",
                     format!("data block {addr} reconstructed from parity"),
                 );
-                self.cache_put(addr, b.clone());
                 Some(b)
             }
             Err(_) => {
@@ -253,12 +292,16 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             if baddr == failed {
                 continue;
             }
-            let b = match self.cache.get(BlockAddr(baddr)).cloned() {
+            let fetched;
+            let b = match self.cache.get(BlockAddr(baddr)) {
                 Some(b) => b,
-                None => self
-                    .dev
-                    .read_tagged(BlockAddr(baddr), BlockType::Data.tag())
-                    .map_err(iron_vfs::VfsError::from)?,
+                None => {
+                    fetched = self
+                        .dev
+                        .read_tagged(BlockAddr(baddr), BlockType::Data.tag())
+                        .map_err(iron_vfs::VfsError::from)?;
+                    &fetched
+                }
             };
             for i in 0..BLOCK_SIZE {
                 acc[i] ^= b[i];
@@ -308,8 +351,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// not double-report).
     pub(crate) fn raw_iget(&mut self, ino: Ino) -> VfsResult<DiskInode> {
         let (blk, off) = self.layout().inode_location(ino);
-        let b = self.read_meta(blk.0, BlockType::Inode)?;
-        Ok(DiskInode::decode_from(&b, off))
+        self.with_meta(blk.0, BlockType::Inode, |b| DiskInode::decode_from(b, off))
     }
 
     /// Read an inode, applying ext3's sanity checks: a free slot is
@@ -475,23 +517,37 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             if di.indirect == 0 {
                 return Ok(0);
             }
-            let ib = self.read_meta(di.indirect as u64, BlockType::Indirect)?;
-            return Ok(ib.get_u32(idx as usize * 4) as u64);
+            return self.indirect_ptr(di.indirect as u64, idx);
         }
         let idx = idx - ppb;
         if idx < ppb * ppb {
             if di.double_indirect == 0 {
                 return Ok(0);
             }
-            let l1 = self.read_meta(di.double_indirect as u64, BlockType::Indirect)?;
-            let l2_ptr = l1.get_u32((idx / ppb) as usize * 4) as u64;
+            let l2_ptr = self.indirect_ptr(di.double_indirect as u64, idx / ppb)?;
             if l2_ptr == 0 {
                 return Ok(0);
             }
-            let l2 = self.read_meta(l2_ptr, BlockType::Indirect)?;
-            return Ok(l2.get_u32((idx % ppb) as usize * 4) as u64);
+            return self.indirect_ptr(l2_ptr, idx % ppb);
         }
         Err(Errno::EFBIG.into())
+    }
+
+    /// Pointer `slot` of the indirect block at `addr`.
+    fn indirect_ptr(&mut self, addr: u64, slot: u64) -> VfsResult<u64> {
+        self.with_meta(addr, BlockType::Indirect, |b| {
+            b.get_u32(slot as usize * 4) as u64
+        })
+    }
+
+    /// The nonzero pointers of the indirect block at `addr`, in slot order.
+    fn indirect_ptrs(&mut self, addr: u64) -> VfsResult<Vec<u64>> {
+        self.with_meta(addr, BlockType::Indirect, |b| {
+            (0..PTRS_PER_BLOCK)
+                .map(|i| b.get_u32(i * 4) as u64)
+                .filter(|&p| p != 0)
+                .collect()
+        })
     }
 
     /// Point file block `idx` at `addr`, allocating indirect blocks as
@@ -575,8 +631,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             if addr == 0 {
                 continue;
             }
-            let b = self.read_meta(addr, BlockType::Dir)?;
-            out.extend(dir::parse_block(&b));
+            out.extend(self.with_meta(addr, BlockType::Dir, dir::parse_block)?);
         }
         Ok(out)
     }
@@ -613,16 +668,25 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         self.iput(dir_ino, di)
     }
 
-    /// Find `name` in a directory.
+    /// Find `name` in a directory: blocks in index order, done at the first
+    /// match (as `ext3_find_entry` is), nothing parsed into owned entries.
     pub(crate) fn dir_find(
         &mut self,
         di: &DiskInode,
         name: &str,
     ) -> VfsResult<Option<RawDirEntry>> {
-        Ok(self
-            .dir_entries_all(di)?
-            .into_iter()
-            .find(|e| e.name == name))
+        let nblocks = di.size.div_ceil(BLOCK_SIZE as u64);
+        for idx in 0..nblocks {
+            let addr = self.get_file_block(di, idx)?;
+            if addr == 0 {
+                continue;
+            }
+            let found = self.with_meta(addr, BlockType::Dir, |b| dir::find_in_block(b, name))?;
+            if found.is_some() {
+                return Ok(found);
+            }
+        }
+        Ok(None)
     }
 
     /// The allocated data-block addresses of a file, in index order —
@@ -644,13 +708,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         }
         if di.double_indirect != 0 {
             out.push(di.double_indirect as u64);
-            let l1 = self.read_meta(di.double_indirect as u64, BlockType::Indirect)?;
-            for i in 0..PTRS_PER_BLOCK {
-                let p = l1.get_u32(i * 4) as u64;
-                if p != 0 {
-                    out.push(p);
-                }
-            }
+            out.extend(self.indirect_ptrs(di.double_indirect as u64)?);
         }
         Ok(out)
     }
@@ -684,12 +742,8 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         }
         if di.double_indirect != 0 {
             let l1_addr = di.double_indirect as u64;
-            let l1 = self.read_meta(l1_addr, BlockType::Indirect)?;
-            for i in 0..PTRS_PER_BLOCK {
-                let p = l1.get_u32(i * 4) as u64;
-                if p != 0 {
-                    self.free_block(p)?;
-                }
+            for p in self.indirect_ptrs(l1_addr)? {
+                self.free_block(p)?;
             }
             self.free_block(l1_addr)?;
             di.double_indirect = 0;
@@ -956,8 +1010,9 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
         if addr == 0 {
             return Ok(String::new());
         }
-        let b = self.read_data_block(Some((ino, di)), addr)?;
-        Ok(String::from_utf8_lossy(b.get_bytes(0, di.size as usize)).into_owned())
+        self.with_data(Some((ino, di)), addr, |b| {
+            String::from_utf8_lossy(b.get_bytes(0, di.size as usize)).into_owned()
+        })
     }
 
     fn rename(
@@ -1033,7 +1088,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
         if off >= di.size {
             return Ok(Vec::new());
         }
-        let end = (off + len as u64).min(di.size);
+        let end = off.saturating_add(len as u64).min(di.size);
         let mut out = Vec::with_capacity((end - off) as usize);
         let bs = BLOCK_SIZE as u64;
         let mut pos = off;
@@ -1045,8 +1100,9 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
             if addr == 0 {
                 out.extend(std::iter::repeat_n(0u8, take));
             } else {
-                let b = self.read_data_block(Some((ino, di)), addr)?;
-                out.extend_from_slice(b.get_bytes(within, take));
+                self.with_data(Some((ino, di)), addr, |b| {
+                    out.extend_from_slice(b.get_bytes(within, take))
+                })?;
             }
             pos += take as u64;
         }
@@ -1062,10 +1118,10 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
         let hint = self.group_hint(ino);
         let bs = BLOCK_SIZE as u64;
         let mut pos = off;
-        let end = off + data.len() as u64;
-        if end > DiskInode::max_file_size() {
-            return Err(Errno::EFBIG.into());
-        }
+        let end = match off.checked_add(data.len() as u64) {
+            Some(end) if end <= DiskInode::max_file_size() => end,
+            _ => return Err(Errno::EFBIG.into()),
+        };
         let mut src = 0usize;
         while pos < end {
             let idx = pos / bs;
@@ -1270,5 +1326,67 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
         let _ = self.dev.flush();
         self.env.set_state(MountState::Unmounted);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Ext3Options, Ext3Params};
+    use iron_blockdev::MemDisk;
+    use iron_vfs::Vfs;
+
+    fn owned_reads() -> usize {
+        OWNED_READS.with(std::cell::Cell::get)
+    }
+
+    /// Borrowed ≡ owned, by count: once the cache is warm, every read-only
+    /// operation — over a file mapped through all three levels — inspects
+    /// its blocks where they are and takes no owned copy.
+    #[test]
+    fn warmed_read_only_operations_make_no_owned_block_reads() {
+        let md = MemDisk::for_tests(4096);
+        let fs = Ext3Fs::format_and_mount(
+            md,
+            FsEnv::new(),
+            Ext3Params::small(),
+            Ext3Options::default(),
+        )
+        .expect("format");
+        let mut v = Vfs::new(fs);
+        v.mkdir("/d", 0o755).unwrap();
+        v.write_file("/d/f", b"direct").unwrap();
+        v.symlink("/d/f", "/d/link").unwrap();
+        // One block behind each level of the map; the rest are holes.
+        let f = v.resolve("/d/f").unwrap();
+        let indirect = NDIRECT as u64;
+        let double = indirect + PTRS_PER_BLOCK as u64;
+        for idx in [indirect, double] {
+            let at = idx * BLOCK_SIZE as u64;
+            v.fs_mut().write(f, at, &[idx as u8; BLOCK_SIZE]).unwrap();
+        }
+        v.sync().unwrap();
+        let size = (double + 1) as usize * BLOCK_SIZE;
+
+        let read_only = |v: &mut Vfs<Ext3Fs<MemDisk>>| {
+            let d = v.resolve("/d").unwrap();
+            let f = v.fs_mut().lookup(d, "f").unwrap();
+            assert_eq!(v.fs_mut().getattr(f).unwrap().size, size as u64);
+            let body = v.fs_mut().read(f, 0, usize::MAX).unwrap();
+            assert_eq!(body.len(), size);
+            assert_eq!(&body[..6], b"direct");
+            assert_eq!(body[indirect as usize * BLOCK_SIZE], indirect as u8);
+            assert_eq!(body[size - 1], double as u8);
+            assert_eq!(v.readdir("/d").unwrap().len(), 4);
+            assert_eq!(v.readlink("/d/link").unwrap(), "/d/f");
+        };
+        read_only(&mut v); // warm
+        let before = owned_reads();
+        read_only(&mut v);
+        assert_eq!(owned_reads() - before, 0, "a warmed read copied a block");
+
+        // The counter is live: a partial-block write needs its base block.
+        v.fs_mut().write(f, 3, b"x").unwrap();
+        assert!(owned_reads() > before);
     }
 }

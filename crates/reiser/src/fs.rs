@@ -1393,7 +1393,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for ReiserFs<D> {
         if off >= sd.size {
             return Ok(Vec::new());
         }
-        let end = (off + len as u64).min(sd.size);
+        let end = off.saturating_add(len as u64).min(sd.size);
         // Tail-stored file?
         if let Some(tail) = self.tail_of(oid)? {
             let lo = off as usize;
@@ -1432,7 +1432,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for ReiserFs<D> {
         if sd.ftype == FileType::Directory {
             return Err(Errno::EISDIR.into());
         }
-        let end = off + data.len() as u64;
+        let end = off.checked_add(data.len() as u64).ok_or(Errno::EFBIG)?;
 
         // Small files live as tails (direct items) in the leaf.
         let existing_tail = self.tail_of(oid)?;

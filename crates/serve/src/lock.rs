@@ -174,10 +174,13 @@ impl LockManager {
 
     fn entry(&self, key: &str) -> Arc<PathLock> {
         let mut shard = self.shard_of(key).lock().unwrap();
-        shard
-            .entry(key.to_string())
-            .or_insert_with(|| Arc::new(PathLock::new()))
-            .clone()
+        if let Some(lock) = shard.get(key) {
+            return lock.clone();
+        }
+        // First use of this key: the only time its name is copied.
+        let lock = Arc::new(PathLock::new());
+        shard.insert(key.to_string(), lock.clone());
+        lock
     }
 
     /// Acquire `keys` — which must already be in canonical (ascending)

@@ -129,7 +129,7 @@ pub enum Reply {
     Data {
         /// Bytes actually read.
         len: usize,
-        /// FNV-1a digest of the data (see [`digest`]).
+        /// Digest of the data (see [`digest`]).
         digest: u64,
     },
     /// Bytes accepted (`Write`).
@@ -157,17 +157,20 @@ pub type Response = Result<Reply, VfsError>;
 /// observes them.
 pub fn payload(seed: u64, len: usize) -> Vec<u8> {
     let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        let bytes = splitmix64(&mut state).to_le_bytes();
-        let take = bytes.len().min(len - out.len());
-        out.extend_from_slice(&bytes[..take]);
+    let mut out = vec![0u8; len];
+    let mut words = out.chunks_exact_mut(8);
+    for word in &mut words {
+        word.copy_from_slice(&splitmix64(&mut state).to_le_bytes());
     }
+    let tail = words.into_remainder();
+    tail.copy_from_slice(&splitmix64(&mut state).to_le_bytes()[..tail.len()]);
     out
 }
 
-/// FNV-1a (64-bit) over a byte slice — the digest read replies carry.
-pub use iron_core::hash::fnv1a as digest;
+/// The digest read replies carry: [`iron_core::hash::digest64`], a word at
+/// a time. It stands in for putting the data on the wire, so it costs what
+/// a copy costs, not a multiply per byte.
+pub use iron_core::hash::digest64 as digest;
 
 #[cfg(test)]
 mod tests {
@@ -182,6 +185,38 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_ne!(payload(1, 64), payload(2, 64), "seeds must differ");
+    }
+
+    #[test]
+    fn payload_bytes_are_those_of_the_per_word_expansion() {
+        // Literals computed with the loop this one replaced
+        // (`extend_from_slice(&bytes[..take])` per splitmix64 word).
+        assert_eq!(
+            payload(42, 24),
+            [
+                3, 241, 102, 178, 51, 227, 239, 40, 82, 159, 15, 19, 87, 103, 82, 71, 148, 227, 74,
+                14, 255, 225, 28, 88
+            ]
+        );
+        let fnv = iron_core::hash::fnv1a;
+        assert_eq!(fnv(&payload(7, 4099)), 0xDB77_0954_D897_72A9);
+        for (len, pinned) in [
+            (0usize, 0xCBF2_9CE4_8422_2325u64),
+            (1, 0xAF63_BE4C_8601_B992),
+            (7, 0x5D05_424A_0EE2_17BC),
+            (8, 0xF207_37D7_4A2E_107C),
+            (9, 0x7054_10D3_0C45_7E2A),
+            (4095, 0xD1CB_876E_582E_811E),
+            (4096, 0xAB58_F47F_D706_9B3C),
+            (4097, 0x2EC2_EB3A_603A_2982),
+        ] {
+            assert_eq!(fnv(&payload(42, len)), pinned, "len {len}");
+        }
+    }
+
+    #[test]
+    fn digest_of_a_payload_block_is_pinned() {
+        assert_eq!(digest(&payload(42, 4096)), 0x5C32_2BEB_BCB4_0352);
     }
 
     #[test]

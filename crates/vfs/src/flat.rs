@@ -669,7 +669,7 @@ impl<S: FlatStore> SpecificFs for S {
         if off >= n.size {
             return Ok(Vec::new());
         }
-        let end = (off + len as u64).min(n.size);
+        let end = off.saturating_add(len as u64).min(n.size);
         let mut out = Vec::with_capacity((end - off) as usize);
         for (idx, within, take) in pieces(off, end) {
             let addr = file_block(self, &n, idx)?;
@@ -685,8 +685,8 @@ impl<S: FlatStore> SpecificFs for S {
     fn write(&mut self, ino: Ino, off: u64, data: &[u8]) -> VfsResult<usize> {
         self.fs_env().check_writable()?;
         let mut n = load_file(self, ino)?;
+        let end = off.checked_add(data.len() as u64).ok_or(Errno::EFBIG)?;
         self.begin("write")?;
-        let end = off + data.len() as u64;
         let mut src = 0;
         for (idx, within, take) in pieces(off, end) {
             let mut addr = file_block(self, &n, idx)?;

@@ -307,7 +307,7 @@ impl SpecificFs for RamFs {
                 if off >= data.len() {
                     return Ok(Vec::new());
                 }
-                let end = (off + len).min(data.len());
+                let end = off.saturating_add(len).min(data.len());
                 Ok(data[off..end].to_vec())
             }
             Node::Dir { .. } => Err(Errno::EISDIR.into()),
@@ -320,11 +320,12 @@ impl SpecificFs for RamFs {
         let inode = self.inode_mut(ino)?;
         match &mut inode.node {
             Node::File { data: file } => {
-                let off = off as usize;
-                if off + data.len() > file.len() {
-                    file.resize(off + data.len(), 0);
+                let end = off.checked_add(data.len() as u64).ok_or(Errno::EFBIG)?;
+                let (off, end) = (off as usize, end as usize);
+                if end > file.len() {
+                    file.resize(end, 0);
                 }
-                file[off..off + data.len()].copy_from_slice(data);
+                file[off..end].copy_from_slice(data);
                 inode.attr.size = file.len() as u64;
                 Ok(data.len())
             }
