@@ -19,20 +19,45 @@
 # which side runs first. <workload> `all` runs every workload BENCHMARK.json
 # names, one after the other on the one parent build — the whole "must not
 # move" table. Not a gate, and not part of the default run.
+#
+# ./ci.sh profile <workload> [seed] says where a workload's CPU time goes:
+# the benchmark rebuilt with frame pointers under target/profile/, run under
+# tools/sprof.c (a SIGPROF sampler; the box has no perf), self and inclusive
+# share per symbol. Not a gate; skipped with a message when gcc is absent.
 set -eu
 
 loc() {
     # A file's non-test lines are those before the #[cfg(test)] that opens
     # its test module (a #[cfg(test)] on anything else is counted as code).
+    # A file that is only ever compiled under `#[cfg(test)] mod name;` is
+    # test code in whole: a first pass over the crate collects those.
     total=0
     for d in crates/* .; do
-        n=$(find "$d/src" -name '*.rs' -exec awk '
-            FNR == 1 { test = 0; held = 0 }
+        files=$(find "$d/src" -name '*.rs')
+        # shellcheck disable=SC2086 # one word per file, no spaces in paths
+        n=$(awk '
+            FNR == 1 {
+                counting = seen[FILENAME]++; test = 0; held = 0
+                for (p in test_only) if (index(FILENAME, p) == 1) test = 1
+            }
+            !counting {
+                if (held && match($0, /mod [a-z_0-9]+;/)) {
+                    # name.rs or name/, beside this file (or under its stem).
+                    dir = FILENAME; sub(/[^\/]*$/, "", dir)
+                    stem = FILENAME; sub(/.*\//, "", stem); sub(/\.rs$/, "", stem)
+                    if (stem != "lib" && stem != "main" && stem != "mod") dir = dir stem "/"
+                    name = substr($0, RSTART + 4, RLENGTH - 5)
+                    test_only[dir name ".rs"]; test_only[dir name "/"]
+                }
+                held = /^[[:space:]]*#\[cfg\(test\)\]/
+                next
+            }
             test { next }
+            held && /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+;/ { held = 0; next }
             held && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { test = 1; next }
             { n += held + 1; held = 0 }
             /^[[:space:]]*#\[cfg\(test\)\]/ { n--; held = 1 }
-            END { print n + 0 }' {} +)
+            END { print n + 0 }' $files $files)
         [ "$d" = . ] && d=ironfs
         printf '%-12s %6d\n' "$(basename "$d")" "$n"
         total=$((total + n))
@@ -138,8 +163,69 @@ pairs() {
         }' BENCHMARK.json "$samples"
 }
 
+profile() {
+    workload=$1 seed=${2:-1}
+    command -v gcc >/dev/null || {
+        echo "profile: no gcc to build tools/sprof.c with; skipped" >&2
+        return 0
+    }
+    # The benchmark with frame pointers, in a target directory of its own
+    # (RUSTFLAGS would otherwise rebuild benchmark/target every time).
+    dir=target/profile
+    mkdir -p "$dir"
+    gcc -O2 -shared -fPIC -o "$dir/libsprof.so" tools/sprof.c
+    CARGO_TARGET_DIR=$dir RUSTFLAGS='-C force-frame-pointers=yes' \
+        cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+    bin=$dir/release/iron-benchmark
+    SPROF_OUT=$dir/$workload.sprof LD_PRELOAD=$dir/libsprof.so \
+        "$bin" --workload "$workload" --seed "$seed" --seconds 10 --trace 0 >/dev/null
+    echo "== profile: $workload, seed $seed, one sample per 500 us of CPU =="
+    # Symbols by address (nm -n), then the samples: self share goes to the
+    # symbol under the PC, inclusive share to every symbol on the chain.
+    nm -nC --defined-only "$bin" | awk -v bin="$(realpath "$bin")" '
+        FNR == NR {
+            if ($2 ~ /^[tTwW]$/) { addr[++syms] = hex($1); $1 = $2 = ""; name[syms] = substr($0, 3) }
+            next
+        }
+        /^MAPS$/ { maps = 1; next }
+        !maps { line[++samples] = $0; next }
+        # The lowest mapping of the binary is its load base (PIE); any other
+        # mapping is named for its file.
+        {
+            split($1, range, "-"); lo = hex(range[1])
+            if ($6 == bin && !base) base = lo
+            map_lo[++nmaps] = lo; map_hi[nmaps] = hex(range[2]); map_name[nmaps] = $6
+        }
+        function hex(s,    i, v) {
+            for (i = 1; i <= length(s); i++) v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
+            return v
+        }
+        function symbol(a,    i, l, h, m) {
+            for (i = 1; i <= nmaps; i++) if (a >= map_lo[i] && a < map_hi[i]) break
+            if (i > nmaps) return "[?]"
+            if (map_name[i] != bin) { sub(/.*\//, "", map_name[i]); return "[" map_name[i] "]" }
+            a -= base; l = 1; h = syms
+            while (l < h) { m = int((l + h + 1) / 2); if (addr[m] <= a) l = m; else h = m - 1 }
+            return name[l]
+        }
+        END {
+            for (s = 1; s <= samples; s++) {
+                n = split(line[s], pc, " "); split("", on_chain)
+                for (i = 1; i <= n; i++) {
+                    if (!(pc[i] in memo)) memo[pc[i]] = symbol(hex(pc[i]))
+                    f = memo[pc[i]]
+                    if (i == 1) self[f]++
+                    if (!(f in on_chain)) { on_chain[f]; incl[f]++ }
+                }
+            }
+            printf "%d samples\n%7s %7s  symbol\n", samples, "self%", "incl%"
+            for (f in incl) if (incl[f] * 200 >= samples)
+                printf "%7.1f %7.1f  %s\n", 100 * self[f] / samples, 100 * incl[f] / samples, f | "sort -k2,2nr"
+        }' - "$dir/$workload.sprof"
+}
+
 usage() {
-    echo "usage: $0 [results|loc|pairs <parent-ref> <workload>|all [n]]" >&2
+    echo "usage: $0 [results|loc|pairs <parent-ref> <workload>|all [n]|profile <workload> [seed]]" >&2
     exit 2
 }
 
@@ -166,6 +252,11 @@ case "${1:-}" in
         ;;
     loc)
         loc
+        exit 0
+        ;;
+    profile)
+        [ $# -ge 2 ] || usage
+        profile "$2" ${3:+"$3"}
         exit 0
         ;;
     '') ;;

@@ -161,8 +161,49 @@ impl Block {
     /// around to the bits before it (first fit with a locality goal, like
     /// ext3's goal blocks; a `hint` of 0 is plain first fit).
     pub fn first_zero_bit(&self, limit: u64, hint: u64) -> Option<u64> {
+        self.first_zero_bit_masked(None, limit, hint)
+    }
+
+    /// [`Self::first_zero_bit`] of `self | mask` without building it: a bit
+    /// set in `mask` is busy whatever this block says.
+    pub fn first_zero_bit_masked(
+        &self,
+        mask: Option<&Block>,
+        limit: u64,
+        hint: u64,
+    ) -> Option<u64> {
         let start = hint.min(limit);
-        (start..limit).chain(0..start).find(|&i| !self.bit(i))
+        self.zero_in(mask, start, limit)
+            .or_else(|| self.zero_in(mask, 0, start))
+    }
+
+    /// The first zero bit of `self | mask` in `lo..hi`, 64 bits at a step:
+    /// bit `i` of the block is bit `i % 64` of the little-endian word
+    /// `i / 64`, so the lowest clear bit of a word is its `trailing_ones`.
+    fn zero_in(&self, mask: Option<&Block>, lo: u64, hi: u64) -> Option<u64> {
+        // Bits of the first word below `lo` count as set.
+        let mut skipped = (1u64 << (lo % 64)) - 1;
+        let mut base = lo - lo % 64;
+        while base < hi {
+            let at = (base / 8) as usize;
+            let word = self.get_u64(at) | mask.map_or(0, |m| m.get_u64(at)) | skipped;
+            if word != u64::MAX {
+                let i = base + u64::from(word.trailing_ones());
+                return (i < hi).then_some(i);
+            }
+            skipped = 0;
+            base += 64;
+        }
+        None
+    }
+
+    /// XOR `other` into this block, a word at a time (parity, §6.1).
+    pub fn xor_with(&mut self, other: &Block) {
+        for (d, s) in self.0.chunks_exact_mut(8).zip(other.0.chunks_exact(8)) {
+            let x = u64::from_ne_bytes((&*d).try_into().expect("8 bytes"))
+                ^ u64::from_ne_bytes(s.try_into().expect("8 bytes"));
+            d.copy_from_slice(&x.to_ne_bytes());
+        }
     }
 }
 
@@ -195,6 +236,8 @@ impl fmt::Debug for Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iron_testkit::prop::{check, Config};
+    use iron_testkit::{gen, Rng};
 
     #[test]
     fn zeroed_block_is_zero() {
@@ -255,6 +298,124 @@ mod tests {
         }
         assert_eq!(full.first_zero_bit(64, 0), None);
         assert_eq!(full.first_zero_bit(64, 9999), None);
+    }
+
+    /// The search one bit per step: the body `first_zero_bit` had before it
+    /// went word-wise, kept as its reference.
+    fn reference_first_zero_bit(b: &Block, limit: u64, hint: u64) -> Option<u64> {
+        let start = hint.min(limit);
+        (start..limit).chain(0..start).find(|&i| !b.bit(i))
+    }
+
+    /// A bitmap of the given shape: all ones, all zeros, all ones but one
+    /// hole, or random bytes thinned or thickened to a random density.
+    fn bitmap(shape: u8, rng: &mut Rng) -> Block {
+        let mut b = Block::zeroed();
+        match shape {
+            0 => b = Block::filled(0xFF),
+            1 => {}
+            2 => {
+                b = Block::filled(0xFF);
+                b.clear_bit(rng.below(BLOCK_SIZE as u64 * 8));
+            }
+            _ => {
+                let density = rng.below(4);
+                for byte in b.iter_mut() {
+                    let (x, y, z) = (rng.next_u32(), rng.next_u32(), rng.next_u32());
+                    *byte = match density {
+                        0 => x & y & z,
+                        1 => x,
+                        2 => x | y,
+                        _ => x | y | z,
+                    } as u8;
+                }
+            }
+        }
+        b
+    }
+
+    /// Word-wise ≡ bit-wise: for a bitmap and a mask of the given shapes
+    /// and a `limit`, hints below, at and past the limit give the
+    /// reference's answer — plain, and masked against the materialised
+    /// `bitmap | mask` — and `xor_with` equals the byte loop.
+    fn searches_match_reference(shape: u8, mask_shape: u8, seed: u64, limit: u64) {
+        let mut rng = Rng::from_seed(seed);
+        let b = bitmap(shape, &mut rng);
+        let mask = bitmap(mask_shape, &mut rng);
+        let mut merged = b.clone();
+        for (m, x) in merged.iter_mut().zip(mask.iter()) {
+            *m |= x;
+        }
+        let hints = [
+            0,
+            rng.below(limit.max(1)),
+            limit.saturating_sub(1),
+            limit,
+            limit + 1 + rng.below(100),
+        ];
+        for hint in hints {
+            assert_eq!(
+                b.first_zero_bit(limit, hint),
+                reference_first_zero_bit(&b, limit, hint),
+                "limit {limit} hint {hint}"
+            );
+            assert_eq!(
+                b.first_zero_bit_masked(Some(&mask), limit, hint),
+                reference_first_zero_bit(&merged, limit, hint),
+                "masked, limit {limit} hint {hint}"
+            );
+        }
+
+        let mut xored = b.clone();
+        xored.xor_with(&mask);
+        let bytewise: Vec<u8> = b.iter().zip(mask.iter()).map(|(x, y)| x ^ y).collect();
+        assert_eq!(xored[..], bytewise[..]);
+    }
+
+    #[test]
+    fn word_wise_search_matches_the_bit_wise_reference() {
+        // Limits around every word boundary near both ends of the block,
+        // on every pair of shapes.
+        let bits = BLOCK_SIZE as u64 * 8;
+        for limit in [
+            0,
+            1,
+            63,
+            64,
+            65,
+            127,
+            128,
+            bits - 65,
+            bits - 64,
+            bits - 1,
+            bits,
+        ] {
+            for shape in 0..4 {
+                for mask_shape in 0..4 {
+                    searches_match_reference(shape, mask_shape, limit ^ 0x5EED, limit);
+                }
+            }
+        }
+        let inputs = (
+            gen::u8_in(0..4),
+            gen::u8_in(0..4),
+            gen::u64_in(0..u64::MAX),
+            gen::u64_in(0..bits + 1),
+        );
+        check(
+            "word_wise_search_matches_the_bit_wise_reference",
+            Config::cases(300),
+            &inputs,
+            |&(shape, mask_shape, seed, limit)| {
+                searches_match_reference(shape, mask_shape, seed, limit)
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_search_running_past_the_block_panics() {
+        let _ = Block::filled(0xFF).first_zero_bit(BLOCK_SIZE as u64 * 8 + 1, 0);
     }
 
     #[test]

@@ -177,17 +177,22 @@ pub struct Ext3Fs<D: BlockDevice + RawAccess> {
     /// Committed transactions whose checkpoint is deferred (pipelined
     /// checkpointing). Oldest first; drained by [`Self::checkpoint_now`].
     pending: Vec<Txn<Committed>>,
-    /// Blocks freed by transactions that have not committed yet. JBD's
-    /// reuse discipline: allocation works against the *committed* bitmap
-    /// state, so a block freed in the running transaction (or a closed
-    /// batch member) cannot be handed out until the free is durable — an
-    /// eager reuse would let an ordered-mode home write clobber contents a
+    /// Blocks freed by transactions that have not committed yet, as one
+    /// overlay bitmap per group that has any (indexed by group; a set bit
+    /// is a freed block). JBD's reuse discipline: allocation works against
+    /// the *committed* bitmap state — the group's bitmap OR its overlay —
+    /// so a block freed in the running transaction (or a closed batch
+    /// member) cannot be handed out until the free is durable. An eager
+    /// reuse would let an ordered-mode home write clobber contents a
     /// committed mapping still references (found by the iron-crash
     /// enumerator: COW overwrite freed the old block, the next allocation
     /// reused it pre-commit, and a crash left the old file pointing at
     /// foreign bytes). The `legacy_journal_bugs` knob keeps the seed's
     /// eager-reuse behavior.
-    pub(crate) uncommitted_frees: BTreeSet<u64>,
+    pub(crate) uncommitted_frees: Vec<Option<Block>>,
+    /// The superblock and GDT images staged in the running transaction
+    /// predate the latest counter change (see [`Self::write_counters`]).
+    counters_stale: bool,
     /// The page cache above the disk: clean, already-verified copies only
     /// (dirty metadata lives in the running transaction until checkpoint),
     /// least recently used evicted at `opts.cache_blocks`. Hits cost no
@@ -263,6 +268,32 @@ fn encode_cksum_block(cksums: &[u64], i: u64) -> Block {
         cb.put_u64(e * CKSUM_ENTRY as usize, *cksum);
     }
     cb
+}
+
+/// The superblock in `b` and the layout it describes, if it passes ext3's
+/// mount-time sanity checks (`DSanity`, §5.1) on a device of `dev_blocks`
+/// blocks: the magic, then the geometry — nothing is computed from, or
+/// allocated by, a field before [`DiskLayout::checked`] and the device's
+/// size have bounded it (a file system may be smaller than its device; the
+/// cost kernels format one so). The error is the kernel-log line.
+fn checked_super(b: &Block, dev_blocks: u64) -> Result<(Superblock, DiskLayout), &'static str> {
+    let sb =
+        Superblock::decode(b).ok_or("VFS: Can't find ext3 filesystem (bad superblock magic)")?;
+    let layout = DiskLayout::checked(sb.params())
+        .filter(|_| sb.total_blocks <= dev_blocks)
+        .ok_or("VFS: ext3 superblock geometry is invalid for this device; mount failed")?;
+    Ok((sb, layout))
+}
+
+/// The on-disk group descriptor table: per group, free blocks then free
+/// inodes.
+fn encode_gdt(gdt: &[(u32, u32)]) -> Block {
+    let mut b = Block::zeroed();
+    for (g, (free_blocks, free_inodes)) in gdt.iter().enumerate() {
+        b.put_u32(g * 8, *free_blocks);
+        b.put_u32(g * 8 + 4, *free_inodes);
+    }
+    b
 }
 
 /// Load checksum-table block `i`, as read from disk, into `cksums`.
@@ -354,13 +385,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             total_free_inodes += group_free_inodes;
         }
 
-        // GDT block.
-        let mut gdt_block = Block::zeroed();
-        for (g, (fb, fi)) in gdt.iter().enumerate() {
-            gdt_block.put_u32(g * 8, *fb);
-            gdt_block.put_u32(g * 8 + 4, *fi);
-        }
-        push(1, gdt_block);
+        push(1, encode_gdt(&gdt));
 
         // Superblock + its per-group replicas (PAPER-BUG fidelity: the
         // replicas are written here and never touched again).
@@ -436,26 +461,23 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 }
             }
         };
-        let sb = match Superblock::decode(&sb_block) {
-            Some(sb) => sb,
-            None => {
-                env.klog.error(
-                    "ext3",
-                    "VFS: Can't find ext3 filesystem (bad superblock magic)",
-                );
+        let dev_blocks = dev.num_blocks();
+        let (sb, layout) = match checked_super(&sb_block, dev_blocks) {
+            Ok(checked) => checked,
+            Err(why) => {
+                env.klog.error("ext3", why);
                 // Corrupt primary: ixt3 falls back to the replica; stock
                 // ext3 fails the mount (PAPER-BUG: replicas unused).
                 if opts.iron.meta_replication && opts.iron.fix_bugs {
-                    let mirror = BlockAddr(dev.num_blocks() / 2);
+                    let mirror = BlockAddr(dev_blocks / 2);
                     match dev
                         .read_tagged(mirror, BlockType::Replica.tag())
                         .ok()
-                        .as_ref()
-                        .and_then(Superblock::decode)
+                        .and_then(|b| checked_super(&b, dev_blocks).ok())
                     {
-                        Some(sb) => {
+                        Some(checked) => {
                             env.klog.info("ixt3", "superblock recovered from replica");
-                            sb
+                            checked
                         }
                         None => return Err(Errno::EUCLEAN.into()),
                     }
@@ -474,7 +496,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             );
             return Err(Errno::EINVAL.into());
         }
-        let layout = DiskLayout::compute(sb.params());
 
         let mut fs = Ext3Fs {
             dev,
@@ -485,7 +506,8 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             running: Txn::new(),
             closed: None,
             pending: Vec::new(),
-            uncommitted_frees: BTreeSet::new(),
+            uncommitted_frees: vec![None; layout.num_groups as usize],
+            counters_stale: false,
             cache: Lru::default(),
             jseq: 1,
             log_head: layout.journal_start,
@@ -885,6 +907,41 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         self.running.put(addr, block, ty);
     }
 
+    /// Stage the superblock and GDT after a counter change.
+    ///
+    /// The images a transaction logs are the ones current when it closes;
+    /// every earlier encoding is overwritten in the `Txn` before anyone
+    /// reads it (nothing reads block 0 or 1 back after mount). So only the
+    /// first change in a transaction — or one that finds either block
+    /// gone from the cache — encodes and stages both in full, which fixes
+    /// their place in the transaction's first-dirty order. A later change
+    /// touches the two cache entries, as staging them would, and leaves
+    /// the encoding to [`Self::close_running`].
+    pub(crate) fn write_counters(&mut self) {
+        let staged = self.running.get(0).is_some() && self.running.get(1).is_some();
+        if staged
+            && self.cache.get(BlockAddr(0)).is_some()
+            && self.cache.get(BlockAddr(1)).is_some()
+        {
+            self.counters_stale = true;
+            return;
+        }
+        for (addr, image, ty) in self.encode_counters() {
+            self.write_meta(addr, image, ty);
+        }
+        self.counters_stale = false;
+    }
+
+    /// The superblock and GDT as the in-memory counters have them.
+    fn encode_counters(&self) -> [(u64, Block, BlockType); 2] {
+        #[cfg(test)]
+        crate::ops::SUPER_ENCODES.with(|n| n.set(n.get() + 1));
+        [
+            (0, self.sb.encode(), BlockType::Super),
+            (1, encode_gdt(&self.gdt), BlockType::GroupDesc),
+        ]
+    }
+
     /// Revoke a freed metadata block so neither checkpoint nor journal
     /// replay can resurrect it: the running transaction drops its staged
     /// copy and records the revoke, and every committed-but-not-yet-
@@ -915,6 +972,17 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     fn close_running(&mut self) {
         if self.running.is_empty() {
             return;
+        }
+        if self.counters_stale {
+            // The final counter images, into the transaction and into the
+            // cache entries where they lie (no change of recency).
+            for (addr, image, ty) in self.encode_counters() {
+                if let Some(cached) = self.cache.peek_mut(BlockAddr(addr)) {
+                    cached.copy_from_slice(&image[..]);
+                }
+                self.running.put(addr, image, ty);
+            }
+            self.counters_stale = false;
         }
         let t = std::mem::take(&mut self.running).close();
         self.closed = Some(match self.closed.take() {
@@ -1112,7 +1180,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         self.jseq = seq + 1;
         // The batch's frees are durable once its commit block is written:
         // freed blocks become allocatable again.
-        self.uncommitted_frees.clear();
+        self.uncommitted_frees.fill(None);
 
         if self.opts.crash_mode {
             // Simulated crash window: committed but never checkpointed.
@@ -1251,20 +1319,16 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         if self.parity_dirty.is_empty() {
             return Ok(());
         }
-        let mut dirty: Vec<(u64, Block)> = self.parity_dirty.drain().collect();
         // Elevator order by parity-block address for the flush sweep.
-        let mut with_addr: Vec<(u64, u64, Block)> = Vec::with_capacity(dirty.len());
-        for (ino, block) in dirty.drain(..) {
+        let mut dirty: Vec<(u64, u64, Block)> = Vec::with_capacity(self.parity_dirty.len());
+        for (ino, block) in std::mem::take(&mut self.parity_dirty) {
             let di = self.raw_iget(ino)?;
-            with_addr.push((di.parity as u64, ino, block));
-        }
-        with_addr.sort_by_key(|(addr, _, _)| *addr);
-        for (_, ino, block) in with_addr {
-            let di = self.raw_iget(ino)?;
-            if di.parity == 0 {
-                continue;
+            if di.parity != 0 {
+                dirty.push((di.parity as u64, ino, block));
             }
-            let addr = di.parity as u64;
+        }
+        dirty.sort_by_key(|(addr, _, _)| *addr);
+        for (addr, ino, block) in dirty {
             let r = self
                 .dev
                 .write_tagged(BlockAddr(addr), &block, BlockType::Parity.tag());
@@ -1283,29 +1347,48 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         Ok(())
     }
 
-    /// XOR `old` out of and `new` into the parity accumulator for `ino`.
-    pub(crate) fn parity_update(&mut self, ino: u64, parity_addr: u64, old: &Block, new: &Block) {
+    /// XOR `old` (absent for a block that had no contents) out of and
+    /// `new` into the parity accumulator for `ino`.
+    ///
+    /// The first touch of a file per commit loads the accumulator from the
+    /// cache or the disk — never from nothing: parity restarted from zeros
+    /// would later reconstruct wrong bytes as file data, so a parity block
+    /// that cannot be read fails the update the way a failed parity write
+    /// fails the flush.
+    pub(crate) fn parity_update(
+        &mut self,
+        ino: u64,
+        parity_addr: u64,
+        old: Option<&Block>,
+        new: &Block,
+    ) -> VfsResult<()> {
         self.charge_cpu(XOR_BLOCK_COST_NS * 2);
-        let acc = match self.parity_dirty.entry(ino) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                // Load the current parity block (cache → disk → zeros).
-                let cur = self
-                    .cache
-                    .get(BlockAddr(parity_addr))
-                    .cloned()
-                    .or_else(|| {
-                        self.dev
-                            .read_tagged(BlockAddr(parity_addr), BlockType::Parity.tag())
-                            .ok()
-                    })
-                    .unwrap_or_else(Block::zeroed);
-                e.insert(cur)
-            }
-        };
-        for i in 0..BLOCK_SIZE {
-            acc[i] ^= old[i] ^ new[i];
+        if !self.parity_dirty.contains_key(&ino) {
+            let cur = match self.cache.get(BlockAddr(parity_addr)) {
+                Some(b) => b.clone(),
+                None => match self
+                    .dev
+                    .read_tagged(BlockAddr(parity_addr), BlockType::Parity.tag())
+                {
+                    Ok(b) => b,
+                    Err(_) => {
+                        let msg = format!("parity block {parity_addr} of inode {ino} unreadable");
+                        self.env.klog.error("ixt3", msg);
+                        if self.opts.iron.fix_bugs {
+                            self.abort_journal("parity read failure");
+                        }
+                        return Err(Errno::EIO.into());
+                    }
+                },
+            };
+            self.parity_dirty.insert(ino, cur);
         }
+        let acc = self.parity_dirty.get_mut(&ino).expect("just loaded");
+        if let Some(old) = old {
+            acc.xor_with(old);
+        }
+        acc.xor_with(new);
+        Ok(())
     }
 
     // ==================================================================

@@ -239,34 +239,57 @@ impl DiskLayout {
     /// Compute the layout for the given parameters.
     ///
     /// # Panics
-    /// Panics if the device is too small to hold at least one block group.
+    /// Panics if [`Self::checked`] rejects the parameters (`mkfs` callers
+    /// choose them; `mount` reads them from disk and calls `checked`).
     pub fn compute(params: Ext3Params) -> DiskLayout {
+        Self::checked(params).expect("device too small for one block group")
+    }
+
+    /// The layout for the given parameters, or `None` if they describe no
+    /// file system: a group's two bitmaps are one block each (so at most
+    /// `BLOCK_SIZE * 8` blocks and inodes, and at least one of either —
+    /// the bound every bitmap search relies on), a group holds its
+    /// bitmaps, inode table, super replica and a data block, and the fixed
+    /// regions plus one group fit the device. No arithmetic here trusts
+    /// its operands: `mount` passes what it read from block 0.
+    pub fn checked(params: Ext3Params) -> Option<DiskLayout> {
+        let bits = BLOCK_SIZE as u64 * 8;
+        let per_group = 1..=bits;
+        if !per_group.contains(&params.blocks_per_group)
+            || !per_group.contains(&params.inodes_per_group)
+        {
+            return None;
+        }
         let fs_blocks = if params.mirror_metadata {
             params.total_blocks / 2
         } else {
             params.total_blocks
         };
         let journal_super = 2;
-        let journal_start = 3;
+        let journal_start = 3u64;
         let journal_len = params.journal_blocks;
-        let cksum_start = journal_start + journal_len;
+        let cksum_start = journal_start.checked_add(journal_len)?;
         // One 8-byte entry per device block (covering the whole device keeps
         // indexing trivial; unused when checksumming is off).
-        let cksum_len = (params.total_blocks * CKSUM_ENTRY).div_ceil(BLOCK_SIZE as u64);
-        let replica_log_start = cksum_start + cksum_len;
+        let cksum_len = params
+            .total_blocks
+            .checked_mul(CKSUM_ENTRY)?
+            .div_ceil(BLOCK_SIZE as u64);
+        let replica_log_start = cksum_start.checked_add(cksum_len)?;
         let replica_log_len = if params.mirror_metadata {
             params.journal_blocks
         } else {
             0
         };
-        let groups_start = replica_log_start + replica_log_len;
-        assert!(
-            groups_start + params.blocks_per_group <= fs_blocks,
-            "device too small for one block group"
-        );
-        let num_groups = (fs_blocks - groups_start) / params.blocks_per_group;
+        let groups_start = replica_log_start.checked_add(replica_log_len)?;
         let itable_blocks = params.inodes_per_group.div_ceil(INODES_PER_BLOCK);
-        DiskLayout {
+        if groups_start.checked_add(params.blocks_per_group)? > fs_blocks
+            || params.blocks_per_group < itable_blocks + 4
+        {
+            return None;
+        }
+        let num_groups = (fs_blocks - groups_start) / params.blocks_per_group;
+        Some(DiskLayout {
             params,
             journal_super,
             journal_start,
@@ -279,7 +302,7 @@ impl DiskLayout {
             num_groups,
             fs_blocks,
             itable_blocks,
-        }
+        })
     }
 
     /// The group descriptor table address.
@@ -482,6 +505,54 @@ mod tests {
             BlockType::Replica,
             "replica log classifies as replica"
         );
+    }
+
+    #[test]
+    fn checked_rejects_what_compute_would_panic_on() {
+        let ok = Ext3Params::small();
+        assert!(DiskLayout::checked(ok).is_some());
+        let bad = [
+            Ext3Params {
+                blocks_per_group: 0,
+                ..ok
+            },
+            Ext3Params {
+                blocks_per_group: BLOCK_SIZE as u64 * 8 + 1,
+                ..ok
+            },
+            Ext3Params {
+                inodes_per_group: 0,
+                ..ok
+            },
+            Ext3Params {
+                inodes_per_group: 1 << 20,
+                ..ok
+            },
+            // The inode table alone fills the group.
+            Ext3Params {
+                blocks_per_group: 19,
+                ..ok
+            },
+            Ext3Params {
+                journal_blocks: 1 << 40,
+                ..ok
+            },
+            Ext3Params {
+                journal_blocks: u64::MAX - 2,
+                ..ok
+            },
+            Ext3Params {
+                total_blocks: u64::MAX / 4,
+                ..ok
+            },
+            Ext3Params {
+                total_blocks: 600,
+                ..ok
+            },
+        ];
+        for p in bad {
+            assert!(DiskLayout::checked(p).is_none(), "{p:?}");
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@ thread_local! {
     /// Owned block reads (`read_meta` + `read_data_block`) on this thread:
     /// what the tests count to show a warmed read-only operation makes none.
     static OWNED_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Encodings of the counter blocks (superblock + GDT) on this thread.
+    pub(crate) static SUPER_ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
@@ -303,9 +305,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                     &fetched
                 }
             };
-            for i in 0..BLOCK_SIZE {
-                acc[i] ^= b[i];
-            }
+            acc.xor_with(b);
         }
         Ok(acc)
     }
@@ -397,18 +397,18 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         for i in 0..ng {
             let g = (hint_group + i) % ng;
             let bm_addr = self.layout().data_bitmap(g).0;
-            let mut bm = self.read_meta(bm_addr, BlockType::DataBitmap)?;
             let data_lo = self.layout().data_start(g) - self.layout().group_base(g);
             // Allocate against the committed bitmap state: bits freed by
             // not-yet-committed transactions are still busy (see
-            // `uncommitted_frees`).
-            let mut view = bm.clone();
-            for &a in &self.uncommitted_frees {
-                if self.layout().group_of_block(a) == Some(g) {
-                    view.set_bit(a - self.layout().group_base(g));
-                }
-            }
-            if let Some(bit) = view.first_zero_bit(bpg, data_lo) {
+            // `uncommitted_frees`). The overlay steps out of `self` while
+            // the bitmap is inspected where it lies.
+            let freed = self.uncommitted_frees[g as usize].take();
+            let found = self.with_meta(bm_addr, BlockType::DataBitmap, |bm| {
+                bm.first_zero_bit_masked(freed.as_ref(), bpg, data_lo)
+            });
+            self.uncommitted_frees[g as usize] = freed;
+            if let Some(bit) = found? {
+                let mut bm = self.read_meta(bm_addr, BlockType::DataBitmap)?;
                 bm.set_bit(bit);
                 self.write_meta(bm_addr, bm, BlockType::DataBitmap);
                 self.sb.free_blocks = self.sb.free_blocks.saturating_sub(1);
@@ -444,7 +444,9 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         // The legacy knob re-introduces the seed bug of skipping this.
         if !self.opts.legacy_journal_bugs {
             self.revoke_meta(addr);
-            self.uncommitted_frees.insert(addr);
+            self.uncommitted_frees[g as usize]
+                .get_or_insert_with(Block::zeroed)
+                .set_bit(bit);
         }
         Ok(())
     }
@@ -486,18 +488,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         }
         self.write_counters();
         self.iput(ino, &DiskInode::empty())
-    }
-
-    /// Stage the superblock and GDT with updated counters.
-    fn write_counters(&mut self) {
-        let sb_block = self.sb.encode();
-        self.write_meta(0, sb_block, BlockType::Super);
-        let mut gdt_block = Block::zeroed();
-        for (g, (fb, fi)) in self.gdt.iter().enumerate() {
-            gdt_block.put_u32(g * 8, *fb);
-            gdt_block.put_u32(g * 8 + 4, *fi);
-        }
-        self.write_meta(1, gdt_block, BlockType::GroupDesc);
     }
 
     // ==================================================================
@@ -1129,23 +1119,25 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
             let take = ((end - pos) as usize).min(BLOCK_SIZE - within);
             let mut addr = self.get_file_block(&di, idx)?;
             let preexisting = addr != 0;
-            let old = if addr == 0 {
-                Block::zeroed()
-            } else if within == 0 && take == BLOCK_SIZE && !self.opts.iron.data_parity {
-                // Full-block overwrite without parity: old contents unneeded.
-                Block::zeroed()
+            // A fresh block has no old contents, and a full-block
+            // overwrite without parity does not need them.
+            let full = within == 0 && take == BLOCK_SIZE;
+            let mut old = if addr == 0 || (full && !self.opts.iron.data_parity) {
+                None
             } else {
-                self.read_data_block(Some((ino, di)), addr)?
+                Some(self.read_data_block(Some((ino, di)), addr)?)
             };
             if addr == 0 {
                 addr = self.alloc_block(hint)?;
                 di.blocks_count += 1;
                 self.set_file_block(&mut di, idx, addr, hint)?;
             }
-            let mut new = old.clone();
+            // Parity wants `old` beside `new`; otherwise `new` is `old` edited.
+            let parity = self.opts.iron.data_parity && di.parity != 0;
+            let mut new = if parity { old.clone() } else { old.take() }.unwrap_or_default();
             new.put_bytes(within, &data[src..src + take]);
-            if self.opts.iron.data_parity && di.parity != 0 {
-                self.parity_update(ino, di.parity as u64, &old, &new);
+            if parity {
+                self.parity_update(ino, di.parity as u64, old.as_ref(), &new)?;
             }
             // `Rm` extension: a failed data write is remapped to a fresh
             // block instead of aborting (RRemap, Table 2). The raw write is
@@ -1222,7 +1214,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
                 if addr != 0 {
                     if self.opts.iron.data_parity && di.parity != 0 {
                         let old = self.read_data_block(Some((ino, di)), addr)?;
-                        self.parity_update(ino, di.parity as u64, &old, &Block::zeroed());
+                        self.parity_update(ino, di.parity as u64, Some(&old), &Block::zeroed())?;
                     }
                     self.free_block(addr)?;
                     di.blocks_count = di.blocks_count.saturating_sub(1);
@@ -1241,7 +1233,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
                         *byte = 0;
                     }
                     if self.opts.iron.data_parity && di.parity != 0 {
-                        self.parity_update(ino, di.parity as u64, &old, &b);
+                        self.parity_update(ino, di.parity as u64, Some(&old), &b)?;
                     }
                     if self.opts.iron.data_checksum {
                         // Same COW-under-Dc rule as `write`: the zeroed
@@ -1338,6 +1330,40 @@ mod tests {
 
     fn owned_reads() -> usize {
         OWNED_READS.with(std::cell::Cell::get)
+    }
+
+    /// The counter blocks are encoded per transaction, not per bit: a
+    /// 16-block write into a fresh file changes a counter 17 times (the
+    /// indirect block too) and encodes the pair when the transaction first
+    /// stages them and when it closes — and what then sits in the cache is
+    /// the final image.
+    #[test]
+    fn a_fresh_file_write_encodes_the_counter_blocks_at_most_twice() {
+        let md = MemDisk::for_tests(4096);
+        let fs = Ext3Fs::format_and_mount(
+            md,
+            FsEnv::new(),
+            Ext3Params::small(),
+            Ext3Options::default(),
+        )
+        .expect("format");
+        let mut v = Vfs::new(fs);
+        v.sync().unwrap();
+        let root = v.fs_mut().root_ino();
+        let f = v.fs_mut().create(root, "f", 0o644).unwrap();
+        let free = v.fs_mut().statfs().unwrap().blocks_free;
+        let before = SUPER_ENCODES.with(std::cell::Cell::get);
+        v.fs_mut().write(f, 0, &[7u8; 16 * BLOCK_SIZE]).unwrap();
+        v.sync().unwrap();
+        let encodes = SUPER_ENCODES.with(std::cell::Cell::get) - before;
+        assert!((1..=2).contains(&encodes), "{encodes} encodings");
+
+        let fs = v.fs_mut();
+        assert_eq!(fs.sb.free_blocks, free - 17);
+        assert_eq!(fs.cache.peek(BlockAddr(0)), Some(&fs.sb.encode()));
+        let gdt = fs.cache.peek(BlockAddr(1)).expect("GDT resident");
+        let group_free: u64 = (0..fs.gdt.len()).map(|g| gdt.get_u32(g * 8) as u64).sum();
+        assert_eq!(group_free, free - 17);
     }
 
     /// Borrowed ≡ owned, by count: once the cache is warm, every read-only

@@ -225,6 +225,114 @@ fn parity_tracks_overwrites_and_truncates() {
     assert_eq!(v.read_file("/f").unwrap(), expected);
 }
 
+/// The first parity update of a file per commit loads the accumulator
+/// from the parity block. When that read failed the accumulator used to
+/// restart from zeros: the flush then wrote parity that matched nothing,
+/// and a later reconstruction returned wrong bytes as file data with an
+/// empty log. The read error must fail the write instead.
+#[test]
+fn unreadable_parity_block_fails_the_write_instead_of_restarting_from_zeros() {
+    let iron = IronConfig {
+        data_parity: true,
+        fix_bugs: true,
+        ..IronConfig::off()
+    };
+    let (mut v, ctl, _env) = mount_iron(iron);
+    let data: Vec<u8> = (0..20_000u32).map(|i| (i * 7 % 256) as u8).collect();
+    v.write_file("/f", &data).unwrap();
+    v.sync().unwrap();
+    let lost = v.fs_mut().blocks_of(3).unwrap()[3];
+    let (mut v, env) = remount(v, iron); // the parity block leaves the cache
+
+    ctl.inject(FaultSpec::transient(
+        FaultKind::ReadError,
+        FaultTarget::Tag(BlockTag("d-parity")),
+        1,
+    ));
+    let fd = v.open("/f", iron_vfs::OpenFlags::rdwr()).unwrap();
+    let err = v.pwrite(fd, 4096, &vec![9u8; 4096]).unwrap_err();
+    assert_eq!(err.errno(), Some(Errno::EIO));
+    assert!(
+        env.klog.contains("parity block"),
+        "{:?}",
+        env.klog.entries()
+    );
+    assert_eq!(env.state(), MountState::ReadOnly, "journal aborted");
+
+    // Nothing reached the disk: data and parity still agree, so losing a
+    // block reconstructs the bytes that were written.
+    let dev = v.into_fs().into_device();
+    let fs = Ext3Fs::mount(dev, FsEnv::new(), Ext3Options::with_iron(iron)).expect("mount");
+    let mut v = Vfs::new(fs);
+    ctl.inject(FaultSpec::sticky(
+        FaultKind::ReadError,
+        FaultTarget::Addr(BlockAddr(lost)),
+    ));
+    assert_eq!(v.read_file("/f").unwrap(), data);
+}
+
+/// §5.1 credits ext3 with sanity-checking its superblock, and `mount` used
+/// to check the magic only: each of these one-field edits of a valid block
+/// 0 divided by zero, tripped `DiskLayout::compute`'s assert, aborted the
+/// process on a 8 TiB allocation, or mounted and later searched a bitmap
+/// past its block.
+#[test]
+fn garbage_superblock_geometry_is_euclean_not_a_panic() {
+    const TOTAL: usize = 8;
+    const BLOCKS_PER_GROUP: usize = 16;
+    const INODES_PER_GROUP: usize = 24;
+    const JOURNAL: usize = 32;
+    let cases: [(usize, u64); 7] = [
+        (BLOCKS_PER_GROUP, 0),
+        (BLOCKS_PER_GROUP, 40_000),
+        (BLOCKS_PER_GROUP, 1 << 40),
+        (JOURNAL, 1 << 40),
+        (TOTAL, 1 << 40),
+        (INODES_PER_GROUP, 0),
+        (INODES_PER_GROUP, 1 << 20),
+    ];
+    let full = IronConfig::full();
+    let mirrored = Ext3Params {
+        mirror_metadata: true,
+        ..Ext3Params::small()
+    };
+    for (off, value) in cases {
+        // Stock ext3: the primary is all there is.
+        let mut md = MemDisk::for_tests(4096);
+        Ext3Fs::mkfs(&mut md, Ext3Params::small()).expect("mkfs");
+        md.poke(BlockAddr(0), &sb_with(&md, 0, off, value));
+        let env = FsEnv::new();
+        let err = Ext3Fs::mount(md, env.clone(), Ext3Options::default())
+            .err()
+            .expect("garbage geometry must not mount");
+        assert_eq!(err.errno(), Some(Errno::EUCLEAN), "offset {off} = {value}");
+        assert!(env.klog.contains("geometry is invalid"));
+
+        // ixt3: a bad primary falls back to the replica, which is held to
+        // the same check.
+        let mut md = MemDisk::for_tests(4096);
+        Ext3Fs::mkfs(&mut md, mirrored).expect("mkfs");
+        md.poke(BlockAddr(0), &sb_with(&md, 0, off, value));
+        let env = FsEnv::new();
+        let fs = Ext3Fs::mount(md, env.clone(), Ext3Options::with_iron(full)).expect("replica");
+        assert!(env.klog.contains("superblock recovered from replica"));
+        let mut md = fs.into_device();
+        md.poke(BlockAddr(0), &sb_with(&md, 0, off, value));
+        md.poke(BlockAddr(2048), &sb_with(&md, 2048, off, value));
+        let err = Ext3Fs::mount(md, FsEnv::new(), Ext3Options::with_iron(full))
+            .err()
+            .expect("both copies are garbage");
+        assert_eq!(err.errno(), Some(Errno::EUCLEAN), "offset {off} = {value}");
+    }
+}
+
+/// The block at `addr` with the `u64` at `off` replaced by `value`.
+fn sb_with(md: &MemDisk, addr: u64, off: usize, value: u64) -> Block {
+    let mut b = md.peek(BlockAddr(addr));
+    b.put_u64(off, value);
+    b
+}
+
 #[test]
 fn transactional_checksum_rejects_corrupt_journal_replay() {
     // Crash with a committed-but-not-checkpointed transaction in the log,
