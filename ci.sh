@@ -23,7 +23,9 @@
 # ./ci.sh profile <workload> [seed] says where a workload's CPU time goes:
 # the benchmark rebuilt with frame pointers under target/profile/, run under
 # tools/sprof.c (a SIGPROF sampler; the box has no perf), self and inclusive
-# share per symbol. Not a gate; skipped with a message when gcc is absent.
+# share per symbol, a sample inside a library named by that library's
+# exported symbols and its caller in the binary. Not a gate; skipped with a
+# message when gcc is absent.
 set -eu
 
 loc() {
@@ -173,55 +175,101 @@ profile() {
     # (RUSTFLAGS would otherwise rebuild benchmark/target every time).
     dir=target/profile
     mkdir -p "$dir"
-    gcc -O2 -shared -fPIC -o "$dir/libsprof.so" tools/sprof.c
+    gcc -O2 -shared -fPIC -o "$dir/libsprof.so" tools/sprof.c -ldl
     CARGO_TARGET_DIR=$dir RUSTFLAGS='-C force-frame-pointers=yes' \
         cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
     bin=$dir/release/iron-benchmark
     SPROF_OUT=$dir/$workload.sprof LD_PRELOAD=$dir/libsprof.so \
         "$bin" --workload "$workload" --seed "$seed" --seconds 10 --trace 0 >/dev/null
+    # Symbols by address: the binary's (nm -n), then each library the run
+    # mapped with its exported ones (libc ships no others), every object
+    # named on a `LIB` line above its symbols.
+    binpath=$(realpath "$bin")
+    {
+        echo "LIB $binpath"
+        nm -nC --defined-only "$bin"
+        awk -v bin="$binpath" '
+            /^MAPS$/ { maps = 1; next }
+            maps && $6 ~ /^\// && $6 != bin && !seen[$6]++ { print $6 }' "$dir/$workload.sprof" |
+            while read -r lib; do
+                echo "LIB $lib"
+                nm -Dn --defined-only "$lib" 2>/dev/null || true
+            done
+    } >"$dir/$workload.syms"
     echo "== profile: $workload, seed $seed, one sample per 500 us of CPU =="
-    # Symbols by address (nm -n), then the samples: self share goes to the
-    # symbol under the PC, inclusive share to every symbol on the chain.
-    nm -nC --defined-only "$bin" | awk -v bin="$(realpath "$bin")" '
+    echo "a sample in a library goes to the nearest exported symbol below it (nm -D, plus the"
+    echo "memcpy/memset/... variants glibc picked at load time), so any other unexported"
+    echo "function shows under its exported neighbour's name (malloc's helpers under"
+    echo "__default_morecore); such a sample's self row is \`symbol <- caller\`, the caller"
+    echo "being the return address on top of the stack when that is in this binary's text,"
+    echo "else the first frame of the chain that is; the bare \`symbol\` row sums its callers"
+    # The samples: self share goes to the symbol under the PC, inclusive
+    # share to every symbol on the chain.
+    awk -v bin="$binpath" '
         FNR == NR {
-            if ($2 ~ /^[tTwW]$/) { addr[++syms] = hex($1); $1 = $2 = ""; name[syms] = substr($0, 3) }
+            if ($1 == "LIB") obj = $2
+            else if ($2 ~ /^[tTwWi]$/) {
+                addr[obj, ++syms[obj]] = hex($1); $1 = $2 = ""; sub(/@.*/, "")
+                name[obj, syms[obj]] = substr($0, 3)
+            }
             next
         }
         /^MAPS$/ { maps = 1; next }
+        $1 == "IFUNC" { picked_addr[++picked] = hex($2); picked_name[picked] = $3; next }
         !maps { line[++samples] = $0; next }
-        # The lowest mapping of the binary is its load base (PIE); any other
-        # mapping is named for its file.
+        # The lowest mapping of a file is its load base (PIE, shared object).
         {
             split($1, range, "-"); lo = hex(range[1])
-            if ($6 == bin && !base) base = lo
-            map_lo[++nmaps] = lo; map_hi[nmaps] = hex(range[2]); map_name[nmaps] = $6
+            if (!($6 in base)) base[$6] = lo
+            map_lo[++nmaps] = lo; map_hi[nmaps] = hex(range[2]); map_name[nmaps] = $6; map_exec[nmaps] = $2 ~ /x/
         }
         function hex(s,    i, v) {
             for (i = 1; i <= length(s); i++) v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
             return v
         }
-        function symbol(a,    i, l, h, m) {
+        # Sets sym[p] and whether p is in the text of the binary itself.
+        function resolve(p,    a, i, f, l, h, m, below) {
+            if (p in sym) return
+            a = hex(p)
             for (i = 1; i <= nmaps; i++) if (a >= map_lo[i] && a < map_hi[i]) break
-            if (i > nmaps) return "[?]"
-            if (map_name[i] != bin) { sub(/.*\//, "", map_name[i]); return "[" map_name[i] "]" }
-            a -= base; l = 1; h = syms
-            while (l < h) { m = int((l + h + 1) / 2); if (addr[m] <= a) l = m; else h = m - 1 }
-            return name[l]
+            f = map_name[i]
+            in_bin[p] = i <= nmaps && f == bin && map_exec[i]
+            a -= base[f]
+            if (i > nmaps) sym[p] = "[?]"
+            else if (!syms[f] || a < addr[f, 1]) { sub(/.*\//, "", f); sym[p] = "[" f "]" }
+            else {
+                l = 1; h = syms[f]
+                while (l < h) { m = int((l + h + 1) / 2); if (addr[f, m] <= a) l = m; else h = m - 1 }
+                sym[p] = name[f, l]; below = addr[f, l]
+                for (i = 1; i <= picked; i++) {
+                    m = picked_addr[i] - base[f]
+                    if (m <= a && m > below) { sym[p] = picked_name[i]; below = m }
+                }
+            }
         }
+        # One more sample has f somewhere on its chain.
+        function count(f) { if (!(f in on_chain)) { on_chain[f]; incl[f]++ } }
         END {
             for (s = 1; s <= samples; s++) {
-                n = split(line[s], pc, " "); split("", on_chain)
+                n = split(line[s], word, " "); split("", on_chain); top = ""; frames = 0
                 for (i = 1; i <= n; i++) {
-                    if (!(pc[i] in memo)) memo[pc[i]] = symbol(hex(pc[i]))
-                    f = memo[pc[i]]
-                    if (i == 1) self[f]++
-                    if (!(f in on_chain)) { on_chain[f]; incl[f]++ }
+                    if (word[i] ~ /^\^/) top = substr(word[i], 2)
+                    else { pc[++frames] = word[i]; resolve(pc[frames]) }
                 }
+                leaf = sym[pc[1]]
+                if (!in_bin[pc[1]]) {
+                    count(leaf); resolve(top); caller = ""
+                    if (in_bin[top]) { caller = sym[top]; count(caller) }
+                    for (i = 2; i <= frames && caller == ""; i++) if (in_bin[pc[i]]) caller = sym[pc[i]]
+                    if (caller != "") leaf = leaf " <- " caller
+                }
+                self[leaf]++; count(leaf)
+                for (i = 2; i <= frames; i++) count(sym[pc[i]])
             }
             printf "%d samples\n%7s %7s  symbol\n", samples, "self%", "incl%"
             for (f in incl) if (incl[f] * 200 >= samples)
                 printf "%7.1f %7.1f  %s\n", 100 * self[f] / samples, 100 * incl[f] / samples, f | "sort -k2,2nr"
-        }' - "$dir/$workload.sprof"
+        }' "$dir/$workload.syms" "$dir/$workload.sprof"
 }
 
 usage() {

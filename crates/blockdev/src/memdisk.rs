@@ -26,17 +26,33 @@ pub struct DiskStats {
     pub seeks: u64,
 }
 
+/// One block's bytes.
+type Page = Arc<[u8; BLOCK_SIZE]>;
+
+/// Pages per chunk: what a snapshot, and dropping one, pays one refcount
+/// for, and how many pointers the first write into a shared chunk copies.
+/// Timed at 16, 32, 64 and 128 on the `campaign` benchmark (EXPERIMENTS.md,
+/// "The medium's spine").
+const CHUNK_PAGES: usize = 64;
+
+type Chunk = Arc<[Page; CHUNK_PAGES]>;
+
 /// An in-memory disk that never fails.
 ///
 /// Every request advances the shared [`SimClock`] according to the
 /// [`DiskGeometry`] service-time model.
 ///
-/// The medium is copy-on-write: a flat spine with one shared page per
-/// block. A never-written slot points at the zero page its disk was created
-/// with, and a [`MemDisk::snapshot`] shares every page with its parent
-/// until one of the two writes the block.
+/// The medium is copy-on-write on two levels: a spine of shared chunks,
+/// each `CHUNK_PAGES` shared pages, one page per block. A
+/// [`MemDisk::snapshot`] shares every chunk with its parent; the first
+/// write either side makes into a chunk copies that chunk's page pointers,
+/// and the pages themselves stay shared until written. A never-written
+/// chunk is the all-zero chunk its disk was created with.
 pub struct MemDisk {
-    pages: Vec<Arc<[u8; BLOCK_SIZE]>>,
+    chunks: Vec<Chunk>,
+    /// The last chunk is padded to full length with zero pages, so the
+    /// size is kept beside the spine.
+    num_blocks: u64,
     geometry: DiskGeometry,
     clock: SimClock,
     stats: DiskStats,
@@ -57,9 +73,11 @@ pub struct MemDisk {
 impl MemDisk {
     /// Create a disk of `num_blocks` zeroed blocks.
     pub fn new(num_blocks: u64, geometry: DiskGeometry, clock: SimClock) -> Self {
-        let zero_page = Arc::new([0u8; BLOCK_SIZE]);
+        let zero_page: Page = Arc::new([0u8; BLOCK_SIZE]);
+        let zero_chunk: Chunk = Arc::new(std::array::from_fn(|_| zero_page.clone()));
         MemDisk {
-            pages: vec![zero_page; num_blocks as usize],
+            chunks: vec![zero_chunk; (num_blocks as usize).div_ceil(CHUNK_PAGES)],
+            num_blocks,
             geometry,
             clock,
             stats: DiskStats::default(),
@@ -78,12 +96,13 @@ impl MemDisk {
     /// An independent disk with the same contents and fresh clock and
     /// statistics — the fingerprinting campaign stamps one golden image
     /// per file system and snapshots it for every (workload × block type ×
-    /// fault) cell. Costs one refcount bump per block and copies no data:
-    /// the pages are shared until either side writes them, and a write to
-    /// one side is never visible on the other.
+    /// fault) cell. Costs one refcount bump per chunk and copies no data:
+    /// chunks and pages are shared until either side writes them, and a
+    /// write to one side is never visible on the other.
     pub fn snapshot(&self) -> MemDisk {
         MemDisk {
-            pages: self.pages.clone(),
+            chunks: self.chunks.clone(),
+            num_blocks: self.num_blocks,
             geometry: self.geometry,
             clock: SimClock::new(),
             stats: DiskStats::default(),
@@ -110,7 +129,7 @@ impl MemDisk {
     }
 
     fn check_range(&self, addr: BlockAddr) -> DiskResult<()> {
-        if addr.0 < self.pages.len() as u64 {
+        if addr.0 < self.num_blocks {
             Ok(())
         } else {
             Err(DiskError::OutOfRange { addr })
@@ -121,19 +140,27 @@ impl MemDisk {
     /// the calling harness, reported with the address and the disk size.
     fn raw_index(&self, addr: BlockAddr, what: &str) -> usize {
         assert!(
-            addr.0 < self.pages.len() as u64,
+            addr.0 < self.num_blocks,
             "{what} of block {addr} on a disk of {} blocks",
-            self.pages.len()
+            self.num_blocks
         );
         addr.0 as usize
     }
 
-    /// Put `block` at the in-range index `idx`. An unshared page is
-    /// overwritten in place; a page a snapshot (or the zero fill) still
-    /// shares is replaced by a fresh one — not `Arc::make_mut`, which would
-    /// copy the old contents only to overwrite them.
+    /// The bytes at the in-range index `idx`.
+    fn page(&self, idx: usize) -> &[u8; BLOCK_SIZE] {
+        &self.chunks[idx / CHUNK_PAGES][idx % CHUNK_PAGES]
+    }
+
+    /// Put `block` at the in-range index `idx`. A chunk a snapshot (or the
+    /// zero fill) still shares is copied first — `Arc::make_mut`: its other
+    /// pointers are still wanted — which leaves every page in it shared. An
+    /// unshared page is then overwritten in place and a shared one replaced
+    /// by a fresh one — not `Arc::make_mut`, which would copy the old
+    /// contents only to overwrite them.
     fn store(&mut self, idx: usize, block: &Block) {
-        let page = &mut self.pages[idx];
+        let chunk = Arc::make_mut(&mut self.chunks[idx / CHUNK_PAGES]);
+        let page = &mut chunk[idx % CHUNK_PAGES];
         match Arc::get_mut(page) {
             Some(bytes) => *bytes = **block,
             None => *page = Arc::new(**block),
@@ -187,7 +214,7 @@ impl MemDisk {
             t += g.overhead_ns;
             let target_track = g.track_of(addr.0);
             if target_track != self.current_track {
-                let total_tracks = (self.pages.len() as u64).div_ceil(g.blocks_per_track);
+                let total_tracks = self.num_blocks.div_ceil(g.blocks_per_track);
                 t += g.seek_ns(self.current_track, target_track, total_tracks);
                 self.current_track = target_track;
                 self.stats.seeks += 1;
@@ -213,14 +240,14 @@ impl MemDisk {
 
 impl BlockDevice for MemDisk {
     fn num_blocks(&self) -> u64 {
-        self.pages.len() as u64
+        self.num_blocks
     }
 
     fn read_tagged(&mut self, addr: BlockAddr, _tag: BlockTag) -> DiskResult<Block> {
         self.check_range(addr)?;
         self.charge(addr, false);
         self.stats.reads += 1;
-        Ok(Block::from_array(&self.pages[addr.0 as usize]))
+        Ok(Block::from_array(self.page(addr.0 as usize)))
     }
 
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, _tag: BlockTag) -> DiskResult<()> {
@@ -238,7 +265,7 @@ impl BlockDevice for MemDisk {
         Ok(())
     }
 
-    /// The medium itself is nonvolatile (`pages` is updated at write
+    /// The medium itself is nonvolatile (the spine is updated at write
     /// time), so a flush adds no data movement — but it is counted
     /// separately from barriers so layered stacks can assert that a
     /// durability flush issued at the top really arrives at the bottom
@@ -255,7 +282,7 @@ impl BlockDevice for MemDisk {
     /// in the background, overlapped with host-side processing of the
     /// blocks already delivered; only the scan's own reads are billed.
     fn readahead(&mut self, start: BlockAddr, len: u64) {
-        let end = start.0.saturating_add(len).min(self.pages.len() as u64);
+        let end = start.0.saturating_add(len).min(self.num_blocks);
         if start.0 < end {
             self.ra_window = Some((start.0, end));
         }
@@ -264,7 +291,7 @@ impl BlockDevice for MemDisk {
 
 impl RawAccess for MemDisk {
     fn peek(&self, addr: BlockAddr) -> Block {
-        Block::from_array(&self.pages[self.raw_index(addr, "peek")])
+        Block::from_array(self.page(self.raw_index(addr, "peek")))
     }
 
     fn poke(&mut self, addr: BlockAddr, block: &Block) {
@@ -286,6 +313,65 @@ mod tests {
         d.write(BlockAddr(3), &data).unwrap();
         assert_eq!(d.read(BlockAddr(3)).unwrap(), data);
         assert!(d.read(BlockAddr(4)).unwrap().is_zeroed());
+    }
+
+    /// The sharing the spine exists for, read off the refcounts.
+    #[test]
+    fn spine_shares_by_chunk_and_a_first_write_copies_one_chunk() {
+        // tests/memdisk_cow.rs draws its disk sizes around this value.
+        assert_eq!(CHUNK_PAGES, 64);
+        let n = 2 * CHUNK_PAGES + 3;
+        let mut parent = MemDisk::for_tests(n as u64);
+        // A fresh disk is one chunk allocation, its padded last chunk too.
+        assert_eq!(parent.chunks.len(), 3);
+        assert!(parent
+            .chunks
+            .iter()
+            .all(|c| Arc::ptr_eq(c, &parent.chunks[0])));
+        for a in [0, 5, CHUNK_PAGES, n - 1] {
+            parent.poke(BlockAddr(a as u64), &Block::filled(a as u8 + 1));
+        }
+
+        let chunk_counts = |d: &MemDisk| d.chunks.iter().map(Arc::strong_count).collect::<Vec<_>>();
+        let page_counts = |d: &MemDisk| -> Vec<usize> {
+            let pages = d.chunks.iter().flat_map(|c| c.iter());
+            pages.map(Arc::strong_count).collect()
+        };
+        let (chunks_before, pages_before) = (chunk_counts(&parent), page_counts(&parent));
+        assert_eq!(chunks_before, [1, 1, 1]);
+        let mut child = parent.snapshot();
+        assert_eq!(chunk_counts(&parent), [2, 2, 2]);
+        assert_eq!(page_counts(&parent), pages_before);
+
+        // The first write into a shared chunk copies that chunk's pointers
+        // and nothing else: its other pages stay the parent's.
+        let written = CHUNK_PAGES + 7;
+        child
+            .write(BlockAddr(written as u64), &Block::filled(9))
+            .unwrap();
+        assert_eq!(chunk_counts(&parent), [2, 1, 2]);
+        for (i, (ours, theirs)) in child.chunks[1]
+            .iter()
+            .zip(parent.chunks[1].iter())
+            .enumerate()
+        {
+            assert_eq!(Arc::ptr_eq(ours, theirs), i != 7, "page {i} of chunk 1");
+        }
+        assert!(parent.peek(BlockAddr(written as u64)).is_zeroed());
+        // The second lands in the chunk and the page the first made private.
+        let (chunk, page) = (
+            Arc::as_ptr(&child.chunks[1]),
+            Arc::as_ptr(&child.chunks[1][7]),
+        );
+        child
+            .write(BlockAddr(written as u64), &Block::filled(10))
+            .unwrap();
+        assert_eq!(Arc::as_ptr(&child.chunks[1]), chunk);
+        assert_eq!(Arc::as_ptr(&child.chunks[1][7]), page);
+
+        drop(child);
+        assert_eq!(chunk_counts(&parent), chunks_before);
+        assert_eq!(page_counts(&parent), pages_before);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::inode::DiskInode;
 use crate::iron::{IronConfig, SHA1_BLOCK_COST_NS, XOR_BLOCK_COST_NS};
 use crate::journal::{
     checkpoint_group, classify_log_block, Closed, CommitBlock, Committed, JournalRecord,
-    JournalSuper, LogSink, TcFold, Txn, DESC_CAPACITY,
+    JournalSuper, LogSink, TcFold, Txn,
 };
 use crate::layout::{BlockType, DiskLayout, Ext3Params, CKSUMS_PER_BLOCK, CKSUM_ENTRY, ROOT_INO};
 use crate::superblock::{FsState, Superblock};
@@ -996,9 +996,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// the checksum-table blocks staged at commit time).
     fn batch_has_room(&self) -> bool {
         let blocks = self.closed.as_ref().map_or(0, |t| t.len()) + self.running.len();
-        let needed =
-            blocks as u64 + blocks.div_ceil(DESC_CAPACITY) as u64 + self.layout.cksum_len + 8;
-        needed <= self.layout.journal_len
+        self.layout.journal_holds(blocks)
     }
 
     /// Commit or batch the running transaction once it passes the
@@ -1071,9 +1069,16 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
 
         // Space check: drain pending checkpoints (which frees the whole
         // log) if the batch wouldn't fit; without pending transactions
-        // fall back to the legacy cursor reset.
+        // fall back to the legacy cursor reset. A batch the empty log
+        // cannot hold either is refused: logging it would run past the
+        // journal into the checksum table (real JBD fails a handle that
+        // wants more credits than the log has, `ENOSPC`).
         let needed = batch.log_space_needed();
         if self.log_head + needed > self.layout.journal_start + self.layout.journal_len {
+            if needed > self.layout.journal_len {
+                self.abort_journal("transaction larger than the journal");
+                return Err(Errno::ENOSPC.into());
+            }
             if !self.opts.crash_mode && !self.pending.is_empty() {
                 self.drain_checkpoints()?;
             } else {

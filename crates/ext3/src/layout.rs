@@ -18,6 +18,8 @@
 
 use iron_core::{BlockAddr, BlockTag, BLOCK_SIZE};
 
+use crate::journal::DESC_CAPACITY;
+
 /// Inode size on disk, bytes.
 pub const INODE_SIZE: usize = 128;
 /// Inodes per inode-table block.
@@ -249,8 +251,10 @@ impl DiskLayout {
     /// file system: a group's two bitmaps are one block each (so at most
     /// `BLOCK_SIZE * 8` blocks and inodes, and at least one of either —
     /// the bound every bitmap search relies on), a group holds its
-    /// bitmaps, inode table, super replica and a data block, and the fixed
-    /// regions plus one group fit the device. No arithmetic here trusts
+    /// bitmaps, inode table, super replica and a data block, the fixed
+    /// regions plus one group fit the device, and the journal holds a
+    /// one-block transaction ([`Self::journal_holds`]; `commit` would
+    /// otherwise log over the checksum table). No arithmetic here trusts
     /// its operands: `mount` passes what it read from block 0.
     pub fn checked(params: Ext3Params) -> Option<DiskLayout> {
         let bits = BLOCK_SIZE as u64 * 8;
@@ -289,7 +293,7 @@ impl DiskLayout {
             return None;
         }
         let num_groups = (fs_blocks - groups_start) / params.blocks_per_group;
-        Some(DiskLayout {
+        let layout = DiskLayout {
             params,
             journal_super,
             journal_start,
@@ -302,7 +306,17 @@ impl DiskLayout {
             num_groups,
             fs_blocks,
             itable_blocks,
-        })
+        };
+        layout.journal_holds(1).then_some(layout)
+    }
+
+    /// Whether the log holds a batch of `blocks` journaled images with the
+    /// headroom group commit keeps: the batch's descriptors, the
+    /// checksum-table blocks a commit may add to it, and 8 blocks for its
+    /// revoke records and commit block.
+    pub fn journal_holds(&self, blocks: usize) -> bool {
+        let needed = blocks as u64 + blocks.div_ceil(DESC_CAPACITY) as u64 + self.cksum_len + 8;
+        needed <= self.journal_len
     }
 
     /// The group descriptor table address.
@@ -511,6 +525,11 @@ mod tests {
     fn checked_rejects_what_compute_would_panic_on() {
         let ok = Ext3Params::small();
         assert!(DiskLayout::checked(ok).is_some());
+        let smallest_journal = Ext3Params {
+            journal_blocks: 18,
+            ..ok
+        };
+        assert!(DiskLayout::checked(smallest_journal).is_some());
         let bad = [
             Ext3Params {
                 blocks_per_group: 0,
@@ -531,6 +550,16 @@ mod tests {
             // The inode table alone fills the group.
             Ext3Params {
                 blocks_per_group: 19,
+                ..ok
+            },
+            Ext3Params {
+                journal_blocks: 0,
+                ..ok
+            },
+            // One short of a one-block transaction with its headroom
+            // (1 + 1 descriptor + 8 checksum-table blocks + 8).
+            Ext3Params {
+                journal_blocks: 17,
                 ..ok
             },
             Ext3Params {

@@ -282,10 +282,12 @@ fn garbage_superblock_geometry_is_euclean_not_a_panic() {
     const BLOCKS_PER_GROUP: usize = 16;
     const INODES_PER_GROUP: usize = 24;
     const JOURNAL: usize = 32;
-    let cases: [(usize, u64); 7] = [
+    let cases: [(usize, u64); 9] = [
         (BLOCKS_PER_GROUP, 0),
         (BLOCKS_PER_GROUP, 40_000),
         (BLOCKS_PER_GROUP, 1 << 40),
+        (JOURNAL, 0),
+        (JOURNAL, 17),
         (JOURNAL, 1 << 40),
         (TOTAL, 1 << 40),
         (INODES_PER_GROUP, 0),
@@ -323,6 +325,60 @@ fn garbage_superblock_geometry_is_euclean_not_a_panic() {
             .err()
             .expect("both copies are garbage");
         assert_eq!(err.errno(), Some(Errno::EUCLEAN), "offset {off} = {value}");
+    }
+}
+
+/// Found by reading (ROADMAP item 4): a superblock whose journal cannot
+/// hold the smallest transaction mounted, and `commit`'s space check then
+/// reset the log cursor without asking whether the batch fits an empty log
+/// and logged on past the journal, over the checksum table and into group
+/// 0. Such a superblock is refused at mount, and a batch that outgrows a
+/// valid journal fails the commit.
+#[test]
+fn commit_never_logs_past_the_journal() {
+    const JOURNAL: usize = 32;
+    let mut md = MemDisk::for_tests(4096);
+    Ext3Fs::mkfs(&mut md, Ext3Params::small()).expect("mkfs");
+    md.poke(BlockAddr(0), &sb_with(&md, 0, JOURNAL, 0));
+    let env = FsEnv::new();
+    let err = Ext3Fs::mount(md, env.clone(), Ext3Options::default())
+        .err()
+        .expect("a volume with no journal must not mount");
+    assert_eq!(err.errno(), Some(Errno::EUCLEAN));
+    let lines = env.klog.entries();
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert_eq!(lines[0].subsystem, "ext3");
+
+    // The smallest journal `mount` accepts, and one transaction — twenty
+    // new directories, a fresh block each — that it cannot hold.
+    let params = Ext3Params {
+        journal_blocks: 18,
+        ..Ext3Params::small()
+    };
+    let opts = Ext3Options {
+        commit_threshold: 1000,
+        ..Ext3Options::default()
+    };
+    let env = FsEnv::new();
+    let fs = Ext3Fs::format_and_mount(MemDisk::for_tests(4096), env.clone(), params, opts)
+        .expect("format and mount");
+    let layout = *fs.layout();
+    let mut v = Vfs::new(fs);
+    for i in 0..20 {
+        v.mkdir(&format!("/d{i}"), 0o755).unwrap();
+    }
+    let before = v.fs().device().snapshot();
+    let err = v.sync().expect_err("the batch is larger than the log");
+    assert_eq!(err.errno(), Some(Errno::ENOSPC));
+    assert!(env.klog.contains("transaction larger than the journal"));
+    assert_eq!(env.state(), MountState::ReadOnly);
+    let after = v.fs().device();
+    for a in layout.journal_start + layout.journal_len..4096 {
+        assert_eq!(
+            after.peek(BlockAddr(a)),
+            before.peek(BlockAddr(a)),
+            "block {a}"
+        );
     }
 }
 

@@ -56,6 +56,10 @@ pub enum LockMode {
 struct LockState {
     readers: usize,
     writer: bool,
+    /// Threads blocked in [`PathLock::acquire`]. A release notifies only
+    /// when there is one: std's `Condvar::notify_all` is a futex syscall
+    /// whether or not anyone waits, and nearly every release finds nobody.
+    waiting: usize,
 }
 
 struct PathLock {
@@ -72,20 +76,21 @@ impl PathLock {
     }
 
     fn acquire(&self, mode: LockMode) {
+        let blocked = |st: &LockState| match mode {
+            LockMode::Shared => st.writer,
+            LockMode::Exclusive => st.writer || st.readers > 0,
+        };
         let mut st = self.state.lock().unwrap();
+        if blocked(&st) {
+            st.waiting += 1;
+            while blocked(&st) {
+                st = self.cv.wait(st).unwrap();
+            }
+            st.waiting -= 1;
+        }
         match mode {
-            LockMode::Shared => {
-                while st.writer {
-                    st = self.cv.wait(st).unwrap();
-                }
-                st.readers += 1;
-            }
-            LockMode::Exclusive => {
-                while st.writer || st.readers > 0 {
-                    st = self.cv.wait(st).unwrap();
-                }
-                st.writer = true;
-            }
+            LockMode::Shared => st.readers += 1,
+            LockMode::Exclusive => st.writer = true,
         }
     }
 
@@ -105,7 +110,7 @@ impl PathLock {
     }
 
     fn release(&self, mode: LockMode) {
-        {
+        let waiters = {
             let mut st = self.state.lock().unwrap();
             match mode {
                 LockMode::Shared => {
@@ -117,8 +122,14 @@ impl PathLock {
                     st.writer = false;
                 }
             }
+            st.waiting > 0
+        };
+        // A thread counts itself in `waiting` under the mutex before it
+        // sleeps, so one that is not counted here has yet to look at the
+        // state and will see this release.
+        if waiters {
+            self.cv.notify_all();
         }
-        self.cv.notify_all();
     }
 }
 
@@ -357,6 +368,41 @@ mod tests {
         );
         drop(w);
         assert!(lm.try_acquire(&keys).is_some());
+    }
+
+    #[test]
+    fn a_writer_behind_two_readers_is_admitted_by_the_second_release() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let lock = PathLock::new();
+        lock.acquire(LockMode::Shared);
+        lock.acquire(LockMode::Shared);
+        let (admitted, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                lock.acquire(LockMode::Exclusive);
+                admitted.send(()).unwrap();
+                lock.release(LockMode::Exclusive);
+            });
+            // The writer is counted before it sleeps; until then nothing
+            // below would be testing a wake-up.
+            while lock.state.lock().unwrap().waiting == 0 {
+                std::thread::yield_now();
+            }
+            lock.release(LockMode::Shared);
+            {
+                let st = lock.state.lock().unwrap();
+                assert_eq!((st.readers, st.writer, st.waiting), (1, false, 1));
+            }
+            assert!(rx.try_recv().is_err(), "one reader still holds");
+            lock.release(LockMode::Shared);
+            let woken = rx.recv_timeout(Duration::from_secs(30));
+            // A writer the release failed to wake would hang the scope.
+            lock.cv.notify_all();
+            woken.expect("the second release wakes the writer");
+        });
+        let st = lock.state.lock().unwrap();
+        assert_eq!((st.readers, st.writer, st.waiting), (0, false, 0));
     }
 
     #[test]

@@ -1,16 +1,23 @@
 /* sprof: a sampling profiler for a box with no perf, valgrind or gdb.
  *
- *   gcc -O2 -shared -fPIC -o libsprof.so tools/sprof.c
+ *   gcc -O2 -shared -fPIC -o libsprof.so tools/sprof.c -ldl
  *   SPROF_OUT=run.sprof LD_PRELOAD=./libsprof.so ./program args...
  *
  * SIGPROF fires every 500 us of process CPU time; the handler records the
  * interrupted PC and the return addresses up the frame-pointer chain (build
  * the program with -C force-frame-pointers=yes; a callee without frame
- * pointers, libc's memcpy say, hides only its immediate caller). At exit the
- * samples go to $SPROF_OUT, one line of hex addresses each, innermost
- * first, then `MAPS` and /proc/self/maps so the reader can undo PIE
- * relocation. `./ci.sh profile` drives it and symbolises with nm. */
+ * pointers, libc's memcpy say, hides its immediate caller from that chain).
+ * It also records the word on top of the stack: a leaf that pushed nothing
+ * — memcpy, the `syscall` wrapper — has its return address there, and the
+ * reader takes it for the caller when it is an address in the program's
+ * text. At exit the samples go to $SPROF_OUT, one line each — the PC, `^`
+ * and the top-of-stack word, then the chain, innermost first, all hex —
+ * then an `IFUNC` line for each of memcpy's kin (glibc picks them at load
+ * time from variants it does not export; dlsym returns the one picked),
+ * then `MAPS` and /proc/self/maps so the reader can undo PIE relocation.
+ * `./ci.sh profile` drives it and symbolises with nm. */
 #define _GNU_SOURCE
+#include <dlfcn.h>
 #include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -23,7 +30,7 @@
 #endif
 
 enum { DEPTH = 48, MAX_SAMPLES = 1 << 16, STACK_WINDOW = 1 << 20 };
-static uintptr_t samples[MAX_SAMPLES][DEPTH];
+static uintptr_t samples[MAX_SAMPLES][DEPTH], stack_top[MAX_SAMPLES];
 static volatile int taken;
 
 static void on_sigprof(int sig, siginfo_t *info, void *ctx) {
@@ -35,6 +42,7 @@ static void on_sigprof(int sig, siginfo_t *info, void *ctx) {
     uintptr_t *out = samples[slot], sp = regs[REG_RSP], fp = regs[REG_RBP];
     int n = 0;
     out[n++] = regs[REG_RIP];
+    stack_top[slot] = *(uintptr_t *)sp;
     /* A frame is [saved fp][return address]. Follow only pointers that are
      * aligned, above the stack pointer, near it, and strictly rising: an
      * rbp that a frame-pointer-less callee used as scratch fails these. */
@@ -66,10 +74,16 @@ __attribute__((destructor)) static void sprof_dump(void) {
         return;
     int n = taken < MAX_SAMPLES ? taken : MAX_SAMPLES;
     for (int i = 0; i < n; i++) {
-        for (int d = 0; d < DEPTH && samples[i][d]; d++)
+        for (int d = 0; d < DEPTH && samples[i][d]; d++) {
             fprintf(f, "%lx ", (unsigned long)samples[i][d]);
+            if (d == 0)
+                fprintf(f, "^%lx ", (unsigned long)stack_top[i]);
+        }
         fputc('\n', f);
     }
+    static const char *const picked[] = {"memcpy", "memmove", "memset", "memcmp", "memchr", "strlen"};
+    for (unsigned i = 0; i < sizeof picked / sizeof *picked; i++)
+        fprintf(f, "IFUNC %lx %s\n", (unsigned long)dlsym(RTLD_DEFAULT, picked[i]), picked[i]);
     fputs("MAPS\n", f);
     FILE *maps = fopen("/proc/self/maps", "r");
     for (int c; maps && (c = fgetc(maps)) != EOF;)
