@@ -4,11 +4,15 @@
 # --offline, and a build that tries to reach a registry is a failure.
 #
 # IRON_STRESS=1 ./ci.sh additionally runs the stress lane: every
-# #[ignore]d concurrency-differential test (serve, fsck, campaign,
-# crash) at elevated thread counts (IRON_TEST_THREADS, default 16).
+# #[ignore]d concurrency-differential test (serve, campaign, crash) at
+# elevated thread counts (IRON_TEST_THREADS, default 16).
 #
 # ./ci.sh results runs that one step alone; the workflow's `results` job
 # is exactly that call, so the loop exists once.
+#
+# ./ci.sh deps checks that no manifest names a workspace crate its crate
+# does not use: every `iron-x` in a Cargo.toml must appear as `iron_x` in
+# a source file under that crate's src/, tests/, benches/ or examples/.
 #
 # ./ci.sh loc prints the non-test line count of every crate's src/ — the
 # number ROADMAP aim 2's line target is counted in. Not a gate.
@@ -65,6 +69,33 @@ loc() {
         total=$((total + n))
     done
     printf '%-12s %6d\n' total "$total"
+}
+
+deps() {
+    echo '== deps =='
+    stale=0
+    for d in crates/* .; do
+        dirs=
+        for s in src tests benches examples; do
+            [ -d "$d/$s" ] && dirs="$dirs $d/$s"
+        done
+        for dep in $(sed -n 's/^\(iron-[a-z0-9-]*\)\.workspace.*/\1/p' "$d/Cargo.toml"); do
+            ident=$(echo "$dep" | tr - _)
+            # shellcheck disable=SC2086 # one word per directory
+            if ! find $dirs -name '*.rs' -exec cat {} + | grep -w "$ident" >/dev/null; then
+                # benchmark/Cargo.lock records this one edge, and cargo
+                # rewrites a lock file that disagrees with the manifests:
+                # it goes in the PR that may edit benchmark/ (ROADMAP 3).
+                if [ "$d $dep" = 'crates/fingerprint iron-ixt3' ]; then
+                    echo "note: $d/Cargo.toml names $dep, unused; kept while benchmark/Cargo.lock records it"
+                    continue
+                fi
+                echo "ERROR: $d/Cargo.toml names $dep and no source file of that crate mentions $ident" >&2
+                stale=1
+            fi
+        done
+    done
+    return $stale
 }
 
 results() {
@@ -273,7 +304,7 @@ profile() {
 }
 
 usage() {
-    echo "usage: $0 [results|loc|pairs <parent-ref> <workload>|all [n]|profile <workload> [seed]]" >&2
+    echo "usage: $0 [results|deps|loc|pairs <parent-ref> <workload>|all [n]|profile <workload> [seed]]" >&2
     exit 2
 }
 
@@ -296,6 +327,10 @@ case "${1:-}" in
         else
             pairs "$@"
         fi
+        exit 0
+        ;;
+    deps)
+        deps
         exit 0
         ;;
     loc)
@@ -322,6 +357,8 @@ echo '== benchmark workspace (offline) =='
 # crates/* and pins their public API (PolicyHandle, RetryConfig,
 # FsUnderTest::mount_retry, …); the root build never sees it.
 cargo test --offline --manifest-path benchmark/Cargo.toml
+
+deps
 
 echo '== fmt =='
 cargo fmt --all --check

@@ -1,35 +1,26 @@
 //! A zero-dependency `std::thread` worker pool — the shared executor
-//! behind every embarrassingly-parallel engine in the workspace.
+//! behind every embarrassingly-parallel engine in the workspace: the
+//! fingerprinting campaign shards its (mode × block-type × workload) cell
+//! cross product over it, the crash harness its crash states, the serving
+//! layer its client sessions. One implementation, three consumers, one
+//! primitive:
 //!
-//! Extracted from `iron-fsck` (where it drove the pFSCK-style parallel
-//! check passes) so the fingerprinting campaign can shard its
-//! (mode × block-type × workload) cell cross product over the same
-//! scheduler: one implementation, two consumers. Two primitives, mirroring
-//! pFSCK's two axes of parallelism:
+//! * [`WorkerPool::shard`] (and [`WorkerPool::shard_fine`], the same with
+//!   one item per claim): a slice of work items is claimed in chunks from
+//!   a shared atomic cursor, each worker folds its chunks into a private
+//!   accumulator (a counter map, a keyed cell list, ...), and the
+//!   accumulators are merged on the caller's thread once every worker has
+//!   joined — the barrier.
 //!
-//! * [`WorkerPool::shard`] — *intra-pass data parallelism*: a slice of
-//!   work items is claimed in chunks from a shared atomic cursor, each
-//!   worker folds its chunks into a private accumulator (a per-shard
-//!   bitmap, counter map, keyed cell list, ...), and the accumulators are
-//!   merged on the caller's thread once every worker has joined — the
-//!   barrier.
-//! * [`WorkerPool::run_jobs`] — *inter-pass pipelining*: independent
-//!   passes run as concurrent jobs instead of sequentially.
-//!
-//! With one thread both primitives degrade to plain sequential loops on
-//! the calling thread — no pool, no atomics — so a `threads = 1`
-//! configuration is an honest single-threaded baseline for the scaling
-//! benches. Merging must be commutative: chunk claiming is racy, so which
-//! worker sees which item is nondeterministic. Consumers re-establish
-//! determinism downstream — `iron-fsck` canonically sorts its final
-//! report, the campaign engine merges cells by their unique
-//! `(mode, row, col)` key.
+//! With one thread it degrades to a plain sequential loop on the calling
+//! thread — no pool, no atomics — so a `threads = 1` configuration is an
+//! honest single-threaded baseline. Merging must be commutative: chunk
+//! claiming is racy, so which worker sees which item is nondeterministic.
+//! Consumers re-establish determinism downstream — the campaign engine
+//! merges cells by their unique `(mode, row, col)` key.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-
-/// A boxed pipelined job (see [`WorkerPool::run_jobs`]).
-pub type Job<'env, R> = Box<dyn FnOnce() -> R + Send + 'env>;
 
 /// Upper bound on the chunk size workers claim per cursor fetch.
 const MAX_CHUNK: usize = 1024;
@@ -147,22 +138,6 @@ impl WorkerPool {
         }
         out
     }
-
-    /// Run independent jobs concurrently (the pipelining primitive) and
-    /// return their results in submission order. With one thread the
-    /// jobs run sequentially, in order, on the calling thread.
-    pub fn run_jobs<'env, R: Send>(&self, jobs: Vec<Job<'env, R>>) -> Vec<R> {
-        if self.threads == 1 {
-            return jobs.into_iter().map(|j| j()).collect();
-        }
-        thread::scope(|s| {
-            let handles: Vec<_> = jobs.into_iter().map(|j| s.spawn(j)).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool job panicked"))
-                .collect()
-        })
-    }
 }
 
 #[cfg(test)]
@@ -230,17 +205,6 @@ mod tests {
         let one = vec![41u32];
         let sum: u32 = pool.shard(&one, |acc, &i| *acc += i + 1, |out, s| *out += s);
         assert_eq!(sum, 42);
-    }
-
-    #[test]
-    fn run_jobs_preserves_submission_order() {
-        for threads in [1, 4] {
-            let pool = WorkerPool::new(threads);
-            let jobs: Vec<Job<'_, usize>> = (0..6usize)
-                .map(|i| Box::new(move || i * 10) as Job<'_, usize>)
-                .collect();
-            assert_eq!(pool.run_jobs(jobs), vec![0, 10, 20, 30, 40, 50]);
-        }
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //! * one copy of each small PRNG step and hash the workspace draws
 //!   deterministic streams from ([`hash`]);
 //! * the shared parallel executor ([`exec::WorkerPool`]): the scoped
-//!   `std::thread` sharded scheduler behind both the pFSCK-style check
-//!   engine (`iron-fsck`) and the fingerprinting campaign
-//!   (`iron-fingerprint`).
+//!   `std::thread` sharded scheduler behind the fingerprinting and crash
+//!   campaigns (`iron-fingerprint`, `iron-crash`) and the serving layer
+//!   (`iron-serve`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -273,14 +273,13 @@ fn encode_cksum_block(cksums: &[u64], i: u64) -> Block {
 /// The superblock in `b` and the layout it describes, if it passes ext3's
 /// mount-time sanity checks (`DSanity`, §5.1) on a device of `dev_blocks`
 /// blocks: the magic, then the geometry — nothing is computed from, or
-/// allocated by, a field before [`DiskLayout::checked`] and the device's
-/// size have bounded it (a file system may be smaller than its device; the
-/// cost kernels format one so). The error is the kernel-log line.
+/// allocated by, a field before [`DiskLayout::checked_on`] has bounded it
+/// (a file system may be smaller than its device; the cost kernels format
+/// one so). The error is the kernel-log line.
 fn checked_super(b: &Block, dev_blocks: u64) -> Result<(Superblock, DiskLayout), &'static str> {
     let sb =
         Superblock::decode(b).ok_or("VFS: Can't find ext3 filesystem (bad superblock magic)")?;
-    let layout = DiskLayout::checked(sb.params())
-        .filter(|_| sb.total_blocks <= dev_blocks)
+    let layout = DiskLayout::checked_on(sb.params(), dev_blocks)
         .ok_or("VFS: ext3 superblock geometry is invalid for this device; mount failed")?;
     Ok((sb, layout))
 }

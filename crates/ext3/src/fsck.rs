@@ -4,15 +4,20 @@
 //! that even journaling file systems benefit from periodic full-scan
 //! integrity checks (§3.1). This module has two faces:
 //!
-//! * [`check`] — the original *sequential* checker. It walks the on-disk
-//!   image through [`RawAccess`] (no faults, no timing) and reports
-//!   structural inconsistencies. It is the **differential oracle** for
-//!   `iron-fsck`: the parallel engine must report the identical issue
-//!   multiset on every image, at every thread count.
+//! * [`check`] — ext3's own checker, written against the on-disk format:
+//!   it walks the image through [`RawAccess`] (no faults, no timing) and
+//!   reports structural inconsistencies. It is what the crash oracles, the
+//!   cluster tests and the benchmark call, and the **differential oracle**
+//!   for `iron-fsck`: the generic engine must report the identical issue
+//!   multiset on every image.
 //! * [`Ext3Image`] — the adapter that implements `iron_fsck::Checkable`
-//!   and `iron_fsck::Repairable`, letting the generic parallel engine
-//!   check and transactionally repair ext3 images. It is the one ext3
-//!   repairer.
+//!   and `iron_fsck::Repairable`, letting the generic engine check and
+//!   transactionally repair ext3 images. It is the one ext3 repairer.
+//!
+//! Both exist because they answer to different things: `check` reads
+//! whole blocks and knows the format, so it is the fast one and the judge;
+//! the engine knows only the `Checkable` vocabulary, so a second file
+//! system gets a checker and a repairer by implementing a trait.
 //!
 //! Both faces share the issue vocabulary ([`iron_fsck::FsckIssue`]), the
 //! superblock geometry sanity checks ([`superblock_sanity`], `DSanity`),
@@ -49,7 +54,7 @@ impl FsckReport {
 
 /// Geometry sanity checks (`DSanity`) of a decoded superblock against the
 /// trusted layout: recorded sizes vs. the device, and the journal region
-/// vs. the regions that follow it. Shared by the sequential oracle and
+/// vs. the regions that follow it. Shared by [`check`] and
 /// the [`Ext3Image`] adapter so both report identical issues.
 pub fn superblock_sanity(sb: &Superblock, layout: &DiskLayout) -> Vec<FsckIssue> {
     let p = &layout.params;
@@ -289,7 +294,7 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
 }
 
 /// An ext3 image viewed through the generic `iron-fsck` traits: the
-/// parallel engine checks it via `Checkable` and repairs it via
+/// engine checks it via `Checkable` and repairs it via
 /// `Repairable` (every fix returns its inverse for transactional
 /// rollback). Wraps any [`RawAccess`] medium plus the trusted layout.
 pub struct Ext3Image<D> {
@@ -332,7 +337,7 @@ impl<D: RawAccess> Ext3Image<D> {
     }
 }
 
-impl<D: RawAccess + Sync> iron_fsck::Checkable for Ext3Image<D> {
+impl<D: RawAccess> iron_fsck::Checkable for Ext3Image<D> {
     fn fs_name(&self) -> &'static str {
         "ext3"
     }
@@ -446,7 +451,7 @@ impl<D: RawAccess + Sync> iron_fsck::Checkable for Ext3Image<D> {
     }
 }
 
-impl<D: RawAccess + Sync> iron_fsck::Repairable for Ext3Image<D> {
+impl<D: RawAccess> iron_fsck::Repairable for Ext3Image<D> {
     fn apply_fix(&mut self, fix: &RepairFix) -> Result<RepairFix, String> {
         match *fix {
             RepairFix::FreeBlock { addr } => {

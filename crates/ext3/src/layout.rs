@@ -310,6 +310,13 @@ impl DiskLayout {
         layout.journal_holds(1).then_some(layout)
     }
 
+    /// [`Self::checked`] for a file system found on a device of
+    /// `dev_blocks` blocks: it may be smaller than its device, never
+    /// larger. What `mount` and the offline check hold block 0 to.
+    pub fn checked_on(params: Ext3Params, dev_blocks: u64) -> Option<DiskLayout> {
+        Self::checked(params).filter(|_| params.total_blocks <= dev_blocks)
+    }
+
     /// Whether the log holds a batch of `blocks` journaled images with the
     /// headroom group commit keeps: the batch's descriptors, the
     /// checksum-table blocks a commit may add to it, and 8 blocks for its

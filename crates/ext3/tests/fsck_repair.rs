@@ -16,7 +16,7 @@ use iron_vfs::{FsEnv, Vfs};
 /// of fixes applied.
 fn repair(dev: MemDisk, layout: &DiskLayout) -> (MemDisk, usize) {
     let mut img = Ext3Image::new(dev, *layout);
-    let (_, summary, _) = FsckEngine::with_threads(1)
+    let (_, summary, _) = FsckEngine::new(None)
         .check_and_repair(&mut img)
         .expect("repair applies");
     (img.into_device(), summary.applied)

@@ -1,7 +1,7 @@
 //! Superblock/geometry sanity checks (`DSanity`, §3.1): stored geometry
 //! vs. the trusted layout, and the journal region vs. its neighbors.
-//! Each corruption is exercised through both the sequential oracle and
-//! the parallel `iron-fsck` engine, and the repairable ones are driven
+//! Each corruption is exercised through both ext3's own checker and
+//! the `iron-fsck` engine, and the repairable ones are driven
 //! through the engine's transactional `RRepair` path.
 
 use iron_blockdev::{MemDisk, RawAccess};
@@ -61,7 +61,7 @@ fn total_blocks_mismatch_is_flagged_and_repaired() {
     // The engine plans an RRepair (rewrite the field) and the second
     // check comes back clean.
     let mut img = Ext3Image::new(dev, layout);
-    let engine = FsckEngine::with_threads(2);
+    let engine = FsckEngine::new(None);
     let (before, summary, after) = engine.check_and_repair(&mut img).unwrap();
     assert!(!before.is_clean());
     assert!(summary.applied >= 1);
@@ -96,9 +96,7 @@ fn journal_overgrowth_overlaps_neighbors() {
 
     // Repair truncates the stored length back to the trusted maximum.
     let mut img = Ext3Image::new(dev, layout);
-    let (_, summary, after) = FsckEngine::with_threads(4)
-        .check_and_repair(&mut img)
-        .unwrap();
+    let (_, summary, after) = FsckEngine::new(None).check_and_repair(&mut img).unwrap();
     assert!(summary.applied >= 1);
     assert!(after.is_clean(), "{:?}", after.issues);
     let sb = Superblock::decode(&img.device().peek(BlockAddr(0))).unwrap();
@@ -132,11 +130,11 @@ fn undecodable_superblock_is_fatal() {
     // The engine stops after the superblock pass (fatal) and the planner
     // maps BadSuperblock to RStop — nothing is auto-repaired.
     let img = Ext3Image::new(dev, layout);
-    let engine = FsckEngine::with_threads(4);
-    let parallel = engine.check(&img);
-    assert_eq!(parallel.issues, vec![FsckIssue::BadSuperblock]);
+    let engine = FsckEngine::new(None);
+    let report = engine.check(&img);
+    assert_eq!(report.issues, vec![FsckIssue::BadSuperblock]);
     assert_eq!(
-        parallel.stats.passes.len(),
+        report.stats.passes.len(),
         1,
         "stopped after superblock pass"
     );
@@ -152,13 +150,11 @@ fn sanity_issues_agree_across_oracle_and_engine() {
     });
     let oracle = check(&dev, &layout);
     let img = Ext3Image::new(dev, layout);
-    for threads in [1, 2, 4] {
-        let report = FsckEngine::with_threads(threads).check(&img);
-        assert!(
-            report.same_issues(&oracle.issues),
-            "threads={threads}: {:?} vs {:?}",
-            report.issues,
-            oracle.issues
-        );
-    }
+    let report = FsckEngine::new(None).check(&img);
+    assert!(
+        report.same_issues(&oracle.issues),
+        "{:?} vs {:?}",
+        report.issues,
+        oracle.issues
+    );
 }

@@ -237,10 +237,15 @@ impl FsUnderTest for Ext3Adapter {
     }
 
     fn fsck_issues(&self, dev: &MemDisk) -> Option<Vec<String>> {
-        let sb = iron_ext3::Superblock::decode(&dev.peek(iron_core::BlockAddr(0)))?;
-        let layout = iron_ext3::DiskLayout::compute(sb.params());
-        let report = iron_ext3::fsck::check(dev, &layout);
-        Some(report.issues.iter().map(|i| format!("{i:?}")).collect())
+        // The layout is whatever block 0 says, so it is held to mount's
+        // bounds before `check` indexes the image by it.
+        let layout = iron_ext3::Superblock::decode(&dev.peek(iron_core::BlockAddr(0)))
+            .and_then(|sb| iron_ext3::DiskLayout::checked_on(sb.params(), dev.num_blocks()));
+        let issues = match layout {
+            Some(layout) => iron_ext3::fsck::check(dev, &layout).issues,
+            None => vec![iron_ext3::fsck::FsckIssue::BadSuperblock],
+        };
+        Some(issues.iter().map(|i| format!("{i:?}")).collect())
     }
 }
 
@@ -457,6 +462,46 @@ mod tests {
         check_adapter(&ReiserAdapter);
         check_adapter(&JfsAdapter);
         check_adapter(&NtfsAdapter);
+    }
+
+    /// Found by reading (ROADMAP item 4): the fsck-clean oracle took its
+    /// layout from `DiskLayout::compute` — an `expect` — on whatever block
+    /// 0 said, and `check` then read past the image when the superblock
+    /// claimed more blocks than the device has.
+    #[test]
+    fn fsck_of_garbage_superblock_geometry_is_an_issue_not_a_panic() {
+        const TOTAL: usize = 8;
+        const BLOCKS_PER_GROUP: usize = 16;
+        const INODES_PER_GROUP: usize = 24;
+        const JOURNAL: usize = 32;
+        let cases: [(usize, u64); 10] = [
+            (BLOCKS_PER_GROUP, 0),
+            (BLOCKS_PER_GROUP, 40_000),
+            (BLOCKS_PER_GROUP, 1 << 40),
+            (JOURNAL, 0),
+            (JOURNAL, 17),
+            (JOURNAL, 1 << 40),
+            (TOTAL, 1 << 40),
+            (INODES_PER_GROUP, 0),
+            (INODES_PER_GROUP, 1 << 20),
+            (TOTAL, 8192), // on a 4096-block image
+        ];
+        for adapter in [Ext3Adapter::stock(), Ext3Adapter::ixt3()] {
+            let golden = adapter.golden(false);
+            assert_eq!(adapter.fsck_issues(&golden), Some(Vec::new()));
+            for (off, value) in cases {
+                let mut dev = golden.snapshot();
+                let mut sb = dev.peek(iron_core::BlockAddr(0));
+                sb.put_u64(off, value);
+                dev.poke(iron_core::BlockAddr(0), &sb);
+                assert_eq!(
+                    adapter.fsck_issues(&dev),
+                    Some(vec!["BadSuperblock".to_string()]),
+                    "{}: offset {off} = {value}",
+                    adapter.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 
 use iron_blockdev::{IoEvent, IoTrace, MemDisk, StackBuilder};
-use iron_core::exec::{Job, WorkerPool};
+use iron_core::exec::WorkerPool;
 use iron_core::klog::LogEntry;
 use iron_core::model::CorruptionStyle;
 use iron_core::policy::PolicyCell;
@@ -304,17 +304,15 @@ pub(crate) fn drive<P: Copy + Sync, X, C: Send>(
     };
 
     // Reference runs (fault-free, through the axis's own stack), one per
-    // workload — independent of each other, so they run as pipelined jobs
-    // on the same pool.
-    let ref_jobs: Vec<Job<'_, (Workload, WorkloadOutput)>> = cols
-        .iter()
-        .map(|&w| {
-            let (run, golden) = (&run, golden_for(w));
-            Box::new(move || (w, run(golden, w, None).output)) as Job<'_, _>
-        })
-        .collect();
-    let references: HashMap<Workload, WorkloadOutput> =
-        pool.run_jobs(ref_jobs).into_iter().collect();
+    // workload — independent of each other, and each a whole mount-and-run,
+    // so they are claimed one at a time and keyed by workload.
+    let references: HashMap<Workload, WorkloadOutput> = pool.shard_fine(
+        cols,
+        |acc: &mut HashMap<Workload, WorkloadOutput>, &w| {
+            acc.insert(w, run(golden_for(w), w, None).output);
+        },
+        |out, shard| out.extend(shard),
+    );
 
     // The flattened cross product, in deterministic (panel, row, col) order.
     let mut todo: Vec<(CellKey, P, BlockTag, Workload)> = Vec::new();

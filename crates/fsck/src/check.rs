@@ -3,9 +3,7 @@
 //! The engine never touches on-disk formats. A file system adapts its
 //! image to this small read-only vocabulary — superblock sanity, inode
 //! summaries, directory entries, block references, allocation bitmaps —
-//! and the engine does the rest. Implementations must be cheap to call
-//! from multiple threads at once (`Sync`, immutable view): the engine
-//! shards the inode and block-reference scans across workers.
+//! and the engine does the rest.
 
 use std::ops::Range;
 
@@ -65,7 +63,7 @@ pub struct SuperblockReport {
 ///   dereferences them);
 /// * [`Checkable::dir_entries`] is lenient: on a corrupt directory block
 ///   it returns what parses and never panics.
-pub trait Checkable: Sync {
+pub trait Checkable {
     /// Short name for log lines ("ext3", ...).
     fn fs_name(&self) -> &'static str;
 

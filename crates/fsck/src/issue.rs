@@ -1,10 +1,8 @@
 //! The issue vocabulary shared by every checkable file system.
 //!
-//! Variants derive `Ord` so a report can be *canonically sorted*: the
-//! parallel engine discovers issues in a nondeterministic interleaving,
-//! but the sorted multiset is identical for every thread count and equal
-//! to the sequential oracle's — that invariant is what the differential
-//! property suites pin.
+//! Variants derive `Ord` so a report can be *canonically sorted*: two
+//! checkers discover issues in different orders, but the sorted multiset
+//! is what the differential property suites compare.
 
 use crate::engine::FsckStats;
 

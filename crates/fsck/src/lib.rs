@@ -1,6 +1,6 @@
 //! # iron-fsck
 //!
-//! A filesystem-agnostic, parallel check-and-repair engine.
+//! A filesystem-agnostic check-and-repair engine.
 //!
 //! The IRON taxonomy names `RRepair` ("repair data structs", §3.1 of the
 //! paper) as a first-class recovery level, but offline check-and-repair is
@@ -10,26 +10,22 @@
 //! * [`Checkable`] is the read-only view a file system exposes for
 //!   checking — superblock sanity, inode enumeration, directory entries,
 //!   block references, allocation bitmaps ([`check`]);
-//! * [`FsckEngine`] runs pFSCK-style parallel passes over that view
-//!   ([`engine`]): the inode/block-reference scans are sharded across the
-//!   workspace's shared zero-dependency `std::thread` worker pool
-//!   ([`iron_core::exec::WorkerPool`] — also the executor behind the
-//!   `iron-fingerprint` campaign) with per-shard reference bitmaps merged
-//!   at a barrier, and the independent late passes (link counts,
-//!   inode-table scan, bitmap reconciliation) are pipelined as concurrent
-//!   jobs;
+//! * [`FsckEngine`] runs six plain passes over that view ([`engine`]):
+//!   superblock, directory walk, block references, bitmap reconcile, link
+//!   counts, inode-table scan;
 //! * [`RepairPlan`] maps each issue class to an IRON recovery action
 //!   (`RRepair`/`RRemap`/`RStop` via `iron_core::taxonomy`) and
 //!   [`repair::apply`] executes the fixable subset *transactionally*
 //!   against a [`Repairable`] file system — any failure rolls back every
 //!   fix already applied ([`repair`]);
 //! * [`FsckStats`] counts blocks scanned, issues found, and per-pass wall
-//!   time, surfaced through the simulated kernel log.
+//!   time; the counts (not the times) are surfaced through the simulated
+//!   kernel log.
 //!
-//! The engine is deterministic by construction: reports are canonically
-//! sorted, so a check at any thread count yields the identical issue set —
-//! `iron-ext3` keeps its original sequential checker as the differential
-//! oracle and the property suites assert equality on every image.
+//! Reports are canonically sorted. `iron-ext3` keeps its own checker,
+//! written against the on-disk format, as the differential oracle: the
+//! property suites assert the two report the same issue multiset on every
+//! image.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,8 +36,7 @@ pub mod issue;
 pub mod repair;
 
 pub use check::{Checkable, ChildEntry, FileKind, InodeSummary, SuperblockReport};
-pub use engine::{FsckEngine, FsckOptions, FsckStats, PassStat};
-pub use iron_core::exec::WorkerPool;
+pub use engine::{FsckEngine, FsckStats, PassStat};
 pub use issue::{FsckIssue, FsckReport};
 pub use repair::{
     apply, PlannedAction, RepairFailure, RepairFix, RepairPlan, RepairSummary, Repairable,

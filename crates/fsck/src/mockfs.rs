@@ -1,7 +1,7 @@
 //! A tiny in-memory [`Checkable`]/[`Repairable`] file system for unit
 //! tests — no on-disk format, just the maps the trait exposes. Lets the
-//! engine and repair tests cover every issue class, thread width, and
-//! rollback path without depending on a real file-system crate.
+//! engine and repair tests cover every issue class and rollback path
+//! without depending on a real file-system crate.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -94,8 +94,7 @@ impl MockFs {
     }
 
     /// root(2){ d(3), f0..f(n-1) } with even-numbered files in the root
-    /// and odd-numbered ones in `d` — enough inodes and blocks that the
-    /// sharded passes genuinely chunk.
+    /// and odd-numbered ones in `d`.
     pub fn wide(n: u64) -> MockFs {
         let mut fs = MockFs {
             device_blocks: 4096,

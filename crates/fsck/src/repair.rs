@@ -368,7 +368,7 @@ mod tests {
         let mut fs = MockFs::healthy();
         fs.block_bitmap.insert(170);
         fs.add_orphan(9, &[]);
-        let report = FsckEngine::with_threads(1).check(&fs);
+        let report = FsckEngine::new(None).check(&fs);
         let plan = RepairPlan::new(&report.issues);
         let summary = apply(&mut fs, &plan, None).unwrap();
         assert_eq!(
@@ -378,7 +378,7 @@ mod tests {
                 deferred: 1
             }
         );
-        let after = FsckEngine::with_threads(1).check(&fs);
+        let after = FsckEngine::new(None).check(&fs);
         assert!(after.same_issues(&plan.deferred_issues()));
     }
 
@@ -388,7 +388,7 @@ mod tests {
         fs.block_bitmap.insert(170); // fix 1: free
         fs.inodes.get_mut(&3).unwrap().links = 9; // fix 2: link count
         fs.inode_bitmap.remove(&4); // fix 3: bitmap sync
-        let report = FsckEngine::with_threads(1).check(&fs);
+        let report = FsckEngine::new(None).check(&fs);
         assert_eq!(report.issues.len(), 3);
 
         let snap_blocks = fs.block_bitmap.clone();
@@ -408,7 +408,7 @@ mod tests {
         fs.fail_on_apply = None;
         let summary = apply(&mut fs, &plan, None).unwrap();
         assert_eq!(summary.applied, 3);
-        assert!(FsckEngine::with_threads(2).check(&fs).is_clean());
+        assert!(FsckEngine::new(None).check(&fs).is_clean());
     }
 
     #[test]

@@ -12,9 +12,9 @@ use iron_blockdev::{BlockDevice, RawAccess};
 use iron_core::model::CorruptionStyle;
 use iron_core::{BlockAddr, FaultKind, KernelLog};
 use iron_ext3::fsck::Ext3Image;
-use iron_ext3::DiskLayout;
+use iron_ext3::{DiskLayout, IronConfig};
 use iron_faultinject::{FaultSpec, FaultTarget, FaultyDisk};
-use iron_fsck::{FsckEngine, FsckOptions, RepairPlan};
+use iron_fsck::{FsckEngine, RepairPlan};
 
 /// Silently corrupt `addr`: inject the fault, read the block through the
 /// faulty device (which fabricates the corrupted contents), and write
@@ -48,16 +48,13 @@ fn bitmap_corruption_detect_repair_clean() {
         CorruptionStyle::Zeroed,
         CorruptionStyle::BitFlip { offset: 40, len: 8 },
     ] {
-        let (dev, layout) = build_image(10, 5_000);
+        let (dev, layout) = build_image(10, 5_000, IronConfig::off());
         let mut fdev = FaultyDisk::new(dev);
         land_corruption(&mut fdev, &layout, layout.data_bitmap(0).0, style);
         land_corruption(&mut fdev, &layout, layout.inode_bitmap(0).0, style);
 
         let klog = KernelLog::new();
-        let engine = FsckEngine::new(FsckOptions {
-            threads: 4,
-            klog: Some(klog.clone()),
-        });
+        let engine = FsckEngine::new(Some(klog.clone()));
         let mut img = Ext3Image::new(fdev, layout);
         let (before, summary, after) = engine.check_and_repair(&mut img).unwrap();
         assert!(
@@ -92,7 +89,7 @@ fn bitmap_corruption_detect_repair_clean() {
 /// deferred remainder.
 #[test]
 fn typed_campaign_reaches_deferred_fixpoint() {
-    let (_, probe_layout) = build_image(10, 5_000);
+    let (_, probe_layout) = build_image(10, 5_000, IronConfig::off());
     let itable_mid = probe_layout.inode_table(0) + probe_layout.itable_blocks / 2;
     let victims: Vec<(&str, u64, CorruptionStyle)> = vec![
         (
@@ -116,11 +113,11 @@ fn typed_campaign_reaches_deferred_fixpoint() {
         ("inode_table", itable_mid, CorruptionStyle::RandomNoise),
     ];
     for (name, addr, style) in victims {
-        let (dev, layout) = build_image(10, 5_000);
+        let (dev, layout) = build_image(10, 5_000, IronConfig::off());
         let mut fdev = FaultyDisk::new(dev);
         land_corruption(&mut fdev, &layout, addr, style);
 
-        let engine = FsckEngine::with_threads(2);
+        let engine = FsckEngine::new(None);
         let mut img = Ext3Image::new(fdev, layout);
         let (before, summary, after) = engine
             .check_and_repair(&mut img)
@@ -141,7 +138,7 @@ fn typed_campaign_reaches_deferred_fixpoint() {
 /// the inverse-fix bookkeeping restores the exact pre-damage state.
 #[test]
 fn repeated_campaign_is_deterministic() {
-    let (dev, layout) = build_image(8, 5_000);
+    let (dev, layout) = build_image(8, 5_000, IronConfig::off());
     let mut fdev = FaultyDisk::new(dev);
     land_corruption(
         &mut fdev,
@@ -149,7 +146,7 @@ fn repeated_campaign_is_deterministic() {
         layout.data_bitmap(0).0,
         CorruptionStyle::BitFlip { offset: 33, len: 2 },
     );
-    let engine = FsckEngine::with_threads(1);
+    let engine = FsckEngine::new(None);
     let mut img = Ext3Image::new(fdev, layout);
     let first = engine.check(&img);
     assert!(!first.is_clean());

@@ -6,20 +6,39 @@
 
 use iron_blockdev::{MemDisk, RawAccess};
 use iron_core::{Block, BlockAddr, BLOCK_SIZE};
+use iron_ext3::fsck::{check, Ext3Image};
 use iron_ext3::inode::DiskInode;
-use iron_ext3::{DiskLayout, Ext3Fs, Ext3Options, Ext3Params};
+use iron_ext3::{DiskLayout, Ext3Fs, Ext3Options, Ext3Params, IronConfig};
+use iron_fsck::FsckEngine;
 use iron_vfs::{FileType, FsEnv, Vfs};
+
+/// The mount profiles the differential suites build images under: stock
+/// ext3; ixt3 without `Mr` (checksums, a parity block per file, `Tc`);
+/// and full ixt3, whose layout carries the metadata mirror and its
+/// replica log.
+pub fn profiles() -> [(&'static str, IronConfig); 3] {
+    let unmirrored = IronConfig {
+        meta_replication: false,
+        ..IronConfig::full()
+    };
+    [
+        ("stock", IronConfig::off()),
+        ("ixt3", unmirrored),
+        ("ixt3+mirror", IronConfig::full()),
+    ]
+}
 
 /// Build a populated, cleanly unmounted ext3 image: a directory tree with
 /// `files` regular files of `file_bytes` each (plus one large file that
-/// needs an indirect block, and one hard link).
-pub fn build_image(files: usize, file_bytes: usize) -> (MemDisk, DiskLayout) {
+/// needs an indirect block, and one hard link), formatted for and written
+/// under `iron` (the mirror is reserved iff it replicates metadata).
+pub fn build_image(files: usize, file_bytes: usize, iron: IronConfig) -> (MemDisk, DiskLayout) {
     let dev = MemDisk::for_tests(4096);
     let fs = Ext3Fs::format_and_mount(
         dev,
         FsEnv::new(),
         Ext3Params::small(),
-        Ext3Options::default(),
+        Ext3Options::with_iron(iron),
     )
     .unwrap();
     let mut v = Vfs::new(fs);
@@ -37,6 +56,23 @@ pub fn build_image(files: usize, file_bytes: usize) -> (MemDisk, DiskLayout) {
     let fs = v.into_fs();
     let layout = *fs.layout();
     (fs.into_device(), layout)
+}
+
+/// The differential invariant: the engine reports the issue multiset
+/// ext3's own checker reports for the image, and reports it again when
+/// asked again.
+pub fn assert_engine_matches_oracle(dev: MemDisk, layout: DiskLayout, ctx: &str) {
+    let oracle = check(&dev, &layout);
+    let img = Ext3Image::new(dev, layout);
+    let report = FsckEngine::new(None).check(&img);
+    assert!(
+        report.same_issues(&oracle.issues),
+        "{ctx}: engine vs oracle:\n  engine: {:?}\n  oracle: {:?}",
+        report.issues,
+        oracle.issues
+    );
+    let again = FsckEngine::new(None).check(&img);
+    assert_eq!(again.issues, report.issues, "{ctx}: nondeterministic");
 }
 
 /// Candidate corruption victims, grouped by on-disk block class. Only

@@ -1,15 +1,18 @@
 //! Crash-image coverage: images left behind by a crash — committed but
 //! unreplayed transactions, torn journals, corrupted log blocks — go
-//! through the parallel engine *without recovery first*. The engine must
-//! never panic, must agree with the sequential oracle, and must be
-//! deterministic across runs and thread counts. (Whether the image is
-//! *clean* is not asserted: an unrecovered crash image is legitimately
-//! inconsistent — that is what recovery is for.)
+//! through the engine *without recovery first*. The engine must never
+//! panic, must agree with ext3's own checker, and must be deterministic
+//! across runs. (Whether the image is *clean* is not asserted: an
+//! unrecovered crash image is legitimately inconsistent — that is what
+//! recovery is for.)
 //!
 //! Runs on the in-tree `iron-testkit` harness: a failure prints its case
 //! seed and reruns deterministically with
 //! `IRON_TESTKIT_SEED=<seed> cargo test -q <test_name>`.
 
+mod common;
+
+use common::assert_engine_matches_oracle;
 use iron_blockdev::{MemDisk, RawAccess};
 use iron_core::BlockAddr;
 use iron_ext3::fsck::{check, Ext3Image};
@@ -40,24 +43,6 @@ fn crashed_image(n_txns: usize) -> (MemDisk, iron_ext3::DiskLayout) {
         v.sync().unwrap();
     }
     (v.into_fs().into_device(), layout)
-}
-
-fn assert_engine_matches_oracle(dev: MemDisk, layout: iron_ext3::DiskLayout, ctx: &str) {
-    let oracle = check(&dev, &layout);
-    let img = Ext3Image::new(dev, layout);
-    let baseline = FsckEngine::with_threads(1).check(&img);
-    assert!(
-        baseline.same_issues(&oracle.issues),
-        "{ctx}: t=1 vs oracle:\n  engine: {:?}\n  oracle: {:?}",
-        baseline.issues,
-        oracle.issues
-    );
-    for threads in [2, 4] {
-        let a = FsckEngine::with_threads(threads).check(&img);
-        let b = FsckEngine::with_threads(threads).check(&img);
-        assert_eq!(a.issues, b.issues, "{ctx}: t={threads} nondeterministic");
-        assert_eq!(a.issues, baseline.issues, "{ctx}: t={threads} vs t=1");
-    }
 }
 
 #[test]
@@ -105,7 +90,7 @@ fn unrecovered_crash_images_are_checked_deterministically() {
 fn crash_image_repair_reaches_a_fixpoint() {
     let (dev, layout) = crashed_image(3);
     let mut img = Ext3Image::new(dev, layout);
-    let engine = FsckEngine::with_threads(4);
+    let engine = FsckEngine::new(None);
     let (before, summary, after) = engine.check_and_repair(&mut img).unwrap();
     let plan = RepairPlan::new(&before.issues);
     assert_eq!(summary.applied, plan.fixable());
@@ -120,7 +105,7 @@ fn crash_image_repair_reaches_a_fixpoint() {
 }
 
 /// Recovery-then-check: after a proper journal replay the image is clean,
-/// and the engine agrees at every width.
+/// and the engine agrees.
 #[test]
 fn recovered_crash_image_is_clean() {
     let (dev, layout) = crashed_image(3);
@@ -128,7 +113,5 @@ fn recovered_crash_image_is_clean() {
     let dev = fs.into_device();
     assert!(check(&dev, &layout).is_clean());
     let img = Ext3Image::new(dev, layout);
-    for threads in [1, 4] {
-        assert!(FsckEngine::with_threads(threads).check(&img).is_clean());
-    }
+    assert!(FsckEngine::new(None).check(&img).is_clean());
 }

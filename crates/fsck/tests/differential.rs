@@ -1,9 +1,10 @@
 //! The differential-oracle and repair-idempotence properties, the two
-//! invariants the parallel engine is held to:
+//! invariants the engine is held to:
 //!
-//! 1. On every image — healthy or corrupted — the parallel engine must
-//!    report the *identical* issue multiset as the sequential oracle
-//!    (`iron_ext3::fsck::check`), at every thread count.
+//! 1. On every image — healthy or corrupted, stock ext3 or ixt3 with its
+//!    parity blocks and metadata mirror — the engine must report the
+//!    *identical* issue multiset as ext3's own checker
+//!    (`iron_ext3::fsck::check`).
 //! 2. Check → repair → check must leave exactly the planner's *deferred*
 //!    issues (the data-loss cases fsck refuses to touch): everything
 //!    fixable is fixed, and fixing it creates no new damage.
@@ -14,15 +15,20 @@
 
 mod common;
 
-use common::{build_image, corrupt_block, victims, Lcg};
+use common::{assert_engine_matches_oracle, build_image, corrupt_block, profiles, victims, Lcg};
 use iron_ext3::fsck::{check, Ext3Image};
+use iron_ext3::IronConfig;
 use iron_fsck::{FsckEngine, RepairPlan};
 use iron_testkit::gen;
 use iron_testkit::prop::{check as prop_check, Config};
 
 /// Corrupt `n` typed blocks chosen by `seed`, returning the damaged image.
-fn damaged_image(n: usize, seed: u64) -> (iron_blockdev::MemDisk, iron_ext3::DiskLayout) {
-    let (mut dev, layout) = build_image(12, 5_000);
+fn damaged_image(
+    n: usize,
+    seed: u64,
+    iron: IronConfig,
+) -> (iron_blockdev::MemDisk, iron_ext3::DiskLayout) {
+    let (mut dev, layout) = build_image(12, 5_000, iron);
     let classes = victims(&dev, &layout);
     let mut rng = Lcg(seed ^ 0xD1FF_95EE);
     for _ in 0..n {
@@ -37,30 +43,16 @@ fn damaged_image(n: usize, seed: u64) -> (iron_blockdev::MemDisk, iron_ext3::Dis
 }
 
 #[test]
-fn parallel_matches_sequential_oracle() {
+fn engine_matches_oracle() {
     let inputs = (gen::usize_in(1..6), gen::u64_in(0..1 << 62));
     prop_check(
-        "parallel_matches_sequential_oracle",
+        "engine_matches_oracle",
         Config::cases(24),
         &inputs,
         |&(n, seed)| {
-            let (dev, layout) = damaged_image(n, seed);
-            let oracle = check(&dev, &layout);
-            let img = Ext3Image::new(dev, layout);
-            let baseline = FsckEngine::with_threads(1).check(&img);
-            assert!(
-                baseline.same_issues(&oracle.issues),
-                "t=1 vs oracle:\n  engine: {:?}\n  oracle: {:?}",
-                baseline.issues,
-                oracle.issues
-            );
-            for threads in [2, 4] {
-                let report = FsckEngine::with_threads(threads).check(&img);
-                // Sorted canonical order: reports are comparable verbatim.
-                assert_eq!(
-                    report.issues, baseline.issues,
-                    "t={threads} diverged from t=1"
-                );
+            for (profile, iron) in profiles() {
+                let (dev, layout) = damaged_image(n, seed, iron);
+                assert_engine_matches_oracle(dev, layout, profile);
             }
         },
     );
@@ -74,9 +66,9 @@ fn repair_is_idempotent_and_complete() {
         Config::cases(20),
         &inputs,
         |&(n, seed)| {
-            let (dev, layout) = damaged_image(n, seed);
+            let (dev, layout) = damaged_image(n, seed, IronConfig::off());
             let mut img = Ext3Image::new(dev, layout);
-            let engine = FsckEngine::with_threads(4);
+            let engine = FsckEngine::new(None);
             let (before, summary, after) = engine
                 .check_and_repair(&mut img)
                 .expect("repair must not fail on poke-corrupted images");
@@ -99,42 +91,34 @@ fn repair_is_idempotent_and_complete() {
 }
 
 #[test]
-fn healthy_image_is_clean_at_every_width() {
-    let (dev, layout) = build_image(12, 5_000);
-    let oracle = check(&dev, &layout);
-    assert!(oracle.is_clean(), "{:?}", oracle.issues);
-    let img = Ext3Image::new(dev, layout);
-    for threads in [1, 2, 4, 8] {
-        let report = FsckEngine::with_threads(threads).check(&img);
-        assert!(report.is_clean(), "t={threads}: {:?}", report.issues);
-        assert_eq!(report.stats.threads, threads);
+fn healthy_image_is_clean() {
+    for (profile, iron) in profiles() {
+        let (dev, layout) = build_image(12, 5_000, iron);
+        let oracle = check(&dev, &layout);
+        assert!(oracle.is_clean(), "{profile}: {:?}", oracle.issues);
+        let img = Ext3Image::new(dev, layout);
+        let report = FsckEngine::new(None).check(&img);
+        assert!(report.is_clean(), "{profile}: {:?}", report.issues);
         assert!(report.stats.inodes_walked > 0);
         assert!(report.stats.blocks_reconciled > 0);
     }
 }
 
 /// Exhaustive per-class sweep: one corruption of every victim class, each
-/// style, compared against the oracle at 1 and 4 threads. Deterministic
+/// style, under each profile, compared against the oracle. Deterministic
 /// companion to the seeded property above.
 #[test]
 fn every_victim_class_agrees_with_oracle() {
-    for class_idx in 0..7 {
-        for style in 0..4u64 {
-            let (mut dev, layout) = build_image(9, 5_000);
-            let classes = victims(&dev, &layout);
-            let (name, addrs) = &classes[class_idx];
-            let addr = addrs[addrs.len() / 2];
-            corrupt_block(&mut dev, addr, style, 0x5EED ^ (style << 32) ^ addr);
-            let oracle = check(&dev, &layout);
-            let img = Ext3Image::new(dev, layout);
-            for threads in [1, 4] {
-                let report = FsckEngine::with_threads(threads).check(&img);
-                assert!(
-                    report.same_issues(&oracle.issues),
-                    "class={name} style={style} t={threads}:\n  engine: {:?}\n  oracle: {:?}",
-                    report.issues,
-                    oracle.issues
-                );
+    for (profile, iron) in profiles() {
+        for class_idx in 0..7 {
+            for style in 0..4u64 {
+                let (mut dev, layout) = build_image(9, 5_000, iron);
+                let classes = victims(&dev, &layout);
+                let (name, addrs) = &classes[class_idx];
+                let addr = addrs[addrs.len() / 2];
+                corrupt_block(&mut dev, addr, style, 0x5EED ^ (style << 32) ^ addr);
+                let ctx = format!("{profile} class={name} style={style}");
+                assert_engine_matches_oracle(dev, layout, &ctx);
             }
         }
     }
