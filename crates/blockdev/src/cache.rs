@@ -41,9 +41,10 @@
 
 use std::collections::BTreeSet;
 
+use iron_core::checksum::Sha1Digest;
 use iron_core::{Block, BlockAddr, BlockTag};
 
-use crate::device::{BlockDevice, DiskError, DiskResult, RawAccess};
+use crate::device::{with_sha1, BlockDevice, DiskError, DiskResult, RawAccess};
 use crate::lru::Lru;
 use crate::sched;
 
@@ -273,6 +274,19 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
             },
         );
         Ok(data)
+    }
+
+    /// Write-through forwards it; write-back hashes what it returns, which
+    /// may be a resident copy no page below holds.
+    fn read_with_sha1(
+        &mut self,
+        addr: BlockAddr,
+        tag: BlockTag,
+    ) -> DiskResult<(Block, Sha1Digest)> {
+        if self.policy == CachePolicy::WriteThrough {
+            return self.inner.read_with_sha1(addr, tag);
+        }
+        self.read_tagged(addr, tag).map(with_sha1)
     }
 
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {

@@ -22,6 +22,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use iron_core::checksum::Sha1Digest;
 use iron_core::{Block, BlockAddr, BlockTag};
 
 use crate::device::{BlockDevice, DiskResult, RawAccess};
@@ -200,6 +201,14 @@ impl<D: BlockDevice> BlockDevice for CrashRecorder<D> {
 
     fn read_tagged(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
         self.inner.read_tagged(addr, tag)
+    }
+
+    fn read_with_sha1(
+        &mut self,
+        addr: BlockAddr,
+        tag: BlockTag,
+    ) -> DiskResult<(Block, Sha1Digest)> {
+        self.inner.read_with_sha1(addr, tag)
     }
 
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {

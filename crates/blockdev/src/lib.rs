@@ -21,6 +21,9 @@
 //!   particular the *ordering barrier* ([`BlockDevice::barrier`]) models the
 //!   lost rotation that ext3 pays between journal data and the commit block
 //!   — the cost that transactional checksums (§6.1) eliminate.
+//! * **Digest-carrying reads** ([`BlockDevice::read_with_sha1`]): a
+//!   checksummed read gets the SHA-1 of what it read from the device, and
+//!   `MemDisk` computes it once per page, however many snapshots share it.
 //!
 //! Between the file system and the disk sits the generic buffer cache of
 //! Figure 1 ([`cache::BufferCache`]): LRU, write-back, with an exact
@@ -47,7 +50,7 @@ pub mod trace;
 
 pub use cache::{BufferCache, CachePolicy, CacheStats};
 pub use crashrec::{CrashRecorder, WriteLog, WriteLogSnapshot, WriteRecord};
-pub use device::{BlockDevice, DiskError, DiskResult, RawAccess};
+pub use device::{with_sha1, BlockDevice, DiskError, DiskResult, RawAccess};
 pub use geometry::DiskGeometry;
 pub use lru::Lru;
 pub use memdisk::MemDisk;

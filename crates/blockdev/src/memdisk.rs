@@ -2,8 +2,9 @@
 //! It stores blocks, charges service time and counts requests; it does not
 //! record them (see [`crate::trace`] for who does).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use iron_core::checksum::{sha1, Sha1Digest};
 use iron_core::{Block, BlockAddr, BlockTag, SimClock, BLOCK_SIZE};
 
 use crate::device::{BlockDevice, DiskError, DiskResult, RawAccess};
@@ -26,8 +27,33 @@ pub struct DiskStats {
     pub seeks: u64,
 }
 
-/// One block's bytes.
-type Page = Arc<[u8; BLOCK_SIZE]>;
+/// One block's bytes and, once anyone has asked for it, their SHA-1.
+///
+/// The digest is filled the first time [`BlockDevice::read_with_sha1`]
+/// reads the page, and every snapshot sharing the page shares it. The
+/// invalidation rule: the bytes change only in [`MemDisk::store`], which
+/// either overwrites an unshared page in place — and resets its digest —
+/// or replaces a shared one with a fresh page that has none.
+struct Page {
+    bytes: [u8; BLOCK_SIZE],
+    sha1: OnceLock<Sha1Digest>,
+}
+
+impl Page {
+    fn new(bytes: [u8; BLOCK_SIZE]) -> Arc<Page> {
+        Arc::new(Page {
+            bytes,
+            sha1: OnceLock::new(),
+        })
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Digests computed into a page's memo on this thread (the hash-once
+    /// test).
+    static SHA1_FILLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Pages per chunk: what a snapshot, and dropping one, pays one refcount
 /// for, and how many pointers the first write into a shared chunk copies.
@@ -35,7 +61,7 @@ type Page = Arc<[u8; BLOCK_SIZE]>;
 /// "The medium's spine").
 const CHUNK_PAGES: usize = 64;
 
-type Chunk = Arc<[Page; CHUNK_PAGES]>;
+type Chunk = Arc<[Arc<Page>; CHUNK_PAGES]>;
 
 /// An in-memory disk that never fails.
 ///
@@ -47,7 +73,9 @@ type Chunk = Arc<[Page; CHUNK_PAGES]>;
 /// [`MemDisk::snapshot`] shares every chunk with its parent; the first
 /// write either side makes into a chunk copies that chunk's page pointers,
 /// and the pages themselves stay shared until written. A never-written
-/// chunk is the all-zero chunk its disk was created with.
+/// chunk is the all-zero chunk its disk was created with. A page carries
+/// the SHA-1 of its bytes once a read has asked for it (see `Page`), so
+/// the snapshots sharing a page share its digest too.
 pub struct MemDisk {
     chunks: Vec<Chunk>,
     /// The last chunk is padded to full length with zero pages, so the
@@ -73,7 +101,7 @@ pub struct MemDisk {
 impl MemDisk {
     /// Create a disk of `num_blocks` zeroed blocks.
     pub fn new(num_blocks: u64, geometry: DiskGeometry, clock: SimClock) -> Self {
-        let zero_page: Page = Arc::new([0u8; BLOCK_SIZE]);
+        let zero_page = Page::new([0u8; BLOCK_SIZE]);
         let zero_chunk: Chunk = Arc::new(std::array::from_fn(|_| zero_page.clone()));
         MemDisk {
             chunks: vec![zero_chunk; (num_blocks as usize).div_ceil(CHUNK_PAGES)],
@@ -147,23 +175,26 @@ impl MemDisk {
         addr.0 as usize
     }
 
-    /// The bytes at the in-range index `idx`.
-    fn page(&self, idx: usize) -> &[u8; BLOCK_SIZE] {
+    /// The page at the in-range index `idx`.
+    fn page(&self, idx: usize) -> &Page {
         &self.chunks[idx / CHUNK_PAGES][idx % CHUNK_PAGES]
     }
 
     /// Put `block` at the in-range index `idx`. A chunk a snapshot (or the
     /// zero fill) still shares is copied first — `Arc::make_mut`: its other
     /// pointers are still wanted — which leaves every page in it shared. An
-    /// unshared page is then overwritten in place and a shared one replaced
-    /// by a fresh one — not `Arc::make_mut`, which would copy the old
-    /// contents only to overwrite them.
+    /// unshared page is then overwritten in place, forgetting its digest,
+    /// and a shared one replaced by a fresh one — not `Arc::make_mut`,
+    /// which would copy the old contents only to overwrite them.
     fn store(&mut self, idx: usize, block: &Block) {
         let chunk = Arc::make_mut(&mut self.chunks[idx / CHUNK_PAGES]);
         let page = &mut chunk[idx % CHUNK_PAGES];
         match Arc::get_mut(page) {
-            Some(bytes) => *bytes = **block,
-            None => *page = Arc::new(**block),
+            Some(p) => {
+                p.bytes = **block;
+                p.sha1.take();
+            }
+            None => *page = Page::new(**block),
         }
     }
 
@@ -247,7 +278,23 @@ impl BlockDevice for MemDisk {
         self.check_range(addr)?;
         self.charge(addr, false);
         self.stats.reads += 1;
-        Ok(Block::from_array(self.page(addr.0 as usize)))
+        Ok(Block::from_array(&self.page(addr.0 as usize).bytes))
+    }
+
+    /// A read, charged as one, plus the page's memoized digest.
+    fn read_with_sha1(
+        &mut self,
+        addr: BlockAddr,
+        tag: BlockTag,
+    ) -> DiskResult<(Block, Sha1Digest)> {
+        let block = self.read_tagged(addr, tag)?;
+        let page = self.page(addr.0 as usize);
+        let digest = *page.sha1.get_or_init(|| {
+            #[cfg(test)]
+            SHA1_FILLS.with(|n| n.set(n.get() + 1));
+            sha1(&page.bytes)
+        });
+        Ok((block, digest))
     }
 
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, _tag: BlockTag) -> DiskResult<()> {
@@ -291,7 +338,7 @@ impl BlockDevice for MemDisk {
 
 impl RawAccess for MemDisk {
     fn peek(&self, addr: BlockAddr) -> Block {
-        Block::from_array(self.page(self.raw_index(addr, "peek")))
+        Block::from_array(&self.page(self.raw_index(addr, "peek")).bytes)
     }
 
     fn poke(&mut self, addr: BlockAddr, block: &Block) {
@@ -303,6 +350,7 @@ impl RawAccess for MemDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::with_sha1;
     use crate::trace::{IoOutcome, TraceLayer};
     use iron_core::IoKind;
 
@@ -372,6 +420,44 @@ mod tests {
         drop(child);
         assert_eq!(chunk_counts(&parent), chunks_before);
         assert_eq!(page_counts(&parent), pages_before);
+    }
+
+    /// The memo the digest-carrying read exists for, read off the fill
+    /// counter: snapshots share a page's digest, a write forgets it.
+    #[test]
+    fn snapshots_sharing_a_page_hash_it_once() {
+        let fills = || SHA1_FILLS.with(std::cell::Cell::get);
+        let tag = BlockTag::UNTYPED;
+        let mut golden = MemDisk::for_tests(8);
+        golden.poke(BlockAddr(3), &Block::filled(0x33));
+        let (mut a, mut b) = (golden.snapshot(), golden.snapshot());
+
+        let before = fills();
+        let (block, digest) = a.read_with_sha1(BlockAddr(3), tag).unwrap();
+        assert_eq!((block, digest), with_sha1(Block::filled(0x33)));
+        assert_eq!(fills(), before + 1, "the first ask hashes");
+        assert_eq!(b.read_with_sha1(BlockAddr(3), tag).unwrap().1, digest);
+        assert_eq!(a.read_with_sha1(BlockAddr(3), tag).unwrap().1, digest);
+        assert_eq!(
+            fills(),
+            before + 1,
+            "the other snapshot and a re-read do not"
+        );
+        assert_eq!(a.stats().reads, 2, "each is charged as a read");
+
+        // A write into the shared page replaces it in the writer only.
+        a.write(BlockAddr(3), &Block::filled(0x44)).unwrap();
+        let fresh = a.read_with_sha1(BlockAddr(3), tag).unwrap();
+        assert_eq!(fresh, with_sha1(Block::filled(0x44)));
+        assert_eq!(b.read_with_sha1(BlockAddr(3), tag).unwrap().1, digest);
+        assert_eq!(fills(), before + 2);
+
+        // The writer's page is now its own: a second write lands in place
+        // and must forget the digest the read just memoized.
+        a.poke(BlockAddr(3), &Block::filled(0x55));
+        let in_place = a.read_with_sha1(BlockAddr(3), tag).unwrap();
+        assert_eq!(in_place, with_sha1(Block::filled(0x55)));
+        assert_eq!(fills(), before + 3);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use iron_core::checksum::Sha1Digest;
 use iron_core::recover::{ErrorClass, PolicyHandle, Step, Verdict, Walk};
 use iron_core::{Block, BlockAddr, BlockTag, IoKind, KernelLog, SimClock};
 
@@ -251,6 +252,14 @@ impl<D: BlockDevice> BlockDevice for RetryLayer<D> {
 
     fn read_tagged(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
         self.run(addr, tag, IoKind::Read, |d| d.read_tagged(addr, tag))
+    }
+
+    fn read_with_sha1(
+        &mut self,
+        addr: BlockAddr,
+        tag: BlockTag,
+    ) -> DiskResult<(Block, Sha1Digest)> {
+        self.run(addr, tag, IoKind::Read, |d| d.read_with_sha1(addr, tag))
     }
 
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {

@@ -15,6 +15,7 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
+use iron_core::checksum::Sha1Digest;
 use iron_core::{Block, BlockAddr, BlockTag, IoKind};
 
 use crate::device::{BlockDevice, DiskResult, RawAccess};
@@ -182,6 +183,23 @@ impl<D: BlockDevice> TraceLayer<D> {
     pub fn into_inner(self) -> D {
         self.inner
     }
+
+    /// Record a forwarded request with its outcome, and hand it back.
+    fn record<T>(
+        &self,
+        kind: IoKind,
+        addr: BlockAddr,
+        tag: BlockTag,
+        r: DiskResult<T>,
+    ) -> DiskResult<T> {
+        let outcome = if r.is_ok() {
+            IoOutcome::Ok
+        } else {
+            IoOutcome::Error
+        };
+        self.trace.record(kind, addr, tag, outcome);
+        r
+    }
 }
 
 impl<D: BlockDevice> BlockDevice for TraceLayer<D> {
@@ -191,24 +209,21 @@ impl<D: BlockDevice> BlockDevice for TraceLayer<D> {
 
     fn read_tagged(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
         let r = self.inner.read_tagged(addr, tag);
-        let outcome = if r.is_ok() {
-            IoOutcome::Ok
-        } else {
-            IoOutcome::Error
-        };
-        self.trace.record(IoKind::Read, addr, tag, outcome);
-        r
+        self.record(IoKind::Read, addr, tag, r)
+    }
+
+    fn read_with_sha1(
+        &mut self,
+        addr: BlockAddr,
+        tag: BlockTag,
+    ) -> DiskResult<(Block, Sha1Digest)> {
+        let r = self.inner.read_with_sha1(addr, tag);
+        self.record(IoKind::Read, addr, tag, r)
     }
 
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {
         let r = self.inner.write_tagged(addr, block, tag);
-        let outcome = if r.is_ok() {
-            IoOutcome::Ok
-        } else {
-            IoOutcome::Error
-        };
-        self.trace.record(IoKind::Write, addr, tag, outcome);
-        r
+        self.record(IoKind::Write, addr, tag, r)
     }
 
     fn barrier(&mut self) -> DiskResult<()> {

@@ -658,7 +658,8 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     }
 
     /// Verify a block against the checksum table (scrubber hook). Returns
-    /// `true` when the block matches or has no recorded checksum.
+    /// `true` when the block matches or has no recorded checksum, `false`
+    /// on a mismatch or past the table.
     pub fn verify_block(&mut self, addr: u64, block: &Block) -> bool {
         self.verify_cksum(addr, block)
     }
@@ -667,7 +668,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     // CPU cost accounting
     // ==================================================================
 
-    fn charge_cpu(&self, ns: u64) {
+    pub(crate) fn charge_cpu(&self, ns: u64) {
         if let Some(clock) = &self.opts.cpu_clock {
             clock.advance_ns(ns);
         }
@@ -722,7 +723,9 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         } else {
             self.opts.iron.data_checksum
         };
-        if !active {
+        // An address past the table (a device larger than the volume, named
+        // by a journal descriptor) has no entry to record.
+        if !active || addr >= self.cksums.len() as u64 {
             return;
         }
         self.charge_cpu(SHA1_BLOCK_COST_NS);
@@ -731,9 +734,15 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     }
 
     /// Verify `block` against the checksum table. Returns `true` if OK (or
-    /// if no checksum was recorded for the address).
+    /// if no checksum was recorded for the address), `false` on a mismatch
+    /// or for an address past the table, which no block of the volume has.
+    /// For the blocks that did not come straight off the device (a replica,
+    /// a parity reconstruction, the scrubber's); a device read is checked
+    /// in `read_verified`, against the digest the device hands back.
     pub(crate) fn verify_cksum(&mut self, addr: u64, block: &Block) -> bool {
-        let expected = self.cksums[addr as usize];
+        let Some(&expected) = self.cksums.get(addr as usize) else {
+            return false;
+        };
         if expected == 0 {
             return true;
         }

@@ -272,15 +272,21 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
                 report.issues.push(FsckIssue::BlockLeaked { addr });
             }
         }
-        // Inode bitmap vs. table.
+        // Inode bitmap vs. table, each table block read once for its
+        // INODES_PER_BLOCK inodes.
         let ibm = dev.peek(layout.inode_bitmap(g));
+        let mut table = Block::zeroed();
         for bit in 0..layout.params.inodes_per_group {
             let ino = g * layout.params.inodes_per_group + bit + 1;
+            let (blk, off) = layout.inode_location(ino);
+            if off == 0 {
+                table = dev.peek(blk);
+            }
             if ino == 1 {
                 continue; // reserved
             }
             let marked = ibm.bit(bit);
-            let di = inode_at(dev, layout, ino);
+            let di = DiskInode::decode_from(&table, off);
             if marked == di.is_free() {
                 report.issues.push(FsckIssue::InodeBitmapMismatch { ino });
             }

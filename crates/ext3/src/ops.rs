@@ -10,6 +10,7 @@ use iron_vfs::{DirEntry, FileType, FsEnv, InodeAttr, MountState, SpecificFs, Sta
 use crate::dir::{self, ftype_from_code, RawDirEntry};
 use crate::fs::Ext3Fs;
 use crate::inode::{DiskInode, NDIRECT, PTRS_PER_BLOCK};
+use crate::iron::SHA1_BLOCK_COST_NS;
 use crate::layout::{BlockType, FIRST_FREE_INO, ROOT_INO};
 use crate::superblock::FsState;
 
@@ -106,18 +107,39 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     }
 
     /// One device read, accepted only if what arrives passes the block's
-    /// content check — inline, so attempts stay bounded.
+    /// content check — inline, so attempts stay bounded. A block with a
+    /// recorded checksum is read with its digest, which the device may
+    /// have memoized; the comparison is made, and charged, on every read.
     fn read_verified(
         &mut self,
         addr: u64,
         tag: BlockTag,
         checksummed: bool,
     ) -> Result<Block, ErrorClass> {
+        // `None`: an address past the table, on a device larger than the
+        // volume. It has no entry to pass, but is read first so that an
+        // address past the device still fails as the device says.
+        let expected = if checksummed {
+            self.cksums.get(addr as usize).copied()
+        } else {
+            Some(0)
+        };
+        if let Some(expected @ 1..) = expected {
+            let (b, digest) = self
+                .dev
+                .read_with_sha1(BlockAddr(addr), tag)
+                .map_err(|e| classify(&e))?;
+            self.charge_cpu(SHA1_BLOCK_COST_NS);
+            if digest.truncated64() != expected {
+                return Err(ErrorClass::Corrupt);
+            }
+            return Ok(b);
+        }
         let b = self
             .dev
             .read_tagged(BlockAddr(addr), tag)
             .map_err(|e| classify(&e))?;
-        if checksummed && !self.verify_cksum(addr, &b) {
+        if expected.is_none() {
             return Err(ErrorClass::Corrupt);
         }
         Ok(b)

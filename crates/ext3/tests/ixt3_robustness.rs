@@ -5,6 +5,8 @@
 use iron_blockdev::{MemDisk, RawAccess};
 use iron_core::model::CorruptionStyle;
 use iron_core::{Block, BlockAddr, BlockTag, Errno, FaultKind};
+use iron_ext3::inode::DiskInode;
+use iron_ext3::journal::{classify_log_block, JournalRecord};
 use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, IronConfig};
 use iron_faultinject::{FaultController, FaultSpec, FaultTarget, FaultyDisk};
 use iron_vfs::{FsEnv, MountState, Vfs};
@@ -380,6 +382,88 @@ fn commit_never_logs_past_the_journal() {
             "block {a}"
         );
     }
+}
+
+/// `mount` accepts a device larger than the volume, and the checksum table
+/// covers the volume only. A data pointer past the volume but on the device
+/// used to index the table out of bounds in `read_verified`; it is a
+/// checksum mismatch, logged and walked like any other.
+#[test]
+fn dc_data_pointer_past_the_checksum_table_is_a_mismatch_not_a_panic() {
+    let iron = IronConfig {
+        data_checksum: true,
+        fix_bugs: true,
+        ..IronConfig::off()
+    };
+    let params = Ext3Params::small();
+    let opts = Ext3Options::with_iron(iron);
+    let dev = MemDisk::for_tests(2 * params.total_blocks);
+    let fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), params, opts.clone()).unwrap();
+    let mut v = Vfs::new(fs);
+    v.write_file("/f", &vec![0x42; 8192]).unwrap();
+    v.umount().unwrap();
+    let fs = v.into_fs();
+    let (blk, off) = fs.layout().inode_location(3);
+    let mut dev = fs.into_device();
+    let mut table = dev.peek(blk);
+    let mut di = DiskInode::decode_from(&table, off);
+    di.direct[0] = 5000;
+    di.encode_into(&mut table, off);
+    dev.poke(blk, &table);
+
+    let env = FsEnv::new();
+    let mut v = Vfs::new(Ext3Fs::mount(dev, env.clone(), opts.clone()).unwrap());
+    let err = v.read_file("/f").unwrap_err();
+    assert_eq!(err.errno(), Some(Errno::EIO));
+    assert!(env.klog.contains("checksum mismatch on data block 5000"));
+    // Past the device it is still the device's error.
+    let mut di = DiskInode::decode_from(&table, off);
+    di.direct[0] = 9000;
+    di.encode_into(&mut table, off);
+    let mut dev = v.into_fs().into_device();
+    dev.poke(blk, &table);
+    let env = FsEnv::new();
+    let mut v = Vfs::new(Ext3Fs::mount(dev, env.clone(), opts).unwrap());
+    assert_eq!(v.read_file("/f").unwrap_err().errno(), Some(Errno::EIO));
+    assert!(env.klog.contains("I/O error reading data block 9000"));
+}
+
+/// Replay writes a committed image wherever its descriptor says and, under
+/// `Mc`, records the image's checksum. A descriptor address past the
+/// volume but on the device used to index the table out of bounds in
+/// `note_cksum` and panic the mount; the table has no entry to record.
+#[test]
+fn mc_replay_of_an_address_past_the_checksum_table_does_not_panic() {
+    let iron = IronConfig {
+        meta_checksum: true,
+        ..IronConfig::off()
+    };
+    let params = Ext3Params::small();
+    let mut md = MemDisk::for_tests(2 * params.total_blocks);
+    Ext3Fs::<MemDisk>::mkfs(&mut md, params).unwrap();
+    let opts = Ext3Options {
+        iron,
+        crash_mode: true,
+        ..Default::default()
+    };
+    let mut v = Vfs::new(Ext3Fs::mount(md, FsEnv::new(), opts).unwrap());
+    v.write_file("/f", b"in the journal").unwrap();
+    v.sync().unwrap(); // committed, never checkpointed
+    let mut dev = v.into_fs().into_device();
+
+    let layout = iron_ext3::DiskLayout::compute(params);
+    let (at, mut desc) = (layout.journal_start..layout.journal_start + layout.journal_len)
+        .find_map(|a| match classify_log_block(&dev.peek(BlockAddr(a))) {
+            Some(JournalRecord::Descriptor(d)) => Some((a, d)),
+            _ => None,
+        })
+        .expect("a committed descriptor");
+    desc.entries[0].0 = 5000;
+    dev.poke(BlockAddr(at), &desc.encode());
+    let image = dev.peek(BlockAddr(at + 1));
+
+    let fs = Ext3Fs::mount(dev, FsEnv::new(), Ext3Options::with_iron(iron)).unwrap();
+    assert_eq!(fs.into_device().peek(BlockAddr(5000)), image, "replayed");
 }
 
 /// The block at `addr` with the `u64` at `off` replaced by `value`.

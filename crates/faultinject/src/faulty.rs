@@ -1,6 +1,7 @@
 //! [`FaultyDisk`]: the pseudo-device driver that enacts a [`FaultPlan`].
 
-use iron_blockdev::{BlockDevice, DiskError, DiskResult, IoOutcome, IoTrace, RawAccess};
+use iron_blockdev::{with_sha1, BlockDevice, DiskError, DiskResult, IoOutcome, IoTrace, RawAccess};
+use iron_core::checksum::Sha1Digest;
 use iron_core::hash::xorshift64;
 use iron_core::model::CorruptionStyle;
 use iron_core::{Block, BlockAddr, BlockTag, FaultKind, IoKind, SimClock, BLOCK_SIZE};
@@ -150,15 +151,16 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
             CorruptionStyle::MisdirectedFrom(src) => self.inner.peek(src),
         }
     }
-}
 
-impl<D: BlockDevice + RawAccess> BlockDevice for FaultyDisk<D> {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn read_tagged(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
-        match self.plan.check(IoKind::Read, addr, tag) {
+    /// Enact the read fault the plan returned for this request (`None`:
+    /// none fired) and trace its outcome.
+    fn read_with(
+        &mut self,
+        fault: Option<FaultKind>,
+        addr: BlockAddr,
+        tag: BlockTag,
+    ) -> DiskResult<Block> {
+        match fault {
             Some(FaultKind::WholeDisk) => {
                 self.trace.record(IoKind::Read, addr, tag, IoOutcome::Error);
                 Err(DiskError::DeviceFailed)
@@ -191,6 +193,37 @@ impl<D: BlockDevice + RawAccess> BlockDevice for FaultyDisk<D> {
                 self.trace.record(IoKind::Read, addr, tag, IoOutcome::Ok);
                 Ok(block)
             }
+        }
+    }
+}
+
+impl<D: BlockDevice + RawAccess> BlockDevice for FaultyDisk<D> {
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+
+    fn read_tagged(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
+        let fault = self.plan.check(IoKind::Read, addr, tag);
+        self.read_with(fault, addr, tag)
+    }
+
+    /// The plan is checked once, as for a read. A request no read fault
+    /// touches is forwarded, so the medium's memoized digest comes up; one
+    /// a fault fired on takes [`Self::read_with`]'s arm and is hashed
+    /// here, so a corrupted block is judged by the digest of the bytes it
+    /// returns.
+    fn read_with_sha1(
+        &mut self,
+        addr: BlockAddr,
+        tag: BlockTag,
+    ) -> DiskResult<(Block, Sha1Digest)> {
+        match self.plan.check(IoKind::Read, addr, tag) {
+            Some(FaultKind::WriteError) | None => {
+                let out = self.inner.read_with_sha1(addr, tag)?;
+                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Ok);
+                Ok(out)
+            }
+            fault => self.read_with(fault, addr, tag).map(with_sha1),
         }
     }
 
@@ -473,6 +506,93 @@ mod tests {
         ));
         assert_eq!(disk.read(BlockAddr(1)).unwrap(), Block::filled(2));
         assert_eq!(disk.read(BlockAddr(2)).unwrap(), Block::filled(3));
+    }
+
+    /// Twins over one golden, one read with `read_with_sha1` and one with
+    /// `read_tagged`, under every fault kind and corruption style, sticky
+    /// and transient, bare and under a retrying layer: the digest is the
+    /// digest of the bytes returned, and the results, traces, clocks and
+    /// medium counters of the two are the same.
+    #[test]
+    fn read_with_sha1_is_read_tagged_then_sha1_under_every_fault() {
+        use iron_blockdev::{RetryConfig, RetryLayer};
+        use iron_core::recover::{Backoff, FailurePolicyTable, PolicyHandle, RecoveryAction};
+
+        let styles = [
+            CorruptionStyle::RandomNoise,
+            CorruptionStyle::Zeroed,
+            CorruptionStyle::BitFlip { offset: 7, len: 9 },
+            CorruptionStyle::Field {
+                offset: 16,
+                value: 0xDEAD_BEEF,
+            },
+            CorruptionStyle::MisdirectedFrom(BlockAddr(20)),
+        ];
+        let mut kinds: Vec<Option<FaultKind>> = vec![
+            None,
+            Some(FaultKind::ReadError),
+            Some(FaultKind::WriteError),
+            Some(FaultKind::WholeDisk),
+            Some(FaultKind::Slow { multiplier: 4 }),
+            Some(FaultKind::Hang),
+        ];
+        kinds.extend(styles.map(|s| Some(FaultKind::Corruption(s))));
+
+        let (golden, _) = setup();
+        let golden = golden.inner().snapshot();
+        let faulty = |fault: Option<FaultKind>, transient: bool| {
+            let inner = golden.snapshot();
+            let clock = inner.clock();
+            let disk = FaultyDisk::new(inner).with_clock(clock);
+            let target = FaultTarget::Addr(BlockAddr(5));
+            if let Some(k) = fault {
+                disk.controller().inject(match transient {
+                    false => FaultSpec::sticky(k, target),
+                    true => FaultSpec::transient(k, target, 1),
+                });
+            }
+            disk
+        };
+        let retry_policy = || {
+            PolicyHandle::new(FailurePolicyTable::with_default(vec![
+                RecoveryAction::Retry {
+                    budget: 2,
+                    backoff: Backoff::none(),
+                },
+                RecoveryAction::Propagate,
+            ]))
+        };
+        let seen = |d: &FaultyDisk<MemDisk>| {
+            let trace: Vec<String> = d.trace().events().iter().map(|e| e.to_string()).collect();
+            (trace, d.inner().stats(), d.inner().clock().now_ns())
+        };
+        for fault in kinds {
+            for transient in [false, true] {
+                let what = format!("{fault:?}, transient {transient}");
+                let (mut a, mut b) = (faulty(fault, transient), faulty(fault, transient));
+                for addr in [5, 5, 6].map(BlockAddr) {
+                    let got = a.read_with_sha1(addr, BlockTag("data"));
+                    if let Ok((block, digest)) = &got {
+                        assert_eq!(*digest, iron_core::checksum::sha1(&block[..]), "{what}");
+                    }
+                    let want = b.read_tagged(addr, BlockTag("data")).map(with_sha1);
+                    assert_eq!(got, want, "{what}");
+                }
+                assert_eq!(seen(&a), seen(&b), "{what}");
+
+                let retry = |d: FaultyDisk<MemDisk>| {
+                    let config = RetryConfig::new(retry_policy(), d.inner().clock());
+                    RetryLayer::new(d, config)
+                };
+                let mut a = retry(faulty(fault, transient));
+                let mut b = retry(faulty(fault, transient));
+                let got = a.read_with_sha1(BlockAddr(5), BlockTag("data"));
+                let want = b.read_tagged(BlockAddr(5), BlockTag("data")).map(with_sha1);
+                assert_eq!(got, want, "retried {what}");
+                assert_eq!(a.stats().snapshot(), b.stats().snapshot(), "retried {what}");
+                assert_eq!(seen(a.inner()), seen(b.inner()), "retried {what}");
+            }
+        }
     }
 
     #[test]

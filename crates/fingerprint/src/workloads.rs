@@ -11,7 +11,7 @@
 //! workloads ensure that sufficiently large files are created to access
 //! these structures"), populated directories, hard links, and symlinks.
 
-use iron_core::checksum::sha1;
+use iron_core::hash::digest64;
 use iron_vfs::{OpenFlags, SpecificFs, Vfs, VfsError};
 
 /// The Figure 2 workload columns.
@@ -178,7 +178,8 @@ impl WorkloadOutput {
 }
 
 fn digest(data: &[u8]) -> String {
-    // The ":zero" marker makes fabricated blank pages observable — the
+    // An observation, not a checksum: `digest64` reads a word at a time
+    // (SHA-1 here was a tenth of the campaign's CPU). The ":zero" marker makes fabricated blank pages observable — the
     // paper's RGuess classification rests on the *data* returned by the
     // API, and all-zero content where real content was expected is the
     // fingerprint of a manufactured response.
@@ -187,7 +188,7 @@ fn digest(data: &[u8]) -> String {
     } else {
         ""
     };
-    format!("{}b:{}{zero}", data.len(), &sha1(data).to_hex()[..12])
+    format!("{}b:{:016x}{zero}", data.len(), digest64(data))
 }
 
 /// Size of the "big" fixture file — large enough to force indirect /
