@@ -77,8 +77,7 @@ pub struct ClusterStatsSnapshot {
 struct ClusterState {
     stats: ClusterStatsSnapshot,
     /// Blocks queued for repair: `(addr, replica) → (kind, tag)`. The
-    /// `BTreeMap` keeps findings canonically ordered, like an
-    /// [`iron_fsck::FsckReport`].
+    /// `BTreeMap` keeps findings in canonical `(addr, replica)` order.
     pending: BTreeMap<(u64, usize), (DivergenceKind, BlockTag)>,
 }
 

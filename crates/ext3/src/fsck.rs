@@ -1,34 +1,23 @@
-//! An offline consistency checker (fsck) for the ext3 model.
+//! An offline consistency checker (fsck) and repairer for the ext3 model.
 //!
 //! The IRON taxonomy's `RRepair` level is fsck-style repair; the paper notes
 //! that even journaling file systems benefit from periodic full-scan
-//! integrity checks (§3.1). This module has two faces:
+//! integrity checks (§3.1).
 //!
-//! * [`check`] — ext3's own checker, written against the on-disk format:
-//!   it walks the image through [`RawAccess`] (no faults, no timing) and
-//!   reports structural inconsistencies. It is what the crash oracles, the
-//!   cluster tests and the benchmark call, and the **differential oracle**
-//!   for `iron-fsck`: the generic engine must report the identical issue
-//!   multiset on every image.
-//! * [`Ext3Image`] — the adapter that implements `iron_fsck::Checkable`
-//!   and `iron_fsck::Repairable`, letting the generic engine check and
-//!   transactionally repair ext3 images. It is the one ext3 repairer.
-//!
-//! Both exist because they answer to different things: `check` reads
-//! whole blocks and knows the format, so it is the fast one and the judge;
-//! the engine knows only the `Checkable` vocabulary, so a second file
-//! system gets a checker and a repairer by implementing a trait.
-//!
-//! Both faces share the issue vocabulary ([`iron_fsck::FsckIssue`]), the
-//! superblock geometry sanity checks ([`superblock_sanity`], `DSanity`),
-//! and the corruption-hardened block walker, so their reports agree by
-//! construction; the property suites in `crates/fsck/tests` pin it.
+//! * [`check`] is the checker, written against the on-disk format: it walks
+//!   the image through [`RawAccess`] (no faults, no timing) and reports
+//!   structural inconsistencies in `iron-fsck`'s vocabulary
+//!   ([`FsckIssue`], [`FsckReport`]). It is what the crash oracles, the
+//!   cluster tests and the benchmark call.
+//! * [`Ext3Image`] implements `iron_fsck::Repairable`, so
+//!   `iron_fsck::apply` can transactionally execute a `RepairPlan` built
+//!   from `check`'s report. It is the one ext3 repairer.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use iron_blockdev::RawAccess;
 use iron_core::{Block, BlockAddr, BLOCK_SIZE};
-use iron_fsck::{ChildEntry, FileKind, InodeSummary, RepairFix, SuperblockReport};
+use iron_fsck::RepairFix;
 use iron_vfs::FileType;
 
 use crate::dir;
@@ -36,26 +25,11 @@ use crate::inode::{DiskInode, NDIRECT, PTRS_PER_BLOCK};
 use crate::layout::{DiskLayout, ROOT_INO};
 use crate::superblock::Superblock;
 
-pub use iron_fsck::FsckIssue;
-
-/// The result of a consistency check.
-#[derive(Clone, Debug, Default)]
-pub struct FsckReport {
-    /// Everything found, in discovery order.
-    pub issues: Vec<FsckIssue>,
-}
-
-impl FsckReport {
-    /// True if the image is fully consistent.
-    pub fn is_clean(&self) -> bool {
-        self.issues.is_empty()
-    }
-}
+pub use iron_fsck::{FsckIssue, FsckReport};
 
 /// Geometry sanity checks (`DSanity`) of a decoded superblock against the
 /// trusted layout: recorded sizes vs. the device, and the journal region
-/// vs. the regions that follow it. Shared by [`check`] and
-/// the [`Ext3Image`] adapter so both report identical issues.
+/// vs. the regions that follow it.
 pub fn superblock_sanity(sb: &Superblock, layout: &DiskLayout) -> Vec<FsckIssue> {
     let p = &layout.params;
     let mut issues = Vec::new();
@@ -299,10 +273,9 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
     report
 }
 
-/// An ext3 image viewed through the generic `iron-fsck` traits: the
-/// engine checks it via `Checkable` and repairs it via
-/// `Repairable` (every fix returns its inverse for transactional
-/// rollback). Wraps any [`RawAccess`] medium plus the trusted layout.
+/// An ext3 image as `iron_fsck::apply` repairs it: every fix returns its
+/// inverse for transactional rollback. Wraps any [`RawAccess`] medium plus
+/// the trusted layout; check it with `check(img.device(), img.layout())`.
 pub struct Ext3Image<D> {
     dev: D,
     layout: DiskLayout,
@@ -340,120 +313,6 @@ impl<D: RawAccess> Ext3Image<D> {
         } else {
             Ok(())
         }
-    }
-}
-
-impl<D: RawAccess> iron_fsck::Checkable for Ext3Image<D> {
-    fn fs_name(&self) -> &'static str {
-        "ext3"
-    }
-
-    fn device_blocks(&self) -> u64 {
-        self.layout.params.total_blocks
-    }
-
-    fn check_superblock(&self) -> SuperblockReport {
-        match Superblock::decode(&self.dev.peek(BlockAddr(0))) {
-            None => SuperblockReport {
-                issues: vec![FsckIssue::BadSuperblock],
-                fatal: true,
-            },
-            Some(sb) => SuperblockReport {
-                issues: superblock_sanity(&sb, &self.layout),
-                fatal: false,
-            },
-        }
-    }
-
-    fn root_ino(&self) -> u64 {
-        ROOT_INO
-    }
-
-    fn total_inodes(&self) -> u64 {
-        self.layout.total_inodes()
-    }
-
-    fn is_reserved_ino(&self, ino: u64) -> bool {
-        ino == 1
-    }
-
-    fn inode(&self, ino: u64) -> InodeSummary {
-        let di = inode_at(&self.dev, &self.layout, ino);
-        InodeSummary {
-            free: di.is_free(),
-            kind: di.file_type().map(|t| {
-                if t == FileType::Directory {
-                    FileKind::Directory
-                } else {
-                    FileKind::Other
-                }
-            }),
-            links: di.links_count,
-        }
-    }
-
-    fn dir_entries(&self, ino: u64) -> Vec<ChildEntry> {
-        let di = inode_at(&self.dev, &self.layout, ino);
-        if di.is_free() || di.file_type() != Some(FileType::Directory) {
-            return Vec::new();
-        }
-        let device_blocks = self.layout.params.total_blocks;
-        let (data, _) = file_block_addrs(&self.dev, &di, device_blocks);
-        let mut out = Vec::new();
-        for a in data {
-            if a == 0 || a >= device_blocks {
-                continue;
-            }
-            for e in dir::parse_block(&self.dev.peek(BlockAddr(a))) {
-                out.push(ChildEntry {
-                    name: e.name,
-                    ino: e.ino as u64,
-                });
-            }
-        }
-        out
-    }
-
-    fn block_refs(&self, ino: u64) -> Vec<u64> {
-        let di = inode_at(&self.dev, &self.layout, ino);
-        if di.is_free() || di.file_type().is_none() {
-            return Vec::new();
-        }
-        let (data, indirect) = file_block_addrs(&self.dev, &di, self.layout.params.total_blocks);
-        let mut refs = indirect;
-        if di.parity != 0 {
-            refs.push(di.parity as u64);
-        }
-        refs.extend(data.into_iter().filter(|&a| a != 0));
-        refs
-    }
-
-    fn data_regions(&self) -> Vec<std::ops::Range<u64>> {
-        (0..self.layout.num_groups)
-            .map(|g| {
-                // Super replica (last block of the group) excluded, as in
-                // the oracle's pass 3.
-                self.layout.data_start(g)
-                    ..self.layout.group_base(g) + self.layout.params.blocks_per_group - 1
-            })
-            .collect()
-    }
-
-    fn block_marked(&self, addr: u64) -> bool {
-        match self.layout.group_of_block(addr) {
-            Some(g) => {
-                let bm = self.dev.peek(self.layout.data_bitmap(g));
-                bm.bit(addr - self.layout.group_base(g))
-            }
-            None => false,
-        }
-    }
-
-    fn inode_marked(&self, ino: u64) -> bool {
-        let g = (ino - 1) / self.layout.params.inodes_per_group;
-        let bit = (ino - 1) % self.layout.params.inodes_per_group;
-        let bm = self.dev.peek(self.layout.inode_bitmap(g));
-        bm.bit(bit)
     }
 }
 

@@ -1,25 +1,105 @@
 //! Tests of `RRepair` on ext3 images (§3.3: "a block that is not pointed
 //! to, but is marked as allocated in a bitmap, could be freed") —
 //! repairable damage is fixed mechanically by the `iron-fsck` planner;
-//! data-loss repairs are reported but refused. The sequential
-//! [`check`] is the judge before and after.
+//! data-loss repairs are reported but refused. [`check`] is the judge
+//! before and after.
 
 use iron_blockdev::{MemDisk, RawAccess};
-use iron_core::BlockAddr;
+use iron_core::{BlockAddr, KernelLog};
 use iron_ext3::fsck::{check, Ext3Image, FsckIssue};
 use iron_ext3::inode::DiskInode;
 use iron_ext3::{DiskLayout, Ext3Fs, Ext3Options, Ext3Params};
-use iron_fsck::FsckEngine;
-use iron_vfs::{FsEnv, Vfs};
+use iron_fsck::{apply, RepairPlan};
+use iron_vfs::{FileType, FsEnv, Vfs};
 
 /// Check and transactionally repair the image; returns it with the number
 /// of fixes applied.
 fn repair(dev: MemDisk, layout: &DiskLayout) -> (MemDisk, usize) {
+    let plan = RepairPlan::new(&check(&dev, layout).issues);
     let mut img = Ext3Image::new(dev, *layout);
-    let (_, summary, _) = FsckEngine::new(None)
-        .check_and_repair(&mut img)
-        .expect("repair applies");
+    let summary = apply(&mut img, &plan, None).expect("repair applies");
     (img.into_device(), summary.applied)
+}
+
+/// The inode `path` names, resolved on a mounted snapshot of the image.
+fn ino_of(dev: &MemDisk, path: &str) -> u64 {
+    let fs = Ext3Fs::mount(dev.snapshot(), FsEnv::new(), Ext3Options::default()).unwrap();
+    Vfs::new(fs).resolve(path).unwrap()
+}
+
+/// Inode `ino`'s first data block.
+fn first_block(dev: &MemDisk, layout: &DiskLayout, ino: u64) -> u64 {
+    let (blk, off) = layout.inode_location(ino);
+    DiskInode::decode_from(&dev.peek(blk), off).direct[0] as u64
+}
+
+/// Rewrite inode `ino` in place; returns it as it was before `edit`.
+fn edit_inode(
+    dev: &mut MemDisk,
+    layout: &DiskLayout,
+    ino: u64,
+    edit: impl FnOnce(&mut DiskInode),
+) -> DiskInode {
+    let (blk, off) = layout.inode_location(ino);
+    let mut b = dev.peek(blk);
+    let old = DiskInode::decode_from(&b, off);
+    let mut di = old;
+    edit(&mut di);
+    di.encode_into(&mut b, off);
+    dev.poke(blk, &b);
+    old
+}
+
+/// Set or clear block `addr`'s allocation bit.
+fn mark_block(dev: &mut MemDisk, layout: &DiskLayout, addr: u64, used: bool) {
+    let g = layout.group_of_block(addr).unwrap();
+    let bm_addr = layout.data_bitmap(g);
+    let mut bm = dev.peek(bm_addr);
+    let bit = addr - layout.group_base(g);
+    if used {
+        bm.set_bit(bit);
+    } else {
+        bm.clear_bit(bit);
+    }
+    dev.poke(bm_addr, &bm);
+}
+
+/// Set or clear inode `ino`'s bit in the inode bitmap.
+fn mark_inode(dev: &mut MemDisk, layout: &DiskLayout, ino: u64, used: bool) {
+    let ipg = layout.params.inodes_per_group;
+    let bm_addr = layout.inode_bitmap((ino - 1) / ipg);
+    let mut bm = dev.peek(bm_addr);
+    if used {
+        bm.set_bit((ino - 1) % ipg);
+    } else {
+        bm.clear_bit((ino - 1) % ipg);
+    }
+    dev.poke(bm_addr, &bm);
+}
+
+/// The highest unallocated data block of group 0.
+fn free_block(dev: &MemDisk, layout: &DiskLayout) -> u64 {
+    let bm = dev.peek(layout.data_bitmap(0));
+    let bit = (0..layout.params.blocks_per_group - 1)
+        .rev()
+        .find(|&bit| !bm.bit(bit))
+        .unwrap();
+    layout.group_base(0) + bit
+}
+
+/// Add a root-directory entry `ghost` naming inode 400, a free slot.
+fn add_dangling_entry(dev: &mut MemDisk, layout: &DiskLayout) {
+    let root_dir_block = BlockAddr(first_block(dev, layout, 2));
+    let mut entries = iron_ext3::dir::parse_block(&dev.peek(root_dir_block));
+    entries.push(iron_ext3::dir::RawDirEntry::new(
+        400,
+        FileType::Regular,
+        "ghost",
+    ));
+    dev.poke(
+        root_dir_block,
+        &iron_ext3::dir::pack_block(&entries).unwrap(),
+    );
 }
 
 fn image() -> (MemDisk, DiskLayout) {
@@ -136,18 +216,7 @@ fn repair_refuses_data_loss_cases() {
     let (mut dev, layout) = image();
     // A dangling directory entry (points at a free inode): repair must
     // report it but not invent a fix.
-    let root_dir_block = layout.data_start(0);
-    let b = dev.peek(BlockAddr(root_dir_block));
-    let mut entries = iron_ext3::dir::parse_block(&b);
-    entries.push(iron_ext3::dir::RawDirEntry::new(
-        400, // a free inode slot
-        iron_vfs::FileType::Regular,
-        "ghost",
-    ));
-    dev.poke(
-        BlockAddr(root_dir_block),
-        &iron_ext3::dir::pack_block(&entries).unwrap(),
-    );
+    add_dangling_entry(&mut dev, &layout);
 
     let before = check(&dev, &layout);
     assert!(before
@@ -178,4 +247,113 @@ fn repaired_image_remounts_and_serves_files() {
     let mut v = Vfs::new(fs);
     assert_eq!(v.read_file("/d/f3").unwrap(), vec![3u8; 9_000]);
     assert_eq!(v.read_file("/hard").unwrap(), vec![0u8; 9_000]);
+}
+
+#[test]
+fn every_tree_and_bitmap_issue_class_is_detected() {
+    let (mut dev, layout) = image();
+    let [f1, f2, f3, f4, f5] =
+        ["/d/f1", "/d/f2", "/d/f3", "/d/f4", "/d/f5"].map(|p| ino_of(&dev, p));
+    // A used block whose bitmap bit is clear.
+    let unmarked = first_block(&dev, &layout, f3);
+    mark_block(&mut dev, &layout, unmarked, false);
+    // f5 takes over f4's first block; its own first block leaks.
+    let shared = first_block(&dev, &layout, f4);
+    let abandoned = edit_inode(&mut dev, &layout, f5, |di| di.direct[0] = shared as u32).direct[0];
+    // A wrong link count, and an allocated inode left unmarked.
+    edit_inode(&mut dev, &layout, f1, |di| di.links_count = 7);
+    mark_inode(&mut dev, &layout, f2, false);
+    // An allocated, marked inode that no directory names.
+    let orphan = 101;
+    edit_inode(&mut dev, &layout, orphan, |di| {
+        *di = DiskInode::new(FileType::Regular, 0o644)
+    });
+    mark_inode(&mut dev, &layout, orphan, true);
+    add_dangling_entry(&mut dev, &layout);
+    // A stray allocation bit.
+    let stray = free_block(&dev, &layout);
+    mark_block(&mut dev, &layout, stray, true);
+
+    let report = check(&dev, &layout);
+    let expect = vec![
+        FsckIssue::DanglingEntry {
+            dir: 2,
+            name: "ghost".into(),
+            ino: 400,
+        },
+        FsckIssue::WrongLinkCount {
+            ino: f1,
+            stored: 7,
+            actual: 1,
+        },
+        FsckIssue::BlockNotMarked { addr: unmarked },
+        FsckIssue::BlockLeaked {
+            addr: abandoned as u64,
+        },
+        FsckIssue::BlockLeaked { addr: stray },
+        FsckIssue::BlockDoublyUsed { addr: shared },
+        FsckIssue::OrphanInode { ino: orphan },
+        FsckIssue::InodeBitmapMismatch { ino: f2 },
+    ];
+    assert!(report.same_issues(&expect), "got {:?}", report.issues);
+}
+
+#[test]
+fn out_of_range_refs_are_counted_not_dereferenced() {
+    let (mut dev, layout) = image();
+    let oob = layout.params.total_blocks + 17;
+    let [f3, f4] = ["/d/f3", "/d/f4"].map(|p| ino_of(&dev, p));
+    // Both files' own first blocks leak; the shared address is one duplicate.
+    let mut expect = vec![FsckIssue::BlockDoublyUsed { addr: oob }];
+    for ino in [f3, f4] {
+        let old = edit_inode(&mut dev, &layout, ino, |di| di.direct[0] = oob as u32);
+        expect.push(FsckIssue::BlockLeaked {
+            addr: old.direct[0] as u64,
+        });
+    }
+    let report = check(&dev, &layout);
+    assert!(
+        report.same_issues(&expect),
+        "one duplicate for the extra out-of-range reference: {:?}",
+        report.issues
+    );
+}
+
+#[test]
+fn failed_apply_rolls_back_to_the_original_image() {
+    let (mut dev, layout) = image();
+    let stray = free_block(&dev, &layout);
+    mark_block(&mut dev, &layout, stray, true); // fix 1: free
+    let f1 = ino_of(&dev, "/d/f1");
+    edit_inode(&mut dev, &layout, f1, |di| di.links_count = 9); // fix 2: link count
+    let report = check(&dev, &layout);
+    assert_eq!(report.issues.len(), 2, "{:?}", report.issues);
+
+    // Fix 3 marks a block that is already marked, and fails.
+    let marked = first_block(&dev, &layout, f1);
+    let mut issues = report.issues.clone();
+    issues.push(FsckIssue::BlockNotMarked { addr: marked });
+    let original = dev.snapshot();
+    let klog = KernelLog::new();
+    let mut img = Ext3Image::new(dev, layout);
+    let failure = apply(&mut img, &RepairPlan::new(&issues), Some(&klog)).unwrap_err();
+    assert_eq!(failure.rolled_back, 2);
+    assert!(!failure.rollback_failed);
+    assert!(
+        failure.reason.contains("already marked"),
+        "{}",
+        failure.reason
+    );
+    assert!(klog.contains("repair failed"));
+    for a in 0..layout.params.total_blocks {
+        assert!(
+            img.device().peek(BlockAddr(a)) == original.peek(BlockAddr(a)),
+            "block {a} differs after rollback"
+        );
+    }
+
+    // The same plan without the bad fix repairs the image clean.
+    let summary = apply(&mut img, &RepairPlan::new(&report.issues), None).unwrap();
+    assert_eq!(summary.applied, 2);
+    assert!(check(img.device(), &layout).is_clean());
 }

@@ -1,15 +1,23 @@
 //! Superblock/geometry sanity checks (`DSanity`, §3.1): stored geometry
 //! vs. the trusted layout, and the journal region vs. its neighbors.
-//! Each corruption is exercised through both ext3's own checker and
-//! the `iron-fsck` engine, and the repairable ones are driven
-//! through the engine's transactional `RRepair` path.
+//! Each corruption is exercised through ext3's checker, and the
+//! repairable ones are driven through `iron-fsck`'s transactional
+//! `RRepair` path.
 
 use iron_blockdev::{MemDisk, RawAccess};
 use iron_core::BlockAddr;
-use iron_ext3::fsck::{check, superblock_sanity, Ext3Image, FsckIssue};
+use iron_ext3::fsck::{check, superblock_sanity, Ext3Image, FsckIssue, FsckReport};
 use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, Superblock};
-use iron_fsck::FsckEngine;
+use iron_fsck::{apply, RepairPlan};
 use iron_vfs::{FsEnv, Vfs};
+
+/// Plan and apply repairs for `img`'s issues; returns the fixes applied
+/// and the re-check.
+fn repair(img: &mut Ext3Image<MemDisk>) -> (usize, FsckReport) {
+    let before = check(img.device(), img.layout());
+    let summary = apply(img, &RepairPlan::new(&before.issues), None).expect("repair applies");
+    (summary.applied, check(img.device(), img.layout()))
+}
 
 fn image() -> (MemDisk, iron_ext3::DiskLayout) {
     let dev = MemDisk::for_tests(4096);
@@ -58,13 +66,11 @@ fn total_blocks_mismatch_is_flagged_and_repaired() {
         expected,
     }));
 
-    // The engine plans an RRepair (rewrite the field) and the second
-    // check comes back clean.
+    // The planner maps it to an RRepair (rewrite the field) and the
+    // second check comes back clean.
     let mut img = Ext3Image::new(dev, layout);
-    let engine = FsckEngine::new(None);
-    let (before, summary, after) = engine.check_and_repair(&mut img).unwrap();
-    assert!(!before.is_clean());
-    assert!(summary.applied >= 1);
+    let (applied, after) = repair(&mut img);
+    assert!(applied >= 1);
     assert!(after.is_clean(), "geometry repaired: {:?}", after.issues);
 }
 
@@ -96,8 +102,8 @@ fn journal_overgrowth_overlaps_neighbors() {
 
     // Repair truncates the stored length back to the trusted maximum.
     let mut img = Ext3Image::new(dev, layout);
-    let (_, summary, after) = FsckEngine::new(None).check_and_repair(&mut img).unwrap();
-    assert!(summary.applied >= 1);
+    let (applied, after) = repair(&mut img);
+    assert!(applied >= 1);
     assert!(after.is_clean(), "{:?}", after.issues);
     let sb = Superblock::decode(&img.device().peek(BlockAddr(0))).unwrap();
     assert_eq!(sb.journal_blocks, layout.journal_len);
@@ -127,34 +133,7 @@ fn undecodable_superblock_is_fatal() {
     let report = check(&dev, &layout);
     assert_eq!(report.issues, vec![FsckIssue::BadSuperblock]);
 
-    // The engine stops after the superblock pass (fatal) and the planner
-    // maps BadSuperblock to RStop — nothing is auto-repaired.
-    let img = Ext3Image::new(dev, layout);
-    let engine = FsckEngine::new(None);
-    let report = engine.check(&img);
-    assert_eq!(report.issues, vec![FsckIssue::BadSuperblock]);
-    assert_eq!(
-        report.stats.passes.len(),
-        1,
-        "stopped after superblock pass"
-    );
-}
-
-#[test]
-fn sanity_issues_agree_across_oracle_and_engine() {
-    let (mut dev, layout) = image();
-    rewrite_sb(&mut dev, |sb| {
-        sb.total_blocks += 5;
-        sb.inodes_per_group += 1;
-        sb.journal_blocks = layout.journal_len + 9;
-    });
-    let oracle = check(&dev, &layout);
-    let img = Ext3Image::new(dev, layout);
-    let report = FsckEngine::new(None).check(&img);
-    assert!(
-        report.same_issues(&oracle.issues),
-        "{:?} vs {:?}",
-        report.issues,
-        oracle.issues
-    );
+    // The planner maps BadSuperblock to RStop: nothing is auto-repaired.
+    let plan = RepairPlan::new(&report.issues);
+    assert_eq!(plan.fixable(), 0);
 }

@@ -1,10 +1,8 @@
-//! The issue vocabulary shared by every checkable file system.
+//! The issue vocabulary shared by every checker and repairer.
 //!
-//! Variants derive `Ord` so a report can be *canonically sorted*: two
-//! checkers discover issues in different orders, but the sorted multiset
-//! is what the differential property suites compare.
-
-use crate::engine::FsckStats;
+//! Variants derive `Ord` so a report's issues can be compared as a
+//! multiset ([`FsckReport::same_issues`]), independent of the order a
+//! check discovered them in.
 
 /// One structural inconsistency found by a check.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -87,13 +85,11 @@ pub enum FsckIssue {
     },
 }
 
-/// The result of a consistency check: issues plus observability counters.
+/// The result of a consistency check.
 #[derive(Clone, Debug, Default)]
 pub struct FsckReport {
-    /// Everything found, canonically sorted (see module docs).
+    /// Everything found, in discovery order.
     pub issues: Vec<FsckIssue>,
-    /// What the check cost: items scanned and per-pass wall time.
-    pub stats: FsckStats,
 }
 
 impl FsckReport {
@@ -110,15 +106,6 @@ impl FsckReport {
         a.sort();
         b.sort();
         a == b
-    }
-
-    /// A one-line human summary for logs.
-    pub fn summary(&self) -> String {
-        if self.is_clean() {
-            "clean".to_string()
-        } else {
-            format!("{} issue(s)", self.issues.len())
-        }
     }
 }
 
@@ -150,7 +137,6 @@ mod tests {
                 FsckIssue::BlockLeaked { addr: 1 },
                 FsckIssue::OrphanInode { ino: 3 },
             ],
-            stats: FsckStats::default(),
         };
         assert!(r.same_issues(&[
             FsckIssue::OrphanInode { ino: 3 },
@@ -162,15 +148,5 @@ mod tests {
             FsckIssue::OrphanInode { ino: 3 },
             FsckIssue::BlockLeaked { addr: 1 },
         ]));
-    }
-
-    #[test]
-    fn summary_reads_well() {
-        assert_eq!(FsckReport::default().summary(), "clean");
-        let r = FsckReport {
-            issues: vec![FsckIssue::BadSuperblock],
-            stats: FsckStats::default(),
-        };
-        assert_eq!(r.summary(), "1 issue(s)");
     }
 }

@@ -16,7 +16,6 @@
 use iron_core::taxonomy::RecoveryLevel;
 use iron_core::KernelLog;
 
-use crate::check::Checkable;
 use crate::issue::FsckIssue;
 
 /// One mechanical, invertible repair step.
@@ -60,9 +59,9 @@ pub enum RepairFix {
     },
 }
 
-/// A file system the engine can repair: applying a fix returns the
+/// A file-system image [`apply`] can repair: applying a fix returns the
 /// *inverse* fix, which [`apply`] stacks for transactional rollback.
-pub trait Repairable: Checkable {
+pub trait Repairable {
     /// Apply one fix to the image. Errors must leave the image unchanged.
     fn apply_fix(&mut self, fix: &RepairFix) -> Result<RepairFix, String>;
 }
@@ -289,8 +288,6 @@ pub fn apply<R: Repairable>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::FsckEngine;
-    use crate::mockfs::MockFs;
 
     #[test]
     fn planner_maps_issue_classes_to_iron_recovery_levels() {
@@ -361,54 +358,6 @@ mod tests {
                 value: 256
             })
         );
-    }
-
-    #[test]
-    fn apply_reports_applied_and_deferred() {
-        let mut fs = MockFs::healthy();
-        fs.block_bitmap.insert(170);
-        fs.add_orphan(9, &[]);
-        let report = FsckEngine::new(None).check(&fs);
-        let plan = RepairPlan::new(&report.issues);
-        let summary = apply(&mut fs, &plan, None).unwrap();
-        assert_eq!(
-            summary,
-            RepairSummary {
-                applied: 1,
-                deferred: 1
-            }
-        );
-        let after = FsckEngine::new(None).check(&fs);
-        assert!(after.same_issues(&plan.deferred_issues()));
-    }
-
-    #[test]
-    fn failed_apply_rolls_back_to_the_original_image() {
-        let mut fs = MockFs::healthy();
-        fs.block_bitmap.insert(170); // fix 1: free
-        fs.inodes.get_mut(&3).unwrap().links = 9; // fix 2: link count
-        fs.inode_bitmap.remove(&4); // fix 3: bitmap sync
-        let report = FsckEngine::new(None).check(&fs);
-        assert_eq!(report.issues.len(), 3);
-
-        let snap_blocks = fs.block_bitmap.clone();
-        let snap_inodes = fs.inode_bitmap.clone();
-        let snap_links = fs.inodes[&3].links;
-
-        fs.fail_on_apply = Some(3); // third fix explodes
-        let plan = RepairPlan::new(&report.issues);
-        let failure = apply(&mut fs, &plan, None).unwrap_err();
-        assert_eq!(failure.rolled_back, 2);
-        assert!(!failure.rollback_failed);
-        assert_eq!(fs.block_bitmap, snap_blocks, "bitmap restored");
-        assert_eq!(fs.inode_bitmap, snap_inodes, "inode bitmap restored");
-        assert_eq!(fs.inodes[&3].links, snap_links, "link count restored");
-
-        // And the same image still repairs fine once the fault is gone.
-        fs.fail_on_apply = None;
-        let summary = apply(&mut fs, &plan, None).unwrap();
-        assert_eq!(summary.applied, 3);
-        assert!(FsckEngine::new(None).check(&fs).is_clean());
     }
 
     #[test]

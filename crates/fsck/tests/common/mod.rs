@@ -1,15 +1,16 @@
 //! Shared helpers for the iron-fsck integration suites: an ext3 image
-//! builder and a typed-block victim enumerator for corruption campaigns.
+//! builder, a typed-block victim enumerator for corruption campaigns, and
+//! the check → plan → apply → check repair cycle.
 //!
 //! Each suite uses a different subset of these helpers.
 #![allow(dead_code)]
 
 use iron_blockdev::{MemDisk, RawAccess};
-use iron_core::{Block, BlockAddr, BLOCK_SIZE};
+use iron_core::{Block, BlockAddr, KernelLog, BLOCK_SIZE};
 use iron_ext3::fsck::{check, Ext3Image};
 use iron_ext3::inode::DiskInode;
 use iron_ext3::{DiskLayout, Ext3Fs, Ext3Options, Ext3Params, IronConfig};
-use iron_fsck::FsckEngine;
+use iron_fsck::{apply, FsckReport, RepairFailure, RepairPlan, RepairSummary};
 use iron_vfs::{FileType, FsEnv, Vfs};
 
 /// The mount profiles the differential suites build images under: stock
@@ -58,21 +59,25 @@ pub fn build_image(files: usize, file_bytes: usize, iron: IronConfig) -> (MemDis
     (fs.into_device(), layout)
 }
 
-/// The differential invariant: the engine reports the issue multiset
-/// ext3's own checker reports for the image, and reports it again when
-/// asked again.
-pub fn assert_engine_matches_oracle(dev: MemDisk, layout: DiskLayout, ctx: &str) {
-    let oracle = check(&dev, &layout);
-    let img = Ext3Image::new(dev, layout);
-    let report = FsckEngine::new(None).check(&img);
-    assert!(
-        report.same_issues(&oracle.issues),
-        "{ctx}: engine vs oracle:\n  engine: {:?}\n  oracle: {:?}",
-        report.issues,
-        oracle.issues
-    );
-    let again = FsckEngine::new(None).check(&img);
+/// Check the image twice: the checker must not panic on it and must
+/// report the same issues, in the same order, both times.
+pub fn check_twice<D: RawAccess>(dev: &D, layout: &DiskLayout, ctx: &str) -> FsckReport {
+    let report = check(dev, layout);
+    let again = check(dev, layout);
     assert_eq!(again.issues, report.issues, "{ctx}: nondeterministic");
+    report
+}
+
+/// check → plan → apply → check. Returns (before, repair summary, after).
+#[allow(clippy::type_complexity)]
+pub fn check_and_repair<D: RawAccess>(
+    img: &mut Ext3Image<D>,
+    klog: Option<&KernelLog>,
+) -> Result<(FsckReport, RepairSummary, FsckReport), RepairFailure> {
+    let before = check(img.device(), img.layout());
+    let summary = apply(img, &RepairPlan::new(&before.issues), klog)?;
+    let after = check(img.device(), img.layout());
+    Ok((before, summary, after))
 }
 
 /// Candidate corruption victims, grouped by on-disk block class. Only

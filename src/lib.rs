@@ -12,9 +12,9 @@
 //! * [`ext3`], [`reiser`], [`jfs`], [`ntfs`] — behavioral models of the
 //!   four commodity file systems, measured failure policies and bugs
 //!   included;
-//! * [`fsck`] — the file-system-agnostic check-and-repair engine (six
-//!   plain passes, `RRepair`/`RRemap` planner), which `ext3` implements
-//!   the traits of;
+//! * [`fsck`] — the fsck issue vocabulary and the transactional
+//!   `RRepair`/`RRemap` repair executor; `ext3` holds the checker and
+//!   the repairer;
 //! * [`ixt3`] — the prototype IRON file system (checksums, replication,
 //!   parity, transactional checksums, scrubbing);
 //! * [`fingerprint`] — the failure-policy fingerprinting framework
