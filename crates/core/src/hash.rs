@@ -45,8 +45,8 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 /// changes the result, and the four multiply chains overlap instead of
 /// waiting on each other as [`fnv1a`]'s one chain per byte does.
 ///
-/// Not an on-disk format and not keyed: [`fnv1a`] stays the lock-shard
-/// and ReiserFS name hash.
+/// Not an on-disk format and not keyed: [`fnv1a`] stays ReiserFS's
+/// on-disk name hash.
 pub fn digest64(data: &[u8]) -> u64 {
     const ODD: u64 = 0x9E37_79B9_7F4A_7C15;
     let mix = |h: u64, x: u64| (h ^ x).wrapping_mul(ODD).rotate_left(31);

@@ -8,34 +8,27 @@
 //! one at a time from the shared pool ([`iron_core::exec::WorkerPool::shard_fine`]).
 //! For each request a worker:
 //!
-//! 1. expands the write payload (marshalling, outside every lock),
-//! 2. acquires the request's canonical lock set ([`crate::lock::lock_keys`]),
-//! 3. runs the request's file-system phases, each inside the engine's
-//!    single FS critical section (the models beneath are `&mut self` —
-//!    the paper's file systems are single-threaded kernels — so the FS
-//!    mutex *is* the storage stack; the lock manager above it is what
-//!    admits or serializes requests),
-//! 4. releases the locks after the response is recorded.
+//! 1. expands the write payload (marshalling, outside the FS mutex),
+//! 2. runs the whole request — resolution, the operation, and the append
+//!    of `(session, index)` to the global commit log — in one critical
+//!    section of the engine's single FS mutex (the models beneath are
+//!    `&mut self`: the paper's file systems are single-threaded kernels,
+//!    so the FS mutex *is* the storage stack),
+//! 3. digests a read's bytes after releasing the mutex.
 //!
-//! A request's **commit point** is the critical section that determines
-//! its result: the mutating call for namespace/data operations, the read
-//! itself for queries, or the first failing resolution. The engine
-//! appends `(session, index)` to a global commit log inside that critical
-//! section, producing a total order consistent with every session's
-//! program order.
+//! That critical section is the request's **commit point**. The commit log
+//! is therefore a total order consistent with every session's program
+//! order.
 //!
 //! ## Why concurrent ≡ serial replay
 //!
-//! Resolution phases are read-only and touch only paths the request holds
-//! (at least) shared; any request that could invalidate them needs an
-//! exclusive key and is therefore ordered entirely before or after. So
-//! the interleaved execution is equivalent to executing each request
-//! atomically at its commit point — which is precisely what
-//! [`replay_serial`] does. The differential suites assert the equivalence
-//! (identical per-request responses, bit-identical disk image) at every
-//! thread count; that property is the serving layer's correctness oracle,
-//! in the same way cached==bare and parallel==sequential were for the
-//! cache and campaign engines.
+//! Every request runs whole at its commit point, so a concurrent run is,
+//! by construction, the serial execution of its commit log — which is
+//! precisely what [`replay_serial`] re-executes. The differential suites
+//! assert the equivalence (identical per-request responses, bit-identical
+//! disk image) at every thread count; that property is the serving
+//! layer's correctness oracle, in the same way cached==bare and
+//! parallel==sequential were for the cache and campaign engines.
 
 use std::sync::Mutex;
 
@@ -43,7 +36,6 @@ use iron_core::exec::WorkerPool;
 use iron_core::Errno;
 use iron_vfs::{FileType, SpecificFs, Vfs, VfsResult};
 
-use crate::lock::{lock_keys, LockManager};
 use crate::proto::{digest, payload, Reply, Request, Response};
 
 /// One simulated client: an id and its ordered request list.
@@ -73,7 +65,9 @@ pub struct CommitRecord {
 pub struct ServeOptions {
     /// Worker threads; `0` means one per hardware thread.
     pub threads: usize,
-    /// Hash shards in the lock table.
+    /// Read by nothing: the engine takes no path locks. The field stays
+    /// while the whole-stack benchmark builds `ServeOptions` by field
+    /// (ROADMAP 3(h)).
     pub lock_shards: usize,
 }
 
@@ -124,7 +118,7 @@ impl<F: SpecificFs> Core<'_, F> {
     }
 }
 
-/// Resolve `path` to a non-directory inode (phase 1 of data operations).
+/// Resolve `path` to a non-directory inode.
 fn resolve_file<F: SpecificFs>(vfs: &mut Vfs<F>, path: &str) -> VfsResult<u64> {
     let ino = vfs.resolve(path)?;
     if vfs.fs_mut().getattr(ino)?.ftype == FileType::Directory {
@@ -133,9 +127,9 @@ fn resolve_file<F: SpecificFs>(vfs: &mut Vfs<F>, path: &str) -> VfsResult<u64> {
     Ok(ino)
 }
 
-/// Execute one request against the shared core. Multi-phase requests
-/// release the core between resolution and operation — the caller's path
-/// locks are what keep the gap safe. Exactly one phase commits.
+/// Execute one request against the shared core in one critical section:
+/// resolution, the operation and the commit-log append. Only the read
+/// digest runs after the core is released.
 fn run_request<F: SpecificFs>(
     core: &Mutex<Core<'_, F>>,
     session: usize,
@@ -143,155 +137,68 @@ fn run_request<F: SpecificFs>(
     req: &Request,
     data: Option<&[u8]>,
 ) -> Response {
-    // Phase-1 helper: commit-and-return on resolution failure.
-    macro_rules! phase1 {
-        ($c:ident, $expr:expr) => {
-            match $expr {
-                Ok(v) => v,
-                Err(e) => {
-                    $c.commit(session, index);
-                    return Err(e);
-                }
-            }
-        };
-    }
-
-    match req {
-        Request::Open { path } => {
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.resolve(path).map(|ino| Reply::Handle { ino });
-            c.commit(session, index);
-            r
-        }
-        Request::Stat { path } => {
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.stat(path).map(Reply::Attr);
-            c.commit(session, index);
-            r
-        }
-        Request::Readdir { path } => {
-            let mut c = core.lock().unwrap();
-            // "." and ".." are filtered so replies are identical across
-            // file systems that do and don't synthesize dot entries.
-            let r = c.vfs.readdir(path).map(|es| {
-                Reply::Entries(
-                    es.into_iter()
-                        .map(|e| e.name)
-                        .filter(|n| n != "." && n != "..")
-                        .collect(),
-                )
-            });
-            c.commit(session, index);
-            r
-        }
-        Request::Sync => {
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.sync().map(|()| Reply::Unit);
-            c.commit(session, index);
-            r
-        }
-        Request::Create { path, mode } => {
-            let (dir, name) = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, c.vfs.resolve_parent(path))
-            };
-            let mut c = core.lock().unwrap();
-            let r = c
-                .vfs
-                .fs_mut()
-                .create(dir, &name, *mode)
-                .map(|ino| Reply::Handle { ino });
-            c.commit(session, index);
-            r
-        }
-        Request::Mkdir { path, mode } => {
-            let (dir, name) = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, c.vfs.resolve_parent(path))
-            };
-            let mut c = core.lock().unwrap();
-            let r = c
-                .vfs
-                .fs_mut()
-                .mkdir(dir, &name, *mode)
-                .map(|ino| Reply::Handle { ino });
-            c.commit(session, index);
-            r
-        }
-        Request::Unlink { path } => {
-            let (dir, name) = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, c.vfs.resolve_parent(path))
-            };
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.fs_mut().unlink(dir, &name).map(|()| Reply::Unit);
-            c.commit(session, index);
-            r
-        }
-        Request::Rmdir { path } => {
-            let (dir, name) = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, c.vfs.resolve_parent(path))
-            };
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.fs_mut().rmdir(dir, &name).map(|()| Reply::Unit);
-            c.commit(session, index);
-            r
-        }
-        Request::Rename { from, to } => {
-            {
-                let mut c = core.lock().unwrap();
-                phase1!(c, c.vfs.resolve_nofollow(from));
-            }
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.rename(from, to).map(|()| Reply::Unit);
-            c.commit(session, index);
-            r
-        }
+    let mut c = core
+        .lock()
+        .expect("a worker panicked inside the FS critical section");
+    let vfs = &mut *c.vfs;
+    let r = match req {
+        Request::Open { path } => vfs.resolve(path).map(|ino| Reply::Handle { ino }),
+        Request::Stat { path } => vfs.stat(path).map(Reply::Attr),
+        // "." and ".." are filtered so replies are identical across file
+        // systems that do and don't synthesize dot entries.
+        Request::Readdir { path } => vfs.readdir(path).map(|es| {
+            Reply::Entries(
+                es.into_iter()
+                    .map(|e| e.name)
+                    .filter(|n| n != "." && n != "..")
+                    .collect(),
+            )
+        }),
+        Request::Sync => vfs.sync().map(|()| Reply::Unit),
+        Request::Create { path, mode } => vfs
+            .resolve_parent(path)
+            .and_then(|(dir, name)| vfs.fs_mut().create(dir, &name, *mode))
+            .map(|ino| Reply::Handle { ino }),
+        Request::Mkdir { path, mode } => vfs
+            .resolve_parent(path)
+            .and_then(|(dir, name)| vfs.fs_mut().mkdir(dir, &name, *mode))
+            .map(|ino| Reply::Handle { ino }),
+        Request::Unlink { path } => vfs
+            .resolve_parent(path)
+            .and_then(|(dir, name)| vfs.fs_mut().unlink(dir, &name))
+            .map(|()| Reply::Unit),
+        Request::Rmdir { path } => vfs
+            .resolve_parent(path)
+            .and_then(|(dir, name)| vfs.fs_mut().rmdir(dir, &name))
+            .map(|()| Reply::Unit),
+        Request::Rename { from, to } => vfs
+            .resolve_nofollow(from)
+            .and_then(|_| vfs.rename(from, to))
+            .map(|()| Reply::Unit),
         Request::Read { path, off, len } => {
-            let ino = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, resolve_file(c.vfs, path))
-            };
-            let got = {
-                let mut c = core.lock().unwrap();
-                let r = c.vfs.fs_mut().read(ino, *off, *len);
-                c.commit(session, index);
-                r
-            };
+            let got = resolve_file(vfs, path).and_then(|ino| vfs.fs_mut().read(ino, *off, *len));
+            c.commit(session, index);
+            drop(c);
             // Digest outside the critical section: unmarshalling is the
             // client-facing thread's job.
-            got.map(|bytes| Reply::Data {
+            return got.map(|bytes| Reply::Data {
                 len: bytes.len(),
                 digest: digest(&bytes),
-            })
+            });
         }
         Request::Write { path, off, .. } => {
             let bytes = data.expect("write payload expanded by caller");
-            let ino = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, resolve_file(c.vfs, path))
-            };
-            let mut c = core.lock().unwrap();
-            let r = c
-                .vfs
-                .fs_mut()
-                .write(ino, *off, bytes)
-                .map(|n| Reply::Written { n });
-            c.commit(session, index);
-            r
+            resolve_file(vfs, path)
+                .and_then(|ino| vfs.fs_mut().write(ino, *off, bytes))
+                .map(|n| Reply::Written { n })
         }
-        Request::Fsync { path } => {
-            let ino = {
-                let mut c = core.lock().unwrap();
-                phase1!(c, c.vfs.resolve(path))
-            };
-            let mut c = core.lock().unwrap();
-            let r = c.vfs.fs_mut().fsync(ino).map(|()| Reply::Unit);
-            c.commit(session, index);
-            r
-        }
-    }
+        Request::Fsync { path } => vfs
+            .resolve(path)
+            .and_then(|ino| vfs.fs_mut().fsync(ino))
+            .map(|()| Reply::Unit),
+    };
+    c.commit(session, index);
+    r
 }
 
 /// Check that `log` is a valid commit order for `sessions`: one record
@@ -342,7 +249,6 @@ pub fn serve<F: SpecificFs + Send>(
         assert_eq!(s.id, i, "session ids must equal their slice index");
     }
     let pool = WorkerPool::sized(opts.threads);
-    let locks = LockManager::new(opts.lock_shards);
     let core = Mutex::new(Core {
         vfs,
         log: Vec::new(),
@@ -354,8 +260,6 @@ pub fn serve<F: SpecificFs + Send>(
             let mut responses = Vec::with_capacity(session.requests.len());
             for (index, req) in session.requests.iter().enumerate() {
                 let data = expand_payload(req);
-                let keys = lock_keys(req);
-                let _guard = locks.acquire(&keys);
                 responses.push(run_request(&core, session.id, index, req, data.as_deref()));
             }
             acc.push((session.id, responses));
@@ -486,28 +390,82 @@ mod tests {
 
     #[test]
     fn errors_are_replies_not_panics() {
+        // One request of every kind that can fail, each failing in
+        // resolution, plus a `Sync`: every one is a reply that commits once.
+        let missing = || "/missing".to_string();
+        let cases: Vec<(Request, Response)> = vec![
+            (
+                Request::Create {
+                    path: "/missing/f".into(),
+                    mode: 0o644,
+                },
+                Err(Errno::ENOENT.into()),
+            ),
+            (
+                Request::Mkdir {
+                    path: "/missing/d".into(),
+                    mode: 0o755,
+                },
+                Err(Errno::ENOENT.into()),
+            ),
+            (
+                Request::Unlink {
+                    path: "/missing/f".into(),
+                },
+                Err(Errno::ENOENT.into()),
+            ),
+            (
+                Request::Rmdir {
+                    path: "/missing/d".into(),
+                },
+                Err(Errno::ENOENT.into()),
+            ),
+            (
+                Request::Rename {
+                    from: "/missing/a".into(),
+                    to: "/missing/b".into(),
+                },
+                Err(Errno::ENOENT.into()),
+            ),
+            (Request::Open { path: missing() }, Err(Errno::ENOENT.into())),
+            (Request::Stat { path: missing() }, Err(Errno::ENOENT.into())),
+            (
+                Request::Readdir { path: missing() },
+                Err(Errno::ENOENT.into()),
+            ),
+            (
+                Request::Read {
+                    path: missing(),
+                    off: 0,
+                    len: 8,
+                },
+                Err(Errno::ENOENT.into()),
+            ),
+            (
+                Request::Fsync { path: missing() },
+                Err(Errno::ENOENT.into()),
+            ),
+            (
+                Request::Write {
+                    path: "/".into(),
+                    off: 0,
+                    len: 8,
+                    seed: 1,
+                },
+                Err(Errno::EISDIR.into()),
+            ),
+            (Request::Sync, Ok(Reply::Unit)),
+        ];
+        let (requests, expected): (Vec<_>, Vec<_>) = cases.into_iter().unzip();
+        let sessions = reqs(requests);
         let mut vfs = Vfs::new(RamFs::new());
-        let sessions = reqs(vec![
-            Request::Read {
-                path: "/missing".into(),
-                off: 0,
-                len: 8,
-            },
-            Request::Write {
-                path: "/".into(),
-                off: 0,
-                len: 8,
-                seed: 1,
-            },
-            Request::Rmdir {
-                path: "/also-missing".into(),
-            },
-        ]);
         let report = serve(&mut vfs, &sessions, &ServeOptions::default());
-        assert_eq!(report.responses[0][0], Err(Errno::ENOENT.into()));
-        assert_eq!(report.responses[0][1], Err(Errno::EISDIR.into()));
-        assert_eq!(report.responses[0][2], Err(Errno::ENOENT.into()));
-        assert_eq!(report.commit_log.len(), 3);
+        for (i, want) in expected.iter().enumerate() {
+            let kind = sessions[0].requests[i].name();
+            assert_eq!(&report.responses[0][i], want, "{kind}");
+        }
+        assert_eq!(report.commit_log.len(), 12);
+        assert!(validate_commit_log(&sessions, &report.commit_log).is_ok());
     }
 
     #[test]

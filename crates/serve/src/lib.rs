@@ -8,13 +8,10 @@
 //!   write / create / unlink / mkdir / rmdir / readdir / stat / rename /
 //!   fsync / sync as plain structs), NFSv3-style stateless, modeled on a
 //!   master/chunkserver RPC surface with no external dependencies;
-//! * [`lock`] — a sharded lock manager keyed on lexical paths
-//!   (per-target and per-path-prefix, shared/exclusive), with every
-//!   request's lock set acquired in one canonical sorted order so
-//!   deadlock is excluded by construction;
 //! * [`engine`] — the request engine: thousands of simulated client
-//!   sessions drained through [`iron_core::exec::WorkerPool`], a global
-//!   commit log recorded at each request's linearization point, and
+//!   sessions drained through [`iron_core::exec::WorkerPool`], each
+//!   request run whole in one critical section of the file-system mutex,
+//!   a global commit log recorded in that section, and
 //!   [`engine::replay_serial`] to re-execute any trace one request at a
 //!   time in commit order;
 //! * [`session`] — deterministic workload generation (shared hot files,
@@ -32,7 +29,6 @@
 
 pub mod differential;
 pub mod engine;
-pub mod lock;
 pub mod proto;
 pub mod session;
 
@@ -40,6 +36,5 @@ pub use differential::{assert_serial_equivalence, fs_fingerprint, memdisk_image}
 pub use engine::{
     replay_serial, serve, validate_commit_log, CommitRecord, ServeOptions, ServeReport, Session,
 };
-pub use lock::{lock_keys, LockManager, LockMode, LockSet};
-pub use proto::{digest, payload, Reply, Request, Response};
+pub use proto::{digest, lock_keys, payload, LockMode, Reply, Request, Response};
 pub use session::{generate, prepare, setup_requests, WorkloadSpec};

@@ -11,11 +11,14 @@
 //! digest rather than the data so traces stay small while remaining
 //! sensitive to every byte.
 //!
-//! Symlinks are deliberately absent: the lock manager keys on lexical
-//! paths ([`iron_vfs::paths`]), and a symlink would let a request touch
-//! paths outside its lexical lock set.
+//! Symlinks are deliberately absent: a request's footprint is the
+//! lexical paths it names ([`lock_keys`]), and a symlink would let it
+//! touch a path its text does not name.
+
+use std::collections::BTreeMap;
 
 use iron_core::hash::splitmix64;
+use iron_vfs::paths::{normalize, prefixes};
 use iron_vfs::{InodeAttr, VfsError};
 
 /// One client request. Paths are absolute; see the module docs.
@@ -117,6 +120,78 @@ impl Request {
     }
 }
 
+/// Shared (reader) or exclusive (writer) intent on one path key.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum LockMode {
+    /// Concurrent holders allowed.
+    Shared,
+    /// Sole holder.
+    Exclusive,
+}
+
+/// A request's path footprint as lock keys: normalized, sorted ascending,
+/// deduplicated with exclusive winning over shared.
+///
+/// * The whole-fs key `""` is shared (`Sync` takes it exclusive — it
+///   observes and flushes everything).
+/// * Every proper ancestor directory of each named path is shared
+///   ([`iron_vfs::paths::prefixes`]): resolution reads those directories.
+/// * The target itself is shared for read-only requests (`Open`, `Stat`,
+///   `Read`, `Readdir`) and exclusive for mutating ones (`Create`,
+///   `Mkdir`, `Unlink`, `Rmdir`, `Write`, `Fsync`, both ends of `Rename`).
+///
+/// Two requests' footprints conflict iff they name overlapping paths and
+/// at least one mutates. The engine takes no path locks — every request is
+/// one FS critical section — so this is a measure of a request, not a
+/// step of executing it.
+pub fn lock_keys(req: &Request) -> Vec<(String, LockMode)> {
+    let mut set: BTreeMap<String, LockMode> = BTreeMap::new();
+    let need = |set: &mut BTreeMap<String, LockMode>, key: String, mode: LockMode| {
+        let slot = set.entry(key).or_insert(mode);
+        if mode == LockMode::Exclusive {
+            *slot = LockMode::Exclusive;
+        }
+    };
+    let path_locks = |set: &mut BTreeMap<String, LockMode>, path: &str, mode: LockMode| {
+        for p in prefixes(path) {
+            need(set, p, LockMode::Shared);
+        }
+        need(set, normalize(path), mode);
+    };
+
+    // The whole-fs key: "" sorts before every "/"-prefixed path, so it is
+    // always the first key.
+    let fs_mode = if matches!(req, Request::Sync) {
+        LockMode::Exclusive
+    } else {
+        LockMode::Shared
+    };
+    need(&mut set, String::new(), fs_mode);
+
+    match req {
+        Request::Open { path }
+        | Request::Stat { path }
+        | Request::Read { path, .. }
+        | Request::Readdir { path } => {
+            path_locks(&mut set, path, LockMode::Shared);
+        }
+        Request::Create { path, .. }
+        | Request::Mkdir { path, .. }
+        | Request::Unlink { path }
+        | Request::Rmdir { path }
+        | Request::Write { path, .. }
+        | Request::Fsync { path } => {
+            path_locks(&mut set, path, LockMode::Exclusive);
+        }
+        Request::Rename { from, to } => {
+            path_locks(&mut set, from, LockMode::Exclusive);
+            path_locks(&mut set, to, LockMode::Exclusive);
+        }
+        Request::Sync => {}
+    }
+    set.into_iter().collect()
+}
+
 /// The success half of a reply.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Reply {
@@ -175,6 +250,57 @@ pub use iron_core::hash::digest64 as digest;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lock_keys_are_sorted_and_deduped() {
+        let req = Request::Rename {
+            from: "/a/b/f".into(),
+            to: "/a/c/f".into(),
+        };
+        let keys = lock_keys(&req);
+        assert!(keys.windows(2).all(|w| w[0].0 < w[1].0), "{keys:?}");
+        // Shared prefix "/a" appears once; both ends exclusive.
+        assert_eq!(keys.iter().filter(|(k, _)| k == "/a").count(), 1);
+        assert_eq!(
+            keys.iter().find(|(k, _)| k == "/a/b/f").unwrap().1,
+            LockMode::Exclusive
+        );
+        assert_eq!(
+            keys.iter().find(|(k, _)| k == "/a/c/f").unwrap().1,
+            LockMode::Exclusive
+        );
+    }
+
+    #[test]
+    fn exclusive_wins_dedup_when_target_is_anothers_prefix() {
+        // Rename of "/a" while "/a" is also a prefix of "/a/x": renaming
+        // "/a" to "/b" with "/a/x" in the picture must keep "/a" exclusive.
+        let req = Request::Rename {
+            from: "/a".into(),
+            to: "/a/x".into(), // degenerate (EINVAL at the VFS)
+        };
+        let keys = lock_keys(&req);
+        assert_eq!(
+            keys.iter().find(|(k, _)| k == "/a").unwrap().1,
+            LockMode::Exclusive
+        );
+    }
+
+    #[test]
+    fn whole_fs_key_modes() {
+        assert_eq!(
+            lock_keys(&Request::Sync),
+            vec![(String::new(), LockMode::Exclusive)]
+        );
+        let read = lock_keys(&Request::Read {
+            path: "/f".into(),
+            off: 0,
+            len: 1,
+        });
+        assert_eq!(read[0], (String::new(), LockMode::Shared));
+        assert_eq!(read[1], ("/".into(), LockMode::Shared));
+        assert_eq!(read[2], ("/f".into(), LockMode::Shared));
+    }
 
     #[test]
     fn payload_is_deterministic_and_length_exact() {

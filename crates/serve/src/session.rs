@@ -3,9 +3,9 @@
 //! Sessions are generated from a seed so every differential run — and
 //! every rerun of a failing case — sees the same traffic. The namespace
 //! is deliberately small and shared: a handful of directories and shared
-//! files that many sessions hit (conflicts exercise the lock manager),
-//! plus per-session private files (non-conflicting traffic exercises
-//! actual concurrency).
+//! files that many sessions hit (conflicting requests, whose commit order
+//! decides their replies), plus per-session private files (traffic whose
+//! order between sessions does not matter).
 
 use crate::engine::{replay_serial, CommitRecord, Session};
 use crate::proto::{Reply, Request};
@@ -114,7 +114,7 @@ pub fn prepare<F: SpecificFs>(vfs: &mut Vfs<F>, spec: &WorkloadSpec) {
 /// request a conflict: shared-file writes and renames collide across
 /// sessions, private-file traffic runs parallel, and occasional
 /// `Sync`/`Readdir`/`Mkdir`/`Rmdir` sprinkle in whole-fs and
-/// directory-level locking.
+/// directory-level requests.
 pub fn generate(spec: &WorkloadSpec) -> Vec<Session> {
     (0..spec.sessions)
         .map(|sid| {

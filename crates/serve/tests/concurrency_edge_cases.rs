@@ -1,8 +1,8 @@
-//! Lock-manager edge cases, each checked against the serial-replay
-//! oracle: rename across directories, concurrent create/unlink of one
-//! name, fsync racing writes, a linearizability spot-check on a single
-//! contended file, and a termination test for the deadlock-exclusion
-//! argument (opposed rename pairs).
+//! Concurrency edge cases of the serve engine, each checked against the
+//! serial-replay oracle: rename across directories, concurrent
+//! create/unlink of one name, fsync racing writes, a linearizability
+//! spot-check on a single contended file, and opposed rename pairs that
+//! must terminate and replay.
 
 use iron_serve::{
     assert_serial_equivalence, digest, payload, replay_serial, serve, Reply, Request, ServeOptions,
@@ -54,8 +54,8 @@ fn assert_ram_equivalence<Mk: Fn() -> Vfs<RamFs>>(mk: Mk, sessions: &[Session]) 
 #[test]
 fn rename_across_directories_matches_serial_replay() {
     // Session 0 shuttles /a/x <-> /b/x; sessions 1 and 2 churn both
-    // directories (create/unlink/readdir/stat) while the rename holds
-    // exclusive locks on both endpoints and shared locks on both parents.
+    // directories (create/unlink/readdir/stat) between the renames, so
+    // every request sees a namespace another session just changed.
     let ping_pong: Vec<Request> = (0..10)
         .flat_map(|_| {
             vec![
@@ -93,8 +93,9 @@ fn rename_across_directories_matches_serial_replay() {
 #[test]
 fn concurrent_create_unlink_of_same_name_matches_serial_replay() {
     // Four sessions fight over the single name /a/hot: exactly which
-    // create wins and which unlink finds the file is decided by the lock
-    // manager, and whatever it decides must replay identically.
+    // create wins and which unlink finds the file is decided by the order
+    // in which requests take the FS mutex, and whatever that order is must
+    // replay identically.
     let fight: Vec<Request> = (0..12)
         .flat_map(|i| {
             vec![
@@ -185,8 +186,8 @@ fn linearizability_last_committed_write_wins() {
 #[test]
 fn opposed_rename_pairs_terminate_and_replay() {
     // Sessions rename in opposite directions — the classic deadlock shape
-    // if each request locked its two endpoints in argument order. The
-    // canonical sorted lock order excludes the cycle, so this terminates;
+    // for any scheme that locks a rename's two endpoints one at a time.
+    // Each request is one FS critical section, so this must terminate;
     // the serial oracle then checks it also stayed correct.
     let forward: Vec<Request> = (0..20)
         .flat_map(|_| {

@@ -1,11 +1,12 @@
 //! Lexical path canonicalization and prefix enumeration.
 //!
-//! The serving layer keys its lock manager on *paths*, so two textual
-//! spellings of the same location ("/a//b/", "/a/b") must map to one lock.
-//! Normalization here is purely lexical: `.` components are dropped and
-//! `..` pops the previous component, but symlinks are **not** chased (the
-//! lock layer that uses these keys excludes symlinks from its protocol for
-//! exactly that reason — a lexical key cannot cover a symlink's target).
+//! The serving layer measures a request's footprint as *path* keys
+//! (`iron_serve::lock_keys`), so two textual spellings of the same
+//! location ("/a//b/", "/a/b") must map to one key. Normalization here is
+//! purely lexical: `.` components are dropped and `..` pops the previous
+//! component, but symlinks are **not** chased (the serve protocol has no
+//! symlinks for exactly that reason — a lexical key cannot cover a
+//! symlink's target).
 
 /// Normalize a path lexically to a canonical absolute form.
 ///
@@ -49,8 +50,8 @@ pub fn normalize(path: &str) -> String {
 ///
 /// For `/a/b/c` this is `["/", "/a", "/a/b"]`; for the root itself it is
 /// empty. These are exactly the directories a symlink-free resolution of
-/// `path` reads, which is what makes them the right shared-lock set for an
-/// operation on `path`.
+/// `path` reads, which is what makes them the shared part of an
+/// operation's footprint.
 ///
 /// ```
 /// use iron_vfs::paths::prefixes;

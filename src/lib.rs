@@ -20,8 +20,8 @@
 //! * [`fingerprint`] — the failure-policy fingerprinting framework
 //!   (workloads, campaigns, inference, Figure 2/3 rendering);
 //! * [`serve`] — the concurrent multi-client serving layer (request
-//!   protocol, sharded path-lock manager, commit-order serial-replay
-//!   oracle);
+//!   protocol, a request engine that runs each request in one
+//!   file-system critical section, commit-order serial-replay oracle);
 //! * [`cluster`] — replicated multi-disk volumes above the block layer
 //!   (write fan-out, primary/round-robin/quorum read policies,
 //!   peer-driven repair of divergent replicas);
