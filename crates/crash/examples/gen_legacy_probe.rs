@@ -1,8 +1,9 @@
-//! Sensitivity probe: does the generated family catch the known legacy
-//! bug knobs? (Exploration aid; `tests/generated.rs` pins the outcome.)
+//! Sensitivity probe: does the generated family catch the legacy
+//! journal-bug knob? (Exploration aid; `tests/generated.rs` pins the
+//! outcome.) Pass `seq3` to run the seq-3 family instead of seq-2.
 
 use iron_crash::{generate_workloads, run_generated_campaign, CrashCampaignOptions, GenOptions};
-use iron_fingerprint::{Ext3Adapter, FsUnderTest};
+use iron_fingerprint::Ext3Adapter;
 
 fn main() {
     let seq3 = std::env::args().any(|a| a == "seq3");
@@ -11,41 +12,20 @@ fn main() {
     } else {
         GenOptions::seq2()
     });
-    let opts = CrashCampaignOptions::default();
-    let knobs: Vec<(&str, Box<dyn FsUnderTest>)> = vec![
-        (
-            "legacy_journal_bugs",
-            Box::new(Ext3Adapter::stock().with_legacy_journal_bugs()),
-        ),
-        (
-            "legacy_group_commit",
-            Box::new(
-                Ext3Adapter::stock()
-                    .pipelined()
-                    .with_legacy_group_commit_bug(),
-            ),
-        ),
-    ];
-    for (label, fs) in &knobs {
-        let r = run_generated_campaign(fs.as_ref(), &wl, &opts);
-        let prefix_hits = r
-            .violations
-            .iter()
-            .filter(|v| v.image.subset.is_empty())
-            .count();
-        println!(
-            "{label}: violations={} pure-prefix={} dirty={}",
-            r.violations.len(),
-            prefix_hits,
-            r.dirty_workloads
-        );
-        for v in r
-            .violations
-            .iter()
-            .filter(|v| v.image.subset.is_empty())
-            .take(4)
-        {
-            println!("    {v}");
-        }
+    let fs = Ext3Adapter::stock().with_legacy_journal_bugs();
+    let r = run_generated_campaign(&fs, &wl, &CrashCampaignOptions::default());
+    let prefix: Vec<_> = r
+        .violations
+        .iter()
+        .filter(|v| v.image.subset.is_empty())
+        .collect();
+    println!(
+        "legacy_journal_bugs: violations={} pure-prefix={} dirty={}",
+        r.violations.len(),
+        prefix.len(),
+        r.dirty_workloads
+    );
+    for v in prefix.iter().take(4) {
+        println!("    {v}");
     }
 }

@@ -16,8 +16,11 @@
 //! The full seq-3 family runs in the `IRON_STRESS=1` lane
 //! (`--ignored`).
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::LyingDrive;
 use iron_blockdev::WriteLog;
 use iron_crash::{
     generate_workloads, run_generated_campaign, run_workload, walk_tree, CrashCampaignOptions,
@@ -246,20 +249,19 @@ fn ntfs_generated_family_fails_only_for_want_of_recovery() {
 // Sensitivity: the generated family rediscovers seeded legacy bugs
 // ======================================================================
 
-/// The PR-8 group-commit bug (journal data deferred past its commit
-/// block's barrier) — the hand-written batch family caught it; the
-/// generated seq-2 family catches it too, sharply: the fixed pipelined
-/// profile is clean on every generated image, the legacy knob is not.
+/// The group-commit ordering bug (journal data and its commit block in
+/// one barrier epoch), reproduced beneath the file system by a drive that
+/// drops the barrier before each commit block — the hand-written batch
+/// family catches it; the generated seq-2 family catches it too, sharply:
+/// the fixed pipelined profile is clean on every generated image, the
+/// same profile over the lying drive is not.
 #[test]
 fn generated_family_catches_the_legacy_group_commit_bug() {
-    let buggy = seq2_campaign(
-        &Ext3Adapter::stock()
-            .pipelined()
-            .with_legacy_group_commit_bug(),
-    );
+    let buggy = seq2_campaign(&LyingDrive(Ext3Adapter::stock().pipelined()));
     assert!(
         !buggy.is_clean(),
-        "the generated family must expose the legacy group-commit bug"
+        "the generated family must expose a commit block sharing an epoch \
+         with its data"
     );
     // `stock_ext3_generated_family_shows_only_the_known_hazards` pins the
     // fixed pipelined profile clean; together the pair is the

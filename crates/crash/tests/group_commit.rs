@@ -7,12 +7,16 @@
 //!
 //! * ixt3 with the pipelined profile stays clean on all four oracles,
 //!   over both the standard workloads and the batched-commit family;
-//! * the enumerator still catches a deliberately broken batch — the
-//!   `legacy_group_commit_bug` knob defers the batch's journal data
-//!   until after its commit block, inside the same barrier epoch, so
-//!   some in-epoch subsets show a validated commit over missing data;
+//! * the enumerator still catches a broken batch — mounted over a
+//!   drive that drops the barrier before each commit block
+//!   (`common::LyingDrive`), the batch's journal data and its commit
+//!   block share a barrier epoch, so some in-epoch subsets show a
+//!   validated commit over missing data;
 //! * reports stay bit-identical at any worker-thread count.
 
+mod common;
+
+use common::LyingDrive;
 use iron_blockdev::{CrashRecorder, WriteLog};
 use iron_crash::{
     batch_workloads, run_crash_campaign, run_workload, standard_workloads, CrashCampaignOptions,
@@ -134,34 +138,30 @@ fn pipelined_stock_ext3_introduces_no_new_violation_class() {
     }
 }
 
-/// Satellite knob: a deliberately broken batch — journal data written
-/// *after* the batch's commit block within one barrier epoch — must be
-/// caught. The reference configuration (stock ext3 plus `fix_bugs`, no
-/// transactional checksum, so commit still uses the classic two-barrier
-/// protocol) is clean on the batch workloads; flipping only the
-/// group-commit bug makes in-epoch subsets validate a commit whose data
-/// never landed, and the oracles flag it.
+/// Stock ext3 plus `fix_bugs`, pipelined: no transactional checksum, so
+/// commit uses the classic two-barrier protocol and its safety rests on
+/// the pre-commit barrier.
+fn fixed_pipelined() -> Ext3Adapter {
+    Ext3Adapter {
+        iron: IronConfig {
+            fix_bugs: true,
+            ..IronConfig::off()
+        },
+        ..Ext3Adapter::stock()
+    }
+    .pipelined()
+}
+
+/// A broken batch — journal data and its commit block in one barrier
+/// epoch — must be caught. The reference configuration is clean on the
+/// batch workloads; mounting it over a drive that drops the pre-commit
+/// barrier makes in-epoch subsets validate a commit whose data never
+/// landed, and the oracles must flag it on every batch workload.
 #[test]
 fn enumerator_catches_a_deliberately_broken_batch() {
-    let fixed = Ext3Adapter {
-        iron: IronConfig {
-            fix_bugs: true,
-            ..IronConfig::off()
-        },
-        ..Ext3Adapter::stock()
-    }
-    .pipelined();
-    let broken = Ext3Adapter {
-        iron: IronConfig {
-            fix_bugs: true,
-            ..IronConfig::off()
-        },
-        ..Ext3Adapter::stock()
-    }
-    .with_legacy_group_commit_bug();
-    assert_eq!(broken.name(), "ixt3-groupbug");
+    let fixed = fixed_pipelined();
+    let broken = LyingDrive(fixed_pipelined());
 
-    let mut caught = 0;
     for w in &batch_workloads() {
         let ok = campaign(&fixed, w);
         assert!(
@@ -171,38 +171,31 @@ fn enumerator_catches_a_deliberately_broken_batch() {
             dump(&ok)
         );
         let bad = campaign(&broken, w);
-        // The bug only tears *inside* the commit epoch, so every
+        assert!(
+            !bad.is_clean(),
+            "{}: the enumerator must flag a batch whose commit block shares \
+             an epoch with its data",
+            w.name
+        );
+        // The lost barrier only tears *inside* the commit epoch, so every
         // violation must come from a sampled in-epoch subset — pure
-        // epoch-prefix images (the drive honored every barrier) still
-        // recover, exactly as a barrier-ordering bug should behave.
+        // epoch-prefix images (every forwarded barrier honored) still
+        // recover, exactly as a barrier-ordering fault should behave.
         assert!(
             bad.violations.iter().all(|v| !v.image.subset.is_empty()),
-            "{}: group-commit bug must only show under in-epoch tearing:\n{}",
+            "{}: the dropped barrier must only show under in-epoch tearing:\n{}",
             w.name,
             dump(&bad)
         );
-        caught += bad.violations.len();
     }
-    assert!(
-        caught > 0,
-        "the enumerator must flag the commit-before-data batch bug on at \
-         least one batched workload"
-    );
 }
 
-/// Bit-identity of the batched campaigns at any worker width, using the
-/// bugged configuration (it carries violations, so merge *order* is
-/// tested, not just counts).
+/// Bit-identity of the batched campaigns at any worker width, over the
+/// lying drive (it carries violations, so merge *order* is tested, not
+/// just counts).
 #[test]
 fn batched_reports_are_bit_identical_at_any_thread_count() {
-    let broken = Ext3Adapter {
-        iron: IronConfig {
-            fix_bugs: true,
-            ..IronConfig::off()
-        },
-        ..Ext3Adapter::stock()
-    }
-    .with_legacy_group_commit_bug();
+    let broken = LyingDrive(fixed_pipelined());
     let batch = batch_workloads();
     let baseline = campaign_at(&broken, &batch[0], 1);
     for threads in [2usize, 4, 8] {

@@ -56,12 +56,6 @@ pub struct Ext3Options {
     /// regression-prove it would have caught the original bugs. Never set
     /// outside tests.
     pub legacy_journal_bugs: bool,
-    /// Testing knob: break group commit on purpose — the commit block is
-    /// written *before* the batch's journal-data blocks, with no barrier
-    /// between them, so a crash can leave a valid descriptor + commit pair
-    /// around garbage data. Exists only so the crash-state enumerator can
-    /// prove it would catch a broken batch. Never set outside tests.
-    pub legacy_group_commit_bug: bool,
     /// Clock for charging simulated CPU costs (checksum/XOR); `None`
     /// disables CPU accounting.
     pub cpu_clock: Option<SimClock>,
@@ -129,7 +123,6 @@ impl Default for Ext3Options {
             cache_blocks: 2048,
             crash_mode: false,
             legacy_journal_bugs: false,
-            legacy_group_commit_bug: false,
             cpu_clock: None,
             policy: PolicyHandle::new(ext3_stock_policy()),
         }
@@ -225,9 +218,7 @@ pub struct Ext3Fs<D: BlockDevice + RawAccess> {
 }
 
 /// [`LogSink`] adapter: appends land at the log cursor as tagged device
-/// writes, barriers go straight to the device. The cursor advances even
-/// for reserved (deferred) slots so the on-disk layout is identical with
-/// and without the `legacy_group_commit_bug` knob.
+/// writes, barriers go straight to the device.
 struct JournalLog<'a, D: BlockDevice> {
     dev: &'a mut D,
     head: &'a mut u64,
@@ -240,18 +231,6 @@ impl<D: BlockDevice> LogSink for JournalLog<'_, D> {
             .write_tagged(BlockAddr(*self.head), block, ty.tag());
         *self.head += 1;
         r.is_ok()
-    }
-
-    fn reserve(&mut self) -> u64 {
-        let slot = *self.head;
-        *self.head += 1;
-        slot
-    }
-
-    fn write_at(&mut self, addr: u64, block: &Block, ty: BlockType) -> bool {
-        self.dev
-            .write_tagged(BlockAddr(addr), block, ty.tag())
-            .is_ok()
     }
 
     fn barrier(&mut self) {
@@ -575,6 +554,11 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 .klog
                 .error("ext3", "unable to read group descriptors; mount failed");
         })?;
+        // The superblock was decoded before replay, so its free totals
+        // predate every transaction replay restored. Like real ext3,
+        // recompute them from the group descriptors.
+        fs.sb.free_blocks = fs.gdt.iter().map(|&(b, _)| u64::from(b)).sum();
+        fs.sb.free_inodes = fs.gdt.iter().map(|&(_, i)| u64::from(i)).sum();
 
         // Mark mounted (dirty until clean unmount).
         fs.sb.state = FsState::Dirty;
@@ -1122,15 +1106,12 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             self.journal_dirty_on_disk = true;
         }
 
-        // Log the batch. (`legacy_group_commit_bug` defers the journal
-        // data until after the commit block — the deliberately broken
-        // ordering the crash enumerator must catch.) Under `Tc` the log
-        // transition folds the transactional checksum as it writes; under
-        // `Mc` the loop above has just stored the truncated SHA-1 of every
-        // batch image in the table, so `Tc` takes it from there instead of
-        // hashing the image again. The table's own blocks joined the batch
-        // after that loop and carry no self-checksum.
-        let defer_data = self.opts.legacy_group_commit_bug;
+        // Log the batch. Under `Tc` the log transition folds the
+        // transactional checksum as it writes; under `Mc` the loop above
+        // has just stored the truncated SHA-1 of every batch image in the
+        // table, so `Tc` takes it from there instead of hashing the image
+        // again. The table's own blocks joined the batch after that loop
+        // and carry no self-checksum.
         let with_tc = self.opts.iron.txn_checksum;
         let meta_checksum = self.opts.iron.meta_checksum;
         let cksums = &self.cksums;
@@ -1142,7 +1123,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 dev: &mut self.dev,
                 head: &mut self.log_head,
             };
-            batch.log(seq, &mut sink, defer_data, with_tc.then_some(&noted))
+            batch.log(seq, &mut sink, with_tc.then_some(&noted))
         };
         if logged.log_write_failed() {
             if self.opts.iron.fix_bugs {

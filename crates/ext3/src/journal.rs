@@ -356,12 +356,6 @@ pub trait LogSink {
     /// Write `block` into the next log slot; `false` on a device write
     /// error (recorded, policy applied by the caller's `fix_bugs` check).
     fn append(&mut self, block: &Block, ty: BlockType) -> bool;
-    /// Reserve the next log slot without writing it, returning its
-    /// address (used only by the deliberate group-commit-bug knob, which
-    /// defers journal-data writes until after the commit block).
-    fn reserve(&mut self) -> u64;
-    /// Write `block` into a previously reserved slot.
-    fn write_at(&mut self, addr: u64, block: &Block, ty: BlockType) -> bool;
     /// Issue an ordering barrier to the device.
     fn barrier(&mut self);
 }
@@ -397,9 +391,6 @@ pub struct Logged {
     /// a transactional checksum.
     tc: Option<TcFold>,
     log_write_failed: bool,
-    /// Journal-data writes deferred until after the commit block
-    /// (deliberate-bug knob only): (reserved slot, home address in `map`).
-    deferred: Vec<(u64, u64)>,
 }
 
 /// State: the commit block is durable (the transition issued the
@@ -410,7 +401,6 @@ pub struct Committed {
     sequence: u64,
     map: HashMap<u64, (Block, BlockType)>,
     commit_write_failed: bool,
-    log_write_failed: bool,
 }
 
 /// State: home-location writes issued; retire() yields the sequence the
@@ -553,11 +543,7 @@ impl Txn<Closed> {
     }
 
     /// Write this batch's revoke records, descriptors, and journal-data
-    /// copies to the log under `sequence`. With `defer_data` (the
-    /// deliberate group-commit-bug knob) the data slots are only
-    /// *reserved*; [`Txn<Logged>::commit`] then writes the commit block
-    /// before filling them — the broken ordering the crash enumerator
-    /// must catch.
+    /// copies to the log under `sequence`.
     ///
     /// `tc` is `Some` when the transaction commits with a transactional
     /// checksum: every image is folded into `Tc` as it is written, and
@@ -568,11 +554,9 @@ impl Txn<Closed> {
         self,
         sequence: u64,
         sink: &mut W,
-        defer_data: bool,
         tc: Option<&dyn Fn(u64, BlockType) -> Option<u64>>,
     ) -> Txn<Logged> {
         let mut failed = false;
-        let mut deferred: Vec<(u64, u64)> = Vec::new();
         let mut fold = tc.map(|_| TcFold::default());
         let mut feed = |image: &Block, digest: Option<u64>| {
             if let Some(f) = &mut fold {
@@ -611,11 +595,7 @@ impl Txn<Closed> {
             feed(&desc, None);
             for addr in chunk {
                 let (b, ty) = &self.st.map[addr];
-                if defer_data {
-                    deferred.push((sink.reserve(), *addr));
-                } else {
-                    failed |= !sink.append(b, BlockType::JournalData);
-                }
+                failed |= !sink.append(b, BlockType::JournalData);
                 feed(b, tc.and_then(|known| known(*addr, *ty)));
             }
         }
@@ -626,7 +606,6 @@ impl Txn<Closed> {
                 map: self.st.map,
                 tc: fold,
                 log_write_failed: failed,
-                deferred,
             },
         }
     }
@@ -661,13 +640,9 @@ impl Txn<Logged> {
     /// * a barrier is always issued *after* the commit block — a
     ///   `Txn<Committed>` is durable by construction, and checkpoint
     ///   writes (only reachable from `Committed`) cannot overtake it.
-    ///
-    /// The deliberate-bug knob's deferred data writes happen *after* the
-    /// commit block and *inside* its barrier epoch — precisely the
-    /// commit-before-data window the crash enumerator must flag.
     pub fn commit<W: LogSink>(self, sink: &mut W) -> Txn<Committed> {
         let txn_checksum = self.st.tc.map(TcFold::finish);
-        if txn_checksum.is_none() && self.st.deferred.is_empty() {
+        if txn_checksum.is_none() {
             sink.barrier();
         }
         let commit = CommitBlock {
@@ -676,18 +651,12 @@ impl Txn<Logged> {
         }
         .encode();
         let commit_write_failed = !sink.append(&commit, BlockType::JournalCommit);
-        let mut log_write_failed = self.st.log_write_failed;
-        for (slot, addr) in &self.st.deferred {
-            let (b, _) = &self.st.map[addr];
-            log_write_failed |= !sink.write_at(*slot, b, BlockType::JournalData);
-        }
         sink.barrier();
         Txn {
             st: Committed {
                 sequence: self.st.sequence,
                 map: self.st.map,
                 commit_write_failed,
-                log_write_failed,
             },
         }
     }
@@ -702,11 +671,6 @@ impl Txn<Committed> {
     /// True if the commit-block write failed.
     pub fn commit_write_failed(&self) -> bool {
         self.st.commit_write_failed
-    }
-
-    /// True if any journal write (including deferred data) failed.
-    pub fn log_write_failed(&self) -> bool {
-        self.st.log_write_failed
     }
 
     /// Fetch the not-yet-checkpointed copy of `addr`, if any (read path:
@@ -729,10 +693,11 @@ impl Txn<Committed> {
         self.st.map.remove(&addr);
     }
 
-    /// Testing hook for simulated crash windows (`crash_mode`): drop the
-    /// transaction without checkpointing, leaving home locations stale
-    /// and the journal dirty. The explicit name exists so "committed but
-    /// never checkpointed" is a grep-able decision, not a silent drop.
+    /// Drop the transaction without checkpointing, leaving home locations
+    /// stale and the journal dirty: the `crash_mode` testing hook (a crash
+    /// between commit and checkpoint), and `Ext3Fs::commit`'s `fix_bugs`
+    /// path when the commit-block write fails (the journal aborts). The
+    /// name makes "committed but never checkpointed" a grep-able decision.
     pub fn abandon(self) {
         drop(self);
     }
@@ -998,15 +963,6 @@ mod tests {
             self.head += 1;
             true
         }
-        fn reserve(&mut self) -> u64 {
-            let slot = self.head;
-            self.head += 1;
-            slot
-        }
-        fn write_at(&mut self, addr: u64, _block: &Block, ty: BlockType) -> bool {
-            self.events.push(format!("w:{}@{addr}", ty.tag()));
-            true
-        }
         fn barrier(&mut self) {
             self.events.push("barrier".into());
         }
@@ -1035,7 +991,7 @@ mod tests {
         let mut t = Txn::new();
         t.put(10, Block::filled(1), BlockType::Inode);
         let mut log = VecLog::default();
-        let logged = t.close().log(7, &mut log, false, None);
+        let logged = t.close().log(7, &mut log, None);
         assert_eq!(logged.sequence(), 7);
         assert!(!logged.log_write_failed());
         let committed = logged.commit(&mut log);
@@ -1061,7 +1017,7 @@ mod tests {
         let mut log = VecLog::default();
         let committed = t
             .close()
-            .log(7, &mut log, false, Some(&|_, _| None))
+            .log(7, &mut log, Some(&|_, _| None))
             .commit(&mut log);
         assert_eq!(
             log.events,
@@ -1077,30 +1033,6 @@ mod tests {
     }
 
     #[test]
-    fn deferred_data_bug_knob_writes_commit_block_first() {
-        let mut t = Txn::new();
-        t.put(10, Block::filled(1), BlockType::Inode);
-        t.put(20, Block::filled(2), BlockType::Dir);
-        let mut log = VecLog::default();
-        let committed = t.close().log(3, &mut log, true, None).commit(&mut log);
-        // Descriptor at 0, data slots 1-2 reserved but EMPTY, commit at 3,
-        // then the data lands after the commit block with no barrier
-        // between — the broken group commit the enumerator must catch.
-        assert_eq!(
-            log.events,
-            vec![
-                "barrier",
-                "w:j-desc@0",
-                "w:j-commit@3",
-                "w:j-data@1",
-                "w:j-data@2",
-                "barrier",
-            ]
-        );
-        committed.abandon();
-    }
-
-    #[test]
     fn checkpoint_group_dedups_and_sorts_and_retires() {
         let mut a = Txn::new();
         a.put(50, Block::filled(1), BlockType::Inode);
@@ -1109,8 +1041,8 @@ mod tests {
         b.put(50, Block::filled(9), BlockType::Inode); // newer copy of 50
         b.put(30, Block::filled(3), BlockType::DataBitmap);
         let mut log = VecLog::default();
-        let ca = a.close().log(1, &mut log, false, None).commit(&mut log);
-        let mut cb = b.close().log(2, &mut log, false, None).commit(&mut log);
+        let ca = a.close().log(1, &mut log, None).commit(&mut log);
+        let mut cb = b.close().log(2, &mut log, None).commit(&mut log);
 
         // journal_forget on the committed (not yet checkpointed) txn.
         cb.forget(30);

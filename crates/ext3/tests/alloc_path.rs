@@ -250,7 +250,9 @@ fn legacy_journal_bugs_allocations_are_pinned() {
 /// without checkpointing and drop the mount. The superblock image in the
 /// log, and after replay every group descriptor, must carry free counts
 /// equal to the popcounts of the replayed bitmaps. (The superblock is read
-/// from the log: `mount` writes its own pre-replay copy over block 0.)
+/// from the log, so this checks what the transaction journaled; mount
+/// recomputes block 0's totals from the group descriptors, as
+/// `statfs_after_replay_shows_the_replayed_totals` checks.)
 #[test]
 fn journaled_counters_match_replayed_bitmaps() {
     let opts = Ext3Options {
@@ -308,4 +310,44 @@ fn journaled_counters_match_replayed_bitmaps() {
         free_blocks < layout.num_groups * layout.data_blocks_per_group() - 400,
         "the replayed image holds the files"
     );
+}
+
+/// Free counts as the allocation bitmaps on `dev` have them.
+fn bitmap_free_counts(dev: &MemDisk, layout: &iron_ext3::DiskLayout) -> (u64, u64) {
+    let zeros = |addr: BlockAddr, bits: u64| {
+        let bm = dev.peek(addr);
+        (0..bits).filter(|&i| !bm.bit(i)).count() as u64
+    };
+    (0..layout.num_groups).fold((0, 0), |(blocks, inodes), g| {
+        (
+            blocks + zeros(layout.data_bitmap(g), layout.params.blocks_per_group),
+            inodes + zeros(layout.inode_bitmap(g), layout.params.inodes_per_group),
+        )
+    })
+}
+
+/// `statfs` after journal replay reports the replayed totals, not the
+/// pre-crash superblock's: commit one 20-block file without checkpointing,
+/// drop the mount, and remount.
+#[test]
+fn statfs_after_replay_shows_the_replayed_totals() {
+    let opts = Ext3Options {
+        crash_mode: true,
+        ..Ext3Options::default()
+    };
+    let dev = MemDisk::for_tests(params().total_blocks);
+    let mut fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), params(), opts).unwrap();
+    let root = fs.root_ino();
+    let ino = fs.create(root, "f", 0o644).unwrap();
+    fs.write(ino, 0, &body(7, 20 * BLOCK_SIZE)).unwrap();
+    fs.sync().unwrap();
+    let layout = *fs.layout();
+    let before = bitmap_free_counts(fs.device(), &layout);
+    let dev = fs.into_device();
+
+    let mut fs = Ext3Fs::mount(dev, FsEnv::new(), Ext3Options::default()).unwrap();
+    let live = bitmap_free_counts(fs.device(), &layout);
+    assert!(live.0 + 20 <= before.0, "replay restored the file's blocks");
+    let st = fs.statfs().unwrap();
+    assert_eq!((st.blocks_free, st.inodes_free), live);
 }

@@ -109,63 +109,57 @@ fn commit_block_tc_of_a_fixed_transaction_is_pinned() {
 
 /// After `commit()`, the commit block on the device carries exactly
 /// `txn_checksum` over the images replay will read — whether `Mc` lent
-/// its digests or not, batched or not, with a revoke block or not, and
-/// with the deferred-data knob writing the images late.
+/// its digests or not, batched or not, and with a revoke block or not.
 #[test]
 fn commit_block_tc_equals_txn_checksum_over_the_log_as_replay_reads_it() {
     for mc in [false, true] {
         for group_commit in [1, 3] {
             for with_revoke in [false, true] {
-                for bug in [false, true] {
-                    let case = format!(
-                        "mc={mc} group_commit={group_commit} revoke={with_revoke} bug={bug}"
-                    );
-                    let mut v = crashing_mount(Ext3Options {
-                        group_commit,
-                        // Every operation below outgrows the threshold, so
-                        // with `group_commit > 1` it closes into the batch.
-                        commit_threshold: if group_commit > 1 { 3 } else { 64 },
-                        legacy_group_commit_bug: bug,
-                        ..Ext3Options::with_iron(tc_config(mc))
-                    });
-                    v.mkdir("/d", 0o755).unwrap();
-                    v.write_file("/d/f", &vec![7u8; 9000]).unwrap();
-                    v.sync().unwrap();
-                    if with_revoke {
-                        v.unlink("/d/f").unwrap();
-                    }
-                    v.mkdir("/e", 0o755).unwrap();
-                    v.write_file("/e/g", &patterned(1)[..]).unwrap();
-                    v.sync().unwrap();
+                let case = format!("mc={mc} group_commit={group_commit} revoke={with_revoke}");
+                let mut v = crashing_mount(Ext3Options {
+                    group_commit,
+                    // Every operation below outgrows the threshold, so
+                    // with `group_commit > 1` it closes into the batch.
+                    commit_threshold: if group_commit > 1 { 3 } else { 64 },
+                    ..Ext3Options::with_iron(tc_config(mc))
+                });
+                v.mkdir("/d", 0o755).unwrap();
+                v.write_file("/d/f", &vec![7u8; 9000]).unwrap();
+                v.sync().unwrap();
+                if with_revoke {
+                    v.unlink("/d/f").unwrap();
+                }
+                v.mkdir("/e", 0o755).unwrap();
+                v.write_file("/e/g", &patterned(1)[..]).unwrap();
+                v.sync().unwrap();
 
-                    let layout = *v.fs().layout();
-                    let dev = v.into_fs().into_device();
-                    let txns = read_log(&dev, &layout);
-                    assert!(txns.len() >= 2, "{case}: {} transactions", txns.len());
-                    for (i, t) in txns.iter().enumerate() {
-                        assert_eq!(
-                            t.tc,
-                            Some(checksum_of(&dev, &t.images)),
-                            "{case}: transaction {i}"
-                        );
-                    }
-                    let revokes: usize = txns.iter().map(|t| t.revokes).sum();
-                    assert_eq!(revokes > 0, with_revoke, "{case}: revoke blocks");
-
-                    // And replay agrees: every transaction is applied.
-                    let env = FsEnv::new();
-                    Ext3Fs::mount(dev, env.clone(), Ext3Options::with_iron(tc_config(mc)))
-                        .unwrap_or_else(|e| panic!("{case}: remount: {e:?}"));
-                    assert!(
-                        !env.klog.contains("transactional checksum mismatch"),
-                        "{case}"
-                    );
-                    assert!(
-                        env.klog
-                            .contains(&format!("{} transaction(s) replayed", txns.len())),
-                        "{case}"
+                let layout = *v.fs().layout();
+                let dev = v.into_fs().into_device();
+                let txns = read_log(&dev, &layout);
+                assert!(txns.len() >= 2, "{case}: {} transactions", txns.len());
+                for (i, t) in txns.iter().enumerate() {
+                    assert_eq!(
+                        t.tc,
+                        Some(checksum_of(&dev, &t.images)),
+                        "{case}: transaction {i}"
                     );
                 }
+                let revokes: usize = txns.iter().map(|t| t.revokes).sum();
+                assert_eq!(revokes > 0, with_revoke, "{case}: revoke blocks");
+
+                // And replay agrees: every transaction is applied.
+                let env = FsEnv::new();
+                Ext3Fs::mount(dev, env.clone(), Ext3Options::with_iron(tc_config(mc)))
+                    .unwrap_or_else(|e| panic!("{case}: remount: {e:?}"));
+                assert!(
+                    !env.klog.contains("transactional checksum mismatch"),
+                    "{case}"
+                );
+                assert!(
+                    env.klog
+                        .contains(&format!("{} transaction(s) replayed", txns.len())),
+                    "{case}"
+                );
             }
         }
     }

@@ -95,12 +95,6 @@ pub struct Ext3Adapter {
     /// batched descriptor/commit path is what the enumerator actually
     /// exercises.
     pub pipelined: bool,
-    /// Deliberately break group-commit ordering: journal data blocks are
-    /// written *after* the batch's commit block, inside the same barrier
-    /// epoch (see [`Ext3Options::legacy_group_commit_bug`]). Test-only,
-    /// like `legacy_journal_bugs`: proves the enumerator catches a batch
-    /// whose commit block can land before all descriptors' data.
-    pub legacy_group_commit_bug: bool,
 }
 
 impl Ext3Adapter {
@@ -110,7 +104,6 @@ impl Ext3Adapter {
             iron: IronConfig::off(),
             legacy_journal_bugs: false,
             pipelined: false,
-            legacy_group_commit_bug: false,
         }
     }
 
@@ -134,15 +127,6 @@ impl Ext3Adapter {
         self
     }
 
-    /// Same configuration with group-commit ordering deliberately broken
-    /// (implies the pipelined profile — an unbatched mount never takes
-    /// the bugged path).
-    pub fn with_legacy_group_commit_bug(mut self) -> Self {
-        self.pipelined = true;
-        self.legacy_group_commit_bug = true;
-        self
-    }
-
     fn options(&self) -> Ext3Options {
         let mut opts = Ext3Options {
             legacy_journal_bugs: self.legacy_journal_bugs,
@@ -153,17 +137,13 @@ impl Ext3Adapter {
             opts.group_commit = 4;
             opts.checkpoint_lag = 48;
         }
-        opts.legacy_group_commit_bug = self.legacy_group_commit_bug;
         opts
     }
 
     /// Mount over any device stack, keeping the concrete type (the cluster
-    /// axis takes the device back after the run).
-    pub(crate) fn mount_on<D: BlockDevice + RawAccess>(
-        &self,
-        dev: D,
-        env: FsEnv,
-    ) -> VfsResult<Ext3Fs<D>> {
+    /// axis takes the device back after the run; a crash test stacks a
+    /// lying drive on the recorder).
+    pub fn mount_on<D: BlockDevice + RawAccess>(&self, dev: D, env: FsEnv) -> VfsResult<Ext3Fs<D>> {
         Ext3Fs::mount(dev, env, self.options())
     }
 }
@@ -171,13 +151,6 @@ impl Ext3Adapter {
 impl FsUnderTest for Ext3Adapter {
     fn name(&self) -> &'static str {
         let iron_on = self.iron.any_iron() || self.iron.fix_bugs;
-        if self.legacy_group_commit_bug {
-            return if iron_on {
-                "ixt3-groupbug"
-            } else {
-                "ext3-groupbug"
-            };
-        }
         if self.pipelined {
             return if iron_on {
                 "ixt3-pipelined"
