@@ -40,12 +40,13 @@
 //! while still exercising the redesigned stack API.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use iron_core::checksum::Sha1Digest;
 use iron_core::{Block, BlockAddr, BlockTag};
 
-use crate::device::{with_sha1, BlockDevice, DiskError, DiskResult, RawAccess};
+use crate::device::{BlockDevice, DiskError, DiskResult, RawAccess};
 use crate::lru::Lru;
+use crate::page::Page;
 use crate::sched;
 
 /// Caching policy for a [`BufferCache`].
@@ -98,7 +99,9 @@ pub struct CacheStats {
 }
 
 struct Entry {
-    data: Block,
+    /// The page a read brought up or a write brought down: shared with the
+    /// layers it came from or goes to, never copied here.
+    page: Arc<Page>,
     /// Tag of the write that dirtied the block (or of the read that
     /// fetched it); dirty blocks are destaged under this tag.
     tag: BlockTag,
@@ -212,7 +215,7 @@ impl<D: BlockDevice> BufferCache<D> {
                 .peek_mut(BlockAddr(addr))
                 .expect("a dirty key has an entry");
             self.inner
-                .write_tagged(BlockAddr(addr), &entry.data, entry.tag)?;
+                .write_page(BlockAddr(addr), &entry.page, entry.tag)?;
             entry.dirty = None;
             self.dirty.pop_first();
             self.stats.writebacks += 1;
@@ -255,43 +258,47 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
         if self.policy == CachePolicy::WriteThrough {
             return self.inner.read_tagged(addr, tag);
         }
+        self.read_page(addr, tag).map(|p| p.to_block())
+    }
+
+    /// A hit hands out the resident page; a miss keeps the page the inner
+    /// device returned.
+    fn read_page(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Arc<Page>> {
+        if self.policy == CachePolicy::WriteThrough {
+            return self.inner.read_page(addr, tag);
+        }
         self.check_range(addr)?;
         if let Some(e) = self.entries.get(addr) {
             self.stats.hits += 1;
-            return Ok(e.data.clone());
+            return Ok(e.page.clone());
         }
         self.stats.misses += 1;
         // Make room first so a destage failure surfaces before the medium
         // is touched.
         self.make_room()?;
-        let data = self.inner.read_tagged(addr, tag)?;
+        let page = self.inner.read_page(addr, tag)?;
         self.entries.insert(
             addr,
             Entry {
-                data: data.clone(),
+                page: page.clone(),
                 tag,
                 dirty: None,
             },
         );
-        Ok(data)
-    }
-
-    /// Write-through forwards it; write-back hashes what it returns, which
-    /// may be a resident copy no page below holds.
-    fn read_with_sha1(
-        &mut self,
-        addr: BlockAddr,
-        tag: BlockTag,
-    ) -> DiskResult<(Block, Sha1Digest)> {
-        if self.policy == CachePolicy::WriteThrough {
-            return self.inner.read_with_sha1(addr, tag);
-        }
-        self.read_tagged(addr, tag).map(with_sha1)
+        Ok(page)
     }
 
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {
         if self.policy == CachePolicy::WriteThrough {
             return self.inner.write_tagged(addr, block, tag);
+        }
+        self.write_page(addr, &Page::new(block), tag)
+    }
+
+    /// Write-back keeps the caller's page and destages it as it is.
+    fn write_page(&mut self, addr: BlockAddr, page: &Arc<Page>, tag: BlockTag) -> DiskResult<()> {
+        if self.policy == CachePolicy::WriteThrough {
+            return self.inner.write_page(addr, page, tag);
         }
         self.check_range(addr)?;
         match self.entries.peek(addr).map(|e| e.dirty) {
@@ -307,7 +314,7 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
         self.entries.insert(
             addr,
             Entry {
-                data: block.clone(),
+                page: page.clone(),
                 tag,
                 dirty: Some(self.epoch),
             },
@@ -353,7 +360,7 @@ impl<D: BlockDevice + RawAccess> RawAccess for BufferCache<D> {
     /// shadows the (stale) medium.
     fn peek(&self, addr: BlockAddr) -> Block {
         match self.entries.peek(addr) {
-            Some(e) if e.dirty.is_some() => e.data.clone(),
+            Some(e) if e.dirty.is_some() => e.page.to_block(),
             _ => self.inner.peek(addr),
         }
     }
@@ -363,7 +370,7 @@ impl<D: BlockDevice + RawAccess> RawAccess for BufferCache<D> {
     fn poke(&mut self, addr: BlockAddr, block: &Block) {
         self.inner.poke(addr, block);
         if let Some(e) = self.entries.peek_mut(addr) {
-            e.data = block.clone();
+            e.page = Page::new(block);
             if let Some(epoch) = e.dirty.take() {
                 self.dirty.remove(&(epoch, addr.0));
             }

@@ -22,10 +22,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use iron_core::checksum::Sha1Digest;
 use iron_core::{Block, BlockAddr, BlockTag};
 
 use crate::device::{BlockDevice, DiskResult, RawAccess};
+use crate::page::Page;
 
 /// One recorded write.
 #[derive(Clone, Debug)]
@@ -92,7 +92,7 @@ impl WriteLog {
         Self::default()
     }
 
-    fn record_write(&self, addr: BlockAddr, data: &Block, tag: BlockTag) {
+    fn record_write(&self, addr: BlockAddr, data: Block, tag: BlockTag) {
         let mut g = self.inner.lock().unwrap();
         let seq = g.records.len() as u64;
         let epoch = g.epoch;
@@ -100,7 +100,7 @@ impl WriteLog {
             seq,
             epoch,
             addr,
-            data: data.clone(),
+            data,
             tag,
         });
         g.epoch_open = true;
@@ -203,19 +203,22 @@ impl<D: BlockDevice> BlockDevice for CrashRecorder<D> {
         self.inner.read_tagged(addr, tag)
     }
 
-    fn read_with_sha1(
-        &mut self,
-        addr: BlockAddr,
-        tag: BlockTag,
-    ) -> DiskResult<(Block, Sha1Digest)> {
-        self.inner.read_with_sha1(addr, tag)
+    fn read_page(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Arc<Page>> {
+        self.inner.read_page(addr, tag)
     }
 
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {
         // Record only writes that reached the device below: a failed write
         // never lands on the medium, so it is not a crash-state candidate.
         self.inner.write_tagged(addr, block, tag)?;
-        self.log.record_write(addr, block, tag);
+        self.log.record_write(addr, block.clone(), tag);
+        Ok(())
+    }
+
+    /// The page goes down as it is; the log keeps a copy of its bytes.
+    fn write_page(&mut self, addr: BlockAddr, page: &Arc<Page>, tag: BlockTag) -> DiskResult<()> {
+        self.inner.write_page(addr, page, tag)?;
+        self.log.record_write(addr, page.to_block(), tag);
         Ok(())
     }
 

@@ -1,9 +1,11 @@
 //! The [`BlockDevice`] trait and device-level errors.
 
 use std::fmt;
+use std::sync::Arc;
 
-use iron_core::checksum::{sha1, Sha1Digest};
 use iron_core::{Block, BlockAddr, BlockTag, IoKind};
+
+use crate::page::Page;
 
 /// Errors a block device can return to the layer above.
 ///
@@ -56,15 +58,6 @@ impl std::error::Error for DiskError {}
 /// Result alias for device operations.
 pub type DiskResult<T> = Result<T, DiskError>;
 
-/// A block paired with the SHA-1 of its bytes: what
-/// [`BlockDevice::read_with_sha1`] returns from a layer whose bytes are not
-/// one page's (a write-back cache hit, a replica vote, an injected
-/// corruption).
-pub fn with_sha1(block: Block) -> (Block, Sha1Digest) {
-    let digest = sha1(&block[..]);
-    (block, digest)
-}
-
 /// A block device as seen by a file system: fixed-size blocks, explicit
 /// error codes, typed I/O, and an ordering barrier.
 pub trait BlockDevice {
@@ -80,19 +73,22 @@ pub trait BlockDevice {
     /// Write one block, tagged (see [`Self::read_tagged`]).
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()>;
 
-    /// [`Self::read_tagged`] plus the SHA-1 of the bytes it returns — the
-    /// read a checksumming file system issues. The default hashes what
-    /// `read_tagged` returned, so a layer that does not override it is
-    /// correct by construction. A layer overrides it only to forward it
-    /// to a device that returns one page's bytes unchanged: `MemDisk`
-    /// remembers each page's digest, so a page shared by many snapshots
-    /// is hashed once.
-    fn read_with_sha1(
-        &mut self,
-        addr: BlockAddr,
-        tag: BlockTag,
-    ) -> DiskResult<(Block, Sha1Digest)> {
-        self.read_tagged(addr, tag).map(with_sha1)
+    /// [`Self::read_tagged`], as a shared page — the read a layer issues
+    /// to the one below it, and the read a checksumming file system
+    /// issues, since the page carries its digest. The default wraps what
+    /// `read_tagged` returned in a fresh page, so a layer that does not
+    /// override it is correct by construction. A layer overrides it to
+    /// forward the page it got, or to hand out the one it holds, when the
+    /// bytes it returns are that page's.
+    fn read_page(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Arc<Page>> {
+        self.read_tagged(addr, tag).map(|b| Page::new(&b))
+    }
+
+    /// [`Self::write_tagged`] of a shared page. The default writes a copy
+    /// of its bytes; a layer overrides it to pass the page itself down, or
+    /// to keep it.
+    fn write_page(&mut self, addr: BlockAddr, page: &Arc<Page>, tag: BlockTag) -> DiskResult<()> {
+        self.write_tagged(addr, &page.to_block(), tag)
     }
 
     /// Untyped read (tag [`BlockTag::UNTYPED`]).

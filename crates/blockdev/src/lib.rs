@@ -21,9 +21,12 @@
 //!   particular the *ordering barrier* ([`BlockDevice::barrier`]) models the
 //!   lost rotation that ext3 pays between journal data and the commit block
 //!   — the cost that transactional checksums (§6.1) eliminate.
-//! * **Digest-carrying reads** ([`BlockDevice::read_with_sha1`]): a
-//!   checksummed read gets the SHA-1 of what it read from the device, and
-//!   `MemDisk` computes it once per page, however many snapshots share it.
+//! * **Shared pages** ([`Page`], [`BlockDevice::read_page`],
+//!   [`BlockDevice::write_page`]): layers pass a block to each other as an
+//!   immutable `Arc<Page>`, so one written block is one copy in the cache,
+//!   in every replica and in every snapshot, and its SHA-1 is computed
+//!   once, on the first ask, for all of them — from the file system's
+//!   checksum at write time to the verification of a later read.
 //!
 //! Between the file system and the disk sits the generic buffer cache of
 //! Figure 1 ([`cache::BufferCache`]): LRU, write-back, with an exact
@@ -43,6 +46,7 @@ pub mod device;
 pub mod geometry;
 pub mod lru;
 pub mod memdisk;
+pub mod page;
 pub mod retry;
 pub mod sched;
 pub mod stack;
@@ -50,10 +54,11 @@ pub mod trace;
 
 pub use cache::{BufferCache, CachePolicy, CacheStats};
 pub use crashrec::{CrashRecorder, WriteLog, WriteLogSnapshot, WriteRecord};
-pub use device::{with_sha1, BlockDevice, DiskError, DiskResult, RawAccess};
+pub use device::{BlockDevice, DiskError, DiskResult, RawAccess};
 pub use geometry::DiskGeometry;
 pub use lru::Lru;
 pub use memdisk::MemDisk;
+pub use page::Page;
 pub use retry::{RetryConfig, RetryLayer, RetryStats, RetryStatsSnapshot};
 pub use sched::ScanReadahead;
 pub use stack::StackBuilder;

@@ -2,13 +2,13 @@
 //! It stores blocks, charges service time and counts requests; it does not
 //! record them (see [`crate::trace`] for who does).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use iron_core::checksum::{sha1, Sha1Digest};
-use iron_core::{Block, BlockAddr, BlockTag, SimClock, BLOCK_SIZE};
+use iron_core::{Block, BlockAddr, BlockTag, SimClock};
 
 use crate::device::{BlockDevice, DiskError, DiskResult, RawAccess};
 use crate::geometry::DiskGeometry;
+use crate::page::Page;
 
 /// Cumulative device statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -25,34 +25,6 @@ pub struct DiskStats {
     pub busy_ns: u64,
     /// Seeks performed (track changes).
     pub seeks: u64,
-}
-
-/// One block's bytes and, once anyone has asked for it, their SHA-1.
-///
-/// The digest is filled the first time [`BlockDevice::read_with_sha1`]
-/// reads the page, and every snapshot sharing the page shares it. The
-/// invalidation rule: the bytes change only in [`MemDisk::store`], which
-/// either overwrites an unshared page in place — and resets its digest —
-/// or replaces a shared one with a fresh page that has none.
-struct Page {
-    bytes: [u8; BLOCK_SIZE],
-    sha1: OnceLock<Sha1Digest>,
-}
-
-impl Page {
-    fn new(bytes: [u8; BLOCK_SIZE]) -> Arc<Page> {
-        Arc::new(Page {
-            bytes,
-            sha1: OnceLock::new(),
-        })
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Digests computed into a page's memo on this thread (the hash-once
-    /// test).
-    static SHA1_FILLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Pages per chunk: what a snapshot, and dropping one, pays one refcount
@@ -73,9 +45,10 @@ type Chunk = Arc<[Arc<Page>; CHUNK_PAGES]>;
 /// [`MemDisk::snapshot`] shares every chunk with its parent; the first
 /// write either side makes into a chunk copies that chunk's page pointers,
 /// and the pages themselves stay shared until written. A never-written
-/// chunk is the all-zero chunk its disk was created with. A page carries
-/// the SHA-1 of its bytes once a read has asked for it (see `Page`), so
-/// the snapshots sharing a page share its digest too.
+/// chunk is the all-zero chunk its disk was created with. A page written
+/// with [`BlockDevice::write_page`] is the writer's own, shared with every
+/// other medium it was written to, and [`BlockDevice::read_page`] hands it
+/// out as it is, so whoever shares a page shares its memoized digest.
 pub struct MemDisk {
     chunks: Vec<Chunk>,
     /// The last chunk is padded to full length with zero pages, so the
@@ -101,7 +74,7 @@ pub struct MemDisk {
 impl MemDisk {
     /// Create a disk of `num_blocks` zeroed blocks.
     pub fn new(num_blocks: u64, geometry: DiskGeometry, clock: SimClock) -> Self {
-        let zero_page = Page::new([0u8; BLOCK_SIZE]);
+        let zero_page = Page::new(&Block::zeroed());
         let zero_chunk: Chunk = Arc::new(std::array::from_fn(|_| zero_page.clone()));
         MemDisk {
             chunks: vec![zero_chunk; (num_blocks as usize).div_ceil(CHUNK_PAGES)],
@@ -176,26 +149,39 @@ impl MemDisk {
     }
 
     /// The page at the in-range index `idx`.
-    fn page(&self, idx: usize) -> &Page {
+    fn page(&self, idx: usize) -> &Arc<Page> {
         &self.chunks[idx / CHUNK_PAGES][idx % CHUNK_PAGES]
     }
 
-    /// Put `block` at the in-range index `idx`. A chunk a snapshot (or the
-    /// zero fill) still shares is copied first — `Arc::make_mut`: its other
-    /// pointers are still wanted — which leaves every page in it shared. An
-    /// unshared page is then overwritten in place, forgetting its digest,
-    /// and a shared one replaced by a fresh one — not `Arc::make_mut`,
-    /// which would copy the old contents only to overwrite them.
+    /// The slot of the in-range index `idx`, for a write. A chunk a
+    /// snapshot (or the zero fill) still shares is copied first —
+    /// `Arc::make_mut`: its other pointers are still wanted — which leaves
+    /// every page in it shared.
+    fn slot(&mut self, idx: usize) -> &mut Arc<Page> {
+        &mut Arc::make_mut(&mut self.chunks[idx / CHUNK_PAGES])[idx % CHUNK_PAGES]
+    }
+
+    /// Put `block` at the in-range index `idx`: an unshared page is
+    /// overwritten in place, forgetting its digest, and a shared one
+    /// replaced by a fresh one — not `Arc::make_mut`, which would copy the
+    /// old contents only to overwrite them.
     fn store(&mut self, idx: usize, block: &Block) {
-        let chunk = Arc::make_mut(&mut self.chunks[idx / CHUNK_PAGES]);
-        let page = &mut chunk[idx % CHUNK_PAGES];
+        let page = self.slot(idx);
         match Arc::get_mut(page) {
-            Some(p) => {
-                p.bytes = **block;
-                p.sha1.take();
-            }
-            None => *page = Page::new(**block),
+            Some(p) => p.overwrite(block),
+            None => *page = Page::new(block),
         }
+    }
+
+    /// Range-check, charge and count one request; the index it names.
+    fn access(&mut self, addr: BlockAddr, is_write: bool) -> DiskResult<usize> {
+        self.check_range(addr)?;
+        self.charge(addr, is_write);
+        match is_write {
+            true => self.stats.writes += 1,
+            false => self.stats.reads += 1,
+        }
+        Ok(addr.0 as usize)
     }
 
     /// Charge service time for accessing `addr`: command overhead, seek,
@@ -274,34 +260,26 @@ impl BlockDevice for MemDisk {
         self.num_blocks
     }
 
-    fn read_tagged(&mut self, addr: BlockAddr, _tag: BlockTag) -> DiskResult<Block> {
-        self.check_range(addr)?;
-        self.charge(addr, false);
-        self.stats.reads += 1;
-        Ok(Block::from_array(&self.page(addr.0 as usize).bytes))
+    fn read_tagged(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
+        self.read_page(addr, tag).map(|p| p.to_block())
     }
 
-    /// A read, charged as one, plus the page's memoized digest.
-    fn read_with_sha1(
-        &mut self,
-        addr: BlockAddr,
-        tag: BlockTag,
-    ) -> DiskResult<(Block, Sha1Digest)> {
-        let block = self.read_tagged(addr, tag)?;
-        let page = self.page(addr.0 as usize);
-        let digest = *page.sha1.get_or_init(|| {
-            #[cfg(test)]
-            SHA1_FILLS.with(|n| n.set(n.get() + 1));
-            sha1(&page.bytes)
-        });
-        Ok((block, digest))
+    /// The stored page itself, digest memo and all.
+    fn read_page(&mut self, addr: BlockAddr, _tag: BlockTag) -> DiskResult<Arc<Page>> {
+        let idx = self.access(addr, false)?;
+        Ok(self.page(idx).clone())
     }
 
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, _tag: BlockTag) -> DiskResult<()> {
-        self.check_range(addr)?;
-        self.charge(addr, true);
-        self.stats.writes += 1;
-        self.store(addr.0 as usize, block);
+        let idx = self.access(addr, true)?;
+        self.store(idx, block);
+        Ok(())
+    }
+
+    /// Stores the caller's page: no copy, and the medium now shares it.
+    fn write_page(&mut self, addr: BlockAddr, page: &Arc<Page>, _tag: BlockTag) -> DiskResult<()> {
+        let idx = self.access(addr, true)?;
+        *self.slot(idx) = page.clone();
         Ok(())
     }
 
@@ -338,7 +316,7 @@ impl BlockDevice for MemDisk {
 
 impl RawAccess for MemDisk {
     fn peek(&self, addr: BlockAddr) -> Block {
-        Block::from_array(&self.page(self.raw_index(addr, "peek")).bytes)
+        self.page(self.raw_index(addr, "peek")).to_block()
     }
 
     fn poke(&mut self, addr: BlockAddr, block: &Block) {
@@ -350,9 +328,11 @@ impl RawAccess for MemDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::with_sha1;
+    use crate::cache::{BufferCache, CachePolicy};
+    use crate::page::SHA1_FILLS;
     use crate::trace::{IoOutcome, TraceLayer};
-    use iron_core::IoKind;
+    use iron_core::checksum::sha1;
+    use iron_core::{IoKind, BLOCK_SIZE};
 
     #[test]
     fn read_write_round_trip() {
@@ -422,22 +402,27 @@ mod tests {
         assert_eq!(page_counts(&parent), pages_before);
     }
 
-    /// The memo the digest-carrying read exists for, read off the fill
-    /// counter: snapshots share a page's digest, a write forgets it.
+    /// The memo a shared page exists for, read off the fill counter:
+    /// snapshots share a page's digest, a write forgets it, and a page
+    /// hashed above a write-back cache comes back up from the medium, after
+    /// a flush and an eviction, as the same page with its digest.
     #[test]
     fn snapshots_sharing_a_page_hash_it_once() {
         let fills = || SHA1_FILLS.with(std::cell::Cell::get);
+        let digest_of = |fill: u8| sha1(&[fill; BLOCK_SIZE]);
         let tag = BlockTag::UNTYPED;
         let mut golden = MemDisk::for_tests(8);
         golden.poke(BlockAddr(3), &Block::filled(0x33));
         let (mut a, mut b) = (golden.snapshot(), golden.snapshot());
 
         let before = fills();
-        let (block, digest) = a.read_with_sha1(BlockAddr(3), tag).unwrap();
-        assert_eq!((block, digest), with_sha1(Block::filled(0x33)));
+        let page = a.read_page(BlockAddr(3), tag).unwrap();
+        assert_eq!(page.to_block(), Block::filled(0x33));
+        let digest = page.sha1();
+        assert_eq!(digest, digest_of(0x33));
         assert_eq!(fills(), before + 1, "the first ask hashes");
-        assert_eq!(b.read_with_sha1(BlockAddr(3), tag).unwrap().1, digest);
-        assert_eq!(a.read_with_sha1(BlockAddr(3), tag).unwrap().1, digest);
+        assert_eq!(b.read_page(BlockAddr(3), tag).unwrap().sha1(), digest);
+        assert_eq!(a.read_page(BlockAddr(3), tag).unwrap().sha1(), digest);
         assert_eq!(
             fills(),
             before + 1,
@@ -447,17 +432,36 @@ mod tests {
 
         // A write into the shared page replaces it in the writer only.
         a.write(BlockAddr(3), &Block::filled(0x44)).unwrap();
-        let fresh = a.read_with_sha1(BlockAddr(3), tag).unwrap();
-        assert_eq!(fresh, with_sha1(Block::filled(0x44)));
-        assert_eq!(b.read_with_sha1(BlockAddr(3), tag).unwrap().1, digest);
+        let fresh = a.read_page(BlockAddr(3), tag).unwrap();
+        assert_eq!(fresh.sha1(), digest_of(0x44));
+        assert_eq!(b.read_page(BlockAddr(3), tag).unwrap().sha1(), digest);
         assert_eq!(fills(), before + 2);
 
-        // The writer's page is now its own: a second write lands in place
-        // and must forget the digest the read just memoized.
+        // The writer's page is now its own: once no reader holds it, a
+        // second write lands in place and must forget the memoized digest.
+        let at = Arc::as_ptr(&fresh);
+        drop(fresh);
         a.poke(BlockAddr(3), &Block::filled(0x55));
-        let in_place = a.read_with_sha1(BlockAddr(3), tag).unwrap();
-        assert_eq!(in_place, with_sha1(Block::filled(0x55)));
+        let in_place = a.read_page(BlockAddr(3), tag).unwrap();
+        assert_eq!(Arc::as_ptr(&in_place), at, "overwritten in place");
+        assert_eq!(in_place.sha1(), digest_of(0x55));
         assert_eq!(fills(), before + 3);
+
+        // Write to read through a write-back cache: the written page is
+        // the one the medium keeps and the one a cold read returns.
+        let mut c = BufferCache::new(MemDisk::for_tests(8), CachePolicy::write_back(1));
+        let page = Page::new(&Block::filled(0x66));
+        let digest = page.sha1();
+        let before = fills();
+        c.write_page(BlockAddr(2), &page, tag).unwrap();
+        c.flush().unwrap();
+        c.read(BlockAddr(5)).unwrap();
+        assert_eq!(c.stats().evictions, 1, "block 2 left the cache");
+        let back = c.read_page(BlockAddr(2), tag).unwrap();
+        assert_eq!(c.stats().misses, 2, "and came back from the medium");
+        assert!(Arc::ptr_eq(&back, &page), "as the page written");
+        assert_eq!(back.sha1(), digest);
+        assert_eq!(fills(), before, "hashed once, before the write");
     }
 
     #[test]

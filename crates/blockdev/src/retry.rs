@@ -26,11 +26,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use iron_core::checksum::Sha1Digest;
 use iron_core::recover::{ErrorClass, PolicyHandle, Step, Verdict, Walk};
 use iron_core::{Block, BlockAddr, BlockTag, IoKind, KernelLog, SimClock};
 
 use crate::device::{BlockDevice, DiskError, DiskResult, RawAccess};
+use crate::page::Page;
 
 /// Classify a [`DiskError`] for policy lookup.
 pub fn classify(err: &DiskError) -> ErrorClass {
@@ -254,18 +254,18 @@ impl<D: BlockDevice> BlockDevice for RetryLayer<D> {
         self.run(addr, tag, IoKind::Read, |d| d.read_tagged(addr, tag))
     }
 
-    fn read_with_sha1(
-        &mut self,
-        addr: BlockAddr,
-        tag: BlockTag,
-    ) -> DiskResult<(Block, Sha1Digest)> {
-        self.run(addr, tag, IoKind::Read, |d| d.read_with_sha1(addr, tag))
+    fn read_page(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Arc<Page>> {
+        self.run(addr, tag, IoKind::Read, |d| d.read_page(addr, tag))
     }
 
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {
         self.run(addr, tag, IoKind::Write, |d| {
             d.write_tagged(addr, block, tag)
         })
+    }
+
+    fn write_page(&mut self, addr: BlockAddr, page: &Arc<Page>, tag: BlockTag) -> DiskResult<()> {
+        self.run(addr, tag, IoKind::Write, |d| d.write_page(addr, page, tag))
     }
 
     fn barrier(&mut self) -> DiskResult<()> {

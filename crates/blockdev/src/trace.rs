@@ -15,10 +15,10 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use iron_core::checksum::Sha1Digest;
 use iron_core::{Block, BlockAddr, BlockTag, IoKind};
 
 use crate::device::{BlockDevice, DiskResult, RawAccess};
+use crate::page::Page;
 
 /// How a traced request completed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -212,17 +212,18 @@ impl<D: BlockDevice> BlockDevice for TraceLayer<D> {
         self.record(IoKind::Read, addr, tag, r)
     }
 
-    fn read_with_sha1(
-        &mut self,
-        addr: BlockAddr,
-        tag: BlockTag,
-    ) -> DiskResult<(Block, Sha1Digest)> {
-        let r = self.inner.read_with_sha1(addr, tag);
+    fn read_page(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Arc<Page>> {
+        let r = self.inner.read_page(addr, tag);
         self.record(IoKind::Read, addr, tag, r)
     }
 
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {
         let r = self.inner.write_tagged(addr, block, tag);
+        self.record(IoKind::Write, addr, tag, r)
+    }
+
+    fn write_page(&mut self, addr: BlockAddr, page: &Arc<Page>, tag: BlockTag) -> DiskResult<()> {
+        let r = self.inner.write_page(addr, page, tag);
         self.record(IoKind::Write, addr, tag, r)
     }
 

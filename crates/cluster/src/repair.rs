@@ -15,7 +15,7 @@
 //! `RecoveryLevel::RRedundancy` — peer-sourced repair as a first-class
 //! `RepairPlan` source, alongside the single-image planners.
 
-use iron_blockdev::{BlockDevice, RawAccess};
+use iron_blockdev::{BlockDevice, Page, RawAccess};
 use iron_core::{BlockAddr, BlockTag};
 use iron_fsck::{FsckIssue, RepairPlan};
 
@@ -68,24 +68,24 @@ impl<D: BlockDevice + RawAccess> ReplicatedDisk<D> {
             return report;
         };
         let good = match &results[wi] {
-            Ok(b) => b.clone(),
+            Ok(p) => p.clone(),
             Err(_) => unreachable!("winner is a successful read"),
         };
         let mut diverged_here = false;
         for (i, res) in results.iter().enumerate() {
-            if matches!(res, Ok(b) if *b == good) {
+            if matches!(res, Ok(p) if Page::same(p, &good)) {
                 continue;
             }
             diverged_here = true;
-            if self.replica_mut(i).write_tagged(addr, &good, tag).is_err() {
+            if self.replica_mut(i).write_page(addr, &good, tag).is_err() {
                 report.unrecoverable += 1;
                 continue;
             }
             // Verify through the device path, as ixt3's scrub does: a
             // sticky per-replica fault keeps the copy untrustworthy no
             // matter what the medium now holds.
-            match self.replica_mut(i).read_tagged(addr, tag) {
-                Ok(b) if b == good => report.healed += 1,
+            match self.replica_mut(i).read_page(addr, tag) {
+                Ok(p) if Page::same(&p, &good) => report.healed += 1,
                 _ => report.unrecoverable += 1,
             }
         }

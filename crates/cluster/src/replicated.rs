@@ -3,7 +3,8 @@
 //! Each replica is an arbitrary device stack (typically a [`MemDisk`]
 //! with its own fault-injection, cache, and trace layers), so faults can
 //! be injected per replica while the file system above sees a single
-//! block device. Writes fan out to every replica in index order; barriers
+//! block device. Writes fan out to every replica in index order, as one
+//! shared [`Page`], so the replicas' media hold one copy of it; barriers
 //! and flushes are forwarded to each replica so per-replica ordering and
 //! durability semantics are preserved exactly as on a single disk. Reads
 //! follow a configurable [`ReadPolicy`]; the quorum policy arbitrates by
@@ -13,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use iron_blockdev::{BlockDevice, DiskError, DiskResult, MemDisk, RawAccess, StackBuilder};
+use iron_blockdev::{BlockDevice, DiskError, DiskResult, MemDisk, Page, RawAccess, StackBuilder};
 use iron_core::{Block, BlockAddr, BlockTag, IoKind, SimClock};
 
 /// How reads are routed across the replicas.
@@ -230,14 +231,14 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
         i: usize,
         addr: BlockAddr,
         tag: BlockTag,
-    ) -> (DiskResult<Block>, bool) {
+    ) -> (DiskResult<Arc<Page>>, bool) {
         match self.deadline.clone() {
             Some((clock, limit)) => {
                 let t0 = clock.now_ns();
-                let res = self.replicas[i].read_tagged(addr, tag);
+                let res = self.replicas[i].read_page(addr, tag);
                 (res, clock.elapsed_since(t0) > limit)
             }
-            None => (self.replicas[i].read_tagged(addr, tag), false),
+            None => (self.replicas[i].read_page(addr, tag), false),
         }
     }
 
@@ -249,8 +250,10 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
 
     /// Read every replica and pick the content-majority winner.
     ///
-    /// Returns the per-replica results and the index of a replica holding
-    /// the winning content (`None` when no strict majority exists).
+    /// Returns the per-replica pages and the index of a replica holding
+    /// the winning content (`None` when no strict majority exists). Pages
+    /// vote with [`Page::same`]: replicas that share the written page
+    /// agree without comparing a byte.
     /// Replicas marked slow are skipped (their slot reads as a
     /// [`DiskError::Timeout`]); a replica that exceeds the deadline here
     /// is marked for future skipping but its result still participates —
@@ -260,10 +263,10 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
         &mut self,
         addr: BlockAddr,
         tag: BlockTag,
-    ) -> (Vec<DiskResult<Block>>, Option<usize>) {
+    ) -> (Vec<DiskResult<Arc<Page>>>, Option<usize>) {
         let n = self.replicas.len();
         let all_suspect = self.all_suspect();
-        let mut results: Vec<DiskResult<Block>> = Vec::with_capacity(n);
+        let mut results: Vec<DiskResult<Arc<Page>>> = Vec::with_capacity(n);
         for i in 0..n {
             if self.suspect[i] && !all_suspect {
                 self.bump(|s| s.slow_replica_skips += 1);
@@ -287,7 +290,7 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
             if let Ok(b) = res {
                 match groups
                     .iter_mut()
-                    .find(|(fi, _)| matches!(&results[*fi], Ok(w) if w == b))
+                    .find(|(fi, _)| matches!(&results[*fi], Ok(w) if Page::same(w, b)))
                 {
                     Some((_, count)) => *count += 1,
                     None => groups.push((i, 1)),
@@ -302,7 +305,7 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
         (results, winner)
     }
 
-    fn quorum_read(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
+    fn quorum_read(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Arc<Page>> {
         let (results, winner) = self.read_all(addr, tag);
         match winner {
             Some(wi) => {
@@ -313,7 +316,7 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
                 };
                 for (i, res) in results.iter().enumerate() {
                     match res {
-                        Ok(b) if *b == good => {}
+                        Ok(p) if Page::same(p, &good) => {}
                         Ok(_) => self.note_divergence(addr, i, DivergenceKind::Mismatch, tag),
                         // Slowness is a timing condition, not bad data: a
                         // skipped replica's medium is presumed intact, so
@@ -351,10 +354,15 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
         }
     }
 
-    fn failover_read(&mut self, addr: BlockAddr, tag: BlockTag, start: usize) -> DiskResult<Block> {
+    fn failover_read(
+        &mut self,
+        addr: BlockAddr,
+        tag: BlockTag,
+        start: usize,
+    ) -> DiskResult<Arc<Page>> {
         let n = self.replicas.len();
         let all_suspect = self.all_suspect();
-        let mut last: Option<DiskResult<Block>> = None;
+        let mut last: Option<DiskResult<Arc<Page>>> = None;
         for k in 0..n {
             let i = (start + k) % n;
             if self.suspect[i] && !all_suspect {
@@ -411,6 +419,10 @@ impl<D: BlockDevice> BlockDevice for ReplicatedDisk<D> {
     }
 
     fn read_tagged(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
+        self.read_page(addr, tag).map(|p| p.to_block())
+    }
+
+    fn read_page(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Arc<Page>> {
         self.bump(|s| s.reads += 1);
         match self.policy {
             ReadPolicy::Primary => self.failover_read(addr, tag, 0),
@@ -423,14 +435,19 @@ impl<D: BlockDevice> BlockDevice for ReplicatedDisk<D> {
         }
     }
 
+    /// One page, however many replicas: the fan-out shares it.
     fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {
+        self.write_page(addr, &Page::new(block), tag)
+    }
+
+    fn write_page(&mut self, addr: BlockAddr, page: &Arc<Page>, tag: BlockTag) -> DiskResult<()> {
         self.bump(|s| s.writes += 1);
         let n = self.replicas.len();
         let mut ok = 0usize;
         let mut failed: Vec<usize> = Vec::new();
         let mut first_err = None;
         for (i, r) in self.replicas.iter_mut().enumerate() {
-            match r.write_tagged(addr, block, tag) {
+            match r.write_page(addr, page, tag) {
                 Ok(()) => ok += 1,
                 Err(e) => {
                     failed.push(i);
@@ -529,6 +546,48 @@ mod tests {
             assert_eq!(v.replica(i).peek(BlockAddr(5)), Block::filled(0xAB));
         }
         assert_eq!(v.stats().snapshot().writes, 1);
+    }
+
+    /// The pages under `addr`, one per replica.
+    fn pages(v: &mut ReplicatedDisk<MemDisk>, addr: BlockAddr) -> Vec<Arc<Page>> {
+        let n = v.num_replicas();
+        (0..n)
+            .map(|i| v.replica_mut(i).read_page(addr, BlockTag::UNTYPED).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn one_write_is_one_page_on_every_replica() {
+        let mut v = volume(3, ReadPolicy::Quorum);
+        v.write(BlockAddr(5), &Block::filled(0xAB)).unwrap();
+        let p = pages(&mut v, BlockAddr(5));
+        assert!(Arc::ptr_eq(&p[0], &p[1]) && Arc::ptr_eq(&p[0], &p[2]));
+        assert_eq!(p[0].to_block(), Block::filled(0xAB));
+    }
+
+    #[test]
+    fn equal_bytes_in_a_distinct_page_vote_with_the_majority() {
+        let mut v = volume(3, ReadPolicy::Quorum);
+        v.write(BlockAddr(7), &Block::filled(0x11)).unwrap();
+        v.replica_mut(2).poke(BlockAddr(7), &Block::filled(0x11));
+        let p = pages(&mut v, BlockAddr(7));
+        assert!(!Arc::ptr_eq(&p[0], &p[2]), "the poke made its own page");
+        assert_eq!(v.read(BlockAddr(7)).unwrap(), Block::filled(0x11));
+        assert_eq!(v.stats().snapshot().divergences, 0);
+        assert_eq!(v.stats().pending_repairs(), 0);
+        assert_eq!(v.repair_block(BlockAddr(7), BlockTag::UNTYPED).divergent, 0);
+    }
+
+    #[test]
+    fn repair_heals_different_bytes_with_the_majority_page() {
+        let mut v = volume(3, ReadPolicy::Quorum);
+        v.write(BlockAddr(9), &Block::filled(0x22)).unwrap();
+        v.replica_mut(1).poke(BlockAddr(9), &Block::filled(0xBD));
+        let r = v.repair_block(BlockAddr(9), BlockTag::UNTYPED);
+        assert_eq!((r.divergent, r.healed, r.unrecoverable), (1, 1, 0));
+        assert_eq!(v.replica(1).peek(BlockAddr(9)), Block::filled(0x22));
+        let p = pages(&mut v, BlockAddr(9));
+        assert!(Arc::ptr_eq(&p[0], &p[1]), "healed with the majority's page");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use iron_blockdev::{retry::classify, BlockDevice, Lru, RawAccess, ScanReadahead};
-use iron_core::checksum::sha1;
+use iron_core::checksum::{sha1, Sha1Digest};
 use iron_core::recover::{
     Backoff, ErrorClass, FailurePolicyTable, PolicyHandle, RecoveryAction, Step,
 };
@@ -702,6 +702,17 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// Record the checksum of `block` for address `addr` (if the relevant
     /// mechanism is active), marking its table block dirty.
     pub(crate) fn note_cksum(&mut self, addr: u64, block: &Block, is_meta: bool) {
+        self.note_digest(addr, is_meta, || sha1(&block[..]));
+    }
+
+    /// [`Self::note_cksum`] with the digest supplied, asked for only when
+    /// the checksum is recorded.
+    pub(crate) fn note_digest(
+        &mut self,
+        addr: u64,
+        is_meta: bool,
+        digest: impl FnOnce() -> Sha1Digest,
+    ) {
         let active = if is_meta {
             self.opts.iron.meta_checksum
         } else {
@@ -713,7 +724,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             return;
         }
         self.charge_cpu(SHA1_BLOCK_COST_NS);
-        self.cksums[addr as usize] = sha1(&block[..]).truncated64();
+        self.cksums[addr as usize] = digest().truncated64();
         self.dirty_cksum_blocks.insert(addr / CKSUMS_PER_BLOCK);
     }
 

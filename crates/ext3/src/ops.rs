@@ -2,7 +2,7 @@
 //! supporting machinery (inode I/O, allocation, block maps, directories),
 //! with ext3's per-operation failure policy — bugs included.
 
-use iron_blockdev::{retry::classify, BlockDevice, RawAccess};
+use iron_blockdev::{retry::classify, BlockDevice, Page, RawAccess};
 use iron_core::recover::{ErrorClass, Step, Verdict, Walk};
 use iron_core::{Block, BlockAddr, BlockTag, Errno, IoKind, BLOCK_SIZE};
 use iron_vfs::{DirEntry, FileType, FsEnv, InodeAttr, MountState, SpecificFs, StatFs, VfsResult};
@@ -108,8 +108,9 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
 
     /// One device read, accepted only if what arrives passes the block's
     /// content check — inline, so attempts stay bounded. A block with a
-    /// recorded checksum is read with its digest, which the device may
-    /// have memoized; the comparison is made, and charged, on every read.
+    /// recorded checksum is read as a shared page, whose digest may be
+    /// memoized already; the comparison is made, and charged, on every
+    /// read.
     fn read_verified(
         &mut self,
         addr: u64,
@@ -125,15 +126,15 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             Some(0)
         };
         if let Some(expected @ 1..) = expected {
-            let (b, digest) = self
+            let page = self
                 .dev
-                .read_with_sha1(BlockAddr(addr), tag)
+                .read_page(BlockAddr(addr), tag)
                 .map_err(|e| classify(&e))?;
             self.charge_cpu(SHA1_BLOCK_COST_NS);
-            if digest.truncated64() != expected {
+            if page.sha1().truncated64() != expected {
                 return Err(ErrorClass::Corrupt);
             }
-            return Ok(b);
+            return Ok(page.to_block());
         }
         let b = self
             .dev
@@ -340,10 +341,13 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// contents, so subsequent reads *hide* the failure. With `fix_bugs`
     /// the error aborts the journal and propagates.
     pub(crate) fn write_data_block(&mut self, addr: u64, block: &Block) -> VfsResult<()> {
-        self.note_cksum(addr, block, false);
+        // One page goes down and keeps the digest `Dc` records, so a later
+        // read of the block that finds this page does not hash it again.
+        let page = Page::new(block);
+        self.note_digest(addr, false, || page.sha1());
         let r = self
             .dev
-            .write_tagged(BlockAddr(addr), block, BlockType::Data.tag());
+            .write_page(BlockAddr(addr), &page, BlockType::Data.tag());
         self.cache_put(addr, block.clone());
         match r {
             Err(e) if self.opts.iron.fix_bugs => {
@@ -354,7 +358,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 let tag = BlockType::Data.tag();
                 let key = (tag, IoKind::Write, classify(&e));
                 self.walk_chain("data write", addr, key, |fs, step| match step {
-                    Step::Reissue { .. } => fs.dev.write_tagged(BlockAddr(addr), block, tag).ok(),
+                    Step::Reissue { .. } => fs.dev.write_page(BlockAddr(addr), &page, tag).ok(),
                     // In-place data writes have no redundant copy.
                     Step::Redundancy => None,
                 })

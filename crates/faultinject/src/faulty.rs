@@ -1,7 +1,8 @@
 //! [`FaultyDisk`]: the pseudo-device driver that enacts a [`FaultPlan`].
 
-use iron_blockdev::{with_sha1, BlockDevice, DiskError, DiskResult, IoOutcome, IoTrace, RawAccess};
-use iron_core::checksum::Sha1Digest;
+use std::sync::Arc;
+
+use iron_blockdev::{BlockDevice, DiskError, DiskResult, IoOutcome, IoTrace, Page, RawAccess};
 use iron_core::hash::xorshift64;
 use iron_core::model::CorruptionStyle;
 use iron_core::{Block, BlockAddr, BlockTag, FaultKind, IoKind, SimClock, BLOCK_SIZE};
@@ -195,39 +196,15 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
             }
         }
     }
-}
 
-impl<D: BlockDevice + RawAccess> BlockDevice for FaultyDisk<D> {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn read_tagged(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
-        let fault = self.plan.check(IoKind::Read, addr, tag);
-        self.read_with(fault, addr, tag)
-    }
-
-    /// The plan is checked once, as for a read. A request no read fault
-    /// touches is forwarded, so the medium's memoized digest comes up; one
-    /// a fault fired on takes [`Self::read_with`]'s arm and is hashed
-    /// here, so a corrupted block is judged by the digest of the bytes it
-    /// returns.
-    fn read_with_sha1(
+    /// Check the plan for a write, enact the fault that fired, and trace
+    /// the outcome; `write` issues the request to the inner device.
+    fn write_with(
         &mut self,
         addr: BlockAddr,
         tag: BlockTag,
-    ) -> DiskResult<(Block, Sha1Digest)> {
-        match self.plan.check(IoKind::Read, addr, tag) {
-            Some(FaultKind::WriteError) | None => {
-                let out = self.inner.read_with_sha1(addr, tag)?;
-                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Ok);
-                Ok(out)
-            }
-            fault => self.read_with(fault, addr, tag).map(with_sha1),
-        }
-    }
-
-    fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {
+        write: impl FnOnce(&mut D) -> DiskResult<()>,
+    ) -> DiskResult<()> {
         match self.plan.check(IoKind::Write, addr, tag) {
             Some(FaultKind::WholeDisk) => {
                 self.trace
@@ -243,16 +220,51 @@ impl<D: BlockDevice + RawAccess> BlockDevice for FaultyDisk<D> {
                 })
             }
             Some(kind @ (FaultKind::Slow { .. } | FaultKind::Hang)) => {
-                self.slow_io(kind, |d| d.write_tagged(addr, block, tag))?;
+                self.slow_io(kind, write)?;
                 self.trace.record(IoKind::Write, addr, tag, IoOutcome::Ok);
                 Ok(())
             }
             _ => {
-                self.inner.write_tagged(addr, block, tag)?;
+                write(&mut self.inner)?;
                 self.trace.record(IoKind::Write, addr, tag, IoOutcome::Ok);
                 Ok(())
             }
         }
+    }
+}
+
+impl<D: BlockDevice + RawAccess> BlockDevice for FaultyDisk<D> {
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+
+    fn read_tagged(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Block> {
+        let fault = self.plan.check(IoKind::Read, addr, tag);
+        self.read_with(fault, addr, tag)
+    }
+
+    /// The plan is checked once, as for a read. A request no read fault
+    /// touches is forwarded, so the page below comes up as it is; one a
+    /// fault fired on takes [`Self::read_with`]'s arm and returns a new
+    /// page, so a corrupted block is judged by the digest of the bytes it
+    /// returns.
+    fn read_page(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Arc<Page>> {
+        match self.plan.check(IoKind::Read, addr, tag) {
+            Some(FaultKind::WriteError) | None => {
+                let page = self.inner.read_page(addr, tag)?;
+                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Ok);
+                Ok(page)
+            }
+            fault => self.read_with(fault, addr, tag).map(|b| Page::new(&b)),
+        }
+    }
+
+    fn write_tagged(&mut self, addr: BlockAddr, block: &Block, tag: BlockTag) -> DiskResult<()> {
+        self.write_with(addr, tag, |d| d.write_tagged(addr, block, tag))
+    }
+
+    fn write_page(&mut self, addr: BlockAddr, page: &Arc<Page>, tag: BlockTag) -> DiskResult<()> {
+        self.write_with(addr, tag, |d| d.write_page(addr, page, tag))
     }
 
     fn barrier(&mut self) -> DiskResult<()> {
@@ -508,13 +520,13 @@ mod tests {
         assert_eq!(disk.read(BlockAddr(2)).unwrap(), Block::filled(3));
     }
 
-    /// Twins over one golden, one read with `read_with_sha1` and one with
+    /// Twins over one golden, one read with `read_page` and one with
     /// `read_tagged`, under every fault kind and corruption style, sticky
-    /// and transient, bare and under a retrying layer: the digest is the
-    /// digest of the bytes returned, and the results, traces, clocks and
-    /// medium counters of the two are the same.
+    /// and transient, bare and under a retrying layer: the page holds the
+    /// bytes returned and their digest, and the results, traces, clocks
+    /// and medium counters of the two are the same.
     #[test]
-    fn read_with_sha1_is_read_tagged_then_sha1_under_every_fault() {
+    fn read_page_is_read_tagged_then_sha1_under_every_fault() {
         use iron_blockdev::{RetryConfig, RetryLayer};
         use iron_core::recover::{Backoff, FailurePolicyTable, PolicyHandle, RecoveryAction};
 
@@ -562,6 +574,11 @@ mod tests {
                 RecoveryAction::Propagate,
             ]))
         };
+        let opened = |p: Arc<Page>| (p.to_block(), p.sha1());
+        let hashed = |b: Block| {
+            let digest = iron_core::checksum::sha1(&b[..]);
+            (b, digest)
+        };
         let seen = |d: &FaultyDisk<MemDisk>| {
             let trace: Vec<String> = d.trace().events().iter().map(|e| e.to_string()).collect();
             (trace, d.inner().stats(), d.inner().clock().now_ns())
@@ -571,11 +588,8 @@ mod tests {
                 let what = format!("{fault:?}, transient {transient}");
                 let (mut a, mut b) = (faulty(fault, transient), faulty(fault, transient));
                 for addr in [5, 5, 6].map(BlockAddr) {
-                    let got = a.read_with_sha1(addr, BlockTag("data"));
-                    if let Ok((block, digest)) = &got {
-                        assert_eq!(*digest, iron_core::checksum::sha1(&block[..]), "{what}");
-                    }
-                    let want = b.read_tagged(addr, BlockTag("data")).map(with_sha1);
+                    let got = a.read_page(addr, BlockTag("data")).map(opened);
+                    let want = b.read_tagged(addr, BlockTag("data")).map(hashed);
                     assert_eq!(got, want, "{what}");
                 }
                 assert_eq!(seen(&a), seen(&b), "{what}");
@@ -586,8 +600,8 @@ mod tests {
                 };
                 let mut a = retry(faulty(fault, transient));
                 let mut b = retry(faulty(fault, transient));
-                let got = a.read_with_sha1(BlockAddr(5), BlockTag("data"));
-                let want = b.read_tagged(BlockAddr(5), BlockTag("data")).map(with_sha1);
+                let got = a.read_page(BlockAddr(5), BlockTag("data")).map(opened);
+                let want = b.read_tagged(BlockAddr(5), BlockTag("data")).map(hashed);
                 assert_eq!(got, want, "retried {what}");
                 assert_eq!(a.stats().snapshot(), b.stats().snapshot(), "retried {what}");
                 assert_eq!(seen(a.inner()), seen(b.inner()), "retried {what}");
