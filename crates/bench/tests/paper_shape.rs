@@ -1,5 +1,6 @@
-//! The paper's qualitative claims (§6.2), asserted against the committed
-//! `results/table6.txt` and `results/space_overhead.txt`.
+//! The paper's qualitative claims (§5.1, §6.2), asserted against the
+//! committed `results/table6.txt`, `results/space_overhead.txt`,
+//! `results/figure2.txt` and `results/figure3.txt`.
 //!
 //! The drift tests (`figure2_drift.rs`, `sim_costs_drift.rs`, `./ci.sh
 //! results`) check that a result file did not change; they cannot tell a
@@ -163,6 +164,110 @@ fn parity_space_falls_in_the_papers_band() {
         assert!(
             (3.0..=17.0).contains(&parity),
             "{volume}: parity {parity}% outside 3-17%"
+        );
+    }
+}
+
+/// The rows of one panel (`== <title> ==`) of the failure-policy matrix
+/// of `fs` in a committed figure: each row's label and its twenty cells,
+/// columns a–t, as the three-character glyph groups the renderer prints
+/// (so `|\` and `-|` are one cell each).
+fn panel(file: &str, fs: &str, title: &str) -> Vec<(String, Vec<String>)> {
+    let heading = format!("Failure policy of {fs} ");
+    let banner = format!("== {title} ==");
+    let rows: Vec<(String, Vec<String>)> = committed(file)
+        .lines()
+        .skip_while(|l| !l.starts_with(&heading))
+        .skip_while(|l| *l != banner)
+        .skip(2) // the banner and the column letters
+        .take_while(|l| !l.is_empty())
+        .map(|l| {
+            let mut chars: Vec<char> = l.chars().collect();
+            chars.resize(9 + 20 * 3, ' ');
+            let label = chars[..9].iter().collect::<String>().trim().to_string();
+            let cells = chars[9..].chunks(3).map(|c| c.iter().collect()).collect();
+            (label, cells)
+        })
+        .collect();
+    assert_eq!(
+        rows.len(),
+        13,
+        "{file}: {fs} {title} has 13 block-type rows"
+    );
+    rows
+}
+
+fn applicable(cell: &str) -> bool {
+    cell.trim() != "\u{b7}"
+}
+
+/// §6.2: "ixt3 … detects and recovers from over 200 possible different
+/// partial-error scenarios".
+#[test]
+fn ixt3_detects_and_handles_over_200_scenarios() {
+    let text = committed("figure3.txt");
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("ixt3 robustness:"))
+        .expect("figure3.txt has the robustness line");
+    let count = |word: &str| -> usize {
+        let before = &line[..line.find(word).unwrap_or_else(|| panic!("no {word:?}"))];
+        before
+            .split_whitespace()
+            .last()
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no count before {word:?} in {line:?}"))
+    };
+    let (detected, handled) = (count(" detected"), count(" handled"));
+    assert!(detected > 200, "ixt3 detects only {detected} scenarios");
+    assert!(handled > 200, "ixt3 handles only {handled} scenarios");
+}
+
+/// Figure 3: ixt3 detects every corruption of an inode, directory,
+/// bitmap, indirect or data block that a workload reaches, and recovers
+/// from it by some means other than ignoring it (`RZero`) or guessing
+/// (`RGuess`).
+#[test]
+fn ixt3_detects_and_recovers_every_corruption_it_meets() {
+    let detection = panel("figure3.txt", "ixt3", "Corruption / Detection");
+    let recovery = panel("figure3.txt", "ixt3", "Corruption / Recovery");
+    let rows = ["inode", "dir", "bitmap", "i-bitmap", "indirect", "data"];
+    for ((label, dcells), (rlabel, rcells)) in detection.iter().zip(&recovery) {
+        assert_eq!(label, rlabel, "the two panels list the same rows");
+        if !rows.contains(&label.as_str()) {
+            continue;
+        }
+        // Columns a–r: the per-call workloads, not mount-time recovery
+        // or the log write path.
+        for (col, (d, r)) in ('a'..='r').zip(dcells.iter().zip(rcells)) {
+            if !applicable(d) {
+                continue;
+            }
+            assert!(applicable(r), "{label}/{col}: recovery says not applicable");
+            assert!(!d.trim().is_empty(), "{label}/{col}: corruption undetected");
+            assert!(
+                !r.trim().is_empty() && !r.contains('g'),
+                "{label}/{col}: recovery {r:?} is RZero or RGuess"
+            );
+        }
+    }
+}
+
+/// Figure 2, §5.1: "ext3 ignores write errors" — no write failure of a
+/// data block is detected (`DZero` in every cell a workload reaches).
+#[test]
+fn ext3_ignores_data_write_failures() {
+    let rows = panel("figure2.txt", "ext3", "Write Failure / Detection");
+    let (_, data) = rows
+        .iter()
+        .find(|(label, _)| label == "data")
+        .expect("a data row");
+    let reached: Vec<&String> = data.iter().filter(|c| applicable(c)).collect();
+    assert!(!reached.is_empty(), "no workload writes a data block");
+    for (col, cell) in ('a'..='t').zip(data) {
+        assert!(
+            !applicable(cell) || cell.trim().is_empty(),
+            "data/{col}: ext3 detects a data write failure ({cell:?})"
         );
     }
 }

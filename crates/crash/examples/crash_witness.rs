@@ -13,11 +13,10 @@
 
 use iron_blockdev::{CrashRecorder, WriteLog};
 use iron_crash::{
-    apply_all, enumerate_images, materialize, run_workload, standard_workloads, walk_tree,
-    EnumOptions, TreeNode,
+    apply_all, enumerate_images, materialize, run_workload, standard_workloads, EnumOptions,
 };
 use iron_fingerprint::{Ext3Adapter, FsUnderTest, JfsAdapter, ReiserAdapter};
-use iron_vfs::{FsEnv, Vfs};
+use iron_vfs::{FsEnv, TreeNode, Vfs};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -79,7 +78,7 @@ fn main() {
         Ok(m) => m,
     };
     let mut v = Vfs::new(mounted);
-    let tree = walk_tree(&mut v);
+    let tree = v.tree();
     match &tree {
         Err(e) => eprintln!("walk error: {e}"),
         Ok(t) => {

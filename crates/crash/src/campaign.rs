@@ -6,10 +6,10 @@
 use iron_blockdev::{CrashRecorder, MemDisk, WriteLog};
 use iron_core::exec::WorkerPool;
 use iron_fingerprint::FsUnderTest;
-use iron_vfs::{FsEnv, Vfs};
+use iron_vfs::{FsEnv, FsTree, Vfs};
 
 use crate::enumerate::{enumerate_images, EnumOptions};
-use crate::oracle::{check_image, walk_tree, FsTree, Violation};
+use crate::oracle::{check_image, Violation};
 use crate::workload::{run_workload, CrashWorkload};
 
 /// Campaign configuration.
@@ -53,8 +53,7 @@ fn golden_tree_of(fs: &dyn FsUnderTest, base: &MemDisk) -> FsTree {
     let mounted = fs
         .mount_crash(CrashRecorder::new(base.snapshot()), FsEnv::new())
         .expect("golden image mounts");
-    let mut v = Vfs::new(mounted);
-    walk_tree(&mut v).expect("golden image walks")
+    Vfs::new(mounted).tree().expect("golden image walks")
 }
 
 /// Record `workload`'s write stream over a snapshot of `base`, enumerate

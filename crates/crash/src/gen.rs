@@ -15,22 +15,25 @@
 //!   Sync}` — `Sync` is not enumerated as an op but injected as a
 //!   *placement* ([`SyncPlacement`]): none, trailing, or after every
 //!   prefix;
-//! * **pruning**: sequences illegal against the shadow model (unlink
+//! * **pruning**: sequences that do not replay on `RamFs` — the model
+//!   the workload shadow runs, through the same interpreter
+//!   ([`crate::workload::apply`]) — are skipped during enumeration (unlink
 //!   before create, rmdir of a non-empty or absent directory, rename
-//!   without a source, ...) are skipped during enumeration, and
+//!   without a source, ...), and
 //!   name-isomorphic sequences (identical up to a consistent swap of the
 //!   two dirs, the two files, or the two content seeds) are collapsed to
 //!   their lexicographically-least representative.
 //!
-//! The surviving seq-2 + seq-3 family lands in the low thousands of
-//! workloads. Generation is a pure function of [`GenOptions`] — no RNG,
+//! The surviving seq-2 + seq-3 family is 369 workloads (39 of them
+//! seq-2). Generation is a pure function of [`GenOptions`] — no RNG,
 //! no clocks — so the family is bit-identical across runs, machines, and
 //! thread counts, and any `(workload name, image index)` pair is a
 //! complete replayable witness.
 
-use std::collections::BTreeSet;
+use iron_vfs::ramfs::RamFs;
+use iron_vfs::Vfs;
 
-use crate::workload::{CrashOp, CrashWorkload, CRASH_ROOT};
+use crate::workload::{apply, CrashOp, CrashWorkload, CRASH_ROOT};
 
 /// The two directories of the generated namespace.
 pub const GEN_DIRS: [&str; 2] = ["/crash/d0", "/crash/d1"];
@@ -144,88 +147,13 @@ pub fn op_instances() -> Vec<CrashOp> {
     ]
 }
 
-/// Pure namespace simulator used for legality pruning. Mirrors exactly
-/// the VFS semantics the replay property test pins against `RamFs`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct SimState {
-    dirs: BTreeSet<String>,
-    files: BTreeSet<String>,
-}
-
-fn parent_of(path: &str) -> &str {
-    match path.rfind('/') {
-        Some(0) | None => "/",
-        Some(i) => &path[..i],
-    }
-}
-
-impl SimState {
-    /// Apply `op`; `false` means the op would fail against a real FS
-    /// (the sequence is illegal and gets pruned).
-    fn apply(&mut self, op: &CrashOp) -> bool {
-        match op {
-            CrashOp::Mkdir(d) => {
-                let d = d.as_ref();
-                if self.dirs.contains(d) || self.files.contains(d) {
-                    return false; // EEXIST
-                }
-                self.dirs.insert(d.to_string())
-            }
-            CrashOp::Write(f, _, _) => {
-                // create-or-overwrite; the name never collides with a dir
-                // in this vocabulary.
-                self.files.insert(f.to_string());
-                true
-            }
-            CrashOp::Truncate(f, _) => self.files.contains(f.as_ref()),
-            CrashOp::Unlink(f) => self.files.remove(f.as_ref()),
-            CrashOp::Rmdir(d) => {
-                let prefix = format!("{d}/");
-                if !self.dirs.contains(d.as_ref())
-                    || self.files.iter().any(|f| f.starts_with(&prefix))
-                {
-                    return false; // ENOENT / ENOTEMPTY
-                }
-                self.dirs.remove(d.as_ref())
-            }
-            CrashOp::Rename(from, to) => {
-                let (from, to) = (from.as_ref(), to.as_ref());
-                let parent = parent_of(to);
-                if parent != CRASH_ROOT && !self.dirs.contains(parent) {
-                    return false; // ENOENT on the target's parent
-                }
-                if self.files.contains(from) {
-                    if self.dirs.contains(to) {
-                        return false; // EISDIR
-                    }
-                    self.files.remove(from);
-                    self.files.insert(to.to_string()); // replaces any file
-                    true
-                } else if self.dirs.contains(from) {
-                    if self.dirs.contains(to) || self.files.contains(to) {
-                        return false; // replacing a dir target: EISDIR/ENOTDIR
-                    }
-                    self.dirs.remove(from);
-                    self.dirs.insert(to.to_string());
-                    let prefix = format!("{from}/");
-                    let moved: Vec<String> = self
-                        .files
-                        .iter()
-                        .filter(|f| f.starts_with(&prefix))
-                        .cloned()
-                        .collect();
-                    for old in moved {
-                        self.files.remove(&old);
-                        self.files.insert(format!("{to}/{}", &old[prefix.len()..]));
-                    }
-                    true
-                } else {
-                    false // ENOENT
-                }
-            }
-            CrashOp::Sync => true,
-        }
-    }
+/// A sequence is legal iff it replays without error on `RamFs` — the
+/// specification every differential in the workspace holds the file
+/// systems to — after the `Mkdir(CRASH_ROOT)` every workload starts with.
+fn replays_on_ramfs<'a>(ops: impl IntoIterator<Item = &'a CrashOp>) -> bool {
+    let mut v = Vfs::new(RamFs::new());
+    apply(&mut v, &CrashOp::mkdir(CRASH_ROOT)).is_ok()
+        && ops.into_iter().all(|op| apply(&mut v, op).is_ok())
 }
 
 /// One namespace isomorphism: a consistent swap of the two dirs, the two
@@ -316,23 +244,23 @@ fn is_canonical(seq: &[usize], tables: &[Vec<usize>]) -> bool {
 fn core_sequences(instances: &[CrashOp], min_len: usize, max_len: usize) -> Vec<Vec<usize>> {
     let tables = isomorphism_tables(instances);
     let mut out = Vec::new();
-    // DFS stack: (sequence so far, state after it).
-    let mut stack: Vec<(Vec<usize>, SimState)> = vec![(Vec::new(), SimState::default())];
-    while let Some((seq, state)) = stack.pop() {
+    // DFS stack of sequences; each candidate replays on an empty RamFs,
+    // so the model needs no snapshot.
+    let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
+    while let Some(seq) = stack.pop() {
         // Children in reverse so the LIFO pops them in ascending order —
         // purely cosmetic (output sorted), determinism holds either way.
         for idx in (0..instances.len()).rev() {
-            let mut next_state = state.clone();
-            if !next_state.apply(&instances[idx]) {
+            let mut next = seq.clone();
+            next.push(idx);
+            if !replays_on_ramfs(next.iter().map(|&i| &instances[i])) {
                 continue;
             }
-            let mut next_seq = seq.clone();
-            next_seq.push(idx);
-            if next_seq.len() >= min_len && is_canonical(&next_seq, &tables) {
-                out.push(next_seq.clone());
+            if next.len() >= min_len && is_canonical(&next, &tables) {
+                out.push(next.clone());
             }
-            if next_seq.len() < max_len {
-                stack.push((next_seq, next_state));
+            if next.len() < max_len {
+                stack.push(next);
             }
         }
     }
@@ -408,31 +336,23 @@ mod tests {
     #[test]
     fn legality_pruning_rejects_the_obvious() {
         let instances = op_instances();
-        let mut s = SimState::default();
+        let legal = |seq: &[usize]| replays_on_ramfs(seq.iter().map(|&i| &instances[i]));
+        // 0/1 mkdir d0/d1, 2 write f0, 6 truncate f0, 10 unlink f0,
+        // 12/13 rmdir d0/d1, 14 rename f0 f1, 16 rename f0 d0/f0,
+        // 20 rename d0 d1.
+        assert!(!legal(&[10]), "unlink before create (ENOENT)");
+        assert!(!legal(&[12]), "rmdir before mkdir (ENOENT)");
+        assert!(!legal(&[6]), "truncate missing (ENOENT)");
+        assert!(!legal(&[14]), "rename missing source (ENOENT)");
+        assert!(legal(&[2]), "write creates");
+        assert!(!legal(&[2, 16]), "rename into missing dir (ENOENT)");
+        assert!(!legal(&[0, 0]), "mkdir of an existing name (EEXIST)");
+        assert!(legal(&[2, 0, 16]));
+        assert!(!legal(&[2, 0, 16, 12]), "rmdir non-empty (ENOTEMPTY)");
+        assert!(!legal(&[0, 1, 20]), "rename onto an existing dir (EISDIR)");
+        assert!(legal(&[2, 0, 16, 20]));
         assert!(
-            !s.apply(&CrashOp::unlink("/crash/f0")),
-            "unlink before create"
-        );
-        assert!(!s.apply(&CrashOp::rmdir("/crash/d0")), "rmdir before mkdir");
-        assert!(
-            !s.apply(&CrashOp::truncate("/crash/f0", 0)),
-            "truncate missing"
-        );
-        assert!(
-            !s.apply(&CrashOp::rename("/crash/f0", "/crash/f1")),
-            "rename missing source"
-        );
-        assert!(s.apply(&instances[2]), "write f0");
-        assert!(
-            !s.apply(&CrashOp::rename("/crash/f0", "/crash/d0/f0")),
-            "rename into missing dir"
-        );
-        assert!(s.apply(&CrashOp::mkdir("/crash/d0")));
-        assert!(s.apply(&CrashOp::rename("/crash/f0", "/crash/d0/f0")));
-        assert!(!s.apply(&CrashOp::rmdir("/crash/d0")), "rmdir non-empty");
-        assert!(s.apply(&CrashOp::rename("/crash/d0", "/crash/d1")));
-        assert!(
-            s.files.contains("/crash/d1/f0"),
+            !legal(&[2, 0, 16, 20, 13]),
             "dir rename moves contained files"
         );
     }

@@ -47,7 +47,7 @@ pub use gen::{
     GEN_DIRS, GEN_EXTEND, GEN_FILES, GEN_SHRINK,
 };
 pub use image::{apply_all, materialize, CrashImageSpec};
-pub use oracle::{check_image, walk_tree, FsTree, OracleKind, TreeNode, Violation};
+pub use oracle::{check_image, OracleKind, Violation};
 pub use workload::{
     batch_workloads, run_workload, standard_workloads, CrashOp, CrashPath, CrashWorkload,
     ShadowModel, CRASH_ROOT,

@@ -1,9 +1,11 @@
 //! Recovery oracles and the per-image check.
 //!
 //! For each enumerated crash image the checker mounts the image (letting
-//! journal replay run), walks the whole tree, cleanly unmounts, and
-//! reconstructs the post-recovery medium from the image plus the recovery
-//! mount's own write stream. Four oracles then apply:
+//! journal replay run), walks the whole tree ([`Vfs::tree`]), cleanly
+//! unmounts, and reconstructs the post-recovery medium from the image plus
+//! the recovery mount's own write stream. The recovered tree is held
+//! against the shadow model's trees ([`crate::workload::run_workload`],
+//! taken from `RamFs` by the same walk). Four oracles then apply:
 //!
 //! * **FsckClean** — recovery itself succeeds (mount, walk, unmount) and
 //!   the file system's offline checker finds nothing afterwards.
@@ -20,97 +22,14 @@
 //! Every violation carries the [`CrashImageSpec`] witness, so it replays
 //! from `(seed, image index)` alone.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use iron_blockdev::{CrashRecorder, MemDisk, WriteLog, WriteLogSnapshot};
 use iron_fingerprint::FsUnderTest;
-use iron_vfs::{FileType, FsEnv, SpecificFs, Vfs};
+use iron_vfs::{FsEnv, FsTree, TreeNode, Vfs};
 
 use crate::image::{apply_all, materialize, CrashImageSpec};
 use crate::workload::{ShadowModel, CRASH_ROOT};
-
-/// A node observed while walking a mounted tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TreeNode {
-    /// A directory.
-    Dir,
-    /// A regular file and its full content.
-    File(Vec<u8>),
-    /// A symlink and its target.
-    Symlink(String),
-}
-
-/// Full recursive listing of a mounted file system, path → node.
-pub type FsTree = BTreeMap<String, TreeNode>;
-
-/// Most nodes a walk will visit before declaring the tree corrupt. A
-/// crash image can decay into a directory cycle; the walker must return
-/// an error for the oracle to report, not spin.
-const WALK_NODE_BOUND: usize = 4096;
-
-/// Largest file size the walker will read. Anything bigger than the whole
-/// test disk is a corrupt inode, not a file.
-const WALK_SIZE_BOUND: u64 = 64 * 1024 * 1024;
-
-/// Recursively walk a mounted file system from the root, reading every
-/// file in full. Any error is fatal to the walk — a recovered file system
-/// must be fully traversable. Corruption that mounts anyway (directory
-/// cycles, implausible inode sizes) is bounded into an error rather than
-/// a hang.
-pub fn walk_tree(v: &mut Vfs<Box<dyn SpecificFs>>) -> Result<FsTree, String> {
-    let mut out = FsTree::new();
-    let mut stack = vec![String::from("/")];
-    let mut visited = 0usize;
-    while let Some(dir) = stack.pop() {
-        let entries = v
-            .readdir(&dir)
-            .map_err(|e| format!("readdir {dir}: {e:?}"))?;
-        for ent in entries {
-            if ent.name == "." || ent.name == ".." {
-                continue;
-            }
-            visited += 1;
-            if visited > WALK_NODE_BOUND {
-                return Err(format!(
-                    "tree walk exceeded {WALK_NODE_BOUND} nodes at {dir}/{} — directory cycle?",
-                    ent.name
-                ));
-            }
-            let path = if dir == "/" {
-                format!("/{}", ent.name)
-            } else {
-                format!("{}/{}", dir, ent.name)
-            };
-            match ent.ftype {
-                FileType::Directory => {
-                    out.insert(path.clone(), TreeNode::Dir);
-                    stack.push(path);
-                }
-                FileType::Regular => {
-                    let size = v
-                        .stat(&path)
-                        .map_err(|e| format!("stat {path}: {e:?}"))?
-                        .size;
-                    if size > WALK_SIZE_BOUND {
-                        return Err(format!("{path}: implausible size {size}"));
-                    }
-                    let data = v
-                        .read_file(&path)
-                        .map_err(|e| format!("read {path}: {e:?}"))?;
-                    out.insert(path, TreeNode::File(data));
-                }
-                FileType::Symlink => {
-                    let target = v
-                        .readlink(&path)
-                        .map_err(|e| format!("readlink {path}: {e:?}"))?;
-                    out.insert(path, TreeNode::Symlink(target));
-                }
-            }
-        }
-    }
-    Ok(out)
-}
 
 /// Which oracle a violation tripped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -214,7 +133,7 @@ pub fn check_image(
         }
         Ok(mounted) => {
             let mut v = Vfs::new(mounted);
-            let walked = walk_tree(&mut v);
+            let walked = v.tree();
             let unmounted = v.umount();
             match walked {
                 Err(e) => {
@@ -276,12 +195,18 @@ pub fn check_image(
     });
     if let Some(cp) = applicable {
         let mark = log.flush_marks[cp.flush_count - 1];
-        for (path, content) in &cp.files {
-            if shadow
+        let modified_since = |path: &String| {
+            shadow
                 .last_modified
                 .get(path)
                 .is_some_and(|&m| m > cp.op_index)
-            {
+        };
+        // Files first, then directories: one pass each over the tree.
+        for (path, node) in &cp.tree {
+            let TreeNode::File(content) = node else {
+                continue;
+            };
+            if modified_since(path) {
                 continue;
             }
             let ok = matches!(tree.get(path), Some(TreeNode::File(d)) if d == content);
@@ -312,12 +237,8 @@ pub fn check_image(
                 ));
             }
         }
-        for path in &cp.dirs {
-            if shadow
-                .last_modified
-                .get(path)
-                .is_some_and(|&m| m > cp.op_index)
-            {
+        for (path, node) in &cp.tree {
+            if *node != TreeNode::Dir || modified_since(path) {
                 continue;
             }
             if tree.get(path) != Some(&TreeNode::Dir) {
@@ -401,7 +322,7 @@ pub fn check_image(
         )),
         Ok(mounted) => {
             let mut v2 = Vfs::new(mounted);
-            match walk_tree(&mut v2) {
+            match v2.tree() {
                 Err(e) => out.push(viol(
                     OracleKind::Idempotence,
                     format!("second recovery walk failed: {e}"),

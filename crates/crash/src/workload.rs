@@ -2,9 +2,12 @@
 //! against.
 //!
 //! Each workload is an op script run over the VFS while the
-//! [`iron_blockdev::CrashRecorder`] captures the write stream. Alongside
-//! the real ops, a *shadow model* tracks what a correct file system must
-//! preserve: at every `Sync` a checkpoint snapshots the expected tree
+//! [`iron_blockdev::CrashRecorder`] captures the write stream. [`apply`]
+//! is the one interpreter of an op. [`run_workload`] runs every op twice:
+//! on the file system under test, then on a shadow `RamFs` — the same
+//! reference model every differential in the workspace uses. From the
+//! shadow it records what a correct file system must preserve: at every
+//! `Sync` a checkpoint holds the shadow's tree ([`iron_vfs::Vfs::tree`])
 //! together with the recorder's flush count — the durability promise the
 //! sync just bought — and per-path version history feeds the atomicity
 //! oracle.
@@ -20,7 +23,8 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use iron_blockdev::WriteLog;
-use iron_vfs::{SpecificFs, Vfs, VfsResult};
+use iron_vfs::ramfs::RamFs;
+use iron_vfs::{FsTree, SpecificFs, TreeNode, Vfs, VfsResult};
 
 /// Directory every workload confines itself to.
 pub const CRASH_ROOT: &str = "/crash";
@@ -105,6 +109,21 @@ pub fn pattern(len: usize, seed: u8) -> Vec<u8> {
         .collect()
 }
 
+/// Run `op` on `v` — the one interpreter of [`CrashOp`]. It drives the
+/// file system under test, the shadow model [`run_workload`] keeps beside
+/// it, and the generator's legality check ([`crate::gen`]).
+pub fn apply<F: SpecificFs>(v: &mut Vfs<F>, op: &CrashOp) -> VfsResult<()> {
+    match op {
+        CrashOp::Mkdir(p) => v.mkdir(p, 0o755),
+        CrashOp::Write(p, len, seed) => v.write_file(p, &pattern(*len, *seed)),
+        CrashOp::Truncate(p, size) => v.truncate(p, *size),
+        CrashOp::Unlink(p) => v.unlink(p),
+        CrashOp::Rmdir(p) => v.rmdir(p),
+        CrashOp::Rename(from, to) => v.rename(from, to),
+        CrashOp::Sync => v.sync(),
+    }
+}
+
 /// The expected tree at one durability checkpoint.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
@@ -114,10 +133,8 @@ pub struct Checkpoint {
     /// durability promise is `flush_marks[flush_count - 1]`: crash images
     /// containing every epoch below that mark must show this tree.
     pub flush_count: usize,
-    /// Expected file contents.
-    pub files: BTreeMap<String, Vec<u8>>,
-    /// Expected directories.
-    pub dirs: BTreeSet<String>,
+    /// The model's tree at the sync.
+    pub tree: FsTree,
 }
 
 /// Everything the oracles need to know about what the workload did.
@@ -138,122 +155,91 @@ pub struct ShadowModel {
     /// Op index of the last modification touching each path. Durability
     /// checks skip paths modified after the checkpoint they test.
     pub last_modified: BTreeMap<String, usize>,
-    /// File contents at the end of the script (what a loss-free replay
-    /// must show).
-    pub final_files: BTreeMap<String, Vec<u8>>,
-    /// Directories existing at the end of the script.
-    pub final_dirs: BTreeSet<String>,
+    /// The model's tree at the end of the script (what a loss-free
+    /// replay must show).
+    pub final_tree: FsTree,
 }
 
-/// Run `w` over a mounted file system, mirroring every op into the shadow
-/// model. `log` must be the recorder's log, so checkpoints capture the
-/// flush count their `sync` reached.
+/// The paths `op` touched, as `(name after the op, name before it)`. A
+/// rename touches its source and target and, when a directory moved,
+/// every node now under the target, found in the model's tree `after`.
+fn touched(op: &CrashOp, after: &FsTree) -> Vec<(String, String)> {
+    match op {
+        CrashOp::Mkdir(p)
+        | CrashOp::Write(p, ..)
+        | CrashOp::Truncate(p, _)
+        | CrashOp::Unlink(p)
+        | CrashOp::Rmdir(p) => vec![(p.to_string(), p.to_string())],
+        CrashOp::Rename(from, to) => {
+            let prefix = format!("{to}/");
+            let moved = after
+                .range(prefix.clone()..)
+                .take_while(|(p, _)| p.starts_with(&prefix))
+                .map(|(p, _)| (p.clone(), format!("{from}{}", &p[to.len()..])));
+            std::iter::once((to.to_string(), from.to_string()))
+                .chain(moved)
+                .collect()
+        }
+        CrashOp::Sync => Vec::new(),
+    }
+}
+
+/// Run `w` over a mounted file system and over a shadow `RamFs`, and
+/// record from the shadow what the oracles check against. `log` must be
+/// the recorder's log, so checkpoints capture the flush count their
+/// `sync` reached.
+///
+/// The file system under test runs each op first; its error is the
+/// workload's error. The shadow must then accept the op too — a shadow
+/// that refuses what the file system accepted is a harness bug.
 pub fn run_workload(
     v: &mut Vfs<Box<dyn SpecificFs>>,
     w: &CrashWorkload,
     log: &WriteLog,
 ) -> VfsResult<ShadowModel> {
+    let mut model = Vfs::new(RamFs::new());
     let mut shadow = ShadowModel::default();
-    let mut files: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-    let mut dirs: BTreeSet<String> = BTreeSet::new();
     let mut mutated: BTreeSet<String> = BTreeSet::new();
 
     for (op_index, op) in w.ops.iter().enumerate() {
         let op_index = op_index + 1; // 0 is reserved for the golden baseline
-        match op {
-            CrashOp::Mkdir(p) => {
-                v.mkdir(p, 0o755)?;
-                dirs.insert(p.to_string());
-                shadow.ever_dirs.insert(p.to_string());
-                // A directory appearing at this name disqualifies it from
-                // the strict create-once oracle: the namespace slot is
-                // being reused across object kinds.
-                mutated.insert(p.to_string());
-                shadow.last_modified.insert(p.to_string(), op_index);
-            }
-            CrashOp::Write(p, len, seed) => {
-                let data = pattern(*len, *seed);
-                v.write_file(p, &data)?;
-                if files.insert(p.to_string(), data.clone()).is_some() {
-                    mutated.insert(p.to_string());
-                }
-                shadow.versions.entry(p.to_string()).or_default().push(data);
-                shadow.last_modified.insert(p.to_string(), op_index);
-            }
-            CrashOp::Truncate(p, size) => {
-                v.truncate(p, *size)?;
-                let data = files.get_mut(p.as_ref()).expect("truncate of live file");
-                data.resize(*size as usize, 0);
-                shadow
+        apply(v, op)?;
+        // A write that creates its file is the one op that leaves its path
+        // eligible for the create-once oracle; every other op, an
+        // overwrite included, marks what it touched as mutated.
+        let created = matches!(op, CrashOp::Write(p, ..) if model.lstat(p).is_err());
+        apply(&mut model, op).unwrap_or_else(|e| {
+            panic!(
+                "{}: op {op_index} ({op:?}) ran on the file system, but the shadow refuses it: {e:?}",
+                w.name
+            )
+        });
+        let after = model.tree().expect("the shadow walks");
+        if *op == CrashOp::Sync {
+            shadow.checkpoints.push(Checkpoint {
+                op_index,
+                flush_count: log.flush_count(),
+                tree: after,
+            });
+            continue;
+        }
+        for (new, old) in touched(op, &after) {
+            match after.get(&new) {
+                Some(TreeNode::File(data)) => shadow
                     .versions
-                    .entry(p.to_string())
+                    .entry(new.clone())
                     .or_default()
-                    .push(data.clone());
-                mutated.insert(p.to_string());
-                shadow.last_modified.insert(p.to_string(), op_index);
-            }
-            CrashOp::Unlink(p) => {
-                v.unlink(p)?;
-                files.remove(p.as_ref());
-                mutated.insert(p.to_string());
-                shadow.last_modified.insert(p.to_string(), op_index);
-            }
-            CrashOp::Rmdir(p) => {
-                v.rmdir(p)?;
-                dirs.remove(p.as_ref());
-                // Like Mkdir: the name may be recreated as a different
-                // object kind later, so it leaves the create-once set.
-                mutated.insert(p.to_string());
-                shadow.last_modified.insert(p.to_string(), op_index);
-            }
-            CrashOp::Rename(from, to) => {
-                v.rename(from, to)?;
-                if let Some(data) = files.remove(from.as_ref()) {
-                    shadow
-                        .versions
-                        .entry(to.to_string())
-                        .or_default()
-                        .push(data.clone());
-                    files.insert(to.to_string(), data);
+                    .push(data.clone()),
+                Some(TreeNode::Dir) => {
+                    shadow.ever_dirs.insert(new.clone());
                 }
-                if dirs.remove(from.as_ref()) {
-                    dirs.insert(to.to_string());
-                    shadow.ever_dirs.insert(to.to_string());
-                    // Contained paths move with the directory.
-                    let prefix = format!("{from}/");
-                    let moved: Vec<String> = files
-                        .keys()
-                        .filter(|p| p.starts_with(&prefix))
-                        .cloned()
-                        .collect();
-                    for old in moved {
-                        let new = format!("{to}/{}", &old[prefix.len()..]);
-                        let data = files.remove(&old).expect("moved file exists");
-                        shadow
-                            .versions
-                            .entry(new.clone())
-                            .or_default()
-                            .push(data.clone());
-                        files.insert(new.clone(), data);
-                        mutated.insert(old.clone());
-                        mutated.insert(new.clone());
-                        shadow.last_modified.insert(old, op_index);
-                        shadow.last_modified.insert(new, op_index);
-                    }
-                }
-                mutated.insert(from.to_string());
-                mutated.insert(to.to_string());
-                shadow.last_modified.insert(from.to_string(), op_index);
-                shadow.last_modified.insert(to.to_string(), op_index);
+                _ => {}
             }
-            CrashOp::Sync => {
-                v.sync()?;
-                shadow.checkpoints.push(Checkpoint {
-                    op_index,
-                    flush_count: log.flush_count(),
-                    files: files.clone(),
-                    dirs: dirs.clone(),
-                });
+            for p in [old, new] {
+                if !created {
+                    mutated.insert(p.clone());
+                }
+                shadow.last_modified.insert(p, op_index);
             }
         }
     }
@@ -264,8 +250,7 @@ pub fn run_workload(
         .filter(|(p, vs)| vs.len() == 1 && !mutated.contains(*p))
         .map(|(p, _)| p.clone())
         .collect();
-    shadow.final_files = files;
-    shadow.final_dirs = dirs;
+    shadow.final_tree = model.tree().expect("the shadow walks");
     Ok(shadow)
 }
 

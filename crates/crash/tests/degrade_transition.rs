@@ -10,10 +10,10 @@
 use iron_blockdev::{CrashRecorder, MemDisk, RawAccess, WriteLog};
 use iron_core::recover::{Backoff, FailurePolicyTable, PolicyHandle, RecoveryAction};
 use iron_core::{BlockAddr, BlockTag, Errno, FaultKind, IoKind};
-use iron_crash::{apply_all, enumerate_images, materialize, walk_tree, EnumOptions};
+use iron_crash::{apply_all, enumerate_images, materialize, EnumOptions};
 use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, IronConfig};
 use iron_faultinject::{FaultSpec, FaultTarget, FaultyDisk};
-use iron_vfs::{FsEnv, MountState, SpecificFs, Vfs};
+use iron_vfs::{FsEnv, MountState, Vfs};
 
 /// Metadata writes: one re-issue, then degrade to read-only.
 fn degrade_policy() -> PolicyHandle {
@@ -99,8 +99,7 @@ fn every_crash_image_across_the_degradation_transition_recovers_clean() {
                 opts(),
             )
             .expect("recovery mount");
-            let boxed: Box<dyn SpecificFs> = Box::new(fs);
-            walk_tree(&mut Vfs::new(boxed)).expect("post-recovery tree walk");
+            Vfs::new(fs).tree().expect("post-recovery tree walk");
         }
 
         // Offline check of the post-recovery medium.

@@ -2,11 +2,11 @@
 //!
 //! Three layers of guarantee:
 //!
-//! 1. **The generator is sound**: every generated sequence replays
-//!    without error on `RamFs` and lands exactly on the shadow model's
-//!    final tree (the legality pruner and the shadow model agree with a
-//!    real VFS), and generation is a pure function — bit-identical
-//!    across runs and across threads.
+//! 1. **The generator is pure and pinned**: generation is a pure
+//!    function — bit-identical across runs and across threads — and the
+//!    family is pinned by size and by a digest of its names. Legality is
+//!    replay on `RamFs`, the same model the shadow runs, so there is no
+//!    second simulator to hold against it.
 //! 2. **The seq-2 family recovers per the matrix**: ixt3 (default and
 //!    pipelined) passes every oracle on every generated crash image;
 //!    the commodity models exhibit *only* their known hazard classes.
@@ -18,13 +18,11 @@
 
 mod common;
 
-use std::collections::BTreeMap;
-
 use common::LyingDrive;
 use iron_blockdev::WriteLog;
 use iron_crash::{
-    generate_workloads, run_generated_campaign, run_workload, walk_tree, CrashCampaignOptions,
-    CrashOp, CrashWorkload, GenOptions, GeneratedCampaignReport, OracleKind, TreeNode,
+    generate_workloads, run_generated_campaign, run_workload, CrashCampaignOptions, CrashOp,
+    CrashWorkload, GenOptions, GeneratedCampaignReport, OracleKind,
 };
 use iron_fingerprint::{Ext3Adapter, FsUnderTest, JfsAdapter, NtfsAdapter, ReiserAdapter};
 use iron_vfs::ramfs::RamFs;
@@ -61,45 +59,22 @@ fn generation_is_pure_and_bounded() {
     let names: std::collections::BTreeSet<&str> = seq3.iter().map(|w| w.name.as_ref()).collect();
     assert_eq!(names.len(), seq3.len(), "workload names collide");
 
+    // The family is pinned by content too: a change to legality that
+    // swaps one sequence for another keeps the sizes and moves this.
+    let joined = seq3
+        .iter()
+        .map(|w| w.name.as_ref())
+        .collect::<Vec<&str>>()
+        .join("\n");
+    assert_eq!(
+        iron_core::hash::digest64(joined.as_bytes()),
+        0x7e3f_3809_e018_5cd2,
+        "seq-3 family names"
+    );
+
     // The seq-2 family is a strict subset of the seq-3 family.
     for w in &seq2 {
         assert!(seq3.contains(w), "{} missing from the seq-3 family", w.name);
-    }
-}
-
-/// Replay every generated sequence (the full seq-3 family) on `RamFs`
-/// and require the observed final tree to equal the shadow model's. This
-/// pins three things at once: every emitted sequence is legal (no op
-/// errors), the legality simulator used for pruning agrees with a real
-/// VFS, and the shadow model's final-tree bookkeeping (including dir
-/// renames moving children and truncate resizing content) is exact.
-#[test]
-fn every_generated_sequence_replays_exactly_on_ramfs() {
-    let log = WriteLog::new();
-    for w in generate_workloads(&GenOptions::seq3()) {
-        let mut v: Vfs<Box<dyn SpecificFs>> = Vfs::new(Box::new(RamFs::new()));
-        let shadow = run_workload(&mut v, &w, &log)
-            .unwrap_or_else(|e| panic!("{}: illegal op escaped the pruner: {e:?}", w.name));
-
-        let mut expected: BTreeMap<String, TreeNode> = BTreeMap::new();
-        for d in &shadow.final_dirs {
-            expected.insert(d.clone(), TreeNode::Dir);
-        }
-        for (f, content) in &shadow.final_files {
-            expected.insert(f.clone(), TreeNode::File(content.clone()));
-        }
-
-        let observed: BTreeMap<String, TreeNode> = walk_tree(&mut v)
-            .unwrap_or_else(|e| panic!("{}: walk failed: {e}", w.name))
-            .into_iter()
-            .filter(|(p, _)| p == "/crash" || p.starts_with("/crash/"))
-            .collect();
-
-        assert_eq!(
-            observed, expected,
-            "{}: RamFs replay diverges from the shadow model",
-            w.name
-        );
     }
 }
 

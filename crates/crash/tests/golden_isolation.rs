@@ -6,8 +6,7 @@
 use iron_blockdev::{BlockDevice, CrashRecorder, MemDisk, RawAccess, WriteLog};
 use iron_core::{Block, BlockAddr};
 use iron_crash::{
-    apply_all, enumerate_images, materialize, run_workload, standard_workloads, walk_tree,
-    EnumOptions,
+    apply_all, enumerate_images, materialize, run_workload, standard_workloads, EnumOptions,
 };
 use iron_fingerprint::{Ext3Adapter, FsUnderTest};
 use iron_vfs::{FsEnv, Vfs};
@@ -48,7 +47,7 @@ fn golden_is_byte_identical_after_images_are_poked_mounted_and_recovered() {
             .mount_crash(CrashRecorder::with_log(image, rlog.clone()), FsEnv::new())
             .unwrap();
         let mut v = Vfs::new(mounted);
-        walk_tree(&mut v).unwrap();
+        v.tree().unwrap();
         v.umount().unwrap();
         let rsnap = rlog.snapshot();
         recovered += usize::from(!rsnap.records.is_empty());

@@ -9,7 +9,7 @@
 
 use iron_blockdev::{BlockDevice, MemDisk, RawAccess};
 use iron_core::BlockAddr;
-use iron_vfs::{FileType, SpecificFs, Vfs, VfsResult};
+use iron_vfs::{SpecificFs, TreeNode, Vfs};
 
 use crate::engine::{replay_serial, serve, ServeOptions, Session};
 use crate::proto::digest;
@@ -30,42 +30,23 @@ pub fn memdisk_image(md: &MemDisk) -> Vec<u8> {
 /// so the oracle can compare final states even where no disk image
 /// exists.
 pub fn fs_fingerprint<F: SpecificFs>(vfs: &mut Vfs<F>) -> Vec<String> {
-    fn walk<F: SpecificFs>(vfs: &mut Vfs<F>, path: &str, out: &mut Vec<String>) -> VfsResult<()> {
-        let entries = vfs.readdir(path)?;
-        for e in entries {
-            if e.name == "." || e.name == ".." {
-                continue;
+    let tree = vfs.tree().expect("fingerprint walk");
+    let mut out: Vec<String> = tree
+        .into_iter()
+        .map(|(path, node)| {
+            let attr = vfs.lstat(&path).expect("fingerprint lstat");
+            match node {
+                TreeNode::Dir => format!("{path} dir nlink={}", attr.nlink),
+                TreeNode::File(data) => format!(
+                    "{path} file size={} nlink={} digest={:016x}",
+                    attr.size,
+                    attr.nlink,
+                    digest(&data)
+                ),
+                TreeNode::Symlink(target) => format!("{path} symlink -> {target}"),
             }
-            let child = if path == "/" {
-                format!("/{}", e.name)
-            } else {
-                format!("{path}/{}", e.name)
-            };
-            let attr = vfs.lstat(&child)?;
-            match attr.ftype {
-                FileType::Directory => {
-                    out.push(format!("{child} dir nlink={}", attr.nlink));
-                    walk(vfs, &child, out)?;
-                }
-                FileType::Regular => {
-                    let data = vfs.read_file(&child)?;
-                    out.push(format!(
-                        "{child} file size={} nlink={} digest={:016x}",
-                        attr.size,
-                        attr.nlink,
-                        digest(&data)
-                    ));
-                }
-                FileType::Symlink => {
-                    let target = vfs.readlink(&child)?;
-                    out.push(format!("{child} symlink -> {target}"));
-                }
-            }
-        }
-        Ok(())
-    }
-    let mut out = Vec::new();
-    walk(vfs, "/", &mut out).expect("fingerprint walk");
+        })
+        .collect();
     out.sort();
     out
 }

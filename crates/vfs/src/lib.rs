@@ -14,6 +14,8 @@
 //!   mount state machine (read-write → read-only → crashed). ReiserFS's
 //!   `panic()` and ext3's journal abort are transitions of this machine,
 //!   observable by the fingerprinting framework.
+//! * [`Vfs::tree`] walks the whole namespace into one [`FsTree`] — the
+//!   one recursive walk every namespace comparison uses.
 //! * [`flat`] is the flat-inode file model the JFS and NTFS models share:
 //!   one implementation of directories, file bodies and every namespace
 //!   operation over the storage primitives of a [`flat::FlatStore`].
@@ -32,10 +34,12 @@ pub mod flat;
 pub mod fs;
 pub mod paths;
 pub mod ramfs;
+pub mod tree;
 pub mod types;
 pub mod vfs;
 
 pub use env::{FsEnv, MountState};
 pub use fs::SpecificFs;
+pub use tree::{FsTree, TreeNode};
 pub use types::{DirEntry, Fd, FileType, InodeAttr, OpenFlags, StatFs, VfsError, VfsResult};
 pub use vfs::Vfs;

@@ -33,7 +33,7 @@ pub mod space;
 
 /// ACE-style bounded workload generation for the crash enumerator
 /// (re-exported from `iron_crash::gen` — the generator lives beside the
-/// shadow model whose legality rules it prunes against).
+/// `CrashOp` interpreter whose replay on `RamFs` is its legality rule).
 pub mod crashgen {
     pub use iron_crash::gen::{
         find_generated, generate_workloads, op_instances, GenOptions, SyncPlacement, GEN_CONTENT,
