@@ -366,6 +366,11 @@ cargo fmt --all --check
 echo '== clippy =='
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo '== doc =='
+# An intra-doc link to a renamed or private item is an error, not a
+# warning that scrolls past.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 results
 
 if [ "${IRON_STRESS:-0}" = "1" ]; then

@@ -14,9 +14,10 @@
 //!   dirty data, the paper's lost-write window made flesh).
 //! * **Barriers are absorbed** too: [`BlockDevice::barrier`] only seals the
 //!   current *epoch*. Destaging writes epochs strictly in issue order with
-//!   an inner barrier between them, so the ordering contract — everything
-//!   written before a barrier reaches the medium before anything written
-//!   after it — holds exactly for the traffic the device below observes.
+//!   an inner barrier between any two of them, inside one destage or
+//!   across two. So the ordering contract — everything written before a
+//!   barrier reaches the medium before anything written after it — holds
+//!   exactly for the traffic the device below observes.
 //!   Within an epoch no order is owed, so an epoch's blocks go out in
 //!   ascending address order — the elevator of [`crate::sched`] — and the
 //!   simulated disk services each adjacent run at streaming rate.
@@ -129,6 +130,10 @@ pub struct BufferCache<D> {
     /// `dirty` is `Some(epoch)`. Iterates in destage order — epochs
     /// ascending, addresses ascending inside an epoch.
     dirty: BTreeSet<(u64, u64)>,
+    /// The epoch of the last write-back that no inner barrier has yet
+    /// followed. A destage that opens with another epoch barriers first,
+    /// so the order holds across destages too.
+    unbarriered: Option<u64>,
     stats: CacheStats,
 }
 
@@ -147,6 +152,7 @@ impl<D: BlockDevice> BufferCache<D> {
             epoch: 0,
             epoch_dirty: false,
             dirty: BTreeSet::new(),
+            unbarriered: None,
             stats: CacheStats::default(),
         }
     }
@@ -191,10 +197,12 @@ impl<D: BlockDevice> BufferCache<D> {
 
     /// Write every dirty block to the inner device: epochs strictly in
     /// issue order with an inner barrier between them, each epoch's blocks
-    /// ascending. On a failed write-back (or barrier) the error is
-    /// returned, already-destaged blocks stay clean, and the failed block
-    /// and everything after it stay dirty — still in the index — for the
-    /// next attempt.
+    /// ascending. The epoch an earlier destage wrote last is kept apart
+    /// the same way: if this one's first differs, an inner barrier comes
+    /// first. On a failed write-back (or barrier) the error is returned,
+    /// already-destaged blocks stay clean, and the failed block and
+    /// everything after it stay dirty — still in the index — for the next
+    /// attempt.
     pub fn destage(&mut self) -> DiskResult<()> {
         if self.dirty.is_empty() {
             return Ok(());
@@ -203,8 +211,9 @@ impl<D: BlockDevice> BufferCache<D> {
         let mut writing = None;
         while let Some(&(epoch, addr)) = self.dirty.first() {
             if writing != Some(epoch) {
-                if writing.is_some() {
+                if self.unbarriered.is_some_and(|e| e != epoch) {
                     self.inner.barrier()?;
+                    self.unbarriered = None;
                 }
                 writing = Some(epoch);
                 let of_epoch = self.dirty.range((epoch, 0)..=(epoch, u64::MAX));
@@ -218,6 +227,7 @@ impl<D: BlockDevice> BufferCache<D> {
                 .write_page(BlockAddr(addr), &entry.page, entry.tag)?;
             entry.dirty = None;
             self.dirty.pop_first();
+            self.unbarriered = Some(epoch);
             self.stats.writebacks += 1;
         }
         Ok(())
@@ -344,7 +354,9 @@ impl<D: BlockDevice> BlockDevice for BufferCache<D> {
             return self.inner.flush();
         }
         self.destage()?;
-        self.inner.flush()
+        self.inner.flush()?;
+        self.unbarriered = None;
+        Ok(())
     }
 
     fn readahead(&mut self, start: BlockAddr, len: u64) {
@@ -381,23 +393,24 @@ impl<D: BlockDevice + RawAccess> RawAccess for BufferCache<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iolog::{IoLog, Recorder};
     use crate::memdisk::MemDisk;
-    use crate::trace::{IoTrace, TraceLayer};
     use iron_core::IoKind;
 
     fn cached(capacity: usize) -> BufferCache<MemDisk> {
         BufferCache::new(MemDisk::for_tests(64), CachePolicy::write_back(capacity))
     }
 
-    /// A cache over a traced medium: the trace sees exactly what is destaged.
-    fn traced(capacity: usize) -> (BufferCache<TraceLayer<MemDisk>>, IoTrace) {
-        let medium = TraceLayer::new(MemDisk::for_tests(64));
-        let trace = medium.trace();
+    /// A cache over a recorded medium: the log sees exactly what is
+    /// destaged.
+    fn traced(capacity: usize) -> (BufferCache<Recorder<MemDisk>>, IoLog) {
+        let medium = Recorder::new(MemDisk::for_tests(64));
+        let trace = medium.log();
         let cache = BufferCache::new(medium, CachePolicy::write_back(capacity));
         (cache, trace)
     }
 
-    fn written(trace: &IoTrace) -> Vec<u64> {
+    fn written(trace: &IoLog) -> Vec<u64> {
         trace
             .events()
             .into_iter()

@@ -41,25 +41,25 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod crashrec;
 pub mod device;
 pub mod geometry;
+pub mod iolog;
 pub mod lru;
 pub mod memdisk;
 pub mod page;
 pub mod retry;
 pub mod sched;
 pub mod stack;
-pub mod trace;
 
 pub use cache::{BufferCache, CachePolicy, CacheStats};
-pub use crashrec::{CrashRecorder, WriteLog, WriteLogSnapshot, WriteRecord};
 pub use device::{BlockDevice, DiskError, DiskResult, RawAccess};
 pub use geometry::DiskGeometry;
+pub use iolog::{
+    IoEvent, IoLog, IoOp, IoOutcome, IoRecord, Recorder, WriteLogSnapshot, WriteRecord,
+};
 pub use lru::Lru;
 pub use memdisk::MemDisk;
 pub use page::Page;
 pub use retry::{RetryConfig, RetryLayer, RetryStats, RetryStatsSnapshot};
 pub use sched::ScanReadahead;
 pub use stack::StackBuilder;
-pub use trace::{IoEvent, IoOutcome, IoTrace, TraceLayer};

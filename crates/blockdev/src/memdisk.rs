@@ -1,6 +1,6 @@
 //! [`MemDisk`]: a perfect in-memory disk with a mechanical timing model.
 //! It stores blocks, charges service time and counts requests; it does not
-//! record them (see [`crate::trace`] for who does).
+//! record them (see [`crate::iolog`] for who does).
 
 use std::sync::Arc;
 
@@ -329,8 +329,8 @@ impl RawAccess for MemDisk {
 mod tests {
     use super::*;
     use crate::cache::{BufferCache, CachePolicy};
+    use crate::iolog::{IoOutcome, Recorder};
     use crate::page::SHA1_FILLS;
-    use crate::trace::{IoOutcome, TraceLayer};
     use iron_core::checksum::sha1;
     use iron_core::{IoKind, BLOCK_SIZE};
 
@@ -574,13 +574,13 @@ mod tests {
 
     #[test]
     fn readahead_changes_no_content_or_counted_io() {
-        let mut d = TraceLayer::new(MemDisk::for_tests(64));
+        let mut d = Recorder::new(MemDisk::for_tests(64));
         d.write(BlockAddr(5), &Block::filled(0x5A)).unwrap();
         let stats_before = d.inner().stats();
-        let trace_len = d.trace().len();
+        let trace_len = d.log().len();
         d.readahead(BlockAddr(0), 64);
         assert_eq!(d.inner().stats(), stats_before, "a hint reads nothing");
-        assert_eq!(d.trace().len(), trace_len, "a hint is not a traced event");
+        assert_eq!(d.log().len(), trace_len, "a hint is not a recorded request");
         assert_eq!(d.read(BlockAddr(5)).unwrap(), Block::filled(0x5A));
     }
 
@@ -631,8 +631,8 @@ mod tests {
 
     #[test]
     fn trace_records_tags_and_outcomes() {
-        let mut d = TraceLayer::new(MemDisk::for_tests(8));
-        let trace = d.trace();
+        let mut d = Recorder::new(MemDisk::for_tests(8));
+        let trace = d.log();
         d.read_tagged(BlockAddr(1), BlockTag("inode")).unwrap();
         d.write_tagged(BlockAddr(2), &Block::zeroed(), BlockTag("j-commit"))
             .unwrap();
@@ -646,8 +646,8 @@ mod tests {
 
     #[test]
     fn peek_poke_bypass_trace_and_clock() {
-        let mut d = TraceLayer::new(MemDisk::for_tests(8));
-        let trace = d.trace();
+        let mut d = Recorder::new(MemDisk::for_tests(8));
+        let trace = d.log();
         let clock = d.inner().clock();
         let before = clock.now_ns();
         d.poke(BlockAddr(5), &Block::filled(7));

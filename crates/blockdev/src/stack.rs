@@ -20,11 +20,10 @@
 //! `.with_faults(plan)` on top of it.
 
 use crate::cache::{BufferCache, CachePolicy};
-use crate::crashrec::{CrashRecorder, WriteLog};
 use crate::device::BlockDevice;
+use crate::iolog::{IoLog, Recorder};
 use crate::memdisk::MemDisk;
 use crate::retry::{RetryConfig, RetryLayer};
-use crate::trace::{IoTrace, TraceLayer};
 
 /// Builds a device stack bottom-up: start from a disk, wrap layers in
 /// order, [`Self::build`] to take the finished device.
@@ -57,19 +56,12 @@ impl<D: BlockDevice> StackBuilder<D> {
         }
     }
 
-    /// Record every request crossing this point into `trace`. Place it
-    /// below the cache to observe destaged (medium-visible) traffic, above
-    /// it to observe what the file system issued.
-    pub fn with_trace(self, trace: IoTrace) -> StackBuilder<TraceLayer<D>> {
-        self.layer(|dev| TraceLayer::with_trace(dev, trace))
-    }
-
-    /// Record the write stream crossing this point (with barrier/flush
-    /// epoch boundaries) into `log` — the input to crash-state
-    /// enumeration. Place it directly above the medium whose crash
-    /// states are to be reconstructed.
-    pub fn with_crash_recorder(self, log: WriteLog) -> StackBuilder<CrashRecorder<D>> {
-        self.layer(|dev| CrashRecorder::with_log(dev, log))
+    /// Record every request crossing this point into `log`. Place it
+    /// directly above a medium to record what crash-state enumeration
+    /// reconstructs, below the cache to observe destaged (medium-visible)
+    /// traffic, above it to observe what the file system issued.
+    pub fn with_recorder(self, log: IoLog) -> StackBuilder<Recorder<D>> {
+        self.layer(|dev| Recorder::with_log(dev, log))
     }
 
     /// Enact device-level failure policy at this point in the stack: a
@@ -107,9 +99,9 @@ mod tests {
 
     #[test]
     fn builder_layers_compose_in_order() {
-        let medium_trace = IoTrace::new();
+        let medium_trace = IoLog::new();
         let mut dev = StackBuilder::memdisk(64)
-            .with_trace(medium_trace.clone())
+            .with_recorder(medium_trace.clone())
             .with_cache(CachePolicy::write_back(8))
             .build();
         dev.write(BlockAddr(1), &Block::filled(7)).unwrap();
@@ -124,9 +116,9 @@ mod tests {
 
     #[test]
     fn write_through_stack_is_transparent() {
-        let trace = IoTrace::new();
+        let trace = IoLog::new();
         let mut dev = StackBuilder::memdisk(16)
-            .with_trace(trace.clone())
+            .with_recorder(trace.clone())
             .write_through()
             .build();
         dev.write(BlockAddr(2), &Block::filled(1)).unwrap();

@@ -8,8 +8,8 @@
 //! `IRON_TESTKIT_SEED=<seed> cargo test -q <test_name>`.
 
 use iron_blockdev::{
-    BlockDevice, BufferCache, CachePolicy, DiskError, DiskResult, MemDisk, RawAccess, StackBuilder,
-    TraceLayer,
+    BlockDevice, BufferCache, CachePolicy, DiskError, DiskResult, IoLog, MemDisk, RawAccess,
+    Recorder, StackBuilder,
 };
 use iron_core::{Block, BlockAddr, BlockTag, IoKind};
 use iron_testkit::gen::{self, Gen};
@@ -97,10 +97,10 @@ fn destage_respects_barrier_epochs() {
         &cases,
         |(ops, cap)| {
             let mut cached = StackBuilder::memdisk(DISK_BLOCKS)
-                .layer(TraceLayer::new)
+                .layer(Recorder::new)
                 .with_cache(CachePolicy::write_back(*cap))
                 .build();
-            let trace = cached.inner().trace();
+            let trace = cached.inner().log();
 
             // Model the epoch each block's *last* write belongs to: the
             // epoch counter advances on a barrier iff something was
@@ -113,7 +113,7 @@ fn destage_respects_barrier_epochs() {
 
             let check_destage_order =
                 |mark: usize,
-                 trace: &iron_blockdev::IoTrace,
+                 trace: &iron_blockdev::IoLog,
                  expected: &std::collections::HashMap<u64, u64>| {
                     let writes: Vec<u64> = trace
                         .since(mark)
@@ -168,6 +168,36 @@ fn destage_respects_barrier_epochs() {
             cached.flush().unwrap();
             check_destage_order(mark, &trace, &expected_epoch);
         },
+    );
+}
+
+/// An epoch one destage wrote and the next epoch a later destage writes
+/// are kept apart by a barrier below. The witness: at capacity 2, two read
+/// misses destage `write(10)` on their own; the barrier that follows is
+/// absorbed, and the flush destages `write(11)`. Without the barrier the
+/// destage owes, both writes share epoch 0 below the cache, so a crash
+/// image may hold 11 without 10.
+#[test]
+fn a_later_destage_opens_with_a_barrier() {
+    let log = IoLog::new();
+    let mut cached = StackBuilder::memdisk(DISK_BLOCKS)
+        .with_recorder(log.clone())
+        .with_cache(CachePolicy::write_back(2))
+        .build();
+    cached.write(BlockAddr(10), &Block::filled(1)).unwrap();
+    cached.read(BlockAddr(20)).unwrap();
+    cached.read(BlockAddr(21)).unwrap();
+    cached.barrier().unwrap();
+    cached.write(BlockAddr(11), &Block::filled(2)).unwrap();
+    cached.flush().unwrap();
+
+    let below: Vec<(u64, u64)> = (log.snapshot().records.iter())
+        .map(|w| (w.addr.0, w.epoch))
+        .collect();
+    assert_eq!(
+        below,
+        [(10, 0), (11, 1)],
+        "11 lands in a later epoch than 10"
     );
 }
 
@@ -327,27 +357,31 @@ fn index_op_gen() -> impl Gen<Value = IndexOp> {
 }
 
 /// The model of the cache's dirty state: `addr → epoch` of every dirty
-/// block, plus the epoch counter (which advances on a barrier iff
-/// something was written since it last advanced).
-#[derive(Default)]
+/// block, the epoch counter (which advances on a barrier iff something
+/// was written since it last advanced), and the epoch of the last
+/// write-back no barrier below has followed yet.
+#[derive(Clone, Default)]
 struct DirtyModel {
     dirty: BTreeMap<u64, u64>,
     epoch: u64,
     epoch_dirty: bool,
+    unbarriered: Option<u64>,
 }
 
 impl DirtyModel {
     /// What one destage attempt must show below the cache — epochs in
-    /// order, one barrier between them, addresses ascending inside each,
-    /// stopping at the first write that fails — and whether it fails.
-    /// Blocks written are dropped from the model.
+    /// order, a barrier before each epoch other than the one last written
+    /// back (by this destage or an earlier one), addresses ascending
+    /// inside each, stopping at the first write that fails — and whether
+    /// it fails. Blocks written are dropped from the model.
     fn destage(&mut self, failing: &[u64]) -> (Vec<Seen>, bool) {
         let mut keys: Vec<(u64, u64)> = self.dirty.iter().map(|(&a, &e)| (e, a)).collect();
         keys.sort_unstable();
         let mut seen = Vec::new();
-        for (i, &(epoch, addr)) in keys.iter().enumerate() {
-            if i > 0 && keys[i - 1].0 != epoch {
+        for (epoch, addr) in keys {
+            if self.unbarriered.is_some_and(|e| e != epoch) {
                 seen.push(Seen::Barrier);
+                self.unbarriered = None;
             }
             let ok = !failing.contains(&addr);
             seen.push(Seen::Write { addr, ok });
@@ -355,6 +389,7 @@ impl DirtyModel {
                 return (seen, true);
             }
             self.dirty.remove(&addr);
+            self.unbarriered = Some(epoch);
         }
         (seen, false)
     }
@@ -381,7 +416,7 @@ fn dirty_index_matches_the_model(name: &str, cases: u32) {
         for op in ops {
             // A destage, if this operation runs one, runs before the
             // operation's own effect: predict it from the model as it is.
-            let before = model.dirty.clone();
+            let before = model.clone();
             let (predicted, fails) = model.destage(bad);
             let result = match *op {
                 IndexOp::Write(a, f) => cache.write(BlockAddr(a), &Block::filled(f)),
@@ -397,7 +432,7 @@ fn dirty_index_matches_the_model(name: &str, cases: u32) {
             };
             let seen = std::mem::take(&mut cache.inner_mut().seen);
             if seen.is_empty() && !matches!(op, IndexOp::Flush) {
-                model.dirty = before; // no eviction, so no destage
+                model = before; // no eviction, so no destage
                 assert!(result.is_ok(), "{op:?} failed without I/O");
             } else {
                 assert_eq!(seen, predicted, "destage order at {op:?}");
@@ -425,7 +460,10 @@ fn dirty_index_matches_the_model(name: &str, cases: u32) {
                     let seen = std::mem::take(&mut cache.inner_mut().seen);
                     assert_eq!(seen, remaining, "healed retry");
                     cache.inner_mut().healed = false;
+                    model.unbarriered = None;
                 }
+                // A flush that reached the device below is a barrier too.
+                IndexOp::Flush => model.unbarriered = None,
                 _ => {}
             }
             assert_eq!(cache.dirty_blocks(), model.dirty.len(), "after {op:?}");

@@ -9,9 +9,7 @@
 //! state its flush semantics explicitly, and `MemDisk` counts the two
 //! separately so stacks can assert end-to-end forwarding.
 
-use iron_blockdev::{
-    BlockDevice, CachePolicy, CrashRecorder, MemDisk, RawAccess, StackBuilder, WriteLog,
-};
+use iron_blockdev::{BlockDevice, CachePolicy, IoLog, MemDisk, RawAccess, Recorder, StackBuilder};
 use iron_core::{Block, BlockAddr};
 
 /// A flush issued at the top of the full write-back stack must arrive at
@@ -20,7 +18,7 @@ use iron_core::{Block, BlockAddr};
 #[test]
 fn flush_reaches_the_medium_as_a_flush_through_the_full_stack() {
     let mut dev = StackBuilder::memdisk(64)
-        .with_crash_recorder(WriteLog::new())
+        .with_recorder(IoLog::new())
         .with_cache(CachePolicy::write_back(8))
         .build();
 
@@ -59,11 +57,11 @@ fn barrier_is_not_promoted_to_flush() {
     assert_eq!(s.flushes, 1);
 }
 
-/// The crash recorder keeps the distinction: barriers seal epochs (an
+/// The recorder keeps the distinction: barriers seal epochs (an
 /// ordering fact), only flushes append durability marks.
 #[test]
 fn recorder_separates_epoch_seals_from_flush_marks() {
-    let mut dev = CrashRecorder::new(MemDisk::for_tests(16));
+    let mut dev = Recorder::new(MemDisk::for_tests(16));
     let log = dev.log();
     dev.write(BlockAddr(1), &Block::filled(1)).unwrap();
     dev.barrier().unwrap();

@@ -11,12 +11,12 @@
 //! re-read of the old digest. The final sweep reads every block,
 //! never-written zero pages included.
 //!
-//! Then the stacks: every layer (`CrashRecorder`, `TraceLayer`,
-//! `RetryLayer`, `BufferCache` in both policies, `ReplicatedDisk` under all
-//! three read policies) is built twice over one disk; one twin is written
-//! with `write_page` and read with `read_page`, the other written with
-//! `write_tagged` and read with `read_tagged` and hashed, and the two must
-//! agree in every result and in every counter, trace and clock below.
+//! Then the stacks: every layer (`Recorder`, `RetryLayer`, `BufferCache`
+//! in both policies, `ReplicatedDisk` under all three read policies) is
+//! built twice over one disk; one twin is written with `write_page` and
+//! read with `read_page`, the other written with `write_tagged` and read
+//! with `read_tagged` and hashed, and the two must agree in every result
+//! and in every counter, log and clock below.
 //!
 //! Last, sharing: a page written at the top of each of those stacks, and
 //! of a fault-free `FaultyDisk`, is — pointer for pointer — the page every
@@ -29,8 +29,8 @@ use std::fmt::Debug;
 use std::sync::{Arc, OnceLock};
 
 use iron_blockdev::{
-    BlockDevice, BufferCache, CachePolicy, CrashRecorder, DiskGeometry, MemDisk, Page, RawAccess,
-    RetryConfig, RetryLayer, TraceLayer,
+    BlockDevice, BufferCache, CachePolicy, DiskGeometry, MemDisk, Page, RawAccess, Recorder,
+    RetryConfig, RetryLayer,
 };
 use iron_cluster::{ReadPolicy, ReplicatedDisk};
 use iron_core::checksum::{sha1, Sha1Digest};
@@ -162,27 +162,19 @@ fn twins<S: BlockDevice, T: PartialEq + Debug>(
 /// Every stack the campaigns and the serve path build, twice over `disk`.
 fn through_every_stack(disk: &MemDisk, model: &[u8]) {
     twins(
-        "CrashRecorder",
+        "Recorder",
         (
-            CrashRecorder::new(disk.snapshot()),
-            CrashRecorder::new(disk.snapshot()),
-        ),
-        model,
-        |s| (s.inner().stats(), s.log().len()),
-    );
-    twins(
-        "TraceLayer",
-        (
-            TraceLayer::new(disk.snapshot()),
-            TraceLayer::new(disk.snapshot()),
+            Recorder::new(disk.snapshot()),
+            Recorder::new(disk.snapshot()),
         ),
         model,
         |s| {
-            let events = s.trace().events();
-            (
-                s.inner().stats(),
-                events.iter().map(ToString::to_string).collect::<Vec<_>>(),
-            )
+            let log = s.log();
+            let events: Vec<_> = log.events().iter().map(ToString::to_string).collect();
+            let writes: Vec<_> = (log.snapshot().records.into_iter())
+                .map(|w| (w.seq, w.epoch, w.addr, w.tag, w.data))
+                .collect();
+            (s.inner().stats(), events, writes)
         },
     );
     let retry = || {
@@ -363,14 +355,8 @@ fn a_written_page_is_the_page_below() {
         |s| vec![on(s.inner_mut())],
     );
     shares_the_written_page(
-        "TraceLayer",
-        TraceLayer::new(disk()),
-        |_| {},
-        |s| vec![on(s.inner_mut())],
-    );
-    shares_the_written_page(
-        "CrashRecorder",
-        CrashRecorder::new(disk()),
+        "Recorder",
+        Recorder::new(disk()),
         |_| {},
         |s| vec![on(s.inner_mut())],
     );

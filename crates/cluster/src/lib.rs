@@ -7,7 +7,7 @@
 //!
 //! * [`ReplicatedDisk`] — one logical volume mirrored across N replica
 //!   stacks behind [`iron_blockdev::StackBuilder`] (each replica keeps
-//!   its own fault-injection, cache, and trace layers). Writes fan out in
+//!   its own fault-injection, cache, and recording layers). Writes fan out in
 //!   replica order; barriers and flushes are forwarded to every replica,
 //!   so per-replica ordering and durability semantics match a single
 //!   disk exactly.

@@ -1,7 +1,7 @@
 //! [`ReplicatedDisk`]: one logical volume mirrored across N replicas.
 //!
 //! Each replica is an arbitrary device stack (typically a [`MemDisk`]
-//! with its own fault-injection, cache, and trace layers), so faults can
+//! with its own fault-injection, cache, and recording layers), so faults can
 //! be injected per replica while the file system above sees a single
 //! block device. Writes fan out to every replica in index order, as one
 //! shared [`Page`], so the replicas' media hold one copy of it; barriers
@@ -84,7 +84,7 @@ struct ClusterState {
 
 /// Shared observability handle for a [`ReplicatedDisk`].
 ///
-/// Cloning shares state (the same pattern as `FaultPlan` / `IoTrace`), so
+/// Cloning shares state (the same pattern as `FaultPlan` / `IoLog`), so
 /// a harness can keep a handle even after the device itself has been
 /// consumed by a failed mount.
 #[derive(Clone, Debug, Default)]

@@ -1,12 +1,12 @@
 //! Crash-enumeration spot-check over a replicated volume (satellite of
-//! the cluster PR): stacking [`CrashRecorder`] above [`ReplicatedDisk`]
+//! the cluster PR): stacking a [`Recorder`] above [`ReplicatedDisk`]
 //! must (a) deliver every barrier and flush to every replica medium — the
 //! write fan-out preserves ordering/durability semantics per replica —
 //! and (b) still satisfy the crash harness's recovery oracle: every
 //! enumerated crash image of an ixt3 workload over a 3-replica volume
 //! mounts, replays, and fscks clean.
 
-use iron_blockdev::{BlockDevice, CrashRecorder, MemDisk, RawAccess, WriteLog};
+use iron_blockdev::{BlockDevice, IoLog, MemDisk, RawAccess, Recorder};
 use iron_cluster::{ReadPolicy, ReplicatedDisk};
 use iron_core::{Block, BlockAddr};
 use iron_crash::{enumerate_images, materialize, EnumOptions};
@@ -16,8 +16,8 @@ use iron_vfs::{FsEnv, Vfs};
 #[test]
 fn barriers_and_flushes_reach_every_replica_medium() {
     let golden = MemDisk::for_tests(16);
-    let log = WriteLog::new();
-    let mut dev = CrashRecorder::with_log(
+    let log = IoLog::new();
+    let mut dev = Recorder::with_log(
         ReplicatedDisk::from_golden(&golden, 3, ReadPolicy::Primary),
         log.clone(),
     );
@@ -67,8 +67,8 @@ fn enumerated_crash_images_of_cluster_workload_recover_cleanly() {
         DiskLayout::compute(sb.params())
     };
 
-    let log = WriteLog::new();
-    let recorder = CrashRecorder::with_log(
+    let log = IoLog::new();
+    let recorder = Recorder::with_log(
         ReplicatedDisk::from_golden(&golden, 3, ReadPolicy::Quorum),
         log.clone(),
     );

@@ -11,7 +11,7 @@
 //! diagnose a `[fs/workload] image N (cut epoch K, subset [...])` line
 //! from `crash_matrix` or a failing oracle test.
 
-use iron_blockdev::{CrashRecorder, WriteLog};
+use iron_blockdev::{IoLog, Recorder};
 use iron_crash::{
     apply_all, enumerate_images, materialize, run_workload, standard_workloads, EnumOptions,
 };
@@ -34,11 +34,11 @@ fn main() {
     let workloads = standard_workloads();
     let w = &workloads[wli];
     let base = fs.golden(false);
-    let log = WriteLog::new();
+    let log = IoLog::new();
     let shadow = {
         let mounted = fs
             .mount_crash(
-                CrashRecorder::with_log(base.snapshot(), log.clone()),
+                Recorder::with_log(base.snapshot(), log.clone()),
                 FsEnv::new(),
             )
             .unwrap();
@@ -63,10 +63,10 @@ fn main() {
         );
     }
     let disk = materialize(&base, &snap, spec);
-    let rlog = WriteLog::new();
+    let rlog = IoLog::new();
     let env = FsEnv::new();
     eprintln!("mounting...");
-    let mounted = fs.mount_crash(CrashRecorder::with_log(disk, rlog.clone()), env.clone());
+    let mounted = fs.mount_crash(Recorder::with_log(disk, rlog.clone()), env.clone());
     for e in env.klog.entries() {
         eprintln!("  klog: {e:?}");
     }

@@ -3,7 +3,7 @@
 //! campaign* that fans an ACE-style workload family's whole
 //! `(workload × cut-epoch × subset)` product over the pool.
 
-use iron_blockdev::{CrashRecorder, MemDisk, WriteLog};
+use iron_blockdev::{IoLog, MemDisk, Recorder};
 use iron_core::exec::WorkerPool;
 use iron_fingerprint::FsUnderTest;
 use iron_vfs::{FsEnv, FsTree, Vfs};
@@ -51,7 +51,7 @@ impl CrashReport {
 /// Walk the untouched golden image — checkpoint zero of every campaign.
 fn golden_tree_of(fs: &dyn FsUnderTest, base: &MemDisk) -> FsTree {
     let mounted = fs
-        .mount_crash(CrashRecorder::new(base.snapshot()), FsEnv::new())
+        .mount_crash(Recorder::new(base.snapshot()), FsEnv::new())
         .expect("golden image mounts");
     Vfs::new(mounted).tree().expect("golden image walks")
 }
@@ -68,11 +68,11 @@ fn campaign_on_base(
 ) -> CrashReport {
     // Record the workload's write stream. Dropping the mount without
     // unmounting is the crash.
-    let log = WriteLog::new();
+    let log = IoLog::new();
     let shadow = {
         let mounted = fs
             .mount_crash(
-                CrashRecorder::with_log(base.snapshot(), log.clone()),
+                Recorder::with_log(base.snapshot(), log.clone()),
                 FsEnv::new(),
             )
             .unwrap_or_else(|e| panic!("{}: workload mount on healthy disk: {e:?}", workload.name));

@@ -110,11 +110,11 @@ pub fn enumerate_images(log: &WriteLogSnapshot, opts: &EnumOptions) -> Vec<Crash
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iron_blockdev::{BlockDevice, CrashRecorder, MemDisk};
+    use iron_blockdev::{BlockDevice, MemDisk, Recorder};
     use iron_core::{Block, BlockAddr};
 
     fn sample_log(writes_per_epoch: &[usize]) -> WriteLogSnapshot {
-        let mut dev = CrashRecorder::new(MemDisk::for_tests(256));
+        let mut dev = Recorder::new(MemDisk::for_tests(256));
         let mut addr = 0u64;
         for &n in writes_per_epoch {
             for _ in 0..n {

@@ -59,13 +59,13 @@ pub fn apply_all(mut disk: MemDisk, log: &WriteLogSnapshot) -> MemDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iron_blockdev::{BlockDevice, CrashRecorder};
+    use iron_blockdev::{BlockDevice, Recorder};
     use iron_core::{Block, BlockAddr};
 
     #[test]
     fn materialize_applies_prefix_and_subset_in_issue_order() {
         let base = MemDisk::for_tests(8);
-        let mut dev = CrashRecorder::new(base.snapshot());
+        let mut dev = Recorder::new(base.snapshot());
         // epoch 0: two writes to the same address — order matters.
         dev.write(BlockAddr(1), &Block::filled(1)).unwrap();
         dev.write(BlockAddr(1), &Block::filled(2)).unwrap();

@@ -8,12 +8,13 @@
 //!
 //! The pipeline:
 //!
-//! 1. **Record** ([`iron_blockdev::CrashRecorder`]): a scripted workload
-//!    runs over a recording device. Every write is logged with its
-//!    *epoch* — barriers and flushes seal epochs, flushes additionally
-//!    append durability marks. Within an epoch a write-back drive cache
-//!    may persist any subset of the writes, in any order; across a
-//!    barrier it may not reorder.
+//! 1. **Record** ([`iron_blockdev::Recorder`]): a scripted workload
+//!    runs over a recording device, which logs every request in an
+//!    [`iron_blockdev::IoLog`]. The log's crash view gives every write
+//!    that reached the device its *epoch* — barriers and flushes seal
+//!    epochs, flushes additionally append durability marks. Within an
+//!    epoch a write-back drive cache may persist any subset of the
+//!    writes, in any order; across a barrier it may not reorder.
 //! 2. **Enumerate** ([`enumerate`]): every epoch-prefix image, plus a
 //!    bounded, seed-deterministic sample of in-epoch write subsets.
 //! 3. **Recover and check** ([`oracle`], [`campaign`]): each image is

@@ -24,7 +24,7 @@
 
 use std::fmt;
 
-use iron_blockdev::{CrashRecorder, MemDisk, WriteLog, WriteLogSnapshot};
+use iron_blockdev::{IoLog, MemDisk, Recorder, WriteLogSnapshot};
 use iron_fingerprint::FsUnderTest;
 use iron_vfs::{FsEnv, FsTree, TreeNode, Vfs};
 
@@ -122,8 +122,8 @@ pub fn check_image(
 
     // Recovery: mount the image (journal replay runs here), walk, unmount.
     let disk = materialize(base, log, spec);
-    let rlog = WriteLog::new();
-    let tree = match fs.mount_crash(CrashRecorder::with_log(disk, rlog.clone()), FsEnv::new()) {
+    let rlog = IoLog::new();
+    let tree = match fs.mount_crash(Recorder::with_log(disk, rlog.clone()), FsEnv::new()) {
         Err(e) => {
             out.push(viol(
                 OracleKind::FsckClean,
@@ -311,11 +311,8 @@ pub fn check_image(
 
     // (d) Idempotence: a second mount of the recovered medium changes
     // nothing user-visible.
-    let rlog2 = WriteLog::new();
-    match fs.mount_crash(
-        CrashRecorder::with_log(post.snapshot(), rlog2),
-        FsEnv::new(),
-    ) {
+    let rlog2 = IoLog::new();
+    match fs.mount_crash(Recorder::with_log(post.snapshot(), rlog2), FsEnv::new()) {
         Err(e) => out.push(viol(
             OracleKind::Idempotence,
             format!("second recovery mount failed: {e:?}"),

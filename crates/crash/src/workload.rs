@@ -1,8 +1,8 @@
 //! Scripted crash workloads and the shadow model the oracles check
 //! against.
 //!
-//! Each workload is an op script run over the VFS while the
-//! [`iron_blockdev::CrashRecorder`] captures the write stream. [`apply`]
+//! Each workload is an op script run over the VFS while an
+//! [`iron_blockdev::Recorder`] logs the request stream. [`apply`]
 //! is the one interpreter of an op. [`run_workload`] runs every op twice:
 //! on the file system under test, then on a shadow `RamFs` — the same
 //! reference model every differential in the workspace uses. From the
@@ -22,7 +22,7 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
-use iron_blockdev::WriteLog;
+use iron_blockdev::IoLog;
 use iron_vfs::ramfs::RamFs;
 use iron_vfs::{FsTree, SpecificFs, TreeNode, Vfs, VfsResult};
 
@@ -195,7 +195,7 @@ fn touched(op: &CrashOp, after: &FsTree) -> Vec<(String, String)> {
 pub fn run_workload(
     v: &mut Vfs<Box<dyn SpecificFs>>,
     w: &CrashWorkload,
-    log: &WriteLog,
+    log: &IoLog,
 ) -> VfsResult<ShadowModel> {
     let mut model = Vfs::new(RamFs::new());
     let mut shadow = ShadowModel::default();
@@ -275,10 +275,12 @@ fn rn(from: &'static str, to: &'static str) -> CrashOp {
 const SYNC: CrashOp = CrashOp::Sync;
 
 /// The standard workload suite. Between them the scripts exercise synced
-/// creates (durability), unsynced creates (atomicity), in-place
-/// overwrite after sync (legitimately tearable), rename, unlink,
-/// truncate (shrink and extend, synced and torn), and directory-block
-/// free-and-reuse (the journal-revoke hazard).
+/// creates (durability), unsynced creates (atomicity), a rewrite of a
+/// synced file (legitimately tearable), rename, unlink, truncate (shrink
+/// and extend, synced and torn), and directory-block free-and-reuse (the
+/// journal-revoke hazard). The rewrite is not in place: a
+/// [`CrashOp::Write`] truncates first, so every write lands on freshly
+/// allocated blocks and no workload here overwrites a mapped block.
 pub fn standard_workloads() -> Vec<CrashWorkload> {
     vec![
         CrashWorkload::new(

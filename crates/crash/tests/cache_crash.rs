@@ -5,14 +5,14 @@
 //! the logical state the caller had built up, no more and no less.
 //!
 //! The test drives a PRNG op mix (writes, barriers, flushes) through
-//! `BufferCache` in write-back mode over a `CrashRecorder`, snapshots the
+//! `BufferCache` in write-back mode over a `Recorder`, snapshots the
 //! logical model at every flush, then materializes the epoch-prefix crash
 //! image at each recorded flush mark and demands bit-exact equality over
 //! the whole disk.
 
 use std::collections::BTreeMap;
 
-use iron_blockdev::{BlockDevice, BufferCache, CrashRecorder, MemDisk, RawAccess, WriteLog};
+use iron_blockdev::{BlockDevice, BufferCache, IoLog, MemDisk, RawAccess, Recorder};
 use iron_core::{Block, BlockAddr};
 use iron_crash::{materialize, CrashImageSpec};
 use iron_testkit::Rng;
@@ -22,8 +22,8 @@ const BLOCKS: u64 = 64;
 #[test]
 fn write_back_cache_preserves_every_flush_boundary() {
     let base = MemDisk::for_tests(BLOCKS);
-    let log = WriteLog::new();
-    let mut dev = BufferCache::write_back(CrashRecorder::with_log(base.snapshot(), log.clone()));
+    let log = IoLog::new();
+    let mut dev = BufferCache::write_back(Recorder::with_log(base.snapshot(), log.clone()));
 
     // The logical state the caller believes in, and one frozen copy of it
     // per flush.
@@ -84,8 +84,8 @@ fn write_back_cache_preserves_every_flush_boundary() {
 #[test]
 fn destage_keeps_absorbed_epochs_ordered() {
     let base = MemDisk::for_tests(8);
-    let log = WriteLog::new();
-    let mut dev = BufferCache::write_back(CrashRecorder::with_log(base.snapshot(), log.clone()));
+    let log = IoLog::new();
+    let mut dev = BufferCache::write_back(Recorder::with_log(base.snapshot(), log.clone()));
 
     // Three absorbed epochs touching the same block, then one flush.
     for (epoch, val) in [1u8, 2, 3].iter().enumerate() {

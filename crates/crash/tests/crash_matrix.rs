@@ -16,7 +16,9 @@
 //! proving the hazards exist is the regression guard for the harness
 //! itself.
 
-use iron_blockdev::{CrashRecorder, WriteLog};
+use iron_blockdev::{IoLog, Recorder};
+use iron_core::checksum::sha1;
+use iron_core::hash::digest64;
 use iron_crash::{
     check_image, enumerate_images, run_crash_campaign, run_workload, standard_workloads,
     CrashCampaignOptions, CrashOp, CrashReport, CrashWorkload, EnumOptions, OracleKind,
@@ -173,7 +175,7 @@ fn nested_directory_moves_with_its_renamed_parent() {
         ],
     );
     let mut v: Vfs<Box<dyn SpecificFs>> = Vfs::new(Box::new(RamFs::new()));
-    let shadow = run_workload(&mut v, &w, &WriteLog::new()).expect("script runs on RamFs");
+    let shadow = run_workload(&mut v, &w, &IoLog::new()).expect("script runs on RamFs");
     assert!(
         shadow.ever_dirs.contains("/crash/b/sub"),
         "the subdirectory moved with its parent"
@@ -207,15 +209,15 @@ fn violation_witnesses_replay_from_scratch() {
     let base = fs.golden(false);
     let golden_tree = {
         let mounted = fs
-            .mount_crash(CrashRecorder::new(base.snapshot()), FsEnv::new())
+            .mount_crash(Recorder::new(base.snapshot()), FsEnv::new())
             .unwrap();
         Vfs::new(mounted).tree().unwrap()
     };
-    let log = WriteLog::new();
+    let log = IoLog::new();
     let shadow = {
         let mounted = fs
             .mount_crash(
-                CrashRecorder::with_log(base.snapshot(), log.clone()),
+                Recorder::with_log(base.snapshot(), log.clone()),
                 FsEnv::new(),
             )
             .unwrap();
@@ -263,4 +265,76 @@ fn enumerator_catches_the_pr1_legacy_journal_bugs() {
          block-reuse workload even without in-epoch tearing; got:\n{}",
         dump(&legacy)
     );
+}
+
+/// The enumerator's input, pinned per (model, standard workload): how
+/// many crash images it yields, and a digest of the crash view it reads
+/// — every recorded write as `(seq, epoch, addr, tag, sha1(data))`, then
+/// the flush marks. A change to how the write stream is recorded, how
+/// epochs are sealed or which writes count moves these values, even
+/// where every oracle would still pass.
+#[test]
+fn enumerator_inputs_are_pinned() {
+    const PINNED: &[(&str, &str, usize, u64)] = &[
+        ("ixt3", "create_sync", 42, 0xA1FD4FB378801DB2),
+        ("ixt3", "overwrite_rename", 42, 0xA25D7F796174E20F),
+        ("ixt3", "reuse_dir", 62, 0x518C976117DD6F00),
+        ("ixt3", "free_reuse", 20, 0x19E8BBC0F9DB15D0),
+        ("ixt3", "truncate_churn", 67, 0x5007D6A1C2FB895E),
+        ("ext3", "create_sync", 39, 0x2F52B45DF7199B9E),
+        ("ext3", "overwrite_rename", 57, 0x2F098534CC9EF2ED),
+        ("ext3", "reuse_dir", 62, 0x3B64E33AA941FCB7),
+        ("ext3", "free_reuse", 20, 0x5FA611847FEEA3BF),
+        ("ext3", "truncate_churn", 59, 0x3BCB21D55A142FF0),
+        ("ReiserFS", "create_sync", 36, 0xB93FEC34E1EEDBF1),
+        ("ReiserFS", "overwrite_rename", 36, 0x4E31D704AC8F11DD),
+        ("ReiserFS", "reuse_dir", 58, 0x63543A5C06BD16DE),
+        ("ReiserFS", "free_reuse", 13, 0xC09D592346525160),
+        ("ReiserFS", "truncate_churn", 64, 0x7BE8CFE334D05DF4),
+        ("JFS", "create_sync", 25, 0x4CAB73D264AE66F2),
+        ("JFS", "overwrite_rename", 24, 0xE0644ADBDDE047F4),
+        ("JFS", "reuse_dir", 42, 0x6E4E7EBA926CA1C9),
+        ("JFS", "free_reuse", 13, 0x0486FA9D8A139D15),
+        ("JFS", "truncate_churn", 40, 0x728E339EB98516FB),
+    ];
+    let models: [&dyn FsUnderTest; 4] = [
+        &Ext3Adapter::ixt3(),
+        &Ext3Adapter::stock(),
+        &ReiserAdapter,
+        &JfsAdapter,
+    ];
+    let mut got = Vec::new();
+    for fs in models {
+        let base = fs.golden(false);
+        for w in standard_workloads() {
+            let log = IoLog::new();
+            let mounted = fs
+                .mount_crash(
+                    Recorder::with_log(base.snapshot(), log.clone()),
+                    FsEnv::new(),
+                )
+                .unwrap();
+            run_workload(&mut Vfs::new(mounted), &w, &log).unwrap();
+            let snap = log.snapshot();
+            let mut view = Vec::new();
+            for r in &snap.records {
+                for word in [r.seq, r.epoch, r.addr.0] {
+                    view.extend_from_slice(&word.to_le_bytes());
+                }
+                view.extend_from_slice(r.tag.0.as_bytes());
+                view.push(0);
+                view.extend_from_slice(&sha1(&r.data[..]).0);
+            }
+            for m in &snap.flush_marks {
+                view.extend_from_slice(&m.to_le_bytes());
+            }
+            let images = enumerate_images(&snap, &EnumOptions::default()).len();
+            got.push((fs.name(), w.name.to_string(), images, digest64(&view)));
+        }
+    }
+    let pinned: Vec<_> = PINNED
+        .iter()
+        .map(|&(fs, w, n, d)| (fs, w.to_string(), n, d))
+        .collect();
+    assert_eq!(got, pinned);
 }

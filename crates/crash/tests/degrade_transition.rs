@@ -7,7 +7,7 @@
 //! crash image cut across that history recovers to an fsck-clean,
 //! walkable file system.
 
-use iron_blockdev::{CrashRecorder, MemDisk, RawAccess, WriteLog};
+use iron_blockdev::{IoLog, MemDisk, RawAccess, Recorder};
 use iron_core::recover::{Backoff, FailurePolicyTable, PolicyHandle, RecoveryAction};
 use iron_core::{BlockAddr, BlockTag, Errno, FaultKind, IoKind};
 use iron_crash::{apply_all, enumerate_images, materialize, EnumOptions};
@@ -51,8 +51,8 @@ fn every_crash_image_across_the_degradation_transition_recovers_clean() {
     };
     Ext3Fs::<MemDisk>::mkfs(&mut base, params).unwrap();
 
-    let log = WriteLog::new();
-    let faulty = FaultyDisk::new(CrashRecorder::with_log(base.snapshot(), log.clone()));
+    let log = IoLog::new();
+    let faulty = FaultyDisk::new(Recorder::with_log(base.snapshot(), log.clone()));
     let ctl = faulty.controller();
     let env = FsEnv::new();
     let fs = Ext3Fs::mount(faulty, env.clone(), opts()).unwrap();
@@ -91,10 +91,10 @@ fn every_crash_image_across_the_degradation_transition_recovers_clean() {
         let img = materialize(&base, &snap, spec);
 
         // Recovery: a clean mount replays the journal; record its writes.
-        let rlog = WriteLog::new();
+        let rlog = IoLog::new();
         {
             let fs = Ext3Fs::mount(
-                CrashRecorder::with_log(img.snapshot(), rlog.clone()),
+                Recorder::with_log(img.snapshot(), rlog.clone()),
                 FsEnv::new(),
                 opts(),
             )

@@ -19,7 +19,7 @@
 mod common;
 
 use common::LyingDrive;
-use iron_blockdev::WriteLog;
+use iron_blockdev::IoLog;
 use iron_crash::{
     generate_workloads, run_generated_campaign, run_workload, CrashCampaignOptions, CrashOp,
     CrashWorkload, GenOptions, GeneratedCampaignReport, OracleKind,
@@ -95,7 +95,7 @@ fn rmdir_then_recreate_disqualifies_create_once() {
         ],
     );
     let mut v: Vfs<Box<dyn SpecificFs>> = Vfs::new(Box::new(RamFs::new()));
-    let shadow = run_workload(&mut v, &w, &WriteLog::new()).expect("script runs");
+    let shadow = run_workload(&mut v, &w, &IoLog::new()).expect("script runs");
     assert!(
         shadow.ever_dirs.contains("/crash/x"),
         "the path was once a directory"

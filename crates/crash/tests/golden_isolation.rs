@@ -3,7 +3,7 @@
 //! build it, the recovery mount's journal replay, the clean unmount, the
 //! second replay of recovery's writes — ever reaches the golden's pages.
 
-use iron_blockdev::{BlockDevice, CrashRecorder, MemDisk, RawAccess, WriteLog};
+use iron_blockdev::{BlockDevice, IoLog, MemDisk, RawAccess, Recorder};
 use iron_core::{Block, BlockAddr};
 use iron_crash::{
     apply_all, enumerate_images, materialize, run_workload, standard_workloads, EnumOptions,
@@ -23,11 +23,11 @@ fn golden_is_byte_identical_after_images_are_poked_mounted_and_recovered() {
     let before = image_of(&golden);
 
     let w = &standard_workloads()[2];
-    let log = WriteLog::new();
+    let log = IoLog::new();
     {
         let mounted = fs
             .mount_crash(
-                CrashRecorder::with_log(golden.snapshot(), log.clone()),
+                Recorder::with_log(golden.snapshot(), log.clone()),
                 FsEnv::new(),
             )
             .unwrap();
@@ -42,9 +42,9 @@ fn golden_is_byte_identical_after_images_are_poked_mounted_and_recovered() {
         let image = materialize(&golden, &snap, spec);
         poked += usize::from(image_of(&image) != before);
 
-        let rlog = WriteLog::new();
+        let rlog = IoLog::new();
         let mounted = fs
-            .mount_crash(CrashRecorder::with_log(image, rlog.clone()), FsEnv::new())
+            .mount_crash(Recorder::with_log(image, rlog.clone()), FsEnv::new())
             .unwrap();
         let mut v = Vfs::new(mounted);
         v.tree().unwrap();

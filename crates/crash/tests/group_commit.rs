@@ -17,7 +17,7 @@
 mod common;
 
 use common::LyingDrive;
-use iron_blockdev::{CrashRecorder, WriteLog};
+use iron_blockdev::{IoLog, Recorder};
 use iron_crash::{
     batch_workloads, run_crash_campaign, run_workload, standard_workloads, CrashCampaignOptions,
     CrashReport, EnumOptions, OracleKind,
@@ -87,9 +87,9 @@ fn pipelined_profile_actually_merges_transactions() {
             checkpoint_lag: 48,
             ..Ext3Options::with_iron(IronConfig::full())
         };
-        let log = WriteLog::new();
+        let log = IoLog::new();
         let fs = Ext3Fs::mount(
-            CrashRecorder::with_log(base.snapshot(), log.clone()),
+            Recorder::with_log(base.snapshot(), log.clone()),
             FsEnv::new(),
             opts,
         )

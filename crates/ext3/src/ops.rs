@@ -1053,6 +1053,9 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
                 if ftype_from_code(existing.ftype) == FileType::Directory {
                     return Err(Errno::EISDIR.into());
                 }
+                if moved_is_dir {
+                    return Err(Errno::ENOTDIR.into());
+                }
                 self.unlink(dst_dir, dst_name)?;
             } else {
                 return Ok(()); // same object

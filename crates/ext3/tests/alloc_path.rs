@@ -9,14 +9,14 @@
 
 use std::collections::BTreeSet;
 
-use iron_blockdev::{BlockDevice, MemDisk, RawAccess, TraceLayer};
+use iron_blockdev::{BlockDevice, MemDisk, RawAccess, Recorder};
 use iron_core::checksum::sha1;
 use iron_core::{BlockAddr, BLOCK_SIZE};
 use iron_ext3::journal::{classify_log_block, JournalRecord};
 use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, IronConfig, Superblock};
 use iron_vfs::{FsEnv, SpecificFs};
 
-type Fs = Ext3Fs<TraceLayer<MemDisk>>;
+type Fs = Ext3Fs<Recorder<MemDisk>>;
 
 /// 512-block groups so that a hundred small files fill one: 15 groups
 /// plain, 6 with the `Mr` mirror taking the upper half.
@@ -136,9 +136,9 @@ fn program(fs: &mut Fs, reuse: Reuse) {
 }
 
 /// `(sha1 of every block, sha1 of the "kind addr tag" request lines)`.
-fn digests(dev: TraceLayer<MemDisk>) -> (String, String) {
+fn digests(dev: Recorder<MemDisk>) -> (String, String) {
     let trace: String = dev
-        .trace()
+        .log()
         .events()
         .iter()
         .map(|e| format!("{} {} {}\n", e.kind, e.addr.0, e.tag))
@@ -151,7 +151,7 @@ fn digests(dev: TraceLayer<MemDisk>) -> (String, String) {
 }
 
 fn run(opts: Ext3Options, reuse: Reuse) -> (String, String) {
-    let dev = TraceLayer::new(MemDisk::for_tests(params().total_blocks));
+    let dev = Recorder::new(MemDisk::for_tests(params().total_blocks));
     let mut fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), params(), opts).unwrap();
     program(&mut fs, reuse);
     digests(fs.into_device())

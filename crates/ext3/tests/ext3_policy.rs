@@ -63,7 +63,7 @@ fn data_read_failure_propagates_without_stop_and_retries_once() {
     };
     // Invalidate the cache by remounting.
     let dev = v.into_fs().into_device();
-    let trace = dev.trace();
+    let trace = dev.log();
     let fs = Ext3Fs::mount(dev, env.clone(), Ext3Options::default()).unwrap();
     let mut v = Vfs::new(fs);
     ctl.inject(FaultSpec::sticky(

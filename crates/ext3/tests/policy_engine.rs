@@ -67,7 +67,7 @@ fn transient_fault_of_budget_reachable_depth_is_fully_masked() {
         FaultTarget::Addr(BlockAddr(addr)),
         2,
     ));
-    let trace = v.fs_mut().device().trace();
+    let trace = v.fs_mut().device().log();
     let mark = trace.len();
     let got = v.read_file("/f").unwrap();
     assert_eq!(got, b"masked by retry", "op succeeds — fault fully masked");
@@ -236,7 +236,7 @@ fn stock_rretry_cell_is_produced_by_the_policy_engine() {
         FaultKind::ReadError,
         FaultTarget::Addr(BlockAddr(addr)),
     ));
-    let trace = v.fs_mut().device().trace();
+    let trace = v.fs_mut().device().log();
     let mark = trace.len();
     assert!(v.read_file("/f").is_err());
     let attempts = trace
@@ -417,7 +417,7 @@ fn checkpoint_write_chain_ending_in_stop_halts_the_machine() {
         FaultKind::WriteError,
         FaultTarget::Tag(BlockTag("inode")),
     ));
-    let trace = v.fs_mut().device().trace();
+    let trace = v.fs_mut().device().log();
     v.write_file("/f", b"never home").unwrap();
     assert!(v.sync().unwrap_err().is_panic());
     assert_eq!(env.state(), MountState::Crashed);

@@ -4,7 +4,7 @@
 //! (That a warmed read makes no owned copy at all is counted inside the
 //! crate, where the counter lives: `ops.rs`'s test module.)
 
-use iron_blockdev::{IoEvent, MemDisk, TraceLayer};
+use iron_blockdev::{IoEvent, MemDisk, Recorder};
 use iron_core::model::CorruptionStyle;
 use iron_core::{BlockAddr, BlockTag, Errno, FaultKind, IoKind};
 use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, IronConfig};
@@ -49,8 +49,8 @@ const PARENT_IO: &str = "\
 fn four_block_cache_issues_the_parent_commits_device_io() {
     let mut md = MemDisk::for_tests(4096);
     Ext3Fs::<MemDisk>::mkfs(&mut md, Ext3Params::small()).expect("mkfs");
-    let dev = TraceLayer::new(md);
-    let trace = dev.trace();
+    let dev = Recorder::new(md);
+    let trace = dev.log();
     let opts = Ext3Options {
         cache_blocks: 4,
         ..Ext3Options::default()
@@ -191,7 +191,7 @@ fn ext3_read_error_on_the_miss_path_retries_data_once_and_stops_on_metadata() {
     let (mut v, ctl, env) = cold_mount(IronConfig::off());
     let f = v.resolve("/d/f").unwrap();
     let data_block = v.fs_mut().blocks_of(f).unwrap()[0];
-    let trace = v.fs().device().trace();
+    let trace = v.fs().device().log();
     let (mark, io_mark) = (env.klog.len(), trace.len());
     ctl.inject(FaultSpec::sticky(
         FaultKind::ReadError,

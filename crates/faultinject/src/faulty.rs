@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use iron_blockdev::{BlockDevice, DiskError, DiskResult, IoOutcome, IoTrace, Page, RawAccess};
+use iron_blockdev::{BlockDevice, DiskError, DiskResult, IoLog, IoOp, IoOutcome, Page, RawAccess};
 use iron_core::hash::xorshift64;
 use iron_core::model::CorruptionStyle;
 use iron_core::{Block, BlockAddr, BlockTag, FaultKind, IoKind, SimClock, BLOCK_SIZE};
@@ -32,7 +32,7 @@ pub const HANG_STALL_NS: u64 = 30_000_000_000;
 pub struct FaultyDisk<D> {
     inner: D,
     plan: FaultPlan,
-    trace: IoTrace,
+    log: IoLog,
     /// Seed for deterministic noise fabrication.
     noise_seed: u64,
     /// Clock used to enact latency faults (`Slow`/`Hang`). When absent,
@@ -46,7 +46,7 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
         FaultyDisk {
             inner,
             plan: FaultPlan::new(),
-            trace: IoTrace::new(),
+            log: IoLog::new(),
             noise_seed: 0x1234_5678_9ABC_DEF0,
             clock: None,
         }
@@ -57,7 +57,7 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
         FaultyDisk {
             inner,
             plan,
-            trace: IoTrace::new(),
+            log: IoLog::new(),
             noise_seed: 0x1234_5678_9ABC_DEF0,
             clock: None,
         }
@@ -101,10 +101,11 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
         self.plan.controller()
     }
 
-    /// The trace of record for fingerprinting: includes failed and silently
-    /// corrupted requests.
-    pub fn trace(&self) -> IoTrace {
-        self.trace.clone()
+    /// The log of record for fingerprinting: every request, failed and
+    /// silently corrupted ones included. Writes carry no payload, so the
+    /// log has a trace view and no crash view.
+    pub fn log(&self) -> IoLog {
+        self.log.clone()
     }
 
     /// Access the wrapped device.
@@ -154,20 +155,21 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
     }
 
     /// Enact the read fault the plan returned for this request (`None`:
-    /// none fired) and trace its outcome.
+    /// none fired) and log its outcome.
     fn read_with(
         &mut self,
         fault: Option<FaultKind>,
         addr: BlockAddr,
         tag: BlockTag,
     ) -> DiskResult<Block> {
+        let op = IoOp::Read { addr, tag };
         match fault {
             Some(FaultKind::WholeDisk) => {
-                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Error);
+                self.log.record(op, IoOutcome::Error);
                 Err(DiskError::DeviceFailed)
             }
             Some(FaultKind::ReadError) => {
-                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Error);
+                self.log.record(op, IoOutcome::Error);
                 Err(DiskError::Io {
                     addr,
                     kind: IoKind::Read,
@@ -178,26 +180,25 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
                 // hand back bad bytes.
                 let _ = self.inner.read_tagged(addr, tag)?;
                 let bad = self.corrupt(addr, style);
-                self.trace
-                    .record(IoKind::Read, addr, tag, IoOutcome::SilentlyCorrupted);
+                self.log.record(op, IoOutcome::SilentlyCorrupted);
                 Ok(bad)
             }
             Some(kind @ (FaultKind::Slow { .. } | FaultKind::Hang)) => {
                 // The data is correct and no error code is produced — the
                 // fault lives purely in the time domain.
                 let block = self.slow_io(kind, |d| d.read_tagged(addr, tag))?;
-                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Ok);
+                self.log.record(op, IoOutcome::Ok);
                 Ok(block)
             }
             Some(FaultKind::WriteError) | None => {
                 let block = self.inner.read_tagged(addr, tag)?;
-                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Ok);
+                self.log.record(op, IoOutcome::Ok);
                 Ok(block)
             }
         }
     }
 
-    /// Check the plan for a write, enact the fault that fired, and trace
+    /// Check the plan for a write, enact the fault that fired, and log
     /// the outcome; `write` issues the request to the inner device.
     fn write_with(
         &mut self,
@@ -205,15 +206,18 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
         tag: BlockTag,
         write: impl FnOnce(&mut D) -> DiskResult<()>,
     ) -> DiskResult<()> {
+        let op = IoOp::Write {
+            addr,
+            tag,
+            data: None,
+        };
         match self.plan.check(IoKind::Write, addr, tag) {
             Some(FaultKind::WholeDisk) => {
-                self.trace
-                    .record(IoKind::Write, addr, tag, IoOutcome::Error);
+                self.log.record(op, IoOutcome::Error);
                 Err(DiskError::DeviceFailed)
             }
             Some(FaultKind::WriteError) => {
-                self.trace
-                    .record(IoKind::Write, addr, tag, IoOutcome::Error);
+                self.log.record(op, IoOutcome::Error);
                 Err(DiskError::Io {
                     addr,
                     kind: IoKind::Write,
@@ -221,12 +225,12 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
             }
             Some(kind @ (FaultKind::Slow { .. } | FaultKind::Hang)) => {
                 self.slow_io(kind, write)?;
-                self.trace.record(IoKind::Write, addr, tag, IoOutcome::Ok);
+                self.log.record(op, IoOutcome::Ok);
                 Ok(())
             }
             _ => {
                 write(&mut self.inner)?;
-                self.trace.record(IoKind::Write, addr, tag, IoOutcome::Ok);
+                self.log.record(op, IoOutcome::Ok);
                 Ok(())
             }
         }
@@ -245,14 +249,14 @@ impl<D: BlockDevice + RawAccess> BlockDevice for FaultyDisk<D> {
 
     /// The plan is checked once, as for a read. A request no read fault
     /// touches is forwarded, so the page below comes up as it is; one a
-    /// fault fired on takes [`Self::read_with`]'s arm and returns a new
+    /// fault fired on takes `read_with`'s arm and returns a new
     /// page, so a corrupted block is judged by the digest of the bytes it
     /// returns.
     fn read_page(&mut self, addr: BlockAddr, tag: BlockTag) -> DiskResult<Arc<Page>> {
         match self.plan.check(IoKind::Read, addr, tag) {
             Some(FaultKind::WriteError) | None => {
                 let page = self.inner.read_page(addr, tag)?;
-                self.trace.record(IoKind::Read, addr, tag, IoOutcome::Ok);
+                self.log.record(IoOp::Read { addr, tag }, IoOutcome::Ok);
                 Ok(page)
             }
             fault => self.read_with(fault, addr, tag).map(|b| Page::new(&b)),
@@ -268,15 +272,19 @@ impl<D: BlockDevice + RawAccess> BlockDevice for FaultyDisk<D> {
     }
 
     fn barrier(&mut self) -> DiskResult<()> {
-        self.inner.barrier()
+        let r = self.inner.barrier();
+        self.log.record(IoOp::Barrier, IoOutcome::of(&r));
+        r
     }
 
     fn flush(&mut self) -> DiskResult<()> {
-        self.inner.flush()
+        let r = self.inner.flush();
+        self.log.record(IoOp::Flush, IoOutcome::of(&r));
+        r
     }
 
     fn readahead(&mut self, start: BlockAddr, len: u64) {
-        // A hint is not an access: no fault check, no trace record. Faults
+        // A hint is not an access: no fault check, no log record. Faults
         // fire on the real tagged reads that follow.
         self.inner.readahead(start, len);
     }
@@ -377,7 +385,7 @@ mod tests {
         // Deterministic: the same corruption every time (sticky).
         assert_eq!(disk.read(BlockAddr(5)).unwrap(), got);
         // Trace knows it was silently corrupted even though the FS saw Ok.
-        let last = disk.trace().events().pop().unwrap();
+        let last = disk.log().events().pop().unwrap();
         assert_eq!(last.outcome, IoOutcome::SilentlyCorrupted);
     }
 
@@ -484,7 +492,7 @@ mod tests {
         disk.read(BlockAddr(4)).unwrap();
         assert_eq!(clock.elapsed_since(before), 0);
         // Trace sees a plain Ok — no error code anywhere.
-        let events = disk.trace().events();
+        let events = disk.log().events();
         assert!(events.iter().all(|e| e.outcome == IoOutcome::Ok));
     }
 
@@ -580,7 +588,7 @@ mod tests {
             (b, digest)
         };
         let seen = |d: &FaultyDisk<MemDisk>| {
-            let trace: Vec<String> = d.trace().events().iter().map(|e| e.to_string()).collect();
+            let trace: Vec<String> = d.log().events().iter().map(|e| e.to_string()).collect();
             (trace, d.inner().stats(), d.inner().clock().now_ns())
         };
         for fault in kinds {
@@ -619,11 +627,17 @@ mod tests {
         let _ = disk.read(BlockAddr(6));
         let _ = disk.read(BlockAddr(7));
         let _ = disk.read(BlockAddr(7)); // a "retry"
-        let trace = disk.trace();
-        assert_eq!(trace.count_requests(BlockAddr(7), IoKind::Read), 2);
-        let events = trace.events();
+        disk.barrier().unwrap();
+        disk.flush().unwrap();
+        let log = disk.log();
+        let events = log.events();
+        let at_7 = |e: &&iron_blockdev::IoEvent| e.addr == BlockAddr(7) && e.kind == IoKind::Read;
+        assert_eq!(events.iter().filter(at_7).count(), 2);
+        assert_eq!(events.len(), 3, "the trace view holds the reads");
         assert_eq!(events[0].outcome, IoOutcome::Ok);
         assert_eq!(events[1].outcome, IoOutcome::Error);
         assert_eq!(events[2].outcome, IoOutcome::Error);
+        assert_eq!(log.records().len(), 5, "the log holds barrier and flush");
+        assert_eq!(log.flush_count(), 1);
     }
 }

@@ -11,8 +11,8 @@
 //! target a block type tag (e.g. "the next `j-commit` write") rather than a
 //! raw address, which is the key idea that makes fingerprinting efficient
 //! (§4.2). Every request — including injected failures and silent
-//! corruptions — is recorded in an [`iron_blockdev::IoTrace`] for the
-//! inference step.
+//! corruptions — is recorded in an [`iron_blockdev::IoLog`], the
+//! workspace's one I/O log, whose trace view the inference step reads.
 //!
 //! The [`reliability`] module is a small Monte-Carlo companion: it simulates
 //! latent-sector-error arrival over time and measures the detection window

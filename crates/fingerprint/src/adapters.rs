@@ -7,7 +7,7 @@
 //! image, which block-type rows the file system has, and how to mount it
 //! over a fault-armed device.
 
-use iron_blockdev::{BlockDevice, BufferCache, CrashRecorder, MemDisk, RawAccess, RetryLayer};
+use iron_blockdev::{BlockDevice, BufferCache, MemDisk, RawAccess, Recorder, RetryLayer};
 use iron_core::BlockTag;
 use iron_faultinject::FaultyDisk;
 use iron_vfs::{FsEnv, SpecificFs, Vfs, VfsError, VfsResult};
@@ -37,7 +37,7 @@ pub type RetryDevice = BufferCache<RetryLayer<FaultyDisk<MemDisk>>>;
 /// system writes directly onto the medium with every write, barrier, and
 /// flush captured by the recorder — in-epoch reordering then models the
 /// drive's volatile write cache.
-pub type CrashDevice = CrashRecorder<MemDisk>;
+pub type CrashDevice = Recorder<MemDisk>;
 
 /// A file system packaged for fingerprinting.
 ///

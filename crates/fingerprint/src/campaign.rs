@@ -7,9 +7,9 @@
 //! The campaign runs the full cross product; cells whose fault never
 //! fires are the gray "not applicable" cells of Figure 2.
 //!
-//! The paper's method is one loop, and so is this module: [`run_cell`]
+//! The paper's method is one loop, and so is this module: `run_cell`
 //! does *inject → build stack over a golden snapshot → mount → arm → run →
-//! observe* for a single cell, and [`drive`] does *filter rows → goldens →
+//! observe* for a single cell, and `drive` does *filter rows → goldens →
 //! fault-free references → (panel × row × workload) cross product → shard
 //! → merge by key* for a whole matrix. An axis — [`FaultMode`] here,
 //! [`crate::transience`] and [`crate::cluster`] next door — supplies only
@@ -18,7 +18,7 @@
 //!
 //! Every cell is an independent snapshot–mount–run with its own fault
 //! plans and [`FsEnv`], so the cross product is embarrassingly parallel:
-//! [`drive`] shards it over [`iron_core::exec::WorkerPool`], workers fold
+//! `drive` shards it over [`iron_core::exec::WorkerPool`], workers fold
 //! finished cells into per-shard vectors keyed by `(panel, row, col)`, and
 //! the merge inserts them by key — the result is *bit-identical* to the
 //! sequential run at any thread count (pinned by
@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 
-use iron_blockdev::{IoEvent, IoTrace, MemDisk, StackBuilder};
+use iron_blockdev::{IoEvent, IoLog, MemDisk, StackBuilder};
 use iron_core::exec::WorkerPool;
 use iron_core::klog::LogEntry;
 use iron_core::model::CorruptionStyle;
@@ -207,7 +207,7 @@ pub(crate) fn run_cell<F: SpecificFs, P: FnOnce(Option<Vfs<F>>) -> X, X>(
     spec: Option<FaultSpec>,
     replicas: usize,
     faulted: &[usize],
-    build: impl FnOnce(&[FaultPlan], &FsEnv) -> (VfsResult<F>, IoTrace, P),
+    build: impl FnOnce(&[FaultPlan], &FsEnv) -> (VfsResult<F>, IoLog, P),
 ) -> CellRun<X> {
     // Special workloads need the fault live during mount; plain workloads
     // arm it afterwards so mount-time accesses (superblock, journal
@@ -352,7 +352,7 @@ fn run_one(
             .with_faults(plans[0].clone())
             .write_through()
             .build();
-        let trace = dev.inner().trace();
+        let trace = dev.inner().log();
         (adapter.mount(dev, env.clone()), trace, |_| ())
     })
 }

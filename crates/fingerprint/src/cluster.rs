@@ -10,10 +10,10 @@
 //! (topology × fault mode × block type × workload): the fault is injected
 //! on a chosen subset of replicas — primary only, a quorum minority, a
 //! quorum majority, transient — and the run records both the file
-//! system's policy reaction (same [`infer`] vocabulary as Figure 2) and
-//! the cluster-tier outcome: did quorum arbitration detect the
-//! divergence, was the fault masked from the file system entirely, and
-//! did peer repair converge the replicas afterwards?
+//! system's policy reaction (same [`infer`](crate::observe::infer)
+//! vocabulary as Figure 2) and the cluster-tier outcome: did quorum
+//! arbitration detect the divergence, was the fault masked from the file
+//! system entirely, and did peer repair converge the replicas afterwards?
 //!
 //! This is an *axis* of the one campaign driver ([`crate::campaign`]): a
 //! panel is a (topology, fault mode) pair with one fault plan per replica,
@@ -238,7 +238,7 @@ fn run_one(
         let stats = vol.stats();
         // Observe I/O from the first faulted replica's vantage point (it
         // is the one whose fault anchors the cell).
-        let trace = vol.replica(faulted.first().copied().unwrap_or(0)).trace();
+        let trace = vol.replica(faulted.first().copied().unwrap_or(0)).log();
         let dev = StackBuilder::new(vol).write_through().build();
         let plans = plans.to_vec();
         // Post-run cluster phase: take the device back, drop the fault

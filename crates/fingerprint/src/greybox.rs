@@ -108,7 +108,7 @@ pub fn classify_ext3<D: RawAccess>(dev: &D, layout: &DiskLayout) -> HashMap<u64,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iron_blockdev::{MemDisk, TraceLayer};
+    use iron_blockdev::{MemDisk, Recorder};
     use iron_core::BlockTag;
     use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params};
     use iron_vfs::{FsEnv, Vfs};
@@ -117,8 +117,8 @@ mod tests {
     /// I/O tags must match what the gray-box walk derives from raw bytes.
     #[test]
     fn greybox_classification_agrees_with_io_tags() {
-        let dev = TraceLayer::new(MemDisk::for_tests(4096));
-        let trace = dev.trace();
+        let dev = Recorder::new(MemDisk::for_tests(4096));
+        let trace = dev.log();
         let fs = Ext3Fs::format_and_mount(
             dev,
             FsEnv::new(),

@@ -21,7 +21,7 @@
 //! | fabricated (all-zero) data returned without error | `RGuess` |
 //! | fault fired, nothing else observed | `DZero`/`RZero` |
 
-use iron_blockdev::trace::{IoEvent, IoOutcome};
+use iron_blockdev::{IoEvent, IoOutcome};
 use iron_core::klog::{LogEntry, LogLevel};
 use iron_core::policy::{DetectionSet, PolicyCell, RecoverySet};
 use iron_core::{BlockAddr, DetectionLevel, Errno, IoKind, RecoveryLevel};

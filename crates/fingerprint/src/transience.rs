@@ -205,7 +205,7 @@ fn run_one(
             .write_through()
             .build();
         let stats = dev.inner().stats();
-        let trace = dev.inner().inner().trace();
+        let trace = dev.inner().inner().log();
         let post = move |_| (stats.snapshot(), policy.counters().snapshot());
         (adapter.mount_retry(dev, env.clone()), trace, post)
     })

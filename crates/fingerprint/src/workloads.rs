@@ -232,7 +232,7 @@ pub fn build_fixture<F: SpecificFs>(v: &mut Vfs<F>) -> Result<(), VfsError> {
 pub fn run<F: SpecificFs>(
     w: Workload,
     v: &mut Vfs<F>,
-    trace: Option<&iron_blockdev::IoTrace>,
+    trace: Option<&iron_blockdev::IoLog>,
 ) -> WorkloadOutput {
     let mut out = TracedOutput {
         out: WorkloadOutput::default(),
@@ -437,7 +437,7 @@ pub fn run<F: SpecificFs>(
 /// Wrapper recording a trace mark after every step.
 struct TracedOutput<'a> {
     out: WorkloadOutput,
-    trace: Option<&'a iron_blockdev::IoTrace>,
+    trace: Option<&'a iron_blockdev::IoLog>,
 }
 
 impl TracedOutput<'_> {

@@ -141,7 +141,7 @@ fn assert_attempts_bounded(adapter: &dyn FsUnderTest, table: &FailurePolicyTable
                     .with_faults(plan)
                     .write_through()
                     .build();
-                let trace = dev.inner().trace();
+                let trace = dev.inner().log();
                 let mounted = adapter.mount(dev, FsEnv::new());
                 let mut marks = vec![trace.len()];
                 if let Ok(fs) = mounted {

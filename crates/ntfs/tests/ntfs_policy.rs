@@ -49,7 +49,7 @@ fn read_gives_up_after_seven_retries_and_propagates() {
     let (mut v, env) = remount(v);
     let trace = {
         let fs = v.fs();
-        fs.device_ref().trace()
+        fs.device_ref().log()
     };
     ctl.inject(FaultSpec::sticky(
         FaultKind::ReadError,
@@ -176,7 +176,7 @@ fn corrupt_run_block_pointer_is_euclean_not_a_panic() {
     ));
     let bitmap_addr = BlockAddr(1 + 64); // logfile_start(1) + logfile_blocks(64)
     let bitmap_before = v.fs().device_ref().peek(bitmap_addr);
-    let trace = v.fs().device_ref().trace();
+    let trace = v.fs().device_ref().log();
     let (mark, trace_mark) = (env.klog.len(), trace.len());
 
     let err = v.unlink("/big").unwrap_err();

@@ -1363,6 +1363,9 @@ impl<D: BlockDevice + RawAccess> SpecificFs for ReiserFs<D> {
             if eftype == FileType::Directory {
                 return Err(Errno::EISDIR.into());
             }
+            if ftype == FileType::Directory {
+                return Err(Errno::ENOTDIR.into());
+            }
             self.unlink(dst_dir, dst_name)?;
         }
         self.tree_delete(

@@ -633,6 +633,9 @@ impl<S: FlatStore> SpecificFs for S {
             if type_of::<S>(&old) == FileType::Directory {
                 return Err(Errno::EISDIR.into());
             }
+            if type_of::<S>(&moved) == FileType::Directory {
+                return Err(Errno::ENOTDIR.into());
+            }
             self.unlink(dst_dir, dst_name)?;
         }
         self.begin("rename")?;

@@ -280,6 +280,9 @@ impl SpecificFs for RamFs {
                 if self.inode(existing)?.attr.ftype == FileType::Directory {
                     return Err(Errno::EISDIR.into());
                 }
+                if self.inode(ino)?.attr.ftype == FileType::Directory {
+                    return Err(Errno::ENOTDIR.into());
+                }
                 self.dir_entries_mut(dst_dir)?.remove(dst_name);
                 self.inode_mut(existing)?.attr.nlink -= 1;
                 self.maybe_free(existing);

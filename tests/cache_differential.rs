@@ -141,7 +141,7 @@ fn write_through_preserves_fault_traces_exactly() {
                 let plan = FaultPlan::new();
                 plan.controller().inject(spec);
                 let faulty = FaultyDisk::with_plan(image.snapshot(), plan);
-                let trace = faulty.trace();
+                let trace = faulty.log();
                 let env = FsEnv::new();
                 let results = if with_cache {
                     let dev = StackBuilder::new(faulty).write_through().build();

@@ -5,6 +5,7 @@
 use ironfs::blockdev::MemDisk;
 use ironfs::core::{BlockTag, Errno, FaultKind};
 use ironfs::faultinject::{FaultController, FaultSpec, FaultTarget, FaultyDisk};
+use ironfs::vfs::ramfs::RamFs;
 use ironfs::vfs::{FsEnv, MountState, SpecificFs, Vfs, VfsError};
 
 type DynVfs = Vfs<Box<dyn SpecificFs>>;
@@ -128,6 +129,32 @@ fn posix_error_semantics_agree_across_fs() {
         for ((what, got), want) in cases.iter().zip(expect) {
             assert_eq!(*got, want, "{name}: {what}");
         }
+    }
+}
+
+/// `rename(dir, file)` is `ENOTDIR` (POSIX), on every model and on the
+/// reference `RamFs`, and leaves both names as they were.
+#[test]
+fn renaming_a_directory_onto_a_file_is_enotdir() {
+    let mut all: Vec<(&str, DynVfs)> = vec![("ramfs", Vfs::new(Box::new(RamFs::new())))];
+    all.extend(mount_all().into_iter().map(|(name, v, _, _)| (name, v)));
+    for (name, mut v) in all {
+        v.mkdir("/d", 0o755).unwrap();
+        v.write_file("/d/x", b"inside").unwrap();
+        v.write_file("/f", b"file").unwrap();
+        let got = v.rename("/d", "/f").err().and_then(|e| e.errno());
+        assert_eq!(got, Some(Errno::ENOTDIR), "{name}");
+        assert_eq!(v.read_file("/f").unwrap(), b"file", "{name}: target kept");
+        assert_eq!(
+            v.read_file("/d/x").unwrap(),
+            b"inside",
+            "{name}: source kept"
+        );
+        assert_eq!(
+            v.rename("/f", "/d").err().and_then(|e| e.errno()),
+            Some(Errno::EISDIR),
+            "{name}: the converse"
+        );
     }
 }
 

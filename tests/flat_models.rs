@@ -9,7 +9,7 @@
 //! And a symlink whose size field was corrupted past a block must come
 //! back as `EUCLEAN` with a kernel-log line, not as a panic.
 
-use ironfs::blockdev::{BlockDevice, MemDisk, RawAccess, TraceLayer};
+use ironfs::blockdev::{BlockDevice, MemDisk, RawAccess, Recorder};
 use ironfs::core::checksum::sha1;
 use ironfs::core::{BlockAddr, Errno};
 use ironfs::jfs::{JfsFs, JfsLayout, JfsOptions, JfsParams};
@@ -62,9 +62,9 @@ fn program<F: SpecificFs>(fs: &mut F) {
 }
 
 /// `(sha1 of every block, sha1 of the "kind addr tag" request lines)`.
-fn digests(dev: TraceLayer<MemDisk>) -> (String, String) {
+fn digests(dev: Recorder<MemDisk>) -> (String, String) {
     let trace: String = dev
-        .trace()
+        .log()
         .events()
         .iter()
         .map(|e| format!("{} {} {}\n", e.kind, e.addr.0, e.tag))
@@ -78,7 +78,7 @@ fn digests(dev: TraceLayer<MemDisk>) -> (String, String) {
 
 #[test]
 fn jfs_image_and_io_order_are_pinned() {
-    let dev = TraceLayer::new(MemDisk::for_tests(BLOCKS));
+    let dev = Recorder::new(MemDisk::for_tests(BLOCKS));
     // A low threshold makes commits fall between operations, not only at
     // the final sync, so where each operation ends its transaction is
     // part of what is pinned.
@@ -100,7 +100,7 @@ fn jfs_image_and_io_order_are_pinned() {
 
 #[test]
 fn ntfs_image_and_io_order_are_pinned() {
-    let dev = TraceLayer::new(MemDisk::for_tests(BLOCKS));
+    let dev = Recorder::new(MemDisk::for_tests(BLOCKS));
     let mut fs = NtfsFs::format_and_mount(dev, FsEnv::new(), NtfsParams::small()).unwrap();
     program(&mut fs);
     assert_eq!(
