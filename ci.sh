@@ -352,6 +352,13 @@ cargo build --workspace --release --offline
 echo '== test (offline) =='
 cargo test --workspace -q --offline
 
+echo '== examples (release, offline) =='
+# `cargo test` builds the top-level examples but runs none; a panic or a
+# failed assert in one fails the run.
+for e in crash_recovery disk_scrubbing failure_policy_comparison quickstart; do
+    cargo run -q --release --offline --example "$e" >/dev/null
+done
+
 echo '== benchmark workspace (offline) =='
 # benchmark/ is a Cargo workspace of its own that path-depends on
 # crates/* and pins their public API (PolicyHandle, RetryConfig,

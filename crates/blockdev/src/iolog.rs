@@ -172,6 +172,15 @@ impl WriteLogSnapshot {
         let hi = self.records.partition_point(|r| r.epoch <= epoch);
         &self.records[lo..hi]
     }
+
+    /// Write onto `disk`, in issue order, every record `keep` selects, so
+    /// an address ends with the last selected write to it. A crash image
+    /// is the medium the log was recorded over plus such a selection.
+    pub fn apply(&self, disk: &mut impl RawAccess, mut keep: impl FnMut(&WriteRecord) -> bool) {
+        for r in self.records.iter().filter(|r| keep(r)) {
+            disk.poke(r.addr, &r.data);
+        }
+    }
 }
 
 /// A shareable, append-only log of requests. Cloning shares the

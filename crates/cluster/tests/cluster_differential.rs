@@ -205,8 +205,7 @@ impl Model for NtfsModel {
         md
     }
     fn round_trip<D: BlockDevice + RawAccess>(&self, dev: D) -> D {
-        let fs =
-            iron_ntfs::NtfsFs::mount(dev, FsEnv::new(), iron_ntfs::NtfsOptions::default()).unwrap();
+        let fs = iron_ntfs::NtfsFs::mount(dev, FsEnv::new()).unwrap();
         let mut v = Vfs::new(fs);
         workload(&mut v).unwrap();
         v.umount().unwrap();

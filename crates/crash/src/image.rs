@@ -7,7 +7,7 @@
 //! replayed in issue order, so the per-address final value is the last
 //! applied write — the same convergence a real cache destage has.
 
-use iron_blockdev::{MemDisk, RawAccess, WriteLogSnapshot};
+use iron_blockdev::{MemDisk, WriteLogSnapshot};
 
 /// One crash state, by construction recipe. Together with the recorded
 /// log and the golden base image this is a complete, replayable witness.
@@ -36,13 +36,10 @@ impl CrashImageSpec {
 /// Rebuild the on-medium state this crash image describes.
 pub fn materialize(base: &MemDisk, log: &WriteLogSnapshot, spec: &CrashImageSpec) -> MemDisk {
     let mut disk = base.snapshot();
-    for r in &log.records {
-        let applies = r.epoch < spec.cut_epoch
-            || (r.epoch == spec.cut_epoch && spec.subset.binary_search(&r.seq).is_ok());
-        if applies {
-            disk.poke(r.addr, &r.data);
-        }
-    }
+    log.apply(&mut disk, |r| {
+        r.epoch < spec.cut_epoch
+            || (r.epoch == spec.cut_epoch && spec.subset.binary_search(&r.seq).is_ok())
+    });
     disk
 }
 
@@ -50,16 +47,14 @@ pub fn materialize(base: &MemDisk, log: &WriteLogSnapshot, spec: &CrashImageSpec
 /// reconstruct the post-recovery medium from a pre-mount image plus the
 /// write stream the recovery mount produced.
 pub fn apply_all(mut disk: MemDisk, log: &WriteLogSnapshot) -> MemDisk {
-    for r in &log.records {
-        disk.poke(r.addr, &r.data);
-    }
+    log.apply(&mut disk, |_| true);
     disk
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iron_blockdev::{BlockDevice, Recorder};
+    use iron_blockdev::{BlockDevice, RawAccess, Recorder};
     use iron_core::{Block, BlockAddr};
 
     #[test]

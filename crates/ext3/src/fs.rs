@@ -44,11 +44,6 @@ pub struct Ext3Options {
     pub checkpoint_lag: usize,
     /// Buffer-cache capacity in blocks.
     pub cache_blocks: usize,
-    /// Testing hook: commits stop after the commit block is durable,
-    /// leaving the journal dirty and skipping checkpoint — simulating a
-    /// crash between commit and checkpoint (used by recovery fingerprints
-    /// and crash-consistency tests).
-    pub crash_mode: bool,
     /// Testing knob: re-introduce the two seed journaling bugs fixed in
     /// PR 1 — freed blocks are *not* forgotten/revoked from the running
     /// transaction, and replay applies revoke records globally instead of
@@ -121,7 +116,6 @@ impl Default for Ext3Options {
             group_commit: 1,
             checkpoint_lag: 0,
             cache_blocks: 2048,
-            crash_mode: false,
             legacy_journal_bugs: false,
             cpu_clock: None,
             policy: PolicyHandle::new(ext3_stock_policy()),
@@ -135,20 +129,6 @@ impl Ext3Options {
         Ext3Options {
             iron,
             ..Default::default()
-        }
-    }
-
-    /// The fast commit path: group commit (up to 8 transactions per
-    /// commit block, so up to 8 transactions share one barrier pair) plus
-    /// pipelined checkpointing (home-location write-back deferred until
-    /// ~3 transactions' worth of blocks are pending, deduplicated into
-    /// one elevator sweep). Crash-safe by the same oracles as the
-    /// classic path — the journal always holds every committed block.
-    pub fn pipelined(iron: IronConfig) -> Self {
-        Ext3Options {
-            group_commit: 8,
-            checkpoint_lag: 192,
-            ..Ext3Options::with_iron(iron)
         }
     }
 }
@@ -629,12 +609,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         self.dev
     }
 
-    /// Blocks committed to the journal but not yet checkpointed to their
-    /// home locations (testing hook; nonzero only with `checkpoint_lag`).
-    pub fn pending_checkpoint_blocks(&self) -> usize {
-        self.pending.iter().map(|t| t.len()).sum()
-    }
-
     /// The recorded checksum for a device block (0 = none recorded). Used
     /// by the disk scrubber.
     pub fn checksum_entry(&self, addr: u64) -> u64 {
@@ -1082,7 +1056,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 self.abort_journal("transaction larger than the journal");
                 return Err(Errno::ENOSPC.into());
             }
-            if !self.opts.crash_mode && !self.pending.is_empty() {
+            if !self.pending.is_empty() {
                 self.drain_checkpoints()?;
             } else {
                 self.log_head = self.layout.journal_start;
@@ -1186,12 +1160,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         // The batch's frees are durable once its commit block is written:
         // freed blocks become allocatable again.
         self.uncommitted_frees.fill(None);
-
-        if self.opts.crash_mode {
-            // Simulated crash window: committed but never checkpointed.
-            committed.abandon();
-            return Ok(());
-        }
 
         self.pending.push(committed);
         // Parity before the drain: the clean journal superblock (written

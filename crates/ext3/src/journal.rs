@@ -694,10 +694,9 @@ impl Txn<Committed> {
     }
 
     /// Drop the transaction without checkpointing, leaving home locations
-    /// stale and the journal dirty: the `crash_mode` testing hook (a crash
-    /// between commit and checkpoint), and `Ext3Fs::commit`'s `fix_bugs`
-    /// path when the commit-block write fails (the journal aborts). The
-    /// name makes "committed but never checkpointed" a grep-able decision.
+    /// stale and the journal dirty: `Ext3Fs::commit`'s `fix_bugs` path
+    /// when the commit-block write fails (the journal aborts). The name
+    /// makes "committed but never checkpointed" a grep-able decision.
     pub fn abandon(self) {
         drop(self);
     }
@@ -875,7 +874,7 @@ mod tests {
         let mut dev = MemDisk::for_tests(4096);
         Ext3Fs::<MemDisk>::mkfs(&mut dev, Ext3Params::small()).unwrap();
         let opts = Ext3Options {
-            crash_mode: true, // keep both transactions in the log
+            checkpoint_lag: usize::MAX, // keep both transactions in the log
             ..Ext3Options::with_iron(IronConfig {
                 meta_checksum: true,
                 txn_checksum: true,

@@ -27,7 +27,7 @@ fn crashed_image(n_txns: usize, tc: bool) -> (MemDisk, iron_ext3::DiskLayout) {
     };
     let opts = Ext3Options {
         iron,
-        crash_mode: true,
+        checkpoint_lag: usize::MAX,
         ..Default::default()
     };
     let fs = Ext3Fs::mount(dev, FsEnv::new(), opts).unwrap();

@@ -225,12 +225,12 @@ fn fsck_clean_after_workload() {
 
 #[test]
 fn crash_before_checkpoint_recovers_via_journal() {
-    // Mount in crash_mode: commits make the journal durable but never
-    // checkpoint. After "crash", a normal mount must replay the journal and
-    // recover the metadata.
+    // Defer the checkpoint past the end of the run: commits make the
+    // journal durable, home locations stay stale. After "crash", a normal
+    // mount must replay the journal and recover the metadata.
     let dev = MemDisk::for_tests(4096);
     let opts = Ext3Options {
-        crash_mode: true,
+        checkpoint_lag: usize::MAX,
         ..Default::default()
     };
     let fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), Ext3Params::small(), opts).unwrap();

@@ -443,7 +443,7 @@ fn mc_replay_of_an_address_past_the_checksum_table_does_not_panic() {
     Ext3Fs::<MemDisk>::mkfs(&mut md, params).unwrap();
     let opts = Ext3Options {
         iron,
-        crash_mode: true,
+        checkpoint_lag: usize::MAX,
         ..Default::default()
     };
     let mut v = Vfs::new(Ext3Fs::mount(md, FsEnv::new(), opts).unwrap());
@@ -490,7 +490,7 @@ fn transactional_checksum_rejects_corrupt_journal_replay() {
         let ctl = faulty.controller();
         let opts = Ext3Options {
             iron,
-            crash_mode: true,
+            checkpoint_lag: usize::MAX,
             ..Default::default()
         };
         let fs = Ext3Fs::mount(faulty, FsEnv::new(), opts).unwrap();

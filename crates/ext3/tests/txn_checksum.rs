@@ -29,13 +29,14 @@ fn tc_config(mc: bool) -> IronConfig {
     }
 }
 
-/// A fresh small volume mounted in `crash_mode`: every commit stays in the
-/// log, un-checkpointed, with the journal marked dirty.
+/// A fresh small volume whose checkpoint never comes due
+/// (`checkpoint_lag: usize::MAX`): every commit stays in the log,
+/// un-checkpointed, with the journal marked dirty, until the log fills.
 fn crashing_mount(opts: Ext3Options) -> Vfs<Ext3Fs<MemDisk>> {
     let mut dev = MemDisk::for_tests(4096);
     Ext3Fs::<MemDisk>::mkfs(&mut dev, Ext3Params::small()).unwrap();
     let opts = Ext3Options {
-        crash_mode: true,
+        checkpoint_lag: usize::MAX,
         ..opts
     };
     Vfs::new(Ext3Fs::mount(dev, FsEnv::new(), opts).unwrap())

@@ -29,7 +29,7 @@ fn crashed_image(n_txns: usize) -> (MemDisk, iron_ext3::DiskLayout) {
     Ext3Fs::<MemDisk>::mkfs(&mut dev, params).unwrap();
     let opts = Ext3Options {
         iron: IronConfig::off(),
-        crash_mode: true,
+        checkpoint_lag: usize::MAX,
         ..Default::default()
     };
     let fs = Ext3Fs::mount(dev, FsEnv::new(), opts).unwrap();

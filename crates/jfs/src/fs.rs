@@ -28,15 +28,12 @@ const PTRS_PER_INTERNAL: usize = 1000;
 pub struct JfsOptions {
     /// Commit once this many records accumulate.
     pub commit_threshold: usize,
-    /// Stop commits after the log write (simulated crash window).
-    pub crash_mode: bool,
 }
 
 impl Default for JfsOptions {
     fn default() -> Self {
         JfsOptions {
             commit_threshold: 256,
-            crash_mode: false,
         }
     }
 }
@@ -498,12 +495,6 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
         let _ = self.dev.barrier();
         self.jseq = seq + 1;
         self.records.clear();
-
-        if self.opts.crash_mode {
-            self.dirty.clear();
-            self.dirty_order.clear();
-            return Ok(());
-        }
 
         // Checkpoint; write errors ignored (DZero / RZero).
         for addr in std::mem::take(&mut self.dirty_order) {

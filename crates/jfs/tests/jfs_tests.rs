@@ -1,9 +1,9 @@
 //! Functional and failure-policy tests for the JFS model.
 
-use iron_blockdev::{MemDisk, RawAccess};
+use iron_blockdev::{MemDisk, RawAccess, Recorder};
 use iron_core::{Block, BlockAddr, BlockTag, Errno, FaultKind};
 use iron_faultinject::{FaultController, FaultSpec, FaultTarget, FaultyDisk};
-use iron_jfs::{JfsFs, JfsOptions, JfsParams};
+use iron_jfs::{JfsBlockType, JfsFs, JfsOptions, JfsParams};
 use iron_vfs::{FsEnv, MountState, Vfs};
 
 type Fs = JfsFs<FaultyDisk<MemDisk>>;
@@ -74,18 +74,22 @@ fn persistence_and_block_accounting() {
 
 #[test]
 fn crash_recovery_replays_record_journal() {
+    // A crash after the last log record is durable and before the
+    // checkpoint: every recorded write up to and including the last
+    // `j-data`, applied to the freshly formatted image.
     let mut md = MemDisk::for_tests(4096);
     JfsFs::<MemDisk>::mkfs(&mut md, JfsParams::small()).unwrap();
-    let faulty = FaultyDisk::new(md);
-    let opts = JfsOptions {
-        crash_mode: true,
-        ..Default::default()
-    };
-    let fs = JfsFs::mount(faulty, FsEnv::new(), opts).unwrap();
-    let mut v = Vfs::new(fs);
+    let rec = Recorder::new(md.snapshot());
+    let log = rec.log();
+    let mut v = Vfs::new(JfsFs::mount(rec, FsEnv::new(), JfsOptions::default()).unwrap());
     v.write_file("/metadata-survives", b"x").unwrap();
     v.sync().unwrap();
-    let dev = v.into_fs().into_device();
+    let writes = log.snapshot();
+    let commit = JfsBlockType::JournalData.tag();
+    let last = writes.records.iter().rposition(|r| r.tag == commit);
+    let last = last.expect("the sync logged its records") as u64;
+    let mut dev = md;
+    writes.apply(&mut dev, |r| r.seq <= last);
     let env = FsEnv::new();
     let fs = JfsFs::mount(dev, env.clone(), JfsOptions::default()).unwrap();
     assert!(env.klog.contains("journal replay complete"));

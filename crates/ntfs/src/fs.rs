@@ -114,13 +114,6 @@ impl NtfsParams {
     }
 }
 
-/// Mount options.
-#[derive(Clone, Debug, Default)]
-pub struct NtfsOptions {
-    /// Skip the mount-time MFT integrity scan (tests only).
-    pub skip_verify: bool,
-}
-
 /// Computed layout.
 #[derive(Clone, Copy, Debug)]
 struct Layout {
@@ -306,7 +299,7 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
     /// "the file system becomes unmountable if any of its metadata blocks
     /// (except the journal) are corrupted" — every in-use MFT record is
     /// verified.
-    pub fn mount(mut dev: D, env: FsEnv, opts: NtfsOptions) -> VfsResult<Self> {
+    pub fn mount(mut dev: D, env: FsEnv) -> VfsResult<Self> {
         let policy = PolicyHandle::new(ntfs_stock_policy());
         let boot_req = (IoKind::Read, 0, NtfsBlockType::BootFile);
         let boot = persist(&mut dev, &env, &policy, boot_req, |d| {
@@ -351,21 +344,19 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
         let mbm = fs.read_block(layout.mft_bitmap, NtfsBlockType::MftBitmap)?;
         fs.free_records = (0..params.mft_records).filter(|&r| !mbm.bit(r)).count() as u64;
 
-        if !opts.skip_verify {
-            // Mount-time MFT integrity scan: a corrupt metadata block makes
-            // the volume unmountable.
-            for r in 0..params.mft_records {
-                if !mbm.bit(r) {
-                    continue;
-                }
-                let b = fs.read_block(layout.mft_block(r), NtfsBlockType::MftRecord)?;
-                if decode_record(&b).is_none() {
-                    fs.env.klog.error(
-                        "ntfs",
-                        format!("MFT record {r} corrupt; volume unmountable"),
-                    );
-                    return Err(Errno::EUCLEAN.into());
-                }
+        // Mount-time MFT integrity scan: a corrupt metadata block makes
+        // the volume unmountable.
+        for r in 0..params.mft_records {
+            if !mbm.bit(r) {
+                continue;
+            }
+            let b = fs.read_block(layout.mft_block(r), NtfsBlockType::MftRecord)?;
+            if decode_record(&b).is_none() {
+                fs.env.klog.error(
+                    "ntfs",
+                    format!("MFT record {r} corrupt; volume unmountable"),
+                );
+                return Err(Errno::EUCLEAN.into());
             }
         }
         Ok(fs)
@@ -374,7 +365,7 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
     /// Format + mount.
     pub fn format_and_mount(mut dev: D, env: FsEnv, params: NtfsParams) -> VfsResult<Self> {
         Self::mkfs(&mut dev, params)?;
-        Self::mount(dev, env, NtfsOptions::default())
+        Self::mount(dev, env)
     }
 
     /// Consume, returning the device.
@@ -686,7 +677,7 @@ mod tests {
         v.write_file("/keep", &vec![0x7A; 30_000]).unwrap();
         v.umount().unwrap();
         let dev = v.into_fs().into_device();
-        let fs = NtfsFs::mount(dev, FsEnv::new(), NtfsOptions::default()).unwrap();
+        let fs = NtfsFs::mount(dev, FsEnv::new()).unwrap();
         let mut v = Vfs::new(fs);
         assert_eq!(v.read_file("/keep").unwrap(), vec![0x7A; 30_000]);
     }

@@ -38,4 +38,4 @@
 
 pub mod fs;
 
-pub use fs::{ntfs_stock_policy, NtfsBlockType, NtfsFs, NtfsOptions, NtfsParams};
+pub use fs::{ntfs_stock_policy, NtfsBlockType, NtfsFs, NtfsParams};

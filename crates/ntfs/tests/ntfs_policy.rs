@@ -3,7 +3,7 @@
 use iron_blockdev::{MemDisk, RawAccess};
 use iron_core::{Block, BlockAddr, BlockTag, Errno, FaultKind, IoKind};
 use iron_faultinject::{FaultController, FaultSpec, FaultTarget, FaultyDisk};
-use iron_ntfs::{NtfsFs, NtfsOptions, NtfsParams};
+use iron_ntfs::{NtfsFs, NtfsParams};
 use iron_vfs::{FsEnv, MountState, Vfs};
 
 type Fs = NtfsFs<FaultyDisk<MemDisk>>;
@@ -14,7 +14,7 @@ fn mount() -> (Vfs<Fs>, FaultController, FsEnv) {
     let faulty = FaultyDisk::new(md);
     let ctl = faulty.controller();
     let env = FsEnv::new();
-    let fs = NtfsFs::mount(faulty, env.clone(), NtfsOptions::default()).unwrap();
+    let fs = NtfsFs::mount(faulty, env.clone()).unwrap();
     (Vfs::new(fs), ctl, env)
 }
 
@@ -22,7 +22,7 @@ fn remount(mut v: Vfs<Fs>) -> (Vfs<Fs>, FsEnv) {
     v.umount().unwrap();
     let dev = v.into_fs().into_device();
     let env = FsEnv::new();
-    let fs = NtfsFs::mount(dev, env.clone(), NtfsOptions::default()).unwrap();
+    let fs = NtfsFs::mount(dev, env.clone()).unwrap();
     (Vfs::new(fs), env)
 }
 
@@ -115,7 +115,7 @@ fn corrupt_mft_record_makes_volume_unmountable() {
     b.put_u32(0, 0xBAAD_F00D);
     dev.poke(BlockAddr(target), &b);
     let env = FsEnv::new();
-    let err = match NtfsFs::mount(dev, env.clone(), NtfsOptions::default()) {
+    let err = match NtfsFs::mount(dev, env.clone()) {
         Err(e) => e,
         Ok(_) => panic!("volume should be unmountable"),
     };
@@ -146,7 +146,7 @@ fn corrupted_block_pointer_clobbers_system_structures_paper_bug() {
     rec.put_u32(48, bitmap_addr as u32); // direct[0] := volume bitmap
     dev.poke(BlockAddr(rec_addr), &rec);
     let env = FsEnv::new();
-    let fs = NtfsFs::mount(dev, env.clone(), NtfsOptions::default()).unwrap();
+    let fs = NtfsFs::mount(dev, env.clone()).unwrap();
     let mut v = Vfs::new(fs);
     // Writing "the file" silently overwrites the volume bitmap.
     let fd = v.open("/victim", iron_vfs::OpenFlags::wronly()).unwrap();
@@ -226,7 +226,7 @@ fn corrupt_boot_geometry_is_euclean_not_a_panic() {
         md.poke(BlockAddr(0), &boot);
 
         let env = FsEnv::new();
-        let err = NtfsFs::mount(md, env.clone(), NtfsOptions::default())
+        let err = NtfsFs::mount(md, env.clone())
             .err()
             .unwrap_or_else(|| panic!("field {offset} = {value} must not mount"));
         assert_eq!(err.errno(), Some(Errno::EUCLEAN), "field {offset}");
@@ -247,16 +247,12 @@ fn errors_propagate_reliably() {
     // "It also seems to propagate errors to the user quite reliably."
     let (mut v, ctl, _env) = mount();
     v.write_file("/f", b"y").unwrap();
-    // Remount without the integrity scan so MFT blocks stay cold, then
-    // fail the runtime MFT read.
-    v.umount().unwrap();
-    let dev = v.into_fs().into_device();
-    let env = FsEnv::new();
-    let fs = NtfsFs::mount(dev, env.clone(), NtfsOptions { skip_verify: true }).unwrap();
-    let mut v = Vfs::new(fs);
+    // The mount scan caches every in-use MFT record, but not the root's
+    // directory block: after a remount the lookup of "/f" reads it cold.
+    let (mut v, env) = remount(v);
     ctl.inject(FaultSpec::sticky(
         FaultKind::ReadError,
-        FaultTarget::Tag(BlockTag("MFT record")),
+        FaultTarget::Tag(BlockTag("dir")),
     ));
     assert_eq!(v.stat("/f").unwrap_err().errno(), Some(Errno::EIO));
     assert_ne!(env.state(), MountState::Crashed, "no panic, just errors");
@@ -274,7 +270,7 @@ fn cached_stack_round_trip() {
         .with_cache(CachePolicy::write_back(64))
         .build();
     NtfsFs::<MemDisk>::mkfs(dev.inner_mut(), NtfsParams::small()).unwrap();
-    let fs = NtfsFs::mount(dev, FsEnv::new(), NtfsOptions::default()).unwrap();
+    let fs = NtfsFs::mount(dev, FsEnv::new()).unwrap();
     let mut v = Vfs::new(fs);
     for i in 0..12u8 {
         v.write_file(&format!("/f{i}"), &vec![i; 3000]).unwrap();
@@ -285,7 +281,7 @@ fn cached_stack_round_trip() {
     let cache = v.into_fs().into_device();
     assert_eq!(cache.dirty_blocks(), 0, "unmount drains the cache");
     let md = cache.into_inner();
-    let fs = NtfsFs::mount(md, FsEnv::new(), NtfsOptions::default()).unwrap();
+    let fs = NtfsFs::mount(md, FsEnv::new()).unwrap();
     let mut v = Vfs::new(fs);
     for i in 0..12u8 {
         assert_eq!(v.read_file(&format!("/f{i}")).unwrap(), vec![i; 3000]);

@@ -3,14 +3,14 @@
 //! run is bit-identical to its serial replay at every thread count.
 
 use iron_blockdev::MemDisk;
-use iron_ntfs::{NtfsFs, NtfsOptions, NtfsParams};
+use iron_ntfs::{NtfsFs, NtfsParams};
 use iron_serve::{assert_serial_equivalence, generate, memdisk_image, prepare, WorkloadSpec};
 use iron_vfs::{FsEnv, Vfs};
 
 fn mount_prepared(spec: &WorkloadSpec) -> Vfs<NtfsFs<MemDisk>> {
     let mut md = MemDisk::for_tests(4096);
     NtfsFs::<MemDisk>::mkfs(&mut md, NtfsParams::small()).unwrap();
-    let fs = NtfsFs::mount(md, FsEnv::new(), NtfsOptions::default()).unwrap();
+    let fs = NtfsFs::mount(md, FsEnv::new()).unwrap();
     let mut v = Vfs::new(fs);
     prepare(&mut v, spec);
     v

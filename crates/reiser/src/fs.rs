@@ -26,15 +26,12 @@ pub const ROOT_OID: u64 = 2;
 pub struct ReiserOptions {
     /// Commit once the transaction reaches this many blocks.
     pub commit_threshold: usize,
-    /// Stop commits after the commit block (simulated crash window).
-    pub crash_mode: bool,
 }
 
 impl Default for ReiserOptions {
     fn default() -> Self {
         ReiserOptions {
             commit_threshold: 64,
-            crash_mode: false,
         }
     }
 }
@@ -484,11 +481,6 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
         self.log_head += 1;
         let _ = self.dev.barrier();
         self.jseq = seq + 1;
-
-        if self.opts.crash_mode {
-            self.txn.clear();
-            return Ok(());
-        }
 
         // Checkpoint.
         for (addr, b, ty) in &blocks {

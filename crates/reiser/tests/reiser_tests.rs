@@ -1,10 +1,10 @@
 //! Functional and failure-policy tests for the ReiserFS model.
 
-use iron_blockdev::{MemDisk, RawAccess};
+use iron_blockdev::{MemDisk, RawAccess, Recorder};
 use iron_core::model::CorruptionStyle;
 use iron_core::{Block, BlockAddr, BlockTag, Errno, FaultKind};
 use iron_faultinject::{FaultController, FaultSpec, FaultTarget, FaultyDisk};
-use iron_reiser::{ReiserFs, ReiserOptions, ReiserParams};
+use iron_reiser::{ReiserBlockType, ReiserFs, ReiserLayout, ReiserOptions, ReiserParams};
 use iron_vfs::{FsEnv, MountState, Vfs};
 
 type Fs = ReiserFs<FaultyDisk<MemDisk>>;
@@ -25,6 +25,26 @@ fn remount(mut v: Vfs<Fs>) -> (Vfs<Fs>, FsEnv) {
     let env = FsEnv::new();
     let fs = ReiserFs::mount(dev, env.clone(), ReiserOptions::default()).unwrap();
     (Vfs::new(fs), env)
+}
+
+/// A crash after the commit record of the last transaction and before
+/// its checkpoint: run `ops` and a `sync` on a fresh volume over a
+/// [`Recorder`], then apply to the freshly formatted image every recorded
+/// write up to and including the last `j-commit`.
+fn crashed_after_commit(ops: impl FnOnce(&mut Vfs<ReiserFs<Recorder<MemDisk>>>)) -> MemDisk {
+    let mut clean = MemDisk::for_tests(4096);
+    ReiserFs::<MemDisk>::mkfs(&mut clean, ReiserParams::small()).unwrap();
+    let dev = Recorder::new(clean.snapshot());
+    let log = dev.log();
+    let mut v = Vfs::new(ReiserFs::mount(dev, FsEnv::new(), ReiserOptions::default()).unwrap());
+    ops(&mut v);
+    v.sync().unwrap();
+    let writes = log.snapshot();
+    let commit = ReiserBlockType::JournalCommit.tag();
+    let last = writes.records.iter().rposition(|r| r.tag == commit);
+    let last = last.expect("the sync wrote a commit record") as u64;
+    writes.apply(&mut clean, |r| r.seq <= last);
+    clean
 }
 
 // ----------------------------------------------------------------------
@@ -134,18 +154,7 @@ fn unlink_frees_blocks() {
 
 #[test]
 fn crash_recovery_replays_journal() {
-    let mut md = MemDisk::for_tests(4096);
-    ReiserFs::<MemDisk>::mkfs(&mut md, ReiserParams::small()).unwrap();
-    let faulty = FaultyDisk::new(md);
-    let opts = ReiserOptions {
-        crash_mode: true,
-        ..Default::default()
-    };
-    let fs = ReiserFs::mount(faulty, FsEnv::new(), opts).unwrap();
-    let mut v = Vfs::new(fs);
-    v.write_file("/survives", b"journaled").unwrap();
-    v.sync().unwrap();
-    let dev = v.into_fs().into_device(); // crash
+    let dev = crashed_after_commit(|v| v.write_file("/survives", b"journaled").unwrap());
     let env = FsEnv::new();
     let fs = ReiserFs::mount(dev, env.clone(), ReiserOptions::default()).unwrap();
     assert!(env.klog.contains("replaying journal"));
@@ -281,19 +290,8 @@ fn corrupt_leaf_propagates_sanity_error() {
 fn corrupt_journal_data_destroys_filesystem_paper_bug() {
     // Crash with a committed transaction whose journal data we corrupt so
     // that the descriptor's first home address is block 0 (the super).
-    let mut md = MemDisk::for_tests(4096);
-    ReiserFs::<MemDisk>::mkfs(&mut md, ReiserParams::small()).unwrap();
-    let faulty = FaultyDisk::new(md);
-    let opts = ReiserOptions {
-        crash_mode: true,
-        ..Default::default()
-    };
-    let fs = ReiserFs::mount(faulty, FsEnv::new(), opts).unwrap();
-    let layout = *fs.layout();
-    let mut v = Vfs::new(fs);
-    v.write_file("/f", b"x").unwrap();
-    v.sync().unwrap();
-    let mut dev = v.into_fs().into_device();
+    let mut dev = crashed_after_commit(|v| v.write_file("/f", b"x").unwrap());
+    let layout = ReiserLayout::compute(ReiserParams::small());
     // The superblock is part of the transaction (free-count updates), so a
     // corrupted journal-data copy of it will be replayed right over block
     // 0. Find the journal-data block whose home is block 0 and fill it

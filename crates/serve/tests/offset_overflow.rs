@@ -10,7 +10,7 @@ use iron_blockdev::MemDisk;
 use iron_core::Errno;
 use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, IronConfig};
 use iron_jfs::{JfsFs, JfsOptions, JfsParams};
-use iron_ntfs::{NtfsFs, NtfsOptions, NtfsParams};
+use iron_ntfs::{NtfsFs, NtfsParams};
 use iron_reiser::{ReiserFs, ReiserOptions, ReiserParams};
 use iron_serve::{digest, payload, serve, Reply, Request, ServeOptions, Session};
 use iron_vfs::ramfs::RamFs;
@@ -94,6 +94,6 @@ fn overflowing_offsets_clamp_reads_and_refuse_writes_on_every_model() {
 
     let mut md = disk();
     NtfsFs::<MemDisk>::mkfs(&mut md, NtfsParams::small()).unwrap();
-    let fs = NtfsFs::mount(md, FsEnv::new(), NtfsOptions::default()).unwrap();
+    let fs = NtfsFs::mount(md, FsEnv::new()).unwrap();
     serve_both("ntfs", Vfs::new(fs));
 }

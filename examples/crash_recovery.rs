@@ -6,7 +6,8 @@
 //!
 //! Run with: `cargo run --example crash_recovery`
 
-use ironfs::ext3::DiskLayout;
+use ironfs::blockdev::Recorder;
+use ironfs::ext3::{BlockType, DiskLayout};
 use ironfs::prelude::*;
 
 /// Build an image whose journal holds one committed, un-checkpointed
@@ -17,18 +18,24 @@ fn crashed_image(tc: bool) -> MemDisk {
         txn_checksum: tc,
         ..IronConfig::off()
     };
-    let opts = Ext3Options {
-        iron,
-        crash_mode: true, // commits stop after the commit block
-        ..Default::default()
-    };
-    let dev = StackBuilder::memdisk(4096).build();
-    let fs = Ext3Fs::format_and_mount(dev, FsEnv::new(), params, opts).unwrap();
+    let mut clean = StackBuilder::memdisk(4096).build();
+    Ext3Fs::<MemDisk>::mkfs(&mut clean, params).unwrap();
+    let dev = Recorder::new(clean.snapshot());
+    let log = dev.log();
+    let fs = Ext3Fs::mount(dev, FsEnv::new(), Ext3Options::with_iron(iron)).unwrap();
     let mut v = Vfs::new(fs);
     v.mkdir("/important", 0o755).unwrap();
     v.write_file("/important/ledger", b"the only copy").unwrap();
-    v.sync().unwrap(); // journal durable; checkpoint never happens
-    let mut dev = v.into_fs().into_device(); // CRASH
+    v.sync().unwrap(); // commit, then checkpoint
+
+    // CRASH just after the commit block: every write up to and including
+    // it reached the disk, the checkpoint that followed did not.
+    let writes = log.snapshot();
+    let commit = BlockType::JournalCommit.tag();
+    let last = writes.records.iter().rposition(|r| r.tag == commit);
+    let last = last.expect("the sync committed") as u64;
+    let mut dev = clean;
+    writes.apply(&mut dev, |r| r.seq <= last);
 
     // Disk corruption strikes the journal while the machine is down.
     let layout = DiskLayout::compute(params);
@@ -53,15 +60,14 @@ fn main() {
             .expect("mount");
         let mut v = Vfs::new(fs);
         println!("ext3 (no Tc):");
-        println!(
-            "  stat /important        -> {:?}",
-            v.stat("/important").map(|a| a.ftype)
-        );
+        let dir = v.stat("/important").map(|a| a.ftype);
+        println!("  stat /important        -> {dir:?}");
         println!(
             "  stat /important/ledger -> {:?}",
             v.stat("/important/ledger").map(|a| a.size)
         );
         println!("  (some metadata block now contains 0xDB garbage — corruption was replayed)\n");
+        assert!(dir.is_ok(), "stock ext3 replays the damaged transaction");
     }
 
     // ixt3 with Tc: the transaction checksum catches it.
@@ -74,15 +80,15 @@ fn main() {
         let fs = Ext3Fs::mount(crashed_image(true), env.clone(), opts).expect("mount");
         let mut v = Vfs::new(fs);
         println!("ixt3 (Tc on):");
+        let mismatch = env.klog.contains("transactional checksum mismatch");
+        println!("  transactional checksum mismatch logged: {mismatch}");
+        let dir = v.stat("/important").map(|a| a.ftype);
         println!(
-            "  transactional checksum mismatch logged: {}",
-            env.klog.contains("transactional checksum mismatch")
-        );
-        println!(
-            "  stat /important        -> {:?}  (transaction skipped: the dir never existed)",
-            v.stat("/important").map(|a| a.ftype)
+            "  stat /important        -> {dir:?}  (transaction skipped: the dir never existed)"
         );
         println!("  the damaged transaction was rejected; the file system stays consistent");
         println!("  (and Tc also makes commits ~20% faster on sync-heavy workloads — Table 6)");
+        assert!(mismatch, "Tc detects the damaged transaction");
+        assert_eq!(dir.unwrap_err().errno(), Some(Errno::ENOENT));
     }
 }

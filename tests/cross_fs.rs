@@ -43,7 +43,7 @@ fn mount_all() -> Vec<(&'static str, DynVfs, FaultController, FsEnv)> {
     let fd = FaultyDisk::new(md);
     let ctl = fd.controller();
     let env = FsEnv::new();
-    let fs = ironfs::ntfs::NtfsFs::mount(fd, env.clone(), Default::default()).unwrap();
+    let fs = ironfs::ntfs::NtfsFs::mount(fd, env.clone()).unwrap();
     out.push(("ntfs", Vfs::new(Box::new(fs)), ctl, env));
 
     let fd = FaultyDisk::new(MemDisk::for_tests(4096));

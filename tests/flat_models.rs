@@ -13,7 +13,7 @@ use ironfs::blockdev::{BlockDevice, MemDisk, RawAccess, Recorder};
 use ironfs::core::checksum::sha1;
 use ironfs::core::{BlockAddr, Errno};
 use ironfs::jfs::{JfsFs, JfsLayout, JfsOptions, JfsParams};
-use ironfs::ntfs::{NtfsFs, NtfsOptions, NtfsParams};
+use ironfs::ntfs::{NtfsFs, NtfsParams};
 use ironfs::vfs::{FsEnv, SpecificFs};
 
 const BLOCKS: u64 = 4096;
@@ -84,7 +84,6 @@ fn jfs_image_and_io_order_are_pinned() {
     // part of what is pinned.
     let opts = JfsOptions {
         commit_threshold: 8,
-        crash_mode: false,
     };
     let mut fs = JfsFs::format_and_mount(dev, FsEnv::new(), JfsParams::small(), opts).unwrap();
     program(&mut fs);
@@ -178,7 +177,7 @@ fn ntfs_readlink_survives_a_corrupt_size() {
         fs,
         NtfsFs::into_device,
         |rec| (BlockAddr(mft_start + rec), 32),
-        |dev, env| NtfsFs::mount(dev, env, NtfsOptions::default()).unwrap(),
+        |dev, env| NtfsFs::mount(dev, env).unwrap(),
         "ntfs",
     );
 }

@@ -36,14 +36,20 @@ fn ixt3_variants_reserve_the_mirror_iff_replicating() {
 
 #[test]
 fn pipelined_mount_defers_checkpoints() {
-    let mut fs = format_and_mount(Ext3Options::pipelined(IronConfig::full()));
+    let mut fs = format_and_mount(Ext3Options {
+        group_commit: 8,
+        checkpoint_lag: 192,
+        ..Ext3Options::with_iron(IronConfig::full())
+    });
     {
         let mut v = Vfs::new(&mut fs as &mut dyn SpecificFs);
         v.write_file("/f", &[7u8; 9000]).unwrap();
         v.sync().unwrap();
     }
+    let js = fs.device().peek(BlockAddr(fs.layout().journal_super));
+    let js = ironfs::ext3::journal::JournalSuper::decode(&js).expect("journal superblock");
     assert!(
-        fs.pending_checkpoint_blocks() > 0,
+        js.dirty,
         "lagged checkpointing must leave the commit awaiting write-back"
     );
 }
