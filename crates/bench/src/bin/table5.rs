@@ -2,8 +2,8 @@
 //! and JFS (and, for comparison, ixt3 — whose redundancy column is the
 //! paper's point).
 
-use iron_bench::full_campaign;
-use iron_fingerprint::summary::{render_table5, summarize};
+use iron_bench::{full_campaign, table5_report};
+use iron_fingerprint::summary::summarize;
 
 fn main() {
     let mut summaries = Vec::new();
@@ -12,19 +12,5 @@ fn main() {
         let m = full_campaign(fs);
         summaries.push(summarize(&m));
     }
-    println!("{}", render_table5(&summaries));
-    println!("Raw counts (cells exhibiting each level / relevant cells):");
-    for s in &summaries {
-        println!("\n{} ({} relevant cells)", s.fs_name, s.relevant);
-        for (l, c) in &s.detection_counts {
-            if *c > 0 {
-                println!("  {l:<14} {c}");
-            }
-        }
-        for (l, c) in &s.recovery_counts {
-            if *c > 0 {
-                println!("  {l:<14} {c}");
-            }
-        }
-    }
+    print!("{}", table5_report(&summaries));
 }

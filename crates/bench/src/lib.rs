@@ -25,6 +25,7 @@
 
 pub mod sim_costs;
 
+use iron_fingerprint::summary::{render_table5, TechniqueSummary};
 use iron_fingerprint::{
     fingerprint_fs, CampaignOptions, Ext3Adapter, FsUnderTest, JfsAdapter, NtfsAdapter,
     PolicyMatrix, ReiserAdapter,
@@ -50,4 +51,30 @@ pub fn figure2_adapters() -> Vec<(&'static str, Box<dyn FsUnderTest>)> {
         ("reiserfs", Box::new(ReiserAdapter)),
         ("jfs", Box::new(JfsAdapter)),
     ]
+}
+
+/// What the `table5` binary prints: Table 5, then each file system's count
+/// of cells per level it exhibits.
+pub fn table5_report(summaries: &[TechniqueSummary]) -> String {
+    let mut out = format!("{}\n", render_table5(summaries));
+    out.push_str("Raw counts (cells exhibiting each level / relevant cells):\n");
+    // A level's `Display` writes its name with `write_str`, which ignores
+    // the width: these lines are unpadded, as `results/table5.txt` records.
+    for s in summaries {
+        out.push_str(&format!(
+            "\n{} ({} relevant cells)\n",
+            s.fs_name, s.relevant
+        ));
+        for (l, c) in &s.detection_counts {
+            if *c > 0 {
+                out.push_str(&format!("  {l:<14} {c}\n"));
+            }
+        }
+        for (l, c) in &s.recovery_counts {
+            if *c > 0 {
+                out.push_str(&format!("  {l:<14} {c}\n"));
+            }
+        }
+    }
+    out
 }
