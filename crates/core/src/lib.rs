@@ -60,4 +60,4 @@ pub use recover::{
     Backoff, ErrorClass, FailurePolicyTable, PolicyCounterSnapshot, PolicyCounters, PolicyHandle,
     RecoveryAction,
 };
-pub use taxonomy::{DetectionLevel, RecoveryLevel};
+pub use taxonomy::{DetectionLevel, Level, RecoveryLevel};

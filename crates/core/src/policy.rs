@@ -2,153 +2,100 @@
 //!
 //! A *failure policy* (§3) is, per scenario, the set of detection techniques
 //! and the set of recovery techniques a file system applied. One cell of
-//! Figure 2/3 is a [`PolicyCell`]; this module provides compact bitset-backed
-//! sets over [`DetectionLevel`] and [`RecoveryLevel`] plus the glyph
+//! Figure 2/3 is a [`PolicyCell`]; this module provides a compact
+//! bitset-backed [`LevelSet`] over either axis, with the glyph
 //! superimposition the paper's figures use ("if multiple mechanisms are
 //! observed, the symbols are superimposed").
 
 use std::fmt;
+use std::marker::PhantomData;
 
-use crate::taxonomy::{DetectionLevel, RecoveryLevel};
+use crate::taxonomy::{DetectionLevel, Level, RecoveryLevel};
 
-/// A set of detection levels, stored as a bitmask.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub struct DetectionSet(u8);
+/// A set of levels of one axis, stored as a bitmask over [`Level::index`].
+/// Bit 0 is the zero level (`DZero`, `RZero`).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct LevelSet<L>(u8, PhantomData<L>);
 
-impl DetectionSet {
-    /// The empty set (≡ `DZero` only, once normalized).
-    pub const EMPTY: DetectionSet = DetectionSet(0);
+/// A set of detection levels.
+pub type DetectionSet = LevelSet<DetectionLevel>;
+
+/// A set of recovery levels.
+pub type RecoverySet = LevelSet<RecoveryLevel>;
+
+impl<L: Level> LevelSet<L> {
+    /// The empty set (≡ the zero level only, once normalized).
+    pub const EMPTY: Self = LevelSet(0, PhantomData);
 
     /// Singleton set.
-    pub fn just(level: DetectionLevel) -> Self {
-        let mut s = Self::EMPTY;
-        s.insert(level);
-        s
+    pub fn just(level: L) -> Self {
+        LevelSet(1 << level.index(), PhantomData)
     }
 
     /// Insert a level.
-    pub fn insert(&mut self, level: DetectionLevel) {
-        self.0 |= 1 << level as u8;
+    pub fn insert(&mut self, level: L) {
+        self.0 |= Self::just(level).0;
     }
 
     /// Membership test.
-    pub fn contains(&self, level: DetectionLevel) -> bool {
-        self.0 & (1 << level as u8) != 0
+    pub fn contains(&self, level: L) -> bool {
+        self.0 & Self::just(level).0 != 0
     }
 
     /// Union with another set.
-    pub fn union(self, other: DetectionSet) -> DetectionSet {
-        DetectionSet(self.0 | other.0)
+    pub fn union(self, other: Self) -> Self {
+        LevelSet(self.0 | other.0, PhantomData)
     }
 
-    /// True if no level was recorded (interpreted as `DZero`).
+    /// True if no level but the zero level was recorded.
     pub fn is_empty(&self) -> bool {
-        self.0 == 0 || *self == DetectionSet::just(DetectionLevel::DZero)
+        self.0 & !1 == 0
     }
 
     /// Iterate members in taxonomy order.
-    pub fn iter(&self) -> impl Iterator<Item = DetectionLevel> + '_ {
-        DetectionLevel::ALL
-            .into_iter()
-            .filter(|l| self.contains(*l))
+    pub fn iter(&self) -> impl Iterator<Item = L> + '_ {
+        L::ALL.iter().copied().filter(|l| self.contains(*l))
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
         self.0.count_ones() as usize
     }
-}
 
-impl FromIterator<DetectionLevel> for DetectionSet {
-    fn from_iter<T: IntoIterator<Item = DetectionLevel>>(iter: T) -> Self {
-        let mut s = Self::EMPTY;
-        for l in iter {
-            s.insert(l);
+    /// Superimpose the members' glyphs into a short string, as the paper's
+    /// figures superimpose symbols. The zero level renders as `.`.
+    pub fn glyphs(&self) -> String {
+        if self.is_empty() {
+            return ".".into();
         }
-        s
+        self.nonzero().map(|l| l.row().glyph).collect()
+    }
+
+    /// Members other than the zero level.
+    fn nonzero(&self) -> impl Iterator<Item = L> + '_ {
+        self.iter().filter(|l| l.index() != 0)
     }
 }
 
-impl fmt::Display for DetectionSet {
+impl<L: Level> Default for LevelSet<L> {
+    fn default() -> Self {
+        Self::EMPTY
+    }
+}
+
+impl<L: Level> FromIterator<L> for LevelSet<L> {
+    fn from_iter<T: IntoIterator<Item = L>>(iter: T) -> Self {
+        iter.into_iter()
+            .fold(Self::EMPTY, |s, l| s.union(Self::just(l)))
+    }
+}
+
+impl<L: Level> fmt::Display for LevelSet<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_empty() {
-            return f.write_str("DZero");
+            return f.write_str(L::ALL[0].row().name);
         }
-        let names: Vec<String> = self
-            .iter()
-            .filter(|l| *l != DetectionLevel::DZero)
-            .map(|l| l.to_string())
-            .collect();
-        f.write_str(&names.join("+"))
-    }
-}
-
-/// A set of recovery levels, stored as a bitmask.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub struct RecoverySet(u8);
-
-impl RecoverySet {
-    /// The empty set (≡ `RZero` only, once normalized).
-    pub const EMPTY: RecoverySet = RecoverySet(0);
-
-    /// Singleton set.
-    pub fn just(level: RecoveryLevel) -> Self {
-        let mut s = Self::EMPTY;
-        s.insert(level);
-        s
-    }
-
-    /// Insert a level.
-    pub fn insert(&mut self, level: RecoveryLevel) {
-        self.0 |= 1 << level as u8;
-    }
-
-    /// Membership test.
-    pub fn contains(&self, level: RecoveryLevel) -> bool {
-        self.0 & (1 << level as u8) != 0
-    }
-
-    /// Union with another set.
-    pub fn union(self, other: RecoverySet) -> RecoverySet {
-        RecoverySet(self.0 | other.0)
-    }
-
-    /// True if no level was recorded (interpreted as `RZero`).
-    pub fn is_empty(&self) -> bool {
-        self.0 == 0 || *self == RecoverySet::just(RecoveryLevel::RZero)
-    }
-
-    /// Iterate members in taxonomy order.
-    pub fn iter(&self) -> impl Iterator<Item = RecoveryLevel> + '_ {
-        RecoveryLevel::ALL.into_iter().filter(|l| self.contains(*l))
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.0.count_ones() as usize
-    }
-}
-
-impl FromIterator<RecoveryLevel> for RecoverySet {
-    fn from_iter<T: IntoIterator<Item = RecoveryLevel>>(iter: T) -> Self {
-        let mut s = Self::EMPTY;
-        for l in iter {
-            s.insert(l);
-        }
-        s
-    }
-}
-
-impl fmt::Display for RecoverySet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_empty() {
-            return f.write_str("RZero");
-        }
-        let names: Vec<String> = self
-            .iter()
-            .filter(|l| *l != RecoveryLevel::RZero)
-            .map(|l| l.to_string())
-            .collect();
+        let names: Vec<String> = self.nonzero().map(|l| l.to_string()).collect();
         f.write_str(&names.join("+"))
     }
 }
@@ -162,33 +109,6 @@ pub struct PolicyCell {
     pub detection: DetectionSet,
     /// Recovery techniques observed.
     pub recovery: RecoverySet,
-}
-
-impl PolicyCell {
-    /// Superimpose the detection glyphs of this cell into a short string, as
-    /// the paper's figures superimpose symbols. `DZero` renders as `.`.
-    pub fn detection_glyphs(&self) -> String {
-        if self.detection.is_empty() {
-            return ".".into();
-        }
-        self.detection
-            .iter()
-            .filter(|l| *l != DetectionLevel::DZero)
-            .map(|l| l.glyph())
-            .collect()
-    }
-
-    /// Superimpose the recovery glyphs of this cell. `RZero` renders as `.`.
-    pub fn recovery_glyphs(&self) -> String {
-        if self.recovery.is_empty() {
-            return ".".into();
-        }
-        self.recovery
-            .iter()
-            .filter(|l| *l != RecoveryLevel::RZero)
-            .map(|l| l.glyph())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -237,10 +157,10 @@ mod tests {
                 .into_iter()
                 .collect(),
         };
-        assert_eq!(cell.detection_glyphs(), "-");
-        assert_eq!(cell.recovery_glyphs(), "-|");
-        assert_eq!(PolicyCell::default().detection_glyphs(), ".");
-        assert_eq!(PolicyCell::default().recovery_glyphs(), ".");
+        assert_eq!(cell.detection.glyphs(), "-");
+        assert_eq!(cell.recovery.glyphs(), "-|");
+        assert_eq!(PolicyCell::default().detection.glyphs(), ".");
+        assert_eq!(PolicyCell::default().recovery.glyphs(), ".");
     }
 
     #[test]

@@ -8,6 +8,37 @@
 
 use std::fmt;
 
+/// One axis of the IRON taxonomy: Table 1 (detection) or Table 2
+/// (recovery). Each level's name, glyph, technique and comment are
+/// written once, as its [`LevelRow`].
+pub trait Level: Copy + Eq + fmt::Display + 'static {
+    /// The axis, as its table's title names it ("Detection").
+    const AXIS: &'static str;
+    /// Every level in taxonomy order, the zero level first.
+    const ALL: &'static [Self];
+
+    /// The level's bit in a [`LevelSet`](crate::policy::LevelSet): its
+    /// position in [`Level::ALL`].
+    fn index(self) -> usize;
+
+    /// The level's row of its table.
+    fn row(self) -> LevelRow;
+}
+
+/// One level's row of Table 1 or 2, with its glyph in Figures 2 and 3.
+#[derive(Clone, Copy, Debug)]
+pub struct LevelRow {
+    /// The level's name, e.g. `DSanity`.
+    pub name: &'static str,
+    /// The single character the Figure 2/3 matrices superimpose; blank
+    /// for the zero level.
+    pub glyph: char,
+    /// The technique, as the table words it.
+    pub technique: &'static str,
+    /// The table's comment column.
+    pub comment: &'static str,
+}
+
 /// Level D of the IRON taxonomy: how a file system *detects* that a block
 /// could not be accessed or was corrupted (Table 1).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -24,57 +55,49 @@ pub enum DetectionLevel {
     DRedundancy,
 }
 
-impl DetectionLevel {
-    /// All levels, in taxonomy order.
-    pub const ALL: [DetectionLevel; 4] = [
+impl Level for DetectionLevel {
+    const AXIS: &'static str = "Detection";
+    const ALL: &'static [Self] = &[
         DetectionLevel::DZero,
         DetectionLevel::DErrorCode,
         DetectionLevel::DSanity,
         DetectionLevel::DRedundancy,
     ];
 
-    /// The single-character glyph used in the Figure 2/3 matrices.
-    ///
-    /// Matches the paper's key: blank for `DZero`, `-` for `DErrorCode`,
-    /// `|` for `DSanity`, `\` for `DRedundancy`.
-    pub fn glyph(&self) -> char {
-        match self {
-            DetectionLevel::DZero => ' ',
-            DetectionLevel::DErrorCode => '-',
-            DetectionLevel::DSanity => '|',
-            DetectionLevel::DRedundancy => '\\',
-        }
+    fn index(self) -> usize {
+        self as usize
     }
 
-    /// The technique, as worded in Table 1.
-    pub fn technique(&self) -> &'static str {
-        match self {
-            DetectionLevel::DZero => "No detection",
-            DetectionLevel::DErrorCode => "Check return codes from lower levels",
-            DetectionLevel::DSanity => "Check data structures for consistency",
-            DetectionLevel::DRedundancy => "Redundancy over one or more blocks",
+    /// Glyphs follow the paper's key: blank for `DZero`, `-` for
+    /// `DErrorCode`, `|` for `DSanity`, `\` for `DRedundancy`.
+    fn row(self) -> LevelRow {
+        let (name, glyph, technique, comment) = match self {
+            DetectionLevel::DZero => ("DZero", ' ', "No detection", "Assumes disk works"),
+            DetectionLevel::DErrorCode => (
+                "DErrorCode",
+                '-',
+                "Check return codes from lower levels",
+                "Assumes lower level can detect errors",
+            ),
+            DetectionLevel::DSanity => (
+                "DSanity",
+                '|',
+                "Check data structures for consistency",
+                "May require extra space per block",
+            ),
+            DetectionLevel::DRedundancy => (
+                "DRedundancy",
+                '\\',
+                "Redundancy over one or more blocks",
+                "Detect corruption in end-to-end way",
+            ),
+        };
+        LevelRow {
+            name,
+            glyph,
+            technique,
+            comment,
         }
-    }
-
-    /// The comment column of Table 1.
-    pub fn comment(&self) -> &'static str {
-        match self {
-            DetectionLevel::DZero => "Assumes disk works",
-            DetectionLevel::DErrorCode => "Assumes lower level can detect errors",
-            DetectionLevel::DSanity => "May require extra space per block",
-            DetectionLevel::DRedundancy => "Detect corruption in end-to-end way",
-        }
-    }
-}
-
-impl fmt::Display for DetectionLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            DetectionLevel::DZero => "DZero",
-            DetectionLevel::DErrorCode => "DErrorCode",
-            DetectionLevel::DSanity => "DSanity",
-            DetectionLevel::DRedundancy => "DRedundancy",
-        })
     }
 }
 
@@ -100,9 +123,9 @@ pub enum RecoveryLevel {
     RRedundancy,
 }
 
-impl RecoveryLevel {
-    /// All levels, in taxonomy order.
-    pub const ALL: [RecoveryLevel; 8] = [
+impl Level for RecoveryLevel {
+    const AXIS: &'static str = "Recovery";
+    const ALL: &'static [Self] = &[
         RecoveryLevel::RZero,
         RecoveryLevel::RPropagate,
         RecoveryLevel::RStop,
@@ -113,100 +136,82 @@ impl RecoveryLevel {
         RecoveryLevel::RRedundancy,
     ];
 
-    /// The single-character glyph used in the Figure 2/3 matrices.
-    ///
-    /// Matches the paper's key: blank for `RZero`, `/` for `RRetry`, `-` for
-    /// `RPropagate`, `|` for `RStop`, `\` for `RRedundancy`. Levels the
-    /// paper's figures never needed glyphs for get distinct characters.
-    pub fn glyph(&self) -> char {
-        match self {
-            RecoveryLevel::RZero => ' ',
-            RecoveryLevel::RPropagate => '-',
-            RecoveryLevel::RStop => '|',
-            RecoveryLevel::RGuess => 'g',
-            RecoveryLevel::RRetry => '/',
-            RecoveryLevel::RRepair => 'r',
-            RecoveryLevel::RRemap => 'm',
-            RecoveryLevel::RRedundancy => '\\',
-        }
+    fn index(self) -> usize {
+        self as usize
     }
 
-    /// The technique, as worded in Table 2.
-    pub fn technique(&self) -> &'static str {
-        match self {
-            RecoveryLevel::RZero => "No recovery",
-            RecoveryLevel::RPropagate => "Propagate error",
-            RecoveryLevel::RStop => "Stop activity (crash, prevent writes)",
-            RecoveryLevel::RGuess => "Return \"guess\" at block contents",
-            RecoveryLevel::RRetry => "Retry read or write",
-            RecoveryLevel::RRepair => "Repair data structs",
-            RecoveryLevel::RRemap => "Remaps block or file to different locale",
-            RecoveryLevel::RRedundancy => "Block replication or other forms",
+    /// Glyphs follow the paper's key: blank for `RZero`, `/` for `RRetry`,
+    /// `-` for `RPropagate`, `|` for `RStop`, `\` for `RRedundancy`. Levels
+    /// the paper's figures never needed glyphs for get distinct characters.
+    fn row(self) -> LevelRow {
+        let (name, glyph, technique, comment) = match self {
+            RecoveryLevel::RZero => ("RZero", ' ', "No recovery", "Assumes disk works"),
+            RecoveryLevel::RPropagate => ("RPropagate", '-', "Propagate error", "Informs user"),
+            RecoveryLevel::RStop => (
+                "RStop",
+                '|',
+                "Stop activity (crash, prevent writes)",
+                "Limit amount of damage",
+            ),
+            RecoveryLevel::RGuess => (
+                "RGuess",
+                'g',
+                "Return \"guess\" at block contents",
+                "Could be wrong; failure hidden",
+            ),
+            RecoveryLevel::RRetry => (
+                "RRetry",
+                '/',
+                "Retry read or write",
+                "Handles failures that are transient",
+            ),
+            RecoveryLevel::RRepair => ("RRepair", 'r', "Repair data structs", "Could lose data"),
+            RecoveryLevel::RRemap => (
+                "RRemap",
+                'm',
+                "Remaps block or file to different locale",
+                "Assumes disk informs FS of failures",
+            ),
+            RecoveryLevel::RRedundancy => (
+                "RRedundancy",
+                '\\',
+                "Block replication or other forms",
+                "Enables recovery from loss/corruption",
+            ),
+        };
+        LevelRow {
+            name,
+            glyph,
+            technique,
+            comment,
         }
     }
+}
 
-    /// The comment column of Table 2.
-    pub fn comment(&self) -> &'static str {
-        match self {
-            RecoveryLevel::RZero => "Assumes disk works",
-            RecoveryLevel::RPropagate => "Informs user",
-            RecoveryLevel::RStop => "Limit amount of damage",
-            RecoveryLevel::RGuess => "Could be wrong; failure hidden",
-            RecoveryLevel::RRetry => "Handles failures that are transient",
-            RecoveryLevel::RRepair => "Could lose data",
-            RecoveryLevel::RRemap => "Assumes disk informs FS of failures",
-            RecoveryLevel::RRedundancy => "Enables recovery from loss/corruption",
-        }
+// `write_str`, not `pad`: `results/table5.txt` records level names printed
+// with a width that this ignores.
+impl fmt::Display for DetectionLevel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.row().name)
     }
 }
 
 impl fmt::Display for RecoveryLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            RecoveryLevel::RZero => "RZero",
-            RecoveryLevel::RPropagate => "RPropagate",
-            RecoveryLevel::RStop => "RStop",
-            RecoveryLevel::RGuess => "RGuess",
-            RecoveryLevel::RRetry => "RRetry",
-            RecoveryLevel::RRepair => "RRepair",
-            RecoveryLevel::RRemap => "RRemap",
-            RecoveryLevel::RRedundancy => "RRedundancy",
-        })
+        f.write_str(self.row().name)
     }
 }
 
-/// Render Table 1 of the paper as text.
-pub fn render_table1() -> String {
-    let mut out = String::from("Table 1: The Levels of the IRON Detection Taxonomy\n");
-    out.push_str(&format!(
-        "{:<14} {:<42} {}\n",
-        "Level", "Technique", "Comment"
-    ));
-    for d in DetectionLevel::ALL {
-        out.push_str(&format!(
-            "{:<14} {:<42} {}\n",
-            d.to_string(),
-            d.technique(),
-            d.comment()
-        ));
-    }
-    out
-}
-
-/// Render Table 2 of the paper as text.
-pub fn render_table2() -> String {
-    let mut out = String::from("Table 2: The Levels of the IRON Recovery Taxonomy\n");
-    out.push_str(&format!(
-        "{:<14} {:<42} {}\n",
-        "Level", "Technique", "Comment"
-    ));
-    for r in RecoveryLevel::ALL {
-        out.push_str(&format!(
-            "{:<14} {:<42} {}\n",
-            r.to_string(),
-            r.technique(),
-            r.comment()
-        ));
+/// Render Table `n` of the paper, the levels of axis `L`, as text.
+pub fn render_table<L: Level>(n: u32) -> String {
+    let mut out = format!("Table {n}: The Levels of the IRON {} Taxonomy\n", L::AXIS);
+    let row = |level: &str, technique: &str, comment: &str| {
+        format!("{level:<14} {technique:<42} {comment}\n")
+    };
+    out.push_str(&row("Level", "Technique", "Comment"));
+    for l in L::ALL {
+        let r = l.row();
+        out.push_str(&row(r.name, r.technique, r.comment));
     }
     out
 }
@@ -217,14 +222,14 @@ mod tests {
 
     #[test]
     fn glyphs_match_paper_key() {
-        assert_eq!(DetectionLevel::DZero.glyph(), ' ');
-        assert_eq!(DetectionLevel::DErrorCode.glyph(), '-');
-        assert_eq!(DetectionLevel::DSanity.glyph(), '|');
-        assert_eq!(DetectionLevel::DRedundancy.glyph(), '\\');
-        assert_eq!(RecoveryLevel::RRetry.glyph(), '/');
-        assert_eq!(RecoveryLevel::RPropagate.glyph(), '-');
-        assert_eq!(RecoveryLevel::RStop.glyph(), '|');
-        assert_eq!(RecoveryLevel::RRedundancy.glyph(), '\\');
+        assert_eq!(DetectionLevel::DZero.row().glyph, ' ');
+        assert_eq!(DetectionLevel::DErrorCode.row().glyph, '-');
+        assert_eq!(DetectionLevel::DSanity.row().glyph, '|');
+        assert_eq!(DetectionLevel::DRedundancy.row().glyph, '\\');
+        assert_eq!(RecoveryLevel::RRetry.row().glyph, '/');
+        assert_eq!(RecoveryLevel::RPropagate.row().glyph, '-');
+        assert_eq!(RecoveryLevel::RStop.row().glyph, '|');
+        assert_eq!(RecoveryLevel::RRedundancy.row().glyph, '\\');
     }
 
     #[test]
@@ -237,11 +242,11 @@ mod tests {
 
     #[test]
     fn tables_render_every_row() {
-        let t1 = render_table1();
+        let t1 = render_table::<DetectionLevel>(1);
         for d in DetectionLevel::ALL {
             assert!(t1.contains(&d.to_string()), "missing {d}");
         }
-        let t2 = render_table2();
+        let t2 = render_table::<RecoveryLevel>(2);
         for r in RecoveryLevel::ALL {
             assert!(t2.contains(&r.to_string()), "missing {r}");
         }

@@ -43,9 +43,9 @@ pub fn render_matrix(m: &PolicyMatrix) -> String {
                     let text = match m.cells.get(&(mi, ri, ci)) {
                         Some(Some(cell)) => {
                             let g = if is_detection {
-                                cell.detection_glyphs()
+                                cell.detection.glyphs()
                             } else {
-                                cell.recovery_glyphs()
+                                cell.recovery.glyphs()
                             };
                             if g == "." {
                                 " ".to_string() // Zero level: blank, as in the paper

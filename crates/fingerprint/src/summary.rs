@@ -6,7 +6,8 @@
 //! system's matrix: for every level, the fraction of relevant cells that
 //! exhibit it, bucketed into 0–4 check marks.
 
-use iron_core::{DetectionLevel, RecoveryLevel};
+use iron_core::policy::{LevelSet, PolicyCell};
+use iron_core::{DetectionLevel, Level, RecoveryLevel};
 
 use crate::campaign::PolicyMatrix;
 
@@ -25,26 +26,22 @@ pub struct TechniqueSummary {
 
 /// Aggregate a matrix into its Table 5 column.
 pub fn summarize(m: &PolicyMatrix) -> TechniqueSummary {
-    let mut det = vec![0usize; DetectionLevel::ALL.len()];
-    let mut rec = vec![0usize; RecoveryLevel::ALL.len()];
-    for cell in m.cells.values().flatten() {
-        for (i, l) in DetectionLevel::ALL.iter().enumerate() {
-            if cell.detection.contains(*l) {
-                det[i] += 1;
-            }
-        }
-        for (i, l) in RecoveryLevel::ALL.iter().enumerate() {
-            if cell.recovery.contains(*l) {
-                rec[i] += 1;
-            }
-        }
-    }
     TechniqueSummary {
         fs_name: m.fs_name,
         relevant: m.relevant,
-        detection_counts: DetectionLevel::ALL.iter().copied().zip(det).collect(),
-        recovery_counts: RecoveryLevel::ALL.iter().copied().zip(rec).collect(),
+        detection_counts: counts(m, |cell| cell.detection),
+        recovery_counts: counts(m, |cell| cell.recovery),
     }
+}
+
+/// Each level of axis `L`, in taxonomy order, with the number of the
+/// matrix's cells whose `set` holds it.
+fn counts<L: Level>(m: &PolicyMatrix, set: impl Fn(&PolicyCell) -> LevelSet<L>) -> Vec<(L, usize)> {
+    let cells = || m.cells.values().flatten();
+    L::ALL
+        .iter()
+        .map(|&l| (l, cells().filter(|cell| set(cell).contains(l)).count()))
+        .collect()
 }
 
 /// Bucket a usage fraction into the paper's check-mark notation.
@@ -74,23 +71,25 @@ pub fn render_table5(summaries: &[TechniqueSummary]) -> String {
         out.push_str(&format!("{:<10}", s.fs_name));
     }
     out.push('\n');
-    for (i, level) in DetectionLevel::ALL.iter().enumerate() {
-        out.push_str(&format!("{:<14}", level.to_string()));
-        for s in summaries {
-            let (_, count) = s.detection_counts[i];
-            out.push_str(&format!("{:<10}", checkmarks(count, s.relevant)));
-        }
-        out.push('\n');
-    }
-    for (i, level) in RecoveryLevel::ALL.iter().enumerate() {
-        out.push_str(&format!("{:<14}", level.to_string()));
-        for s in summaries {
-            let (_, count) = s.recovery_counts[i];
-            out.push_str(&format!("{:<10}", checkmarks(count, s.relevant)));
-        }
-        out.push('\n');
-    }
+    rows(&mut out, summaries, |s| &s.detection_counts);
+    rows(&mut out, summaries, |s| &s.recovery_counts);
     out
+}
+
+/// One row per level of axis `L`, with each summary's check marks from its
+/// `counts`.
+fn rows<L: Level>(
+    out: &mut String,
+    summaries: &[TechniqueSummary],
+    counts: impl Fn(&TechniqueSummary) -> &[(L, usize)],
+) {
+    for (i, level) in L::ALL.iter().enumerate() {
+        out.push_str(&format!("{:<14}", level.to_string()));
+        for s in summaries {
+            out.push_str(&format!("{:<10}", checkmarks(counts(s)[i].1, s.relevant)));
+        }
+        out.push('\n');
+    }
 }
 
 #[cfg(test)]
