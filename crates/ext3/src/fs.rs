@@ -1368,6 +1368,14 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     // Journal replay (mount-time recovery)
     // ==================================================================
 
+    /// Give journal recovery up: log `why` and remount read-only (the
+    /// mount itself succeeds).
+    fn abort_recovery(&self, why: String) -> VfsResult<()> {
+        self.env.klog.error("ext3", why);
+        self.env.remount_readonly("ext3", "journal recovery failed");
+        Ok(())
+    }
+
     /// Replay the journal after an unclean shutdown.
     ///
     /// Stock ext3 type-checks journal descriptor and commit blocks
@@ -1434,12 +1442,9 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 Err(_) => {
                     // Read failure in the log: stop recovery, mount
                     // read-only (RStop + RPropagate).
-                    self.env.klog.error(
-                        "ext3",
-                        format!("journal block {pos} unreadable; aborting recovery"),
-                    );
-                    self.env.remount_readonly("ext3", "journal recovery failed");
-                    return Ok(());
+                    return self.abort_recovery(format!(
+                        "journal block {pos} unreadable; aborting recovery"
+                    ));
                 }
             };
             match classify_log_block(&block) {
@@ -1481,14 +1486,9 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                                 data.push(b);
                             }
                             Err(_) => {
-                                self.env.klog.error(
-                                    "ext3",
-                                    format!(
-                                        "journal data block {daddr} unreadable; aborting recovery"
-                                    ),
-                                );
-                                self.env.remount_readonly("ext3", "journal recovery failed");
-                                return Ok(());
+                                return self.abort_recovery(format!(
+                                    "journal data block {daddr} unreadable; aborting recovery"
+                                ));
                             }
                         }
                     }
@@ -1503,12 +1503,9 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                     {
                         Ok(b) => b,
                         Err(_) => {
-                            self.env.klog.error(
-                                "ext3",
-                                format!("commit block {cpos} unreadable; aborting recovery"),
-                            );
-                            self.env.remount_readonly("ext3", "journal recovery failed");
-                            return Ok(());
+                            return self.abort_recovery(format!(
+                                "commit block {cpos} unreadable; aborting recovery"
+                            ));
                         }
                     };
                     match CommitBlock::decode(&cblock) {
@@ -1627,11 +1624,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 // location. (Detected only under Tc, above.)
                 let r = self.dev.write_tagged(BlockAddr(*addr), data, ty.tag());
                 if r.is_err() && self.opts.iron.fix_bugs {
-                    self.env
-                        .klog
-                        .error("ext3", format!("replay write of block {addr} failed"));
-                    self.env.remount_readonly("ext3", "journal recovery failed");
-                    return Ok(());
+                    return self.abort_recovery(format!("replay write of block {addr} failed"));
                 }
                 self.note_cksum(*addr, data, ty.is_metadata());
                 if self.opts.iron.meta_replication && ty.is_metadata() {
