@@ -19,20 +19,24 @@ use iron_fingerprint::{Ext3Adapter, FsUnderTest, JfsAdapter, ReiserAdapter};
 use iron_vfs::{FsEnv, TreeNode, Vfs};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let fsname = args.next().unwrap();
-    let wli: usize = args.next().unwrap().parse().unwrap();
-    let idx: usize = args.next().unwrap().parse().unwrap();
-    let fs: Box<dyn FsUnderTest> = match fsname.as_str() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (fsname, wli, idx) = match &args[..] {
+        [fs, w, i] => match (w.parse::<usize>(), i.parse::<usize>()) {
+            (Ok(w), Ok(i)) => (fs.as_str(), w, i),
+            _ => usage(),
+        },
+        _ => usage(),
+    };
+    let fs: Box<dyn FsUnderTest> = match fsname {
         "ext3" => Box::new(Ext3Adapter::stock()),
         "ixt3" => Box::new(Ext3Adapter::ixt3()),
         "reiser" => Box::new(ReiserAdapter),
         "jfs" => Box::new(JfsAdapter),
-        other => panic!("unknown fs {other}"),
+        _ => usage(),
     };
     let fs = fs.as_ref();
     let workloads = standard_workloads();
-    let w = &workloads[wli];
+    let w = workloads.get(wli).unwrap_or_else(|| usage());
     let base = fs.golden(false);
     let log = IoLog::new();
     let shadow = {
@@ -48,7 +52,7 @@ fn main() {
     let snap = log.snapshot();
     eprintln!("flush marks: {:?}", snap.flush_marks);
     let images = enumerate_images(&snap, &EnumOptions::default());
-    let spec = &images[idx];
+    let spec = images.get(idx).unwrap_or_else(|| usage());
     eprintln!("spec: cut={} subset={:?}", spec.cut_epoch, spec.subset);
     for r in &snap.records {
         let inc = r.epoch < spec.cut_epoch
@@ -117,4 +121,9 @@ fn main() {
     if let Some(issues) = fs.fsck_issues(&post) {
         eprintln!("fsck issues: {issues:?}");
     }
+}
+
+fn usage() -> ! {
+    eprintln!("usage: crash_witness <ext3|ixt3|reiser|jfs> <workload-index> <image-index>");
+    std::process::exit(2)
 }
