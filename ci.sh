@@ -8,7 +8,9 @@
 # elevated thread counts (IRON_TEST_THREADS, default 16).
 #
 # ./ci.sh results runs that one step alone; the workflow's `results` job
-# is exactly that call, so the loop exists once.
+# is exactly that call, so the loop exists once. ./ci.sh examples likewise
+# runs the example programs alone, as the workflow's build-and-test job
+# does.
 #
 # ./ci.sh deps checks that no manifest names a workspace crate its crate
 # does not use: every `iron-x` in a Cargo.toml must appear as `iron_x` in
@@ -96,6 +98,21 @@ deps() {
         done
     done
     return $stale
+}
+
+examples() {
+    echo '== examples (release, offline) =='
+    # `cargo test` builds the top-level examples but runs none; a panic or a
+    # failed assert in one fails the run.
+    for e in crash_recovery disk_scrubbing failure_policy_comparison quickstart; do
+        cargo run -q --release --offline --example "$e" >/dev/null
+    done
+    # The iron-crash examples likewise (~16 s together in release);
+    # crash_witness explains one image on stderr.
+    cargo run -q --release --offline -p iron-crash --example crash_matrix >/dev/null
+    cargo run -q --release --offline -p iron-crash --example gen_legacy_probe >/dev/null
+    cargo run -q --release --offline -p iron-crash --example gen_matrix seq2 >/dev/null
+    cargo run -q --release --offline -p iron-crash --example crash_witness ext3 0 0
 }
 
 results() {
@@ -304,13 +321,17 @@ profile() {
 }
 
 usage() {
-    echo "usage: $0 [results|deps|loc|pairs <parent-ref> <workload>|all [n]|profile <workload> [seed]]" >&2
+    echo "usage: $0 [results|examples|deps|loc|pairs <parent-ref> <workload>|all [n]|profile <workload> [seed]]" >&2
     exit 2
 }
 
 case "${1:-}" in
     results)
         results
+        exit 0
+        ;;
+    examples)
+        examples
         exit 0
         ;;
     pairs)
@@ -352,18 +373,7 @@ cargo build --workspace --release --offline
 echo '== test (offline) =='
 cargo test --workspace -q --offline
 
-echo '== examples (release, offline) =='
-# `cargo test` builds the top-level examples but runs none; a panic or a
-# failed assert in one fails the run.
-for e in crash_recovery disk_scrubbing failure_policy_comparison quickstart; do
-    cargo run -q --release --offline --example "$e" >/dev/null
-done
-# The iron-crash examples likewise (~16 s together in release);
-# crash_witness explains one image on stderr.
-cargo run -q --release --offline -p iron-crash --example crash_matrix >/dev/null
-cargo run -q --release --offline -p iron-crash --example gen_legacy_probe >/dev/null
-cargo run -q --release --offline -p iron-crash --example gen_matrix seq2 >/dev/null
-cargo run -q --release --offline -p iron-crash --example crash_witness ext3 0 0
+examples
 
 echo '== benchmark workspace (offline) =='
 # benchmark/ is a Cargo workspace of its own that path-depends on

@@ -58,8 +58,6 @@ pub fn figure2_adapters() -> Vec<(&'static str, Box<dyn FsUnderTest>)> {
 pub fn table5_report(summaries: &[TechniqueSummary]) -> String {
     let mut out = format!("{}\n", render_table5(summaries));
     out.push_str("Raw counts (cells exhibiting each level / relevant cells):\n");
-    // A level's `Display` writes its name with `write_str`, which ignores
-    // the width: these lines are unpadded, as `results/table5.txt` records.
     for s in summaries {
         out.push_str(&format!(
             "\n{} ({} relevant cells)\n",
@@ -67,12 +65,12 @@ pub fn table5_report(summaries: &[TechniqueSummary]) -> String {
         ));
         for (l, c) in &s.detection_counts {
             if *c > 0 {
-                out.push_str(&format!("  {l:<14} {c}\n"));
+                out.push_str(&format!("  {l} {c}\n"));
             }
         }
         for (l, c) in &s.recovery_counts {
             if *c > 0 {
-                out.push_str(&format!("  {l:<14} {c}\n"));
+                out.push_str(&format!("  {l} {c}\n"));
             }
         }
     }

@@ -4,10 +4,14 @@
 //! across fault-free and faulty runs (§4.3). Our file-system models emit
 //! their detection/recovery messages here — e.g. ReiserFS's
 //! `REISERFS: panic` or ext3's `ext3_abort` — and the fingerprinting
-//! framework reads them back.
+//! framework reads them back. A line that is evidence of an IRON level
+//! says so in [`LogEntry::evidence`], logged with [`KernelLog::evidence`];
+//! the message text is for people and tests.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
+
+use crate::policy::PolicyCell;
 
 /// Severity of a log line.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -42,6 +46,11 @@ pub struct LogEntry {
     pub subsystem: &'static str,
     /// The message text.
     pub message: String,
+    /// The IRON levels this line is evidence of: a sanity check that
+    /// rejected a block (`DSanity`), a checksum that did not match
+    /// (`DRedundancy`), a copy served from a replica or parity
+    /// (`RRedundancy`). Empty for every other line.
+    pub evidence: PolicyCell,
 }
 
 impl fmt::Display for LogEntry {
@@ -64,33 +73,40 @@ impl KernelLog {
         Self::default()
     }
 
-    /// Append a line.
-    pub fn log(&self, level: LogLevel, subsystem: &'static str, message: impl Into<String>) {
+    /// Append a line that is evidence of the IRON levels in `evidence`.
+    pub fn evidence(
+        &self,
+        level: LogLevel,
+        subsystem: &'static str,
+        evidence: impl Into<PolicyCell>,
+        message: impl Into<String>,
+    ) {
         self.entries.lock().unwrap().push(LogEntry {
             level,
             subsystem,
             message: message.into(),
+            evidence: evidence.into(),
         });
     }
 
     /// Append an [`LogLevel::Info`] line.
     pub fn info(&self, subsystem: &'static str, message: impl Into<String>) {
-        self.log(LogLevel::Info, subsystem, message);
+        self.evidence(LogLevel::Info, subsystem, PolicyCell::default(), message);
     }
 
     /// Append a [`LogLevel::Warn`] line.
     pub fn warn(&self, subsystem: &'static str, message: impl Into<String>) {
-        self.log(LogLevel::Warn, subsystem, message);
+        self.evidence(LogLevel::Warn, subsystem, PolicyCell::default(), message);
     }
 
     /// Append an [`LogLevel::Error`] line.
     pub fn error(&self, subsystem: &'static str, message: impl Into<String>) {
-        self.log(LogLevel::Error, subsystem, message);
+        self.evidence(LogLevel::Error, subsystem, PolicyCell::default(), message);
     }
 
     /// Append a [`LogLevel::Panic`] line.
     pub fn panic(&self, subsystem: &'static str, message: impl Into<String>) {
-        self.log(LogLevel::Panic, subsystem, message);
+        self.evidence(LogLevel::Panic, subsystem, PolicyCell::default(), message);
     }
 
     /// Number of lines logged so far. Use as a mark for [`Self::since`].
@@ -125,16 +141,6 @@ impl KernelLog {
             .iter()
             .any(|e| e.message.contains(needle))
     }
-
-    /// Highest severity logged so far, if any.
-    pub fn max_level(&self) -> Option<LogLevel> {
-        self.entries.lock().unwrap().iter().map(|e| e.level).max()
-    }
-
-    /// Discard all lines.
-    pub fn clear(&self) {
-        self.entries.lock().unwrap().clear();
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +156,6 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert!(log.contains("journal has aborted"));
         assert!(!log.contains("panic"));
-        assert_eq!(log.max_level(), Some(LogLevel::Error));
     }
 
     #[test]
@@ -173,8 +178,6 @@ mod tests {
         let b = a.clone();
         a.error("x", "boom");
         assert!(b.contains("boom"));
-        b.clear();
-        assert!(a.is_empty());
     }
 
     #[test]
@@ -183,6 +186,7 @@ mod tests {
             level: LogLevel::Panic,
             subsystem: "reiserfs",
             message: "journal-601: buffer write failed".into(),
+            evidence: PolicyCell::default(),
         };
         assert_eq!(
             e.to_string(),

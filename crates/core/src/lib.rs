@@ -54,7 +54,7 @@ pub use block::{Block, BlockAddr, BlockTag, BLOCK_SIZE};
 pub use clock::SimClock;
 pub use errno::Errno;
 pub use exec::WorkerPool;
-pub use klog::KernelLog;
+pub use klog::{KernelLog, LogLevel};
 pub use model::{FaultKind, IoKind, Transience};
 pub use recover::{
     Backoff, ErrorClass, FailurePolicyTable, PolicyCounterSnapshot, PolicyCounters, PolicyHandle,

@@ -111,6 +111,24 @@ pub struct PolicyCell {
     pub recovery: RecoverySet,
 }
 
+impl From<DetectionLevel> for PolicyCell {
+    fn from(level: DetectionLevel) -> Self {
+        PolicyCell {
+            detection: DetectionSet::just(level),
+            ..PolicyCell::default()
+        }
+    }
+}
+
+impl From<RecoveryLevel> for PolicyCell {
+    fn from(level: RecoveryLevel) -> Self {
+        PolicyCell {
+            recovery: RecoverySet::just(level),
+            ..PolicyCell::default()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

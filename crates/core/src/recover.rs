@@ -379,10 +379,9 @@ impl PolicyHandle {
 
     /// Count an enacted rung and echo it to the site's kernel log.
     ///
-    /// Wording is deliberately neutral and info-level: it must not
-    /// collide with the fingerprint framework's detection-marker
-    /// substrings, nor read as a reaction by itself. `DegradeReadOnly`
-    /// never comes here: whoever enacts it counts it (`count_degrade`).
+    /// The echo is info-level and carries no evidence: it is not a
+    /// reaction by itself. `DegradeReadOnly` never comes here: whoever
+    /// enacts it counts it (`count_degrade`).
     fn record(&self, site: &Walk<'_>, action: RecoveryAction, suffix: impl fmt::Display) {
         let c = &self.counters.cells;
         let cell = match action {

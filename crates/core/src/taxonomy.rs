@@ -188,8 +188,6 @@ impl Level for RecoveryLevel {
     }
 }
 
-// `write_str`, not `pad`: `results/table5.txt` records level names printed
-// with a width that this ignores.
 impl fmt::Display for DetectionLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.row().name)

@@ -13,7 +13,9 @@ use iron_core::checksum::{sha1, Sha1Digest};
 use iron_core::recover::{
     Backoff, ErrorClass, FailurePolicyTable, PolicyHandle, RecoveryAction, Step,
 };
-use iron_core::{Block, BlockAddr, Errno, IoKind, SimClock, BLOCK_SIZE};
+use iron_core::{
+    Block, BlockAddr, DetectionLevel, Errno, IoKind, LogLevel, RecoveryLevel, SimClock, BLOCK_SIZE,
+};
 use iron_vfs::{FsEnv, VfsError, VfsResult};
 
 use crate::dir::{self, RawDirEntry};
@@ -398,51 +400,32 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// `Ext3Params::mirror_metadata` is `EINVAL` and a klog line.
     pub fn mount(mut dev: D, env: FsEnv, opts: Ext3Options) -> VfsResult<Self> {
         // --- superblock ---
-        let sb_block = match dev.read_tagged(BlockAddr(0), BlockType::Super.tag()) {
-            Ok(b) => b,
+        // PAPER-BUG: stock ext3 has superblock replicas but never reads
+        // them. ixt3 (Mr + fix_bugs) falls back to the mirror when the
+        // primary is unreadable or fails its sanity checks.
+        let dev_blocks = dev.num_blocks();
+        let primary = match dev.read_tagged(BlockAddr(0), BlockType::Super.tag()) {
+            Ok(b) => checked_super(&b, dev_blocks).map_err(|why| env.reject("ext3", why)),
             Err(_) => {
                 env.klog
                     .error("ext3", "unable to read superblock; mount failed");
-                // PAPER-BUG: stock ext3 has superblock replicas but never
-                // reads them. ixt3 (Mr + fix_bugs) recovers from the mirror.
-                if opts.iron.meta_replication && opts.iron.fix_bugs {
-                    let mirror = BlockAddr(dev.num_blocks() / 2);
-                    match dev.read_tagged(mirror, BlockType::Replica.tag()) {
-                        Ok(b) => {
-                            env.klog.info("ixt3", "superblock recovered from replica");
-                            b
-                        }
-                        Err(_) => return Err(Errno::EIO.into()),
-                    }
-                } else {
-                    return Err(Errno::EIO.into());
-                }
+                Err(Errno::EIO.into())
             }
         };
-        let dev_blocks = dev.num_blocks();
-        let (sb, layout) = match checked_super(&sb_block, dev_blocks) {
+        let (sb, layout) = match primary {
             Ok(checked) => checked,
-            Err(why) => {
-                env.klog.error("ext3", why);
-                // Corrupt primary: ixt3 falls back to the replica; stock
-                // ext3 fails the mount (PAPER-BUG: replicas unused).
-                if opts.iron.meta_replication && opts.iron.fix_bugs {
-                    let mirror = BlockAddr(dev_blocks / 2);
-                    match dev
-                        .read_tagged(mirror, BlockType::Replica.tag())
-                        .ok()
-                        .and_then(|b| checked_super(&b, dev_blocks).ok())
-                    {
-                        Some(checked) => {
-                            env.klog.info("ixt3", "superblock recovered from replica");
-                            checked
-                        }
-                        None => return Err(Errno::EUCLEAN.into()),
-                    }
-                } else {
-                    return Err(Errno::EUCLEAN.into());
-                }
+            Err(e) if opts.iron.meta_replication && opts.iron.fix_bugs => {
+                let mirror = BlockAddr(dev_blocks / 2);
+                let b = dev
+                    .read_tagged(mirror, BlockType::Replica.tag())
+                    .map_err(|_| e)?;
+                let checked = checked_super(&b, dev_blocks).map_err(|_| Errno::EUCLEAN)?;
+                let msg = "superblock recovered from replica";
+                let redundancy = RecoveryLevel::RRedundancy;
+                env.klog.evidence(LogLevel::Info, "ixt3", redundancy, msg);
+                checked
             }
+            Err(e) => return Err(e),
         };
         if opts.iron.meta_replication && !sb.mirror_metadata {
             // Without the reserved upper half every replica write would
@@ -496,10 +479,8 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         let js = match JournalSuper::decode(&js_block) {
             Some(js) => js,
             None => {
-                fs.env
-                    .klog
-                    .error("ext3", "journal superblock magic invalid; mount failed");
-                return Err(Errno::EUCLEAN.into());
+                let msg = "journal superblock magic invalid; mount failed";
+                return Err(fs.env.reject("ext3", msg));
             }
         };
         fs.jseq = js.sequence;
@@ -655,8 +636,10 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                             .read_tagged(self.layout.replica_of(addr.0), BlockType::Replica.tag())
                         {
                             Ok(b) => {
-                                self.env.klog.info(
+                                self.env.klog.evidence(
+                                    LogLevel::Info,
                                     "ixt3",
+                                    RecoveryLevel::RRedundancy,
                                     format!("checksum table block {addr} recovered from replica"),
                                 );
                                 b
@@ -1549,8 +1532,10 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                         // The journal's type checks rejected this block
                         // (corrupt descriptor or stray contents): recovery
                         // stops here, as in real JBD.
-                        self.env.klog.warn(
+                        self.env.klog.evidence(
+                            LogLevel::Warn,
                             "ext3",
+                            DetectionLevel::DSanity,
                             format!("journal block {pos} invalid; recovery ends"),
                         );
                     }
@@ -1577,8 +1562,10 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             // Tc detects the damaged transaction; it and everything after
             // it are not replayed (DRedundancy + RStop at transaction
             // granularity).
-            self.env.klog.error(
+            self.env.klog.evidence(
+                LogLevel::Error,
                 "ixt3",
+                DetectionLevel::DRedundancy,
                 "transactional checksum mismatch; recovery stops here",
             );
             committed.truncate(first);

@@ -4,7 +4,9 @@
 
 use iron_blockdev::{retry::classify, BlockDevice, Page, RawAccess};
 use iron_core::recover::{ErrorClass, Step, Verdict, Walk};
-use iron_core::{Block, BlockAddr, BlockTag, Errno, IoKind, BLOCK_SIZE};
+use iron_core::{
+    Block, BlockAddr, BlockTag, DetectionLevel, Errno, IoKind, LogLevel, RecoveryLevel, BLOCK_SIZE,
+};
 use iron_vfs::{DirEntry, FileType, FsEnv, InodeAttr, MountState, SpecificFs, StatFs, VfsResult};
 
 use crate::dir::{self, ftype_from_code, RawDirEntry};
@@ -89,7 +91,10 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             Err(class) => {
                 if class == ErrorClass::Corrupt {
                     let msg = format!("checksum mismatch on {what} block {addr} ({tag})");
-                    self.env.klog.error("ixt3", msg);
+                    let evidence = DetectionLevel::DRedundancy;
+                    self.env
+                        .klog
+                        .evidence(LogLevel::Error, "ixt3", evidence, msg);
                 } else {
                     let msg = format!("I/O error reading {what} block {addr} ({tag})");
                     self.env.klog.error("ext3", msg);
@@ -210,7 +215,9 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             }
         };
         let msg = format!("metadata block {addr} recovered from replica");
-        self.env.klog.info("ixt3", msg);
+        self.env
+            .klog
+            .evidence(LogLevel::Info, "ixt3", RecoveryLevel::RRedundancy, msg);
         Some(b)
     }
 
@@ -282,8 +289,10 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                     );
                     return None;
                 }
-                self.env.klog.info(
+                self.env.klog.evidence(
+                    LogLevel::Info,
                     "ixt3",
+                    RecoveryLevel::RRedundancy,
                     format!("data block {addr} reconstructed from parity"),
                 );
                 Some(b)
@@ -392,11 +401,8 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             return Err(Errno::ENOENT.into());
         }
         if !di.sanity_check() {
-            self.env.klog.error(
-                "ext3",
-                format!("corrupted inode {ino}: bad mode/size (sanity check failed)"),
-            );
-            return Err(Errno::EUCLEAN.into());
+            let msg = format!("corrupted inode {ino}: bad mode/size (sanity check failed)");
+            return Err(self.env.reject("ext3", msg));
         }
         Ok(di)
     }
@@ -907,10 +913,8 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
         // system crash."
         if di.links_count == 0 {
             if self.opts.iron.fix_bugs {
-                self.env
-                    .klog
-                    .error("ext3", format!("inode {ino} has zero link count"));
-                return Err(Errno::EUCLEAN.into());
+                let msg = format!("inode {ino} has zero link count");
+                return Err(self.env.reject("ext3", msg));
             }
             return Err(self.env.panic(
                 "ext3",

@@ -38,7 +38,7 @@ use iron_vfs::{FsEnv, MountState, SpecificFs, Vfs, VfsError, VfsResult};
 
 use crate::adapters::FsUnderTest;
 use crate::observe::{infer, Observation};
-use crate::workloads::{run, Workload, WorkloadOutput};
+use crate::workloads::{run, Step, Workload, WorkloadOutput};
 
 /// The three fault modes of §4.2: block failure on read, block failure on
 /// write, and block corruption (on read).
@@ -165,7 +165,7 @@ pub(crate) struct CellRun<X> {
     pub fired: bool,
     /// The address the first fired fault anchored on.
     pub anchor: Option<BlockAddr>,
-    /// Mount failures appear as a `mount:` step.
+    /// A failed mount appears as a `"mount"` step.
     pub output: WorkloadOutput,
     pub mount_error: Option<VfsError>,
     pub final_state: MountState,
@@ -182,7 +182,7 @@ impl<X> CellRun<X> {
             mode,
             fired: self.fired,
             anchor: self.anchor,
-            reference: reference.clone(),
+            reference,
             faulty: self.output,
             mount_error: self.mount_error,
             final_state: self.final_state,
@@ -236,7 +236,7 @@ pub(crate) fn run_cell<F: SpecificFs, P: FnOnce(Option<Vfs<F>>) -> X, X>(
     let (vfs, mount_error) = match mounted {
         Ok(fs) => {
             let mut v = Vfs::new(fs);
-            output.steps.push("mount:ok".into());
+            output.steps.push(Step::new("mount", Ok(String::new())));
             if !special {
                 ids.iter().for_each(|(ctl, id)| ctl.arm(*id));
             }
@@ -246,7 +246,7 @@ pub(crate) fn run_cell<F: SpecificFs, P: FnOnce(Option<Vfs<F>>) -> X, X>(
             (Some(v), None)
         }
         Err(e) => {
-            output.note("mount", Err(e.clone()));
+            output.steps.push(Step::new("mount", Err(e.clone())));
             (None, Some(e))
         }
     };

@@ -18,7 +18,11 @@
 //!    results, the kernel log, the low-level I/O trace, and the post-run
 //!    mount state — are compared against a fault-free reference run and
 //!    classified into IRON levels. (The paper calls this "the most
-//!    human-intensive part of the process"; here it is automated.)
+//!    human-intensive part of the process"; here it is automated.) Both
+//!    textual observables are typed: a result is a [`Step`] (an op and
+//!    its [`Outcome`]), and a log line carries the levels its emitting
+//!    site declared it evidence of (`iron_core::klog::LogEntry::evidence`),
+//!    so inference reads no message text and parses no step string.
 //!
 //! That loop exists once. [`campaign`] holds the driver — one function
 //! that runs a cell (inject → stack over a golden snapshot → mount → arm →
@@ -60,4 +64,4 @@ pub use cluster::{
 pub use transience::{
     transience_matrix, FaultTransience, TransienceCell, TransienceMatrix, TransienceOptions,
 };
-pub use workloads::{Workload, WorkloadOutput};
+pub use workloads::{Outcome, Step, Workload, WorkloadOutput};

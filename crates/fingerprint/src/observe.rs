@@ -7,33 +7,36 @@
 //! system log, and the low-level I/O traces recorded by the
 //! fault-injection layer."
 //!
-//! Each observable feeds a specific classification rule:
+//! Each observable feeds a specific classification rule. The log is read
+//! through [`LogEntry::evidence`], the levels the emitting site declared a
+//! line evidence of, never through its words:
 //!
 //! | evidence | inferred level |
 //! |---|---|
 //! | any reaction to an explicit error code | `DErrorCode` |
-//! | log/sanity rejection of corrupt contents (`EUCLEAN`, magic/sanity messages, refused mount) | `DSanity` |
-//! | checksum-mismatch messages | `DRedundancy` |
+//! | an `EUCLEAN` step, or a log line with `DSanity` evidence (refused mount, failed sanity check) | `DSanity` |
+//! | a log line with `DRedundancy` evidence (checksum mismatch) | `DRedundancy` |
 //! | error returned through the API | `RPropagate` |
 //! | crash / read-only remount / refused mount | `RStop` |
 //! | repeated I/O to the faulted address in the trace | `RRetry` |
-//! | replica/parity/alternate reads in trace or log | `RRedundancy` |
-//! | fabricated (all-zero) data returned without error | `RGuess` |
+//! | a replica/parity read in the trace, or a log line with `RRedundancy` evidence | `RRedundancy` |
+//! | a blank (all-zero) read returned without error | `RGuess` |
 //! | fault fired, nothing else observed | `DZero`/`RZero` |
 
 use iron_blockdev::{IoEvent, IoOutcome};
 use iron_core::klog::{LogEntry, LogLevel};
 use iron_core::policy::{DetectionSet, PolicyCell, RecoverySet};
 use iron_core::{BlockAddr, DetectionLevel, Errno, IoKind, RecoveryLevel};
+use iron_ext3::BlockType;
 use iron_vfs::{MountState, VfsError};
 
 use crate::campaign::FaultMode;
-use crate::workloads::WorkloadOutput;
+use crate::workloads::{Outcome, WorkloadOutput};
 
 /// Everything observed from one faulty run, paired with its fault-free
 /// reference.
 #[derive(Debug)]
-pub struct Observation {
+pub struct Observation<'a> {
     /// The injected fault's mode.
     pub mode: FaultMode,
     /// Did the fault actually fire? (If not, the cell is inapplicable.)
@@ -41,8 +44,8 @@ pub struct Observation {
     /// The address the fault anchored on.
     pub anchor: Option<BlockAddr>,
     /// Output of the fault-free reference run.
-    pub reference: WorkloadOutput,
-    /// Output of the faulty run (mount failures appear as a `mount:` step).
+    pub reference: &'a WorkloadOutput,
+    /// Output of the faulty run (a failed mount appears as a `"mount"` step).
     pub faulty: WorkloadOutput,
     /// Error from the mount itself, if mounting failed.
     pub mount_error: Option<VfsError>,
@@ -53,27 +56,6 @@ pub struct Observation {
     /// I/O-trace events from the faulty run.
     pub trace: Vec<IoEvent>,
 }
-
-const SANITY_MARKERS: [&str; 10] = [
-    "sanity",
-    "magic",
-    "corrupt",
-    "invalid",
-    "unusable",
-    "unmountable",
-    "can not find",
-    "Can't find",
-    "needs cleaning",
-    "vs-", // ReiserFS sanity-check message prefixes
-];
-
-const REDUNDANCY_LOG_MARKERS: [&str; 5] = [
-    "recovered from replica",
-    "reconstructed from parity",
-    "trying alternate",
-    "checksum mismatch",
-    "transactional checksum mismatch",
-];
 
 /// The most attempts (trace events matching `is_attempt`) that any one
 /// operation made.
@@ -99,9 +81,9 @@ pub fn most_attempts_in_one_step(
     .unwrap_or(0)
 }
 
-impl Observation {
+impl Observation<'_> {
     fn outputs_deviate(&self) -> bool {
-        self.reference != self.faulty
+        *self.reference != self.faulty
     }
 
     fn api_error_appeared(&self) -> bool {
@@ -111,15 +93,20 @@ impl Observation {
             || matches!(self.mount_error, Some(VfsError::Errno(_)))
     }
 
+    /// A refused mount is a `"mount"` step too.
     fn euclean_appeared(&self) -> bool {
-        self.faulty.steps.iter().any(|s| s.contains("EUCLEAN"))
-            || matches!(self.mount_error, Some(VfsError::Errno(Errno::EUCLEAN)))
+        let euclean = Outcome::Errno(Errno::EUCLEAN);
+        self.faulty.steps.iter().any(|s| s.outcome == euclean)
     }
 
-    fn log_has(&self, markers: &[&str]) -> bool {
-        self.klog
-            .iter()
-            .any(|e| markers.iter().any(|m| e.message.contains(m)))
+    /// Every level a line of the faulty run's log declared evidence of.
+    fn logged(&self) -> PolicyCell {
+        let mut cell = PolicyCell::default();
+        for e in &self.klog {
+            cell.detection = cell.detection.union(e.evidence.detection);
+            cell.recovery = cell.recovery.union(e.evidence.recovery);
+        }
+        cell
     }
 
     fn any_noise_logged(&self) -> bool {
@@ -146,8 +133,8 @@ impl Observation {
     }
 
     /// Did the trace show redundancy being consulted after the fault?
-    fn used_redundancy(&self) -> bool {
-        if self.log_has(&REDUNDANCY_LOG_MARKERS[..3]) {
+    fn used_redundancy(&self, logged: &PolicyCell) -> bool {
+        if logged.recovery.contains(RecoveryLevel::RRedundancy) {
             return true;
         }
         // Explicit redundancy block types read successfully after the
@@ -157,10 +144,9 @@ impl Observation {
             .iter()
             .position(|e| e.outcome != IoOutcome::Ok)
             .unwrap_or(0);
+        let redundancy = [BlockType::Replica.tag(), BlockType::Parity.tag()];
         self.trace[first_bad..].iter().any(|e| {
-            e.kind == IoKind::Read
-                && e.outcome == IoOutcome::Ok
-                && (e.tag.0 == "m-replica" || e.tag.0 == "d-parity")
+            e.kind == IoKind::Read && e.outcome == IoOutcome::Ok && redundancy.contains(&e.tag)
         })
     }
 
@@ -168,7 +154,8 @@ impl Observation {
     /// the reference run did not produce)?
     fn blank_data_returned(&self) -> bool {
         self.faulty.steps.iter().any(|s| {
-            s.contains(":ok:") && s.ends_with(":zero") && !self.reference.steps.contains(s)
+            matches!(s.outcome, Outcome::Ok { blank: true, .. })
+                && !self.reference.steps.contains(s)
         })
     }
 }
@@ -183,6 +170,7 @@ pub fn infer(obs: &Observation) -> Option<PolicyCell> {
     }
     let mut detection = DetectionSet::EMPTY;
     let mut recovery = RecoverySet::EMPTY;
+    let logged = obs.logged();
 
     let reacted = obs.outputs_deviate()
         || obs.api_error_appeared()
@@ -201,10 +189,10 @@ pub fn infer(obs: &Observation) -> Option<PolicyCell> {
         }
         FaultMode::Corruption | FaultMode::ZeroCorruption => {
             // Silent corruption: detection needs positive evidence.
-            if obs.log_has(&["checksum mismatch"]) {
+            if logged.detection.contains(DetectionLevel::DRedundancy) {
                 detection.insert(DetectionLevel::DRedundancy);
             }
-            if obs.euclean_appeared() || obs.log_has(&SANITY_MARKERS) {
+            if obs.euclean_appeared() || logged.detection.contains(DetectionLevel::DSanity) {
                 detection.insert(DetectionLevel::DSanity);
             }
             if obs.blank_data_returned() && detection.is_empty() {
@@ -228,7 +216,7 @@ pub fn infer(obs: &Observation) -> Option<PolicyCell> {
     if obs.retried() {
         recovery.insert(RecoveryLevel::RRetry);
     }
-    if obs.used_redundancy() {
+    if obs.used_redundancy(&logged) {
         recovery.insert(RecoveryLevel::RRedundancy);
     }
     if obs.blank_data_returned() && !obs.api_error_appeared() {
@@ -247,21 +235,31 @@ pub fn infer(obs: &Observation) -> Option<PolicyCell> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::Step;
     use iron_core::BlockTag;
 
-    fn base_obs(mode: FaultMode) -> Observation {
+    fn output(steps: Vec<Step>) -> WorkloadOutput {
+        WorkloadOutput {
+            steps,
+            step_trace_marks: Vec::new(),
+        }
+    }
+
+    fn stat() -> WorkloadOutput {
+        output(vec![Step::new("stat", Ok("42".into()))])
+    }
+
+    fn err(e: Errno) -> WorkloadOutput {
+        output(vec![Step::new("stat", Err(e.into()))])
+    }
+
+    fn base_obs(mode: FaultMode, reference: &WorkloadOutput) -> Observation<'_> {
         Observation {
             mode,
             fired: true,
             anchor: Some(BlockAddr(100)),
-            reference: WorkloadOutput {
-                steps: vec!["stat:ok:42".into()],
-                step_trace_marks: Vec::new(),
-            },
-            faulty: WorkloadOutput {
-                steps: vec!["stat:ok:42".into()],
-                step_trace_marks: Vec::new(),
-            },
+            reference,
+            faulty: stat(),
             mount_error: None,
             final_state: MountState::ReadWrite,
             klog: Vec::new(),
@@ -269,11 +267,12 @@ mod tests {
         }
     }
 
-    fn log(msg: &str, level: LogLevel) -> LogEntry {
+    fn log(msg: &str, level: LogLevel, evidence: PolicyCell) -> LogEntry {
         LogEntry {
             level,
             subsystem: "test",
             message: msg.into(),
+            evidence,
         }
     }
 
@@ -289,14 +288,16 @@ mod tests {
 
     #[test]
     fn unfired_fault_is_gray() {
-        let mut obs = base_obs(FaultMode::ReadError);
+        let reference = stat();
+        let mut obs = base_obs(FaultMode::ReadError, &reference);
         obs.fired = false;
         assert_eq!(infer(&obs), None);
     }
 
     #[test]
     fn silently_ignored_write_error_is_zero_zero() {
-        let obs = base_obs(FaultMode::WriteError);
+        let reference = stat();
+        let obs = base_obs(FaultMode::WriteError, &reference);
         let cell = infer(&obs).unwrap();
         assert!(cell.detection.contains(DetectionLevel::DZero));
         assert!(cell.recovery.contains(RecoveryLevel::RZero));
@@ -305,11 +306,13 @@ mod tests {
 
     #[test]
     fn propagated_read_error_with_stop() {
-        let mut obs = base_obs(FaultMode::ReadError);
-        obs.faulty.steps = vec!["stat:err:EIO".into()];
+        let reference = stat();
+        let mut obs = base_obs(FaultMode::ReadError, &reference);
+        obs.faulty = err(Errno::EIO);
         obs.final_state = MountState::ReadOnly;
+        let none = PolicyCell::default();
         obs.klog
-            .push(log("I/O error reading block", LogLevel::Error));
+            .push(log("I/O error reading block", LogLevel::Error, none));
         let cell = infer(&obs).unwrap();
         assert!(cell.detection.contains(DetectionLevel::DErrorCode));
         assert!(cell.recovery.contains(RecoveryLevel::RPropagate));
@@ -318,8 +321,9 @@ mod tests {
 
     #[test]
     fn retry_seen_in_trace() {
-        let mut obs = base_obs(FaultMode::ReadError);
-        obs.faulty.steps = vec!["stat:err:EIO".into()];
+        let reference = stat();
+        let mut obs = base_obs(FaultMode::ReadError, &reference);
+        obs.faulty = err(Errno::EIO);
         obs.trace = vec![
             ev(100, IoKind::Read, "data", IoOutcome::Error),
             ev(100, IoKind::Read, "data", IoOutcome::Error),
@@ -330,9 +334,14 @@ mod tests {
 
     #[test]
     fn replica_read_is_redundancy() {
-        let mut obs = base_obs(FaultMode::ReadError);
-        obs.klog
-            .push(log("I/O error reading metadata block", LogLevel::Error));
+        let reference = stat();
+        let mut obs = base_obs(FaultMode::ReadError, &reference);
+        let none = PolicyCell::default();
+        obs.klog.push(log(
+            "I/O error reading metadata block",
+            LogLevel::Error,
+            none,
+        ));
         obs.trace = vec![
             ev(100, IoKind::Read, "inode", IoOutcome::Error),
             ev(2148, IoKind::Read, "m-replica", IoOutcome::Ok),
@@ -343,20 +352,51 @@ mod tests {
     }
 
     #[test]
-    fn corruption_with_checksum_log_is_dredundancy() {
-        let mut obs = base_obs(FaultMode::Corruption);
-        obs.klog
-            .push(log("checksum mismatch on data block 99", LogLevel::Error));
-        obs.faulty.steps = vec!["stat:err:EIO".into()];
+    fn logged_redundancy_evidence_is_redundancy() {
+        let reference = stat();
+        let mut obs = base_obs(FaultMode::ReadError, &reference);
+        let replica = RecoveryLevel::RRedundancy.into();
+        obs.klog.push(log(
+            "superblock recovered from replica",
+            LogLevel::Info,
+            replica,
+        ));
+        let cell = infer(&obs).unwrap();
+        assert!(cell.recovery.contains(RecoveryLevel::RRedundancy));
+    }
+
+    #[test]
+    fn corruption_with_checksum_evidence_is_dredundancy() {
+        let reference = stat();
+        let mut obs = base_obs(FaultMode::Corruption, &reference);
+        let checksum = DetectionLevel::DRedundancy.into();
+        obs.klog.push(log(
+            "checksum mismatch on data block 99",
+            LogLevel::Error,
+            checksum,
+        ));
+        obs.faulty = err(Errno::EIO);
         let cell = infer(&obs).unwrap();
         assert!(cell.detection.contains(DetectionLevel::DRedundancy));
     }
 
     #[test]
+    fn words_without_evidence_are_not_evidence() {
+        let reference = stat();
+        let mut obs = base_obs(FaultMode::Corruption, &reference);
+        let none = PolicyCell::default();
+        obs.klog
+            .push(log("inode 5 failed sanity check", LogLevel::Error, none));
+        let cell = infer(&obs).unwrap();
+        assert!(cell.detection.contains(DetectionLevel::DZero));
+    }
+
+    #[test]
     fn corruption_silently_used_is_dzero() {
-        let mut obs = base_obs(FaultMode::Corruption);
+        let reference = stat();
+        let mut obs = base_obs(FaultMode::Corruption, &reference);
         // Output deviates (garbage parsed) but nothing was detected.
-        obs.faulty.steps = vec!["stat:err:ENOENT".into()];
+        obs.faulty = err(Errno::ENOENT);
         let cell = infer(&obs).unwrap();
         assert!(cell.detection.contains(DetectionLevel::DZero));
         assert!(
@@ -366,11 +406,13 @@ mod tests {
     }
 
     #[test]
-    fn corruption_with_sanity_message_is_dsanity() {
-        let mut obs = base_obs(FaultMode::Corruption);
-        obs.faulty.steps = vec!["stat:err:EUCLEAN".into()];
+    fn corruption_with_sanity_evidence_is_dsanity() {
+        let reference = stat();
+        let mut obs = base_obs(FaultMode::Corruption, &reference);
+        obs.faulty = err(Errno::EUCLEAN);
+        let sanity = DetectionLevel::DSanity.into();
         obs.klog
-            .push(log("inode 5 failed sanity check", LogLevel::Error));
+            .push(log("inode 5 failed sanity check", LogLevel::Error, sanity));
         let cell = infer(&obs).unwrap();
         assert!(cell.detection.contains(DetectionLevel::DSanity));
         assert!(!cell.detection.contains(DetectionLevel::DRedundancy));
@@ -378,9 +420,9 @@ mod tests {
 
     #[test]
     fn blank_page_is_guess_with_sanity() {
-        let mut obs = base_obs(FaultMode::Corruption);
-        obs.reference.steps = vec!["read:ok:8192b:abcd12".into()];
-        obs.faulty.steps = vec!["read:ok:8192b:000000:zero".into()];
+        let reference = output(vec![Step::read("read", Ok(vec![7; 8192]))]);
+        let mut obs = base_obs(FaultMode::Corruption, &reference);
+        obs.faulty = output(vec![Step::read("read", Ok(vec![0; 8192]))]);
         let cell = infer(&obs).unwrap();
         assert!(cell.recovery.contains(RecoveryLevel::RGuess));
         assert!(cell.detection.contains(DetectionLevel::DSanity));
@@ -388,8 +430,10 @@ mod tests {
 
     #[test]
     fn panic_counts_as_stop() {
-        let mut obs = base_obs(FaultMode::WriteError);
-        obs.faulty.steps = vec!["sync:PANIC".into()];
+        let reference = stat();
+        let mut obs = base_obs(FaultMode::WriteError, &reference);
+        let panic = iron_vfs::VfsError::KernelPanic("boom".into());
+        obs.faulty = output(vec![Step::new("sync", Err(panic))]);
         obs.final_state = MountState::Crashed;
         let cell = infer(&obs).unwrap();
         assert!(cell.detection.contains(DetectionLevel::DErrorCode));

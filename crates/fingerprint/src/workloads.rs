@@ -12,7 +12,8 @@
 //! these structures"), populated directories, hard links, and symlinks.
 
 use iron_core::hash::digest64;
-use iron_vfs::{OpenFlags, SpecificFs, Vfs, VfsError};
+use iron_core::Errno;
+use iron_vfs::{OpenFlags, SpecificFs, Vfs, VfsError, VfsResult};
 
 /// The Figure 2 workload columns.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -126,14 +127,72 @@ impl Workload {
     }
 }
 
-/// The observable output of one workload run: per-step outcome strings
-/// (data digests for reads, errno names for failures). Two runs behaved
-/// identically iff their outputs are equal — this is the comparison §4.3
-/// performs across "all observable outputs from the system".
+/// What one workload step returned through the API.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Outcome {
+    /// Success. `summary` is the result (a size, a name list, or a read's
+    /// length and digest); `blank` marks a read that returned all-zero
+    /// data — a fabricated page is the paper's `RGuess` fingerprint.
+    Ok {
+        /// The result, summarized.
+        summary: String,
+        /// The data read was all zeros.
+        blank: bool,
+    },
+    /// Failure with an errno.
+    Errno(Errno),
+    /// The simulated kernel panicked. Its message is not part of the
+    /// observable output.
+    Panic,
+}
+
+/// One step of a workload run: the operation and its outcome.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Step {
+    /// The operation's name within its workload (`"read-big"`, `"mount"`).
+    pub op: &'static str,
+    /// What it returned.
+    pub outcome: Outcome,
+}
+
+impl Step {
+    /// A step whose success is summarized by `r`'s string.
+    pub fn new(op: &'static str, r: VfsResult<String>) -> Self {
+        Step::of(op, r.map(|summary| (summary, false)))
+    }
+
+    /// A read step: the data's length and digest, and whether it was
+    /// all zeros. The digest is an observation, not a checksum:
+    /// `digest64` reads a word at a time (SHA-1 here was a tenth of the
+    /// campaign's CPU).
+    pub fn read(op: &'static str, r: VfsResult<Vec<u8>>) -> Self {
+        Step::of(
+            op,
+            r.map(|d| {
+                let blank = !d.is_empty() && d.iter().all(|&b| b == 0);
+                (format!("{}b:{:016x}", d.len(), digest64(&d)), blank)
+            }),
+        )
+    }
+
+    fn of(op: &'static str, r: VfsResult<(String, bool)>) -> Self {
+        let outcome = match r {
+            Ok((summary, blank)) => Outcome::Ok { summary, blank },
+            Err(VfsError::Errno(e)) => Outcome::Errno(e),
+            Err(VfsError::KernelPanic(_)) => Outcome::Panic,
+        };
+        Step { op, outcome }
+    }
+}
+
+/// The observable output of one workload run: one [`Step`] per operation.
+/// Two runs behaved identically iff their outputs are equal — this is the
+/// comparison §4.3 performs across "all observable outputs from the
+/// system".
 #[derive(Clone, Debug, Default)]
 pub struct WorkloadOutput {
     /// One entry per step.
-    pub steps: Vec<String>,
+    pub steps: Vec<Step>,
     /// I/O-trace length at the end of each step (when a trace was
     /// supplied). Inference uses these to tell an in-operation retry from
     /// the workload merely re-touching a block in a later step. Not part
@@ -150,45 +209,18 @@ impl PartialEq for WorkloadOutput {
 impl Eq for WorkloadOutput {}
 
 impl WorkloadOutput {
-    pub(crate) fn note(&mut self, step: &str, r: Result<String, VfsError>) {
-        match r {
-            Ok(s) => self.steps.push(format!("{step}:ok:{s}")),
-            Err(VfsError::Errno(e)) => self.steps.push(format!("{step}:err:{e:?}")),
-            Err(VfsError::KernelPanic(_)) => self.steps.push(format!("{step}:PANIC")),
-        }
-    }
-
-    /// True if any step failed (errno or panic).
-    pub fn any_error(&self) -> bool {
-        self.steps
-            .iter()
-            .any(|s| s.contains(":err:") || s.contains(":PANIC"))
-    }
-
     /// True if any step failed with an errno (panics excluded — a panic is
     /// `RStop`, not an error propagated to the caller).
     pub fn any_errno(&self) -> bool {
-        self.steps.iter().any(|s| s.contains(":err:"))
+        self.steps
+            .iter()
+            .any(|s| matches!(s.outcome, Outcome::Errno(_)))
     }
 
     /// True if any step ended in a simulated kernel panic.
     pub fn any_panic(&self) -> bool {
-        self.steps.iter().any(|s| s.contains(":PANIC"))
+        self.steps.iter().any(|s| s.outcome == Outcome::Panic)
     }
-}
-
-fn digest(data: &[u8]) -> String {
-    // An observation, not a checksum: `digest64` reads a word at a time
-    // (SHA-1 here was a tenth of the campaign's CPU). The ":zero" marker makes fabricated blank pages observable — the
-    // paper's RGuess classification rests on the *data* returned by the
-    // API, and all-zero content where real content was expected is the
-    // fingerprint of a manufactured response.
-    let zero = if !data.is_empty() && data.iter().all(|&b| b == 0) {
-        ":zero"
-    } else {
-        ""
-    };
-    format!("{}b:{:016x}{zero}", data.len(), digest64(data))
 }
 
 /// Size of the "big" fixture file — large enough to force indirect /
@@ -248,11 +280,8 @@ pub fn run<F: SpecificFs>(
             );
         }
         Workload::AccessFamily => {
-            out.note(
-                "access",
-                v.access("/dir1/file_small").map(|_| String::new()),
-            );
-            out.note("chdir", v.chdir("/dir1").map(|_| String::new()));
+            out.done("access", v.access("/dir1/file_small"));
+            out.done("chdir", v.chdir("/dir1"));
             out.note("stat", v.stat("file_small").map(|a| a.size.to_string()));
             out.note(
                 "statfs",
@@ -260,45 +289,35 @@ pub fn run<F: SpecificFs>(
                     .map(|s| format!("bf={} if={}", s.blocks_free > 0, s.inodes_free > 0)),
             );
             out.note("lstat", v.lstat("/sym").map(|a| format!("{:?}", a.ftype)));
-            out.note(
+            out.done(
                 "open",
                 v.open("/dir1/file_small", OpenFlags::rdonly())
-                    .and_then(|fd| v.close(fd))
-                    .map(|_| String::new()),
+                    .and_then(|fd| v.close(fd)),
             );
-            out.note("chroot", v.chroot("/dir1").map(|_| String::new()));
+            out.done("chroot", v.chroot("/dir1"));
         }
         Workload::AttrFamily => {
-            out.note(
-                "chmod",
-                v.chmod("/dir1/file_small", 0o600).map(|_| String::new()),
-            );
-            out.note(
-                "chown",
-                v.chown("/dir1/file_small", 7, 8).map(|_| String::new()),
-            );
-            out.note(
-                "utimes",
-                v.utimes("/dir1/file_small", 1234).map(|_| String::new()),
-            );
+            out.done("chmod", v.chmod("/dir1/file_small", 0o600));
+            out.done("chown", v.chown("/dir1/file_small", 7, 8));
+            out.done("utimes", v.utimes("/dir1/file_small", 1234));
         }
         Workload::Read => {
-            out.note("read-big", v.read_file("/file_big").map(|d| digest(&d)));
+            out.read("read-big", v.read_file("/file_big"));
             if !out.any_panic() {
                 // The extent/indirect-mapped region alone: a file system
                 // that fabricates a blank page for a failed extent lookup
-                // (JFS's §5.3 bug) is exposed by this step's ":zero" digest.
-                out.note(
+                // (JFS's §5.3 bug) is exposed by this step's blank read.
+                out.read(
                     "read-big-extent-region",
                     v.open("/file_big", OpenFlags::rdonly()).and_then(|fd| {
                         let r = v.pread(fd, (BIG_FILE_SIZE - 40_000) as u64, 40_000);
                         v.close(fd)?;
-                        r.map(|d| digest(&d))
+                        r
                     }),
                 );
             }
             if !out.any_panic() {
-                out.note("read-tail", v.read_file("/file_tail").map(|d| digest(&d)));
+                out.read("read-tail", v.read_file("/file_tail"));
             }
         }
         Workload::Readlink => {
@@ -315,119 +334,96 @@ pub fn run<F: SpecificFs>(
             );
         }
         Workload::Creat => {
-            out.note(
+            out.done(
                 "creat",
                 v.creat("/newfile").and_then(|fd| {
                     v.write(fd, &pattern(2000, 9))?;
                     v.close(fd)?;
-                    Ok(String::new())
+                    Ok(())
                 }),
             );
         }
         Workload::Link => {
-            out.note(
-                "link",
-                v.link("/dir1/file_small", "/newhard")
-                    .map(|_| String::new()),
-            );
+            out.done("link", v.link("/dir1/file_small", "/newhard"));
         }
         Workload::Mkdir => {
-            out.note("mkdir", v.mkdir("/newdir", 0o755).map(|_| String::new()));
+            out.done("mkdir", v.mkdir("/newdir", 0o755));
         }
         Workload::Rename => {
-            out.note(
-                "rename",
-                v.rename("/file_torename", "/renamed")
-                    .map(|_| String::new()),
-            );
+            out.done("rename", v.rename("/file_torename", "/renamed"));
         }
         Workload::Symlink => {
-            out.note(
-                "symlink",
-                v.symlink("/file_big", "/newsym").map(|_| String::new()),
-            );
+            out.done("symlink", v.symlink("/file_big", "/newsym"));
         }
         Workload::Write => {
-            out.note(
+            out.done(
                 "write-small",
                 v.open("/dir1/file_small", OpenFlags::rdwr())
                     .and_then(|fd| {
                         v.pwrite(fd, 100, &pattern(1000, 10))?;
                         v.close(fd)?;
-                        Ok(String::new())
+                        Ok(())
                     }),
             );
             if !out.any_panic() {
-                out.note(
+                out.done(
                     "write-big",
                     v.open("/file_big", OpenFlags::rdwr()).and_then(|fd| {
                         // Overwrite deep into the indirect region.
                         v.pwrite(fd, (BIG_FILE_SIZE - 9000) as u64, &pattern(8000, 11))?;
                         v.close(fd)?;
-                        Ok(String::new())
+                        Ok(())
                     }),
                 );
             }
         }
         Workload::Truncate => {
-            out.note(
-                "trunc-mid",
-                v.truncate("/file_totrunc", 10_000).map(|_| String::new()),
-            );
+            out.done("trunc-mid", v.truncate("/file_totrunc", 10_000));
             if !out.any_panic() {
-                out.note(
-                    "trunc-zero",
-                    v.truncate("/file_totrunc", 0).map(|_| String::new()),
-                );
+                out.done("trunc-zero", v.truncate("/file_totrunc", 0));
             }
         }
         Workload::Rmdir => {
-            out.note("rmdir", v.rmdir("/dir_todelete").map(|_| String::new()));
+            out.done("rmdir", v.rmdir("/dir_todelete"));
         }
         Workload::Unlink => {
-            out.note("unlink", v.unlink("/file_todelete").map(|_| String::new()));
+            out.done("unlink", v.unlink("/file_todelete"));
         }
         Workload::Mount => {
             // Handled by the campaign (the mount already happened, under
             // fault); a successful mount is probed with one stat.
-            out.note("post-mount-stat", v.stat("/dir1").map(|_| String::new()));
+            out.done("post-mount-stat", v.stat("/dir1"));
         }
         Workload::SyncFamily => {
-            out.note(
+            out.done(
                 "dirty+fsync",
                 v.open("/dir1/file_small", OpenFlags::rdwr())
                     .and_then(|fd| {
                         v.pwrite(fd, 0, b"fsync me")?;
                         v.fsync(fd)?;
                         v.close(fd)?;
-                        Ok(String::new())
+                        Ok(())
                     }),
             );
             if !out.any_panic() {
-                out.note("sync", v.sync().map(|_| String::new()));
+                out.done("sync", v.sync());
             }
         }
         Workload::Umount => {
-            out.note("umount", v.umount().map(|_| String::new()));
+            out.done("umount", v.umount());
         }
         Workload::Recovery => {
             // The replay happened at mount; probe that recovered state is
             // usable.
-            out.note("post-recovery-stat", v.stat("/dir1").map(|_| String::new()));
+            out.done("post-recovery-stat", v.stat("/dir1"));
             if !out.any_panic() {
-                out.note(
-                    "post-recovery-read",
-                    v.read_file("/file_tail").map(|d| digest(&d)),
-                );
+                out.read("post-recovery-read", v.read_file("/file_tail"));
             }
         }
         Workload::LogWrites => {
-            out.note(
-                "metadata-op",
-                v.mkdir("/logged_dir", 0o755).map(|_| String::new()),
-            );
+            out.done("metadata-op", v.mkdir("/logged_dir", 0o755));
             if !out.any_panic() {
-                out.note("force-commit", v.sync().map(|_| String::new()));
+                out.done("force-commit", v.sync());
             }
         }
     }
@@ -441,8 +437,21 @@ struct TracedOutput<'a> {
 }
 
 impl TracedOutput<'_> {
-    fn note(&mut self, step: &str, r: Result<String, VfsError>) {
-        self.out.note(step, r);
+    fn note(&mut self, op: &'static str, r: VfsResult<String>) {
+        self.push(Step::new(op, r));
+    }
+
+    /// A step whose success has nothing to summarize.
+    fn done<T>(&mut self, op: &'static str, r: VfsResult<T>) {
+        self.note(op, r.map(|_| String::new()));
+    }
+
+    fn read(&mut self, op: &'static str, r: VfsResult<Vec<u8>>) {
+        self.push(Step::read(op, r));
+    }
+
+    fn push(&mut self, step: Step) {
+        self.out.steps.push(step);
         if let Some(t) = self.trace {
             self.out.step_trace_marks.push(t.len());
         }
@@ -474,7 +483,7 @@ mod tests {
             build_fixture(&mut v).unwrap();
             let out = run(w, &mut v, None);
             assert!(
-                !out.any_error(),
+                !out.any_errno() && !out.any_panic(),
                 "workload {w:?} errored on healthy RamFs: {:?}",
                 out.steps
             );
@@ -494,12 +503,22 @@ mod tests {
     #[test]
     fn output_error_detection() {
         let mut out = WorkloadOutput::default();
-        out.note("x", Ok("fine".into()));
-        assert!(!out.any_error());
-        out.note("y", Err(iron_core::Errno::EIO.into()));
-        assert!(out.any_error());
+        out.steps.push(Step::new("x", Ok("fine".into())));
+        assert!(!out.any_errno());
+        out.steps.push(Step::new("y", Err(Errno::EIO.into())));
+        assert!(out.any_errno());
         assert!(!out.any_panic());
-        out.note("z", Err(VfsError::KernelPanic("boom".into())));
+        out.steps
+            .push(Step::new("z", Err(VfsError::KernelPanic("boom".into()))));
         assert!(out.any_panic());
+    }
+
+    #[test]
+    fn panic_messages_are_not_compared_and_blank_reads_are_seen() {
+        let panic = |why: &str| Step::new("p", Err(VfsError::KernelPanic(why.into())));
+        assert_eq!(panic("one"), panic("two"));
+        let blank = Step::read("r", Ok(vec![0; 8]));
+        assert!(matches!(blank.outcome, Outcome::Ok { blank: true, .. }));
+        assert_ne!(blank, Step::read("r", Ok(vec![1; 8])));
     }
 }

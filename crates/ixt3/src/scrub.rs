@@ -14,7 +14,8 @@
 //! `iron-faultinject`.
 
 use iron_blockdev::{BlockDevice, RawAccess, ScanReadahead};
-use iron_core::{BlockAddr, BLOCK_SIZE};
+use iron_core::policy::PolicyCell;
+use iron_core::{BlockAddr, DetectionLevel, LogLevel, BLOCK_SIZE};
 use iron_ext3::layout::BlockType;
 use iron_ext3::Ext3Fs;
 use iron_vfs::SpecificFs;
@@ -120,14 +121,15 @@ pub fn scrub<D: BlockDevice + RawAccess>(fs: &mut Ext3Fs<D>) -> ScrubReport {
         } else {
             report.corruptions += 1;
         }
-        fs.env_ref().klog.warn(
-            "ixt3-scrub",
-            format!(
-                "scrub found {} block {addr} ({})",
-                if is_latent { "unreadable" } else { "corrupt" },
-                ty.tag()
-            ),
-        );
+        // A corrupt block is one whose checksum did not match.
+        let (what, evidence) = match is_latent {
+            true => ("unreadable", PolicyCell::default()),
+            false => ("corrupt", DetectionLevel::DRedundancy.into()),
+        };
+        let msg = format!("scrub found {what} block {addr} ({})", ty.tag());
+        fs.env_ref()
+            .klog
+            .evidence(LogLevel::Warn, "ixt3-scrub", evidence, msg);
 
         // Attempt repair: find a verified good copy of the block. The
         // checksum table is mirrored like any other metadata (its flush

@@ -9,7 +9,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use iron_blockdev::{BlockDevice, RawAccess};
 use iron_core::recover::{Backoff, FailurePolicyTable, PolicyHandle, RecoveryAction};
-use iron_core::{Block, BlockAddr, Errno, IoKind, BLOCK_SIZE};
+use iron_core::{
+    Block, BlockAddr, DetectionLevel, Errno, IoKind, LogLevel, RecoveryLevel, BLOCK_SIZE,
+};
 use iron_vfs::flat::{self, Dirent, FlatStore, Node};
 use iron_vfs::{FileType, FsEnv, StatFs, VfsError, VfsResult};
 
@@ -274,8 +276,9 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
         let sb_block = match dev.read_tagged(BlockAddr(0), JfsBlockType::Super.tag()) {
             Ok(b) => b,
             Err(_) => {
+                let msg = "primary superblock unreadable; trying alternate";
                 env.klog
-                    .warn("jfs", "primary superblock unreadable; trying alternate");
+                    .evidence(LogLevel::Warn, "jfs", RecoveryLevel::RRedundancy, msg);
                 match dev.read_tagged(BlockAddr(1), JfsBlockType::Super.tag()) {
                     Ok(b) => b,
                     Err(_) => {
@@ -290,9 +293,8 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
             None => {
                 // PAPER-BUG: "it does not attempt to read the alternate if
                 // it deems the primary corrupted."
-                env.klog
-                    .error("jfs", "superblock magic/version invalid; mount failed");
-                return Err(Errno::EUCLEAN.into());
+                let msg = "superblock magic/version invalid; mount failed";
+                return Err(env.reject("jfs", msg));
             }
         };
         let layout = JfsLayout::compute(JfsParams {
@@ -328,10 +330,8 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
                 );
             })?;
         if AggregateInodes::decode(&aggr_block).is_none() {
-            fs.env
-                .klog
-                .error("jfs", "aggregate inode table corrupt; mount failed");
-            return Err(Errno::EUCLEAN.into());
+            let msg = "aggregate inode table corrupt; mount failed";
+            return Err(fs.env.reject("jfs", msg));
         }
 
         // Journal superblock.
@@ -339,10 +339,9 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
         let js = match JournalSuper::decode(&js_block) {
             Some(js) => js,
             None => {
-                fs.env
-                    .klog
-                    .error("jfs", "journal superblock invalid; mount failed");
-                return Err(Errno::EUCLEAN.into());
+                return Err(fs
+                    .env
+                    .reject("jfs", "journal superblock invalid; mount failed"));
             }
         };
         fs.jseq = js.sequence;
@@ -556,8 +555,10 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
                 break; // end of log
             }
             let Some(rb) = RecordBlock::decode(&block) else {
-                self.env.klog.error(
+                self.env.klog.evidence(
+                    LogLevel::Error,
                     "jfs",
+                    DetectionLevel::DSanity,
                     format!("journal block {pos} failed sanity check; replay aborted"),
                 );
                 self.env.remount_readonly("jfs", "journal replay aborted");
@@ -701,12 +702,10 @@ impl<D: BlockDevice + RawAccess> FlatStore for JfsFs<D> {
             return Err(Errno::ENOENT.into());
         }
         if !inode_is_sane(&di) {
-            self.env.klog.error(
-                "jfs",
-                format!("inode {ino} failed sanity check; remounting read-only"),
-            );
+            let msg = format!("inode {ino} failed sanity check; remounting read-only");
+            let err = self.env.reject("jfs", msg);
             self.env.remount_readonly("jfs", "corrupt inode");
-            return Err(Errno::EUCLEAN.into());
+            return Err(err);
         }
         Ok(di)
     }
@@ -837,11 +836,10 @@ impl<D: BlockDevice + RawAccess> FlatStore for JfsFs<D> {
     fn read_dir_block(&mut self, addr: u64) -> VfsResult<Vec<Dirent>> {
         let b = self.generic_read(addr, JfsBlockType::Dir)?;
         flat::decode_dir_block(&b).ok_or_else(|| {
-            self.env
-                .klog
-                .error("jfs", format!("directory block {addr} failed sanity check"));
+            let msg = format!("directory block {addr} failed sanity check");
+            let err = self.env.reject("jfs", msg);
             self.env.remount_readonly("jfs", "corrupt directory");
-            Errno::EUCLEAN.into()
+            err
         })
     }
 

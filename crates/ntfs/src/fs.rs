@@ -306,9 +306,7 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
             d.read_tagged(BlockAddr(0), NtfsBlockType::BootFile.tag())
         })?;
         if boot.get_u64(0) != BOOT_MAGIC {
-            env.klog
-                .error("ntfs", "boot file invalid; volume unmountable");
-            return Err(Errno::EUCLEAN.into());
+            return Err(env.reject("ntfs", "boot file invalid; volume unmountable"));
         }
         let params = NtfsParams {
             total_blocks: boot.get_u64(8),
@@ -322,8 +320,7 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
             let msg = format!(
                 "boot file geometry {params:?} does not fit the device; volume unmountable"
             );
-            env.klog.error("ntfs", msg);
-            return Err(Errno::EUCLEAN.into());
+            return Err(env.reject("ntfs", msg));
         };
         let mut fs = NtfsFs {
             dev,
@@ -352,11 +349,8 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
             }
             let b = fs.read_block(layout.mft_block(r), NtfsBlockType::MftRecord)?;
             if decode_record(&b).is_none() {
-                fs.env.klog.error(
-                    "ntfs",
-                    format!("MFT record {r} corrupt; volume unmountable"),
-                );
-                return Err(Errno::EUCLEAN.into());
+                let msg = format!("MFT record {r} corrupt; volume unmountable");
+                return Err(fs.env.reject("ntfs", msg));
             }
         }
         Ok(fs)
@@ -423,8 +417,7 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
             return Ok(());
         }
         let msg = format!("{what} {index} is outside the volume ({limit}); not freed");
-        self.env.klog.error("ntfs", msg);
-        Err(Errno::EUCLEAN.into())
+        Err(self.env.reject("ntfs", msg))
     }
 }
 
@@ -510,10 +503,8 @@ impl<D: BlockDevice + RawAccess> FlatStore for NtfsFs<D> {
             Some((true, r)) => Ok(r),
             Some((false, _)) => Err(Errno::ENOENT.into()),
             None => {
-                self.env
-                    .klog
-                    .error("ntfs", format!("MFT record {rec} corrupt (bad FILE magic)"));
-                Err(Errno::EUCLEAN.into())
+                let msg = format!("MFT record {rec} corrupt (bad FILE magic)");
+                Err(self.env.reject("ntfs", msg))
             }
         }
     }
@@ -600,10 +591,8 @@ impl<D: BlockDevice + RawAccess> FlatStore for NtfsFs<D> {
     fn read_dir_block(&mut self, addr: u64) -> VfsResult<Vec<Dirent>> {
         let b = self.read_block(addr, NtfsBlockType::Dir)?;
         flat::decode_dir_block(&b).ok_or_else(|| {
-            self.env
-                .klog
-                .error("ntfs", format!("directory index block {addr} corrupt"));
-            Errno::EUCLEAN.into()
+            let msg = format!("directory index block {addr} corrupt");
+            self.env.reject("ntfs", msg)
         })
     }
 

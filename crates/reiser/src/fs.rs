@@ -267,11 +267,8 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
         let sb = match ReiserSuper::decode(&sb_block) {
             Some(sb) => sb,
             None => {
-                env.klog.error(
-                    "reiserfs",
-                    "sh-2021: reiserfs_fill_super: can not find reiserfs on device",
-                );
-                return Err(Errno::EUCLEAN.into());
+                let msg = "sh-2021: reiserfs_fill_super: can not find reiserfs on device";
+                return Err(env.reject("reiserfs", msg));
             }
         };
         let layout = ReiserLayout::compute(ReiserParams {
@@ -308,11 +305,8 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
         let jh = match JournalHeader::decode(&jh_block) {
             Some(jh) => jh,
             None => {
-                fs.env.klog.error(
-                    "reiserfs",
-                    "journal-460: journal header magic invalid; mount failed",
-                );
-                return Err(Errno::EUCLEAN.into());
+                let msg = "journal-460: journal header magic invalid; mount failed";
+                return Err(fs.env.reject("reiserfs", msg));
             }
         };
         fs.jseq = jh.sequence;
@@ -615,11 +609,8 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
                 None => {
                     // The paper's scenario made real: garbage was replayed
                     // over the superblock and the file system is unusable.
-                    self.env.klog.error(
-                        "reiserfs",
-                        "superblock invalid after journal replay; file system unusable",
-                    );
-                    return Err(Errno::EUCLEAN.into());
+                    let msg = "superblock invalid after journal replay; file system unusable";
+                    return Err(self.env.reject("reiserfs", msg));
                 }
             }
         }
@@ -683,10 +674,11 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
     }
 
     /// Read a tree node: [`Self::read_block`], then block-header sanity
-    /// checks on what arrived (`DSanity`). A failed sanity check on the
-    /// root or an internal node panics (PAPER-BUG: "ReiserFS sometimes
-    /// calls panic on failing a sanity check, instead of simply returning
-    /// an error code"); on a leaf it propagates `EUCLEAN`.
+    /// checks on what arrived (`DSanity`). A failed sanity check is logged;
+    /// on the root or an internal node it then panics (PAPER-BUG:
+    /// "ReiserFS sometimes calls panic on failing a sanity check, instead
+    /// of simply returning an error code"); on a leaf it propagates
+    /// `EUCLEAN`.
     fn read_node(
         &mut self,
         addr: u64,
@@ -697,19 +689,14 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
         match Node::decode(&block, expected_level) {
             Some(node) => Ok(node),
             None => {
+                let msg = format!("vs-5151: tree block {addr} failed sanity check");
+                let err = self.env.reject("reiserfs", msg);
                 if matches!(tag, ReiserBlockType::Root | ReiserBlockType::Internal) {
                     // PAPER-BUG: panic instead of returning an error.
-                    Err(self.env.panic(
-                        "reiserfs",
-                        format!("vs-6000: corrupted internal tree block {addr}"),
-                    ))
-                } else {
-                    self.env.klog.error(
-                        "reiserfs",
-                        format!("vs-5151: tree block {addr} failed sanity check"),
-                    );
-                    Err(Errno::EUCLEAN.into())
+                    let msg = format!("vs-6000: corrupted internal tree block {addr}");
+                    return Err(self.env.panic("reiserfs", msg));
                 }
+                Err(err)
             }
         }
     }
@@ -1018,11 +1005,8 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
             .tree_get(Key::new(oid, ItemKind::Stat, 0), ReiserBlockType::StatItem)?
             .ok_or(Errno::ENOENT)?;
         StatData::decode(&item.payload).ok_or_else(|| {
-            self.env.klog.error(
-                "reiserfs",
-                format!("vs-13050: corrupt stat data for object {oid}"),
-            );
-            VfsError::Errno(Errno::EUCLEAN)
+            let msg = format!("vs-13050: corrupt stat data for object {oid}");
+            self.env.reject("reiserfs", msg)
         })
     }
 

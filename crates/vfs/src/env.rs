@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use iron_blockdev::{retry::classify, DiskError, DiskResult};
 use iron_core::recover::{PolicyHandle, Step, Verdict, Walk};
-use iron_core::{BlockTag, Errno, IoKind, KernelLog};
+use iron_core::{BlockTag, DetectionLevel, Errno, IoKind, KernelLog, LogLevel};
 
 use crate::types::{VfsError, VfsResult};
 
@@ -68,6 +68,16 @@ impl FsEnv {
         self.klog.panic(subsystem, msg.clone());
         *self.state.lock().unwrap() = MountState::Crashed;
         VfsError::KernelPanic(msg)
+    }
+
+    /// A sanity check rejected what was read (`DSanity`): log `msg` as
+    /// evidence of it and return the `EUCLEAN` the caller should propagate.
+    ///
+    /// Use as `return Err(env.reject("ntfs", "..."))`.
+    pub fn reject(&self, subsystem: &'static str, msg: impl Into<String>) -> VfsError {
+        self.klog
+            .evidence(LogLevel::Error, subsystem, DetectionLevel::DSanity, msg);
+        Errno::EUCLEAN.into()
     }
 
     /// Remount read-only (e.g. after ext3 aborts its journal). Idempotent;
