@@ -339,9 +339,8 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
         let js = match JournalSuper::decode(&js_block) {
             Some(js) => js,
             None => {
-                return Err(fs
-                    .env
-                    .reject("jfs", "journal superblock invalid; mount failed"));
+                let msg = "journal superblock invalid; mount failed";
+                return Err(fs.env.reject("jfs", msg));
             }
         };
         fs.jseq = js.sequence;
