@@ -432,7 +432,7 @@ mod tests {
     fn panic_counts_as_stop() {
         let reference = stat();
         let mut obs = base_obs(FaultMode::WriteError, &reference);
-        let panic = iron_vfs::VfsError::KernelPanic("boom".into());
+        let panic = VfsError::KernelPanic("boom".into());
         obs.faulty = output(vec![Step::new("sync", Err(panic))]);
         obs.final_state = MountState::Crashed;
         let cell = infer(&obs).unwrap();
