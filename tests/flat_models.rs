@@ -1,5 +1,5 @@
-//! The two flat-inode models (JFS, NTFS), driven straight through
-//! `SpecificFs`.
+//! The two flat-inode models (JFS, NTFS), and ReiserFS beside them,
+//! driven straight through `SpecificFs`.
 //!
 //! On a healthy disk one fixed program must leave a byte-identical image
 //! and issue the same block requests in the same order: Figure 2 pins
@@ -14,6 +14,7 @@ use ironfs::core::checksum::sha1;
 use ironfs::core::{BlockAddr, Errno};
 use ironfs::jfs::{JfsFs, JfsLayout, JfsOptions, JfsParams};
 use ironfs::ntfs::{NtfsFs, NtfsParams};
+use ironfs::reiser::{ReiserFs, ReiserOptions, ReiserParams};
 use ironfs::vfs::{FsEnv, SpecificFs};
 
 const BLOCKS: u64 = 4096;
@@ -109,6 +110,26 @@ fn ntfs_image_and_io_order_are_pinned() {
             "0652ace3d22c21aaca3aff34beb5c7566cb913c9".to_string()
         ),
         "NTFS (image, trace)"
+    );
+}
+
+#[test]
+fn reiser_image_and_io_order_are_pinned() {
+    let dev = Recorder::new(MemDisk::for_tests(BLOCKS));
+    // As for JFS: commits fall between operations, not only at the sync.
+    let opts = ReiserOptions {
+        commit_threshold: 8,
+    };
+    let mut fs =
+        ReiserFs::format_and_mount(dev, FsEnv::new(), ReiserParams::small(), opts).unwrap();
+    program(&mut fs);
+    assert_eq!(
+        digests(fs.into_device()),
+        (
+            "d820fd24538c1cfa324ce3520fac98ab1892ee72".to_string(),
+            "d49891a9220f5aaf81f5e59c2219eed5c28f0f0b".to_string()
+        ),
+        "ReiserFS (image, trace)"
     );
 }
 
