@@ -1,10 +1,15 @@
-//! The stock failure-policy tables are the *only* source of retry
-//! behaviour in the five file-system models.
+//! The stock failure-policy tables are the *only* source of the five
+//! file-system models' reactions to a failed device request — retry, stop
+//! or propagate — but for the writes the paper found ignoring errors
+//! (`PAPER-BUG`), which consult no table. (Mount and journal replay keep
+//! a few fixed reactions of their own: an alternate superblock, an
+//! aborted mount or replay.)
 //!
 //! Two checks, both against the tables themselves rather than against
 //! constants in the file systems:
 //!
-//! * the rows encode the retry budgets the paper reports (§5.1–§5.4);
+//! * the rows encode the retry budgets and the stops the paper reports
+//!   (§5.1–§5.4);
 //! * under a sticky read or write fault on any block type, no operation
 //!   of any Table 3 workload ever issues more device attempts at the
 //!   faulted block than `1 +` the `Retry` budgets of the stock chain for
@@ -58,8 +63,11 @@ fn stock_tables_carry_the_papers_retry_budgets() {
     }
 
     // §5.3: the generic code retries every read once; a map block then
-    // stops the system, anything else propagates. Writes are not retried.
+    // stops the system, anything else propagates. Writes are not retried;
+    // a failed journal-superblock write stops the system.
     let jfs = jfs_stock_policy();
+    let js_write = jfs.chain_for(JfsBlockType::JournalSuper.tag(), Write, ErrorClass::Io);
+    assert_eq!(js_write, [RecoveryAction::Stop], "JFS write j-super");
     for ty in JfsBlockType::FIGURE2_ROWS {
         assert_eq!(budget(&jfs, ty.tag(), Read), 1, "JFS read {}", ty.tag());
         assert_eq!(budget(&jfs, ty.tag(), Write), 0, "JFS write {}", ty.tag());
@@ -76,7 +84,9 @@ fn stock_tables_carry_the_papers_retry_budgets() {
         assert_eq!(last, expect, "JFS read {} ends in", ty.tag());
     }
 
-    // §5.2: one retry on data, indirect and direct reads, none elsewhere.
+    // §5.2: one retry on data, indirect and direct reads, none elsewhere;
+    // every write but an ordered data block's stops the system ("first,
+    // do no harm").
     let reiser = reiser_stock_policy();
     for ty in ReiserBlockType::FIGURE2_ROWS {
         let retried = matches!(
@@ -90,6 +100,10 @@ fn stock_tables_carry_the_papers_retry_budgets() {
             ty.tag()
         );
         assert_eq!(budget(&reiser, ty.tag(), Write), 0);
+        if ty != ReiserBlockType::Data {
+            let chain = reiser.chain_for(ty.tag(), Write, ErrorClass::Io);
+            assert_eq!(chain, [RecoveryAction::Stop], "ReiserFS write {}", ty.tag());
+        }
     }
 
     // §5.1: ext3 re-reads only the originally requested data block.

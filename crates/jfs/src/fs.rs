@@ -5,7 +5,7 @@
 //! extent-block codecs, the generic read path, the journal, the
 //! allocation maps, and every `PAPER-BUG`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use iron_blockdev::{BlockDevice, RawAccess};
 use iron_core::recover::{Backoff, FailurePolicyTable, PolicyHandle, RecoveryAction};
@@ -13,7 +13,7 @@ use iron_core::{
     Block, BlockAddr, DetectionLevel, Errno, IoKind, LogLevel, RecoveryLevel, BLOCK_SIZE,
 };
 use iron_vfs::flat::{self, Dirent, FlatStore, Node};
-use iron_vfs::{FileType, FsEnv, StatFs, VfsError, VfsResult};
+use iron_vfs::{Buffers, FileType, FsEnv, StatFs, VfsError, VfsResult};
 
 use crate::journal::{pack_records, JournalSuper, LogRecord, RecordBlock};
 use crate::layout::{
@@ -40,23 +40,25 @@ impl Default for JfsOptions {
     }
 }
 
-/// The failure-policy table reproducing stock JFS's read policy (§5.3):
-/// the *generic* code re-reads any failed block exactly once (`RRetry`)
-/// and then returns `EIO` (`RPropagate`) — except on the block and inode
+/// The failure-policy table reproducing stock JFS's policy (§5.3): the
+/// *generic* code re-reads any failed block exactly once (`RRetry`) and
+/// then returns `EIO` (`RPropagate`) — except on the block and inode
 /// allocation maps, where an unreadable block crashes the system
-/// (`RStop`). Write errors never reach the table: stock JFS ignores them
-/// (or, for the journal superblock, crashes on the spot).
+/// (`RStop`). A failed journal-superblock write crashes it too. Every
+/// other write error is ignored and never consults the table.
 pub fn jfs_stock_policy() -> FailurePolicyTable {
     use RecoveryAction::{Propagate, Retry, Stop};
     let once = Retry {
         budget: 1,
         backoff: Backoff::none(),
     };
-    let read = Some(IoKind::Read);
+    let (read, write) = (Some(IoKind::Read), Some(IoKind::Write));
+    let journal_super = JfsBlockType::JournalSuper.tag();
     FailurePolicyTable::with_default(vec![Propagate])
         .rule(Some(JfsBlockType::Bmap.tag()), read, None, vec![once, Stop])
         .rule(Some(JfsBlockType::Imap.tag()), read, None, vec![once, Stop])
         .rule(None, read, None, vec![once, Propagate])
+        .rule(Some(journal_super), write, None, vec![Stop])
 }
 
 const S_IFDIR: u32 = 0x4000;
@@ -144,12 +146,11 @@ pub struct JfsFs<D: BlockDevice + RawAccess> {
     policy: PolicyHandle,
     layout: JfsLayout,
     sb: JfsSuper,
-    /// Dirty metadata blocks (full images, for checkpoint), in dirty order.
-    dirty_order: Vec<u64>,
-    dirty: HashMap<u64, (Block, JfsBlockType)>,
+    /// Full images of the dirty metadata blocks, for the checkpoint, and
+    /// the block cache.
+    buf: Buffers<JfsBlockType>,
     /// Journal records for the running transaction.
     records: Vec<LogRecord>,
-    cache: HashMap<u64, Block>,
     jseq: u64,
     log_head: u64,
     journal_dirty_on_disk: bool,
@@ -310,10 +311,8 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
             policy: PolicyHandle::new(jfs_stock_policy()),
             layout,
             sb,
-            dirty_order: Vec::new(),
-            dirty: HashMap::new(),
+            buf: Buffers::new(),
             records: Vec::new(),
-            cache: HashMap::new(),
             jseq: 1,
             log_head: layout.journal_start,
             journal_dirty_on_disk: false,
@@ -353,7 +352,7 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
         let _ = fs
             .dev
             .write_tagged(BlockAddr(0), &enc, JfsBlockType::Super.tag());
-        fs.cache.insert(0, enc);
+        fs.buf.cache(0, enc);
         Ok(fs)
     }
 
@@ -388,28 +387,21 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
     /// (`bmap`/`imap`) a crash (§5.3: "Explicit crashes (RStop) are used
     /// when a block allocation map or inode allocation map read fails").
     fn generic_read(&mut self, addr: u64, ty: JfsBlockType) -> VfsResult<Block> {
-        if let Some((b, _)) = self.dirty.get(&addr) {
-            return Ok(b.clone());
-        }
-        if let Some(b) = self.cache.get(&addr) {
-            return Ok(b.clone());
-        }
         let (dev, env, tag) = (&mut self.dev, &self.env, ty.tag());
-        let b = match dev.read_tagged(BlockAddr(addr), tag) {
-            Ok(b) => b,
-            Err(e) => {
-                let req = (IoKind::Read, addr, tag);
-                env.walk_io(&self.policy, "jfs", req, &e, |_, _| {
-                    env.klog.error(
-                        "generic",
-                        format!("I/O error reading block {addr}; retrying once"),
-                    );
-                    dev.read_tagged(BlockAddr(addr), tag)
-                })?
-            }
-        };
-        self.cache.insert(addr, b.clone());
-        Ok(b)
+        self.buf.read(addr, || {
+            let e = match dev.read_tagged(BlockAddr(addr), tag) {
+                Ok(b) => return Ok(b),
+                Err(e) => e,
+            };
+            let req = (IoKind::Read, addr, tag);
+            env.walk_io(&self.policy, "jfs", req, &e, |_, _| {
+                env.klog.error(
+                    "generic",
+                    format!("I/O error reading block {addr}; retrying once"),
+                );
+                dev.read_tagged(BlockAddr(addr), tag)
+            })
+        })
     }
 
     // ==================================================================
@@ -433,11 +425,7 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
                 o += take;
             }
         }
-        if !self.dirty.contains_key(&addr) {
-            self.dirty_order.push(addr);
-        }
-        self.cache.insert(addr, block.clone());
-        self.dirty.insert(addr, (block, ty));
+        self.buf.stage(addr, block, ty);
     }
 
     /// Stage bitmap block `bm`, journaling only the byte that holds `bit`.
@@ -449,7 +437,7 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
     /// (write errors ignored — `PAPER-BUG` family), checkpoint (write
     /// errors ignored), journal-superblock clean (write error ⇒ crash).
     pub fn commit(&mut self) -> VfsResult<()> {
-        if self.records.is_empty() && self.dirty.is_empty() {
+        if self.records.is_empty() && self.buf.is_empty() {
             return Ok(());
         }
         let seq = self.jseq;
@@ -462,23 +450,10 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
         // recorded sequence is the first unflushed transaction, so replay
         // can stop at stale log tails.
         if !self.journal_dirty_on_disk {
-            let js = JournalSuper {
+            self.write_journal_super(JournalSuper {
                 sequence: seq,
                 dirty: true,
-            };
-            if self
-                .dev
-                .write_tagged(
-                    BlockAddr(self.layout.journal_super),
-                    &js.encode(),
-                    JfsBlockType::JournalSuper.tag(),
-                )
-                .is_err()
-            {
-                return Err(self
-                    .env
-                    .panic("jfs", "fatal: journal superblock write failed"));
-            }
+            })?;
             self.journal_dirty_on_disk = true;
         }
         for rb in &blocks {
@@ -495,33 +470,34 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
         self.records.clear();
 
         // Checkpoint; write errors ignored (DZero / RZero).
-        for addr in std::mem::take(&mut self.dirty_order) {
-            if let Some((b, ty)) = self.dirty.remove(&addr) {
-                let _ = self.dev.write_tagged(BlockAddr(addr), &b, ty.tag());
-            }
+        for (addr, b, ty) in self.buf.drain() {
+            let _ = self.dev.write_tagged(BlockAddr(addr), &b, ty.tag());
         }
-        self.dirty.clear();
-
-        let js_clean = JournalSuper {
+        self.write_journal_super(JournalSuper {
             sequence: self.jseq,
             dirty: false,
-        };
-        if self
-            .dev
-            .write_tagged(
-                BlockAddr(self.layout.journal_super),
-                &js_clean.encode(),
-                JfsBlockType::JournalSuper.tag(),
-            )
-            .is_err()
-        {
-            return Err(self
-                .env
-                .panic("jfs", "fatal: journal superblock write failed"));
-        }
+        })?;
         self.journal_dirty_on_disk = false;
         self.log_head = self.layout.journal_start;
         Ok(())
+    }
+
+    /// Write the journal superblock, the one write JFS refuses to lose: a
+    /// failure is logged and handed to [`jfs_stock_policy`], whose write
+    /// chain for it crashes the system.
+    fn write_journal_super(&mut self, js: JournalSuper) -> VfsResult<()> {
+        let (dev, block) = (&mut self.dev, js.encode());
+        let (addr, tag) = (self.layout.journal_super, JfsBlockType::JournalSuper.tag());
+        let Err(e) = dev.write_tagged(BlockAddr(addr), &block, tag) else {
+            return Ok(());
+        };
+        self.env
+            .klog
+            .error("jfs", "fatal: journal superblock write failed");
+        let req = (IoKind::Write, addr, tag);
+        self.env.walk_io(&self.policy, "jfs", req, &e, |_, _| {
+            dev.write_tagged(BlockAddr(addr), &block, tag)
+        })
     }
 
     /// Replay: apply committed record transactions; a sanity-check failure
@@ -751,15 +727,14 @@ impl<D: BlockDevice + RawAccess> FlatStore for JfsFs<D> {
         self.stage_bit(bm_addr.0, bm, JfsBlockType::Bmap, bit);
         self.sb.free_blocks += 1;
         self.update_super_and_desc();
-        self.cache.remove(&addr);
-        // Forget the freed page, as real JFS does: drop its staged
-        // checkpoint image and its pending byte-range records, and log a
+        // Forget the freed page, as real JFS does: drop its cached and
+        // staged images and its pending byte-range records, and log a
         // NOREDOPAGE marker so replay of already-committed transactions
         // cannot redo stale bytes onto the block once it is reallocated
         // (found by the iron-crash enumerator: a directory block freed and
         // reused as file data within one transaction was clobbered at
         // checkpoint even without a crash).
-        self.dirty.remove(&addr);
+        self.buf.forget(addr);
         self.records.retain(|r| r.addr != addr);
         self.records.push(LogRecord::noredo(addr));
         Ok(())
@@ -864,7 +839,7 @@ impl<D: BlockDevice + RawAccess> FlatStore for JfsFs<D> {
         let _ = self
             .dev
             .write_tagged(BlockAddr(addr), block, JfsBlockType::Data.tag());
-        self.cache.insert(addr, block.clone());
+        self.buf.cache(addr, block.clone());
         Ok(())
     }
 

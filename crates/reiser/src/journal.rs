@@ -1,5 +1,5 @@
-//! The ReiserFS journal: header, descriptor, commit blocks, and the
-//! running transaction.
+//! The ReiserFS journal: header, descriptor and commit blocks. The
+//! running transaction is the model's [`iron_vfs::Buffers`].
 //!
 //! ReiserFS journals whole metadata blocks, like ext3. Descriptor and
 //! commit blocks carry magic numbers that *are* checked during replay
@@ -8,11 +8,7 @@
 //! information and are replayed blindly — the paper's headline ReiserFS
 //! vulnerability.
 
-use std::collections::HashMap;
-
 use iron_core::{Block, BLOCK_SIZE};
-
-use crate::layout::ReiserBlockType;
 
 /// Magic in journal descriptor/commit blocks (the real one, "ReIsErLB").
 pub const JOURNAL_MAGIC: &[u8; 8] = b"ReIsErLB";
@@ -134,67 +130,6 @@ impl JournalCommit {
     }
 }
 
-/// The running transaction: dirty metadata blocks in first-dirty order.
-#[derive(Debug, Default)]
-pub struct Txn {
-    order: Vec<u64>,
-    map: HashMap<u64, (Block, ReiserBlockType)>,
-}
-
-impl Txn {
-    /// Empty transaction.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stage a block.
-    pub fn put(&mut self, addr: u64, block: Block, ty: ReiserBlockType) {
-        if !self.map.contains_key(&addr) {
-            self.order.push(addr);
-        }
-        self.map.insert(addr, (block, ty));
-    }
-
-    /// Staged copy, if any.
-    pub fn get(&self, addr: u64) -> Option<&Block> {
-        self.map.get(&addr).map(|(b, _)| b)
-    }
-
-    /// Drop a staged block (freed before commit).
-    pub fn forget(&mut self, addr: u64) {
-        if self.map.remove(&addr).is_some() {
-            self.order.retain(|a| *a != addr);
-        }
-    }
-
-    /// Blocks in first-dirty order.
-    pub fn blocks(&self) -> Vec<(u64, Block, ReiserBlockType)> {
-        self.order
-            .iter()
-            .map(|a| {
-                let (b, t) = &self.map[a];
-                (*a, b.clone(), *t)
-            })
-            .collect()
-    }
-
-    /// Dirty count.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Nothing staged?
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Reset.
-    pub fn clear(&mut self) {
-        self.order.clear();
-        self.map.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,19 +158,5 @@ mod tests {
         assert_eq!(JournalCommit::decode(&c.encode()), Some(c));
         assert_eq!(JournalDesc::decode(&c.encode()), None);
         assert_eq!(JournalCommit::decode(&d.encode()), None);
-    }
-
-    #[test]
-    fn txn_staging() {
-        let mut t = Txn::new();
-        t.put(5, Block::filled(1), ReiserBlockType::LeafNode);
-        t.put(6, Block::filled(2), ReiserBlockType::DataBitmap);
-        t.put(5, Block::filled(3), ReiserBlockType::LeafNode);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(5), Some(&Block::filled(3)));
-        t.forget(5);
-        assert_eq!(t.len(), 1);
-        t.clear();
-        assert!(t.is_empty());
     }
 }

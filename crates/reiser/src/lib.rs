@@ -11,7 +11,8 @@
 //!
 //! * **"First, do no harm"**: virtually any *write* failure panics the
 //!   (simulated) kernel — `RStop` at the coarsest granularity — to keep the
-//!   on-disk tree uncorrupted.
+//!   on-disk tree uncorrupted: [`reiser_stock_policy`]'s write rows end in
+//!   `Stop` for every block ReiserFS writes through its journal.
 //! * Error codes are checked on both reads and writes (`DErrorCode`
 //!   everywhere).
 //! * Heavy sanity checking (`DSanity`): every tree block's header (level,

@@ -348,6 +348,9 @@ fn indirect_read_failure_during_truncate_leaks_space_paper_bug() {
         "expected a leak: freed {freed} of {freed_healthy} blocks"
     );
     assert_eq!(env.state(), MountState::ReadWrite);
+    // Logged as the I/O error it is, with no format-check (`vs-`) id.
+    assert!(env.klog.contains("read of tree block"));
+    assert!(!env.klog.contains("vs-"));
 }
 
 #[test]

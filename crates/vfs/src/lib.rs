@@ -16,6 +16,8 @@
 //!   observable by the fingerprinting framework.
 //! * [`Vfs::tree`] walks the whole namespace into one [`FsTree`] — the
 //!   one recursive walk every namespace comparison uses.
+//! * [`Buffers`] holds a simple model's (ReiserFS, JFS, NTFS) staged
+//!   metadata images and its cache of the blocks it last read or wrote.
 //! * [`flat`] is the flat-inode file model the JFS and NTFS models share:
 //!   one implementation of directories, file bodies and every namespace
 //!   operation over the storage primitives of a [`flat::FlatStore`].
@@ -29,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod buffers;
 pub mod env;
 pub mod flat;
 pub mod fs;
@@ -38,6 +41,7 @@ pub mod tree;
 pub mod types;
 pub mod vfs;
 
+pub use buffers::Buffers;
 pub use env::{FsEnv, MountState};
 pub use fs::SpecificFs;
 pub use tree::{FsTree, TreeNode};
