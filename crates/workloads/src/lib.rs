@@ -18,29 +18,12 @@
 //!
 //! [`space`] implements the §6.2 space-overhead analysis over several
 //! volume profiles.
-//!
-//! [`crashgen`] surfaces the ACE-style bounded crash-workload generator:
-//! where the Table-6 generators ask *"how fast?"*, the crash generator
-//! asks *"which op sequences?"* — every length-2/length-3 sequence over a
-//! tiny namespace, sync placement varied, pruned by legality and name
-//! isomorphism, feeding `iron-crash`'s enumeration campaigns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bench;
 pub mod space;
-
-/// ACE-style bounded workload generation for the crash enumerator
-/// (re-exported from `iron_crash::gen` — the generator lives beside the
-/// `CrashOp` interpreter whose replay on `RamFs` is its legality rule).
-pub mod crashgen {
-    pub use iron_crash::gen::{
-        find_generated, generate_workloads, op_instances, GenOptions, SyncPlacement, GEN_CONTENT,
-        GEN_DIRS, GEN_EXTEND, GEN_FILES, GEN_SHRINK,
-    };
-    pub use iron_crash::workload::{CrashOp, CrashPath, CrashWorkload};
-}
 
 pub use bench::{run_benchmark, table6, Benchmark, Table6Row};
 pub use space::{analyze_profile, VolumeProfile};
