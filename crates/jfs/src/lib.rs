@@ -17,14 +17,16 @@
 //!
 //! ## The measured failure policy (§5.3) — "The kitchen sink"
 //!
-//! What happens after a failed read is data, not code:
+//! What happens after a failed read, or a failed journal-superblock
+//! write, is data, not code:
 //! [`jfs_stock_policy`] is the [`iron_core::recover::FailurePolicyTable`]
 //! built at mount, and the one chain walker enacts it.
 //!
 //! * Read errors are handled by *generic* helper code that retries
 //!   exactly once (`RRetry`), then propagates — the table's read row.
-//! * Write errors are ignored (`DZero`) — except a journal-superblock
-//!   write error, which crashes the system (`RStop`).
+//! * Write errors are ignored (`DZero`) and consult no table — except a
+//!   journal-superblock write error, which crashes the system (`RStop`):
+//!   the table's one write row.
 //! * A failed read of the **primary superblock** falls back to the
 //!   alternate (`RRedundancy`); a *corrupt* primary fails the mount
 //!   without ever trying the alternate (the paper's poster-child
