@@ -16,6 +16,11 @@
 # does not use: every `iron-x` in a Cargo.toml must appear as `iron_x` in
 # a source file under that crate's src/, tests/, benches/ or examples/.
 #
+# ./ci.sh unsafe checks that unsafe code stays where it is: every crate's
+# lib.rs forbids it except iron-core's, which denies it, and only
+# crates/core/src/checksum.rs allows it back, at most twice (the calls
+# into the hardware checksum kernels).
+#
 # ./ci.sh loc prints the non-test line count of every crate's src/ — the
 # number ROADMAP aim 2's line target is counted in. Not a gate.
 #
@@ -98,6 +103,39 @@ deps() {
         done
     done
     return $stale
+}
+
+unsafe_surface() {
+    echo '== unsafe =='
+    bad=0
+    for lib in crates/*/src/lib.rs src/lib.rs; do
+        want='#![forbid(unsafe_code)]'
+        [ "$lib" = crates/core/src/lib.rs ] && want='#![deny(unsafe_code)]'
+        if ! grep -qxF "$want" "$lib"; then
+            echo "ERROR: $lib does not keep $want" >&2
+            bad=1
+        fi
+    done
+    # Every Rust file, tracked or not (build output is ignored): the lints
+    # above bind only a crate's library, not its binaries, tests or examples.
+    files=$(git ls-files --cached --others --exclude-standard '*.rs')
+    # shellcheck disable=SC2086 # one word per file, no spaces in paths
+    if grep -n 'allow(unsafe_code)' $files | grep -v '^crates/core/src/checksum\.rs:' >&2; then
+        echo 'ERROR: allow(unsafe_code) outside crates/core/src/checksum.rs' >&2
+        bad=1
+    fi
+    allows=$(grep -c 'allow(unsafe_code)' crates/core/src/checksum.rs || true)
+    if [ "$allows" -gt 2 ]; then
+        echo "ERROR: crates/core/src/checksum.rs allows unsafe code $allows times (at most 2)" >&2
+        bad=1
+    fi
+    # shellcheck disable=SC2086
+    if grep -nE '\bunsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)' $files |
+        grep -v '^crates/core/src/checksum\.rs:' >&2; then
+        echo 'ERROR: unsafe code outside crates/core/src/checksum.rs' >&2
+        bad=1
+    fi
+    return $bad
 }
 
 examples() {
@@ -321,7 +359,7 @@ profile() {
 }
 
 usage() {
-    echo "usage: $0 [results|examples|deps|loc|pairs <parent-ref> <workload>|all [n]|profile <workload> [seed]]" >&2
+    echo "usage: $0 [results|examples|deps|unsafe|loc|pairs <parent-ref> <workload>|all [n]|profile <workload> [seed]]" >&2
     exit 2
 }
 
@@ -354,6 +392,10 @@ case "${1:-}" in
         deps
         exit 0
         ;;
+    unsafe)
+        unsafe_surface
+        exit 0
+        ;;
     loc)
         loc
         exit 0
@@ -382,6 +424,8 @@ echo '== benchmark workspace (offline) =='
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
 deps
+
+unsafe_surface
 
 echo '== fmt =='
 cargo fmt --all --check

@@ -2,11 +2,23 @@
 //!
 //! The paper's ixt3 prototype uses SHA-1 over block contents (§6.1); CRC32
 //! is the whole-transaction pass inside ixt3's transactional checksum
-//! (`Tc`) and has no other user. Both are implemented here in safe,
-//! portable, scalar Rust — an unrolled SHA-1 that allocates nothing and a
-//! slice-by-8 CRC-32 — test-vectored against the published standards and
-//! compared against their straight-from-the-spec forms (kept under
-//! `#[cfg(test)]`), so the workspace carries no external crypto dependency.
+//! (`Tc`) and has no other user. Each has two kernels, chosen at run time:
+//!
+//! * on x86-64 with the SHA extensions, SHA-1 compresses all whole chunks
+//!   of an input, and then its padding, in one call each with the state in
+//!   registers; with PCLMULQDQ, CRC-32 folds an input of at least 64 bytes
+//!   by carry-less multiplies down to its last `len % 16` bytes;
+//! * everywhere else (other CPUs, other architectures, and CRC-32's short
+//!   inputs and tails), the portable scalar Rust they fall back on: an
+//!   unrolled SHA-1 that allocates nothing and a slice-by-8 CRC-32.
+//!
+//! The choice is `std::is_x86_feature_detected!`, which std caches; it
+//! never changes a digest or a CRC. The two calls into the hardware
+//! kernels, each behind its feature check, are the workspace's only
+//! `unsafe` code. Every kernel is test-vectored against the published
+//! standards and compared against the straight-from-the-spec forms (kept
+//! under `#[cfg(test)]`), so the workspace carries no external crypto
+//! dependency.
 
 /// A SHA-1 digest (20 bytes).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -28,19 +40,65 @@ impl Sha1Digest {
 
 const SHA1_INIT: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
+/// A SHA-1 block kernel: compresses every 64-byte chunk of its input
+/// (whose length is a multiple of 64) into the state, in order.
+type Sha1Blocks = fn(&mut [u32; 5], &[u8]);
+
+/// A CRC-32 fold kernel: `crc32_update` over an input of at least 64
+/// bytes whose length is a multiple of 16.
+type Crc32Fold = fn(u32, &[u8]) -> u32;
+
+/// The SHA-NI block kernel, when this CPU has the SHA extensions.
+fn sha1_hw() -> Option<Sha1Blocks> {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("sha") && std::is_x86_feature_detected!("sse4.1") {
+        #[allow(unsafe_code)]
+        fn blocks(h: &mut [u32; 5], data: &[u8]) {
+            // SAFETY: `blocks` is only handed out after the check above
+            // found `sha` and `sse4.1`, the features the kernel enables.
+            unsafe { x86::sha1_blocks(h, data) }
+        }
+        return Some(blocks);
+    }
+    None
+}
+
+/// The carry-less-multiply fold kernel, when this CPU has PCLMULQDQ.
+fn crc32_hw() -> Option<Crc32Fold> {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("pclmulqdq") && std::is_x86_feature_detected!("sse4.1") {
+        #[allow(unsafe_code)]
+        fn fold(state: u32, data: &[u8]) -> u32 {
+            // SAFETY: `fold` is only handed out after the check above
+            // found `pclmulqdq` and `sse4.1`, the features the kernel
+            // enables.
+            unsafe { x86::crc32_fold(state, data) }
+        }
+        return Some(fold);
+    }
+    None
+}
+
 /// Compute the SHA-1 digest of `data` (FIPS 180-1).
 ///
-/// Whole 64-byte chunks are compressed straight out of `data`; only the
-/// last partial chunk is copied, into the one or two padding blocks
-/// (0x80, zeros, then the 64-bit big-endian bit length) on the stack.
+/// Runs the SHA-NI kernel when the CPU has it (checked once by std and
+/// cached), else the scalar one; both give the same digest.
 pub fn sha1(data: &[u8]) -> Sha1Digest {
-    let mut h = SHA1_INIT;
-    let mut chunks = data.chunks_exact(64);
-    for chunk in &mut chunks {
-        sha1_compress(&mut h, chunk.try_into().expect("64-byte chunk"));
-    }
+    sha1_with(sha1_hw(), data)
+}
 
-    let rest = chunks.remainder();
+/// SHA-1 through the block kernel `hw`, or the scalar one if `None`.
+///
+/// All whole 64-byte chunks go to the kernel in one call, straight out of
+/// `data`; only the last partial chunk is copied, into the one or two
+/// padding blocks (0x80, zeros, then the 64-bit big-endian bit length) on
+/// the stack, which go through a second call.
+fn sha1_with(hw: Option<Sha1Blocks>, data: &[u8]) -> Sha1Digest {
+    let blocks = hw.unwrap_or(sha1_blocks_scalar);
+    let mut h = SHA1_INIT;
+    let (whole, rest) = data.split_at(data.len() - data.len() % 64);
+    blocks(&mut h, whole);
+
     let mut tail = [0u8; 128];
     tail[..rest.len()].copy_from_slice(rest);
     tail[rest.len()] = 0x80;
@@ -49,15 +107,20 @@ pub fn sha1(data: &[u8]) -> Sha1Digest {
     let tail_len = if rest.len() < 56 { 64 } else { 128 };
     let bit_len = (data.len() as u64).wrapping_mul(8);
     tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
-    for chunk in tail[..tail_len].chunks_exact(64) {
-        sha1_compress(&mut h, chunk.try_into().expect("64-byte chunk"));
-    }
+    blocks(&mut h, &tail[..tail_len]);
 
     let mut out = [0u8; 20];
     for (bytes, word) in out.chunks_exact_mut(4).zip(h) {
         bytes.copy_from_slice(&word.to_be_bytes());
     }
     Sha1Digest(out)
+}
+
+/// The portable block kernel: `sha1_compress` over each chunk.
+fn sha1_blocks_scalar(h: &mut [u32; 5], data: &[u8]) {
+    for chunk in data.chunks_exact(64) {
+        sha1_compress(h, chunk.try_into().expect("64-byte chunk"));
+    }
 }
 
 /// The SHA-1 compression function over one 64-byte chunk: 80 rounds
@@ -189,9 +252,29 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Incremental CRC-32 update. `state` starts as `0xFFFF_FFFF`; the final
 /// checksum is `state ^ 0xFFFF_FFFF`.
 ///
+/// On a CPU with PCLMULQDQ (checked once by std and cached), an input of
+/// at least 64 bytes is folded with carry-less multiplies down to its last
+/// `len % 16` bytes; everything else goes through the portable slice-by-8.
+/// Both give the same CRC.
+pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
+    crc32_update_with(crc32_hw(), state, data)
+}
+
+/// `crc32_update` through the fold kernel `hw`, or slice-by-8 alone if
+/// `None`.
+fn crc32_update_with(hw: Option<Crc32Fold>, state: u32, data: &[u8]) -> u32 {
+    match hw {
+        Some(fold) if data.len() >= 64 => {
+            let (body, tail) = data.split_at(data.len() - data.len() % 16);
+            crc32_slice8(fold(state, body), tail)
+        }
+        _ => crc32_slice8(state, data),
+    }
+}
+
 /// Slice-by-8: eight input bytes are folded per step, one table lookup
 /// each; the last `len % 8` bytes go one at a time.
-pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+fn crc32_slice8(mut state: u32, data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
@@ -210,6 +293,167 @@ pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
         state = (state >> 8) ^ t[0][((state ^ u32::from(byte)) & 0xFF) as usize];
     }
     state
+}
+
+/// The x86-64 kernels. Each is a safe function that enables the CPU
+/// features it needs, so calling one is `unsafe` only until those features
+/// are checked (`sha1_hw`, `crc32_hw`). Vectors are built from
+/// `from_be_bytes`/`from_le_bytes` words, so nothing here reads through a
+/// pointer.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::arch::x86_64::*;
+
+    /// Message words `4i..4i + 4` of a chunk, big-endian, word `4i` in the
+    /// top lane as the SHA instructions take them.
+    #[inline]
+    #[target_feature(enable = "sse4.1")]
+    fn sha1_words(chunk: &[u8; 64], i: usize) -> __m128i {
+        let w = |j: usize| {
+            let at = 4 * (4 * i + j);
+            u32::from_be_bytes(chunk[at..at + 4].try_into().expect("4 bytes")) as i32
+        };
+        _mm_set_epi32(w(0), w(1), w(2), w(3))
+    }
+
+    /// SHA-1 over every 64-byte chunk of `data` with the SHA-NI
+    /// instructions: `sha1rnds4` does four rounds, `sha1nexte` derives
+    /// the next four rounds' `e` from the state four rounds back, and
+    /// `sha1msg1`/`sha1msg2` extend the message schedule four words at a
+    /// time. The state stays in two registers across chunks.
+    #[target_feature(enable = "sha,sse4.1")]
+    pub(super) fn sha1_blocks(h: &mut [u32; 5], data: &[u8]) {
+        let mut abcd = _mm_set_epi32(h[0] as i32, h[1] as i32, h[2] as i32, h[3] as i32);
+        let mut e = _mm_set_epi32(h[4] as i32, 0, 0, 0);
+        for chunk in data.chunks_exact(64) {
+            let chunk: &[u8; 64] = chunk.try_into().expect("64-byte chunk");
+            // Schedule group `k` (words 4k..4k + 4) lives in w[k % 4].
+            let mut w = [0, 1, 2, 3].map(|i| sha1_words(chunk, i));
+            let (abcd0, e0) = (abcd, e);
+            // Group 0's `e` is the state's; every later group's comes
+            // from `prev`, the state the group before it started from.
+            let mut prev = abcd;
+            abcd = _mm_sha1rnds4_epu32(abcd, _mm_add_epi32(e, w[0]), 0);
+            macro_rules! group {
+                ($k:literal, $f:literal) => {
+                    if $k >= 4 {
+                        w[$k % 4] = _mm_sha1msg2_epu32(
+                            _mm_xor_si128(
+                                _mm_sha1msg1_epu32(w[$k % 4], w[($k + 1) % 4]),
+                                w[($k + 2) % 4],
+                            ),
+                            w[($k + 3) % 4],
+                        );
+                    }
+                    let ew = _mm_sha1nexte_epu32(prev, w[$k % 4]);
+                    prev = abcd;
+                    abcd = _mm_sha1rnds4_epu32(abcd, ew, $f);
+                };
+            }
+            group!(1, 0);
+            group!(2, 0);
+            group!(3, 0);
+            group!(4, 0);
+            group!(5, 1);
+            group!(6, 1);
+            group!(7, 1);
+            group!(8, 1);
+            group!(9, 1);
+            group!(10, 2);
+            group!(11, 2);
+            group!(12, 2);
+            group!(13, 2);
+            group!(14, 2);
+            group!(15, 3);
+            group!(16, 3);
+            group!(17, 3);
+            group!(18, 3);
+            group!(19, 3);
+            abcd = _mm_add_epi32(abcd, abcd0);
+            e = _mm_sha1nexte_epu32(prev, e0);
+        }
+        h[0] = _mm_extract_epi32(abcd, 3) as u32;
+        h[1] = _mm_extract_epi32(abcd, 2) as u32;
+        h[2] = _mm_extract_epi32(abcd, 1) as u32;
+        h[3] = _mm_extract_epi32(abcd, 0) as u32;
+        h[4] = _mm_extract_epi32(e, 3) as u32;
+    }
+
+    /// Sixteen input bytes as two little-endian words, the first low.
+    #[inline]
+    #[target_feature(enable = "sse4.1")]
+    fn crc32_lane(bytes: &[u8]) -> __m128i {
+        let q = |at: usize| i64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        _mm_set_epi64x(q(8), q(0))
+    }
+
+    /// `x` carried 128 bits further along the message by the constant
+    /// pair `k` (low word times `k`'s low, high word times `k`'s high).
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn crc32_fold_by(x: __m128i, k: __m128i) -> __m128i {
+        _mm_xor_si128(
+            _mm_clmulepi64_si128(x, k, 0x00),
+            _mm_clmulepi64_si128(x, k, 0x11),
+        )
+    }
+
+    /// The reflected CRC-32 over `data` (at least 64 bytes, a multiple
+    /// of 16) with carry-less multiplies, after Intel's "Fast CRC
+    /// Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+    /// (Gopal et al., 2009), with its constants for `0xEDB88320` (also
+    /// Linux's `crc32-pclmul`): fold four 128-bit lanes by 512 bits per
+    /// 64-byte step, fold them into one, fold each remaining 16 bytes by
+    /// 128 bits, take 128 bits down to 64, then a bit-reflected Barrett
+    /// reduction to 32.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32_fold(state: u32, data: &[u8]) -> u32 {
+        // Each fold constant is (x^n mod P) << 32, bit-reflected and
+        // shifted left by one, as the paper derives them.
+        // n = 4*128+32 (low) and 4*128-32 (high).
+        let k1k2 = _mm_set_epi64x(0x1_c6e4_1596, 0x1_5444_2bd4);
+        // n = 128+32 (low) and 128-32 (high).
+        let k3k4 = _mm_set_epi64x(0x0_ccaa_009e, 0x1_7519_97d0);
+        // n = 64.
+        let k5 = _mm_set_epi64x(0, 0x1_63cd_6124);
+        // P' (low) and the Barrett constant mu' (high), both reflected.
+        let poly_mu = _mm_set_epi64x(0x1_f701_1641, 0x1_db71_0641);
+        let low32 = _mm_set_epi64x(0, 0xffff_ffff);
+
+        let mut lines = data.chunks_exact(64);
+        let first = lines.next().expect("at least 64 bytes");
+        let lane = |line: &[u8], i: usize| crc32_lane(&line[16 * i..16 * i + 16]);
+        let mut x = [0, 1, 2, 3].map(|i| lane(first, i));
+        x[0] = _mm_xor_si128(x[0], _mm_set_epi64x(0, i64::from(state)));
+        for line in &mut lines {
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi = _mm_xor_si128(crc32_fold_by(*xi, k1k2), lane(line, i));
+            }
+        }
+        let mut acc = x[0];
+        for &xi in &x[1..] {
+            acc = _mm_xor_si128(crc32_fold_by(acc, k3k4), xi);
+        }
+        for rest in lines.remainder().chunks_exact(16) {
+            acc = _mm_xor_si128(crc32_fold_by(acc, k3k4), crc32_lane(rest));
+        }
+
+        // 128 bits to 96: the low word times x^(128-32) into the high.
+        acc = _mm_xor_si128(
+            _mm_srli_si128(acc, 8),
+            _mm_clmulepi64_si128(acc, k3k4, 0x10),
+        );
+        // 96 bits to 64: the low 32 bits times x^64 into the rest.
+        acc = _mm_xor_si128(
+            _mm_srli_si128(acc, 4),
+            _mm_clmulepi64_si128(_mm_and_si128(acc, low32), k5, 0x00),
+        );
+        // Barrett: q = floor(low32 * mu'), then acc ^ q * P' leaves the
+        // remainder in bits 32..64.
+        let q = _mm_clmulepi64_si128(_mm_and_si128(acc, low32), poly_mu, 0x10);
+        let qp = _mm_clmulepi64_si128(_mm_and_si128(q, low32), poly_mu, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(acc, qp), 1) as u32
+    }
 }
 
 #[cfg(test)]
@@ -293,31 +537,60 @@ mod tests {
     }
 
     /// Every SHA-1 padding boundary (55/56 and 63/64 bytes into a chunk,
-    /// first and second chunk), every slice-by-8 tail length, and a block
-    /// either side of 4 KiB.
-    const BOUNDARY_LENGTHS: [usize; 19] = [
-        0, 1, 7, 8, 9, 55, 56, 57, 63, 64, 65, 119, 120, 121, 127, 128, 4095, 4096, 4097,
+    /// first and second chunk), every slice-by-8 tail length, the CRC
+    /// fold's edges (64 bytes, one 64-byte step plus 15/16/17 bytes, two
+    /// steps plus 15/16/17, one 16-byte tail either side of 4 KiB), and a
+    /// block either side of 4 KiB.
+    const BOUNDARY_LENGTHS: [usize; 27] = [
+        0, 1, 7, 8, 9, 55, 56, 57, 63, 64, 65, 79, 80, 81, 119, 120, 121, 127, 128, 143, 144, 145,
+        4095, 4096, 4097, 4111, 4112,
     ];
 
-    /// Both kernels equal their references on `data[..len]` for every
-    /// boundary length that fits and on all of `data`; `crc32_update` fed
-    /// `data` in the pieces `cuts` delimit equals the one-shot.
+    /// The scalar kernel (`None`), then the hardware one when this CPU
+    /// has it, each with its name for a failure message.
+    fn kernels<T>(hw: Option<T>) -> impl Iterator<Item = (&'static str, Option<T>)> {
+        std::iter::once(("scalar", None)).chain(hw.map(|k| ("hardware", Some(k))))
+    }
+
+    /// Every kernel, scalar and (where the CPU has it) hardware, equals
+    /// its reference on `data[..len]` for every boundary length that fits
+    /// and on all of `data`; `crc32_update` fed `data` in the pieces
+    /// `cuts` delimit equals the reference, and so does a split whose
+    /// pieces straddle the 64-byte fold threshold.
     fn kernels_match_references(data: &[u8], cuts: &[usize]) {
         let lens = BOUNDARY_LENGTHS.iter().copied().filter(|&n| n < data.len());
         for n in lens.chain([data.len()]) {
             let d = &data[..n];
-            assert_eq!(sha1(d), reference_sha1(d), "sha1 at length {n}");
-            assert_eq!(crc32(d), reference_crc32(d), "crc32 at length {n}");
+            for (which, hw) in kernels(sha1_hw()) {
+                let digest = sha1_with(hw, d);
+                assert_eq!(digest, reference_sha1(d), "{which} sha1 at length {n}");
+            }
+            for (which, hw) in kernels(crc32_hw()) {
+                let crc = crc32_update_with(hw, 0xFFFF_FFFF, d) ^ 0xFFFF_FFFF;
+                assert_eq!(crc, reference_crc32(d), "{which} crc32 at length {n}");
+            }
         }
         let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
         cuts.sort_unstable();
-        let mut state = 0xFFFF_FFFF;
-        let mut from = 0;
-        for to in cuts.into_iter().chain([data.len()]) {
-            state = crc32_update(state, &data[from..to]);
-            from = to;
+        // Pieces of 63, 1, 64, 65 bytes and the rest: below, at and above
+        // the threshold, each fold starting from a state mid-stream.
+        let straddle = [63, 64, 128, 193].map(|c: usize| c.min(data.len()));
+        for cuts in [&cuts[..], &straddle[..]] {
+            for (which, hw) in kernels(crc32_hw()) {
+                let mut state = 0xFFFF_FFFF;
+                let mut from = 0;
+                for &to in cuts.iter().chain([&data.len()]) {
+                    state = crc32_update_with(hw, state, &data[from..to]);
+                    from = to;
+                }
+                let crc = state ^ 0xFFFF_FFFF;
+                assert_eq!(
+                    crc,
+                    reference_crc32(data),
+                    "{which} crc32 split at {cuts:?}"
+                );
+            }
         }
-        assert_eq!(state ^ 0xFFFF_FFFF, crc32(data), "split crc32");
     }
 
     fn check_kernels(name: &str, cases: u32) {

@@ -15,7 +15,11 @@
 //! * block-level primitives: the 4 KiB [`block::Block`] buffer, typed block
 //!   tags used for type-aware fault injection, and little-endian codecs;
 //! * checksums used by ixt3 and by journal self-checks: SHA-1 and CRC32,
-//!   implemented here to keep the workspace dependency-free ([`checksum`]);
+//!   implemented here to keep the workspace dependency-free, each with an
+//!   x86-64 hardware kernel (SHA extensions, PCLMULQDQ) chosen at run time
+//!   over a portable scalar fallback; the two calls into those kernels are
+//!   the crate's only `unsafe` code, which is why it denies rather than
+//!   forbids `unsafe_code` ([`checksum`]);
 //! * the simulated clock ([`clock::SimClock`]) that the disk timing model
 //!   advances and the benchmarks read;
 //! * the simulated kernel log ([`klog::KernelLog`]) that file systems write
@@ -35,7 +39,7 @@
 //!   campaigns (`iron-fingerprint`, `iron-crash`) and the serving layer
 //!   (`iron-serve`).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;

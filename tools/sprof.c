@@ -44,9 +44,11 @@ static void on_sigprof(int sig, siginfo_t *info, void *ctx) {
     out[n++] = regs[REG_RIP];
     stack_top[slot] = *(uintptr_t *)sp;
     /* A frame is [saved fp][return address]. Follow only pointers that are
-     * aligned, above the stack pointer, near it, and strictly rising: an
-     * rbp that a frame-pointer-less callee used as scratch fails these. */
-    while (n < DEPTH && fp % 8 == 0 && fp > sp && fp - sp < STACK_WINDOW) {
+     * aligned, at or above the stack pointer, near it, and strictly rising:
+     * an rbp that a frame-pointer-less callee used as scratch fails these.
+     * A leaf that keeps nothing on the stack has fp == sp once its
+     * prologue ran, and its frame is as good as any. */
+    while (n < DEPTH && fp % 8 == 0 && fp >= sp && fp - sp < STACK_WINDOW) {
         uintptr_t next = ((uintptr_t *)fp)[0], ret = ((uintptr_t *)fp)[1];
         if (ret == 0)
             break;
