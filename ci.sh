@@ -35,8 +35,12 @@
 # the benchmark rebuilt with frame pointers under target/profile/, run under
 # tools/sprof.c (a SIGPROF sampler; the box has no perf), self and inclusive
 # share per symbol, a sample inside a library named by that library's
-# exported symbols and its caller in the binary. Not a gate; skipped with a
-# message when gcc is absent.
+# exported symbols and its caller in the binary: the return address on top
+# of the stack when that is in the binary's text, else the first of the 40
+# words at the top of the stack that is (a libc function without a frame
+# pointer, malloc's helpers say, keeps its caller's return address further
+# up), else the first frame of the chain that is. Not a gate; skipped
+# with a message when gcc is absent.
 set -eu
 
 loc() {
@@ -288,7 +292,8 @@ profile() {
     echo "function shows under its exported neighbour's name (malloc's helpers under"
     echo "__default_morecore); such a sample's self row is \`symbol <- caller\`, the caller"
     echo "being the return address on top of the stack when that is in this binary's text,"
-    echo "else the first frame of the chain that is; the bare \`symbol\` row sums its callers"
+    echo "else the first of the 40 words at the top of the stack that is, else the first"
+    echo "frame of the chain that is; the bare \`symbol\` row sums its callers"
     # The samples: self share goes to the symbol under the PC, inclusive
     # share to every symbol on the chain.
     awk -v bin="$binpath" '
@@ -337,15 +342,20 @@ profile() {
         function count(f) { if (!(f in on_chain)) { on_chain[f]; incl[f]++ } }
         END {
             for (s = 1; s <= samples; s++) {
-                n = split(line[s], word, " "); split("", on_chain); top = ""; frames = 0
+                n = split(line[s], word, " "); split("", on_chain); tops = 0; frames = 0
                 for (i = 1; i <= n; i++) {
-                    if (word[i] ~ /^\^/) top = substr(word[i], 2)
+                    if (word[i] ~ /^\^/) top[++tops] = substr(word[i], 2)
                     else { pc[++frames] = word[i]; resolve(pc[frames]) }
                 }
                 leaf = sym[pc[1]]
                 if (!in_bin[pc[1]]) {
-                    count(leaf); resolve(top); caller = ""
-                    if (in_bin[top]) { caller = sym[top]; count(caller) }
+                    count(leaf); caller = ""
+                    # The top-of-stack word, else the first word above it,
+                    # that is in the binary text; else the chain.
+                    for (i = 1; i <= tops && caller == ""; i++) {
+                        resolve(top[i])
+                        if (in_bin[top[i]]) { caller = sym[top[i]]; count(caller) }
+                    }
                     for (i = 2; i <= frames && caller == ""; i++) if (in_bin[pc[i]]) caller = sym[pc[i]]
                     if (caller != "") leaf = leaf " <- " caller
                 }

@@ -75,6 +75,14 @@ impl<V> Lru<V> {
         Some(&self.nodes[i].value)
     }
 
+    /// Mutable look-up that makes `addr` the most recently used, as
+    /// [`Lru::insert`] of a resident address does.
+    pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut V> {
+        let i = *self.index.get(&addr)?;
+        self.touch(i);
+        Some(&mut self.nodes[i].value)
+    }
+
     /// Insert or replace `addr`, making it the most recently used.
     pub fn insert(&mut self, addr: BlockAddr, value: V) {
         if let Some(&i) = self.index.get(&addr) {
@@ -151,5 +159,43 @@ impl<V> Lru<V> {
             NONE => self.newest = to,
             newer => self.nodes[newer].older = to,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn order(lru: &Lru<u8>) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut i = lru.oldest;
+        while i != NONE {
+            out.push(lru.nodes[i].addr.0);
+            i = lru.nodes[i].newer;
+        }
+        out
+    }
+
+    /// `get_mut` moves an entry to the newest end exactly as `insert` of
+    /// the same address does, and leaves a miss without an entry.
+    #[test]
+    fn get_mut_touches_as_insert_does() {
+        let mut by_get_mut: Lru<u8> = Lru::default();
+        let mut by_insert: Lru<u8> = Lru::default();
+        for a in 0..4 {
+            by_get_mut.insert(BlockAddr(a), a as u8);
+            by_insert.insert(BlockAddr(a), a as u8);
+        }
+        for a in [1, 0, 3, 1] {
+            *by_get_mut.get_mut(BlockAddr(a)).unwrap() += 10;
+            let v = *by_insert.peek(BlockAddr(a)).unwrap();
+            by_insert.insert(BlockAddr(a), v + 10);
+            assert_eq!(order(&by_get_mut), order(&by_insert));
+        }
+        assert_eq!(order(&by_get_mut), [2, 0, 3, 1]);
+        assert_eq!(by_get_mut.oldest(), Some((BlockAddr(2), &2)));
+        assert_eq!(by_get_mut.peek(BlockAddr(1)), Some(&21));
+        assert_eq!(by_get_mut.get_mut(BlockAddr(9)), None);
+        assert_eq!(by_get_mut.len(), 4);
     }
 }

@@ -18,7 +18,7 @@ use iron_core::{
 };
 use iron_vfs::{FsEnv, VfsError, VfsResult};
 
-use crate::dir::{self, RawDirEntry};
+use crate::dir::{self, Listing};
 use crate::inode::DiskInode;
 use crate::iron::{IronConfig, SHA1_BLOCK_COST_NS, XOR_BLOCK_COST_NS};
 use crate::journal::{
@@ -291,14 +291,11 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
 
         // Root directory: inode 2, one data block in group 0.
         let root_dir_block = layout.data_start(0);
-        let root_entries = vec![
-            RawDirEntry::new(ROOT_INO as u32, iron_vfs::FileType::Directory, "."),
-            RawDirEntry::new(ROOT_INO as u32, iron_vfs::FileType::Directory, ".."),
-        ];
-        push(
-            root_dir_block,
-            dir::pack_block(&root_entries).expect("fits"),
-        );
+        let mut root_listing = Listing::default();
+        let code = dir::ftype_code(iron_vfs::FileType::Directory);
+        root_listing.push(ROOT_INO as u32, code, ".");
+        root_listing.push(ROOT_INO as u32, code, "..");
+        push(root_dir_block, root_listing.pack().remove(0)); // one block
 
         let mut root_inode = DiskInode::new(iron_vfs::FileType::Directory, 0o755);
         root_inode.size = BLOCK_SIZE as u64;
@@ -863,8 +860,23 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// Stage a metadata block into the running transaction. (Checksums are
     /// computed once per commit, over the final images.)
     pub(crate) fn write_meta(&mut self, addr: u64, block: Block, ty: BlockType) {
-        self.cache_put(addr, block.clone());
         self.running.put(addr, block, ty);
+        self.cache_staged(addr);
+    }
+
+    /// Give the cache the running transaction's image of `addr`, as a
+    /// [`Self::cache_put`] of a copy would: a resident entry takes the
+    /// bytes where it lies and is touched as an insert touches it; only an
+    /// absent one costs a copy.
+    pub(crate) fn cache_staged(&mut self, addr: u64) {
+        let staged = self.running.get(addr).expect("staged by the caller");
+        match self.cache.get_mut(BlockAddr(addr)) {
+            Some(cached) => cached.copy_from_slice(&staged[..]),
+            None => {
+                let copy = staged.clone();
+                self.cache_put(addr, copy);
+            }
+        }
     }
 
     /// Stage the superblock and GDT after a counter change.

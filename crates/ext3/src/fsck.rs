@@ -183,12 +183,14 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
                     if *a == 0 || *a >= device_blocks {
                         continue;
                     }
-                    for e in dir::parse_block(&dev.peek(BlockAddr(*a))) {
-                        let child = e.ino as u64;
+                    let mut listing = dir::Listing::default();
+                    listing.read_block(&dev.peek(BlockAddr(*a)));
+                    for (child, _, name) in listing.iter() {
+                        let child = child as u64;
                         if child == 0 || child > layout.total_inodes() {
                             report.issues.push(FsckIssue::DanglingEntry {
                                 dir: ino,
-                                name: e.name.clone(),
+                                name: name.to_string(),
                                 ino: child,
                             });
                             continue;
@@ -197,13 +199,13 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
                         if cdi.is_free() {
                             report.issues.push(FsckIssue::DanglingEntry {
                                 dir: ino,
-                                name: e.name.clone(),
+                                name: name.to_string(),
                                 ino: child,
                             });
                             continue;
                         }
                         *link_counts.entry(child).or_insert(0) += 1;
-                        if e.name != "." && e.name != ".." {
+                        if name != "." && name != ".." {
                             queue.push_back(child);
                         }
                     }

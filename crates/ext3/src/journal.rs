@@ -437,6 +437,16 @@ impl Txn<Building> {
         self.st.map.get(&addr).map(|(b, _)| b)
     }
 
+    /// The staged copy of `addr` to edit in place, if it is staged as
+    /// `ty` (`None` on a type mismatch: restaging under another type is a
+    /// [`Self::put`]).
+    pub fn get_mut(&mut self, addr: u64, ty: BlockType) -> Option<&mut Block> {
+        match self.st.map.get_mut(&addr) {
+            Some((b, staged)) if *staged == ty => Some(b),
+            _ => None,
+        }
+    }
+
     /// Revoke `addr`: drop any staged copy and record the revocation so
     /// replay won't resurrect older logged copies.
     pub fn revoke(&mut self, addr: u64) {
@@ -934,6 +944,11 @@ mod tests {
         t.put(10, Block::filled(3), BlockType::Inode); // overwrite keeps order
         assert_eq!(t.len(), 2);
         assert_eq!(t.get(10), Some(&Block::filled(3)));
+        // In place only under the staged type.
+        assert!(t.get_mut(10, BlockType::Indirect).is_none());
+        t.get_mut(10, BlockType::Inode).unwrap()[0] = 9;
+        assert_eq!(t.get(10).unwrap()[0], 9);
+        assert!(t.get_mut(30, BlockType::Inode).is_none());
 
         t.revoke(20);
         assert_eq!(t.len(), 1);

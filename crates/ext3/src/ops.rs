@@ -9,7 +9,7 @@ use iron_core::{
 };
 use iron_vfs::{DirEntry, FileType, FsEnv, InodeAttr, MountState, SpecificFs, StatFs, VfsResult};
 
-use crate::dir::{self, ftype_from_code, RawDirEntry};
+use crate::dir::{self, ftype_code, ftype_from_code, Listing};
 use crate::fs::Ext3Fs;
 use crate::inode::{DiskInode, NDIRECT, PTRS_PER_BLOCK};
 use crate::iron::SHA1_BLOCK_COST_NS;
@@ -20,8 +20,9 @@ type Ino = u64;
 
 #[cfg(test)]
 thread_local! {
-    /// Owned block reads (`read_meta` + `read_data_block`) on this thread:
-    /// what the tests count to show a warmed read-only operation makes none.
+    /// Owned block reads (`edit_meta`'s copy path + `read_data_block`) on
+    /// this thread: what the tests count to show a warmed read-only
+    /// operation, or an edit of a block already staged, makes none.
     static OWNED_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     /// Encodings of the counter blocks (superblock + GDT) on this thread.
     pub(crate) static SUPER_ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
@@ -58,13 +59,33 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         self.with_policed("metadata", addr, ty.tag(), checksummed, replica, f)
     }
 
-    /// An owned copy of a metadata block, for the read-modify-write sites
-    /// (`iput`, the bitmaps, `set_file_block`): [`Self::with_meta`] plus
-    /// the clone.
-    pub(crate) fn read_meta(&mut self, addr: u64, ty: BlockType) -> VfsResult<Block> {
+    /// Edit a metadata block and stage it: the read-modify-write of
+    /// `iput`, the bitmaps and the indirect blocks.
+    ///
+    /// When the running transaction stages `addr` as `ty`, `f` edits that
+    /// copy where it lies (as JBD edits a buffer already joined to the
+    /// running transaction), and the cached entry takes the new bytes and
+    /// the touch that staging a copy would have given it. Otherwise the
+    /// block is read under policy ([`Self::with_meta`]), copied, edited and
+    /// staged ([`Self::write_meta`]). Either way an edit makes at most the
+    /// one read the block needs; a blind overwrite is a `write_meta`.
+    pub(crate) fn edit_meta<T>(
+        &mut self,
+        addr: u64,
+        ty: BlockType,
+        f: impl FnOnce(&mut Block) -> T,
+    ) -> VfsResult<T> {
+        if let Some(staged) = self.running.get_mut(addr, ty) {
+            let out = f(staged);
+            self.cache_staged(addr);
+            return Ok(out);
+        }
         #[cfg(test)]
         OWNED_READS.with(|n| n.set(n.get() + 1));
-        self.with_meta(addr, ty, Block::clone)
+        let mut b = self.with_meta(addr, ty, Block::clone)?;
+        let out = f(&mut b);
+        self.write_meta(addr, b, ty);
+        Ok(out)
     }
 
     /// The read path under policy, shared by metadata and data: buffer
@@ -349,15 +370,15 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// write errors are often ignored". The page cache still holds the new
     /// contents, so subsequent reads *hide* the failure. With `fix_bugs`
     /// the error aborts the journal and propagates.
-    pub(crate) fn write_data_block(&mut self, addr: u64, block: &Block) -> VfsResult<()> {
+    pub(crate) fn write_data_block(&mut self, addr: u64, block: Block) -> VfsResult<()> {
         // One page goes down and keeps the digest `Dc` records, so a later
         // read of the block that finds this page does not hash it again.
-        let page = Page::new(block);
+        let page = Page::new(&block);
         self.note_digest(addr, false, || page.sha1());
         let r = self
             .dev
             .write_page(BlockAddr(addr), &page, BlockType::Data.tag());
-        self.cache_put(addr, block.clone());
+        self.cache_put(addr, block);
         match r {
             Err(e) if self.opts.iron.fix_bugs => {
                 self.env
@@ -411,10 +432,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// the journal).
     pub(crate) fn iput(&mut self, ino: Ino, di: &DiskInode) -> VfsResult<()> {
         let (blk, off) = self.layout().inode_location(ino);
-        let mut b = self.read_meta(blk.0, BlockType::Inode)?;
-        di.encode_into(&mut b, off);
-        self.write_meta(blk.0, b, BlockType::Inode);
-        Ok(())
+        self.edit_meta(blk.0, BlockType::Inode, |b| di.encode_into(b, off))
     }
 
     // ==================================================================
@@ -440,9 +458,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             });
             self.uncommitted_frees[g as usize] = freed;
             if let Some(bit) = found? {
-                let mut bm = self.read_meta(bm_addr, BlockType::DataBitmap)?;
-                bm.set_bit(bit);
-                self.write_meta(bm_addr, bm, BlockType::DataBitmap);
+                self.edit_meta(bm_addr, BlockType::DataBitmap, |bm| bm.set_bit(bit))?;
                 self.sb.free_blocks = self.sb.free_blocks.saturating_sub(1);
                 if let Some(gd) = self.gdt.get_mut(g as usize) {
                     gd.0 = gd.0.saturating_sub(1);
@@ -460,10 +476,8 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             return Ok(()); // out-of-layout pointer: freed "nowhere", silently
         };
         let bm_addr = self.layout().data_bitmap(g).0;
-        let mut bm = self.read_meta(bm_addr, BlockType::DataBitmap)?;
         let bit = addr - self.layout().group_base(g);
-        bm.clear_bit(bit);
-        self.write_meta(bm_addr, bm, BlockType::DataBitmap);
+        self.edit_meta(bm_addr, BlockType::DataBitmap, |bm| bm.clear_bit(bit))?;
         self.sb.free_blocks += 1;
         if let Some(gd) = self.gdt.get_mut(g as usize) {
             gd.0 += 1;
@@ -488,10 +502,11 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         let ipg = self.layout().params.inodes_per_group;
         for g in 0..self.layout().num_groups {
             let bm_addr = self.layout().inode_bitmap(g).0;
-            let mut bm = self.read_meta(bm_addr, BlockType::InodeBitmap)?;
-            if let Some(bit) = bm.first_zero_bit(ipg, 0) {
-                bm.set_bit(bit);
-                self.write_meta(bm_addr, bm, BlockType::InodeBitmap);
+            let found = self.with_meta(bm_addr, BlockType::InodeBitmap, |bm| {
+                bm.first_zero_bit(ipg, 0)
+            })?;
+            if let Some(bit) = found {
+                self.edit_meta(bm_addr, BlockType::InodeBitmap, |bm| bm.set_bit(bit))?;
                 self.sb.free_inodes = self.sb.free_inodes.saturating_sub(1);
                 if let Some(gd) = self.gdt.get_mut(g as usize) {
                     gd.1 = gd.1.saturating_sub(1);
@@ -511,9 +526,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         let g = (ino - 1) / ipg;
         let bit = (ino - 1) % ipg;
         let bm_addr = self.layout().inode_bitmap(g).0;
-        let mut bm = self.read_meta(bm_addr, BlockType::InodeBitmap)?;
-        bm.clear_bit(bit);
-        self.write_meta(bm_addr, bm, BlockType::InodeBitmap);
+        self.edit_meta(bm_addr, BlockType::InodeBitmap, |bm| bm.clear_bit(bit))?;
         self.sb.free_inodes += 1;
         if let Some(gd) = self.gdt.get_mut(g as usize) {
             gd.1 += 1;
@@ -594,11 +607,11 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 di.blocks_count += 1;
                 self.write_meta(nb, Block::zeroed(), BlockType::Indirect);
             }
+            let slot = idx as usize * 4;
             let iaddr = di.indirect as u64;
-            let mut ib = self.read_meta(iaddr, BlockType::Indirect)?;
-            ib.put_u32(idx as usize * 4, addr as u32);
-            self.write_meta(iaddr, ib, BlockType::Indirect);
-            return Ok(());
+            return self.edit_meta(iaddr, BlockType::Indirect, |ib| {
+                ib.put_u32(slot, addr as u32)
+            });
         }
         let idx = idx - ppb;
         if idx < ppb * ppb {
@@ -609,20 +622,26 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 self.write_meta(nb, Block::zeroed(), BlockType::Indirect);
             }
             let l1_addr = di.double_indirect as u64;
-            let mut l1 = self.read_meta(l1_addr, BlockType::Indirect)?;
             let slot = (idx / ppb) as usize * 4;
-            let mut l2_ptr = l1.get_u32(slot) as u64;
-            if l2_ptr == 0 {
+            // One look at the top block. A missing second-level block is
+            // allocated between that look and the edit, and the bitmap
+            // search may evict the top block from a small cache: it is
+            // edited in the copy that look took, so no read is added.
+            let (mut l2_ptr, l1) = self.with_meta(l1_addr, BlockType::Indirect, |l1| {
+                let ptr = l1.get_u32(slot) as u64;
+                (ptr, (ptr == 0).then(|| l1.clone()))
+            })?;
+            if let Some(mut l1) = l1 {
                 l2_ptr = self.alloc_block(hint_group)?;
                 di.blocks_count += 1;
                 self.write_meta(l2_ptr, Block::zeroed(), BlockType::Indirect);
                 l1.put_u32(slot, l2_ptr as u32);
                 self.write_meta(l1_addr, l1, BlockType::Indirect);
             }
-            let mut l2 = self.read_meta(l2_ptr, BlockType::Indirect)?;
-            l2.put_u32((idx % ppb) as usize * 4, addr as u32);
-            self.write_meta(l2_ptr, l2, BlockType::Indirect);
-            return Ok(());
+            let slot = (idx % ppb) as usize * 4;
+            return self.edit_meta(l2_ptr, BlockType::Indirect, |l2| {
+                l2.put_u32(slot, addr as u32)
+            });
         }
         Err(Errno::EFBIG.into())
     }
@@ -645,40 +664,41 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     // ==================================================================
 
     /// All entries of a directory (parsed leniently, per ext3).
-    pub(crate) fn dir_entries_all(&mut self, di: &DiskInode) -> VfsResult<Vec<RawDirEntry>> {
+    pub(crate) fn dir_listing(&mut self, di: &DiskInode) -> VfsResult<Listing> {
         let nblocks = di.size.div_ceil(BLOCK_SIZE as u64);
-        let mut out = Vec::new();
+        let mut out = Listing::default();
         for idx in 0..nblocks {
             let addr = self.get_file_block(di, idx)?;
             if addr == 0 {
                 continue;
             }
-            out.extend(self.with_meta(addr, BlockType::Dir, dir::parse_block)?);
+            self.with_meta(addr, BlockType::Dir, |b| out.read_block(b))?;
         }
         Ok(out)
     }
 
-    /// Rewrite a directory's entries, growing/shrinking its blocks.
-    pub(crate) fn dir_write_entries(
+    /// Rewrite a directory from `listing`, growing/shrinking its blocks.
+    pub(crate) fn dir_write(
         &mut self,
         dir_ino: Ino,
         di: &mut DiskInode,
-        entries: &[RawDirEntry],
+        listing: &Listing,
     ) -> VfsResult<()> {
-        let blocks = dir::pack_blocks(entries);
+        let blocks = listing.pack();
+        let nblocks = blocks.len();
         let old_nblocks = di.size.div_ceil(BLOCK_SIZE as u64);
         let hint = (dir_ino - 1) / self.layout().params.inodes_per_group;
-        for (idx, b) in blocks.iter().enumerate() {
+        for (idx, b) in blocks.into_iter().enumerate() {
             let mut addr = self.get_file_block(di, idx as u64)?;
             if addr == 0 {
                 addr = self.alloc_block(hint)?;
                 di.blocks_count += 1;
                 self.set_file_block(di, idx as u64, addr, hint)?;
             }
-            self.write_meta(addr, b.clone(), BlockType::Dir);
+            self.write_meta(addr, b, BlockType::Dir);
         }
         // Shrink: free surplus blocks.
-        for idx in blocks.len() as u64..old_nblocks {
+        for idx in nblocks as u64..old_nblocks {
             let addr = self.get_file_block(di, idx)?;
             if addr != 0 {
                 self.free_block(addr)?;
@@ -686,17 +706,14 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 self.set_file_block(di, idx, 0, hint)?;
             }
         }
-        di.size = (blocks.len() * BLOCK_SIZE) as u64;
+        di.size = (nblocks * BLOCK_SIZE) as u64;
         self.iput(dir_ino, di)
     }
 
-    /// Find `name` in a directory: blocks in index order, done at the first
-    /// match (as `ext3_find_entry` is), nothing parsed into owned entries.
-    pub(crate) fn dir_find(
-        &mut self,
-        di: &DiskInode,
-        name: &str,
-    ) -> VfsResult<Option<RawDirEntry>> {
+    /// Find `name` in a directory, as `(ino, ftype)`: blocks in index
+    /// order, done at the first match (as `ext3_find_entry` is), nothing
+    /// parsed into owned entries.
+    pub(crate) fn dir_find(&mut self, di: &DiskInode, name: &str) -> VfsResult<Option<(u32, u8)>> {
         let nblocks = di.size.div_ceil(BLOCK_SIZE as u64);
         for idx in 0..nblocks {
             let addr = self.get_file_block(di, idx)?;
@@ -821,7 +838,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
             return Err(Errno::ENOTDIR.into());
         }
         match self.dir_find(&di, name)? {
-            Some(e) => Ok(e.ino as u64),
+            Some((ino, _)) => Ok(ino as u64),
             None => Err(Errno::ENOENT.into()),
         }
     }
@@ -866,9 +883,9 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
             return Err(Errno::EEXIST.into());
         }
         let ino = self.new_inode(FileType::Regular, mode)?;
-        let mut entries = self.dir_entries_all(&dd)?;
-        entries.push(RawDirEntry::new(ino as u32, FileType::Regular, name));
-        self.dir_write_entries(dir, &mut dd, &entries)?;
+        let mut listing = self.dir_listing(&dd)?;
+        listing.push(ino as u32, ftype_code(FileType::Regular), name);
+        self.dir_write(dir, &mut dd, &listing)?;
         self.maybe_commit()?;
         Ok(ino)
     }
@@ -884,15 +901,15 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
         }
         let ino = self.new_inode(FileType::Directory, mode)?;
         let mut child = self.raw_iget(ino)?;
-        let child_entries = vec![
-            RawDirEntry::new(ino as u32, FileType::Directory, "."),
-            RawDirEntry::new(dir as u32, FileType::Directory, ".."),
-        ];
-        self.dir_write_entries(ino, &mut child, &child_entries)?;
-        let mut entries = self.dir_entries_all(&dd)?;
-        entries.push(RawDirEntry::new(ino as u32, FileType::Directory, name));
+        let code = ftype_code(FileType::Directory);
+        let mut child_listing = Listing::default();
+        child_listing.push(ino as u32, code, ".");
+        child_listing.push(dir as u32, code, "..");
+        self.dir_write(ino, &mut child, &child_listing)?;
+        let mut listing = self.dir_listing(&dd)?;
+        listing.push(ino as u32, code, name);
         dd.links_count += 1; // child's ".." link
-        self.dir_write_entries(dir, &mut dd, &entries)?;
+        self.dir_write(dir, &mut dd, &listing)?;
         self.maybe_commit()?;
         Ok(ino)
     }
@@ -900,10 +917,10 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
     fn unlink(&mut self, dir: Ino, name: &str) -> VfsResult<()> {
         self.env.check_writable()?;
         let mut dd = self.iget(dir)?;
-        let Some(entry) = self.dir_find(&dd, name)? else {
+        let Some((ino, _)) = self.dir_find(&dd, name)? else {
             return Err(Errno::ENOENT.into());
         };
-        let ino = entry.ino as u64;
+        let ino = ino as u64;
         let mut di = self.iget(ino)?;
         if di.file_type() == Some(FileType::Directory) {
             return Err(Errno::EISDIR.into());
@@ -921,9 +938,9 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
                 format!("kernel BUG: inode {ino} links_count underflow in unlink"),
             ));
         }
-        let mut entries = self.dir_entries_all(&dd)?;
-        entries.retain(|e| e.name != name);
-        self.dir_write_entries(dir, &mut dd, &entries)?;
+        let mut listing = self.dir_listing(&dd)?;
+        listing.remove(name);
+        self.dir_write(dir, &mut dd, &listing)?;
         di.links_count -= 1;
         if di.links_count == 0 {
             self.free_file_blocks(&mut di)?;
@@ -944,25 +961,22 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
         // propagated to the caller.
         let inner = (|| -> VfsResult<()> {
             let mut dd = self.iget(dir)?;
-            let Some(entry) = self.dir_find(&dd, name)? else {
+            let Some((ino, _)) = self.dir_find(&dd, name)? else {
                 return Err(Errno::ENOENT.into());
             };
-            let ino = entry.ino as u64;
+            let ino = ino as u64;
             let mut di = self.iget(ino)?;
             if di.file_type() != Some(FileType::Directory) {
                 return Err(Errno::ENOTDIR.into());
             }
-            let child_entries = self.dir_entries_all(&di)?;
-            if child_entries
-                .iter()
-                .any(|e| e.name != "." && e.name != "..")
-            {
+            let children = self.dir_listing(&di)?;
+            if children.iter().any(|(_, _, n)| n != "." && n != "..") {
                 return Err(Errno::ENOTEMPTY.into());
             }
-            let mut entries = self.dir_entries_all(&dd)?;
-            entries.retain(|e| e.name != name);
+            let mut listing = self.dir_listing(&dd)?;
+            listing.remove(name);
             dd.links_count = dd.links_count.saturating_sub(1);
-            self.dir_write_entries(dir, &mut dd, &entries)?;
+            self.dir_write(dir, &mut dd, &listing)?;
             self.free_file_blocks(&mut di)?;
             self.free_inode(ino)?;
             self.maybe_commit()
@@ -986,13 +1000,10 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
         let mut di = self.iget(ino)?;
         di.links_count += 1;
         self.iput(ino, &di)?;
-        let mut entries = self.dir_entries_all(&dd)?;
-        entries.push(RawDirEntry::new(
-            ino as u32,
-            di.file_type().unwrap_or(FileType::Regular),
-            name,
-        ));
-        self.dir_write_entries(dir, &mut dd, &entries)?;
+        let mut listing = self.dir_listing(&dd)?;
+        let ftype = di.file_type().unwrap_or(FileType::Regular);
+        listing.push(ino as u32, ftype_code(ftype), name);
+        self.dir_write(dir, &mut dd, &listing)?;
         self.maybe_commit()
     }
 
@@ -1011,11 +1022,11 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
         self.set_file_block(&mut di, 0, baddr, self.group_hint(ino))?;
         di.blocks_count += 1;
         di.size = target.len() as u64;
-        self.write_data_block(baddr, &Block::from_bytes(target.as_bytes()))?;
+        self.write_data_block(baddr, Block::from_bytes(target.as_bytes()))?;
         self.iput(ino, &di)?;
-        let mut entries = self.dir_entries_all(&dd)?;
-        entries.push(RawDirEntry::new(ino as u32, FileType::Symlink, name));
-        self.dir_write_entries(dir, &mut dd, &entries)?;
+        let mut listing = self.dir_listing(&dd)?;
+        listing.push(ino as u32, ftype_code(FileType::Symlink), name);
+        self.dir_write(dir, &mut dd, &listing)?;
         self.maybe_commit()?;
         Ok(ino)
     }
@@ -1044,17 +1055,17 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
     ) -> VfsResult<()> {
         self.env.check_writable()?;
         let sd = self.iget(src_dir)?;
-        let Some(entry) = self.dir_find(&sd, src_name)? else {
+        let Some((moved_ino, moved_ftype)) = self.dir_find(&sd, src_name)? else {
             return Err(Errno::ENOENT.into());
         };
-        let moved_ino = entry.ino as u64;
-        let moved_is_dir = ftype_from_code(entry.ftype) == FileType::Directory;
+        let moved_ino = moved_ino as u64;
+        let moved_is_dir = ftype_from_code(moved_ftype) == FileType::Directory;
 
         // Replace an existing destination file.
         let dd = self.iget(dst_dir)?;
-        if let Some(existing) = self.dir_find(&dd, dst_name)? {
-            if existing.ino as u64 != moved_ino {
-                if ftype_from_code(existing.ftype) == FileType::Directory {
+        if let Some((existing, existing_ftype)) = self.dir_find(&dd, dst_name)? {
+            if existing as u64 != moved_ino {
+                if ftype_from_code(existing_ftype) == FileType::Directory {
                     return Err(Errno::EISDIR.into());
                 }
                 if moved_is_dir {
@@ -1068,36 +1079,28 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
 
         // Remove from source.
         let mut sd = self.iget(src_dir)?;
-        let mut src_entries = self.dir_entries_all(&sd)?;
-        src_entries.retain(|e| e.name != src_name);
+        let mut src_listing = self.dir_listing(&sd)?;
+        src_listing.remove(src_name);
         if moved_is_dir && src_dir != dst_dir {
             sd.links_count = sd.links_count.saturating_sub(1);
         }
-        self.dir_write_entries(src_dir, &mut sd, &src_entries)?;
+        self.dir_write(src_dir, &mut sd, &src_listing)?;
 
         // Add to destination.
         let mut dd = self.iget(dst_dir)?;
-        let mut dst_entries = self.dir_entries_all(&dd)?;
-        dst_entries.push(RawDirEntry {
-            ino: moved_ino as u32,
-            ftype: entry.ftype,
-            name: dst_name.to_string(),
-        });
+        let mut dst_listing = self.dir_listing(&dd)?;
+        dst_listing.push(moved_ino as u32, moved_ftype, dst_name);
         if moved_is_dir && src_dir != dst_dir {
             dd.links_count += 1;
         }
-        self.dir_write_entries(dst_dir, &mut dd, &dst_entries)?;
+        self.dir_write(dst_dir, &mut dd, &dst_listing)?;
 
         // Fix the moved directory's "..".
         if moved_is_dir && src_dir != dst_dir {
             let mut md = self.iget(moved_ino)?;
-            let mut mentries = self.dir_entries_all(&md)?;
-            for e in &mut mentries {
-                if e.name == ".." {
-                    e.ino = dst_dir as u32;
-                }
-            }
-            self.dir_write_entries(moved_ino, &mut md, &mentries)?;
+            let mut moved_listing = self.dir_listing(&md)?;
+            moved_listing.repoint("..", dst_dir as u32);
+            self.dir_write(moved_ino, &mut md, &moved_listing)?;
         }
         self.maybe_commit()
     }
@@ -1185,12 +1188,12 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
                         "ixt3",
                         format!("data write to block {addr} failed; remapped to {fresh}"),
                     );
-                    self.write_data_block(fresh, &new)?;
+                    self.write_data_block(fresh, new)?;
                     self.free_block(addr)?;
                     self.set_file_block(&mut di, idx, fresh, hint)?;
                 } else {
                     self.note_cksum(addr, &new, false);
-                    self.cache_put(addr, new.clone());
+                    self.cache_put(addr, new);
                 }
             } else if self.opts.iron.data_checksum && preexisting {
                 // `Dc` overwrites are copy-on-write: an in-place overwrite
@@ -1206,11 +1209,11 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
                 // pair is — and the ordered barrier puts the fresh
                 // contents on the platter before the commit block.
                 let fresh = self.alloc_block(hint)?;
-                self.write_data_block(fresh, &new)?;
+                self.write_data_block(fresh, new)?;
                 self.free_block(addr)?;
                 self.set_file_block(&mut di, idx, fresh, hint)?;
             } else {
-                self.write_data_block(addr, &new)?;
+                self.write_data_block(addr, new)?;
             }
             pos += take as u64;
             src += take;
@@ -1272,11 +1275,11 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
                         // Same COW-under-Dc rule as `write`: the zeroed
                         // tail must swap in atomically with its checksum.
                         let fresh = self.alloc_block(hint)?;
-                        self.write_data_block(fresh, &b)?;
+                        self.write_data_block(fresh, b)?;
                         self.free_block(addr)?;
                         self.set_file_block(&mut di, idx, fresh, hint)?;
                     } else {
-                        self.write_data_block(addr, &b)?;
+                        self.write_data_block(addr, b)?;
                     }
                 }
             }
@@ -1296,15 +1299,13 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
         if di.file_type() != Some(FileType::Directory) {
             return Err(Errno::ENOTDIR.into());
         }
-        Ok(self
-            .dir_entries_all(&di)?
-            .into_iter()
-            .map(|e| DirEntry {
-                name: e.name,
-                ino: e.ino as u64,
-                ftype: ftype_from_code(e.ftype),
-            })
-            .collect())
+        let listing = self.dir_listing(&di)?;
+        let entries = listing.iter().map(|(ino, ftype, name)| DirEntry {
+            name: name.to_string(),
+            ino: ino as u64,
+            ftype: ftype_from_code(ftype),
+        });
+        Ok(entries.collect())
     }
 
     fn fsync(&mut self, _ino: Ino) -> VfsResult<()> {
@@ -1447,5 +1448,78 @@ mod tests {
         // The counter is live: a partial-block write needs its base block.
         v.fs_mut().write(f, 3, b"x").unwrap();
         assert!(owned_reads() > before);
+    }
+
+    /// A mount whose running transaction never commits on its own.
+    fn one_transaction() -> Ext3Fs<MemDisk> {
+        let opts = Ext3Options {
+            commit_threshold: usize::MAX,
+            ..Ext3Options::default()
+        };
+        let md = MemDisk::for_tests(4096);
+        Ext3Fs::format_and_mount(md, FsEnv::new(), Ext3Params::small(), opts).expect("format")
+    }
+
+    /// One image per block per transaction: once the running transaction
+    /// stages the bitmaps, the inode-table block and a file's indirect
+    /// block, a create, an unlink and an append edit those copies where
+    /// they lie and take no owned copy of any block.
+    #[test]
+    fn edits_of_staged_metadata_make_no_owned_block_reads() {
+        let mut fs = one_transaction();
+        let root = fs.root_ino();
+        let bs = BLOCK_SIZE as u64;
+        let f = fs.create(root, "f", 0o644).unwrap();
+        fs.write(f, 0, &vec![1u8; (NDIRECT + 1) * BLOCK_SIZE])
+            .unwrap();
+        let g = fs.create(root, "g", 0o644).unwrap();
+        fs.write(g, 0, &[2u8; BLOCK_SIZE]).unwrap();
+
+        let before = owned_reads();
+        let h = fs.create(root, "h", 0o644).unwrap();
+        fs.unlink(root, "g").unwrap();
+        let tail = (NDIRECT as u64 + 1) * bs;
+        fs.write(f, tail, &[3u8; BLOCK_SIZE]).unwrap();
+        assert_eq!(owned_reads() - before, 0, "an edit copied a staged block");
+
+        assert_eq!(fs.lookup(root, "h").unwrap(), h);
+        assert!(fs.lookup(root, "g").is_err());
+        assert_eq!(fs.read(f, tail - 1, 2).unwrap(), [1, 3]);
+        assert_eq!(fs.getattr(f).unwrap().size, tail + bs);
+        // What was edited in place is what commits and what fsck finds.
+        fs.unmount().unwrap();
+        let report = crate::fsck::check(fs.device(), fs.layout());
+        assert!(report.issues.is_empty(), "{:?}", report.issues);
+    }
+
+    /// A block the running transaction stages under another type is not
+    /// edited in place: the edit copies it and restages it under the new
+    /// type. Staged under that type, the next edit is in place, and the
+    /// cache holds the edited bytes whether its entry was resident or not.
+    #[test]
+    fn an_edit_of_a_block_staged_as_another_type_takes_the_copy_path() {
+        let mut fs = one_transaction();
+        let addr = fs.alloc_block(0).unwrap();
+        fs.write_meta(addr, Block::filled(5), BlockType::Dir);
+
+        let before = owned_reads();
+        fs.edit_meta(addr, BlockType::Indirect, |b| b.put_u32(0, 7))
+            .unwrap();
+        assert_eq!(owned_reads() - before, 1, "the mismatch takes a copy");
+        assert!(fs.running.get_mut(addr, BlockType::Dir).is_none());
+        let staged = fs.running.get_mut(addr, BlockType::Indirect).unwrap();
+        assert_eq!((staged.get_u32(0), staged[4]), (7, 5));
+
+        for evicted in [false, true] {
+            if evicted {
+                fs.cache.remove(BlockAddr(addr));
+            }
+            let before = owned_reads();
+            fs.edit_meta(addr, BlockType::Indirect, |b| b[4] += 1)
+                .unwrap();
+            assert_eq!(owned_reads(), before, "staged as Indirect: in place");
+            assert_eq!(fs.cache.peek(BlockAddr(addr)), fs.running.get(addr));
+        }
+        assert_eq!(fs.running.get(addr).unwrap()[4], 7);
     }
 }

@@ -90,16 +90,12 @@ fn free_block(dev: &MemDisk, layout: &DiskLayout) -> u64 {
 /// Add a root-directory entry `ghost` naming inode 400, a free slot.
 fn add_dangling_entry(dev: &mut MemDisk, layout: &DiskLayout) {
     let root_dir_block = BlockAddr(first_block(dev, layout, 2));
-    let mut entries = iron_ext3::dir::parse_block(&dev.peek(root_dir_block));
-    entries.push(iron_ext3::dir::RawDirEntry::new(
-        400,
-        FileType::Regular,
-        "ghost",
-    ));
-    dev.poke(
-        root_dir_block,
-        &iron_ext3::dir::pack_block(&entries).unwrap(),
-    );
+    let mut listing = iron_ext3::dir::Listing::default();
+    listing.read_block(&dev.peek(root_dir_block));
+    listing.push(400, iron_ext3::dir::ftype_code(FileType::Regular), "ghost");
+    let blocks = listing.pack();
+    assert_eq!(blocks.len(), 1, "the root stays one block");
+    dev.poke(root_dir_block, &blocks[0]);
 }
 
 fn image() -> (MemDisk, DiskLayout) {

@@ -7,11 +7,17 @@
  * interrupted PC and the return addresses up the frame-pointer chain (build
  * the program with -C force-frame-pointers=yes; a callee without frame
  * pointers, libc's memcpy say, hides its immediate caller from that chain).
- * It also records the word on top of the stack: a leaf that pushed nothing
- * — memcpy, the `syscall` wrapper — has its return address there, and the
- * reader takes it for the caller when it is an address in the program's
- * text. At exit the samples go to $SPROF_OUT, one line each — the PC, `^`
- * and the top-of-stack word, then the chain, innermost first, all hex —
+ * It also records the first TOP_WORDS words on the stack, from the top: a
+ * leaf that pushed nothing — memcpy, the `syscall` wrapper — has its return
+ * address in the first, and the reader takes it for the caller when it is
+ * an address in the program's text; a library function that keeps no frame
+ * pointer but has pushed registers or made a frame — malloc's helpers — has
+ * its caller's return address further up, and for such a leaf the reader
+ * takes the first of the words that is in the program's text. (glibc's
+ * `_int_malloc` under `malloc` puts it 18–36 words up: 40 words found a
+ * caller for every such sample of a `postmark` run, 16 for a third.)
+ * At exit the samples go to $SPROF_OUT, one line each — the PC, the stack
+ * words each behind a `^`, then the chain, innermost first, all hex —
  * then an `IFUNC` line for each of memcpy's kin (glibc picks them at load
  * time from variants it does not export; dlsym returns the one picked),
  * then `MAPS` and /proc/self/maps so the reader can undo PIE relocation.
@@ -29,8 +35,8 @@
 #error "sprof reads RIP/RBP/RSP from the signal context: x86-64 Linux only"
 #endif
 
-enum { DEPTH = 48, MAX_SAMPLES = 1 << 16, STACK_WINDOW = 1 << 20 };
-static uintptr_t samples[MAX_SAMPLES][DEPTH], stack_top[MAX_SAMPLES];
+enum { DEPTH = 48, MAX_SAMPLES = 1 << 16, STACK_WINDOW = 1 << 20, TOP_WORDS = 40 };
+static uintptr_t samples[MAX_SAMPLES][DEPTH], stack_top[MAX_SAMPLES][TOP_WORDS];
 static volatile int taken;
 
 static void on_sigprof(int sig, siginfo_t *info, void *ctx) {
@@ -42,7 +48,8 @@ static void on_sigprof(int sig, siginfo_t *info, void *ctx) {
     uintptr_t *out = samples[slot], sp = regs[REG_RSP], fp = regs[REG_RBP];
     int n = 0;
     out[n++] = regs[REG_RIP];
-    stack_top[slot] = *(uintptr_t *)sp;
+    for (int i = 0; i < TOP_WORDS; i++)
+        stack_top[slot][i] = ((const uintptr_t *)sp)[i];
     /* A frame is [saved fp][return address]. Follow only pointers that are
      * aligned, at or above the stack pointer, near it, and strictly rising:
      * an rbp that a frame-pointer-less callee used as scratch fails these.
@@ -78,8 +85,8 @@ __attribute__((destructor)) static void sprof_dump(void) {
     for (int i = 0; i < n; i++) {
         for (int d = 0; d < DEPTH && samples[i][d]; d++) {
             fprintf(f, "%lx ", (unsigned long)samples[i][d]);
-            if (d == 0)
-                fprintf(f, "^%lx ", (unsigned long)stack_top[i]);
+            for (int w = 0; d == 0 && w < TOP_WORDS; w++)
+                fprintf(f, "^%lx ", (unsigned long)stack_top[i][w]);
         }
         fputc('\n', f);
     }
