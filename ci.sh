@@ -21,6 +21,16 @@
 # crates/core/src/checksum.rs allows it back, at most twice (the calls
 # into the hardware checksum kernels).
 #
+# ./ci.sh policy checks that ext3 reacts to a failed device write in one
+# place, Ext3Fs::checked_write: outside its test modules, crates/ext3/src
+# calls write_tagged( or write_page( only inside a checked_write(...) call,
+# or from a function whose reaction differs on purpose, at most as many
+# times as listed below: mkfs (a formatting error is fatal), the journal
+# log's append (log and commit blocks, judged after the whole batch), mount
+# and unmount (the superblock: EIO, no journal abort), replay_journal
+# (recovery semantics: read-only, the mount succeeds) and write (the Rm
+# probe, whose failure triggers the remap).
+#
 # ./ci.sh loc prints the non-test line count of every crate's src/ — the
 # number ROADMAP aim 2's line target is counted in. Not a gate.
 #
@@ -140,6 +150,38 @@ unsafe_surface() {
         bad=1
     fi
     return $bad
+}
+
+policy() {
+    echo '== policy =='
+    # shellcheck disable=SC2046 # one word per file, no spaces in paths
+    awk '
+        BEGIN {
+            n = split("mkfs:1 append:1 mount:1 unmount:1 replay_journal:2 write:1", kept, " ")
+            for (i = 1; i <= n; i++) { split(kept[i], kv, ":"); allowed[kv[1]] = kv[2] }
+        }
+        # Open parens minus closed ones in s.
+        function nest(s,    o, c) { o = gsub(/\(/, "", s); c = gsub(/\)/, "", s); return o - c }
+        FNR == 1 { test = 0; held = 0; depth = 0; fn = "" }
+        test { next }
+        # A #[cfg(test)] on a mod opens the test module, which runs to the
+        # end of the file.
+        held && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { test = 1; next }
+        { held = /^[[:space:]]*#\[cfg\(test\)\]/ }
+        /^[[:space:]]*\/\// { next }
+        match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        {
+            inside = depth > 0
+            if (depth > 0) depth += nest($0)
+            else if ((i = index($0, "checked_write(")) && fn != "checked_write") {
+                depth = nest(substr($0, i)); inside = 1
+            }
+        }
+        /(write_tagged|write_page)\(/ && !inside && ++calls[fn] > allowed[fn] {
+            printf "ERROR: %s:%d: %s writes the device outside checked_write\n", FILENAME, FNR, fn > "/dev/stderr"
+            bad = 1
+        }
+        END { exit bad }' $(find crates/ext3/src -name '*.rs' | sort)
 }
 
 examples() {
@@ -369,7 +411,7 @@ profile() {
 }
 
 usage() {
-    echo "usage: $0 [results|examples|deps|unsafe|loc|pairs <parent-ref> <workload>|all [n]|profile <workload> [seed]]" >&2
+    echo "usage: $0 [results|examples|deps|unsafe|policy|loc|pairs <parent-ref> <workload>|all [n]|profile <workload> [seed]]" >&2
     exit 2
 }
 
@@ -406,6 +448,10 @@ case "${1:-}" in
         unsafe_surface
         exit 0
         ;;
+    policy)
+        policy
+        exit 0
+        ;;
     loc)
         loc
         exit 0
@@ -436,6 +482,8 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 deps
 
 unsafe_surface
+
+policy
 
 echo '== fmt =='
 cargo fmt --all --check

@@ -5,16 +5,26 @@
 //! *failure policy diffusion* for commodity file systems' inconsistencies,
 //! §5.6); every `PAPER-BUG` marker reproduces a specific behavior §5.1
 //! reports for stock ext3, and `IronConfig::fix_bugs` disables it.
+//!
+//! A device write whose failure `fix_bugs` reacts to goes through
+//! `Ext3Fs::checked_write`, the one place that walks the policy table
+//! for a failed write. Four groups of writes react otherwise, each for a
+//! reason given where it is issued: the mount and unmount superblock
+//! writes (`EIO`, no abort), the journal log and commit blocks (judged by
+//! the `Txn<Logged>`/`Txn<Committed>` transitions after the whole batch),
+//! replay's home writes and clean journal superblock (recovery semantics),
+//! and the `Rm` probe write (its failure triggers the remap).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use iron_blockdev::{retry::classify, BlockDevice, Lru, RawAccess, ScanReadahead};
+use iron_blockdev::{retry::classify, BlockDevice, DiskResult, Lru, RawAccess, ScanReadahead};
 use iron_core::checksum::{sha1, Sha1Digest};
 use iron_core::recover::{
     Backoff, ErrorClass, FailurePolicyTable, PolicyHandle, RecoveryAction, Step,
 };
 use iron_core::{
-    Block, BlockAddr, DetectionLevel, Errno, IoKind, LogLevel, RecoveryLevel, SimClock, BLOCK_SIZE,
+    Block, BlockAddr, BlockTag, DetectionLevel, Errno, IoKind, LogLevel, RecoveryLevel, SimClock,
+    BLOCK_SIZE,
 };
 use iron_vfs::{FsEnv, VfsError, VfsResult};
 
@@ -150,7 +160,7 @@ pub struct Ext3Fs<D: BlockDevice + RawAccess> {
     /// but not yet logged (merged eagerly; `batched()` counts members).
     closed: Option<Txn<Closed>>,
     /// Committed transactions whose checkpoint is deferred (pipelined
-    /// checkpointing). Oldest first; drained by [`Self::checkpoint_now`].
+    /// checkpointing). Oldest first; drained by [`Self::drain_checkpoints`].
     pending: Vec<Txn<Committed>>,
     /// Blocks freed by transactions that have not committed yet, as one
     /// overlay bitmap per group that has any (indexed by group; a set bit
@@ -523,7 +533,9 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         fs.sb.mount_count += 1;
         let enc = fs.sb.encode();
         // PAPER-BUG: the mount-time superblock update's write error is
-        // ignored by stock ext3 (write errors generally are).
+        // ignored by stock ext3 (write errors generally are). Not a checked
+        // write: ixt3 fails the mount with EIO and aborts no journal
+        // (Figure 3's `super` write cell reads `/-`, not `|`).
         let r = fs
             .dev
             .write_tagged(BlockAddr(0), &enc, BlockType::Super.tag());
@@ -591,13 +603,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// by the disk scrubber.
     pub fn checksum_entry(&self, addr: u64) -> u64 {
         self.cksums.get(addr as usize).copied().unwrap_or(0)
-    }
-
-    /// Verify a block against the checksum table (scrubber hook). Returns
-    /// `true` when the block matches or has no recorded checksum, `false`
-    /// on a mismatch or past the table.
-    pub fn verify_block(&mut self, addr: u64, block: &Block) -> bool {
-        self.verify_cksum(addr, block)
     }
 
     // ==================================================================
@@ -688,7 +693,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// For the blocks that did not come straight off the device (a replica,
     /// a parity reconstruction, the scrubber's); a device read is checked
     /// in `read_verified`, against the digest the device hands back.
-    pub(crate) fn verify_cksum(&mut self, addr: u64, block: &Block) -> bool {
+    pub fn verify_cksum(&mut self, addr: u64, block: &Block) -> bool {
         let Some(&expected) = self.cksums.get(addr as usize) else {
             return false;
         };
@@ -731,14 +736,10 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         Some(t.close())
     }
 
-    /// Write the dirty checksum-table blocks to the medium (scrubber
-    /// hook: the scrubber verifies the on-medium table against the
+    /// Write the dirty checksum-table blocks to the medium (also the
+    /// scrubber's hook: it verifies the on-medium table against the
     /// in-memory one, so the medium must be current first).
-    pub fn flush_cksum_table(&mut self) {
-        self.flush_cksum_blocks();
-    }
-
-    fn flush_cksum_blocks(&mut self) {
+    pub fn flush_cksum_blocks(&mut self) {
         if self.dirty_cksum_blocks.is_empty() {
             return;
         }
@@ -751,13 +752,11 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             }
             let cb = self.cksum_table_block(i);
             let addr = self.layout.cksum_start + i;
-            // Write errors here follow the same policy as checkpoint writes.
-            let r = self
-                .dev
-                .write_tagged(BlockAddr(addr), &cb, BlockType::CksumTable.tag());
-            if r.is_err() && self.opts.iron.fix_bugs {
-                self.abort_journal("checksum table write failure");
-            }
+            let tag = BlockType::CksumTable.tag();
+            // A failure has had its reaction; the flush goes on.
+            let _ = self.checked_write("checksum table write", addr, tag, |dev| {
+                dev.write_tagged(BlockAddr(addr), &cb, tag)
+            });
             self.mirror_meta_write(addr, &cb);
         }
     }
@@ -782,17 +781,13 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             {
                 self.replica_log_head = self.layout.replica_log_start;
             }
-            let r = self.dev.write_tagged(
-                BlockAddr(self.replica_log_head),
-                block,
-                BlockType::Replica.tag(),
-            );
+            let head = self.replica_log_head;
             self.replica_log_head += 1;
-            if r.is_err() && self.opts.iron.fix_bugs {
-                self.env
-                    .klog
-                    .error("ixt3", format!("replica log write failed for block {addr}"));
-                self.abort_journal("replica write failure");
+            let tag = BlockType::Replica.tag();
+            let logged = self.checked_write("replica write", head, tag, |dev| {
+                dev.write_tagged(BlockAddr(head), block, tag)
+            });
+            if logged.is_err() {
                 return;
             }
         }
@@ -806,16 +801,13 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         }
         let mut pending: Vec<(u64, Block)> = self.replica_pending.drain().collect();
         pending.sort_by_key(|(a, _)| *a);
+        let tag = BlockType::Replica.tag();
         for (addr, block) in pending {
             let replica = self.layout.replica_of(addr);
-            let r = self
-                .dev
-                .write_tagged(replica, &block, BlockType::Replica.tag());
-            if r.is_err() && self.opts.iron.fix_bugs {
-                self.env
-                    .klog
-                    .error("ixt3", format!("replica write failed for block {addr}"));
-                self.abort_journal("replica write failure");
+            let written = self.checked_write("replica write", replica.0, tag, |dev| {
+                dev.write_tagged(replica, &block, tag)
+            });
+            if written.is_err() {
                 return;
             }
         }
@@ -842,6 +834,42 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             format!("ext3_abort called: {why}; remounting filesystem read-only"),
         );
         self.env.remount_readonly("ext3", "journal has aborted");
+    }
+
+    /// Issue one device write whose failure `fix_bugs` reacts to, and say
+    /// whether it landed. `issue` writes block `addr`, tagged `tag`; `what`
+    /// names the request in the log (`"parity write"`).
+    ///
+    /// Stock ext3 ignores the failure (`Ok(false)`). Under `fix_bugs` it is
+    /// logged and handed to the policy table's write chain for `tag`: a
+    /// `Retry` rung re-issues `issue` (`Ok(true)` once one lands),
+    /// `DegradeReadOnly` aborts the journal as `"{what} failure"` (`EIO`),
+    /// `Stop` panics. A halted machine issues nothing more.
+    pub(crate) fn checked_write(
+        &mut self,
+        what: &str,
+        addr: u64,
+        tag: BlockTag,
+        mut issue: impl FnMut(&mut D) -> DiskResult<()>,
+    ) -> VfsResult<bool> {
+        self.env.check_alive()?;
+        let Err(e) = issue(&mut self.dev) else {
+            return Ok(true);
+        };
+        if !self.opts.iron.fix_bugs {
+            // PAPER-BUG: "when a write fails, ext3 does not record the error
+            // code; hence, write errors are often ignored" — no policy runs.
+            return Ok(false);
+        }
+        let msg = format!("{what} of block {addr} failed");
+        self.env.klog.error("ext3", msg);
+        let key = (tag, IoKind::Write, classify(&e));
+        self.walk_chain(what, addr, key, |fs, step| match step {
+            Step::Reissue { .. } => issue(&mut fs.dev).ok(),
+            // A write has no redundant copy to fall back on.
+            Step::Redundancy => None,
+        })
+        .map(|()| true)
     }
 
     /// Cache `block` as the verified contents of `addr`, evicting the least
@@ -1070,28 +1098,22 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 dirty: true,
                 log_len: self.layout.journal_len,
             };
-            let r = self.dev.write_tagged(
-                BlockAddr(self.layout.journal_super),
-                &js_dirty.encode(),
-                BlockType::JournalSuper.tag(),
-            );
-            if r.is_err() {
-                // Stock ext3 ignores even this (PAPER-BUG); fixed engine
-                // aborts.
-                if self.opts.iron.fix_bugs {
-                    self.abort_journal("journal superblock write failure");
-                    return Err(Errno::EIO.into());
-                }
-            }
+            let (addr, tag) = (self.layout.journal_super, BlockType::JournalSuper.tag());
+            let image = js_dirty.encode();
+            self.checked_write("journal superblock write", addr, tag, |dev| {
+                dev.write_tagged(BlockAddr(addr), &image, tag)
+            })?;
             self.journal_dirty_on_disk = true;
         }
 
-        // Log the batch. Under `Tc` the log transition folds the
-        // transactional checksum as it writes; under `Mc` the loop above
-        // has just stored the truncated SHA-1 of every batch image in the
-        // table, so `Tc` takes it from there instead of hashing the image
-        // again. The table's own blocks joined the batch after that loop
-        // and carry no self-checksum.
+        // Log the batch. Not checked writes: a failed log or commit block
+        // write is seen by the transitions after the whole batch has gone
+        // down, so no single write can be re-issued. Under `Tc` the log
+        // transition folds the transactional checksum as it writes; under
+        // `Mc` the loop above has just stored the truncated SHA-1 of every
+        // batch image in the table, so `Tc` takes it from there instead of
+        // hashing the image again. The table's own blocks joined the batch
+        // after that loop and carry no self-checksum.
         let with_tc = self.opts.iron.txn_checksum;
         let meta_checksum = self.opts.iron.meta_checksum;
         let cksums = &self.cksums;
@@ -1168,71 +1190,34 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         Ok(())
     }
 
-    /// Drain every pending committed transaction to its home location in
-    /// one deduplicated elevator sweep, then mark the journal clean. The
-    /// public entry point for "make the medium current" callers (unmount,
-    /// the scrubber, benches).
-    pub fn checkpoint_now(&mut self) -> VfsResult<()> {
-        self.drain_checkpoints()
-    }
-
-    /// Checkpoint: home-location writes, elevator-sorted (the kernel's
-    /// writeback submits checkpoint I/O in address order) and deduplicated
-    /// across the pending group, then the mirror copies as a second sorted
-    /// sweep — batching keeps the distant-replica cost at two long seeks
-    /// per drain instead of two per block.
-    fn drain_checkpoints(&mut self) -> VfsResult<()> {
+    /// Checkpoint: drain every pending committed transaction home in one
+    /// elevator-sorted sweep (the kernel's writeback submits checkpoint
+    /// I/O in address order), deduplicated across the pending group, then
+    /// the mirror copies as a second sorted sweep — batching keeps the
+    /// distant-replica cost at two long seeks per drain instead of two per
+    /// block — and mark the journal clean.
+    pub(crate) fn drain_checkpoints(&mut self) -> VfsResult<()> {
         if self.pending.is_empty() {
             return Ok(());
         }
         let group = std::mem::take(&mut self.pending);
         let drained = group.len() as u32;
         let fix_bugs = self.opts.iron.fix_bugs;
-        let mut failed_addrs: Vec<u64> = Vec::new();
-        let mut stopped = false;
+        // The failed image is in hand while its chain is walked. `Stop`
+        // halts the machine and the rest of the sweep issues nothing; any
+        // other verdict lets the sweep finish, and a block that did not
+        // reach home aborts the journal after it. PAPER-BUG (stock):
+        // checkpoint write errors are ignored ("when checkpointing a
+        // transaction to its final location") — the block silently never
+        // reaches home.
         let sweep = checkpoint_group(group, |addr, b, ty| {
-            if stopped {
-                return false; // a `Stop` rung halted the machine mid-sweep
-            }
             let tag = ty.tag();
-            let ok = match self.dev.write_tagged(BlockAddr(addr), b, tag) {
-                Ok(()) => true,
-                // Walk the metadata-write chain right here, while the
-                // failed image is in hand. `Stop` panics and ends the
-                // sweep; any other verdict lets it finish, and a block
-                // that did not reach home aborts the journal after it.
-                // The stock chain is a bare `DegradeReadOnly`, so
-                // re-issues are dormant until a policy configures them.
-                Err(e) if fix_bugs => {
-                    let key = (tag, IoKind::Write, classify(&e));
-                    let reissued =
-                        self.walk_chain("checkpoint write", addr, key, |fs, step| match step {
-                            Step::Reissue { .. } => {
-                                fs.dev.write_tagged(BlockAddr(addr), b, tag).ok()
-                            }
-                            Step::Redundancy => None,
-                        });
-                    stopped = reissued.as_ref().is_err_and(VfsError::is_panic);
-                    reissued.is_ok()
-                }
-                Err(_) => false,
-            };
-            if !ok {
-                failed_addrs.push(addr);
-                // PAPER-BUG (stock): checkpoint write errors are ignored
-                // ("when checkpointing a transaction to its final
-                // location") — the block silently never reaches home.
-            }
-            ok
+            let landed = self.checked_write("checkpoint write", addr, tag, |dev| {
+                dev.write_tagged(BlockAddr(addr), b, tag)
+            });
+            matches!(landed, Ok(true))
         });
         self.env.check_alive()?;
-        if fix_bugs {
-            for addr in &failed_addrs {
-                self.env
-                    .klog
-                    .error("ext3", format!("checkpoint write of block {addr} failed"));
-            }
-        }
         for (addr, b, ty) in &sweep.written {
             if ty.is_metadata() || *ty == BlockType::CksumTable {
                 self.mirror_meta_write(*addr, b);
@@ -1269,17 +1254,16 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             dirty: false,
             log_len: self.layout.journal_len,
         };
-        let r = self.dev.write_tagged(
-            BlockAddr(self.layout.journal_super),
-            &js_clean.encode(),
-            BlockType::JournalSuper.tag(),
-        );
-        if r.is_err() && fix_bugs {
-            self.abort_journal("journal superblock write failure");
-        }
+        let (addr, tag) = (self.layout.journal_super, BlockType::JournalSuper.tag());
+        let image = js_clean.encode();
+        // The blocks are home: a failure aborts the journal, and only a
+        // `Stop` fails the drain.
+        let _ = self.checked_write("journal superblock write", addr, tag, |dev| {
+            dev.write_tagged(BlockAddr(addr), &image, tag)
+        });
         self.journal_dirty_on_disk = false;
         self.log_head = self.layout.journal_start;
-        Ok(())
+        self.env.check_alive()
     }
 
     /// Flush dirty per-file parity accumulators (`Dp`).
@@ -1288,27 +1272,20 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             return Ok(());
         }
         // Elevator order by parity-block address for the flush sweep.
-        let mut dirty: Vec<(u64, u64, Block)> = Vec::with_capacity(self.parity_dirty.len());
+        let mut dirty: Vec<(u64, Block)> = Vec::with_capacity(self.parity_dirty.len());
         for (ino, block) in std::mem::take(&mut self.parity_dirty) {
             let di = self.raw_iget(ino)?;
             if di.parity != 0 {
-                dirty.push((di.parity as u64, ino, block));
+                dirty.push((di.parity as u64, block));
             }
         }
-        dirty.sort_by_key(|(addr, _, _)| *addr);
-        for (addr, ino, block) in dirty {
-            let r = self
-                .dev
-                .write_tagged(BlockAddr(addr), &block, BlockType::Parity.tag());
-            if r.is_err() {
-                if self.opts.iron.fix_bugs {
-                    self.env
-                        .klog
-                        .error("ixt3", format!("parity write failed for inode {ino}"));
-                    self.abort_journal("parity write failure");
-                    return Err(Errno::EIO.into());
-                }
-            } else {
+        dirty.sort_by_key(|(addr, _)| *addr);
+        let tag = BlockType::Parity.tag();
+        for (addr, block) in dirty {
+            let landed = self.checked_write("parity write", addr, tag, |dev| {
+                dev.write_tagged(BlockAddr(addr), &block, tag)
+            })?;
+            if landed {
                 self.cache_put(addr, block);
             }
         }
@@ -1365,10 +1342,27 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
 
     /// Give journal recovery up: log `why` and remount read-only (the
     /// mount itself succeeds).
-    fn abort_recovery(&self, why: String) -> VfsResult<()> {
+    fn abort_recovery(&self, why: String) {
         self.env.klog.error("ext3", why);
         self.env.remount_readonly("ext3", "journal recovery failed");
-        Ok(())
+    }
+
+    /// Read journal block `addr` during replay, hinting the scan `ra` ahead
+    /// of it. A read failure in the log stops recovery and mounts read-only
+    /// (`RStop` + `RPropagate`): `None`, the `what` block logged.
+    fn replay_read(
+        &mut self,
+        ra: &mut ScanReadahead,
+        addr: u64,
+        ty: BlockType,
+        what: &str,
+    ) -> Option<Block> {
+        ra.hint(&mut self.dev, BlockAddr(addr));
+        let read = self.dev.read_tagged(BlockAddr(addr), ty.tag());
+        if read.is_err() {
+            self.abort_recovery(format!("{what} {addr} unreadable; aborting recovery"));
+        }
+        read.ok()
     }
 
     /// Replay the journal after an unclean shutdown.
@@ -1428,19 +1422,10 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         let mut ra = ScanReadahead::new(BlockAddr(start), self.layout.journal_len);
         let mut pos = start;
         'scan: while pos < end {
-            ra.hint(&mut self.dev, BlockAddr(pos));
-            let block = match self
-                .dev
-                .read_tagged(BlockAddr(pos), BlockType::JournalDesc.tag())
-            {
-                Ok(b) => b,
-                Err(_) => {
-                    // Read failure in the log: stop recovery, mount
-                    // read-only (RStop + RPropagate).
-                    return self.abort_recovery(format!(
-                        "journal block {pos} unreadable; aborting recovery"
-                    ));
-                }
+            let Some(block) =
+                self.replay_read(&mut ra, pos, BlockType::JournalDesc, "journal block")
+            else {
+                return Ok(());
             };
             match classify_log_block(&block) {
                 Some(JournalRecord::Revoke(r)) => {
@@ -1469,39 +1454,26 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                         if daddr >= end {
                             break 'scan; // truncated transaction
                         }
-                        ra.hint(&mut self.dev, BlockAddr(daddr));
-                        match self
-                            .dev
-                            .read_tagged(BlockAddr(daddr), BlockType::JournalData.tag())
-                        {
-                            Ok(b) => {
-                                if let Some(f) = &mut tc {
-                                    f.fold(&b, None);
-                                }
-                                data.push(b);
-                            }
-                            Err(_) => {
-                                return self.abort_recovery(format!(
-                                    "journal data block {daddr} unreadable; aborting recovery"
-                                ));
-                            }
+                        let what = "journal data block";
+                        let Some(b) =
+                            self.replay_read(&mut ra, daddr, BlockType::JournalData, what)
+                        else {
+                            return Ok(());
+                        };
+                        if let Some(f) = &mut tc {
+                            f.fold(&b, None);
                         }
+                        data.push(b);
                     }
                     let cpos = pos + 1 + n;
                     if cpos >= end {
                         break 'scan;
                     }
-                    ra.hint(&mut self.dev, BlockAddr(cpos));
-                    let cblock = match self
-                        .dev
-                        .read_tagged(BlockAddr(cpos), BlockType::JournalCommit.tag())
-                    {
-                        Ok(b) => b,
-                        Err(_) => {
-                            return self.abort_recovery(format!(
-                                "commit block {cpos} unreadable; aborting recovery"
-                            ));
-                        }
+                    let what = "commit block";
+                    let Some(cblock) =
+                        self.replay_read(&mut ra, cpos, BlockType::JournalCommit, what)
+                    else {
+                        return Ok(());
                     };
                     match CommitBlock::decode(&cblock) {
                         // JBD validates the commit sequence against the
@@ -1620,10 +1592,12 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                 }
                 // PAPER-NOTE: stock ext3 replays journal data with no
                 // content checks — corrupted journal data lands on the home
-                // location. (Detected only under Tc, above.)
+                // location. (Detected only under Tc, above.) Not a checked
+                // write: a failure gives recovery up and the mount succeeds.
                 let r = self.dev.write_tagged(BlockAddr(*addr), data, ty.tag());
                 if r.is_err() && self.opts.iron.fix_bugs {
-                    return self.abort_recovery(format!("replay write of block {addr} failed"));
+                    self.abort_recovery(format!("replay write of block {addr} failed"));
+                    return Ok(());
                 }
                 self.note_cksum(*addr, data, ty.is_metadata());
                 if self.opts.iron.meta_replication && ty.is_metadata() {
@@ -1643,6 +1617,7 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             log_len: self.layout.journal_len,
         };
         self.jseq = js.sequence;
+        // Recovery semantics again: a failure remounts read-only.
         let r = self.dev.write_tagged(
             BlockAddr(self.layout.journal_super),
             &js.encode(),

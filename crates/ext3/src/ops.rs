@@ -369,34 +369,19 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
     /// "when a write fails, ext3 does not record the error code; hence,
     /// write errors are often ignored". The page cache still holds the new
     /// contents, so subsequent reads *hide* the failure. With `fix_bugs`
-    /// the error aborts the journal and propagates.
+    /// the error walks the write chain (stock: abort the journal) and
+    /// propagates.
     pub(crate) fn write_data_block(&mut self, addr: u64, block: Block) -> VfsResult<()> {
         // One page goes down and keeps the digest `Dc` records, so a later
         // read of the block that finds this page does not hash it again.
         let page = Page::new(&block);
         self.note_digest(addr, false, || page.sha1());
-        let r = self
-            .dev
-            .write_page(BlockAddr(addr), &page, BlockType::Data.tag());
+        let tag = BlockType::Data.tag();
+        let written = self.checked_write("data write", addr, tag, |dev| {
+            dev.write_page(BlockAddr(addr), &page, tag)
+        });
         self.cache_put(addr, block);
-        match r {
-            Err(e) if self.opts.iron.fix_bugs => {
-                self.env
-                    .klog
-                    .error("ext3", format!("I/O error writing data block {addr}"));
-                // The stock chain degrades to read-only immediately.
-                let tag = BlockType::Data.tag();
-                let key = (tag, IoKind::Write, classify(&e));
-                self.walk_chain("data write", addr, key, |fs, step| match step {
-                    Step::Reissue { .. } => fs.dev.write_page(BlockAddr(addr), &page, tag).ok(),
-                    // In-place data writes have no redundant copy.
-                    Step::Redundancy => None,
-                })
-            }
-            // PAPER-BUG: a failure is silently ignored — the bug is
-            // precisely that no policy chain runs at all.
-            _ => Ok(()),
-        }
+        written.map(drop)
     }
 
     // ==================================================================
@@ -805,17 +790,11 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
             // Preallocated parity starts as zeros (§6.1: "we preallocate
             // parity blocks and assign them to files when they are
             // created").
-            let r = self
-                .dev
-                .write_tagged(BlockAddr(p), &Block::zeroed(), BlockType::Parity.tag());
-            if r.is_err() && self.opts.iron.fix_bugs {
-                self.env
-                    .klog
-                    .error("ixt3", "parity preallocation write failed");
-                self.abort_journal("parity write failure");
-                return Err(Errno::EIO.into());
-            }
-            self.cache_put(p, Block::zeroed());
+            let (zeros, tag) = (Block::zeroed(), BlockType::Parity.tag());
+            self.checked_write("parity write", p, tag, |dev| {
+                dev.write_tagged(BlockAddr(p), &zeros, tag)
+            })?;
+            self.cache_put(p, zeros);
         }
         self.iput(ino, &di)?;
         Ok(ino)
@@ -1177,7 +1156,8 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
             }
             // `Rm` extension: a failed data write is remapped to a fresh
             // block instead of aborting (RRemap, Table 2). The raw write is
-            // probed first so the stock error-swallowing path is bypassed.
+            // probed first, not checked: its failure is what triggers the
+            // remap.
             if self.opts.iron.remap_writes {
                 let probe = self
                     .dev
@@ -1334,10 +1314,13 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
     fn unmount(&mut self) -> VfsResult<()> {
         self.env.check_alive()?;
         self.commit()?;
-        self.checkpoint_now()?;
+        self.drain_checkpoints()?;
         self.flush_replicas();
+        self.env.check_alive()?;
         self.sb.state = FsState::Clean;
         let enc = self.sb.encode();
+        // Not a checked write: like the mount's, a failure is EIO and no
+        // journal abort.
         let r = self
             .dev
             .write_tagged(BlockAddr(0), &enc, BlockType::Super.tag());

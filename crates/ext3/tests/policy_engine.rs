@@ -433,3 +433,114 @@ fn checkpoint_write_chain_ending_in_stop_halts_the_machine() {
     assert_eq!(attempts.count(), 3);
     assert_eq!(events.last().unwrap().tag, BlockTag("inode"));
 }
+
+/// Full ixt3 over a faulty disk formatted with the metadata mirror, with a
+/// sticky write fault on `tag` armed before the mount and `policy` as the
+/// table.
+fn full_ixt3_with_write_fault(tag: &'static str, policy: PolicyHandle) -> (Vfs<Fs>, FsEnv) {
+    let mut md = MemDisk::for_tests(4096);
+    let params = Ext3Params {
+        mirror_metadata: true,
+        ..Ext3Params::small()
+    };
+    Ext3Fs::<MemDisk>::mkfs(&mut md, params).expect("mkfs");
+    let faulty = FaultyDisk::new(md);
+    faulty.controller().inject(FaultSpec::sticky(
+        FaultKind::WriteError,
+        FaultTarget::Tag(BlockTag(tag)),
+    ));
+    let env = FsEnv::new();
+    let opts = Ext3Options {
+        policy,
+        ..Ext3Options::with_iron(IronConfig::full())
+    };
+    let fs = Ext3Fs::mount(faulty, env.clone(), opts).expect("mount");
+    (Vfs::new(fs), env)
+}
+
+#[test]
+fn stock_table_degrades_every_checked_write_site_the_same_way() {
+    // Under the stock table every checked write's chain is a bare
+    // `DegradeReadOnly`: the journal aborts in the site's own words and the
+    // mount goes read-only. The first operation to fail reports EROFS when
+    // the abort came at mount time, EIO when the operation hit the fault.
+    let cases = [
+        ("cksum", Errno::EROFS, "checksum table write"),
+        ("m-replica", Errno::EROFS, "replica write"),
+        ("d-parity", Errno::EIO, "parity write"),
+        ("j-super", Errno::EIO, "journal superblock write"),
+    ];
+    for (tag, errno, what) in cases {
+        let policy = Ext3Options::default().policy;
+        let (mut v, env) = full_ixt3_with_write_fault(tag, policy.clone());
+        let err = v
+            .write_file("/f", b"under a write fault")
+            .and_then(|_| v.sync())
+            .unwrap_err();
+        assert_eq!(err.errno(), Some(errno), "{tag}");
+        assert_eq!(env.state(), MountState::ReadOnly, "{tag}");
+        let line = format!("ext3_abort called: {what} failure");
+        assert!(env.klog.contains(&line), "{tag}: no `{line}`");
+        let c = policy.counters().snapshot();
+        assert_eq!((c.degrades, c.retries, c.stops), (1, 0, 0), "{tag}");
+    }
+}
+
+#[test]
+fn a_write_retry_rung_masks_a_transient_journal_superblock_fault() {
+    let policy = PolicyHandle::new(
+        FailurePolicyTable::with_default(vec![RecoveryAction::Propagate]).rule(
+            None,
+            Some(IoKind::Write),
+            None,
+            vec![
+                RecoveryAction::Retry {
+                    budget: 1,
+                    backoff: Backoff::none(),
+                },
+                RecoveryAction::DegradeReadOnly,
+            ],
+        ),
+    );
+    let opts = Ext3Options {
+        policy: policy.clone(),
+        ..Ext3Options::with_iron(IronConfig::full())
+    };
+    let faulty = FaultyDisk::new(MemDisk::for_tests(4096));
+    let ctl = faulty.controller();
+    let env = FsEnv::new();
+    let fs = Ext3Fs::format_and_mount(faulty, env.clone(), Ext3Params::small(), opts)
+        .expect("format and mount");
+    let mut v = Vfs::new(fs);
+    // The commit's dirty journal superblock fails once; its re-issue lands.
+    ctl.inject(FaultSpec::transient(
+        FaultKind::WriteError,
+        FaultTarget::Tag(BlockTag("j-super")),
+        1,
+    ));
+    v.write_file("/f", b"committed").unwrap();
+    v.sync().unwrap();
+    assert_eq!(env.state(), MountState::ReadWrite, "masked, not aborted");
+    assert!(!env.klog.contains("ext3_abort"));
+    let c = policy.counters().snapshot();
+    assert!(c.masked >= 1, "the re-issue landed: {c:?}");
+    assert_eq!(v.read_file("/f").unwrap(), b"committed");
+}
+
+#[test]
+fn a_stop_row_on_replica_writes_halts_the_machine() {
+    let policy = PolicyHandle::new(
+        FailurePolicyTable::with_default(vec![RecoveryAction::Propagate]).rule(
+            Some(BlockTag("m-replica")),
+            Some(IoKind::Write),
+            None,
+            vec![RecoveryAction::Stop],
+        ),
+    );
+    let (_v, env) = full_ixt3_with_write_fault("m-replica", policy.clone());
+    assert_eq!(env.state(), MountState::Crashed, "stopped, not degraded");
+    assert!(env.klog.contains("unrecoverable replica write"));
+    assert!(!env.klog.contains("ext3_abort"));
+    let c = policy.counters().snapshot();
+    assert_eq!((c.stops, c.degrades), (1, 0));
+}

@@ -46,7 +46,7 @@ pub fn scrub<D: BlockDevice + RawAccess>(fs: &mut Ext3Fs<D>) -> ScrubReport {
     let mut report = ScrubReport::default();
     // Scrub verifies the on-medium checksum table against the in-memory
     // one and primaries against the mirror — make both current first.
-    fs.flush_cksum_table();
+    fs.flush_cksum_blocks();
     fs.flush_replicas();
     let layout = *fs.layout();
     let iron = fs.options().iron;
@@ -71,7 +71,7 @@ pub fn scrub<D: BlockDevice + RawAccess>(fs: &mut Ext3Fs<D>) -> ScrubReport {
             let i = addr - fs.layout().cksum_start;
             *b == fs.cksum_table_block(i)
         } else {
-            fs.checksum_entry(addr) == 0 || fs.verify_block(addr, b)
+            fs.checksum_entry(addr) == 0 || fs.verify_cksum(addr, b)
         }
     }
 
@@ -302,7 +302,7 @@ mod tests {
         }
         // Make the table and its mirror current, then corrupt the first
         // table block on the medium.
-        fs.flush_cksum_table();
+        fs.flush_cksum_blocks();
         fs.flush_replicas();
         let addr = BlockAddr(fs.layout().cksum_start);
         let expected = fs.cksum_table_block(0);
