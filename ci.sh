@@ -49,7 +49,9 @@
 # of the stack when that is in the binary's text, else the first of the 40
 # words at the top of the stack that is (a libc function without a frame
 # pointer, malloc's helpers say, keeps its caller's return address further
-# up), else the first frame of the chain that is. Not a gate; skipped
+# up), else the first frame of the chain that is. Above the table it
+# prints the run's peak RSS and minor page faults (getrusage at exit), so
+# memory and page-fault churn show beside the CPU. Not a gate; skipped
 # with a message when gcc is absent.
 set -eu
 
@@ -348,6 +350,7 @@ profile() {
             next
         }
         /^MAPS$/ { maps = 1; next }
+        $1 == "RUSAGE" { maxrss_kib = $2; minflt = $3; next }
         $1 == "IFUNC" { picked_addr[++picked] = hex($2); picked_name[picked] = $3; next }
         !maps { line[++samples] = $0; next }
         # The lowest mapping of a file is its load base (PIE, shared object).
@@ -404,6 +407,10 @@ profile() {
                 self[leaf]++; count(leaf)
                 for (i = 2; i <= frames; i++) count(sym[pc[i]])
             }
+            # getrusage at exit; the peak counts the sampler buffers too.
+            if (maxrss_kib != "")
+                printf "peak RSS %.1f MiB (%.1f MiB of it samples), %d minor page faults\n",
+                    maxrss_kib / 1024, samples * 704 / 1048576, minflt
             printf "%d samples\n%7s %7s  symbol\n", samples, "self%", "incl%"
             for (f in incl) if (incl[f] * 200 >= samples)
                 printf "%7.1f %7.1f  %s\n", 100 * self[f] / samples, 100 * incl[f] / samples, f | "sort -k2,2nr"

@@ -161,11 +161,18 @@ impl MemDisk {
         &mut Arc::make_mut(&mut self.chunks[idx / CHUNK_PAGES])[idx % CHUNK_PAGES]
     }
 
-    /// Put `block` at the in-range index `idx`: an unshared page is
-    /// overwritten in place, forgetting its digest, and a shared one
-    /// replaced by a fresh one — not `Arc::make_mut`, which would copy the
-    /// old contents only to overwrite them.
+    /// Put `block` at the in-range index `idx`. A page that already holds
+    /// exactly these bytes is kept as it is — its chunk stays shared, it
+    /// stays shared, and it keeps its digest — so copying an image block
+    /// by block onto a fresh disk leaves every zero block on the zero
+    /// page. Otherwise an unshared page is overwritten in place,
+    /// forgetting its digest, and a shared one replaced by a fresh one —
+    /// not `Arc::make_mut`, which would copy the old contents only to
+    /// overwrite them.
     fn store(&mut self, idx: usize, block: &Block) {
+        if self.page(idx).bytes() == &**block {
+            return;
+        }
         let page = self.slot(idx);
         match Arc::get_mut(page) {
             Some(p) => p.overwrite(block),
@@ -462,6 +469,47 @@ mod tests {
         assert!(Arc::ptr_eq(&back, &page), "as the page written");
         assert_eq!(back.sha1(), digest);
         assert_eq!(fills(), before, "hashed once, before the write");
+    }
+
+    /// Storing the bytes a block already holds keeps its page, the page's
+    /// digest and the snapshot's chunk, and is still a charged, counted
+    /// write.
+    #[test]
+    fn storing_the_bytes_already_there_keeps_the_page() {
+        let fills = || SHA1_FILLS.with(std::cell::Cell::get);
+        let tag = BlockTag::UNTYPED;
+        let clock = SimClock::new();
+        let mut golden = MemDisk::new(256, DiskGeometry::ata_7200rpm(), clock.clone());
+        golden.poke(BlockAddr(3), &Block::filled(0x33));
+        let page = golden.page(3).clone();
+        let digest = page.sha1();
+        let mut child = golden.snapshot();
+        let chunk_counts = |d: &MemDisk| d.chunks.iter().map(Arc::strong_count).collect::<Vec<_>>();
+        let counts = (chunk_counts(&golden), Arc::strong_count(&page));
+
+        let before = (fills(), child.clock().now_ns());
+        child
+            .write_tagged(BlockAddr(3), &Block::filled(0x33), tag)
+            .unwrap();
+        child.poke(BlockAddr(3), &Block::filled(0x33));
+        // A zero block of a zero chunk, written and poked with zeroes.
+        child
+            .write_tagged(BlockAddr(200), &Block::zeroed(), tag)
+            .unwrap();
+        child.poke(BlockAddr(200), &Block::zeroed());
+        assert_eq!((chunk_counts(&golden), Arc::strong_count(&page)), counts);
+        assert!(Arc::ptr_eq(child.page(3), &page), "the same page");
+        assert!(Arc::ptr_eq(child.page(200), golden.page(200)));
+        assert_eq!(child.read_page(BlockAddr(3), tag).unwrap().sha1(), digest);
+        assert_eq!(fills(), before.0, "its digest is still memoized");
+        assert_eq!(child.stats().writes, 2, "each write is counted");
+        assert!(child.clock().now_ns() > before.1, "and charged");
+        assert_eq!(clock.now_ns(), 0, "on the child's clock");
+
+        // Different bytes still make the child its own page.
+        child.poke(BlockAddr(3), &Block::filled(0x34));
+        assert!(!Arc::ptr_eq(child.page(3), &page));
+        assert_eq!(golden.peek(BlockAddr(3)), Block::filled(0x33));
     }
 
     #[test]

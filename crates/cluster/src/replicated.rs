@@ -569,9 +569,15 @@ mod tests {
     fn equal_bytes_in_a_distinct_page_vote_with_the_majority() {
         let mut v = volume(3, ReadPolicy::Quorum);
         v.write(BlockAddr(7), &Block::filled(0x11)).unwrap();
-        v.replica_mut(2).poke(BlockAddr(7), &Block::filled(0x11));
+        let own = Page::new(&Block::filled(0x11));
+        v.replica_mut(2)
+            .write_page(BlockAddr(7), &own, BlockTag::UNTYPED)
+            .unwrap();
         let p = pages(&mut v, BlockAddr(7));
-        assert!(!Arc::ptr_eq(&p[0], &p[2]), "the poke made its own page");
+        assert!(
+            !Arc::ptr_eq(&p[0], &p[2]),
+            "replica 2 holds a page of its own"
+        );
         assert_eq!(v.read(BlockAddr(7)).unwrap(), Block::filled(0x11));
         assert_eq!(v.stats().snapshot().divergences, 0);
         assert_eq!(v.stats().pending_repairs(), 0);

@@ -121,7 +121,9 @@ pub fn check_image(
     };
 
     // Recovery: mount the image (journal replay runs here), walk, unmount.
+    // The snapshot keeps the image as it was before the mount wrote to it.
     let disk = materialize(base, log, spec);
+    let pre = disk.snapshot();
     let rlog = IoLog::new();
     let tree = match fs.mount_crash(Recorder::with_log(disk, rlog.clone()), FsEnv::new()) {
         Err(e) => {
@@ -158,7 +160,7 @@ pub fn check_image(
     };
 
     // The recovered, cleanly-unmounted medium: image + recovery's writes.
-    let post = apply_all(materialize(base, log, spec), &rlog.snapshot());
+    let post = apply_all(pre, &rlog.snapshot());
 
     // (a) Offline check finds nothing after recovery.
     if let Some(issues) = fs.fsck_issues(&post) {

@@ -3,8 +3,10 @@
 //! build it, the recovery mount's journal replay, the clean unmount, the
 //! second replay of recovery's writes — ever reaches the golden's pages.
 
-use iron_blockdev::{BlockDevice, IoLog, MemDisk, RawAccess, Recorder};
-use iron_core::{Block, BlockAddr};
+use std::sync::Arc;
+
+use iron_blockdev::{BlockDevice, DiskGeometry, IoLog, MemDisk, RawAccess, Recorder};
+use iron_core::{Block, BlockAddr, BlockTag, SimClock};
 use iron_crash::{
     apply_all, enumerate_images, materialize, run_workload, standard_workloads, EnumOptions,
 };
@@ -63,4 +65,38 @@ fn golden_is_byte_identical_after_images_are_poked_mounted_and_recovered() {
     // does write to them.
     assert!(poked > images.len() / 2, "{poked} of {}", images.len());
     assert!(recovered > 0);
+}
+
+/// A golden copied block by block onto a fresh disk, as the timed
+/// campaigns re-home theirs onto the mechanical geometry, is mostly the
+/// fresh disk's own zero page: a block that holds zeroes stays on it, and
+/// only the blocks the file system wrote get pages of their own.
+#[test]
+fn a_golden_copied_block_by_block_keeps_its_zero_blocks_on_the_zero_page() {
+    let golden = Ext3Adapter::ixt3().golden(false);
+    let n = golden.num_blocks();
+    let mut copy = MemDisk::new(n, DiskGeometry::ata_7200rpm(), SimClock::new());
+    let zero = copy.read_page(BlockAddr(0), BlockTag::UNTYPED).unwrap();
+    for a in (0..n).map(BlockAddr) {
+        copy.poke(a, &golden.peek(a));
+    }
+    assert!(image_of(&copy) == image_of(&golden));
+    let mut zeroes = 0;
+    for a in (0..n).map(BlockAddr) {
+        let page = copy.read_page(a, BlockTag::UNTYPED).unwrap();
+        if golden.peek(a).is_zeroed() {
+            assert!(
+                Arc::ptr_eq(&page, &zero),
+                "zero block {a} has a page of its own"
+            );
+            zeroes += 1;
+        } else {
+            assert!(!Arc::ptr_eq(&page, &zero));
+        }
+    }
+    // Not vacuous: most of the golden is zero, and some of it is not.
+    assert!(
+        zeroes > n as usize * 9 / 10 && zeroes < n as usize,
+        "{zeroes} of {n}"
+    );
 }

@@ -549,6 +549,9 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         fs.note_cksum(0, &enc, true);
         fs.flush_cksum_blocks();
         fs.flush_replicas();
+        // A write chain above may have stopped the machine (`Stop`): the
+        // mount fails rather than hand back a file system over it.
+        fs.env.check_alive()?;
 
         Ok(fs)
     }

@@ -136,6 +136,42 @@ fn file_block_addrs<D: RawAccess>(
     (data, indirect)
 }
 
+/// The blocks pass 1 found referenced: one bit per device block, and the
+/// out-of-range pointers apart — never on the device, so pass 3 never asks
+/// for them, but a second reference to one is still `BlockDoublyUsed`.
+struct UsedBlocks {
+    bits: Vec<u64>,
+    beyond: BTreeSet<u64>,
+}
+
+impl UsedBlocks {
+    fn new(device_blocks: u64) -> Self {
+        UsedBlocks {
+            bits: vec![0; device_blocks.div_ceil(64) as usize],
+            beyond: BTreeSet::new(),
+        }
+    }
+
+    /// Record a reference to `addr`; false if it was already referenced.
+    fn insert(&mut self, addr: u64) -> bool {
+        match self.bits.get_mut((addr / 64) as usize) {
+            Some(word) => {
+                let bit = 1 << (addr % 64);
+                let fresh = *word & bit == 0;
+                *word |= bit;
+                fresh
+            }
+            None => self.beyond.insert(addr),
+        }
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        self.bits
+            .get((addr / 64) as usize)
+            .map_or(self.beyond.contains(&addr), |w| w & (1 << (addr % 64)) != 0)
+    }
+}
+
 /// Check the on-disk image for structural consistency.
 pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
     let mut report = FsckReport::default();
@@ -147,16 +183,16 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
     let device_blocks = layout.params.total_blocks;
 
     // Pass 1: walk the tree from the root.
-    let mut used_blocks: BTreeMap<u64, u64> = BTreeMap::new(); // block -> owner ino
+    let mut used_blocks = UsedBlocks::new(device_blocks);
     let mut link_counts: BTreeMap<u64, u32> = BTreeMap::new();
     let mut reachable: BTreeSet<u64> = BTreeSet::new();
     let mut queue = VecDeque::from([ROOT_INO]);
     // Root's ".." refers to itself; seed its parent link.
-    let mut note_block = |report: &mut FsckReport, addr: u64, ino: u64| {
+    let mut note_block = |report: &mut FsckReport, addr: u64| {
         if addr == 0 {
             return;
         }
-        if used_blocks.insert(addr, ino).is_some() {
+        if !used_blocks.insert(addr) {
             report.issues.push(FsckIssue::BlockDoublyUsed { addr });
         }
     };
@@ -171,15 +207,15 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
         }
         let (data, indirect) = file_block_addrs(dev, &di, device_blocks);
         for a in &indirect {
-            note_block(&mut report, *a, ino);
+            note_block(&mut report, *a);
         }
         if di.parity != 0 {
-            note_block(&mut report, di.parity as u64, ino);
+            note_block(&mut report, di.parity as u64);
         }
         match di.file_type() {
             Some(FileType::Directory) => {
                 for a in &data {
-                    note_block(&mut report, *a, ino);
+                    note_block(&mut report, *a);
                     if *a == 0 || *a >= device_blocks {
                         continue;
                     }
@@ -213,7 +249,7 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
             }
             _ => {
                 for a in &data {
-                    note_block(&mut report, *a, ino);
+                    note_block(&mut report, *a);
                 }
             }
         }
@@ -240,7 +276,7 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
         for bit in data_lo..data_hi {
             let addr = base + bit;
             let marked = dbm.bit(bit);
-            let used = used_blocks.contains_key(&addr);
+            let used = used_blocks.contains(addr);
             if used && !marked {
                 report.issues.push(FsckIssue::BlockNotMarked { addr });
             }
@@ -262,11 +298,11 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
                 continue; // reserved
             }
             let marked = ibm.bit(bit);
-            let di = DiskInode::decode_from(&table, off);
-            if marked == di.is_free() {
+            let free = DiskInode::is_free_at(&table, off);
+            if marked == free {
                 report.issues.push(FsckIssue::InodeBitmapMismatch { ino });
             }
-            if !di.is_free() && !reachable.contains(&ino) {
+            if !free && !reachable.contains(&ino) {
                 report.issues.push(FsckIssue::OrphanInode { ino });
             }
         }

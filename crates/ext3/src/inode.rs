@@ -87,6 +87,12 @@ impl DiskInode {
         self.links_count == 0 && self.mode == 0
     }
 
+    /// [`Self::is_free`] of the inode at `offset` in `block`, read from
+    /// its `mode` and `links_count` alone.
+    pub fn is_free_at(block: &Block, offset: usize) -> bool {
+        block.get_u32(offset + 12) == 0 && block.get_u32(offset) == 0
+    }
+
     /// The file type encoded in `mode`, if the type bits are valid.
     pub fn file_type(&self) -> Option<FileType> {
         match self.mode & S_IFMT {
@@ -184,6 +190,25 @@ mod tests {
             let mut b = Block::zeroed();
             ino.encode_into(&mut b, slot * INODE_SIZE);
             assert_eq!(DiskInode::decode_from(&b, slot * INODE_SIZE), ino);
+        }
+    }
+
+    #[test]
+    fn is_free_at_agrees_with_the_decoded_inode() {
+        let mut cases = vec![DiskInode::empty(), DiskInode::new(FileType::Regular, 0)];
+        let mut linked = DiskInode::empty();
+        linked.links_count = 1;
+        let mut sized = DiskInode::empty();
+        sized.size = 4096;
+        cases.extend([linked, sized]);
+        for ino in cases {
+            let mut b = Block::filled(0xFF);
+            ino.encode_into(&mut b, INODE_SIZE);
+            assert_eq!(
+                DiskInode::is_free_at(&b, INODE_SIZE),
+                ino.is_free(),
+                "{ino:?}"
+            );
         }
     }
 

@@ -8,7 +8,7 @@ use iron_core::recover::{Backoff, FailurePolicyTable, PolicyHandle, RecoveryActi
 use iron_core::{BlockAddr, BlockTag, Errno, FaultKind, IoKind, SimClock};
 use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, IronConfig};
 use iron_faultinject::{FaultController, FaultSpec, FaultTarget, FaultyDisk};
-use iron_vfs::{FsEnv, MountState, Vfs};
+use iron_vfs::{FsEnv, MountState, Vfs, VfsError, VfsResult};
 
 type Fs = Ext3Fs<FaultyDisk<MemDisk>>;
 
@@ -434,10 +434,13 @@ fn checkpoint_write_chain_ending_in_stop_halts_the_machine() {
     assert_eq!(events.last().unwrap().tag, BlockTag("inode"));
 }
 
-/// Full ixt3 over a faulty disk formatted with the metadata mirror, with a
-/// sticky write fault on `tag` armed before the mount and `policy` as the
-/// table.
-fn full_ixt3_with_write_fault(tag: &'static str, policy: PolicyHandle) -> (Vfs<Fs>, FsEnv) {
+/// Mount full ixt3 over a faulty disk formatted with the metadata mirror,
+/// with a sticky write fault on `tag` armed before the mount and `policy`
+/// as the table.
+fn mount_full_ixt3_with_write_fault(
+    tag: &'static str,
+    policy: PolicyHandle,
+) -> (VfsResult<Fs>, FsEnv) {
     let mut md = MemDisk::for_tests(4096);
     let params = Ext3Params {
         mirror_metadata: true,
@@ -454,8 +457,13 @@ fn full_ixt3_with_write_fault(tag: &'static str, policy: PolicyHandle) -> (Vfs<F
         policy,
         ..Ext3Options::with_iron(IronConfig::full())
     };
-    let fs = Ext3Fs::mount(faulty, env.clone(), opts).expect("mount");
-    (Vfs::new(fs), env)
+    (Ext3Fs::mount(faulty, env.clone(), opts), env)
+}
+
+/// [`mount_full_ixt3_with_write_fault`], for a mount that succeeds.
+fn full_ixt3_with_write_fault(tag: &'static str, policy: PolicyHandle) -> (Vfs<Fs>, FsEnv) {
+    let (fs, env) = mount_full_ixt3_with_write_fault(tag, policy);
+    (Vfs::new(fs.expect("mount")), env)
 }
 
 #[test]
@@ -537,7 +545,12 @@ fn a_stop_row_on_replica_writes_halts_the_machine() {
             vec![RecoveryAction::Stop],
         ),
     );
-    let (_v, env) = full_ixt3_with_write_fault("m-replica", policy.clone());
+    let (mounted, env) = mount_full_ixt3_with_write_fault("m-replica", policy.clone());
+    let err = mounted.err().expect("a stopped machine fails the mount");
+    assert!(
+        matches!(&err, VfsError::KernelPanic(m) if m == "system crashed"),
+        "{err:?}"
+    );
     assert_eq!(env.state(), MountState::Crashed, "stopped, not degraded");
     assert!(env.klog.contains("unrecoverable replica write"));
     assert!(!env.klog.contains("ext3_abort"));

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use crate::fs::SpecificFs;
-use crate::types::FileType;
+use crate::types::{FileType, OpenFlags, VfsResult};
 use crate::vfs::Vfs;
 
 /// A node observed while walking a mounted tree.
@@ -78,7 +78,7 @@ impl<F: SpecificFs> Vfs<F> {
                             return Err(format!("{path}: implausible size {size}"));
                         }
                         let data = self
-                            .read_file(&path)
+                            .read_sized(&path, size)
                             .map_err(|e| format!("read {path}: {e:?}"))?;
                         out.insert(path, TreeNode::File(data));
                     }
@@ -91,6 +91,23 @@ impl<F: SpecificFs> Vfs<F> {
                 }
             }
         }
+        Ok(out)
+    }
+
+    /// The content of the regular file at `path`, whose `stat` size is
+    /// `size`: one read of that size into the returned buffer, then the
+    /// 64 KiB reads [`Vfs::read_file`] makes until one comes back empty.
+    fn read_sized(&mut self, path: &str, size: u64) -> VfsResult<Vec<u8>> {
+        let fd = self.open(path, OpenFlags::rdonly())?;
+        let mut out = self.pread(fd, 0, size as usize)?;
+        loop {
+            let chunk = self.pread(fd, out.len() as u64, 64 * 1024)?;
+            if chunk.is_empty() {
+                break;
+            }
+            out.extend_from_slice(&chunk);
+        }
+        self.close(fd)?;
         Ok(out)
     }
 }

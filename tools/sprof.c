@@ -18,7 +18,8 @@
  * caller for every such sample of a `postmark` run, 16 for a third.)
  * At exit the samples go to $SPROF_OUT, one line each — the PC, the stack
  * words each behind a `^`, then the chain, innermost first, all hex —
- * then an `IFUNC` line for each of memcpy's kin (glibc picks them at load
+ * then a `RUSAGE` line with the run's peak resident set (KiB) and minor
+ * page faults so far (getrusage), then an `IFUNC` line for each of memcpy's kin (glibc picks them at load
  * time from variants it does not export; dlsym returns the one picked),
  * then `MAPS` and /proc/self/maps so the reader can undo PIE relocation.
  * `./ci.sh profile` drives it and symbolises with nm. */
@@ -28,6 +29,7 @@
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <ucontext.h>
 
@@ -90,6 +92,9 @@ __attribute__((destructor)) static void sprof_dump(void) {
         }
         fputc('\n', f);
     }
+    struct rusage ru;
+    if (getrusage(RUSAGE_SELF, &ru) == 0)
+        fprintf(f, "RUSAGE %ld %ld\n", ru.ru_maxrss, ru.ru_minflt);
     static const char *const picked[] = {"memcpy", "memmove", "memset", "memcmp", "memchr", "strlen"};
     for (unsigned i = 0; i < sizeof picked / sizeof *picked; i++)
         fprintf(f, "IFUNC %lx %s\n", (unsigned long)dlsym(RTLD_DEFAULT, picked[i]), picked[i]);
