@@ -483,8 +483,10 @@ examples
 echo '== benchmark workspace (offline) =='
 # benchmark/ is a Cargo workspace of its own that path-depends on
 # crates/* and pins their public API (PolicyHandle, RetryConfig,
-# FsUnderTest::mount_retry, …); the root build never sees it.
-cargo test --offline --manifest-path benchmark/Cargo.toml
+# FsUnderTest::mount_retry, …); the root build never sees it. --locked:
+# a change to the crate graph that would rewrite benchmark/Cargo.lock
+# fails here instead of editing the lock file.
+cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 
 deps
 

@@ -20,9 +20,8 @@
 //!   corrupted replica from its quorum peers, with the ixt3 scrub
 //!   discipline (rewrite, then verify by re-read through the device
 //!   path; sticky faults count unrecoverable). Queued divergences render
-//!   as [`iron_fsck::FsckIssue::ReplicaDivergence`] and plan as
-//!   `RecoveryLevel::RRedundancy` via
-//!   [`ReplicatedDisk::peer_repair_plan`].
+//!   as [`iron_fsck::FsckIssue::ReplicaDivergence`]
+//!   ([`ReplicatedDisk::findings`]).
 //!
 //! The fingerprint campaign gains a replica-fault topology axis on top of
 //! this device (`iron_fingerprint::cluster`), turning the policy × block

@@ -10,14 +10,11 @@
 //! failing) counts as unrecoverable, never as repaired.
 //!
 //! Detection vocabulary is `iron-fsck`'s: every queued divergence renders
-//! as an [`FsckIssue::ReplicaDivergence`] and [`ReplicatedDisk::peer_repair_plan`]
-//! produces a standard [`RepairPlan`] whose actions carry
-//! `RecoveryLevel::RRedundancy` — peer-sourced repair as a first-class
-//! `RepairPlan` source, alongside the single-image planners.
+//! as an [`FsckIssue::ReplicaDivergence`] ([`ReplicatedDisk::findings`]).
 
 use iron_blockdev::{BlockDevice, Page, RawAccess};
 use iron_core::{BlockAddr, BlockTag};
-use iron_fsck::{FsckIssue, RepairPlan};
+use iron_fsck::FsckIssue;
 
 use crate::replicated::ReplicatedDisk;
 
@@ -136,14 +133,6 @@ impl<D: BlockDevice + RawAccess> ReplicatedDisk<D> {
             .collect()
     }
 
-    /// A standard [`RepairPlan`] for the queued divergences: every action
-    /// is `RecoveryLevel::RRedundancy` (rewrite from quorum peers),
-    /// executed by [`Self::repair_pending`] rather than a single-image
-    /// `RepairFix`.
-    pub fn peer_repair_plan(&self) -> RepairPlan {
-        RepairPlan::new(&self.findings())
-    }
-
     /// True if every replica's raw medium is bit-identical (the
     /// post-repair convergence oracle).
     pub fn replicas_identical(&self) -> bool {
@@ -165,7 +154,6 @@ mod tests {
     use super::*;
     use crate::replicated::ReadPolicy;
     use iron_blockdev::MemDisk;
-    use iron_core::taxonomy::RecoveryLevel;
     use iron_core::{Block, FaultKind};
     use iron_faultinject::{FaultPlan, FaultSpec, FaultTarget, FaultyDisk};
 
@@ -255,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn findings_render_in_fsck_vocabulary_with_rredundancy_plan() {
+    fn findings_render_in_fsck_vocabulary() {
         let mut v = volume(3);
         v.replica_mut(2).poke(BlockAddr(8), &Block::filled(0xAA));
         v.read(BlockAddr(8)).unwrap();
@@ -266,13 +254,6 @@ mod tests {
                 addr: 8,
                 replica: 2
             }]
-        );
-        let plan = v.peer_repair_plan();
-        assert_eq!(plan.actions.len(), 1);
-        assert_eq!(plan.actions[0].recovery, RecoveryLevel::RRedundancy);
-        assert!(
-            plan.actions[0].fix.is_none(),
-            "executed at the cluster tier"
         );
     }
 

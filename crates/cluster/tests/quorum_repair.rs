@@ -9,8 +9,8 @@
 
 use iron_blockdev::{BlockDevice, MemDisk, RawAccess};
 use iron_cluster::{ReadPolicy, ReplicatedDisk};
-use iron_core::taxonomy::RecoveryLevel;
 use iron_core::{Block, BlockAddr};
+use iron_ext3::fsck::FsckIssue;
 use iron_ext3::{DiskLayout, Ext3Fs, Ext3Options, Ext3Params, IronConfig, Superblock};
 use iron_vfs::{FsEnv, Vfs};
 
@@ -79,12 +79,13 @@ fn single_replica_corruption_is_detected_and_healed_on_three_replica_volume() {
         "arbitration must have flagged replica 0"
     );
     assert!(vol.stats().pending_repairs() >= 1);
-    let plan = vol.peer_repair_plan();
-    assert!(!plan.actions.is_empty());
-    assert!(plan
-        .actions
-        .iter()
-        .all(|a| a.recovery == RecoveryLevel::RRedundancy));
+    let findings = vol.findings();
+    assert!(
+        findings
+            .iter()
+            .any(|f| matches!(f, FsckIssue::ReplicaDivergence { replica: 0, .. })),
+        "{findings:?}"
+    );
 
     // Heal what foreground reads queued, then scrub for anything the
     // workload never touched (the filler file's path may not have read

@@ -1,23 +1,18 @@
-//! An offline consistency checker (fsck) and repairer for the ext3 model.
+//! An offline consistency checker (fsck) for the ext3 model.
 //!
-//! The IRON taxonomy's `RRepair` level is fsck-style repair; the paper notes
-//! that even journaling file systems benefit from periodic full-scan
-//! integrity checks (§3.1).
-//!
-//! * [`check`] is the checker, written against the on-disk format: it walks
-//!   the image through [`RawAccess`] (no faults, no timing) and reports
-//!   structural inconsistencies in `iron-fsck`'s vocabulary
-//!   ([`FsckIssue`], [`FsckReport`]). It is what the crash oracles, the
-//!   cluster tests and the benchmark call.
-//! * [`Ext3Image`] implements `iron_fsck::Repairable`, so
-//!   `iron_fsck::apply` can transactionally execute a `RepairPlan` built
-//!   from `check`'s report. It is the one ext3 repairer.
+//! The paper notes that even journaling file systems benefit from periodic
+//! full-scan integrity checks (§3.1). [`check`] is the checker, written
+//! against the on-disk format: it walks the image through [`RawAccess`] (no
+//! faults, no timing) and reports structural inconsistencies in
+//! `iron-fsck`'s vocabulary ([`FsckIssue`], [`FsckReport`]). It is what the
+//! crash oracles, the cluster tests and the benchmark call. Nothing repairs
+//! an image from its report: none of the file systems the paper studies
+//! uses `RRepair`, and neither do the models here.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use iron_blockdev::RawAccess;
 use iron_core::{Block, BlockAddr, BLOCK_SIZE};
-use iron_fsck::RepairFix;
 use iron_vfs::FileType;
 
 use crate::dir;
@@ -309,155 +304,4 @@ pub fn check<D: RawAccess>(dev: &D, layout: &DiskLayout) -> FsckReport {
     }
 
     report
-}
-
-/// An ext3 image as `iron_fsck::apply` repairs it: every fix returns its
-/// inverse for transactional rollback. Wraps any [`RawAccess`] medium plus
-/// the trusted layout; check it with `check(img.device(), img.layout())`.
-pub struct Ext3Image<D> {
-    dev: D,
-    layout: DiskLayout,
-}
-
-impl<D: RawAccess> Ext3Image<D> {
-    /// Wrap a device and its trusted (mount-time) layout.
-    pub fn new(dev: D, layout: DiskLayout) -> Self {
-        Ext3Image { dev, layout }
-    }
-
-    /// The trusted layout.
-    pub fn layout(&self) -> &DiskLayout {
-        &self.layout
-    }
-
-    /// The wrapped device.
-    pub fn device(&self) -> &D {
-        &self.dev
-    }
-
-    /// The wrapped device, mutably.
-    pub fn device_mut(&mut self) -> &mut D {
-        &mut self.dev
-    }
-
-    /// Unwrap.
-    pub fn into_device(self) -> D {
-        self.dev
-    }
-
-    fn validate_ino(&self, ino: u64) -> Result<(), String> {
-        if ino == 0 || ino > self.layout.total_inodes() {
-            Err(format!("inode {ino} out of range"))
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl<D: RawAccess> iron_fsck::Repairable for Ext3Image<D> {
-    fn apply_fix(&mut self, fix: &RepairFix) -> Result<RepairFix, String> {
-        match *fix {
-            RepairFix::FreeBlock { addr } => {
-                let g = self
-                    .layout
-                    .group_of_block(addr)
-                    .ok_or_else(|| format!("block {addr} outside the block groups"))?;
-                let bm_addr = self.layout.data_bitmap(g);
-                let mut bm = self.dev.peek(bm_addr);
-                let bit = addr - self.layout.group_base(g);
-                if !bm.bit(bit) {
-                    return Err(format!("block {addr} already free"));
-                }
-                bm.clear_bit(bit);
-                self.dev.poke(bm_addr, &bm);
-                Ok(RepairFix::MarkBlock { addr })
-            }
-            RepairFix::MarkBlock { addr } => {
-                let g = self
-                    .layout
-                    .group_of_block(addr)
-                    .ok_or_else(|| format!("block {addr} outside the block groups"))?;
-                let bm_addr = self.layout.data_bitmap(g);
-                let mut bm = self.dev.peek(bm_addr);
-                let bit = addr - self.layout.group_base(g);
-                if bm.bit(bit) {
-                    return Err(format!("block {addr} already marked"));
-                }
-                bm.set_bit(bit);
-                self.dev.poke(bm_addr, &bm);
-                Ok(RepairFix::FreeBlock { addr })
-            }
-            RepairFix::SetLinkCount { ino, links } => {
-                self.validate_ino(ino)?;
-                let (blk, off) = self.layout.inode_location(ino);
-                let mut b = self.dev.peek(blk);
-                let mut di = DiskInode::decode_from(&b, off);
-                let old = di.links_count;
-                di.links_count = links;
-                di.encode_into(&mut b, off);
-                self.dev.poke(blk, &b);
-                Ok(RepairFix::SetLinkCount { ino, links: old })
-            }
-            RepairFix::SyncInodeMark { ino } => {
-                self.validate_ino(ino)?;
-                let used = !inode_at(&self.dev, &self.layout, ino).is_free();
-                self.write_inode_mark(ino, used)
-            }
-            RepairFix::SetInodeMark { ino, used } => {
-                self.validate_ino(ino)?;
-                self.write_inode_mark(ino, used)
-            }
-            RepairFix::SetGeometryField { field, value } => {
-                let mut sb = Superblock::decode(&self.dev.peek(BlockAddr(0)))
-                    .ok_or_else(|| "superblock undecodable".to_string())?;
-                let old = match field {
-                    "total_blocks" => {
-                        let old = sb.total_blocks;
-                        sb.total_blocks = value;
-                        old
-                    }
-                    "blocks_per_group" => {
-                        let old = sb.blocks_per_group;
-                        sb.blocks_per_group = value;
-                        old
-                    }
-                    "inodes_per_group" => {
-                        let old = sb.inodes_per_group;
-                        sb.inodes_per_group = value;
-                        old
-                    }
-                    "journal_blocks" => {
-                        let old = sb.journal_blocks;
-                        sb.journal_blocks = value;
-                        old
-                    }
-                    "mirror_metadata" => {
-                        let old = u64::from(sb.mirror_metadata);
-                        sb.mirror_metadata = value != 0;
-                        old
-                    }
-                    _ => return Err(format!("unknown geometry field {field}")),
-                };
-                self.dev.poke(BlockAddr(0), &sb.encode());
-                Ok(RepairFix::SetGeometryField { field, value: old })
-            }
-        }
-    }
-}
-
-impl<D: RawAccess> Ext3Image<D> {
-    fn write_inode_mark(&mut self, ino: u64, used: bool) -> Result<RepairFix, String> {
-        let g = (ino - 1) / self.layout.params.inodes_per_group;
-        let bit = (ino - 1) % self.layout.params.inodes_per_group;
-        let bm_addr = self.layout.inode_bitmap(g);
-        let mut bm = self.dev.peek(bm_addr);
-        let old = bm.bit(bit);
-        if used {
-            bm.set_bit(bit);
-        } else {
-            bm.clear_bit(bit);
-        }
-        self.dev.poke(bm_addr, &bm);
-        Ok(RepairFix::SetInodeMark { ino, used: old })
-    }
 }

@@ -60,7 +60,6 @@ pub mod ops;
 pub mod superblock;
 
 pub use fs::{Ext3Fs, Ext3Options};
-pub use fsck::Ext3Image;
 pub use iron::IronConfig;
 pub use layout::{BlockType, DiskLayout, Ext3Params};
 pub use superblock::Superblock;

@@ -1,16 +1,15 @@
-//! Shared helpers for the iron-fsck integration suites: an ext3 image
-//! builder, a typed-block victim enumerator for corruption campaigns, and
-//! the check → plan → apply → check repair cycle.
+//! Shared helpers for the ext3 checker suites: an ext3 image builder, a
+//! typed-block victim enumerator and a block corrupter for corruption
+//! campaigns, and a check that must be deterministic.
 //!
 //! Each suite uses a different subset of these helpers.
 #![allow(dead_code)]
 
 use iron_blockdev::{MemDisk, RawAccess};
-use iron_core::{Block, BlockAddr, KernelLog, BLOCK_SIZE};
-use iron_ext3::fsck::{check, Ext3Image};
+use iron_core::{Block, BlockAddr, BLOCK_SIZE};
+use iron_ext3::fsck::{check, FsckReport};
 use iron_ext3::inode::DiskInode;
 use iron_ext3::{DiskLayout, Ext3Fs, Ext3Options, Ext3Params, IronConfig};
-use iron_fsck::{apply, FsckReport, RepairFailure, RepairPlan, RepairSummary};
 use iron_vfs::{FileType, FsEnv, Vfs};
 
 /// The mount profiles the differential suites build images under: stock
@@ -68,21 +67,9 @@ pub fn check_twice<D: RawAccess>(dev: &D, layout: &DiskLayout, ctx: &str) -> Fsc
     report
 }
 
-/// check → plan → apply → check. Returns (before, repair summary, after).
-#[allow(clippy::type_complexity)]
-pub fn check_and_repair<D: RawAccess>(
-    img: &mut Ext3Image<D>,
-    klog: Option<&KernelLog>,
-) -> Result<(FsckReport, RepairSummary, FsckReport), RepairFailure> {
-    let before = check(img.device(), img.layout());
-    let summary = apply(img, &RepairPlan::new(&before.issues), klog)?;
-    let after = check(img.device(), img.layout());
-    Ok((before, summary, after))
-}
-
 /// Candidate corruption victims, grouped by on-disk block class. Only
 /// classes fsck actually reads are enumerated (the journal is crash
-/// territory, covered by `crash_images.rs`).
+/// territory, covered by `fsck_crash_images.rs`).
 pub fn victims(dev: &MemDisk, layout: &DiskLayout) -> Vec<(&'static str, Vec<u64>)> {
     let mut sb = vec![0u64];
     let mut dbm = Vec::new();

@@ -11,12 +11,11 @@
 
 mod common;
 
-use common::{check_and_repair, check_twice};
+use common::check_twice;
 use iron_blockdev::{MemDisk, RawAccess};
 use iron_core::BlockAddr;
-use iron_ext3::fsck::{check, Ext3Image};
+use iron_ext3::fsck::check;
 use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, IronConfig};
-use iron_fsck::RepairPlan;
 use iron_testkit::gen;
 use iron_testkit::prop::{check as prop_check, Config};
 use iron_vfs::{FsEnv, Vfs};
@@ -80,26 +79,6 @@ fn unrecovered_crash_images_are_checked_deterministically() {
             check_twice(&dev, &layout, "torn journal");
         },
     );
-}
-
-/// A crashed image that *is* inconsistent on disk (metadata updates
-/// parked in the journal): repair must fix the fixable classes and leave
-/// exactly the deferred set — even before recovery.
-#[test]
-fn crash_image_repair_reaches_a_fixpoint() {
-    let (dev, layout) = crashed_image(3);
-    let mut img = Ext3Image::new(dev, layout);
-    let (before, summary, after) = check_and_repair(&mut img, None).unwrap();
-    let plan = RepairPlan::new(&before.issues);
-    assert_eq!(summary.applied, plan.fixable());
-    assert!(
-        after.same_issues(&plan.deferred_issues()),
-        "{:?}",
-        after.issues
-    );
-    let (_, s2, a2) = check_and_repair(&mut img, None).unwrap();
-    assert_eq!(s2.applied, 0);
-    assert_eq!(a2.issues, after.issues);
 }
 
 /// Recovery-then-check: after a proper journal replay the image is clean.

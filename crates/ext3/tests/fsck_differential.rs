@@ -1,13 +1,7 @@
-//! Property suites for ext3's checker and the repair cycle built on it:
-//!
-//! 1. On every image — healthy or corrupted, stock ext3 or ixt3 with its
-//!    parity blocks and metadata mirror — `iron_ext3::fsck::check` must
-//!    not panic and must report the identical issue list when asked
-//!    twice.
-//! 2. Check → repair → check must leave exactly the planner's *deferred*
-//!    issues (the data-loss cases fsck refuses to touch): everything
-//!    fixable is fixed, and fixing it creates no new damage. This holds
-//!    under every mount profile.
+//! Property suites for ext3's checker: on every image — healthy or
+//! corrupted, stock ext3 or ixt3 with its parity blocks and metadata
+//! mirror — `iron_ext3::fsck::check` must not panic and must report the
+//! identical issue list when asked twice.
 //!
 //! Runs on the in-tree `iron-testkit` harness: a failure prints its case
 //! seed and reruns deterministically with
@@ -15,10 +9,8 @@
 
 mod common;
 
-use common::{build_image, check_and_repair, check_twice, corrupt_block, profiles, victims, Lcg};
-use iron_ext3::fsck::Ext3Image;
+use common::{build_image, check_twice, corrupt_block, profiles, victims, Lcg};
 use iron_ext3::IronConfig;
-use iron_fsck::RepairPlan;
 use iron_testkit::gen;
 use iron_testkit::prop::{check as prop_check, Config};
 
@@ -53,38 +45,6 @@ fn damaged_images_check_deterministically() {
             for (profile, iron) in profiles() {
                 let (dev, layout) = damaged_image(n, seed, iron);
                 check_twice(&dev, &layout, profile);
-            }
-        },
-    );
-}
-
-#[test]
-fn repair_is_idempotent_and_complete() {
-    let inputs = (gen::usize_in(1..5), gen::u64_in(0..1 << 62));
-    prop_check(
-        "repair_is_idempotent_and_complete",
-        Config::cases(20),
-        &inputs,
-        |&(n, seed)| {
-            for (profile, iron) in profiles() {
-                let (dev, layout) = damaged_image(n, seed, iron);
-                let mut img = Ext3Image::new(dev, layout);
-                let (before, summary, after) = check_and_repair(&mut img, None)
-                    .unwrap_or_else(|e| panic!("{profile}: repair failed: {e}"));
-                let plan = RepairPlan::new(&before.issues);
-                assert_eq!(summary.applied, plan.fixable(), "{profile}");
-                assert_eq!(summary.deferred, plan.deferred(), "{profile}");
-                assert!(
-                    after.same_issues(&plan.deferred_issues()),
-                    "{profile}: second check must report exactly the deferred issues:\n  after: {:?}\n  deferred: {:?}",
-                    after.issues,
-                    plan.deferred_issues()
-                );
-                // And repairing again fixes nothing new: a fixpoint.
-                let (b2, s2, a2) = check_and_repair(&mut img, None).unwrap();
-                assert_eq!(b2.issues, after.issues, "{profile}");
-                assert_eq!(s2.applied, 0, "{profile}: no new fixes on the second pass");
-                assert_eq!(a2.issues, after.issues, "{profile}");
             }
         },
     );

@@ -1,23 +1,12 @@
 //! Superblock/geometry sanity checks (`DSanity`, §3.1): stored geometry
 //! vs. the trusted layout, and the journal region vs. its neighbors.
-//! Each corruption is exercised through ext3's checker, and the
-//! repairable ones are driven through `iron-fsck`'s transactional
-//! `RRepair` path.
+//! Each corruption is exercised through ext3's checker.
 
 use iron_blockdev::{MemDisk, RawAccess};
 use iron_core::BlockAddr;
-use iron_ext3::fsck::{check, superblock_sanity, Ext3Image, FsckIssue, FsckReport};
+use iron_ext3::fsck::{check, superblock_sanity, FsckIssue};
 use iron_ext3::{Ext3Fs, Ext3Options, Ext3Params, Superblock};
-use iron_fsck::{apply, RepairPlan};
 use iron_vfs::{FsEnv, Vfs};
-
-/// Plan and apply repairs for `img`'s issues; returns the fixes applied
-/// and the re-check.
-fn repair(img: &mut Ext3Image<MemDisk>) -> (usize, FsckReport) {
-    let before = check(img.device(), img.layout());
-    let summary = apply(img, &RepairPlan::new(&before.issues), None).expect("repair applies");
-    (summary.applied, check(img.device(), img.layout()))
-}
 
 fn image() -> (MemDisk, iron_ext3::DiskLayout) {
     let dev = MemDisk::for_tests(4096);
@@ -55,7 +44,7 @@ fn clean_image_passes_sanity() {
 }
 
 #[test]
-fn total_blocks_mismatch_is_flagged_and_repaired() {
+fn total_blocks_mismatch_is_flagged() {
     let (mut dev, layout) = image();
     let expected = layout.params.total_blocks;
     rewrite_sb(&mut dev, |sb| sb.total_blocks = expected * 2); // claims more than the device holds
@@ -65,13 +54,6 @@ fn total_blocks_mismatch_is_flagged_and_repaired() {
         stored: expected * 2,
         expected,
     }));
-
-    // The planner maps it to an RRepair (rewrite the field) and the
-    // second check comes back clean.
-    let mut img = Ext3Image::new(dev, layout);
-    let (applied, after) = repair(&mut img);
-    assert!(applied >= 1);
-    assert!(after.is_clean(), "geometry repaired: {:?}", after.issues);
 }
 
 #[test]
@@ -99,14 +81,6 @@ fn journal_overgrowth_overlaps_neighbors() {
         stored: inflated,
         max: layout.journal_len,
     }));
-
-    // Repair truncates the stored length back to the trusted maximum.
-    let mut img = Ext3Image::new(dev, layout);
-    let (applied, after) = repair(&mut img);
-    assert!(applied >= 1);
-    assert!(after.is_clean(), "{:?}", after.issues);
-    let sb = Superblock::decode(&img.device().peek(BlockAddr(0))).unwrap();
-    assert_eq!(sb.journal_blocks, layout.journal_len);
 }
 
 #[test]
@@ -132,8 +106,4 @@ fn undecodable_superblock_is_fatal() {
     dev.poke(BlockAddr(0), &iron_core::Block::zeroed()); // magic gone
     let report = check(&dev, &layout);
     assert_eq!(report.issues, vec![FsckIssue::BadSuperblock]);
-
-    // The planner maps BadSuperblock to RStop: nothing is auto-repaired.
-    let plan = RepairPlan::new(&report.issues);
-    assert_eq!(plan.fixable(), 0);
 }

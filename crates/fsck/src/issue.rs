@@ -1,8 +1,10 @@
-//! The issue vocabulary shared by every checker and repairer.
+//! The issue vocabulary shared by every checker.
 //!
 //! Variants derive `Ord` so a report's issues can be compared as a
 //! multiset ([`FsckReport::same_issues`]), independent of the order a
-//! check discovered them in.
+//! check discovered them in. A variant's docs name the IRON level
+//! ([`iron_core::DetectionLevel`], [`iron_core::RecoveryLevel`]) its
+//! finding stands for.
 
 /// One structural inconsistency found by a check.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -10,7 +12,8 @@ pub enum FsckIssue {
     /// The superblock failed to decode; nothing else can be trusted.
     BadSuperblock,
     /// A superblock geometry field disagrees with the trusted layout
-    /// (`DSanity`): e.g. the recorded block count vs. the device size.
+    /// ([`DSanity`](iron_core::DetectionLevel::DSanity)): e.g. the
+    /// recorded block count vs. the device size.
     GeometryMismatch {
         /// Which geometry field is wrong.
         field: &'static str,
@@ -20,7 +23,8 @@ pub enum FsckIssue {
         expected: u64,
     },
     /// The journal region implied by the superblock overlaps the regions
-    /// that follow it (checksum table / block groups) — `DSanity`.
+    /// that follow it (checksum table / block groups) —
+    /// [`DSanity`](iron_core::DetectionLevel::DSanity).
     JournalOverlap {
         /// Journal length recorded in the superblock.
         stored: u64,
@@ -72,11 +76,11 @@ pub enum FsckIssue {
         ino: u64,
     },
     /// One replica of a mirrored volume disagrees with its quorum peers at
-    /// a block (`DRedundancy` detection at the cluster tier). The block
-    /// has a known-good copy on the peers, so the planned recovery is
-    /// `RRedundancy` — rewrite the divergent replica from the majority —
-    /// executed by `iron-cluster`'s repair engine rather than a
-    /// single-image [`crate::RepairFix`].
+    /// a block ([`DRedundancy`](iron_core::DetectionLevel::DRedundancy)
+    /// at the cluster tier). The block has a known-good copy on the
+    /// peers, so `iron-cluster`'s repair engine rewrites the divergent
+    /// replica from the majority
+    /// ([`RRedundancy`](iron_core::RecoveryLevel::RRedundancy)).
     ReplicaDivergence {
         /// The divergent block.
         addr: u64,

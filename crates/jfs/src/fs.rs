@@ -721,6 +721,8 @@ impl<D: BlockDevice + RawAccess> FlatStore for JfsFs<D> {
     }
 
     fn free_block(&mut self, addr: u64) -> VfsResult<()> {
+        let blocks = self.layout.alloc_start..self.layout.params.total_blocks;
+        self.env.check_bitmap_index("jfs", "block", addr, blocks)?;
         let (bm_addr, bit) = self.layout.bmap_location(addr);
         let mut bm = self.generic_read(bm_addr.0, JfsBlockType::Bmap)?;
         bm.clear_bit(bit);

@@ -331,6 +331,45 @@ fn unlink_inode_read_failure_corrupts_fs_paper_bug() {
     assert_eq!(env2.state(), MountState::ReadWrite);
 }
 
+/// A block address read from a corrupt inode is range-checked before it
+/// indexes the block map: `32768 + 1` would index the block after the
+/// one-block map, the imap control block. `unlink` must answer `EUCLEAN`
+/// with one klog error and leave that block as it was.
+#[test]
+fn corrupt_inode_pointer_is_euclean_not_freed() {
+    use iron_core::klog::LogLevel;
+
+    let (mut v, _ctl, _env) = mount();
+    v.write_file("/f", b"x").unwrap();
+    let ino = v.resolve("/f").unwrap();
+    v.umount().unwrap();
+    let mut dev = v.into_fs().into_device();
+    let layout = iron_jfs::JfsLayout::compute(JfsParams::small());
+    let (blk, off) = layout.inode_location(ino);
+    let mut b = dev.peek(blk);
+    b.put_u32(off + 32, 32768 + 1); // direct[0]
+    dev.poke(blk, &b);
+    let imap_control = BlockAddr(layout.imap_control);
+    let before = dev.peek(imap_control);
+
+    let env = FsEnv::new();
+    let fs = JfsFs::mount(dev, env.clone(), JfsOptions::default()).unwrap();
+    let mut v = Vfs::new(fs);
+    let err = v.unlink("/f").unwrap_err();
+    assert_eq!(err.errno(), Some(Errno::EUCLEAN));
+    let errors: Vec<_> = env
+        .klog
+        .entries()
+        .into_iter()
+        .filter(|e| e.level == LogLevel::Error)
+        .collect();
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].message.contains("outside the volume"));
+    assert_ne!(env.state(), MountState::Crashed);
+    v.umount().unwrap();
+    assert!(v.into_fs().into_device().peek(imap_control) == before);
+}
+
 // ----------------------------------------------------------------------
 // The full Figure 1 stack: JFS over the write-back buffer cache.
 // ----------------------------------------------------------------------

@@ -404,17 +404,6 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
         }
         written
     }
-
-    /// `Err(EUCLEAN)`, with one klog error, unless `index` is below `limit`:
-    /// a pointer read from disk is checked against the volume geometry
-    /// before it indexes a bitmap.
-    fn check_bitmap_index(&self, what: &str, index: u64, limit: u64) -> VfsResult<()> {
-        if index < limit {
-            return Ok(());
-        }
-        let msg = format!("{what} {index} is outside the volume ({limit}); not freed");
-        Err(self.env.reject("ntfs", msg))
-    }
 }
 
 /// One request the NTFS way (§5.4, "persistence is a virtue"): issue it,
@@ -531,7 +520,8 @@ impl<D: BlockDevice + RawAccess> FlatStore for NtfsFs<D> {
     }
 
     fn free_block(&mut self, addr: u64) -> VfsResult<()> {
-        self.check_bitmap_index("block", addr, self.layout.params.total_blocks)?;
+        let blocks = self.layout.alloc_start..self.layout.params.total_blocks;
+        self.env.check_bitmap_index("ntfs", "block", addr, blocks)?;
         let mut vbm = self.read_block(self.layout.volume_bitmap, NtfsBlockType::VolumeBitmap)?;
         vbm.clear_bit(addr);
         self.write_block(self.layout.volume_bitmap, &vbm, NtfsBlockType::VolumeBitmap)?;
@@ -552,7 +542,9 @@ impl<D: BlockDevice + RawAccess> FlatStore for NtfsFs<D> {
     }
 
     fn free_node(&mut self, rec: u64) -> VfsResult<()> {
-        self.check_bitmap_index("MFT record", rec, self.layout.params.mft_records)?;
+        let records = 0..self.layout.params.mft_records;
+        self.env
+            .check_bitmap_index("ntfs", "MFT record", rec, records)?;
         let mut mbm = self.read_block(self.layout.mft_bitmap, NtfsBlockType::MftBitmap)?;
         mbm.clear_bit(rec);
         self.write_block(self.layout.mft_bitmap, &mbm, NtfsBlockType::MftBitmap)?;

@@ -707,6 +707,9 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
     }
 
     fn free_block(&mut self, addr: u64) -> VfsResult<()> {
+        let blocks = self.layout.alloc_start..self.layout.params.total_blocks;
+        self.env
+            .check_bitmap_index("reiserfs", "block", addr, blocks)?;
         self.bitmap_op(addr, false)?;
         self.sb.free_blocks += 1;
         self.buf.stage(0, self.sb.encode(), ReiserBlockType::Super);

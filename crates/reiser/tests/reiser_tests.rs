@@ -353,6 +353,48 @@ fn indirect_read_failure_during_truncate_leaks_space_paper_bug() {
     assert!(!env.klog.contains("vs-"));
 }
 
+/// A block address read from a corrupt indirect item is range-checked
+/// before it indexes the bitmap: `32768 + 1` would index the block after
+/// the one-block bitmap, the first tree node. `unlink` must answer
+/// `EUCLEAN` with one klog error.
+#[test]
+fn corrupt_indirect_pointer_is_euclean_not_freed() {
+    use iron_core::klog::LogLevel;
+    use iron_reiser::tree::{decode_ptrs, encode_ptrs, ItemKind, Node};
+
+    let (mut v, _ctl, _env) = mount();
+    v.write_file("/f", &vec![3u8; 3 * 4096]).unwrap();
+    let root = v.fs().superblock().root_block;
+    v.umount().unwrap();
+    let mut dev = v.into_fs().into_device();
+    let Some(Node::Leaf(mut items)) = Node::decode(&dev.peek(BlockAddr(root)), Some(1)) else {
+        panic!("the root is the one leaf");
+    };
+    let item = items
+        .iter_mut()
+        .find(|i| i.key.kind == ItemKind::Indirect)
+        .expect("the file's indirect item");
+    let mut ptrs = decode_ptrs(&item.payload);
+    ptrs[0] = 32768 + 1;
+    item.payload = encode_ptrs(&ptrs);
+    dev.poke(BlockAddr(root), &Node::Leaf(items).encode());
+
+    let env = FsEnv::new();
+    let fs = ReiserFs::mount(dev, env.clone(), ReiserOptions::default()).unwrap();
+    let mut v = Vfs::new(fs);
+    let err = v.unlink("/f").unwrap_err();
+    assert_eq!(err.errno(), Some(Errno::EUCLEAN));
+    let errors: Vec<_> = env
+        .klog
+        .entries()
+        .into_iter()
+        .filter(|e| e.level == LogLevel::Error)
+        .collect();
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].message.contains("outside the volume"));
+    assert_ne!(env.state(), MountState::Crashed);
+}
+
 #[test]
 fn corrupted_superblock_fails_mount() {
     let mut md = MemDisk::for_tests(4096);

@@ -6,6 +6,7 @@
 //! [`FsEnv`] bundles it with the kernel log the fingerprinting framework
 //! inspects.
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use iron_blockdev::{retry::classify, DiskError, DiskResult};
@@ -78,6 +79,23 @@ impl FsEnv {
         self.klog
             .evidence(LogLevel::Error, subsystem, DetectionLevel::DSanity, msg);
         Errno::EUCLEAN.into()
+    }
+
+    /// [`Self::reject`] `index` unless it lies in `range`: an address read
+    /// from disk is checked against the volume geometry before it indexes
+    /// an allocation bitmap.
+    pub fn check_bitmap_index(
+        &self,
+        subsystem: &'static str,
+        what: &str,
+        index: u64,
+        range: Range<u64>,
+    ) -> VfsResult<()> {
+        if range.contains(&index) {
+            return Ok(());
+        }
+        let msg = format!("{what} {index} is outside the volume ({range:?}); not freed");
+        Err(self.reject(subsystem, msg))
     }
 
     /// Remount read-only (e.g. after ext3 aborts its journal). Idempotent;

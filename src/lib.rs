@@ -12,9 +12,7 @@
 //! * [`ext3`], [`reiser`], [`jfs`], [`ntfs`] — behavioral models of the
 //!   four commodity file systems, measured failure policies and bugs
 //!   included;
-//! * [`fsck`] — the fsck issue vocabulary and the transactional
-//!   `RRepair`/`RRemap` repair executor; `ext3` holds the checker and
-//!   the repairer;
+//! * [`fsck`] — the fsck issue vocabulary; `ext3` holds the checker;
 //! * [`ixt3`] — the prototype IRON file system (checksums, replication,
 //!   parity, transactional checksums, scrubbing);
 //! * [`fingerprint`] — the failure-policy fingerprinting framework
