@@ -193,7 +193,7 @@ examples() {
     for e in crash_recovery disk_scrubbing failure_policy_comparison quickstart; do
         cargo run -q --release --offline --example "$e" >/dev/null
     done
-    # The iron-crash examples likewise (~16 s together in release);
+    # The iron-crash examples likewise (~4 s together in release);
     # crash_witness explains one image on stderr.
     cargo run -q --release --offline -p iron-crash --example crash_matrix >/dev/null
     cargo run -q --release --offline -p iron-crash --example gen_legacy_probe >/dev/null

@@ -89,16 +89,19 @@ impl Block {
     }
 
     /// Read a little-endian `u16` at `off`.
+    #[inline]
     pub fn get_u16(&self, off: usize) -> u16 {
         u16::from_le_bytes(self.0[off..off + 2].try_into().expect("in-bounds"))
     }
 
     /// Read a little-endian `u32` at `off`.
+    #[inline]
     pub fn get_u32(&self, off: usize) -> u32 {
         u32::from_le_bytes(self.0[off..off + 4].try_into().expect("in-bounds"))
     }
 
     /// Read a little-endian `u64` at `off`.
+    #[inline]
     pub fn get_u64(&self, off: usize) -> u64 {
         u64::from_le_bytes(self.0[off..off + 8].try_into().expect("in-bounds"))
     }
@@ -127,6 +130,7 @@ impl Block {
     }
 
     /// Borrow `len` bytes starting at `off`.
+    #[inline]
     pub fn get_bytes(&self, off: usize, len: usize) -> &[u8] {
         &self.0[off..off + len]
     }

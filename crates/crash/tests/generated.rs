@@ -192,6 +192,15 @@ fn reiser_generated_family_shows_only_the_checkpoint_hazard() {
         !r.violations.is_empty(),
         "the generated family must still expose ReiserFS's checkpoint hazard"
     );
+    // The counts are pinned exactly (the ReiserFS row of `gen_matrix
+    // seq2`): a change to how the model searches its tree must move no
+    // image and no verdict.
+    assert_eq!(
+        (r.images_checked, r.dirty_workloads, r.violations.len()),
+        (748, 24, 31),
+        "ReiserFS seq-2 (images, dirty workloads, violations); got:\n{}",
+        dump(&r)
+    );
 }
 
 #[test]

@@ -388,20 +388,22 @@ impl<D: BlockDevice + RawAccess> JfsFs<D> {
     /// when a block allocation map or inode allocation map read fails").
     fn generic_read(&mut self, addr: u64, ty: JfsBlockType) -> VfsResult<Block> {
         let (dev, env, tag) = (&mut self.dev, &self.env, ty.tag());
-        self.buf.read(addr, || {
-            let e = match dev.read_tagged(BlockAddr(addr), tag) {
-                Ok(b) => return Ok(b),
-                Err(e) => e,
-            };
-            let req = (IoKind::Read, addr, tag);
-            env.walk_io(&self.policy, "jfs", req, &e, |_, _| {
-                env.klog.error(
-                    "generic",
-                    format!("I/O error reading block {addr}; retrying once"),
-                );
-                dev.read_tagged(BlockAddr(addr), tag)
+        self.buf
+            .get(addr, || {
+                let e = match dev.read_tagged(BlockAddr(addr), tag) {
+                    Ok(b) => return Ok(b),
+                    Err(e) => e,
+                };
+                let req = (IoKind::Read, addr, tag);
+                env.walk_io(&self.policy, "jfs", req, &e, |_, _| {
+                    env.klog.error(
+                        "generic",
+                        format!("I/O error reading block {addr}; retrying once"),
+                    );
+                    dev.read_tagged(BlockAddr(addr), tag)
+                })
             })
-        })
+            .cloned()
     }
 
     // ==================================================================

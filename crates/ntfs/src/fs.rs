@@ -377,11 +377,13 @@ impl<D: BlockDevice + RawAccess> NtfsFs<D> {
 
     fn read_block(&mut self, addr: u64, ty: NtfsBlockType) -> VfsResult<Block> {
         let req = (IoKind::Read, addr, ty);
-        self.buf.read(addr, || {
-            persist(&mut self.dev, &self.env, &self.policy, req, |d| {
-                d.read_tagged(BlockAddr(addr), ty.tag())
+        self.buf
+            .get(addr, || {
+                persist(&mut self.dev, &self.env, &self.policy, req, |d| {
+                    d.read_tagged(BlockAddr(addr), ty.tag())
+                })
             })
-        })
+            .cloned()
     }
 
     /// Write with NTFS's per-type retry counts. Data-write errors are

@@ -15,8 +15,8 @@ use iron_vfs::{
 use crate::journal::{JournalCommit, JournalDesc, JournalHeader, DESC_CAPACITY};
 use crate::layout::{ReiserBlockType, ReiserLayout, ReiserParams, ReiserSuper};
 use crate::tree::{
-    decode_ptrs, encode_ptrs, Item, ItemKind, Key, Node, INTERNAL_MAX, LEAF_CAPACITY,
-    PTRS_PER_INDIRECT, TAIL_MAX,
+    decode_ptrs, encode_ptrs, Item, ItemKind, ItemRef, Key, Node, NodeView, INTERNAL_MAX,
+    LEAF_CAPACITY, PTRS_PER_INDIRECT, TAIL_MAX,
 };
 
 /// The root directory's object id.
@@ -591,7 +591,7 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
     /// (a bitmap block's caller speaks for it), and handed to
     /// [`reiser_stock_policy`]: one re-read for data, indirect and direct
     /// blocks, `EIO` otherwise.
-    fn read_block(&mut self, addr: u64, ty: ReiserBlockType) -> VfsResult<Block> {
+    fn read_block(&mut self, addr: u64, ty: ReiserBlockType) -> VfsResult<&Block> {
         let (dev, env, tag) = (&mut self.dev, &self.env, ty.tag());
         let fetch = || {
             let e = match dev.read_tagged(BlockAddr(addr), tag) {
@@ -615,37 +615,36 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
         // Data blocks are written in place and never staged, so only
         // metadata consults the running transaction.
         match ty {
-            ReiserBlockType::Data => self.buf.read_cached(addr, fetch),
-            _ => self.buf.read(addr, fetch),
+            ReiserBlockType::Data => self.buf.get_cached(addr, fetch),
+            _ => self.buf.get(addr, fetch),
         }
     }
 
-    /// Read a tree node: [`Self::read_block`], then block-header sanity
-    /// checks on what arrived (`DSanity`). A failed sanity check is logged;
-    /// on the root or an internal node it then panics (PAPER-BUG:
+    /// Read a tree node in place: [`Self::read_block`], then block-header
+    /// sanity checks on what arrived (`DSanity`, [`NodeView::new`]) on
+    /// every visit, then `f` on the checked view. A failed sanity check is
+    /// logged; on the root or an internal node it then panics (PAPER-BUG:
     /// "ReiserFS sometimes calls panic on failing a sanity check, instead
     /// of simply returning an error code"); on a leaf it propagates
     /// `EUCLEAN`.
-    fn read_node(
+    fn with_node<R>(
         &mut self,
         addr: u64,
-        expected_level: Option<u16>,
+        level: u16,
         tag: ReiserBlockType,
-    ) -> VfsResult<Node> {
-        let block = self.read_block(addr, tag)?;
-        match Node::decode(&block, expected_level) {
-            Some(node) => Ok(node),
-            None => {
-                let msg = format!("vs-5151: tree block {addr} failed sanity check");
-                let err = self.env.reject("reiserfs", msg);
-                if matches!(tag, ReiserBlockType::Root | ReiserBlockType::Internal) {
-                    // PAPER-BUG: panic instead of returning an error.
-                    let msg = format!("vs-6000: corrupted internal tree block {addr}");
-                    return Err(self.env.panic("reiserfs", msg));
-                }
-                Err(err)
-            }
+        f: impl FnOnce(NodeView<'_>) -> R,
+    ) -> VfsResult<R> {
+        if let Some(view) = NodeView::new(self.read_block(addr, tag)?, Some(level)) {
+            return Ok(f(view));
         }
+        let msg = format!("vs-5151: tree block {addr} failed sanity check");
+        let err = self.env.reject("reiserfs", msg);
+        if matches!(tag, ReiserBlockType::Root | ReiserBlockType::Internal) {
+            // PAPER-BUG: panic instead of returning an error.
+            let msg = format!("vs-6000: corrupted internal tree block {addr}");
+            return Err(self.env.panic("reiserfs", msg));
+        }
+        Err(err)
     }
 
     fn write_node(&mut self, addr: u64, node: &Node, tag: ReiserBlockType) {
@@ -674,6 +673,7 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
         let (bm_addr, bit) = self.layout.bitmap_location(addr);
         let mut bm = self
             .read_block(bm_addr.0, ReiserBlockType::DataBitmap)
+            .cloned()
             .inspect_err(|_| {
                 let msg = format!("bitmap block {bm_addr} unreadable");
                 self.env.klog.error("reiserfs", msg);
@@ -692,9 +692,9 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
         // contents, per the paper).
         for i in 0..self.layout.bitmap_len {
             let bm_addr = self.layout.bitmap_start + i;
-            let bm = self.read_block(bm_addr, ReiserBlockType::DataBitmap)?;
             let bits_per_block = BLOCK_SIZE as u64 * 8;
             let limit = bits_per_block.min(self.sb.total_blocks - i * bits_per_block);
+            let bm = self.read_block(bm_addr, ReiserBlockType::DataBitmap)?;
             if let Some(bit) = bm.first_zero_bit(limit, 0) {
                 let addr = i * bits_per_block + bit;
                 self.bitmap_op(addr, true)?;
@@ -734,47 +734,55 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
         }
     }
 
-    /// Root-to-leaf path for `key`.
-    fn search_path(&mut self, key: Key, purpose: ReiserBlockType) -> VfsResult<Vec<(u64, Node)>> {
+    /// Descend from the root towards `key`, checking each internal node
+    /// on the way: the address and expected level of the node at the
+    /// bottom (a leaf, unless the superblock's height is corrupt). With a
+    /// `path`, every internal node passed is pushed onto it as
+    /// `(addr, level)`, root first.
+    fn descend(
+        &mut self,
+        key: Key,
+        purpose: ReiserBlockType,
+        mut path: Option<&mut Vec<(u64, u16)>>,
+    ) -> VfsResult<(u64, u16)> {
         let mut addr = self.sb.root_block;
         let mut level = self.sb.tree_height as u16;
-        let mut path = Vec::new();
-        loop {
+        while level > 1 {
             let tag = self.tag_for(addr, level, purpose);
-            let node = self.read_node(addr, Some(level), tag)?;
-            let next = match &node {
-                Node::Leaf(_) => None,
-                Node::Internal { keys, children, .. } => {
-                    Some(children[Node::child_index(keys, &key)])
-                }
-            };
-            path.push((addr, node));
-            match next {
-                Some(n) => {
-                    addr = n;
-                    level -= 1;
-                }
-                None => return Ok(path),
+            let child = self.with_node(addr, level, tag, |v| v.child(v.child_index(&key)))?;
+            if let Some(path) = path.as_mut() {
+                path.push((addr, level));
             }
+            addr = child;
+            level -= 1;
         }
+        Ok((addr, level))
+    }
+
+    /// Descend to the leaf for `key` and run `f` on it, in place.
+    fn with_leaf<R>(
+        &mut self,
+        key: Key,
+        purpose: ReiserBlockType,
+        path: Option<&mut Vec<(u64, u16)>>,
+        f: impl FnOnce(NodeView<'_>) -> R,
+    ) -> VfsResult<(u64, R)> {
+        let (addr, level) = self.descend(key, purpose, path)?;
+        let tag = self.tag_for(addr, level, purpose);
+        Ok((addr, self.with_node(addr, level, tag, f)?))
     }
 
     /// Fetch the item with exactly `key`.
     fn tree_get(&mut self, key: Key, purpose: ReiserBlockType) -> VfsResult<Option<Item>> {
-        let path = self.search_path(key, purpose)?;
-        let (_, Node::Leaf(items)) = path.last().expect("nonempty path") else {
-            return Ok(None);
-        };
-        Ok(items.iter().find(|i| i.key == key).cloned())
+        let found = |v: NodeView<'_>| v.find(&key).map(ItemRef::to_item);
+        Ok(self.with_leaf(key, purpose, None, found)?.1)
     }
 
     /// Insert (or replace) an item, splitting nodes as needed.
     fn tree_put(&mut self, item: Item, purpose: ReiserBlockType) -> VfsResult<()> {
-        let mut path = self.search_path(item.key, purpose)?;
-        let (leaf_addr, leaf) = path.pop().expect("nonempty path");
-        let Node::Leaf(mut items) = leaf else {
-            unreachable!("search ends at a leaf");
-        };
+        let mut path = Vec::new();
+        let all = |v: NodeView<'_>| v.items().map(ItemRef::to_item).collect::<Vec<_>>();
+        let (leaf_addr, mut items) = self.with_leaf(item.key, purpose, Some(&mut path), all)?;
         match items.binary_search_by(|i| i.key.cmp(&item.key)) {
             Ok(i) => items[i] = item,
             Err(i) => items.insert(i, item),
@@ -808,7 +816,7 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
     /// Propagate a split upward.
     fn insert_into_parents(
         &mut self,
-        mut path: Vec<(u64, Node)>,
+        mut path: Vec<(u64, u16)>,
         mut left_addr: u64,
         mut sep: Key,
         mut right_addr: u64,
@@ -830,14 +838,18 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
                     self.buf.stage(0, self.sb.encode(), ReiserBlockType::Super);
                     return Ok(());
                 }
-                Some((
-                    addr,
-                    Node::Internal {
-                        level,
+                Some((addr, level)) => {
+                    // The descent read this parent, so it is buffered: its
+                    // decode issues no device read.
+                    let tag = self.tag_for(addr, level, ReiserBlockType::Internal);
+                    let Node::Internal {
                         mut keys,
                         mut children,
-                    },
-                )) => {
+                        ..
+                    } = self.with_node(addr, level, tag, |v| v.to_node())?
+                    else {
+                        unreachable!("parents are internal");
+                    };
                     let idx = children
                         .iter()
                         .position(|c| *c == left_addr)
@@ -845,7 +857,6 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
                     keys.insert(idx, sep);
                     children.insert(idx + 1, right_addr);
                     if children.len() <= INTERNAL_MAX {
-                        let tag = self.tag_for(addr, level, ReiserBlockType::Internal);
                         self.write_node(
                             addr,
                             &Node::Internal {
@@ -886,7 +897,6 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
                     sep = sep2;
                     right_addr = new_right;
                 }
-                Some((_, Node::Leaf(_))) => unreachable!("parents are internal"),
             }
         }
     }
@@ -895,16 +905,18 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
     /// the tree for later reuse (this model never merges nodes; real
     /// ReiserFS rebalances — DESIGN.md records the simplification).
     fn tree_delete(&mut self, key: Key, purpose: ReiserBlockType) -> VfsResult<bool> {
-        let mut path = self.search_path(key, purpose)?;
-        let (leaf_addr, leaf) = path.pop().expect("nonempty path");
-        let Node::Leaf(mut items) = leaf else {
-            unreachable!();
+        let others = |v: NodeView<'_>| {
+            v.find(&key).map(|_| {
+                v.items()
+                    .filter(|i| i.key != key)
+                    .map(ItemRef::to_item)
+                    .collect()
+            })
         };
-        let before = items.len();
-        items.retain(|i| i.key != key);
-        if items.len() == before {
+        let (leaf_addr, rest) = self.with_leaf(key, purpose, None, others)?;
+        let Some(items) = rest else {
             return Ok(false);
-        }
+        };
         self.write_node(leaf_addr, &Node::Leaf(items), ReiserBlockType::LeafNode);
         Ok(true)
     }
@@ -928,25 +940,19 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
         out: &mut Vec<Item>,
     ) -> VfsResult<()> {
         let tag = self.tag_for(addr, level, purpose);
-        match self.read_node(addr, Some(level), tag)? {
-            Node::Leaf(items) => {
-                out.extend(items.into_iter().filter(|i| i.key >= lo && i.key <= hi));
-                Ok(())
+        let children = self.with_node(addr, level, tag, |v| {
+            if v.is_leaf() {
+                let within = v.items().filter(|i| i.key >= lo && i.key <= hi);
+                out.extend(within.map(ItemRef::to_item));
+                Vec::new()
+            } else {
+                v.children_between(&lo, &hi).collect()
             }
-            Node::Internal { keys, children, .. } => {
-                // Child i covers keys in [keys[i-1], keys[i]).
-                for (i, child) in children.iter().enumerate() {
-                    let child_lo = if i == 0 { None } else { Some(keys[i - 1]) };
-                    let child_hi = keys.get(i);
-                    let skip =
-                        child_lo.is_some_and(|l| hi < l) || child_hi.is_some_and(|h| lo >= *h);
-                    if !skip {
-                        self.range_walk(*child, level - 1, lo, hi, purpose, out)?;
-                    }
-                }
-                Ok(())
-            }
+        })?;
+        for child in children {
+            self.range_walk(child, level - 1, lo, hi, purpose, out)?;
         }
+        Ok(())
     }
 
     // ==================================================================
@@ -1066,7 +1072,7 @@ impl<D: BlockDevice + RawAccess> ReiserFs<D> {
                     )?;
                 }
                 Err(VfsError::Errno(Errno::EIO)) => {
-                    // PAPER-BUG: detected (logged by read_node) but ignored:
+                    // PAPER-BUG: detected (logged by read_block) but ignored:
                     // those blocks are now leaked.
                 }
                 Err(e) => return Err(e),
@@ -1339,12 +1345,17 @@ impl<D: BlockDevice + RawAccess> SpecificFs for ReiserFs<D> {
         let bs = BLOCK_SIZE as u64;
         let mut out = Vec::with_capacity((end - off) as usize);
         let mut pos = off;
+        // One indirect-item lookup per chunk, not per block.
+        let mut ptrs = (u64::MAX, Vec::new());
         while pos < end {
             let idx = pos / bs;
             let within = (pos % bs) as usize;
             let take = ((end - pos) as usize).min(BLOCK_SIZE - within);
             let chunk = idx / PTRS_PER_INDIRECT as u64;
-            let ptrs = self.body_ptrs(oid, chunk)?;
+            if ptrs.0 != chunk {
+                ptrs = (chunk, self.body_ptrs(oid, chunk)?);
+            }
+            let ptrs = &ptrs.1;
             let slot = (idx % PTRS_PER_INDIRECT as u64) as usize;
             let ptr = ptrs.get(slot).copied().unwrap_or(0);
             if ptr == 0 {
@@ -1413,6 +1424,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for ReiserFs<D> {
                 Block::zeroed()
             } else {
                 self.read_block(ptrs[slot] as u64, ReiserBlockType::Data)?
+                    .clone()
             };
             if ptrs[slot] == 0 {
                 ptrs[slot] = self.alloc_block()? as u32;
@@ -1507,7 +1519,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for ReiserFs<D> {
                 let ptrs = self.body_ptrs(oid, idx / PTRS_PER_INDIRECT as u64)?;
                 if let Some(&p) = ptrs.get((idx % PTRS_PER_INDIRECT as u64) as usize) {
                     if p != 0 {
-                        let mut b = self.read_block(p as u64, ReiserBlockType::Data)?;
+                        let mut b = self.read_block(p as u64, ReiserBlockType::Data)?.clone();
                         for byte in &mut b[(size % bs) as usize..] {
                             *byte = 0;
                         }

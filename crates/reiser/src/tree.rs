@@ -12,8 +12,9 @@
 //!   keyed by file block offset.
 //!
 //! Every node begins with a block header `{level, item count, free space}`
-//! that ReiserFS sanity-checks on each read (§5.2) — [`Node::decode`]
-//! returns `None` exactly when those checks fail.
+//! that ReiserFS sanity-checks on each read (§5.2) — [`NodeView::new`]
+//! returns `None` exactly when those checks fail, and [`Node::decode`] is
+//! that view copied out.
 
 use iron_core::{Block, BLOCK_SIZE};
 
@@ -190,87 +191,175 @@ impl Node {
         b
     }
 
-    /// Decode with ReiserFS's block-header sanity checks: level within
-    /// bounds (and equal to `expected_level` when the caller knows it from
-    /// the descent), item count and free space consistent with the block's
-    /// actual contents. Returns `None` on any failed check — the caller
-    /// decides whether that means `panic` or `RPropagate` (§5.2 does both,
-    /// in different places).
+    /// Decode with ReiserFS's block-header sanity checks: the checks of
+    /// [`NodeView::new`], then every item, key and child copied out.
+    /// Returns `None` on any failed check — the caller decides whether
+    /// that means `panic` or `RPropagate` (§5.2 does both, in different
+    /// places).
     pub fn decode(b: &Block, expected_level: Option<u16>) -> Option<Node> {
-        let level = b.get_u16(0);
-        if level == 0 || level > MAX_HEIGHT {
-            return None;
-        }
-        if let Some(exp) = expected_level {
-            if level != exp {
-                return None;
-            }
-        }
-        let nitems = b.get_u16(2) as usize;
-        let declared_free = b.get_u16(4) as usize;
-        if level == 1 {
-            if nitems > LEAF_CAPACITY / ITEM_OVERHEAD {
-                return None;
-            }
-            let mut items = Vec::with_capacity(nitems);
-            let mut off = HDR;
-            for _ in 0..nitems {
-                if off + ITEM_OVERHEAD > BLOCK_SIZE {
-                    return None;
-                }
-                let key = decode_key(b, off)?;
-                let len = b.get_u16(off + 24) as usize;
-                if off + ITEM_OVERHEAD + len > BLOCK_SIZE {
-                    return None;
-                }
-                items.push(Item {
-                    key,
-                    payload: b.get_bytes(off + 26, len).to_vec(),
-                });
-                off += ITEM_OVERHEAD + len;
-            }
-            let used = Self::leaf_used(&items);
-            if declared_free != LEAF_CAPACITY - used {
-                return None; // free-space field inconsistent: corrupt header
-            }
-            // Keys must be strictly sorted.
-            if items.windows(2).any(|w| w[0].key >= w[1].key) {
-                return None;
-            }
-            Some(Node::Leaf(items))
-        } else {
-            if nitems == 0 || nitems > INTERNAL_MAX {
-                return None;
-            }
-            let used = nitems * 24 + (nitems + 1) * 8;
-            if HDR + used > BLOCK_SIZE || declared_free != LEAF_CAPACITY - used {
-                return None;
-            }
-            let mut keys = Vec::with_capacity(nitems);
-            let mut off = HDR;
-            for _ in 0..nitems {
-                keys.push(decode_key(b, off)?);
-                off += 24;
-            }
-            let mut children = Vec::with_capacity(nitems + 1);
-            for _ in 0..=nitems {
-                children.push(b.get_u64(off));
-                off += 8;
-            }
-            if keys.windows(2).any(|w| w[0] >= w[1]) {
-                return None;
-            }
-            Some(Node::Internal {
-                level,
-                keys,
-                children,
-            })
-        }
+        NodeView::new(b, expected_level).map(|v| v.to_node())
     }
 
     /// Child index to descend into for `key`.
     pub fn child_index(keys: &[Key], key: &Key) -> usize {
         keys.iter().take_while(|k| key >= k).count()
+    }
+}
+
+/// A leaf item as it lies in its block: the key and a borrowed payload.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ItemRef<'a> {
+    /// The key.
+    pub key: Key,
+    /// The payload, in the block.
+    pub payload: &'a [u8],
+}
+
+impl ItemRef<'_> {
+    /// Copy the item out of its block.
+    pub fn to_item(self) -> Item {
+        Item {
+            key: self.key,
+            payload: self.payload.to_vec(),
+        }
+    }
+}
+
+/// A tree node read in place: a block that passed ReiserFS's block-header
+/// sanity checks (§5.2), searched by key in its own bytes. Nothing is
+/// copied until an item is taken out ([`ItemRef::to_item`],
+/// [`Self::to_node`]).
+#[derive(Clone, Copy, Debug)]
+pub struct NodeView<'a> {
+    b: &'a Block,
+    level: u16,
+    /// Items of a leaf, separator keys of an internal node.
+    count: usize,
+}
+
+impl<'a> NodeView<'a> {
+    /// Check `b` as a tree node: level within bounds (and equal to
+    /// `expected_level` when the caller knows it from the descent), item
+    /// count within what the node can hold, every item inside the block,
+    /// the free-space field equal to what the items leave, every key's
+    /// kind known, and keys strictly sorted. `None` on any failed check;
+    /// these are the only sanity rules, and [`Node::decode`] runs them
+    /// through here.
+    pub fn new(b: &'a Block, expected_level: Option<u16>) -> Option<Self> {
+        let level = b.get_u16(0);
+        if level == 0 || level > MAX_HEIGHT {
+            return None;
+        }
+        if expected_level.is_some_and(|exp| level != exp) {
+            return None;
+        }
+        let count = b.get_u16(2) as usize;
+        let mut prev = None;
+        let mut sorted = |key: Key| prev.replace(key).is_none_or(|p| p < key);
+        let used = if level == 1 {
+            if count > LEAF_CAPACITY / ITEM_OVERHEAD {
+                return None;
+            }
+            let mut off = HDR;
+            for _ in 0..count {
+                if off + ITEM_OVERHEAD > BLOCK_SIZE || !sorted(decode_key(b, off)?) {
+                    return None;
+                }
+                off += ITEM_OVERHEAD + b.get_u16(off + 24) as usize;
+            }
+            off - HDR
+        } else {
+            if count == 0 || count > INTERNAL_MAX {
+                return None;
+            }
+            for i in 0..count {
+                if !sorted(decode_key(b, HDR + 24 * i)?) {
+                    return None;
+                }
+            }
+            count * 24 + (count + 1) * 8
+        };
+        // Items past the block's end, or a free-space field that disagrees
+        // with them: a corrupt header.
+        if HDR + used > BLOCK_SIZE || b.get_u16(4) as usize != LEAF_CAPACITY - used {
+            return None;
+        }
+        Some(NodeView { b, level, count })
+    }
+
+    /// A leaf?
+    pub fn is_leaf(&self) -> bool {
+        self.level == 1
+    }
+
+    /// Separator key `i` of an internal node.
+    pub fn key(&self, i: usize) -> Key {
+        debug_assert!(!self.is_leaf() && i < self.count);
+        decode_key(self.b, HDR + 24 * i).expect("checked by NodeView::new")
+    }
+
+    /// Child address `i` of an internal node (`i` up to its key count).
+    pub fn child(&self, i: usize) -> u64 {
+        debug_assert!(!self.is_leaf() && i <= self.count);
+        self.b.get_u64(HDR + 24 * self.count + 8 * i)
+    }
+
+    /// The child of an internal node to descend into for `key`: the
+    /// number of separators `<= key`, found by binary search.
+    pub fn child_index(&self, key: &Key) -> usize {
+        let (mut lo, mut hi) = (0, self.count);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.key(mid) <= *key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The children of an internal node whose subtrees can hold a key in
+    /// `[lo, hi]`, left to right (child `i` covers `[key(i-1), key(i))`).
+    pub fn children_between(&self, lo: &Key, hi: &Key) -> impl Iterator<Item = u64> + 'a {
+        let view = *self;
+        (self.child_index(lo)..=self.child_index(hi)).map(move |i| view.child(i))
+    }
+
+    /// A leaf's items, in key order.
+    pub fn items(&self) -> impl Iterator<Item = ItemRef<'a>> + 'a {
+        debug_assert!(self.is_leaf());
+        let b = self.b;
+        let mut off = HDR;
+        (0..self.count).map(move |_| {
+            let len = b.get_u16(off + 24) as usize;
+            let item = ItemRef {
+                key: decode_key(b, off).expect("checked by NodeView::new"),
+                payload: b.get_bytes(off + 26, len),
+            };
+            off += ITEM_OVERHEAD + len;
+            item
+        })
+    }
+
+    /// The leaf item with exactly `key`.
+    pub fn find(&self, key: &Key) -> Option<ItemRef<'a>> {
+        self.items()
+            .find(|i| i.key >= *key)
+            .filter(|i| i.key == *key)
+    }
+
+    /// Copy the whole node out.
+    pub fn to_node(&self) -> Node {
+        if self.is_leaf() {
+            Node::Leaf(self.items().map(ItemRef::to_item).collect())
+        } else {
+            Node::Internal {
+                level: self.level,
+                keys: (0..self.count).map(|i| self.key(i)).collect(),
+                children: (0..=self.count).map(|i| self.child(i)).collect(),
+            }
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 //! staged address the staged image and the cached image differ, and the
 //! checkpoint must write the staged one.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use iron_core::Block;
@@ -42,32 +43,27 @@ impl<T> Buffers<T> {
         Self::default()
     }
 
-    /// Read `addr`: its staged image, else [`Self::read_cached`].
-    pub fn read(
+    /// Borrow `addr`'s image: its staged image, else [`Self::get_cached`].
+    pub fn get(
         &mut self,
         addr: u64,
         fetch: impl FnOnce() -> VfsResult<Block>,
-    ) -> VfsResult<Block> {
+    ) -> VfsResult<&Block> {
         match self.staged.get(&addr) {
-            Some((b, _)) => Ok(b.clone()),
-            None => self.read_cached(addr, fetch),
+            Some((b, _)) => Ok(b),
+            None => cache_or_fetch(&mut self.cache, addr, fetch),
         }
     }
 
-    /// Read `addr` past the staged set, as a block the model writes in
-    /// place: its cached image, else what `fetch` (the model's own device
-    /// read) returns, cached.
-    pub fn read_cached(
+    /// Borrow `addr`'s image past the staged set, as a block the model
+    /// writes in place: its cached image, else what `fetch` (the model's
+    /// own device read) returns, cached.
+    pub fn get_cached(
         &mut self,
         addr: u64,
         fetch: impl FnOnce() -> VfsResult<Block>,
-    ) -> VfsResult<Block> {
-        if let Some(b) = self.cache.get(&addr) {
-            return Ok(b.clone());
-        }
-        let b = fetch()?;
-        self.cache.insert(addr, b.clone());
-        Ok(b)
+    ) -> VfsResult<&Block> {
+        cache_or_fetch(&mut self.cache, addr, fetch)
     }
 
     /// Cache the image just written to (or read from) `addr`.
@@ -114,6 +110,20 @@ impl<T> Buffers<T> {
     }
 }
 
+/// The cached image of `addr`, else `fetch`'s, cached. It takes the cache
+/// alone so that [`Buffers::get`] can fall through to it while the staged
+/// set is borrowed.
+fn cache_or_fetch(
+    cache: &mut HashMap<u64, Block>,
+    addr: u64,
+    fetch: impl FnOnce() -> VfsResult<Block>,
+) -> VfsResult<&Block> {
+    match cache.entry(addr) {
+        Entry::Occupied(e) => Ok(e.into_mut()),
+        Entry::Vacant(e) => Ok(e.insert(fetch()?)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,22 +133,34 @@ mod tests {
     fn a_read_sees_the_staged_image_then_the_cache_then_the_fetch() {
         let mut buf = Buffers::new();
         let unreachable = || -> VfsResult<Block> { panic!("no fetch expected") };
-        assert_eq!(
-            buf.read(5, || Ok(Block::filled(1))).unwrap(),
-            Block::filled(1)
-        );
-        assert_eq!(buf.read(5, unreachable).unwrap(), Block::filled(1));
+        assert_eq!(buf.get(5, || Ok(Block::filled(1))), Ok(&Block::filled(1)));
+        assert_eq!(buf.get(5, unreachable), Ok(&Block::filled(1)));
+        assert_eq!(buf.get_cached(5, unreachable), Ok(&Block::filled(1)));
         buf.stage(5, Block::filled(2), 'm');
         // A write in place updates the cache only.
         buf.cache(5, Block::filled(3));
-        assert_eq!(buf.read(5, unreachable).unwrap(), Block::filled(2));
-        assert_eq!(buf.read_cached(5, unreachable).unwrap(), Block::filled(3));
-        let failed = buf.read(6, || Err(Errno::EIO.into()));
+        assert_eq!(buf.get(5, unreachable), Ok(&Block::filled(2)));
+        assert_eq!(buf.get_cached(5, unreachable), Ok(&Block::filled(3)));
+        // The borrowed image is the buffered one, not a copy of it.
+        let staged: *const Block = buf.get(5, unreachable).unwrap();
+        assert!(std::ptr::eq(staged, buf.get(5, unreachable).unwrap()));
+        let cached: *const Block = buf.get_cached(5, unreachable).unwrap();
+        assert!(!std::ptr::eq(staged, cached));
+        assert!(std::ptr::eq(
+            cached,
+            buf.get_cached(5, unreachable).unwrap()
+        ));
+        let failed = buf.get(6, || Err(Errno::EIO.into())).cloned();
         assert_eq!(failed.unwrap_err().errno(), Some(Errno::EIO));
+        let failed = buf.get_cached(7, || Err(Errno::EIO.into())).cloned();
+        assert_eq!(failed.unwrap_err().errno(), Some(Errno::EIO));
+        // A failed fetch caches nothing: the next read fetches again.
+        assert_eq!(buf.get(6, || Ok(Block::filled(4))), Ok(&Block::filled(4)));
         assert_eq!(
-            buf.read(6, || Ok(Block::filled(4))).unwrap(),
-            Block::filled(4)
+            buf.get_cached(7, || Ok(Block::filled(5))),
+            Ok(&Block::filled(5))
         );
+        assert_eq!(buf.get(7, unreachable), Ok(&Block::filled(5)));
     }
 
     #[test]
@@ -156,10 +178,7 @@ mod tests {
             .collect();
         assert_eq!(order, [(7, 3, 'a'), (3, 2, 'b'), (9, 4, 'c')]);
         assert!(buf.is_empty());
-        assert_eq!(
-            buf.read(7, || Err(Errno::EIO.into())).unwrap(),
-            Block::filled(3)
-        );
+        assert_eq!(buf.get(7, || Err(Errno::EIO.into())), Ok(&Block::filled(3)));
     }
 
     #[test]
@@ -170,14 +189,8 @@ mod tests {
         buf.stage(3, Block::filled(3), ());
         buf.forget(2);
         buf.uncache(3);
-        assert_eq!(
-            buf.read(2, || Ok(Block::zeroed())).unwrap(),
-            Block::zeroed()
-        );
-        assert_eq!(
-            buf.read(3, || Ok(Block::zeroed())).unwrap(),
-            Block::filled(3)
-        );
+        assert_eq!(buf.get(2, || Ok(Block::zeroed())), Ok(&Block::zeroed()));
+        assert_eq!(buf.get(3, || Ok(Block::zeroed())), Ok(&Block::filled(3)));
         buf.forget(1);
         buf.stage(1, Block::filled(5), ());
         let addrs: Vec<_> = buf.drain().into_iter().map(|(a, b, _)| (a, b[0])).collect();
