@@ -14,7 +14,7 @@
 //! The layer also implements **I/O deadlines**: when configured, any
 //! request whose simulated service time exceeds the deadline is failed
 //! with [`DiskError::Timeout`] even though the medium "completed" it.
-//! This is what turns the time-domain faults (`FaultKind::Slow`/`Hang`)
+//! This is what turns the time-domain fault (`FaultKind::Slow`)
 //! into a detectable error class.
 //!
 //! On the fault-free path the layer reads the clock twice and touches two

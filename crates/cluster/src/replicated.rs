@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use iron_blockdev::{BlockDevice, DiskError, DiskResult, MemDisk, Page, RawAccess, StackBuilder};
-use iron_core::{Block, BlockAddr, BlockTag, IoKind, SimClock};
+use iron_core::{Block, BlockAddr, BlockTag, IoKind};
 
 /// How reads are routed across the replicas.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -66,12 +66,6 @@ pub struct ClusterStatsSnapshot {
     /// Quorum reads with no content majority — detected divergence the
     /// volume could not arbitrate (surfaced as an I/O error).
     pub unarbitrated_reads: u64,
-    /// Reads whose replica exceeded the I/O deadline; the initiator gave
-    /// up on the slow replica and served the request from a peer.
-    pub hedged_reads: u64,
-    /// Reads that skipped a replica already marked slow (suspect), so a
-    /// hung spindle is not consulted — and cannot stall — again.
-    pub slow_replica_skips: u64,
 }
 
 #[derive(Debug, Default)]
@@ -110,13 +104,6 @@ pub struct ReplicatedDisk<D> {
     policy: ReadPolicy,
     rr_next: usize,
     shared: ClusterStats,
-    /// Per-read I/O deadline against the sim clock; `None` disables
-    /// hedging entirely (no timing, no suspects — the pre-deadline
-    /// behavior, bit for bit).
-    deadline: Option<(SimClock, u64)>,
-    /// Replicas that exceeded the deadline; skipped on later reads until
-    /// [`Self::clear_suspects`].
-    suspect: Vec<bool>,
 }
 
 impl<D: BlockDevice> ReplicatedDisk<D> {
@@ -131,40 +118,12 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
             replicas.iter().all(|r| r.num_blocks() == blocks),
             "all replicas of a mirrored volume must be the same size"
         );
-        let n = replicas.len();
         ReplicatedDisk {
             replicas,
             policy,
             rr_next: 0,
             shared: ClusterStats::default(),
-            deadline: None,
-            suspect: vec![false; n],
         }
-    }
-
-    /// Arm a per-read I/O deadline: a replica read that charges more than
-    /// `deadline_ns` of sim time is treated as hung — the initiator hedges
-    /// to the next peer and marks the slow replica suspect, so it is not
-    /// consulted again until [`Self::clear_suspects`].
-    pub fn with_read_deadline(mut self, clock: SimClock, deadline_ns: u64) -> Self {
-        self.deadline = Some((clock, deadline_ns));
-        self
-    }
-
-    /// Indices of replicas currently marked slow.
-    pub fn suspects(&self) -> Vec<usize> {
-        self.suspect
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Forgive all slow-replica suspicions (e.g. after an admin replaced
-    /// the spindle).
-    pub fn clear_suspects(&mut self) {
-        self.suspect.iter_mut().for_each(|s| *s = false);
     }
 
     /// Number of replicas.
@@ -224,65 +183,24 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
         f(&mut self.shared.state.lock().unwrap().stats)
     }
 
-    /// Read replica `i`, reporting whether the request exceeded the I/O
-    /// deadline. Without a configured deadline nothing is timed.
-    fn timed_read(
-        &mut self,
-        i: usize,
-        addr: BlockAddr,
-        tag: BlockTag,
-    ) -> (DiskResult<Arc<Page>>, bool) {
-        match self.deadline.clone() {
-            Some((clock, limit)) => {
-                let t0 = clock.now_ns();
-                let res = self.replicas[i].read_page(addr, tag);
-                (res, clock.elapsed_since(t0) > limit)
-            }
-            None => (self.replicas[i].read_page(addr, tag), false),
-        }
-    }
-
-    /// True when every replica is marked slow — then skipping is pointless
-    /// and the volume falls back to consulting all of them.
-    fn all_suspect(&self) -> bool {
-        self.suspect.iter().all(|&s| s)
-    }
-
     /// Read every replica and pick the content-majority winner.
     ///
     /// Returns the per-replica pages and the index of a replica holding
     /// the winning content (`None` when no strict majority exists). Pages
     /// vote with [`Page::same`]: replicas that share the written page
-    /// agree without comparing a byte.
-    /// Replicas marked slow are skipped (their slot reads as a
-    /// [`DiskError::Timeout`]); a replica that exceeds the deadline here
-    /// is marked for future skipping but its result still participates —
-    /// the data already arrived. Beyond suspect bookkeeping it records
-    /// nothing — callers decide what a disagreement means.
+    /// agree without comparing a byte. It records nothing — callers
+    /// decide what a disagreement means.
     pub(crate) fn read_all(
         &mut self,
         addr: BlockAddr,
         tag: BlockTag,
     ) -> (Vec<DiskResult<Arc<Page>>>, Option<usize>) {
         let n = self.replicas.len();
-        let all_suspect = self.all_suspect();
-        let mut results: Vec<DiskResult<Arc<Page>>> = Vec::with_capacity(n);
-        for i in 0..n {
-            if self.suspect[i] && !all_suspect {
-                self.bump(|s| s.slow_replica_skips += 1);
-                results.push(Err(DiskError::Timeout {
-                    addr,
-                    kind: IoKind::Read,
-                }));
-                continue;
-            }
-            let (res, exceeded) = self.timed_read(i, addr, tag);
-            if exceeded {
-                self.suspect[i] = true;
-                self.bump(|s| s.hedged_reads += 1);
-            }
-            results.push(res);
-        }
+        let results: Vec<DiskResult<Arc<Page>>> = self
+            .replicas
+            .iter_mut()
+            .map(|r| r.read_page(addr, tag))
+            .collect();
         // Group successful reads by content; first-seen group wins ties,
         // so arbitration is deterministic in replica order.
         let mut groups: Vec<(usize, usize)> = Vec::new(); // (first idx, count)
@@ -319,8 +237,9 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
                         Ok(p) if Page::same(p, &good) => {}
                         Ok(_) => self.note_divergence(addr, i, DivergenceKind::Mismatch, tag),
                         // Slowness is a timing condition, not bad data: a
-                        // skipped replica's medium is presumed intact, so
-                        // it is not queued for repair.
+                        // replica stack whose own deadline layer gave up
+                        // holds a medium presumed intact, so it is not
+                        // queued for repair.
                         Err(DiskError::Timeout { .. }) => {}
                         Err(_) => self.note_divergence(addr, i, DivergenceKind::Unreadable, tag),
                     }
@@ -361,36 +280,20 @@ impl<D: BlockDevice> ReplicatedDisk<D> {
         start: usize,
     ) -> DiskResult<Arc<Page>> {
         let n = self.replicas.len();
-        let all_suspect = self.all_suspect();
-        let mut last: Option<DiskResult<Arc<Page>>> = None;
+        let mut last = None;
         for k in 0..n {
             let i = (start + k) % n;
-            if self.suspect[i] && !all_suspect {
-                self.bump(|s| s.slow_replica_skips += 1);
-                continue;
-            }
-            let (res, exceeded) = self.timed_read(i, addr, tag);
-            if exceeded {
-                // The initiator gave up waiting and hedges to the next
-                // peer; the slow replica is marked and skipped from now
-                // on. Its (late) result is kept only as a last resort.
-                self.suspect[i] = true;
-                self.bump(|s| s.hedged_reads += 1);
-                last = Some(res);
-                continue;
-            }
-            match res {
+            match self.replicas[i].read_page(addr, tag) {
                 Ok(b) => return Ok(b),
                 Err(e) => {
                     self.note_divergence(addr, i, DivergenceKind::Unreadable, tag);
                     self.bump(|s| s.failovers += 1);
-                    last = Some(Err(e));
+                    last = Some(e);
                 }
             }
         }
-        // Every consulted replica was slow or failed: serve the last
-        // result — a hedged-but-correct block beats inventing an error.
-        last.expect("at least one replica consulted")
+        // Every replica failed: propagate the last error.
+        Err(last.expect("at least one replica"))
     }
 }
 

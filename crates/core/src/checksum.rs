@@ -1,24 +1,25 @@
 //! Checksums used across the workspace.
 //!
-//! The paper's ixt3 prototype uses SHA-1 over block contents (§6.1); CRC32
-//! is the whole-transaction pass inside ixt3's transactional checksum
-//! (`Tc`) and has no other user. Each has two kernels, chosen at run time:
+//! The paper's ixt3 prototype uses SHA-1 over block contents (§6.1); it is
+//! the one hash every checksum in the workspace uses, ixt3's transactional
+//! checksum (`Tc`) included. SHA-1 has two kernels, chosen at run time:
 //!
-//! * on x86-64 with the SHA extensions, SHA-1 compresses all whole chunks
-//!   of an input, and then its padding, in one call each with the state in
-//!   registers; with PCLMULQDQ, CRC-32 folds an input of at least 64 bytes
-//!   by carry-less multiplies down to its last `len % 16` bytes;
-//! * everywhere else (other CPUs, other architectures, and CRC-32's short
-//!   inputs and tails), the portable scalar Rust they fall back on: an
-//!   unrolled SHA-1 that allocates nothing and a slice-by-8 CRC-32.
+//! * on x86-64 with the SHA extensions, it compresses all whole chunks of
+//!   an input, and then its padding, in one call each with the state in
+//!   registers;
+//! * everywhere else (other CPUs, other architectures), the portable
+//!   scalar Rust it falls back on: an unrolled SHA-1 that allocates
+//!   nothing.
 //!
 //! The choice is `std::is_x86_feature_detected!`, which std caches; it
-//! never changes a digest or a CRC. The two calls into the hardware
-//! kernels, each behind its feature check, are the workspace's only
-//! `unsafe` code. Every kernel is test-vectored against the published
-//! standards and compared against the straight-from-the-spec forms (kept
-//! under `#[cfg(test)]`), so the workspace carries no external crypto
-//! dependency.
+//! never changes a digest. The call into the hardware kernel, behind its
+//! feature check, is the workspace's only `unsafe` code. Both kernels are
+//! test-vectored against the published standard and compared against the
+//! straight-from-the-spec form (kept under `#[cfg(test)]`), so the
+//! workspace carries no external crypto dependency.
+//!
+//! CRC-32 ([`crc32`], scalar slice-by-8) has no library user; it stays
+//! only for the benchmark's checksum-throughput row.
 
 /// A SHA-1 digest (20 bytes).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -44,10 +45,6 @@ const SHA1_INIT: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC
 /// (whose length is a multiple of 64) into the state, in order.
 type Sha1Blocks = fn(&mut [u32; 5], &[u8]);
 
-/// A CRC-32 fold kernel: `crc32_update` over an input of at least 64
-/// bytes whose length is a multiple of 16.
-type Crc32Fold = fn(u32, &[u8]) -> u32;
-
 /// The SHA-NI block kernel, when this CPU has the SHA extensions.
 fn sha1_hw() -> Option<Sha1Blocks> {
     #[cfg(target_arch = "x86_64")]
@@ -59,22 +56,6 @@ fn sha1_hw() -> Option<Sha1Blocks> {
             unsafe { x86::sha1_blocks(h, data) }
         }
         return Some(blocks);
-    }
-    None
-}
-
-/// The carry-less-multiply fold kernel, when this CPU has PCLMULQDQ.
-fn crc32_hw() -> Option<Crc32Fold> {
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("pclmulqdq") && std::is_x86_feature_detected!("sse4.1") {
-        #[allow(unsafe_code)]
-        fn fold(state: u32, data: &[u8]) -> u32 {
-            // SAFETY: `fold` is only handed out after the check above
-            // found `pclmulqdq` and `sse4.1`, the features the kernel
-            // enables.
-            unsafe { x86::crc32_fold(state, data) }
-        }
-        return Some(fold);
     }
     None
 }
@@ -245,37 +226,12 @@ static CRC32_TABLES: [[u32; 256]; 8] = {
 
 /// Compute the CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of
 /// `data`, as used by zlib/gzip.
-pub fn crc32(data: &[u8]) -> u32 {
-    crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
-}
-
-/// Incremental CRC-32 update. `state` starts as `0xFFFF_FFFF`; the final
-/// checksum is `state ^ 0xFFFF_FFFF`.
 ///
-/// On a CPU with PCLMULQDQ (checked once by std and cached), an input of
-/// at least 64 bytes is folded with carry-less multiplies down to its last
-/// `len % 16` bytes; everything else goes through the portable slice-by-8.
-/// Both give the same CRC.
-pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
-    crc32_update_with(crc32_hw(), state, data)
-}
-
-/// `crc32_update` through the fold kernel `hw`, or slice-by-8 alone if
-/// `None`.
-fn crc32_update_with(hw: Option<Crc32Fold>, state: u32, data: &[u8]) -> u32 {
-    match hw {
-        Some(fold) if data.len() >= 64 => {
-            let (body, tail) = data.split_at(data.len() - data.len() % 16);
-            crc32_slice8(fold(state, body), tail)
-        }
-        _ => crc32_slice8(state, data),
-    }
-}
-
 /// Slice-by-8: eight input bytes are folded per step, one table lookup
 /// each; the last `len % 8` bytes go one at a time.
-fn crc32_slice8(mut state: u32, data: &[u8]) -> u32 {
+pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
+    let mut state = 0xFFFF_FFFF;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = state ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -292,14 +248,13 @@ fn crc32_slice8(mut state: u32, data: &[u8]) -> u32 {
     for &byte in chunks.remainder() {
         state = (state >> 8) ^ t[0][((state ^ u32::from(byte)) & 0xFF) as usize];
     }
-    state
+    state ^ 0xFFFF_FFFF
 }
 
-/// The x86-64 kernels. Each is a safe function that enables the CPU
-/// features it needs, so calling one is `unsafe` only until those features
-/// are checked (`sha1_hw`, `crc32_hw`). Vectors are built from
-/// `from_be_bytes`/`from_le_bytes` words, so nothing here reads through a
-/// pointer.
+/// The x86-64 SHA-NI kernel. It is a safe function that enables the CPU
+/// features it needs, so calling it is `unsafe` only until those features
+/// are checked (`sha1_hw`). Vectors are built from `from_be_bytes` words,
+/// so nothing here reads through a pointer.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::*;
@@ -378,82 +333,6 @@ mod x86 {
         h[3] = _mm_extract_epi32(abcd, 0) as u32;
         h[4] = _mm_extract_epi32(e, 3) as u32;
     }
-
-    /// Sixteen input bytes as two little-endian words, the first low.
-    #[inline]
-    #[target_feature(enable = "sse4.1")]
-    fn crc32_lane(bytes: &[u8]) -> __m128i {
-        let q = |at: usize| i64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        _mm_set_epi64x(q(8), q(0))
-    }
-
-    /// `x` carried 128 bits further along the message by the constant
-    /// pair `k` (low word times `k`'s low, high word times `k`'s high).
-    #[inline]
-    #[target_feature(enable = "pclmulqdq")]
-    fn crc32_fold_by(x: __m128i, k: __m128i) -> __m128i {
-        _mm_xor_si128(
-            _mm_clmulepi64_si128(x, k, 0x00),
-            _mm_clmulepi64_si128(x, k, 0x11),
-        )
-    }
-
-    /// The reflected CRC-32 over `data` (at least 64 bytes, a multiple
-    /// of 16) with carry-less multiplies, after Intel's "Fast CRC
-    /// Computation for Generic Polynomials Using PCLMULQDQ Instruction"
-    /// (Gopal et al., 2009), with its constants for `0xEDB88320` (also
-    /// Linux's `crc32-pclmul`): fold four 128-bit lanes by 512 bits per
-    /// 64-byte step, fold them into one, fold each remaining 16 bytes by
-    /// 128 bits, take 128 bits down to 64, then a bit-reflected Barrett
-    /// reduction to 32.
-    #[target_feature(enable = "pclmulqdq,sse4.1")]
-    pub(super) fn crc32_fold(state: u32, data: &[u8]) -> u32 {
-        // Each fold constant is (x^n mod P) << 32, bit-reflected and
-        // shifted left by one, as the paper derives them.
-        // n = 4*128+32 (low) and 4*128-32 (high).
-        let k1k2 = _mm_set_epi64x(0x1_c6e4_1596, 0x1_5444_2bd4);
-        // n = 128+32 (low) and 128-32 (high).
-        let k3k4 = _mm_set_epi64x(0x0_ccaa_009e, 0x1_7519_97d0);
-        // n = 64.
-        let k5 = _mm_set_epi64x(0, 0x1_63cd_6124);
-        // P' (low) and the Barrett constant mu' (high), both reflected.
-        let poly_mu = _mm_set_epi64x(0x1_f701_1641, 0x1_db71_0641);
-        let low32 = _mm_set_epi64x(0, 0xffff_ffff);
-
-        let mut lines = data.chunks_exact(64);
-        let first = lines.next().expect("at least 64 bytes");
-        let lane = |line: &[u8], i: usize| crc32_lane(&line[16 * i..16 * i + 16]);
-        let mut x = [0, 1, 2, 3].map(|i| lane(first, i));
-        x[0] = _mm_xor_si128(x[0], _mm_set_epi64x(0, i64::from(state)));
-        for line in &mut lines {
-            for (i, xi) in x.iter_mut().enumerate() {
-                *xi = _mm_xor_si128(crc32_fold_by(*xi, k1k2), lane(line, i));
-            }
-        }
-        let mut acc = x[0];
-        for &xi in &x[1..] {
-            acc = _mm_xor_si128(crc32_fold_by(acc, k3k4), xi);
-        }
-        for rest in lines.remainder().chunks_exact(16) {
-            acc = _mm_xor_si128(crc32_fold_by(acc, k3k4), crc32_lane(rest));
-        }
-
-        // 128 bits to 96: the low word times x^(128-32) into the high.
-        acc = _mm_xor_si128(
-            _mm_srli_si128(acc, 8),
-            _mm_clmulepi64_si128(acc, k3k4, 0x10),
-        );
-        // 96 bits to 64: the low 32 bits times x^64 into the rest.
-        acc = _mm_xor_si128(
-            _mm_srli_si128(acc, 4),
-            _mm_clmulepi64_si128(_mm_and_si128(acc, low32), k5, 0x00),
-        );
-        // Barrett: q = floor(low32 * mu'), then acc ^ q * P' leaves the
-        // remainder in bits 32..64.
-        let q = _mm_clmulepi64_si128(_mm_and_si128(acc, low32), poly_mu, 0x10);
-        let qp = _mm_clmulepi64_si128(_mm_and_si128(q, low32), poly_mu, 0x00);
-        _mm_extract_epi32(_mm_xor_si128(acc, qp), 1) as u32
-    }
 }
 
 #[cfg(test)]
@@ -520,8 +399,9 @@ mod tests {
     }
 
     /// CRC-32 one bit at a time: the definition, and the reference for
-    /// the table-driven `crc32_update`.
-    fn reference_crc32_update(mut state: u32, data: &[u8]) -> u32 {
+    /// the table-driven `crc32`.
+    fn reference_crc32(data: &[u8]) -> u32 {
+        let mut state = 0xFFFF_FFFF_u32;
         for &byte in data {
             state ^= u32::from(byte);
             for _ in 0..8 {
@@ -529,77 +409,40 @@ mod tests {
                 state = (state >> 1) ^ (0xEDB8_8320 & mask);
             }
         }
-        state
-    }
-
-    fn reference_crc32(data: &[u8]) -> u32 {
-        reference_crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+        state ^ 0xFFFF_FFFF
     }
 
     /// Every SHA-1 padding boundary (55/56 and 63/64 bytes into a chunk,
-    /// first and second chunk), every slice-by-8 tail length, the CRC
-    /// fold's edges (64 bytes, one 64-byte step plus 15/16/17 bytes, two
-    /// steps plus 15/16/17, one 16-byte tail either side of 4 KiB), and a
-    /// block either side of 4 KiB.
-    const BOUNDARY_LENGTHS: [usize; 27] = [
-        0, 1, 7, 8, 9, 55, 56, 57, 63, 64, 65, 79, 80, 81, 119, 120, 121, 127, 128, 143, 144, 145,
-        4095, 4096, 4097, 4111, 4112,
+    /// first and second chunk), every slice-by-8 tail length, and a block
+    /// either side of 4 KiB.
+    const BOUNDARY_LENGTHS: [usize; 19] = [
+        0, 1, 7, 8, 9, 55, 56, 57, 63, 64, 65, 119, 120, 121, 127, 128, 4095, 4096, 4097,
     ];
 
-    /// The scalar kernel (`None`), then the hardware one when this CPU
-    /// has it, each with its name for a failure message.
-    fn kernels<T>(hw: Option<T>) -> impl Iterator<Item = (&'static str, Option<T>)> {
-        std::iter::once(("scalar", None)).chain(hw.map(|k| ("hardware", Some(k))))
+    /// The scalar SHA-1 kernel (`None`), then the hardware one when this
+    /// CPU has it, each with its name for a failure message.
+    fn sha1_kernels() -> impl Iterator<Item = (&'static str, Option<Sha1Blocks>)> {
+        std::iter::once(("scalar", None)).chain(sha1_hw().map(|k| ("hardware", Some(k))))
     }
 
-    /// Every kernel, scalar and (where the CPU has it) hardware, equals
-    /// its reference on `data[..len]` for every boundary length that fits
-    /// and on all of `data`; `crc32_update` fed `data` in the pieces
-    /// `cuts` delimit equals the reference, and so does a split whose
-    /// pieces straddle the 64-byte fold threshold.
-    fn kernels_match_references(data: &[u8], cuts: &[usize]) {
+    /// Every SHA-1 kernel, scalar and (where the CPU has it) hardware, and
+    /// `crc32` equal their references on `data[..len]` for every boundary
+    /// length that fits and on all of `data`.
+    fn kernels_match_references(data: &[u8]) {
         let lens = BOUNDARY_LENGTHS.iter().copied().filter(|&n| n < data.len());
         for n in lens.chain([data.len()]) {
             let d = &data[..n];
-            for (which, hw) in kernels(sha1_hw()) {
+            for (which, hw) in sha1_kernels() {
                 let digest = sha1_with(hw, d);
                 assert_eq!(digest, reference_sha1(d), "{which} sha1 at length {n}");
             }
-            for (which, hw) in kernels(crc32_hw()) {
-                let crc = crc32_update_with(hw, 0xFFFF_FFFF, d) ^ 0xFFFF_FFFF;
-                assert_eq!(crc, reference_crc32(d), "{which} crc32 at length {n}");
-            }
-        }
-        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
-        cuts.sort_unstable();
-        // Pieces of 63, 1, 64, 65 bytes and the rest: below, at and above
-        // the threshold, each fold starting from a state mid-stream.
-        let straddle = [63, 64, 128, 193].map(|c: usize| c.min(data.len()));
-        for cuts in [&cuts[..], &straddle[..]] {
-            for (which, hw) in kernels(crc32_hw()) {
-                let mut state = 0xFFFF_FFFF;
-                let mut from = 0;
-                for &to in cuts.iter().chain([&data.len()]) {
-                    state = crc32_update_with(hw, state, &data[from..to]);
-                    from = to;
-                }
-                let crc = state ^ 0xFFFF_FFFF;
-                assert_eq!(
-                    crc,
-                    reference_crc32(data),
-                    "{which} crc32 split at {cuts:?}"
-                );
-            }
+            assert_eq!(crc32(d), reference_crc32(d), "crc32 at length {n}");
         }
     }
 
     fn check_kernels(name: &str, cases: u32) {
-        let inputs = (
-            gen::bytes(0..8193),
-            gen::vec_of(gen::usize_in(0..8193), 1..5),
-        );
-        check(name, Config::cases(cases), &inputs, |(data, cuts)| {
-            kernels_match_references(data, cuts)
+        check(name, Config::cases(cases), &gen::bytes(0..8193), |data| {
+            kernels_match_references(data)
         });
     }
 
@@ -663,17 +506,6 @@ mod tests {
     #[test]
     fn crc32_empty_is_zero() {
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_incremental_matches_oneshot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let oneshot = crc32(data);
-        let mut st = 0xFFFF_FFFF;
-        for chunk in data.chunks(7) {
-            st = crc32_update(st, chunk);
-        }
-        assert_eq!(st ^ 0xFFFF_FFFF, oneshot);
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //!   and 2) ([`taxonomy`]);
 //! * block-level primitives: the 4 KiB [`block::Block`] buffer, typed block
 //!   tags used for type-aware fault injection, and little-endian codecs;
-//! * checksums used by ixt3 and by journal self-checks: SHA-1 and CRC32,
-//!   implemented here to keep the workspace dependency-free, each with an
-//!   x86-64 hardware kernel (SHA extensions, PCLMULQDQ) chosen at run time
-//!   over a portable scalar fallback; the two calls into those kernels are
-//!   the crate's only `unsafe` code, which is why it denies rather than
-//!   forbids `unsafe_code` ([`checksum`]);
+//! * the checksum ixt3 and its journal use: SHA-1, implemented here to
+//!   keep the workspace dependency-free, with an x86-64 hardware kernel
+//!   (SHA extensions) chosen at run time over a portable scalar fallback;
+//!   the one call into that kernel is the crate's only `unsafe` code,
+//!   which is why it denies rather than forbids `unsafe_code`
+//!   ([`checksum`]);
 //! * the simulated clock ([`clock::SimClock`]) that the disk timing model
 //!   advances and the benchmarks read;
 //! * the simulated kernel log ([`klog::KernelLog`]) that file systems write

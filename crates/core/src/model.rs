@@ -54,11 +54,6 @@ pub enum FaultKind {
         /// Deterministic service-time multiplier (≥ 1).
         multiplier: u32,
     },
-    /// The request never completes in any useful time frame: the drive is
-    /// hung. Modeled as an enormous fixed service-time charge, so a stack
-    /// *without* deadlines simply stalls (in sim time) while one *with*
-    /// deadlines sees a timeout.
-    Hang,
 }
 
 impl FaultKind {
@@ -70,7 +65,6 @@ impl FaultKind {
             FaultKind::Corruption(_) => "corrupt",
             FaultKind::WholeDisk => "disk",
             FaultKind::Slow { .. } => "slow",
-            FaultKind::Hang => "hang",
         }
     }
 
@@ -82,7 +76,7 @@ impl FaultKind {
         match self {
             FaultKind::ReadError | FaultKind::Corruption(_) => io == IoKind::Read,
             FaultKind::WriteError => io == IoKind::Write,
-            FaultKind::WholeDisk | FaultKind::Slow { .. } | FaultKind::Hang => true,
+            FaultKind::WholeDisk | FaultKind::Slow { .. } => true,
         }
     }
 }
@@ -95,7 +89,6 @@ impl fmt::Display for FaultKind {
             FaultKind::Corruption(style) => write!(f, "corruption ({style})"),
             FaultKind::WholeDisk => write!(f, "whole-disk failure"),
             FaultKind::Slow { multiplier } => write!(f, "slow ({multiplier}× service time)"),
-            FaultKind::Hang => write!(f, "hang"),
         }
     }
 }
@@ -220,8 +213,6 @@ mod tests {
         assert!(FaultKind::WholeDisk.applies_to(IoKind::Write));
         assert!(FaultKind::Slow { multiplier: 8 }.applies_to(IoKind::Read));
         assert!(FaultKind::Slow { multiplier: 8 }.applies_to(IoKind::Write));
-        assert!(FaultKind::Hang.applies_to(IoKind::Read));
-        assert!(FaultKind::Hang.applies_to(IoKind::Write));
     }
 
     #[test]
@@ -255,7 +246,6 @@ mod tests {
             "corrupt"
         );
         assert_eq!(FaultKind::Slow { multiplier: 4 }.label(), "slow");
-        assert_eq!(FaultKind::Hang.label(), "hang");
         assert_eq!(
             format!("{}", FaultKind::Slow { multiplier: 4 }),
             "slow (4× service time)"

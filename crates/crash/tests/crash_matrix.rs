@@ -276,11 +276,11 @@ fn enumerator_catches_the_pr1_legacy_journal_bugs() {
 #[test]
 fn enumerator_inputs_are_pinned() {
     const PINNED: &[(&str, &str, usize, u64)] = &[
-        ("ixt3", "create_sync", 42, 0xA1FD4FB378801DB2),
-        ("ixt3", "overwrite_rename", 42, 0xA25D7F796174E20F),
-        ("ixt3", "reuse_dir", 62, 0x518C976117DD6F00),
-        ("ixt3", "free_reuse", 20, 0x19E8BBC0F9DB15D0),
-        ("ixt3", "truncate_churn", 67, 0x5007D6A1C2FB895E),
+        ("ixt3", "create_sync", 42, 0x5095567653539E4A),
+        ("ixt3", "overwrite_rename", 42, 0x464B67BE5D650DD1),
+        ("ixt3", "reuse_dir", 62, 0xC74675C604C1C264),
+        ("ixt3", "free_reuse", 20, 0x482EB91C82F1A446),
+        ("ixt3", "truncate_churn", 67, 0x1ACF9184100FC642),
         ("ext3", "create_sync", 39, 0x2F52B45DF7199B9E),
         ("ext3", "overwrite_rename", 57, 0x2F098534CC9EF2ED),
         ("ext3", "reuse_dir", 62, 0x3B64E33AA941FCB7),

@@ -8,12 +8,12 @@
 //!
 //! A device write whose failure `fix_bugs` reacts to goes through
 //! `Ext3Fs::checked_write`, the one place that walks the policy table
-//! for a failed write. Four groups of writes react otherwise, each for a
+//! for a failed write. Three groups of writes react otherwise, each for a
 //! reason given where it is issued: the mount and unmount superblock
 //! writes (`EIO`, no abort), the journal log and commit blocks (judged by
 //! the `Txn<Logged>`/`Txn<Committed>` transitions after the whole batch),
-//! replay's home writes and clean journal superblock (recovery semantics),
-//! and the `Rm` probe write (its failure triggers the remap).
+//! and replay's home writes and clean journal superblock (recovery
+//! semantics).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -1602,7 +1602,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
                     self.abort_recovery(format!("replay write of block {addr} failed"));
                     return Ok(());
                 }
-                self.note_cksum(*addr, data, ty.is_metadata());
                 if self.opts.iron.meta_replication && ty.is_metadata() {
                     mirror_writes.push((*addr, data.clone()));
                 }
@@ -1611,7 +1610,6 @@ impl<D: BlockDevice + RawAccess> Ext3Fs<D> {
         for (addr, b) in mirror_writes {
             self.mirror_meta_write(addr, &b);
         }
-        self.flush_cksum_blocks();
 
         // Journal is clean again.
         let js = JournalSuper {

@@ -26,13 +26,6 @@ pub struct IronConfig {
     /// Fix the stock-ext3 `PAPER-BUG`s (check write error codes, propagate
     /// truncate/rmdir errors, check link counts, squelch post-abort writes).
     pub fix_bugs: bool,
-    /// `Rm` (extension): remap data blocks whose *write* fails to a fresh
-    /// location instead of aborting — the `RRemap` level of Table 2, which
-    /// the paper describes ("when a write to a given block fails, the file
-    /// system could choose to simply write the block to another location")
-    /// but no studied system implements. Off in the paper's Figure 3
-    /// configuration; the `remap` tests and ablation exercise it.
-    pub remap_writes: bool,
 }
 
 impl IronConfig {
@@ -50,7 +43,6 @@ impl IronConfig {
             data_parity: true,
             txn_checksum: true,
             fix_bugs: true,
-            remap_writes: false,
         }
     }
 
@@ -78,7 +70,6 @@ impl IronConfig {
                 data_parity: mask & 8 != 0,
                 txn_checksum: mask & 16 != 0,
                 fix_bugs: true,
-                remap_writes: false,
             })
             .collect()
     }
@@ -101,9 +92,6 @@ impl IronConfig {
         }
         if self.txn_checksum {
             parts.push("Tc");
-        }
-        if self.remap_writes {
-            parts.push("Rm");
         }
         if parts.is_empty() {
             "(ext3)".to_string()

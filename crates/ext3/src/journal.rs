@@ -41,7 +41,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use iron_core::checksum::{crc32_update, sha1};
+use iron_core::checksum::sha1;
 use iron_core::{Block, BLOCK_SIZE};
 
 use crate::layout::BlockType;
@@ -275,34 +275,23 @@ pub fn classify_log_block(b: &Block) -> Option<JournalRecord> {
 
 /// The transactional checksum (`Tc`, §6.1) as a running state, folded one
 /// log image at a time in log order (revokes, descriptors, journal data):
-/// a CRC32 over every image, widened to 64 bits by a SHA-1 over that CRC
-/// and the first 8 digest bytes of each image, so collisions across
-/// reordered blocks are not a concern for recovery decisions.
+/// the SHA-1 of the images' truncated SHA-1 digests, 8 bytes each, in that
+/// order. Each digest binds its image and the sequence binds the order, so
+/// a torn, changed or reordered image changes `Tc`.
 ///
 /// This is the one definition of `Tc`. Commit folds while it writes the
 /// log ([`Txn<Closed>::log`]), replay folds while it reads it back, and
 /// [`txn_checksum`] folds a slice.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TcFold {
-    crc: u32,
-    /// The final SHA-1's input: 8 bytes kept for the finished CRC, then 8
-    /// digest bytes per image folded so far.
-    material: Vec<u8>,
+    /// The final SHA-1's input: 8 digest bytes per image folded so far.
+    digests: Vec<u8>,
 }
 
 #[cfg(test)]
 thread_local! {
     /// SHA-1 calls [`TcFold::fold`] made on this thread (the hash-once test).
     static FOLD_SHA1_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-impl Default for TcFold {
-    fn default() -> Self {
-        TcFold {
-            crc: 0xFFFF_FFFF,
-            material: vec![0; 8],
-        }
-    }
 }
 
 impl TcFold {
@@ -312,25 +301,22 @@ impl TcFold {
     /// table holds exactly that for every block it covers — and `None`
     /// when the image has to be hashed here.
     pub fn fold(&mut self, image: &Block, digest: Option<u64>) {
-        self.crc = crc32_update(self.crc, &image[..]);
         let digest = digest.unwrap_or_else(|| {
             #[cfg(test)]
             FOLD_SHA1_CALLS.with(|c| c.set(c.get() + 1));
             sha1(&image[..]).truncated64()
         });
-        self.material.extend_from_slice(&digest.to_be_bytes());
+        self.digests.extend_from_slice(&digest.to_be_bytes());
     }
 
     /// Number of images folded so far.
     pub fn images(&self) -> usize {
-        self.material.len() / 8 - 1
+        self.digests.len() / 8
     }
 
     /// The checksum the commit block carries.
-    pub fn finish(mut self) -> u64 {
-        let crc = self.crc ^ 0xFFFF_FFFF;
-        self.material[..8].copy_from_slice(&u64::from(crc).to_le_bytes());
-        sha1(&self.material).truncated64()
+    pub fn finish(self) -> u64 {
+        sha1(&self.digests).truncated64()
     }
 }
 
@@ -862,12 +848,19 @@ mod tests {
     fn txn_checksum_detects_any_block_change() {
         let a = Block::filled(1);
         let b = Block::filled(2);
-        let base = txn_checksum(&[&a, &b]);
+        let c = Block::filled(3);
+        let base = txn_checksum(&[&a, &b, &c]);
         let mut b2 = b.clone();
         b2[100] ^= 1;
-        assert_ne!(txn_checksum(&[&a, &b2]), base);
-        assert_ne!(txn_checksum(&[&b, &a]), base, "order matters");
-        assert_eq!(txn_checksum(&[&a, &b]), base, "deterministic");
+        assert_ne!(txn_checksum(&[&a, &b2, &c]), base);
+        // Every swap of two images, adjacent or not, moves `Tc`.
+        assert_ne!(txn_checksum(&[&b, &a, &c]), base, "order matters");
+        assert_ne!(txn_checksum(&[&a, &c, &b]), base, "order matters");
+        assert_ne!(txn_checksum(&[&c, &b, &a]), base, "order matters");
+        // A torn transaction (an image missing) and a repeated image too.
+        assert_ne!(txn_checksum(&[&a, &b]), base, "torn");
+        assert_ne!(txn_checksum(&[&a, &b, &c, &c]), base, "repeated");
+        assert_eq!(txn_checksum(&[&a, &b, &c]), base, "deterministic");
     }
 
     /// Hash-once: under `Mc`+`Tc` the checksum-table pass in `commit()`

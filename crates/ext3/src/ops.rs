@@ -1154,28 +1154,7 @@ impl<D: BlockDevice + RawAccess> SpecificFs for Ext3Fs<D> {
             if parity {
                 self.parity_update(ino, di.parity as u64, old.as_ref(), &new)?;
             }
-            // `Rm` extension: a failed data write is remapped to a fresh
-            // block instead of aborting (RRemap, Table 2). The raw write is
-            // probed first, not checked: its failure is what triggers the
-            // remap.
-            if self.opts.iron.remap_writes {
-                let probe = self
-                    .dev
-                    .write_tagged(BlockAddr(addr), &new, BlockType::Data.tag());
-                if probe.is_err() {
-                    let fresh = self.alloc_block(hint)?;
-                    self.env.klog.warn(
-                        "ixt3",
-                        format!("data write to block {addr} failed; remapped to {fresh}"),
-                    );
-                    self.write_data_block(fresh, new)?;
-                    self.free_block(addr)?;
-                    self.set_file_block(&mut di, idx, fresh, hint)?;
-                } else {
-                    self.note_cksum(addr, &new, false);
-                    self.cache_put(addr, new);
-                }
-            } else if self.opts.iron.data_checksum && preexisting {
+            if self.opts.iron.data_checksum && preexisting {
                 // `Dc` overwrites are copy-on-write: an in-place overwrite
                 // of a mapped block can leave new bytes under the old
                 // *committed* checksum (or old bytes under the new one)

@@ -179,7 +179,7 @@ fn stock_ext3_allocations_are_pinned() {
 fn full_ixt3_allocations_are_pinned() {
     pinned(
         run(Ext3Options::with_iron(IronConfig::full()), Reuse::Deferred),
-        "93c5646010699bccd084c8ff16ecc889df5d00ed",
+        "d608099aab596494d1e27d0829080f57006810b3",
         "5427301946eb5a3f74a23dfc14cdfb3ef0a68874",
         "ixt3",
     );
@@ -197,7 +197,7 @@ fn pipelined_ixt3_allocations_are_pinned() {
     };
     pinned(
         run(opts, Reuse::Unchecked),
-        "fa07756bed539b5e25516879e0c64c3df9c1337e",
+        "ec4b316db4b41682f0bd5b0c3394736c59f3be81",
         "c29e2fdf095e6fb9ab145fa5f6947c2afc2d897e",
         "pipelined ixt3",
     );
@@ -214,7 +214,7 @@ fn six_block_cache_allocations_are_pinned() {
     };
     pinned(
         run(opts, Reuse::Deferred),
-        "93c5646010699bccd084c8ff16ecc889df5d00ed",
+        "d608099aab596494d1e27d0829080f57006810b3",
         "7550cc9981ec29e7683f8914aaf20c022622407c",
         "six-block cache",
     );

@@ -42,6 +42,45 @@ fn crashed_image(n_txns: usize, tc: bool) -> (MemDisk, iron_ext3::DiskLayout) {
     (v.into_fs().into_device(), layout)
 }
 
+/// Replay restores the checksum table a committed transaction carried:
+/// a data block the transaction wrote keeps its `Dc` entry after
+/// recovery. A zero entry reads as "no checksum recorded", which would
+/// let a wrong parity reconstruction of the block pass.
+#[test]
+fn replay_keeps_the_committed_data_checksums() {
+    let iron = IronConfig {
+        meta_checksum: true,
+        data_checksum: true,
+        fix_bugs: true,
+        ..IronConfig::off()
+    };
+    let mut dev = MemDisk::for_tests(4096);
+    Ext3Fs::<MemDisk>::mkfs(&mut dev, Ext3Params::small()).unwrap();
+    let opts = Ext3Options {
+        checkpoint_lag: usize::MAX, // the transaction stays in the log
+        ..Ext3Options::with_iron(iron)
+    };
+    let mut v = Vfs::new(Ext3Fs::mount(dev, FsEnv::new(), opts).unwrap());
+    v.write_file("/f", &[0x5A; 3 * 4096]).unwrap();
+    v.sync().unwrap();
+    let ino = v.resolve("/f").unwrap();
+    let blocks = v.fs_mut().blocks_of(ino).unwrap();
+    assert_eq!(blocks.len(), 3);
+    let entries: Vec<u64> = blocks.iter().map(|&b| v.fs().checksum_entry(b)).collect();
+    assert!(entries.iter().all(|&e| e != 0), "{entries:?}");
+
+    // Crash: drop the mount with the transaction committed but not
+    // checkpointed, then recover.
+    let dev = v.into_fs().into_device();
+    let env = FsEnv::new();
+    let fs = Ext3Fs::mount(dev, env.clone(), Ext3Options::with_iron(iron)).unwrap();
+    assert!(env.klog.contains("1 transaction(s) replayed"));
+    let after: Vec<u64> = blocks.iter().map(|&b| fs.checksum_entry(b)).collect();
+    assert_eq!(after, entries, "replay kept the data blocks' Dc entries");
+    let mut v = Vfs::new(fs);
+    assert_eq!(v.read_file("/f").unwrap(), vec![0x5A; 3 * 4096]);
+}
+
 /// Corrupt an arbitrary byte of an arbitrary journal block, then recover.
 /// The mount may succeed or refuse — but it must never leave a
 /// structurally inconsistent image behind, and with `Tc`, never replay a

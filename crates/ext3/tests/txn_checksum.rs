@@ -1,10 +1,10 @@
 //! `Tc` is the same number however it is computed: the commit path folds
 //! it while writing the log (taking `Mc`'s digests where it has them),
 //! replay folds it from the bytes it reads back, and both must equal
-//! `txn_checksum` over the log images — and the values pinned below, which
-//! were computed before the kernels in `iron_core::checksum` were rewritten
-//! and the commit path stopped hashing blocks twice. A slip that changes
-//! one on-disk byte fails here by name.
+//! `txn_checksum` over the log images — and the values pinned below: `Tc`
+//! is the SHA-1 of the images' 8-byte SHA-1 prefixes in log order, so the
+//! first can be re-derived with any SHA-1 tool. A slip that changes one
+//! on-disk byte fails here by name.
 
 use iron_blockdev::{MemDisk, RawAccess};
 use iron_core::{Block, BlockAddr};
@@ -91,8 +91,9 @@ fn checksum_of(dev: &MemDisk, images: &[u64]) -> u64 {
 #[test]
 fn txn_checksum_of_a_fixed_input_is_pinned() {
     let (a, b, c) = (Block::filled(1), Block::zeroed(), patterned(3));
-    assert_eq!(txn_checksum(&[&a, &b, &c]), 0x3b38_58ad_bfff_1adc);
-    assert_eq!(txn_checksum(&[]), 0x05fe_4057_5316_6f12);
+    assert_eq!(txn_checksum(&[&a, &b, &c]), 0xdcca_a041_4488_f03c);
+    // No image: the SHA-1 of nothing.
+    assert_eq!(txn_checksum(&[]), 0xda39_a3ee_5e6b_4b0d);
 }
 
 #[test]
@@ -105,7 +106,7 @@ fn commit_block_tc_of_a_fixed_transaction_is_pinned() {
     let dev = v.into_fs().into_device();
     let txns = read_log(&dev, &layout);
     let pinned: Vec<(usize, Option<u64>)> = txns.iter().map(|t| (t.images.len(), t.tc)).collect();
-    assert_eq!(pinned, vec![(9, Some(0xbac6_d5a5_aded_b1e0))]);
+    assert_eq!(pinned, vec![(9, Some(0x0368_233e_c772_e523))]);
 }
 
 /// After `commit()`, the commit block on the device carries exactly

@@ -15,12 +15,6 @@ use crate::plan::{FaultController, FaultPlan};
 /// ms) to keep slowness observable on any stack.
 pub const SLOW_NOMINAL_NS: u64 = 100_000;
 
-/// Sim time charged by a [`FaultKind::Hang`] fault: the request
-/// "completes", but only after 30 simulated seconds — far past any
-/// reasonable I/O deadline. A stack without deadlines stalls (in sim
-/// time); one with deadlines sees a timeout.
-pub const HANG_STALL_NS: u64 = 30_000_000_000;
-
 /// A block device that injects faults per a shared [`FaultPlan`].
 ///
 /// Wraps any inner device; healthy requests pass through (and are charged
@@ -35,7 +29,7 @@ pub struct FaultyDisk<D> {
     log: IoLog,
     /// Seed for deterministic noise fabrication.
     noise_seed: u64,
-    /// Clock used to enact latency faults (`Slow`/`Hang`). When absent,
+    /// Clock used to enact latency faults (`Slow`). When absent,
     /// latency faults pass the request through without charging time.
     clock: Option<SimClock>,
 }
@@ -63,7 +57,7 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
         }
     }
 
-    /// Attach the sim clock that latency faults (`Slow`/`Hang`) charge
+    /// Attach the sim clock that latency faults (`Slow`) charge
     /// their extra service time against. Use the same clock the inner
     /// timed device advances, so deadlines measured above this layer see
     /// the slowness.
@@ -72,25 +66,18 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
         self
     }
 
-    /// Enact a latency fault around an inner operation: run `op`, then
-    /// charge the extra sim time the fault demands.
+    /// Enact a [`FaultKind::Slow`] fault around an inner operation: run
+    /// `op`, then charge `multiplier - 1` more times its service time.
     fn slow_io<T>(
         &mut self,
-        kind: FaultKind,
+        multiplier: u32,
         op: impl FnOnce(&mut D) -> DiskResult<T>,
     ) -> DiskResult<T> {
         let start = self.clock.as_ref().map(SimClock::now_ns);
         let out = op(&mut self.inner);
         if let (Some(clock), Some(start)) = (self.clock.as_ref(), start) {
-            let extra = match kind {
-                FaultKind::Slow { multiplier } => {
-                    let nominal = clock.elapsed_since(start).max(SLOW_NOMINAL_NS);
-                    nominal.saturating_mul(u64::from(multiplier.max(1) - 1))
-                }
-                FaultKind::Hang => HANG_STALL_NS,
-                _ => 0,
-            };
-            clock.advance_ns(extra);
+            let nominal = clock.elapsed_since(start).max(SLOW_NOMINAL_NS);
+            clock.advance_ns(nominal.saturating_mul(u64::from(multiplier.max(1) - 1)));
         }
         out
     }
@@ -183,10 +170,10 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
                 self.log.record(op, IoOutcome::SilentlyCorrupted);
                 Ok(bad)
             }
-            Some(kind @ (FaultKind::Slow { .. } | FaultKind::Hang)) => {
+            Some(FaultKind::Slow { multiplier }) => {
                 // The data is correct and no error code is produced — the
                 // fault lives purely in the time domain.
-                let block = self.slow_io(kind, |d| d.read_tagged(addr, tag))?;
+                let block = self.slow_io(multiplier, |d| d.read_tagged(addr, tag))?;
                 self.log.record(op, IoOutcome::Ok);
                 Ok(block)
             }
@@ -223,8 +210,8 @@ impl<D: BlockDevice + RawAccess> FaultyDisk<D> {
                     kind: IoKind::Write,
                 })
             }
-            Some(kind @ (FaultKind::Slow { .. } | FaultKind::Hang)) => {
-                self.slow_io(kind, write)?;
+            Some(FaultKind::Slow { multiplier }) => {
+                self.slow_io(multiplier, write)?;
                 self.log.record(op, IoOutcome::Ok);
                 Ok(())
             }
@@ -497,35 +484,13 @@ mod tests {
     }
 
     #[test]
-    fn hang_fault_stalls_for_the_full_stall_time() {
-        let inner = MemDisk::for_tests(64);
-        let clock = inner.clock();
-        let mut disk = FaultyDisk::new(inner).with_clock(clock.clone());
-        let ctl = disk.controller();
-        ctl.inject(FaultSpec::sticky(
-            FaultKind::Hang,
-            FaultTarget::Addr(BlockAddr(5)),
-        ));
-        let before = clock.now_ns();
-        disk.write(BlockAddr(5), &Block::filled(1)).unwrap();
-        assert_eq!(clock.elapsed_since(before), HANG_STALL_NS);
-        // The write did land: a hang is not a lost write, just a stall.
-        assert_eq!(disk.peek(BlockAddr(5)), Block::filled(1));
-    }
-
-    #[test]
     fn latency_faults_without_a_clock_pass_through() {
         let (mut disk, ctl) = setup();
         ctl.inject(FaultSpec::sticky(
             FaultKind::Slow { multiplier: 1000 },
             FaultTarget::Addr(BlockAddr(1)),
         ));
-        ctl.inject(FaultSpec::sticky(
-            FaultKind::Hang,
-            FaultTarget::Addr(BlockAddr(2)),
-        ));
         assert_eq!(disk.read(BlockAddr(1)).unwrap(), Block::filled(2));
-        assert_eq!(disk.read(BlockAddr(2)).unwrap(), Block::filled(3));
     }
 
     /// Twins over one golden, one read with `read_page` and one with
@@ -554,7 +519,6 @@ mod tests {
             Some(FaultKind::WriteError),
             Some(FaultKind::WholeDisk),
             Some(FaultKind::Slow { multiplier: 4 }),
-            Some(FaultKind::Hang),
         ];
         kinds.extend(styles.map(|s| Some(FaultKind::Corruption(s))));
 

@@ -27,6 +27,6 @@ pub mod plan;
 pub mod reliability;
 pub mod stack;
 
-pub use faulty::{FaultyDisk, HANG_STALL_NS, SLOW_NOMINAL_NS};
+pub use faulty::{FaultyDisk, SLOW_NOMINAL_NS};
 pub use plan::{FaultController, FaultId, FaultPlan, FaultSpec, FaultTarget};
 pub use stack::FaultStackExt;

@@ -32,7 +32,7 @@ pub trait FaultStackExt<D: BlockDevice + RawAccess> {
     fn with_faults(self, plan: FaultPlan) -> StackBuilder<FaultyDisk<D>>;
 
     /// Like [`Self::with_faults`], but also attaches `clock` so latency
-    /// faults ([`iron_core::FaultKind::Slow`] / `Hang`) charge their
+    /// faults ([`iron_core::FaultKind::Slow`]) charge their
     /// extra service time. Pass the same clock the timed disk below
     /// advances, so deadline checks above this layer observe the stall.
     fn with_timed_faults(self, plan: FaultPlan, clock: SimClock) -> StackBuilder<FaultyDisk<D>>;

@@ -27,7 +27,7 @@ use crate::workloads::build_fixture;
 pub type CampaignDevice = BufferCache<FaultyDisk<MemDisk>>;
 
 /// The policy-equipped campaign stack used by the fault-transience axis:
-/// the fault layer is clock-attached (so `Slow`/`Hang` faults charge
+/// the fault layer is clock-attached (so `Slow` faults charge
 /// simulated service time) and a [`RetryLayer`] sits between it and the
 /// cache, enacting device-level retry/deadline policy exactly where the
 /// SCSI mid-layer would.
@@ -519,7 +519,7 @@ mod tests {
             ),
             (
                 &Ext3Adapter::ixt3(),
-                "abca2f6fefbfbf7a3c3098955c4639582ae3e9cc",
+                "452be6fb8c68bd3554015c0f0882243e62094680",
             ),
             (&ReiserAdapter, "fee023aad6602c2c6ec22a9bf5e328798b432dfb"),
             (&JfsAdapter, "edf01a30e544c655999735db7367b1a6e3365c60"),

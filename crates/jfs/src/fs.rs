@@ -762,6 +762,10 @@ impl<D: BlockDevice + RawAccess> FlatStore for JfsFs<D> {
     }
 
     fn free_node(&mut self, ino: u64) -> VfsResult<()> {
+        // Inode numbers are 1-based; one read from a directory entry is
+        // checked before it names an imap bit.
+        let inodes = 1..self.layout.total_inodes() + 1;
+        self.env.check_bitmap_index("jfs", "inode", ino, inodes)?;
         let (im_addr, bit) = self.layout.imap_location(ino);
         let mut im = self.generic_read(im_addr.0, JfsBlockType::Imap)?;
         im.clear_bit(bit);

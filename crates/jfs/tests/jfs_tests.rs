@@ -370,6 +370,57 @@ fn corrupt_inode_pointer_is_euclean_not_freed() {
     assert!(v.into_fs().into_device().peek(imap_control) == before);
 }
 
+/// An inode number read from a corrupt directory entry is range-checked
+/// before it indexes the inode map: 0 would underflow the 1-based map
+/// index and 100 000 would name a block past the map. `unlink` must
+/// answer `EUCLEAN` with one klog error and leave those blocks as they
+/// were.
+#[test]
+fn corrupt_entry_inode_number_is_euclean_not_freed() {
+    use iron_core::klog::LogLevel;
+    use iron_vfs::flat::{decode_dir_block, encode_dir_block};
+
+    for bad in [0u32, 100_000] {
+        let (mut v, _ctl, _env) = mount();
+        v.write_file("/f", b"x").unwrap();
+        v.umount().unwrap();
+        let mut dev = v.into_fs().into_device();
+        let layout = iron_jfs::JfsLayout::compute(JfsParams::small());
+        let (blk, off) = layout.inode_location(iron_jfs::layout::ROOT_INO);
+        let dir = BlockAddr(u64::from(dev.peek(blk).get_u32(off + 32))); // direct[0]
+        let mut entries = decode_dir_block(&dev.peek(dir)).unwrap();
+        entries.iter_mut().find(|e| e.name == "f").unwrap().id = bad;
+        dev.poke(dir, &encode_dir_block(&entries));
+        // The map's blocks, and the block an unchecked 100 000 would stage
+        // as one.
+        let watched: Vec<BlockAddr> = (0..layout.imap_len)
+            .map(|i| BlockAddr(layout.imap_start + i))
+            .chain([layout.imap_location(100_000).0])
+            .collect();
+        let before: Vec<Block> = watched.iter().map(|&a| dev.peek(a)).collect();
+
+        let env = FsEnv::new();
+        let fs = JfsFs::mount(dev, env.clone(), JfsOptions::default()).unwrap();
+        let mut v = Vfs::new(fs);
+        let err = v.unlink("/f").unwrap_err();
+        assert_eq!(err.errno(), Some(Errno::EUCLEAN), "id {bad}");
+        let errors: Vec<_> = env
+            .klog
+            .entries()
+            .into_iter()
+            .filter(|e| e.level == LogLevel::Error)
+            .collect();
+        assert_eq!(errors.len(), 1, "id {bad}: {errors:?}");
+        assert!(errors[0].message.contains("outside the volume"));
+        assert_ne!(env.state(), MountState::Crashed);
+        v.umount().unwrap();
+        let dev = v.into_fs().into_device();
+        for (&addr, was) in watched.iter().zip(&before) {
+            assert!(dev.peek(addr) == *was, "id {bad}: block {addr:?} changed");
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // The full Figure 1 stack: JFS over the write-back buffer cache.
 // ----------------------------------------------------------------------
